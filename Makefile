@@ -7,6 +7,7 @@ check: ## gofmt + vet + build + race-enabled tests (the CI gate)
 
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -18,7 +19,8 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 fmt:
-	gofmt -w cmd internal examples bench_test.go
+	gofmt -w cmd internal examples scripts perfbench bench_test.go fleet_bench_test.go
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...

@@ -14,15 +14,16 @@ var (
 // Framework returns a program containing stub definitions of the framework
 // classes apps extend and call. The stubs carry hierarchy information and
 // method signatures only — no bodies — which is all the analyses consume.
-// Merge it under an app's program before building a hierarchy:
+// Scans do not merge it themselves: package baselayer merges it with the
+// library stubs once per process into the frozen layer every app is
+// overlaid on. A flat merge under an app's program still works:
 //
 //	prog.Merge(android.Framework())
 //
-// The program is built once per process and shared; it is read-only after
-// construction (Program.Merge copies class pointers without mutating the
-// source).
+// The program is built once per process, shared, and frozen: AddClass or
+// Merge into it panics, so the shared *Class values can never change.
 func Framework() *jimple.Program {
-	frameworkOnce.Do(func() { frameworkProg = buildFramework() })
+	frameworkOnce.Do(func() { frameworkProg = buildFramework().Freeze() })
 	return frameworkProg
 }
 

@@ -26,15 +26,15 @@ var (
 
 // Stubs returns hierarchy/signature stubs for every annotated library
 // class, generated from the registry so the stubs can never drift from the
-// annotations. Merge into an app program alongside android.Framework().
+// annotations. Package baselayer merges it under android.Framework() once
+// per process into the frozen layer every app is overlaid on.
 //
-// The program is built once per process and shared: it is read-only after
-// construction (Program.Merge copies class pointers without mutating the
-// source), and rebuilding it per scan also rebuilt the registry per scan
-// — the batch-mode per-app registry-construction bug the RegistryBuilds
-// regression test pins.
+// The program is built once per process, shared, and frozen (AddClass or
+// Merge into it panics). Rebuilding it per scan also rebuilt the registry
+// per scan — the batch-mode per-app registry-construction bug the
+// RegistryBuilds regression test pins.
 func Stubs() *jimple.Program {
-	stubsOnce.Do(func() { stubsProg = buildStubs() })
+	stubsOnce.Do(func() { stubsProg = buildStubs().Freeze() })
 	return stubsProg
 }
 

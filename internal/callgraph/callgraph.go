@@ -125,6 +125,57 @@ func Build(h *hierarchy.Hierarchy, manifest *android.Manifest) *Graph {
 
 // BuildWith is Build with explicit options.
 func BuildWith(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options) *Graph {
+	return build(h, manifest, opts, h.Program().Classes())
+}
+
+// Base is the part of call-graph construction that depends on a frozen
+// base layer alone: the base classes that carry a bodied method, which
+// are the only base classes that can contribute methods or entry points
+// to an app's graph. The entries themselves are derived per app, since an
+// entry's component kind and manifest declaration depend on the app.
+type Base struct {
+	h       *hierarchy.Hierarchy
+	classes []*jimple.Class // sorted by name
+}
+
+// NewBase precomputes the call-graph part of the flat base hierarchy h.
+func NewBase(h *hierarchy.Hierarchy) *Base {
+	if h.Base() != nil {
+		panic("callgraph: base hierarchy is itself an overlay")
+	}
+	b := &Base{h: h}
+	for _, c := range h.Program().Classes() {
+		if hasConcreteMethod(c) {
+			b.classes = append(b.classes, c)
+		}
+	}
+	return b
+}
+
+// NumClasses returns the number of base classes with a bodied method.
+func (b *Base) NumClasses() int { return len(b.classes) }
+
+// Build constructs the call graph of the overlay hierarchy h, which must
+// sit on b's hierarchy. It walks only h's own classes and b's bodied
+// classes that the overlay does not shadow, and yields the same graph
+// BuildWith would over the flat merge of the layers.
+func (b *Base) Build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options) *Graph {
+	if h.Base() != b.h {
+		panic("callgraph: overlay hierarchy does not sit on this base")
+	}
+	prog := h.Program()
+	classes := prog.OwnClasses()
+	for _, c := range b.classes {
+		if prog.Class(c.Name) == c {
+			classes = append(classes, c)
+		}
+	}
+	return build(h, manifest, opts, classes)
+}
+
+// build constructs the graph from classes, the program's classes that may
+// hold a bodied method, in any order.
+func build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options, classes []*jimple.Class) *Graph {
 	g := &Graph{
 		H:        h,
 		Manifest: manifest,
@@ -133,15 +184,14 @@ func BuildWith(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options)
 		methods:  make(map[string]*jimple.Method),
 		intern:   jimple.NewInterner(),
 	}
-	prog := h.Program()
-	for _, c := range prog.Classes() {
+	for _, c := range classes {
 		for _, m := range c.Methods {
 			if m.HasBody() {
 				g.methods[g.intern.SigKey(m.Sig)] = m
 			}
 		}
 	}
-	g.discoverEntries()
+	g.discoverEntries(classes)
 	for _, m := range g.methods {
 		g.addEdgesFrom(m, opts)
 	}
@@ -163,22 +213,26 @@ func BuildWith(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options)
 	return g
 }
 
-func (g *Graph) discoverEntries() {
-	prog := g.H.Program()
-	for _, c := range prog.Classes() {
+func (g *Graph) discoverEntries(classes []*jimple.Class) {
+	bases := android.ComponentBases()
+	ifaces := android.ListenerIfaces()
+	var seen []string // entry keys already added for the current class
+	for _, c := range classes {
 		if !hasConcreteMethod(c) {
 			continue
 		}
-		seen := make(map[string]bool)
+		seen = seen[:0]
 		add := func(m *jimple.Method) {
 			if m == nil || !m.HasBody() || m.Sig.Class != c.Name {
 				return
 			}
 			mk := g.intern.SigKey(m.Sig)
-			if seen[mk] {
-				return
+			for _, k := range seen {
+				if k == mk {
+					return
+				}
 			}
-			seen[mk] = true
+			seen = append(seen, mk)
 			comp := jimple.OuterClass(c.Name)
 			kind := android.KindOf(g.H, c.Name)
 			declared := false
@@ -189,7 +243,7 @@ func (g *Graph) discoverEntries() {
 			}
 			g.entries = append(g.entries, Entry{Method: m, Component: comp, Kind: kind, Declared: declared})
 		}
-		for _, base := range android.ComponentBases() {
+		for _, base := range bases {
 			if !g.H.IsSubtype(c.Name, base) {
 				continue
 			}
@@ -197,7 +251,7 @@ func (g *Graph) discoverEntries() {
 				add(c.Method(sub))
 			}
 		}
-		for _, iface := range android.ListenerIfaces() {
+		for _, iface := range ifaces {
 			if !g.H.IsSubtype(c.Name, iface) {
 				continue
 			}

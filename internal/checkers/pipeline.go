@@ -6,11 +6,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/android"
 	"repro/internal/apimodel"
 	"repro/internal/apk"
+	"repro/internal/baselayer"
 	"repro/internal/callgraph"
-	"repro/internal/hierarchy"
 	"repro/internal/jimple"
 	"repro/internal/report"
 )
@@ -109,12 +108,9 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		// app whole; targeted mode computes the demand closure and decodes
 		// only the demanded classes (targeted.go).
 		a.prepareBuild()
-		prog := jimple.NewProgram()
-		prog.Merge(app.Program)
-		prog.Merge(android.Framework())
-		prog.Merge(apimodel.Stubs())
-		a.h = hierarchy.New(prog)
-		a.cg = callgraph.BuildWith(a.h, app.Manifest, callgraph.Options{
+		base := baselayer.Get()
+		a.h = base.Overlay(app.Program)
+		a.cg = base.CallGraph(a.h, app.Manifest, callgraph.Options{
 			DeclaredDispatchOnly: opts.DeclaredDispatchOnly,
 			EnableICC:            opts.EnableICC,
 		})

@@ -14,7 +14,7 @@ import (
 // regression here multiplies by the whole corpus × worker count. Both
 // engine traversals are gated, so a fast-path regression in the targeted
 // closure is caught alongside one in the full pipeline. The budgets carry
-// ~10% headroom over the measured values (full: 879, targeted: 942);
+// ~10% headroom over the measured values (full: 462, targeted: 525);
 // if a deliberate feature change raises a floor, re-measure
 // with `go test ./internal/core -run TestScanAllocsRegression -v` and
 // update the constant in the same commit that explains why.
@@ -22,8 +22,8 @@ import (
 // The thresholds only bind without -race: the race runtime's
 // instrumentation allocates on its own account.
 const (
-	scanAllocBudgetFull     = 970
-	scanAllocBudgetTargeted = 1_040
+	scanAllocBudgetFull     = 510
+	scanAllocBudgetTargeted = 580
 )
 
 func TestScanAllocsRegression(t *testing.T) {

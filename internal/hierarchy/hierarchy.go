@@ -11,8 +11,21 @@ import (
 )
 
 // Hierarchy is an immutable view of a program's class hierarchy.
+//
+// A hierarchy is either flat, indexing every class of its program, or an
+// overlay over a frozen base hierarchy (NewOverlay): its own maps then
+// hold only the classes of the overlay program's own layer, and every
+// query falls through to the base for the rest. The base is only read, so
+// one base can sit under any number of concurrent overlays.
 type Hierarchy struct {
-	prog     *jimple.Program
+	prog *jimple.Program
+
+	// base is the hierarchy beneath an overlay, nil for a flat one.
+	// shadows reports whether an own class hides a base class of the same
+	// name; only then must base subtype lists be filtered.
+	base    *Hierarchy
+	shadows bool
+
 	subsOf   map[string][]string // direct subclasses and implementers
 	supersOf map[string][]string // direct superclass + interfaces
 
@@ -28,7 +41,8 @@ type Hierarchy struct {
 	// class, subsignature); the same framework callee is invoked from many
 	// sites, and each re-resolution used to redo the subtree walk and
 	// re-render every candidate's key. Guarded by mu so a Hierarchy stays
-	// safe to share between goroutines.
+	// safe to share between goroutines. An overlay keeps its own memo and
+	// never writes to its base's.
 	mu           sync.Mutex
 	dispatchMemo map[dispatchKey][]*jimple.Method
 }
@@ -42,16 +56,48 @@ type dispatchKey struct {
 // New indexes the hierarchy of p. Types referenced but not defined in p
 // (phantom classes) participate with no members and no known supertypes.
 func New(p *jimple.Program) *Hierarchy {
-	h := &Hierarchy{
+	h := newIndex(p, p.NumClasses())
+	h.index(p.Classes())
+	return h
+}
+
+// NewOverlay indexes the own layer of the overlay program p over base,
+// which must be a flat hierarchy of p's base program. Only p's own classes
+// are indexed, so the cost is linear in them; every query answers exactly
+// as New over the flat merge of p's layers would.
+func NewOverlay(base *Hierarchy, p *jimple.Program) *Hierarchy {
+	if base.base != nil || p.Base() != base.prog {
+		panic("hierarchy: overlay program does not sit on the base hierarchy's program")
+	}
+	own := p.OwnClasses()
+	h := newIndex(p, len(own))
+	h.base = base
+	h.index(own)
+	for _, c := range own {
+		if _, shadowed := base.methodIdx[c.Name]; shadowed {
+			h.shadows = true
+			break
+		}
+	}
+	return h
+}
+
+func newIndex(p *jimple.Program, n int) *Hierarchy {
+	return &Hierarchy{
 		prog:         p,
 		subsOf:       make(map[string][]string),
-		supersOf:     make(map[string][]string),
-		methodIdx:    make(map[string]map[string]*jimple.Method),
-		superOf:      make(map[string]string),
+		supersOf:     make(map[string][]string, n),
+		methodIdx:    make(map[string]map[string]*jimple.Method, n),
+		superOf:      make(map[string]string, n),
 		dispatchMemo: make(map[dispatchKey][]*jimple.Method),
 	}
+}
+
+// index adds classes to h's own maps; the edge lists come out sorted
+// whatever the order of classes.
+func (h *Hierarchy) index(classes []*jimple.Class) {
 	intern := jimple.NewInterner()
-	for _, c := range p.Classes() {
+	for _, c := range classes {
 		if c.Super != "" {
 			h.supersOf[c.Name] = append(h.supersOf[c.Name], c.Super)
 			h.subsOf[c.Super] = append(h.subsOf[c.Super], c.Name)
@@ -75,29 +121,92 @@ func New(p *jimple.Program) *Hierarchy {
 			sort.Strings(m[k])
 		}
 	}
-	return h
 }
 
 // Program returns the underlying program.
 func (h *Hierarchy) Program() *jimple.Program { return h.prog }
 
+// Base returns the frozen hierarchy beneath an overlay, or nil for a flat
+// hierarchy.
+func (h *Hierarchy) Base() *Hierarchy { return h.base }
+
+// IndexSizes counts the entries of a hierarchy's own index maps.
+type IndexSizes struct {
+	Classes, Subtypes, Supertypes, Dispatch int
+}
+
+// IndexSizes reports the sizes of h's own indexes (for an overlay, not
+// including its base's); tests use it to prove a shared base unchanged.
+func (h *Hierarchy) IndexSizes() IndexSizes {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return IndexSizes{
+		Classes:    len(h.methodIdx),
+		Subtypes:   len(h.subsOf),
+		Supertypes: len(h.supersOf),
+		Dispatch:   len(h.dispatchMemo),
+	}
+}
+
+// defined returns the method index and superclass of class c, looking in
+// h's own classes first and then in the base; ok is false for a phantom.
+func (h *Hierarchy) defined(c string) (mm map[string]*jimple.Method, super string, ok bool) {
+	if mm, ok = h.methodIdx[c]; ok || h.base == nil {
+		return mm, h.superOf[c], ok
+	}
+	return h.base.defined(c)
+}
+
+// supers returns the direct supertypes of c: its own definition's when h
+// defines c, else the base's.
+func (h *Hierarchy) supers(c string) []string {
+	if h.base != nil {
+		if _, own := h.methodIdx[c]; !own {
+			return h.base.supers(c)
+		}
+	}
+	return h.supersOf[c]
+}
+
+// eachSub calls fn on every direct subtype of t: the own layer's, then the
+// base's that the own layer does not shadow (a shadowing class contributes
+// through its own definition instead). A name may repeat; callers dedup.
+func (h *Hierarchy) eachSub(t string, fn func(string)) {
+	for _, s := range h.subsOf[t] {
+		fn(s)
+	}
+	if h.base == nil {
+		return
+	}
+	for _, s := range h.base.subsOf[t] {
+		if h.shadows {
+			if _, own := h.methodIdx[s]; own {
+				continue
+			}
+		}
+		fn(s)
+	}
+}
+
 // IsSubtype reports whether sub is the same as, or a transitive subtype
-// (subclass or implementer) of, super.
+// (subclass or implementer) of, super. It allocates nothing for the
+// shallow hierarchies real code has.
 func (h *Hierarchy) IsSubtype(sub, super string) bool {
 	if sub == super {
 		return true
 	}
-	seen := map[string]bool{sub: true}
-	stack := []string{sub}
+	var seen visitSet
+	var stackBuf [visitSmall]string
+	seen.add(sub)
+	stack := append(stackBuf[:0], sub)
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range h.supersOf[c] {
+		for _, s := range h.supers(c) {
 			if s == super {
 				return true
 			}
-			if !seen[s] {
-				seen[s] = true
+			if seen.add(s) {
 				stack = append(stack, s)
 			}
 		}
@@ -105,20 +214,60 @@ func (h *Hierarchy) IsSubtype(sub, super string) bool {
 	return false
 }
 
+// visitSmall bounds the inline part of a visitSet; supertype closures
+// past it (only pathological or generated hierarchies) spill to a map.
+const visitSmall = 16
+
+// visitSet is a string set kept in an inline array while small, so a
+// traversal over a short supertype chain stays off the heap.
+type visitSet struct {
+	n     int
+	small [visitSmall]string
+	big   map[string]struct{}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *visitSet) add(k string) bool {
+	if s.big != nil {
+		if _, ok := s.big[k]; ok {
+			return false
+		}
+		s.big[k] = struct{}{}
+		return true
+	}
+	for _, v := range s.small[:s.n] {
+		if v == k {
+			return false
+		}
+	}
+	if s.n < visitSmall {
+		s.small[s.n] = k
+		s.n++
+		return true
+	}
+	s.big = make(map[string]struct{}, 2*visitSmall)
+	for _, v := range s.small {
+		s.big[v] = struct{}{}
+	}
+	s.big[k] = struct{}{}
+	return true
+}
+
 // SubtypesOf returns all transitive subtypes of t, including t itself,
 // sorted by name.
 func (h *Hierarchy) SubtypesOf(t string) []string {
 	seen := map[string]bool{t: true}
 	stack := []string{t}
+	visit := func(s string) {
+		if !seen[s] {
+			seen[s] = true
+			stack = append(stack, s)
+		}
+	}
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range h.subsOf[c] {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
+		h.eachSub(c, visit)
 	}
 	out := make([]string, 0, len(seen))
 	for c := range seen {
@@ -136,7 +285,7 @@ func (h *Hierarchy) Supertypes(t string) []string {
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range h.supersOf[c] {
+		for _, s := range h.supers(c) {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
@@ -156,14 +305,14 @@ func (h *Hierarchy) Supertypes(t string) []string {
 // nil if no definition is found in the program.
 func (h *Hierarchy) LookupMethod(c, subSigKey string) *jimple.Method {
 	for cur := c; cur != ""; {
-		mm, defined := h.methodIdx[cur]
+		mm, super, defined := h.defined(cur)
 		if !defined {
 			return nil
 		}
 		if m := mm[subSigKey]; m != nil {
 			return m
 		}
-		cur = h.superOf[cur]
+		cur = super
 	}
 	return nil
 }

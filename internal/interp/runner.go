@@ -5,8 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/android"
-	"repro/internal/apimodel"
 	"repro/internal/apk"
+	"repro/internal/baselayer"
 	"repro/internal/hierarchy"
 	"repro/internal/jimple"
 )
@@ -65,14 +65,11 @@ type Replayer struct {
 	receivers []string
 }
 
-// NewReplayer merges the app with the framework and library stub models
-// and builds the execution hierarchy.
+// NewReplayer layers the app over the shared framework and library stub
+// layer and builds the execution hierarchy.
 func NewReplayer(app *apk.App) *Replayer {
-	prog := jimple.NewProgram()
-	prog.Merge(app.Program)
-	prog.Merge(android.Framework())
-	prog.Merge(apimodel.Stubs())
-	r := &Replayer{prog: prog, h: hierarchy.New(prog)}
+	h := baselayer.Get().Overlay(app.Program)
+	r := &Replayer{prog: h.Program(), h: h}
 	if app.Manifest != nil {
 		r.receivers = app.Manifest.Receivers
 	}

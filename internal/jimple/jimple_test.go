@@ -526,3 +526,66 @@ func TestMustParsePanicsOnGarbage(t *testing.T) {
 	}()
 	MustParse("zork")
 }
+
+func TestOverlayProgram(t *testing.T) {
+	base := MustParse(`class java.lang.Object {
+}
+class b.A extends java.lang.Object {
+}
+class b.C extends java.lang.Object {
+  method m()void {
+    return
+  }
+}`).Freeze()
+	app := MustParse(`class a.X extends b.A {
+}
+class b.C extends b.A {
+}`)
+	p := NewOverlay(app, base)
+	if p.Class("b.C") != app.Class("b.C") || p.Class("b.A") != base.Class("b.A") {
+		t.Fatal("overlay must resolve own classes first, then the base")
+	}
+	if p.Method(Sig{Class: "b.C", Name: "m", Ret: TypeVoid}) != nil {
+		t.Error("a shadowed base class's methods must not show through")
+	}
+	var names []string
+	for _, c := range p.Classes() {
+		names = append(names, c.Name)
+	}
+	if got := strings.Join(names, " "); got != "a.X b.A b.C java.lang.Object" || p.NumClasses() != 4 {
+		t.Errorf("Classes() = %q, NumClasses = %d", got, p.NumClasses())
+	}
+	if p.NumStmts() != 0 {
+		t.Errorf("NumStmts = %d, want 0 (the only body is shadowed)", p.NumStmts())
+	}
+
+	// Merge keeps the "p wins" rule across both layers; AddClass shadows.
+	p.Merge(MustParse("class b.A extends b.C {\n}\nclass a.Y extends b.A {\n}"))
+	if p.Class("b.A") != base.Class("b.A") || p.Class("a.Y") == nil {
+		t.Error("Merge must keep classes present in either layer and add new ones")
+	}
+	p.AddClass(&Class{Name: "b.A", Super: TypeObject})
+	if p.NumClasses() != 5 || base.Class("b.A").Super != TypeObject || base.NumClasses() != 3 {
+		t.Errorf("AddClass over a base class: NumClasses = %d, base has %d", p.NumClasses(), base.NumClasses())
+	}
+}
+
+func TestFrozenProgramRejectsWrites(t *testing.T) {
+	p := MustParse("class x.A {\n}").Freeze()
+	for name, write := range map[string]func(){
+		"AddClass": func() { p.AddClass(&Class{Name: "x.B"}) },
+		"Merge":    func() { p.Merge(NewProgram()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen program did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+	if p.NumClasses() != 1 {
+		t.Errorf("frozen program changed: %d classes", p.NumClasses())
+	}
+}

@@ -95,8 +95,24 @@ func (c *Class) AddMethod(m *Method) *Method {
 
 // Program is a closed set of classes under analysis: the app's own classes
 // plus whatever framework/library stub classes the app's hierarchy needs.
+//
+// A program is either flat (every class in one map) or an overlay: its own
+// classes layered over a frozen base program. Lookups in an overlay try the
+// own layer first and fall through to the base, so an own class shadows a
+// base class of the same name — the same app-wins rule Merge applies when
+// the framework is merged under an app. The base is only ever read.
 type Program struct {
 	classes map[string]*Class
+
+	// base is the frozen layer beneath an overlay; nil for a flat program.
+	// shadowed counts own classes that hide a base class of the same name.
+	base     *Program
+	shadowed int
+
+	// frozen programs reject AddClass and Merge; sorted caches their
+	// Classes() order, computed once by Freeze.
+	frozen bool
+	sorted []*Class
 }
 
 // NewProgram returns an empty program.
@@ -104,25 +120,111 @@ func NewProgram() *Program {
 	return &Program{classes: make(map[string]*Class)}
 }
 
-// AddClass inserts c, replacing any prior class with the same name.
+// NewOverlay returns a program whose own layer holds app's classes (the
+// *Class values are shared, as Merge shares them) layered over base, which
+// must be frozen. Its cost is linear in app's classes: nothing of base is
+// copied. app must itself be flat.
+func NewOverlay(app, base *Program) *Program {
+	if !base.frozen {
+		panic("jimple: overlay base program is not frozen")
+	}
+	if app.base != nil {
+		panic("jimple: overlay over an overlay app program")
+	}
+	p := &Program{classes: make(map[string]*Class, len(app.classes)), base: base}
+	for _, c := range app.classes {
+		p.AddClass(c)
+	}
+	return p
+}
+
+// Freeze makes p read-only: AddClass and Merge into it panic from now on,
+// so p can be shared between goroutines as an overlay base. It returns p.
+func (p *Program) Freeze() *Program {
+	if !p.frozen {
+		p.sorted = p.Classes()
+		p.frozen = true
+	}
+	return p
+}
+
+// Base returns the frozen program beneath an overlay, or nil for a flat
+// program.
+func (p *Program) Base() *Program { return p.base }
+
+// AddClass inserts c, replacing any prior class with the same name. In an
+// overlay, c goes into the own layer and shadows any base class of the
+// same name.
 func (p *Program) AddClass(c *Class) *Class {
+	if p.frozen {
+		panic("jimple: AddClass on a frozen program")
+	}
+	if p.base != nil && p.base.Class(c.Name) != nil {
+		if _, own := p.classes[c.Name]; !own {
+			p.shadowed++
+		}
+	}
 	p.classes[c.Name] = c
 	return c
 }
 
 // Class returns the named class, or nil if it is not in the program.
-func (p *Program) Class(name string) *Class { return p.classes[name] }
+func (p *Program) Class(name string) *Class {
+	if c := p.classes[name]; c != nil || p.base == nil {
+		return c
+	}
+	return p.base.Class(name)
+}
 
 // NumClasses returns the number of classes in the program.
-func (p *Program) NumClasses() int { return len(p.classes) }
+func (p *Program) NumClasses() int {
+	if p.base == nil {
+		return len(p.classes)
+	}
+	return len(p.classes) + p.base.NumClasses() - p.shadowed
+}
 
 // Classes returns all classes sorted by name. The slice is freshly
 // allocated; the *Class values are shared.
 func (p *Program) Classes() []*Class {
+	if p.frozen {
+		return append([]*Class(nil), p.sorted...)
+	}
+	own := p.sortedOwn()
+	if p.base == nil {
+		return own
+	}
+	// Merge the sorted own layer with the base's sorted list, dropping the
+	// base classes the own layer shadows. An overlay's base is frozen, so
+	// its sorted order is cached.
+	base := p.base.sorted
+	out := make([]*Class, 0, len(own)+len(base)-p.shadowed)
+	i := 0
+	for _, b := range base {
+		for i < len(own) && own[i].Name < b.Name {
+			out = append(out, own[i])
+			i++
+		}
+		if _, shadowed := p.classes[b.Name]; !shadowed {
+			out = append(out, b)
+		}
+	}
+	return append(out, own[i:]...)
+}
+
+// OwnClasses returns the classes of p's own layer — for an overlay, the
+// classes layered over the base; for a flat program, all of them — in no
+// particular order. The slice is freshly allocated.
+func (p *Program) OwnClasses() []*Class {
 	out := make([]*Class, 0, len(p.classes))
 	for _, c := range p.classes {
 		out = append(out, c)
 	}
+	return out
+}
+
+func (p *Program) sortedOwn() []*Class {
+	out := p.OwnClasses()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -130,7 +232,7 @@ func (p *Program) Classes() []*Class {
 // Method resolves a signature to its defining method by exact declaring
 // class, or nil if absent.
 func (p *Program) Method(sig Sig) *Method {
-	c := p.classes[sig.Class]
+	c := p.Class(sig.Class)
 	if c == nil {
 		return nil
 	}
@@ -139,11 +241,18 @@ func (p *Program) Method(sig Sig) *Method {
 
 // Merge adds every class of other into p. Classes already present in p are
 // kept (p wins), so framework stubs can be merged under app classes that
-// deliberately shadow them.
+// deliberately shadow them. In an overlay, "present" includes the base;
+// other must be flat.
 func (p *Program) Merge(other *Program) {
+	if p.frozen {
+		panic("jimple: Merge into a frozen program")
+	}
+	if other.base != nil {
+		panic("jimple: Merge from an overlay program")
+	}
 	for name, c := range other.classes {
-		if _, exists := p.classes[name]; !exists {
-			p.classes[name] = c
+		if p.Class(name) == nil {
+			p.AddClass(c)
 		}
 	}
 }
@@ -153,9 +262,22 @@ func (p *Program) Merge(other *Program) {
 func (p *Program) NumStmts() int {
 	n := 0
 	for _, c := range p.classes {
-		for _, m := range c.Methods {
-			n += len(m.Body)
+		n += classStmts(c)
+	}
+	if p.base != nil {
+		for _, c := range p.base.sorted {
+			if _, shadowed := p.classes[c.Name]; !shadowed {
+				n += classStmts(c)
+			}
 		}
+	}
+	return n
+}
+
+func classStmts(c *Class) int {
+	n := 0
+	for _, m := range c.Methods {
+		n += len(m.Body)
 	}
 	return n
 }

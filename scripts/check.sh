@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== gofmt =="
-unformatted=$(gofmt -l cmd internal examples scripts bench_test.go fleet_bench_test.go)
+unformatted=$(gofmt -l cmd internal examples scripts perfbench bench_test.go fleet_bench_test.go)
 if [ -n "$unformatted" ]; then
     echo "gofmt: the following files need formatting:" >&2
     echo "$unformatted" >&2
@@ -17,6 +17,10 @@ fi
 
 echo "== go vet =="
 go vet ./...
+# perfbench is its own module (it replaces repro with ../), so ./... above
+# never reaches it; vetting it here catches an API change that would break
+# the benchmark's build.
+(cd perfbench && go vet ./...)
 
 # Deeper linters run when installed; CI images without them still get the
 # vet gate above, so the script works offline and in the minimal container.
@@ -36,6 +40,7 @@ fi
 
 echo "== go build =="
 go build ./...
+(cd perfbench && go build -o /dev/null .)
 
 echo "== go test -race =="
 # -timeout turns a hung test (e.g. a scan that stopped honoring its
