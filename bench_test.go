@@ -573,96 +573,22 @@ func BenchmarkScanCorpusWarm(b *testing.B) {
 	recordCacheBench(b, false, b.Elapsed().Nanoseconds()/int64(b.N))
 }
 
-// --- targeted engine mode (DESIGN.md §9) --------------------------------------
+// --- padded-scale scans (DESIGN.md §9) ---------------------------------------
 
-// targetedBench collects the full/targeted cold-scan timings across the
-// class-count scales; whichever benchmark finishes last writes
-// BENCH_targeted.json, so one
+// benchScanPadded times a cold ScanBytes of the micro-benchmark app padded
+// with inert classes (corpus.AddPadding) to scale× its class count. The
+// demand closure skips every padding class, so the cost should grow far
+// slower than the class count:
 //
-//	go test -bench='^BenchmarkScanMode' .
-//
-// run commits every scale's pair and per-scale speedup. The scales pad
-// the micro-benchmark app with inert classes (corpus.AddPadding) to 10×
-// and 100× its class count: the full engine decodes and scans all of
-// them, the targeted engine skips them, so the ratio grows with app size
-// — the sub-linear-scaling acceptance criterion.
-var targetedBench struct {
-	sync.Mutex
-	fullNs, targetedNs map[int]int64
-	classes            map[int]int
-}
-
-func recordTargetedBench(b *testing.B, mode core.EngineMode, scale, classes int, nsPerOp int64) {
-	b.Helper()
-	targetedBench.Lock()
-	defer targetedBench.Unlock()
-	if targetedBench.fullNs == nil {
-		targetedBench.fullNs = make(map[int]int64)
-		targetedBench.targetedNs = make(map[int]int64)
-		targetedBench.classes = make(map[int]int)
-	}
-	targetedBench.classes[scale] = classes
-	if mode == core.ModeTargeted {
-		targetedBench.targetedNs[scale] = nsPerOp
-	} else {
-		targetedBench.fullNs[scale] = nsPerOp
-	}
-	scales := []int{1, 10, 100}
-	for _, s := range scales {
-		if targetedBench.fullNs[s] == 0 || targetedBench.targetedNs[s] == 0 {
-			return
-		}
-	}
-	type row struct {
-		Scale           int     `json:"scale"`
-		Classes         int     `json:"classes"`
-		FullNsPerOp     int64   `json:"full_ns_per_op"`
-		TargetedNsPerOp int64   `json:"targeted_ns_per_op"`
-		TargetedSpeedup float64 `json:"speedup"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		Rows      []row  `json:"rows"`
-		GoVersion string `json:"go_version"`
-		GOOS      string `json:"goos"`
-		GOARCH    string `json:"goarch"`
-		CPUs      int    `json:"cpus"`
-	}{
-		Benchmark: "BenchmarkScanModeFull*/BenchmarkScanModeTargeted*",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-	}
-	for _, s := range scales {
-		f, t := targetedBench.fullNs[s], targetedBench.targetedNs[s]
-		out.Rows = append(out.Rows, row{
-			Scale: s, Classes: targetedBench.classes[s], FullNsPerOp: f, TargetedNsPerOp: t,
-			TargetedSpeedup: float64(f) / float64(t),
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_targeted.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchScanMode times a cold ScanBytes of the micro-benchmark app padded
-// to scale× its class count, through the given engine mode.
-func benchScanMode(b *testing.B, mode core.EngineMode, scale int) {
+//	go test -bench='^BenchmarkScanPadded' .
+func benchScanPadded(b *testing.B, scale int) {
 	app := benchApp(b)
-	if scale > 1 {
-		corpus.AddPadding(app, app.Program.NumClasses()*(scale-1))
-	}
-	classes := app.Program.NumClasses()
+	corpus.AddPadding(app, app.Program.NumClasses()*(scale-1))
 	data, err := apk.Encode(app)
 	if err != nil {
 		b.Fatal(err)
 	}
-	nc := core.NewWithOptions(core.Options{Mode: mode, Workers: 1})
+	nc := core.NewWithOptions(core.Options{Workers: 1})
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -674,17 +600,11 @@ func benchScanMode(b *testing.B, mode core.EngineMode, scale int) {
 			b.Fatal("no warnings")
 		}
 	}
-	recordTargetedBench(b, mode, scale, classes, b.Elapsed().Nanoseconds()/int64(b.N))
 }
 
-func BenchmarkScanModeFull1x(b *testing.B)      { benchScanMode(b, core.ModeFull, 1) }
-func BenchmarkScanModeTargeted1x(b *testing.B)  { benchScanMode(b, core.ModeTargeted, 1) }
-func BenchmarkScanModeFull10x(b *testing.B)     { benchScanMode(b, core.ModeFull, 10) }
-func BenchmarkScanModeTargeted10x(b *testing.B) { benchScanMode(b, core.ModeTargeted, 10) }
-func BenchmarkScanModeFull100x(b *testing.B)    { benchScanMode(b, core.ModeFull, 100) }
-func BenchmarkScanModeTargeted100x(b *testing.B) {
-	benchScanMode(b, core.ModeTargeted, 100)
-}
+func BenchmarkScanPadded1x(b *testing.B)   { benchScanPadded(b, 1) }
+func BenchmarkScanPadded10x(b *testing.B)  { benchScanPadded(b, 10) }
+func BenchmarkScanPadded100x(b *testing.B) { benchScanPadded(b, 100) }
 
 // --- pipeline micro-benchmarks ------------------------------------------------
 

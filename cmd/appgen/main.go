@@ -7,9 +7,9 @@
 //	appgen -out corpus/ [-seed 2016] [-n 285] [-pad 0]
 //
 // -pad N appends N inert padding classes to every app — classes provably
-// outside the targeted engine's demand-driven closure — for the
-// class-count-scaling benchmarks (BENCH_targeted.json). Reports are
-// identical at any padding level.
+// outside the engine's demand-driven closure — for class-count-scaling
+// runs such as the large-apps benchmark workload. Reports are identical
+// at any padding level.
 package main
 
 import (

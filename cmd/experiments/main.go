@@ -11,8 +11,6 @@
 // (-cache-mode off|ro|rw, default rw), so a repeated invocation rescans
 // the unchanged corpus from cache; the rendered tables are identical
 // either way.
-// -mode targeted runs the corpus scan through the demand-driven engine
-// (DESIGN.md §9); the rendered tables are identical to full mode.
 // -validate adds the dynamic-validation breakdown (the "val" experiment,
 // DESIGN.md §10): every golden-app warning replayed under injected
 // disruptions and partitioned into confirmed / unconfirmed /
@@ -42,17 +40,11 @@ func main() {
 	timings := flag.Bool("timings", false, "print corpus-scan per-stage timing rows")
 	cacheDir := flag.String("cache", "", "persistent scan-cache directory for the corpus scan (empty = no cache)")
 	cacheMode := flag.String("cache-mode", "rw", "persistent-cache mode: off, ro, or rw")
-	engineMode := flag.String("mode", "full", "engine mode for the corpus scan: full or targeted (identical tables)")
 	validate := flag.Bool("validate", false, "add the dynamic-validation breakdown of the golden-app warnings (the val experiment)")
 	families := flag.Bool("families", false, "add the per-family precision/recall breakdown of the corpus scan (the fam experiment)")
 	checkerSel := flag.String("checkers", "all", "checker families for the corpus scan: all, or numbers/ranges like 5-8 (ablation)")
 	flag.Parse()
 	mode, err := core.ParseCacheMode(*cacheMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
-	emode, err := core.ParseEngineMode(*engineMode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
@@ -148,11 +140,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: scanning the %d-app corpus (seed %d)...\n",
 			285, experiments.Seed)
 		var err error
-		if *cacheDir != "" || emode != core.ModeFull || cset != 0 {
-			// The memoized DefaultScan is full-mode with every checker; any
+		if *cacheDir != "" || cset != 0 {
+			// The memoized DefaultScan runs every checker uncached; any
 			// non-default option set goes through an explicit corpus scan.
 			cs, err = experiments.ScanCorpusWith(experiments.Seed, core.Options{
-				CacheDir: *cacheDir, CacheMode: mode, Mode: emode, Checkers: cset,
+				CacheDir: *cacheDir, CacheMode: mode, Checkers: cset,
 			})
 		} else {
 			cs, err = experiments.DefaultScan()

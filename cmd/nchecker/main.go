@@ -17,9 +17,6 @@
 //	-guard     require connectivity checks to govern a branch
 //	-intra     disable the interprocedural summary engine and
 //	           path-feasibility pruning (ablation baseline)
-//	-mode      full|targeted (default full): engine traversal; targeted
-//	           lazily decodes and analyzes only the demand-driven closure
-//	           of the network-API sites, with identical reports
 //	-checkers  checker families to run (default all): comma-separated
 //	           family numbers and ranges, e.g. -checkers=5-8; disabled
 //	           families emit no reports, enabled ones are unchanged
@@ -133,7 +130,6 @@ func runScan(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.opts.Validate, "validate", false, "dynamically validate warnings by replaying witness entries under injected disruptions")
 	fs.StringVar(&cfg.opts.CacheDir, "cache", "", "persistent scan-cache directory (empty = no cache)")
 	cacheMode := fs.String("cache-mode", "rw", "persistent-cache mode: off, ro, or rw")
-	engineMode := fs.String("mode", "full", "engine mode: full or targeted (demand-driven, identical reports)")
 	checkerSel := fs.String("checkers", "all", "checker families to run: all, or numbers/ranges like 1,3,5-8")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: nchecker [flags] app.apk [more.apk ...]\n       nchecker serve [flags]\n")
@@ -152,12 +148,6 @@ func runScan(args []string, stdout, stderr io.Writer) int {
 		return exitError
 	}
 	cfg.opts.CacheMode = mode
-	emode, err := core.ParseEngineMode(*engineMode)
-	if err != nil {
-		fmt.Fprintf(stderr, "nchecker: %v\n", err)
-		return exitError
-	}
-	cfg.opts.Mode = emode
 	cset, err := core.ParseCheckerSet(*checkerSel)
 	if err != nil {
 		fmt.Fprintf(stderr, "nchecker: %v\n", err)

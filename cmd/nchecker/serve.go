@@ -40,7 +40,6 @@ func runServe(args []string, stderr io.Writer) int {
 	fs.IntVar(&opts.Workers, "workers", 0, "per-scan pipeline workers (0 = auto: NumCPU divided across -jobs)")
 	fs.StringVar(&opts.CacheDir, "cache", "", "persistent scan-cache directory shared by all jobs (empty = no cache)")
 	cacheMode := fs.String("cache-mode", "rw", "persistent-cache mode: off, ro, or rw")
-	engineMode := fs.String("mode", "full", "default engine mode: full or targeted (per-job override via ?mode=)")
 	fs.BoolVar(&opts.Validate, "validate", false, "dynamically validate warnings by default (per-job override via ?validate=)")
 	checkerSel := fs.String("checkers", "all", "default checker families (per-job override via ?checkers=), e.g. 1,3,5-8")
 	fs.Usage = func() {
@@ -60,12 +59,6 @@ func runServe(args []string, stderr io.Writer) int {
 		return exitError
 	}
 	opts.CacheMode = mode
-	emode, err := core.ParseEngineMode(*engineMode)
-	if err != nil {
-		fmt.Fprintf(stderr, "nchecker serve: %v\n", err)
-		return exitError
-	}
-	opts.Mode = emode
 	cset, err := core.ParseCheckerSet(*checkerSel)
 	if err != nil {
 		fmt.Fprintf(stderr, "nchecker serve: %v\n", err)
@@ -93,7 +86,7 @@ func runServe(args []string, stderr io.Writer) int {
 	logger.Info("serving",
 		"addr", bound, "jobs", *jobs, "queue", *queueLen,
 		"job_timeout", (*jobTimeout).String(), "cache", opts.CacheDir, "cache_mode", opts.CacheMode.String(),
-		"mode", opts.Mode.String(), "validate", opts.Validate)
+		"validate", opts.Validate)
 	if *readyFile != "" {
 		if err := os.WriteFile(*readyFile, []byte(bound+"\n"), 0o644); err != nil {
 			fmt.Fprintf(stderr, "nchecker serve: write -ready-file: %v\n", err)

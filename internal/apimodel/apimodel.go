@@ -195,6 +195,9 @@ type Registry struct {
 
 	fpOnce sync.Once
 	fp     [sha256.Size]byte
+
+	// memo holds values analyses derive from the annotations (see Memo).
+	memo sync.Map
 }
 
 type targetRef struct {
@@ -223,10 +226,12 @@ func RegistryBuilds() int64 { return registryBuilds.Load() }
 
 // NewRegistry builds the registry over the standard six libraries.
 func NewRegistry() *Registry {
-	return newRegistryOf(StandardLibraries())
+	return NewRegistryOf(StandardLibraries())
 }
 
-func newRegistryOf(libs []*Library) *Registry {
+// NewRegistryOf builds a registry over the given libraries, which it
+// takes ownership of: they must not change afterwards.
+func NewRegistryOf(libs []*Library) *Registry {
 	registryBuilds.Add(1)
 	r := &Registry{
 		libs:          libs,
@@ -263,71 +268,62 @@ func newRegistryOf(libs []*Library) *Registry {
 	return r
 }
 
+// Memo returns the value build derives from r, building it once per
+// registry and key. A registry never changes after construction, so
+// tables an analysis derives from its annotations can live as long as it
+// does instead of being rebuilt per scan. key should be a value of an
+// unexported type of the caller's package; concurrent first calls may
+// each run build, and all but one result is dropped.
+func (r *Registry) Memo(key any, build func() any) any {
+	if v, ok := r.memo.Load(key); ok {
+		return v
+	}
+	v, _ := r.memo.LoadOrStore(key, build())
+	return v
+}
+
 // Libraries returns the annotated libraries in registration order.
 func (r *Registry) Libraries() []*Library { return r.libs }
 
 // Library returns the library with the given key, or nil.
 func (r *Registry) Library(k LibKey) *Library { return r.byKey[k] }
 
+// lookup probes one of the per-sig annotation maps. The class gate
+// rejects almost every call site without rendering a key; past it, the
+// key is rendered into a stack buffer and the map is probed without
+// converting it to a string, so a lookup never allocates.
+func lookup[V any](r *Registry, m map[string]V, sig jimple.Sig) (V, bool) {
+	if !r.sigClasses[sig.Class] {
+		var zero V
+		return zero, false
+	}
+	var buf [256]byte
+	v, ok := m[string(sig.AppendKey(buf[:0]))]
+	return v, ok
+}
+
 // TargetOf resolves an invocation to a target API annotation.
 func (r *Registry) TargetOf(sig jimple.Sig) (*Library, *Target, bool) {
-	if !r.sigClasses[sig.Class] {
-		return nil, nil, false
-	}
-	ref, ok := r.targetBySig[sig.Key()]
-	if !ok {
-		return nil, nil, false
-	}
-	return ref.lib, ref.t, true
+	ref, ok := lookup(r, r.targetBySig, sig)
+	return ref.lib, ref.t, ok
 }
 
 // ConfigOf resolves an invocation to a config API annotation.
 func (r *Registry) ConfigOf(sig jimple.Sig) (*Library, *Config, bool) {
-	if !r.sigClasses[sig.Class] {
-		return nil, nil, false
-	}
-	ref, ok := r.configBySig[sig.Key()]
-	if !ok {
-		return nil, nil, false
-	}
-	return ref.lib, ref.c, true
+	ref, ok := lookup(r, r.configBySig, sig)
+	return ref.lib, ref.c, ok
 }
 
 // EndpointOf resolves an invocation to a URL-receiving API annotation.
 func (r *Registry) EndpointOf(sig jimple.Sig) (*Library, *Endpoint, bool) {
-	if !r.sigClasses[sig.Class] {
-		return nil, nil, false
-	}
-	ref, ok := r.endpointBySig[sig.Key()]
-	if !ok {
-		return nil, nil, false
-	}
-	return ref.lib, ref.e, true
-}
-
-// EndpointSigKeys returns the annotated endpoint signature keys, sorted.
-func (r *Registry) EndpointSigKeys() []string {
-	out := make([]string, 0, len(r.endpointBySig))
-	for k := range r.endpointBySig {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	ref, ok := lookup(r, r.endpointBySig, sig)
+	return ref.lib, ref.e, ok
 }
 
 // IsRespCheck reports whether sig is a response-checking API.
 func (r *Registry) IsRespCheck(sig jimple.Sig) bool {
-	if !r.sigClasses[sig.Class] {
-		return false
-	}
-	_, ok := r.checkBySig[sig.Key()]
+	_, ok := lookup(r, r.checkBySig, sig)
 	return ok
-}
-
-// LibOfClass returns the library owning a class name, if any.
-func (r *Registry) LibOfClass(cls string) (LibKey, bool) {
-	k, ok := r.classToLib[cls]
-	return k, ok
 }
 
 // LibsUsedBy returns the keys of libraries referenced anywhere in the

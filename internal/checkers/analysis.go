@@ -66,11 +66,6 @@ type Options struct {
 	// The precision/recall delta against the default interprocedural mode
 	// is what internal/experiments measures on the examples corpus.
 	Intraprocedural bool
-	// Mode selects the engine traversal: ModeFull scans every app method,
-	// ModeTargeted grows a demand-driven closure from the registry's
-	// network-API sites (targeted.go). Reports and stats are identical in
-	// both modes; targeted scans do less work and say so in Diagnostics.
-	Mode EngineMode
 	// Checkers selects which checker families run (the -checkers ablation
 	// flag). The zero value runs all families; see CheckerSet. Disabled
 	// families skip their pipeline stages entirely — their reports and
@@ -120,6 +115,10 @@ type Options struct {
 	// with the stage name and unit index. Tests use it to inject panics
 	// and cancellations at precise points; it is never set in production.
 	unitHook func(stage string, unit int)
+	// oracle swaps the demand-driven closure for the whole-program test
+	// oracle (oracle.go): every bodied class demanded, every method a
+	// summary root. Only OracleOptions sets it, and only in test binaries.
+	oracle bool
 }
 
 // workerCount resolves Workers to a concrete pool size.
@@ -311,10 +310,9 @@ type analysis struct {
 	keyOf map[*jimple.Method]string
 	sites []*requestSite
 
-	// Targeted-mode state (targeted.go), frozen before the pipeline's
-	// build stage. roots holds the relevant-method closure (sorted keys);
-	// demanded the class closure; tstats the work-avoided counters. All
-	// nil/zero in full mode.
+	// Demand-closure state (targeted.go), frozen at the start of the build
+	// stage. roots holds the relevant-method closure (sorted keys);
+	// demanded the class closure; tstats the work-avoided counters.
 	roots    []string
 	demanded map[string]bool
 	tstats   TargetedStats
@@ -438,16 +436,16 @@ func (a *analysis) parallelFor(stage string, n int, fn func(int)) {
 	}
 }
 
-// collectAppMethods returns the app's own body-bearing methods, sorted by
-// key. In targeted mode only methods of demanded classes are collected:
-// every consumer of a.methods (discovery, retry loops, guard-site scans,
-// summary roots, the summary cache's class index) provably produces
-// identical reports over this subset — see targeted.go for the closure
-// rules and DESIGN.md §9 for the equivalence argument.
+// collectAppMethods returns the body-bearing methods of the demanded app
+// classes, sorted by key. Every consumer of a.methods (discovery, retry
+// loops, guard-site scans, summary roots, the summary cache's class
+// index) provably produces the whole-program oracle's reports over this
+// subset — see targeted.go for the closure rules and DESIGN.md §9 for
+// the equivalence argument.
 func (a *analysis) collectAppMethods() []*jimple.Method {
 	var out []*jimple.Method
 	for _, c := range a.app.Program.Classes() {
-		if a.demanded != nil && !a.demanded[c.Name] {
+		if !a.demanded[c.Name] {
 			continue
 		}
 		for _, m := range c.Methods {
@@ -512,9 +510,8 @@ func (a *analysis) configureSummaries() {
 			// stage has populated a.seeds by the time the summaries stage
 			// forces the computation.
 			Seeds: a.seeds,
-			// Roots restricts the computation to the demanded sub-condensation
-			// in targeted mode; nil (full mode) keeps the whole-app bottom-up
-			// order.
+			// Roots restricts the computation to the demanded
+			// sub-condensation.
 			Roots: a.roots,
 		})
 		if err != nil {

@@ -58,7 +58,7 @@ import (
 // EngineVersion names the analysis engine revision for cache keying. Bump
 // it whenever checker behavior changes in a way the other key components
 // do not capture; old entries then read as misses and age out via LRU.
-const EngineVersion = "nchecker-engine/6"
+const EngineVersion = "nchecker-engine/7"
 
 // CacheMode selects how a scan uses the persistent cache.
 type CacheMode uint8
@@ -106,11 +106,6 @@ func (o Options) cacheEnabled() bool {
 // cacheFingerprint renders the report-affecting options into the cache
 // key. Workers and Timeout are excluded by design (see the file comment).
 func (o Options) cacheFingerprint() []byte {
-	// Mode is fingerprinted as its numeric value (not String(): out-of-range
-	// values must still be distinct from the named modes). Reports are
-	// proven identical across modes, but the diagnostics counts stored in a
-	// result entry are per-mode, so full and targeted entries never share a
-	// key — they cannot cross-poison each other.
 	// Validate is fingerprinted because validated entries carry verdicts
 	// in their reports: a validate=false scan must never be answered from
 	// a validated entry, nor the reverse.
@@ -119,10 +114,16 @@ func (o Options) cacheFingerprint() []byte {
 	// never answers a full one. Normalization cannot collide with an
 	// explicit selection — effective() maps 0 to the all-bits mask, which
 	// no proper subset equals.
-	return []byte(fmt.Sprintf("taintcfg=%t retryslice=%t declared=%t icc=%t intra=%t guard=%t mode=%d validate=%t checkers=%d",
+	// The test oracle's entries carry whole-program diagnostics counts, so
+	// they get their own keys; production fingerprints never mention it.
+	fp := fmt.Sprintf("taintcfg=%t retryslice=%t declared=%t icc=%t intra=%t guard=%t validate=%t checkers=%d",
 		o.DisableTaintConfigDiscovery, o.DisableRetrySlicing, o.DeclaredDispatchOnly,
-		o.EnableICC, o.Intraprocedural, o.GuardSensitiveConnCheck, o.Mode, o.Validate,
-		uint(o.Checkers.effective())))
+		o.EnableICC, o.Intraprocedural, o.GuardSensitiveConnCheck, o.Validate,
+		uint(o.Checkers.effective()))
+	if o.oracle {
+		fp += " oracle"
+	}
+	return []byte(fp)
 }
 
 // resultCacheKey addresses the whole-app result entry.

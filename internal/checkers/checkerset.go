@@ -2,7 +2,6 @@ package checkers
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -143,16 +142,6 @@ func StageOfFamily(family int) string {
 		}
 	}
 	return ""
-}
-
-// CheckerStageNames lists the checker-owned stage names in family order.
-func CheckerStageNames() []string {
-	names := make([]string, 0, len(checkerStages))
-	for name := range checkerStages {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool { return checkerStages[names[i]] < checkerStages[names[j]] })
-	return names
 }
 
 // FamilyCauses maps each family to the report causes it emits, in report

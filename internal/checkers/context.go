@@ -203,13 +203,6 @@ func (c *AnalysisContext) Summaries() *dataflow.SummarySet {
 	return c.sumSet
 }
 
-// SummaryOf returns the taint summary of the method with the given
-// signature key, or nil when unavailable.
-func (c *AnalysisContext) SummaryOf(key string) *dataflow.TaintSummary {
-	c.sumRequests.Add(1)
-	return c.Summaries().Of(key)
-}
-
 // EntriesReaching returns the entry points from which the method with the
 // given signature key is reachable — same result as
 // callgraph.Graph.EntriesReaching, but the per-entry reachability sets are

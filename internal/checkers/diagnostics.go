@@ -65,9 +65,8 @@ func (c CacheStats) CFGHits() int { return c.CFGRequests - c.CFGComputed }
 // ReachDefsHits returns the reaching-defs requests served from the cache.
 func (c CacheStats) ReachDefsHits() int { return c.ReachDefsRequests - c.ReachDefsComputed }
 
-// TargetedStats counts the work the targeted engine mode demanded vs.
-// skipped. All zero in full mode (and on cache-hit scans, which do no
-// closure work).
+// TargetedStats counts the work the demand closure kept vs. skipped. All
+// zero on cache-hit scans, which do no closure work.
 type TargetedStats struct {
 	// SeedMethods counts the closure's roots: methods with a target-API
 	// call plus registered callback implementations.
@@ -157,10 +156,9 @@ func (v ValidateStats) counterMap() map[string]int64 {
 // to cmd/nchecker (-timings) and the experiment harness.
 type Diagnostics struct {
 	Total      time.Duration
-	Workers    int        // resolved worker count the scan ran with
-	Mode       EngineMode // engine traversal the scan ran with
-	AppMethods int        // body-bearing app methods scanned
-	Sites      int        // request sites discovered
+	Workers    int // resolved worker count the scan ran with
+	AppMethods int // body-bearing app methods scanned
+	Sites      int // request sites discovered
 	Targeted   TargetedStats
 	Validate   ValidateStats
 	Stages     []StageTiming
@@ -325,8 +323,7 @@ func (d Diagnostics) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pipeline: %v total, %d workers, %d app methods, %d request sites\n",
 		d.Total.Round(time.Microsecond), d.Workers, d.AppMethods, d.Sites)
-	if d.Mode == ModeTargeted {
-		t := d.Targeted
+	if t := d.Targeted; t != (TargetedStats{}) {
 		fmt.Fprintf(&b, "  targeted: %d seeds -> %d methods over %d classes; classes decoded %d, skipped %d\n",
 			t.SeedMethods, t.ClosureMethods, t.ClosureClasses, t.ClassesDecoded, t.ClassesSkipped)
 	}

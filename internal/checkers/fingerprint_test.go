@@ -16,7 +16,9 @@ import (
 //     deadline can only suppress a write, never change a written entry;
 //   - CacheDir / CacheMode / CacheMaxBytes: they select which store is
 //     used and how, not what a scan computes;
-//   - unitHook: test-only instrumentation, never set in production.
+//   - unitHook: test-only instrumentation, never set in production;
+//   - oracle: test-only and unexported; fingerprinted when set, which
+//     TestCacheFingerprintCoversOptions checks by hand.
 //
 // Every other Options field is presumed report-affecting and must flip the
 // fingerprint. To add an Options field: either include it in
@@ -29,6 +31,7 @@ var fingerprintExempt = map[string]bool{
 	"CacheMode":     true,
 	"CacheMaxBytes": true,
 	"unitHook":      true,
+	"oracle":        true,
 }
 
 // TestCacheFingerprintCoversOptions is the completeness gate for the
@@ -55,6 +58,9 @@ func TestCacheFingerprintCoversOptions(t *testing.T) {
 		if bytes.Equal(o.cacheFingerprint(), baseFP) {
 			t.Errorf("Options.%s is not covered by cacheFingerprint: changing it would serve stale cached reports. Add it to the fingerprint or to fingerprintExempt (with a justification).", f.Name)
 		}
+	}
+	if bytes.Equal(OracleOptions(base).cacheFingerprint(), baseFP) {
+		t.Error("oracle and engine scans share a cache fingerprint")
 	}
 }
 

@@ -59,7 +59,6 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	workers := opts.workerCount()
 	var diag Diagnostics
 	diag.Workers = workers
-	diag.Mode = opts.Mode
 
 	a := &analysis{
 		app:     app,
@@ -104,9 +103,8 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 
 	buildStart := time.Now()
 	a.guard("build", func() {
-		// Mode resolution first: full mode materializes a lazily opened
-		// app whole; targeted mode computes the demand closure and decodes
-		// only the demanded classes (targeted.go).
+		// The demand closure first: it decides which classes are decoded
+		// and analyzed (targeted.go).
 		a.prepareBuild()
 		base := baselayer.Get()
 		a.h = base.Overlay(app.Program)
@@ -211,7 +209,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	// surviving stages' reports are byte-identical to a clean scan's.
 	res := &Result{}
 	if app.Lazy != nil {
-		// A lazily opened app may hold undecoded bodies (targeted mode),
+		// A lazily opened app holds undecoded bodies outside the closure,
 		// so library usage resolves from the skim's referenced-class set —
 		// pinned equal to LibsUsedBy over the decoded program.
 		res.Stats.LibsUsed = reg.LibsUsedByClasses(app.Lazy.RefClasses())

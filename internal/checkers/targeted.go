@@ -2,7 +2,7 @@ package checkers
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
@@ -10,13 +10,13 @@ import (
 	"repro/internal/jimple"
 )
 
-// This file is the demand-driven closure engine behind -mode=targeted
-// (paper §4.2's "targeted analysis": start from the network-API call
-// sites and pull in only the code that can matter, instead of scanning
-// the whole app). The closure is computed from dex.MethodRef skim
-// records — available both from a lazy decode (dex.Lazy.MethodRefs,
-// bodies never decoded) and from a loaded program (dex.MethodRefsOf) —
-// so the two scan paths demand the same classes.
+// This file is the demand-driven closure every scan runs (paper §4.2's
+// "targeted analysis": start from the network-API call sites and pull in
+// only the code that can matter, instead of scanning the whole app). The
+// closure is computed from dex.MethodRef skim records — available both
+// from a lazy decode (dex.Lazy.MethodRefs, bodies never decoded) and from
+// a loaded program (dex.MethodRefsOf) — so the two scan paths demand the
+// same classes.
 //
 // The engine computes two sets:
 //
@@ -49,7 +49,8 @@ import (
 // targets): extra classes cost decode time, never correctness. What must
 // hold — and what the differential tests pin — is that no method any
 // checker consults is missing, so reports and Stats are byte-identical
-// to a full scan. DESIGN.md §9 spells out the equivalence argument.
+// to the whole-program oracle (oracle.go). DESIGN.md §9 spells out the
+// equivalence argument.
 
 // ICC launch subsignatures, mirroring the switch in callgraph/icc.go.
 const (
@@ -65,60 +66,115 @@ type targetedClosure struct {
 	stats    TargetedStats
 }
 
+// closureTables are the closure rules' registry-derived lookup tables,
+// built once per registry (closureTablesOf) rather than once per scan.
+type closureTables struct {
+	// Async dispatch: trigger subsig → dispatched callee subsigs (forward
+	// rule) and the reverse (backward rule).
+	triggerCallees, calleeTriggers map[string][]string
+	// seedSubsigs are the registered request-callback and network-state
+	// handler subsigs: implementing one seeds the closure.
+	seedSubsigs map[string]bool
+	// The method names of the subsigs a record's own subsig (ownNames) or
+	// a call's subsig (callNames) is looked up against. A subsig whose
+	// name is absent cannot match, so the scan never renders it.
+	ownNames, callNames map[string]bool
+}
+
+// closureTablesKey keys closureTables in apimodel.Registry.Memo.
+type closureTablesKey struct{}
+
+// closureTablesOf returns reg's closure tables, building them on first use.
+func closureTablesOf(reg *apimodel.Registry) *closureTables {
+	return reg.Memo(closureTablesKey{}, func() any { return newClosureTables(reg) }).(*closureTables)
+}
+
+func newClosureTables(reg *apimodel.Registry) *closureTables {
+	t := &closureTables{
+		triggerCallees: make(map[string][]string),
+		calleeTriggers: make(map[string][]string),
+		seedSubsigs:    make(map[string]bool),
+		ownNames:       make(map[string]bool),
+		callNames:      make(map[string]bool),
+	}
+	for _, d := range android.AsyncDispatches() {
+		t.triggerCallees[d.TriggerSubsig] = append(t.triggerCallees[d.TriggerSubsig], d.CalleeSubsigs...)
+		t.callNames[subsigName(d.TriggerSubsig)] = true
+		for _, cs := range d.CalleeSubsigs {
+			t.calleeTriggers[cs] = append(t.calleeTriggers[cs], d.TriggerSubsig)
+			t.ownNames[subsigName(cs)] = true
+		}
+	}
+	// Network-state handler implementations seed the closure for the
+	// offline-state checker (checker5.go): BroadcastReceiver.onReceive and
+	// NetworkCallback overrides. Subsig-only matching over-approximates (an
+	// onReceive outside a receiver also seeds) — extra decode, never a
+	// missed handler.
+	seeds := append([]string{onReceiveSubsig}, android.NetworkCallbackSubsigs...)
+	for _, lib := range reg.Libraries() {
+		for _, cb := range lib.Callbacks {
+			seeds = append(seeds, cb.ErrorSubsig, cb.SuccessSubsig)
+		}
+	}
+	for _, sub := range seeds {
+		if sub != "" {
+			t.seedSubsigs[sub] = true
+			t.ownNames[subsigName(sub)] = true
+		}
+	}
+	t.callNames[subsigName(iccStartActivitySubsig)] = true
+	t.callNames[subsigName(iccSendBroadcastSubsig)] = true
+	return t
+}
+
+// subsigName returns the method name a subsig starts with.
+func subsigName(sub string) string {
+	name, _, _ := strings.Cut(sub, "(")
+	return name
+}
+
 // computeTargetedClosure runs the closure rules over the skim records.
 func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man *android.Manifest, enableICC bool) targetedClosure {
+	tab := closureTablesOf(reg)
 	// Record indices: declaring class, own name/subsig (backward and
 	// forward rules resolve callees against these), and per-callee
-	// reverse maps (deduplicated per record).
+	// reverse maps, deduplicated per record: seen maps a callee name or
+	// subsig to the last record (index+1) filed under it. Names never
+	// contain '(' and subsigs always do, so the two share one map.
 	byClass := make(map[string][]int)
 	recsByName := make(map[string][]int)
 	recsBySubsig := make(map[string][]int)
 	callersByName := make(map[string][]int)
 	callersBySubsig := make(map[string][]int)
+	seen := make(map[string]int)
 	// Subsignatures repeat heavily across records (every onClick, every
-	// run()); intern them once and remember each record's own subsig so the
-	// rule passes below never re-render one.
+	// run()); intern the few the rules can match, and remember each
+	// record's own subsig ("" when no rule can match it) so the rule
+	// passes below never re-render one.
 	intern := jimple.NewInterner()
 	recSub := make([]string, len(records))
+	callSub := func(c jimple.Sig) string {
+		if !tab.callNames[c.Name] {
+			return ""
+		}
+		return intern.SubSigKey(c)
+	}
 	for i := range records {
 		r := &records[i]
 		byClass[r.Sig.Class] = append(byClass[r.Sig.Class], i)
 		recsByName[r.Sig.Name] = append(recsByName[r.Sig.Name], i)
-		recSub[i] = intern.SubSigKey(r.Sig)
-		recsBySubsig[recSub[i]] = append(recsBySubsig[recSub[i]], i)
-		seenName := make(map[string]bool, len(r.Calls))
-		seenSub := make(map[string]bool, len(r.Calls))
+		if tab.ownNames[r.Sig.Name] {
+			recSub[i] = intern.SubSigKey(r.Sig)
+			recsBySubsig[recSub[i]] = append(recsBySubsig[recSub[i]], i)
+		}
 		for _, c := range r.Calls {
-			if !seenName[c.Name] {
-				seenName[c.Name] = true
+			if seen[c.Name] != i+1 {
+				seen[c.Name] = i + 1
 				callersByName[c.Name] = append(callersByName[c.Name], i)
 			}
-			if sub := intern.SubSigKey(c); !seenSub[sub] {
-				seenSub[sub] = true
+			if sub := callSub(c); sub != "" && seen[sub] != i+1 {
+				seen[sub] = i + 1
 				callersBySubsig[sub] = append(callersBySubsig[sub], i)
-			}
-		}
-	}
-
-	// Async-dispatch table, keyed both ways: trigger subsig → dispatched
-	// callee subsigs (forward rule) and callee subsig → trigger subsigs
-	// (backward rule).
-	triggerCallees := make(map[string][]string)
-	calleeTriggers := make(map[string][]string)
-	for _, d := range android.AsyncDispatches() {
-		triggerCallees[d.TriggerSubsig] = append(triggerCallees[d.TriggerSubsig], d.CalleeSubsigs...)
-		for _, cs := range d.CalleeSubsigs {
-			calleeTriggers[cs] = append(calleeTriggers[cs], d.TriggerSubsig)
-		}
-	}
-	callbackSubsigs := make(map[string]bool)
-	for _, lib := range reg.Libraries() {
-		for _, cb := range lib.Callbacks {
-			if cb.ErrorSubsig != "" {
-				callbackSubsigs[cb.ErrorSubsig] = true
-			}
-			if cb.SuccessSubsig != "" {
-				callbackSubsigs[cb.SuccessSubsig] = true
 			}
 		}
 	}
@@ -132,16 +188,6 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 		}
 	}
 
-	// Network-state handler implementations seed the closure for the
-	// offline-state checker (checker5.go): BroadcastReceiver.onReceive and
-	// NetworkCallback overrides. Subsig-only matching over-approximates (an
-	// onReceive outside a receiver also seeds) — extra decode, never a
-	// missed handler.
-	networkHandlerSubsigs := map[string]bool{onReceiveSubsig: true}
-	for _, sub := range android.NetworkCallbackSubsigs {
-		networkHandlerSubsigs[sub] = true
-	}
-
 	// Seeds: target-API call sites, registered callback implementations —
 	// exactly the methods the pipeline resolves summaries from
 	// (discover.go, checker3.go, checker4.go) — plus endpoint-API callers
@@ -150,7 +196,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 	seedCount := 0
 	for i := range records {
 		r := &records[i]
-		seed := callbackSubsigs[recSub[i]] || networkHandlerSubsigs[recSub[i]]
+		seed := tab.seedSubsigs[recSub[i]]
 		for _, c := range r.Calls {
 			if seed {
 				break
@@ -172,7 +218,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 	if enableICC {
 		for i := range records {
 			for _, c := range records[i].Calls {
-				switch intern.SubSigKey(c) {
+				switch callSub(c) {
 				case iccStartActivitySubsig:
 					add(i)
 				case iccSendBroadcastSubsig:
@@ -196,7 +242,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 				add(j)
 			}
 		}
-		for _, trig := range calleeTriggers[recSub[i]] {
+		for _, trig := range tab.calleeTriggers[recSub[i]] {
 			if processedTrigger[trig] {
 				continue
 			}
@@ -249,7 +295,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 				for _, j := range recsByName[c.Name] {
 					addClass(records[j].Sig.Class)
 				}
-				for _, calleeSub := range triggerCallees[intern.SubSigKey(c)] {
+				for _, calleeSub := range tab.triggerCallees[callSub(c)] {
 					for _, j := range recsBySubsig[calleeSub] {
 						addClass(records[j].Sig.Class)
 					}
@@ -258,77 +304,58 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 		}
 	}
 
+	// The records are sorted by key, so the roots come out sorted.
 	roots := make([]string, 0, seedCount)
-	nm := 0
 	for i := range records {
 		if rm[i] {
-			nm++
-			roots = append(roots, records[i].Sig.Key())
+			roots = append(roots, records[i].Key)
 		}
 	}
-	sort.Strings(roots)
 	return targetedClosure{
 		roots:    roots,
 		demanded: demanded,
 		stats: TargetedStats{
 			SeedMethods:    seedCount,
-			ClosureMethods: nm,
+			ClosureMethods: len(roots),
 			ClosureClasses: len(demanded),
+			ClassesDecoded: len(demanded),
+			ClassesSkipped: len(byClass) - len(demanded),
 		},
 	}
 }
 
-// prepareBuild resolves the engine mode's view of the app before the
-// pipeline merges in the framework model. In full mode a lazily opened
-// app is simply materialized whole. In targeted mode the closure runs
-// over the skim records, freezing a.roots / a.demanded / a.tstats, and
-// only the demanded classes are decoded (lazy path) or kept (in-memory
-// path — the bodies exist but collectAppMethods skips them). Runs inside
-// the "build" stage guard: a materialization failure (bytes changed
-// under us — effectively impossible) panics into a recorded ScanError.
+// prepareBuild runs the demand closure over the skim records, freezing
+// a.roots / a.demanded / a.tstats, and decodes only the demanded classes
+// (lazy path) or keeps them (in-memory path — the bodies exist but
+// collectAppMethods skips the rest). ClassesSkipped counts bodied classes
+// left undecoded (lazy) or unanalyzed (in-memory). Runs inside the "build" stage
+// guard: a materialization failure (bytes changed under us — effectively
+// impossible) panics into a recorded ScanError.
 func (a *analysis) prepareBuild() {
 	lazy := a.app.Lazy
-	if a.opts.Mode != ModeTargeted {
-		if lazy != nil {
-			if err := lazy.MaterializeAll(); err != nil {
-				panic(fmt.Sprintf("materialize all: %v", err))
-			}
-		}
-		return
-	}
 	var records []dex.MethodRef
 	if lazy != nil {
 		records = lazy.MethodRefs()
 	} else {
 		records = dex.MethodRefsOf(a.app.Program)
 	}
-	cl := computeTargetedClosure(records, a.reg, a.app.Manifest, a.opts.EnableICC)
-	a.roots = cl.roots
-	a.demanded = cl.demanded
-	a.tstats = cl.stats
-	a.tstats.ClassesDecoded = len(cl.demanded)
-	if lazy != nil {
-		a.tstats.ClassesSkipped = lazy.NumBodiedClasses() - len(cl.demanded)
-		classes := make([]string, 0, len(cl.demanded))
-		for cls := range cl.demanded {
-			classes = append(classes, cls)
-		}
-		sort.Strings(classes)
-		for _, cls := range classes {
+	var cl targetedClosure
+	if a.opts.oracle {
+		cl = wholeProgramClosure(records)
+	} else {
+		cl = computeTargetedClosure(records, a.reg, a.app.Manifest, a.opts.EnableICC)
+	}
+	a.roots, a.demanded, a.tstats = cl.roots, cl.demanded, cl.stats
+	if lazy == nil {
+		return
+	}
+	// Records are sorted by key, so classes materialize in the same order
+	// every run (Materialize is idempotent).
+	for i := range records {
+		if cls := records[i].Sig.Class; cl.demanded[cls] {
 			if err := lazy.Materialize(cls); err != nil {
 				panic(fmt.Sprintf("materialize %s: %v", cls, err))
 			}
 		}
-		return
 	}
-	bodied := 0
-	for _, c := range a.app.Program.Classes() {
-		for _, m := range c.Methods {
-			if m.HasBody() {
-				bodied++
-				break
-			}
-		}
-	}
-	a.tstats.ClassesSkipped = bodied - len(cl.demanded)
 }

@@ -7,14 +7,15 @@ import (
 	"repro/internal/android"
 	"repro/internal/apimodel"
 	"repro/internal/apk"
+	"repro/internal/dex"
 	"repro/internal/jimple"
 )
 
-// assertModesAgree scans src three ways — full mode, targeted mode over
-// the in-memory program, and targeted mode over a lazily decoded encode
-// of the same app — and requires byte-identical reports and stats from
-// all three. It returns the targeted-lazy result and app for
-// closure-counter assertions.
+// assertModesAgree scans src three ways — the whole-program oracle, the
+// engine over the in-memory program, and the engine over a lazily
+// decoded encode of the same app — and requires byte-identical reports
+// and stats from all three. It returns the engine's lazy result and app
+// for closure-counter assertions.
 func assertModesAgree(t *testing.T, src string, man *android.Manifest, opts Options) (*Result, *apk.App) {
 	t.Helper()
 	reg := apimodel.NewRegistry()
@@ -29,16 +30,12 @@ func assertModesAgree(t *testing.T, src string, man *android.Manifest, opts Opti
 		}
 		return &apk.App{Manifest: man, Program: prog}
 	}
-	fullOpts := opts
-	fullOpts.Mode = ModeFull
-	full := Analyze(mkApp(), reg, fullOpts)
-	if full.Incomplete {
-		t.Fatalf("full scan incomplete: %+v", full.Diagnostics.Errors)
+	oracle := Analyze(mkApp(), reg, OracleOptions(opts))
+	if oracle.Incomplete {
+		t.Fatalf("oracle scan incomplete: %+v", oracle.Diagnostics.Errors)
 	}
 
-	tOpts := opts
-	tOpts.Mode = ModeTargeted
-	mem := Analyze(mkApp(), reg, tOpts)
+	mem := Analyze(mkApp(), reg, opts)
 
 	data, err := apk.Encode(mkApp())
 	if err != nil {
@@ -48,32 +45,26 @@ func assertModesAgree(t *testing.T, src string, man *android.Manifest, opts Opti
 	if err != nil {
 		t.Fatalf("DecodeLazy: %v", err)
 	}
-	lazyRes := Analyze(lazyApp, reg, tOpts)
+	lazyRes := Analyze(lazyApp, reg, opts)
 
 	for _, tc := range []struct {
 		name string
 		res  *Result
 	}{
-		{"targeted in-memory", mem},
-		{"targeted lazy", lazyRes},
+		{"in-memory", mem},
+		{"lazy", lazyRes},
 	} {
 		if tc.res.Incomplete {
 			t.Errorf("%s scan incomplete: %+v", tc.name, tc.res.Diagnostics.Errors)
 		}
-		if !reflect.DeepEqual(tc.res.Reports, full.Reports) {
-			t.Errorf("%s reports differ from full mode:\nfull:     %+v\ntargeted: %+v",
-				tc.name, full.Reports, tc.res.Reports)
+		if !reflect.DeepEqual(tc.res.Reports, oracle.Reports) {
+			t.Errorf("%s reports differ from the oracle:\noracle: %+v\nengine: %+v",
+				tc.name, oracle.Reports, tc.res.Reports)
 		}
-		if !reflect.DeepEqual(tc.res.Stats, full.Stats) {
-			t.Errorf("%s stats differ from full mode:\nfull:     %+v\ntargeted: %+v",
-				tc.name, full.Stats, tc.res.Stats)
+		if !reflect.DeepEqual(tc.res.Stats, oracle.Stats) {
+			t.Errorf("%s stats differ from the oracle:\noracle: %+v\nengine: %+v",
+				tc.name, oracle.Stats, tc.res.Stats)
 		}
-		if tc.res.Diagnostics.Mode != ModeTargeted {
-			t.Errorf("%s diagnostics mode = %v, want targeted", tc.name, tc.res.Diagnostics.Mode)
-		}
-	}
-	if full.Diagnostics.Mode != ModeFull {
-		t.Errorf("full diagnostics mode = %v", full.Diagnostics.Mode)
 	}
 	return lazyRes, lazyApp
 }
@@ -101,6 +92,79 @@ class t.Conf extends java.lang.Object {
   }
 }`
 
+// helperRequestApp makes its request in a helper class: only the
+// backward caller rule demands the Activity whose entry point reaches it.
+const helperRequestApp = `class t.Screen extends android.app.Activity {
+  method onCreate(android.os.Bundle)void {
+    staticinvoke t.Net.fetch()void
+    return
+  }
+}
+class t.Net extends java.lang.Object {
+  method static fetch()void {
+    local c com.turbomanage.httpclient.BasicHttpClient
+    local r com.turbomanage.httpclient.HttpResponse
+    c = new com.turbomanage.httpclient.BasicHttpClient
+    specialinvoke c com.turbomanage.httpclient.BasicHttpClient.<init>()void
+    r = virtualinvoke c com.turbomanage.httpclient.BasicHttpClient.get(java.lang.String)com.turbomanage.httpclient.HttpResponse "https://x"
+    return
+  }
+}`
+
+// endpointOnlyApp names a cleartext, hardcoded-IP endpoint without
+// making a request: only the endpoint seed rule demands it.
+const endpointOnlyApp = `class t.Cfg extends android.app.Activity {
+  method onCreate(android.os.Bundle)void {
+    local u java.net.URL
+    u = new java.net.URL
+    specialinvoke u java.net.URL.<init>(java.lang.String)void "http://10.0.0.1/api"
+    return
+  }
+}`
+
+// postedToastApp notifies the user from a Runnable its error callback
+// posts to a Handler: only the forward async-dispatch rule demands the
+// Runnable's class.
+const postedToastApp = `class t.PAct extends android.app.Activity {
+  method onCreate(android.os.Bundle)void {
+    local q com.android.volley.RequestQueue
+    local req com.android.volley.toolbox.StringRequest
+    local l com.android.volley.Response$Listener
+    local e t.PAct$Err
+    local out com.android.volley.Request
+    q = new com.android.volley.RequestQueue
+    specialinvoke q com.android.volley.RequestQueue.<init>()void
+    e = new t.PAct$Err
+    specialinvoke e t.PAct$Err.<init>()void
+    req = new com.android.volley.toolbox.StringRequest
+    specialinvoke req com.android.volley.toolbox.StringRequest.<init>(int,java.lang.String,com.android.volley.Response$Listener,com.android.volley.Response$ErrorListener)void 0 "https://x" l e
+    out = virtualinvoke q com.android.volley.RequestQueue.add(com.android.volley.Request)com.android.volley.Request req
+    return
+  }
+}
+class t.PAct$Err extends java.lang.Object implements com.android.volley.Response$ErrorListener {
+  method <init>()void {
+    return
+  }
+  method onErrorResponse(com.android.volley.VolleyError)void {
+    local h android.os.Handler
+    local r t.PAct$Show
+    local ok boolean
+    h = new android.os.Handler
+    r = new t.PAct$Show
+    ok = virtualinvoke h android.os.Handler.post(java.lang.Runnable)boolean r
+    return
+  }
+}
+class t.PAct$Show extends java.lang.Object implements java.lang.Runnable {
+  method run()void {
+    local toast android.widget.Toast
+    toast = new android.widget.Toast
+    virtualinvoke toast android.widget.Toast.show()void
+    return
+  }
+}`
+
 func TestTargetedMatchesFullOnFixtures(t *testing.T) {
 	fixtures := []struct{ name, src string }{
 		{"bare-request", uncheckedActivity},
@@ -112,6 +176,12 @@ func TestTargetedMatchesFullOnFixtures(t *testing.T) {
 		{"volley-error-type", volleyErrorTypeUsed},
 		{"retry-loop", retryLoopNoBackoff},
 		{"helper-config", helperConfigTargeted},
+		{"okhttp-callback-response", okHttpCallbackResponse},
+		{"okhttp-callback-checked", okHttpCallbackChecked},
+		{"volley-helper-drops-error", volleyHelperDropsError},
+		{"helper-request", helperRequestApp},
+		{"endpoint-only", endpointOnlyApp},
+		{"posted-toast", postedToastApp},
 	}
 	for _, f := range fixtures {
 		t.Run(f.name, func(t *testing.T) {
@@ -132,8 +202,8 @@ func TestTargetedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// paddedTargetedApp carries classes no closure rule can reach: targeted
-// mode must skip them and still report identically.
+// paddedTargetedApp carries classes no closure rule can reach: the engine
+// must skip them and still report identically.
 const paddedTargetedApp = uncheckedActivity + `
 class t.Junk extends java.lang.Object {
   method static noise()void {
@@ -155,7 +225,7 @@ func TestTargetedSkipsIrrelevantClasses(t *testing.T) {
 		t.Errorf("request class not decoded: %+v", ts)
 	}
 	// The skipped class's bodies must never have been decoded on the
-	// lazy path — that is the work the mode exists to avoid.
+	// lazy path — that is the work the closure exists to avoid.
 	if m := lazyApp.Program.Class("t.Junk").MethodNamed("noise"); m == nil || m.HasBody() {
 		t.Error("irrelevant class was materialized")
 	}
@@ -165,7 +235,7 @@ func TestTargetedSkipsIrrelevantClasses(t *testing.T) {
 }
 
 // noNetworkTargetedApp has no network code at all: the closure is empty,
-// nothing is decoded, and both modes report nothing.
+// nothing is decoded, and neither engine nor oracle reports anything.
 const noNetworkTargetedApp = `class t.Pure extends android.app.Activity {
   method onCreate(android.os.Bundle)void {
     local x int
@@ -184,7 +254,7 @@ func TestTargetedEmptyClosure(t *testing.T) {
 		t.Errorf("ClassesSkipped = %d, want 1", ts.ClassesSkipped)
 	}
 	if res.Diagnostics.AppMethods != 0 {
-		t.Errorf("targeted scan still collected %d methods", res.Diagnostics.AppMethods)
+		t.Errorf("the scan still collected %d methods", res.Diagnostics.AppMethods)
 	}
 }
 
@@ -246,6 +316,37 @@ func TestTargetedMatchesFullWithICC(t *testing.T) {
 		t.Errorf("ClassesDecoded = %d, want 3", got)
 	}
 	// Without ICC the launcher's conn check is irrelevant and the
-	// receiver unreachable — the modes must agree there too.
+	// receiver unreachable — engine and oracle must agree there too.
 	assertModesAgree(t, iccTargetedApp, man, Options{})
+}
+
+// customCallbackApp implements a callback subsignature no standard
+// library registers and makes no network call: only a registry that
+// registers the subsig makes it a closure seed.
+const customCallbackApp = `class t.Listener extends java.lang.Object {
+  method onCustomError(java.lang.Object)void {
+    local x int
+    x = 1
+    return
+  }
+}`
+
+// TestClosureTablesArePerRegistry pins the per-registry closure-table
+// cache: two registries whose callback subsigs differ must seed the
+// closure differently, whichever registry a process consulted first.
+func TestClosureTablesArePerRegistry(t *testing.T) {
+	std := apimodel.NewRegistry()
+	libs := apimodel.StandardLibraries()
+	libs[len(libs)-1].Callbacks = []apimodel.Callback{{ErrorSubsig: "onCustomError(java.lang.Object)void"}}
+	custom := apimodel.NewRegistryOf(libs)
+	records := dex.MethodRefsOf(jimple.MustParse(customCallbackApp))
+	man := &android.Manifest{Package: "t"}
+	for i, tc := range []struct {
+		reg  *apimodel.Registry
+		want int
+	}{{std, 0}, {custom, 1}, {std, 0}, {custom, 1}} {
+		if got := computeTargetedClosure(records, tc.reg, man, false).stats.SeedMethods; got != tc.want {
+			t.Errorf("scan %d: %d seeds, want %d", i, got, tc.want)
+		}
+	}
 }

@@ -30,7 +30,7 @@ import (
 // also keeps half-validated results out of the cache).
 
 // validateSeed fixes the replay RNG base so verdicts are reproducible
-// across runs, worker counts, and engine modes. Per-entry streams are
+// across runs, worker counts, and open paths. Per-entry streams are
 // decorrelated by interp's signature-keyed seeding; per-scenario streams
 // by the scenario offset below.
 const validateSeed = 2016
@@ -59,9 +59,9 @@ func (a *analysis) validateReports(reports []report.Report) {
 		return
 	}
 	// The replay executes whatever the entry point reaches at run time,
-	// not just what the checkers consulted — in targeted mode the lazily
-	// skipped classes must be materialized first, or verdicts would
-	// diverge between full and targeted scans.
+	// not just what the checkers consulted — the classes the closure left
+	// undecoded must be materialized first, or verdicts would diverge
+	// from the whole-program oracle's.
 	if a.app.Lazy != nil {
 		if err := a.app.Lazy.MaterializeAll(); err != nil {
 			panic(fmt.Sprintf("validate: materializing app for replay: %v", err))

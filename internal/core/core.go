@@ -61,24 +61,6 @@ func ParseCacheMode(s string) (CacheMode, error) {
 	return checkers.ParseCacheMode(s)
 }
 
-// EngineMode selects the scan traversal: ModeFull analyzes every app
-// method; ModeTargeted lazily decodes and analyzes only the demand-driven
-// closure of the network-API sites. Reports and stats are byte-identical
-// between the modes; targeted scans do less work and report it in
-// Diagnostics.
-type EngineMode = checkers.EngineMode
-
-// The engine modes, re-exported for callers configuring Options.
-const (
-	ModeFull     = checkers.ModeFull
-	ModeTargeted = checkers.ModeTargeted
-)
-
-// ParseEngineMode parses the -mode flag spellings full and targeted.
-func ParseEngineMode(s string) (EngineMode, error) {
-	return checkers.ParseEngineMode(s)
-}
-
 // CheckerSet selects which of the eight checker families run
 // (Options.Checkers): a bitmask over family numbers 1–8, zero meaning
 // all. Reports of disabled families are simply absent; enabled families
@@ -135,40 +117,11 @@ func NewWithOptions(opts Options) *Checker {
 // Registry exposes the library annotations in use.
 func (c *Checker) Registry() *apimodel.Registry { return c.reg }
 
-// WithMode returns a Checker identical to c except for the engine mode,
-// sharing c's registry (and therefore its fingerprint and the
-// one-registry-per-process economy). nchecker serve uses it to honor
-// per-job ?mode= requests without rebuilding annotations.
-func (c *Checker) WithMode(m EngineMode) *Checker {
-	if c.opts.Mode == m {
-		return c
-	}
-	opts := c.opts
-	opts.Mode = m
-	return &Checker{reg: c.reg, opts: opts}
-}
-
-// WithValidate returns a Checker identical to c except for the dynamic
-// counterexample validation toggle, sharing c's registry. nchecker serve
-// uses it to honor per-job ?validate= requests.
-func (c *Checker) WithValidate(v bool) *Checker {
-	if c.opts.Validate == v {
-		return c
-	}
-	opts := c.opts
-	opts.Validate = v
-	return &Checker{reg: c.reg, opts: opts}
-}
-
-// WithCheckers returns a Checker identical to c except for the checker
-// family selection, sharing c's registry. nchecker serve uses it to honor
-// per-job ?checkers= requests.
-func (c *Checker) WithCheckers(set CheckerSet) *Checker {
-	if c.opts.Checkers == set {
-		return c
-	}
-	opts := c.opts
-	opts.Checkers = set
+// WithOptions returns a Checker that scans with opts and shares c's
+// registry (and therefore its fingerprint and the one-registry-per-process
+// economy). nchecker serve uses it to honor per-job ?validate= and
+// ?checkers= overrides without rebuilding annotations.
+func (c *Checker) WithOptions(opts Options) *Checker {
 	return &Checker{reg: c.reg, opts: opts}
 }
 
@@ -195,25 +148,14 @@ func (c *Checker) ScanBytes(data []byte) (*Result, error) {
 }
 
 // ScanBytesContext is ScanBytes under a caller context. A malformed
-// container yields an error matching ErrDecode. In targeted mode the
-// container is opened lazily — method bodies outside the demand closure
-// are never decoded.
+// container yields an error matching ErrDecode. The container is opened
+// lazily: method bodies outside the demand closure are never decoded.
 func (c *Checker) ScanBytesContext(ctx context.Context, data []byte) (*Result, error) {
-	app, err := c.openBytes(data)
+	app, err := apk.DecodeLazy(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", decodeErr(err))
 	}
 	return c.ScanAppContext(ctx, app), nil
-}
-
-// openBytes picks the decode path for the engine mode: lazy for targeted
-// scans, eager otherwise. Both accept exactly the same inputs and seed
-// the same content digest, so cache keys agree across modes' open paths.
-func (c *Checker) openBytes(data []byte) (*apk.App, error) {
-	if c.opts.Mode == ModeTargeted {
-		return apk.DecodeLazy(data)
-	}
-	return apk.Decode(data)
 }
 
 // ScanFile parses the APK container at path and analyzes it.
@@ -222,16 +164,10 @@ func (c *Checker) ScanFile(path string) (*Result, error) {
 }
 
 // ScanFileContext is ScanFile under a caller context. An unreadable or
-// malformed file yields an error matching ErrDecode. Targeted scans open
-// the file lazily, like ScanBytesContext.
+// malformed file yields an error matching ErrDecode. The file is opened
+// lazily, like ScanBytesContext.
 func (c *Checker) ScanFileContext(ctx context.Context, path string) (*Result, error) {
-	var app *apk.App
-	var err error
-	if c.opts.Mode == ModeTargeted {
-		app, err = apk.ReadFileLazy(path)
-	} else {
-		app, err = apk.ReadFile(path)
-	}
+	app, err := apk.ReadFileLazy(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", decodeErr(err))
 	}

@@ -9,19 +9,18 @@ import (
 )
 
 // AddPadding appends n inert padding classes to the app's program, for
-// class-count-scaling experiments (BENCH_targeted.json): padding inflates
-// the work the full engine must decode and analyze without changing any
+// class-count-scaling experiments (BenchmarkScanPadded*, the large-apps
+// benchmark workload): padding inflates the app without changing any
 // report.
 //
-// Each padding class is provably outside the targeted engine's
-// demand-driven closure (DESIGN.md §9): it extends java.lang.Object,
+// Each padding class is provably outside the engine's demand-driven
+// closure (DESIGN.md §9): it extends java.lang.Object,
 // implements nothing, is registered in no manifest component, contains no
 // target-API or config-API call, overrides no lifecycle or dispatch
 // callback, and its uniquely-named methods call only each other — so no
 // closure rule (seeding, backward caller walk, async dispatch, ICC,
-// forward callee walk) can ever reach one. The full engine still decodes
-// and scans every padding body; the targeted engine skips them all, which
-// is exactly the asymmetry the scaling benchmark measures.
+// forward callee walk) can ever reach one. The whole-program test oracle
+// still decodes and scans every padding body; the engine skips them all.
 func AddPadding(app *apk.App, n int) {
 	if n <= 0 {
 		return

@@ -8,9 +8,9 @@ import (
 	"repro/internal/core"
 )
 
-// TestPaddingIsInert: padding classes change no report in either engine
-// mode, and the targeted engine never decodes one — the invariant the
-// class-count-scaling benchmark (BENCH_targeted.json) rests on.
+// TestPaddingIsInert: padding classes change no report, and the engine
+// never decodes one — the invariant the padded-scale benchmark
+// (BenchmarkScanPadded*) and the large-apps workload rest on.
 func TestPaddingIsInert(t *testing.T) {
 	spec := GoldenSpecs()[0].Spec
 	plain, err := Build(spec)
@@ -28,27 +28,21 @@ func TestPaddingIsInert(t *testing.T) {
 	}
 
 	base := core.New().ScanApp(plain)
-	full := core.New().ScanApp(padded)
-	if !reflect.DeepEqual(full.Reports, base.Reports) {
-		t.Error("padding changed full-mode reports")
-	}
-
 	data, err := apk.Encode(padded)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	targeted, err := core.NewWithOptions(core.Options{Mode: core.ModeTargeted}).ScanBytes(data)
+	res, err := core.New().ScanBytes(data)
 	if err != nil {
-		t.Fatalf("targeted ScanBytes: %v", err)
+		t.Fatalf("ScanBytes: %v", err)
 	}
-	if !reflect.DeepEqual(targeted.Reports, base.Reports) {
-		t.Error("padding changed targeted-mode reports")
+	if !reflect.DeepEqual(res.Reports, base.Reports) {
+		t.Error("padding changed the reports")
 	}
-	if !reflect.DeepEqual(targeted.Stats, full.Stats) {
-		t.Errorf("targeted stats differ from full on the padded app:\n%+v\n%+v", targeted.Stats, full.Stats)
+	if !reflect.DeepEqual(res.Stats, base.Stats) {
+		t.Errorf("padding changed the stats:\n%+v\n%+v", res.Stats, base.Stats)
 	}
-	ts := targeted.Diagnostics.Targeted
-	if ts.ClassesSkipped < pad {
-		t.Errorf("targeted decoded padding: skipped %d classes, want >= %d", ts.ClassesSkipped, pad)
+	if ts := res.Diagnostics.Targeted; ts.ClassesSkipped < pad {
+		t.Errorf("the scan decoded padding: skipped %d classes, want >= %d", ts.ClassesSkipped, pad)
 	}
 }

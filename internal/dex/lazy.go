@@ -8,7 +8,7 @@ import (
 	"repro/internal/jimple"
 )
 
-// This file is the lazy decode fast path for the targeted engine mode:
+// This file is the lazy decode fast path every container scan opens with:
 // DecodeLazy parses the container eagerly down to class/field/method
 // headers but retains no method bodies. Each body section is skimmed once
 // to delimit its byte span and extract a MethodRef — the call targets,
@@ -16,8 +16,8 @@ import (
 // closure rules need. The skim (skimBody below) walks the same bytes the
 // eager core walks, runs the same validation checks in the same order,
 // but never materializes statement or value objects — the bulk of a cold
-// decode's allocations for bodies targeted mode will never visit. On any
-// skim rejection the materializing core re-runs over the span, so
+// decode's allocations for bodies the demand closure will never visit. On
+// any skim rejection the materializing core re-runs over the span, so
 // malformed input fails with the eager path's exact error and offset.
 // Materialize re-runs the eager core over a recorded span to give a
 // demanded class its bodies back, so a fully materialized lazy program is
@@ -28,6 +28,8 @@ import (
 type MethodRef struct {
 	// Sig is the method's full signature (declaring class included).
 	Sig jimple.Sig
+	// Key is Sig.Key(), rendered once when the records are sorted.
+	Key string
 	// Calls lists the top-level callee signatures in statement order —
 	// the jimple.InvokeOf shape: an InvokeStmt or an AssignStmt whose RHS
 	// is an invoke. Nested invokes cannot be expressed at statement level,
@@ -73,8 +75,17 @@ func MethodRefsOf(p *jimple.Program) []MethodRef {
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Sig.Key() < out[j].Sig.Key() })
+	sortRefs(out)
 	return out
+}
+
+// sortRefs fills in each record's Key and sorts the records by it,
+// stably, rendering every key once rather than twice per comparison.
+func sortRefs(refs []MethodRef) {
+	for i := range refs {
+		refs[i].Key = refs[i].Sig.Key()
+	}
+	sort.SliceStable(refs, func(i, j int) bool { return refs[i].Key < refs[j].Key })
 }
 
 // bodiedRec ties a skeleton method to its skim record and the offset of
@@ -138,7 +149,7 @@ func (l *Lazy) finalize() {
 			l.refs = append(l.refs, br.ref)
 		}
 	}
-	sort.SliceStable(l.refs, func(i, j int) bool { return l.refs[i].Sig.Key() < l.refs[j].Sig.Key() })
+	sortRefs(l.refs)
 	// The referenced-class note set mirrors apimodel.LibsUsedBy: every
 	// supertype and interface, every top-level callee's class, and every
 	// body-bearing method's local types (collected during the skim into
@@ -202,8 +213,8 @@ func (l *Lazy) Materialize(class string) error {
 }
 
 // MaterializeAll decodes every retained body, leaving the program equal
-// to an eager Decode — the fallback when a lazily opened app is scanned
-// in full mode.
+// to an eager Decode — what dynamic validation needs before it replays
+// the app.
 func (l *Lazy) MaterializeAll() error {
 	classes := make([]string, 0, len(l.classRecs))
 	for cls := range l.classRecs {
@@ -244,7 +255,7 @@ func (l *Lazy) TargetSiteSearch(wanted []jimple.Sig) []string {
 	for i := range l.refs {
 		for _, c := range l.refs[i].Calls {
 			if keys[c.Key()] {
-				out = append(out, l.refs[i].Sig.Key())
+				out = append(out, l.refs[i].Key)
 				break
 			}
 		}

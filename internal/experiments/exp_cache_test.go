@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/corpus"
 )
@@ -37,11 +38,11 @@ func testCacheDir(t *testing.T) string {
 	return dir
 }
 
-// TestCacheDifferentialGoldenCorpus: the matrix. Baseline is cache-off,
-// single worker; every mode × temperature × worker-count cell must
-// render byte-identical report text.
+// TestCacheDifferentialGoldenCorpus: the matrix. Baseline is the
+// whole-program oracle, cache off, single worker; every mode ×
+// temperature × worker-count cell must render byte-identical report text.
 func TestCacheDifferentialGoldenCorpus(t *testing.T) {
-	baseline := goldenReportTextWith(t, core.Options{Workers: 1})
+	baseline := goldenReportTextWith(t, checkers.OracleOptions(core.Options{Workers: 1}))
 	dir := testCacheDir(t)
 
 	cells := []struct {
@@ -55,20 +56,13 @@ func TestCacheDifferentialGoldenCorpus(t *testing.T) {
 		{"rw-warm-w4", core.Options{Workers: 4, CacheDir: dir, CacheMode: core.CacheRW}},
 		{"ro-w1", core.Options{Workers: 1, CacheDir: dir, CacheMode: core.CacheRO}},
 		{"ro-w4", core.Options{Workers: 4, CacheDir: dir, CacheMode: core.CacheRO}},
+		{"off-w1", core.Options{Workers: 1}},
 		{"off-w4", core.Options{Workers: 4}},
-		// The targeted engine cross-cuts the same matrix: its cache entries
-		// live under a distinct fingerprint (mode is fingerprinted), so the
-		// first rw cell fills targeted entries and the later ones read them.
-		{"targeted-off-w1", core.Options{Workers: 1, Mode: core.ModeTargeted}},
-		{"targeted-off-w4", core.Options{Workers: 4, Mode: core.ModeTargeted}},
-		{"targeted-rw-cold-w1", core.Options{Workers: 1, CacheDir: dir, CacheMode: core.CacheRW, Mode: core.ModeTargeted}},
-		{"targeted-rw-warm-w4", core.Options{Workers: 4, CacheDir: dir, CacheMode: core.CacheRW, Mode: core.ModeTargeted}},
-		{"targeted-ro-w4", core.Options{Workers: 4, CacheDir: dir, CacheMode: core.CacheRO, Mode: core.ModeTargeted}},
 	}
 	for _, cell := range cells {
 		got := goldenReportTextWith(t, cell.opts)
 		if got != baseline {
-			t.Errorf("%s: report text differs from cache-off baseline:\n%s",
+			t.Errorf("%s: report text differs from the oracle baseline:\n%s",
 				cell.name, firstDiff(baseline, got))
 		}
 	}

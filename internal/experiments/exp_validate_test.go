@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/apk"
+	"repro/internal/checkers"
 	"repro/internal/core"
 )
 
@@ -78,33 +79,29 @@ func TestValidationBreakdownSnapshot(t *testing.T) {
 	}
 }
 
-// TestValidatedReportsIdenticalAcrossModesAndWorkers is the satellite-4
-// differential: the rendered golden reports — now including verdict and
-// note — are byte-identical between full and targeted mode and across
-// worker counts. Replay verdicts must be a function of the app, never of
-// the traversal strategy or scheduling.
+// TestValidatedReportsIdenticalAcrossModesAndWorkers: the rendered
+// golden reports — verdict and note included — are byte-identical
+// between the engine and the whole-program oracle and across worker
+// counts. Replay verdicts must be a function of the app, never of the
+// traversal or scheduling.
 func TestValidatedReportsIdenticalAcrossModesAndWorkers(t *testing.T) {
-	base := goldenReportTextWith(t, core.Options{Workers: 1, Validate: true})
-	variants := map[string]core.Options{
-		"targeted":  {Workers: 1, Validate: true, Mode: core.ModeTargeted},
-		"workers=4": {Workers: 4, Validate: true},
-	}
-	for name, opts := range variants {
-		if got := goldenReportTextWith(t, opts); got != base {
-			t.Errorf("%s validated reports differ from full/workers=1:\n%s", name, firstDiff(base, got))
+	base := goldenReportTextWith(t, checkers.OracleOptions(core.Options{Workers: 1, Validate: true}))
+	for _, w := range []int{1, 2, 8} {
+		if got := goldenReportTextWith(t, core.Options{Workers: w, Validate: true}); got != base {
+			t.Errorf("workers=%d validated reports differ from the oracle:\n%s", w, firstDiff(base, got))
 		}
 	}
 }
 
 // TestValidatedLazyPathMatchesFull routes the goldens through the byte
-// container in targeted mode — the path where classes are decoded lazily
-// and the validate stage must materialize the app before replaying — and
-// requires report-level equality (verdicts included) with the in-memory
-// full scan.
+// container — the path where classes are decoded lazily and the validate
+// stage must materialize the app before replaying — and requires
+// report-level equality (verdicts included) with the oracle's in-memory
+// scan.
 func TestValidatedLazyPathMatchesFull(t *testing.T) {
 	apps := mustGoldens(t)
-	full := core.NewWithOptions(core.Options{Workers: 1, Validate: true})
-	lazy := core.NewWithOptions(core.Options{Workers: 1, Validate: true, Mode: core.ModeTargeted})
+	full := core.NewWithOptions(checkers.OracleOptions(core.Options{Workers: 1, Validate: true}))
+	lazy := core.NewWithOptions(core.Options{Workers: 1, Validate: true})
 	for _, a := range apps {
 		data, err := apk.Encode(a.App)
 		if err != nil {
@@ -113,13 +110,13 @@ func TestValidatedLazyPathMatchesFull(t *testing.T) {
 		fres := full.ScanApp(a.App)
 		lres, err := lazy.ScanBytes(data)
 		if err != nil {
-			t.Fatalf("%s: targeted ScanBytes: %v", a.Name, err)
+			t.Fatalf("%s: ScanBytes: %v", a.Name, err)
 		}
 		if lres.Incomplete {
-			t.Fatalf("%s: targeted validated scan degraded: %v", a.Name, lres.Err())
+			t.Fatalf("%s: validated scan degraded: %v", a.Name, lres.Err())
 		}
 		if !reflect.DeepEqual(fres.Reports, lres.Reports) {
-			t.Errorf("%s: lazy targeted validated reports differ from full", a.Name)
+			t.Errorf("%s: lazy validated reports differ from the oracle", a.Name)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package report
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/android"
@@ -120,7 +121,17 @@ type Loc struct {
 }
 
 func (l Loc) String() string {
-	return fmt.Sprintf("%s, stmt %d", l.Method.Key(), l.Stmt)
+	var b strings.Builder
+	l.writeTo(&b)
+	return b.String()
+}
+
+// writeTo writes l's String form to b, rendering through a stack buffer.
+func (l Loc) writeTo(b *strings.Builder) {
+	var buf [256]byte
+	k := l.Method.AppendKey(buf[:0])
+	k = append(k, ", stmt "...)
+	b.Write(strconv.AppendInt(k, int64(l.Stmt), 10))
 }
 
 // Frame mirrors callgraph.Frame without importing it (keeps report free of
@@ -179,42 +190,59 @@ const (
 // Render formats the report in the layout of the paper's Figure 7.
 func (r *Report) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "NPD Information\n  %s! at %s\n", r.Message, r.Location)
-	imps := make([]string, len(r.Impacts))
+	r.writeTo(&b)
+	return b.String()
+}
+
+// writeTo writes the Render form of r to b.
+func (r *Report) writeTo(b *strings.Builder) {
+	write(b, "NPD Information\n  ", r.Message, "! at ")
+	r.Location.writeTo(b)
+	b.WriteString("\nNPD impact\n  ")
 	for i, im := range r.Impacts {
-		imps[i] = string(im)
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(string(im))
 	}
-	fmt.Fprintf(&b, "NPD impact\n  %s\n", strings.Join(imps, ", "))
-	who := "background service"
-	note := "No user waiting; conserve energy and mobile data."
+	who, note := "background service", "No user waiting; conserve energy and mobile data."
 	if r.Context.UserInitiated {
-		who = "user"
-		note = "Need to notify users if the operation fails."
+		who, note = "user", "Need to notify users if the operation fails."
 	}
-	fmt.Fprintf(&b, "Network request context\n  Request made by %s (%s). %s\n",
-		who, r.Context.Component, note)
+	write(b, "\nNetwork request context\n  Request made by ", who, " (", r.Context.Component, "). ", note, "\n")
 	if len(r.CallStack) > 0 {
 		b.WriteString("Network request call stack\n")
 		for i, f := range r.CallStack {
-			indent := strings.Repeat("-", i)
-			if f.Site >= 0 {
-				fmt.Fprintf(&b, "  %s> (%s: %d)\n", indent, f.Method, f.Site)
-			} else {
-				fmt.Fprintf(&b, "  %s> (%s)\n", indent, f.Method)
+			b.WriteString("  ")
+			for j := 0; j < i; j++ {
+				b.WriteByte('-')
 			}
+			write(b, "> (", f.Method)
+			if f.Site >= 0 {
+				var nb [20]byte
+				b.WriteString(": ")
+				b.Write(strconv.AppendInt(nb[:0], int64(f.Site), 10))
+			}
+			b.WriteString(")\n")
 		}
 	}
-	fmt.Fprintf(&b, "Fix Suggestion\n  %s\n", r.FixSuggestion)
+	write(b, "Fix Suggestion\n  ", r.FixSuggestion, "\n")
 	if r.Validation != "" {
 		// Rendered only when the validation stage ran, so scans without
 		// -validate keep their historical byte-identical output.
-		fmt.Fprintf(&b, "Dynamic validation\n  %s", r.Validation)
+		write(b, "Dynamic validation\n  ", r.Validation)
 		if r.ValidationNote != "" {
-			fmt.Fprintf(&b, ": %s", r.ValidationNote)
+			write(b, ": ", r.ValidationNote)
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+}
+
+// write writes each of ss to b.
+func write(b *strings.Builder, ss ...string) {
+	for _, s := range ss {
+		b.WriteString(s)
+	}
 }
 
 // JSON renders the report as indented JSON.
@@ -273,15 +301,21 @@ func Suggest(c Cause, ctx Context, lib *apimodel.Library) string {
 // text mode prints them: each report's Figure-7 layout followed by a
 // blank-line separator. It is the single definition of "the CLI's report
 // text", shared by the CLI and by nchecker serve so an HTTP scan's report
-// body is byte-identical to the command-line scan of the same app.
+// body is byte-identical to the command-line scan of the same app. Every
+// report is written straight into one builder, sized up front from a
+// typical report's length.
 func RenderAll(reports []Report) string {
 	var b strings.Builder
+	b.Grow(len(reports) * renderSizeHint)
 	for i := range reports {
-		b.WriteString(reports[i].Render())
+		reports[i].writeTo(&b)
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
+
+// renderSizeHint is a typical rendered report's length in bytes.
+const renderSizeHint = 768
 
 // Summary aggregates reports for quick printing.
 type Summary struct {

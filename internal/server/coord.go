@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/cachestore"
-	"repro/internal/core"
 	"repro/internal/promtext"
 )
 
@@ -636,10 +635,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if _, err := jobMode(q.Get("mode"), core.ModeFull); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	if _, err := jobValidate(q.Get("validate"), false); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -650,7 +645,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Forward only the parameters /scansync understands, re-encoded.
 	fwd := url.Values{}
-	for _, k := range []string{"name", "timeout", "mode", "validate", "checkers"} {
+	for _, k := range []string{"name", "timeout", "validate", "checkers"} {
 		if v := q.Get(k); v != "" {
 			fwd.Set(k, v)
 		}

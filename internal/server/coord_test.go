@@ -463,9 +463,6 @@ func TestCoordinatorBadSubmissions(t *testing.T) {
 	if code := post("", nil); code != http.StatusBadRequest {
 		t.Errorf("empty body = %d, want 400", code)
 	}
-	if code := post("?mode=bogus", []byte("x")); code != http.StatusBadRequest {
-		t.Errorf("bad mode = %d, want 400", code)
-	}
 	if code := post("?timeout=banana", []byte("x")); code != http.StatusBadRequest {
 		t.Errorf("bad timeout = %d, want 400", code)
 	}

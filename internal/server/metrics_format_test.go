@@ -33,12 +33,11 @@ func TestMetricsFormatStability(t *testing.T) {
 		Scan:  core.Options{CacheDir: t.TempDir(), CacheMode: core.CacheRW},
 	})
 
-	// One clean job, one cache-hitting resubmission, one targeted job, one
-	// validated job, one failed job: between them they touch every counter
-	// family the server exports.
+	// One clean job, one cache-hitting resubmission, one validated job,
+	// one failed job: between them they touch every counter family the
+	// server exports.
 	await(t, ts, submit(t, ts, app, ""))
 	await(t, ts, submit(t, ts, app, ""))
-	await(t, ts, submit(t, ts, app, "?mode=targeted"))
 	await(t, ts, submit(t, ts, app, "?validate=1"))
 	await(t, ts, submit(t, ts, []byte("not an apk"), ""))
 

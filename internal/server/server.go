@@ -121,7 +121,6 @@ type Job struct {
 
 	seq      int64           // numeric ID, for newest-first listings
 	deadline time.Duration   // resolved per-job scan deadline (0 = none)
-	mode     core.EngineMode // resolved engine mode (?mode= or the server default)
 	validate bool            // resolved validation toggle (?validate= or the server default)
 	checkers core.CheckerSet // resolved family selection (?checkers= or the server default)
 	data     []byte          // app container bytes; released when the scan finishes
@@ -279,11 +278,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	mode, err := jobMode(r.URL.Query().Get("mode"), s.cfg.Scan.Mode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	validate, err := jobValidate(r.URL.Query().Get("validate"), s.cfg.Scan.Validate)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -305,7 +299,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Submitted: time.Now(),
 		seq:       s.nextID,
 		deadline:  timeout,
-		mode:      mode,
 		validate:  validate,
 		checkers:  checkerSet,
 		data:      body,
@@ -338,13 +331,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]string{"id": job.ID, "status": string(StatusQueued)})
 }
 
-// jobMode resolves a per-request ?mode= override: empty keeps the
-// server's default engine mode, anything else must be a valid mode name.
-func jobMode(param string, def core.EngineMode) (core.EngineMode, error) {
-	if param == "" {
-		return def, nil
-	}
-	return core.ParseEngineMode(param)
+// jobChecker derives a job's Checker from the server's with its resolved
+// ?validate= and ?checkers= overrides. WithOptions shares the
+// process-wide registry: a per-job override costs one small struct, not a
+// rebuilt Checker.
+func (s *Server) jobChecker(validate bool, set core.CheckerSet) *core.Checker {
+	opts := s.checker.Options()
+	opts.Validate, opts.Checkers = validate, set
+	return s.checker.WithOptions(opts)
 }
 
 // jobValidate resolves a per-request ?validate= override: empty keeps the
@@ -469,7 +463,7 @@ func (s *Server) run(job *Job) {
 	s.mu.Lock()
 	job.Status = StatusRunning
 	job.Started = &start
-	data, deadline, mode, validate, checkerSet := job.data, job.deadline, job.mode, job.validate, job.checkers
+	data, deadline, validate, checkerSet := job.data, job.deadline, job.validate, job.checkers
 	s.mu.Unlock()
 	s.metrics.scanStarted()
 
@@ -479,10 +473,7 @@ func (s *Server) run(job *Job) {
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
-	// WithMode/WithValidate/WithCheckers share the process-wide registry
-	// (and cache store): per-job overrides cost one small struct, not a
-	// rebuilt Checker.
-	res, err := s.checker.WithMode(mode).WithValidate(validate).WithCheckers(checkerSet).ScanBytesContext(ctx, data)
+	res, err := s.jobChecker(validate, checkerSet).ScanBytesContext(ctx, data)
 	finished := time.Now()
 
 	s.mu.Lock()

@@ -404,73 +404,6 @@ func TestRetentionPrunesOldestFinished(t *testing.T) {
 	}
 }
 
-// TestModeParameterOverride: a job submitted with ?mode=targeted runs
-// through the demand-driven engine, produces byte-identical report text
-// to a full-mode job over the same bytes, and folds the
-// nchecker_targeted_* counters into /metrics. An unknown mode is rejected
-// up front with a one-line 400 — never queued.
-func TestModeParameterOverride(t *testing.T) {
-	app := fixtureAppBytes(t)
-	_, ts := newTestServer(t, Config{})
-
-	full := await(t, ts, submit(t, ts, app, ""))
-	targeted := await(t, ts, submit(t, ts, app, "?mode=targeted"))
-	if targeted.Status != StatusDone || targeted.Degraded {
-		t.Fatalf("targeted job = %+v, want clean done", targeted)
-	}
-	if targeted.ReportText != full.ReportText || targeted.Warnings != full.Warnings {
-		t.Errorf("targeted job output differs from full:\n--- targeted ---\n%s\n--- full ---\n%s",
-			targeted.ReportText, full.ReportText)
-	}
-
-	_, metricsText := getBody(t, ts.URL+"/metrics")
-	for _, want := range []string{
-		"nchecker_targeted_seed_methods_total",
-		"nchecker_targeted_closure_methods_total",
-		"nchecker_targeted_classes_decoded_total",
-	} {
-		if !strings.Contains(metricsText, want) {
-			t.Errorf("/metrics missing %q after a targeted job:\n%s", want,
-				grepLines(metricsText, "nchecker_targeted_"))
-		}
-	}
-
-	resp, err := http.Post(ts.URL+"/scan?mode=bogus", "application/octet-stream", bytes.NewReader(app))
-	if err != nil {
-		t.Fatalf("POST bad mode: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad mode = %d, want 400; body: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "invalid engine mode") || !strings.Contains(string(body), "bogus") {
-		t.Errorf("bad-mode error %q should name the rejected value", body)
-	}
-}
-
-// TestServerDefaultMode: a server started with Scan.Mode targeted applies
-// it to jobs that pass no ?mode=, and ?mode=full overrides back per job —
-// with identical reports either way.
-func TestServerDefaultMode(t *testing.T) {
-	app := fixtureAppBytes(t)
-	_, ts := newTestServer(t, Config{Scan: core.Options{Mode: core.ModeTargeted}})
-
-	def := await(t, ts, submit(t, ts, app, ""))
-	over := await(t, ts, submit(t, ts, app, "?mode=full"))
-	if def.Status != StatusDone || over.Status != StatusDone {
-		t.Fatalf("jobs = %+v / %+v", def, over)
-	}
-	if def.ReportText != over.ReportText {
-		t.Error("default-targeted and ?mode=full jobs should produce identical reports")
-	}
-	_, metricsText := getBody(t, ts.URL+"/metrics")
-	if !strings.Contains(metricsText, "nchecker_targeted_closure_methods_total") {
-		t.Errorf("/metrics missing targeted counters after a default-mode targeted job:\n%s",
-			grepLines(metricsText, "nchecker_targeted_"))
-	}
-}
-
 // TestPprofMounted: the pprof index answers on the service mux.
 func TestPprofMounted(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

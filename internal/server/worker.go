@@ -51,11 +51,6 @@ func (s *Server) handleScanSync(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	mode, err := jobMode(r.URL.Query().Get("mode"), s.cfg.Scan.Mode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	validate, err := jobValidate(r.URL.Query().Get("validate"), s.cfg.Scan.Validate)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -96,7 +91,7 @@ func (s *Server) handleScanSync(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	s.metrics.scanStarted()
-	res, err := s.checker.WithMode(mode).WithValidate(validate).WithCheckers(checkerSet).ScanBytesContext(ctx, body)
+	res, err := s.jobChecker(validate, checkerSet).ScanBytesContext(ctx, body)
 	finished := time.Now()
 	job.Started, job.Finished = &start, &finished
 

@@ -56,23 +56,31 @@ trap 'rm -rf "$cachedir"' EXIT
 NCHECKER_TEST_CACHEDIR="$cachedir" go test -race -timeout 10m \
     ./internal/cachestore ./internal/checkers ./internal/experiments
 
-echo "== targeted-mode differential =="
-# End to end through the CLI: -mode=full and -mode=targeted over the
-# same generated app containers (padded so the targeted engine really
-# skips classes) must print byte-identical reports and exit alike.
+echo "== engine-vs-oracle differential =="
+# The demand-driven engine is the only scan traversal; the whole-program
+# oracle (checkers.OracleOptions, test binaries only) is the reference it
+# must match byte for byte over the goldens, the corpus and padded apps,
+# at worker counts 1/2/8, with the cache off, cold and warm.
+go test -count=1 -timeout 10m -run 'Differential|Validated|Targeted' \
+    ./internal/checkers ./internal/experiments
+
+echo "== CLI worker differential =="
+# End to end through the CLI: -workers 1 and -workers 4 over the same
+# generated app containers (padded so the closure really skips classes)
+# must print byte-identical reports and exit alike.
 diffdir=$(mktemp -d)
 trap 'rm -rf "$cachedir" "$diffdir"' EXIT
 go build -o "$diffdir/nchecker" ./cmd/nchecker
 go run ./cmd/appgen -out "$diffdir/corpus" -n 24 -pad 40 >/dev/null
-full_status=0
-"$diffdir/nchecker" -mode=full "$diffdir"/corpus/*.apk >"$diffdir/full.txt" || full_status=$?
-targeted_status=0
-"$diffdir/nchecker" -mode=targeted "$diffdir"/corpus/*.apk >"$diffdir/targeted.txt" || targeted_status=$?
-if [ "$full_status" -ne "$targeted_status" ]; then
-    echo "targeted differential: exit codes differ (full=$full_status targeted=$targeted_status)" >&2
+w1_status=0
+"$diffdir/nchecker" -workers 1 "$diffdir"/corpus/*.apk >"$diffdir/w1.txt" || w1_status=$?
+w4_status=0
+"$diffdir/nchecker" -workers 4 "$diffdir"/corpus/*.apk >"$diffdir/w4.txt" || w4_status=$?
+if [ "$w1_status" -ne "$w4_status" ]; then
+    echo "worker differential: exit codes differ (-workers 1: $w1_status, -workers 4: $w4_status)" >&2
     exit 1
 fi
-cmp "$diffdir/full.txt" "$diffdir/targeted.txt"
+cmp "$diffdir/w1.txt" "$diffdir/w4.txt"
 
 echo "== validate smoke =="
 # -validate must stamp verdicts (at least one dynamically confirmed
@@ -80,15 +88,15 @@ echo "== validate smoke =="
 # exit code.
 validate_status=0
 "$diffdir/nchecker" -validate "$diffdir"/corpus/*.apk >"$diffdir/validated.txt" || validate_status=$?
-if [ "$full_status" -ne "$validate_status" ]; then
-    echo "validate smoke: exit codes differ (plain=$full_status validate=$validate_status)" >&2
+if [ "$w1_status" -ne "$validate_status" ]; then
+    echo "validate smoke: exit codes differ (plain=$w1_status validate=$validate_status)" >&2
     exit 1
 fi
 if ! grep -A1 "^Dynamic validation$" "$diffdir/validated.txt" | grep -q "confirmed"; then
     echo "validate smoke: no confirmed verdict in the validated reports" >&2
     exit 1
 fi
-if grep -q "Dynamic validation" "$diffdir/full.txt"; then
+if grep -q "Dynamic validation" "$diffdir/w1.txt"; then
     echo "validate smoke: verdicts leaked into the unvalidated reports" >&2
     exit 1
 fi
@@ -111,11 +119,10 @@ if grep -vE "$newfam" "$diffdir/ablated.txt" | grep -vE '^== ' | grep -q .; then
     exit 1
 fi
 
-echo "== targeted scaling bench smoke =="
-# One iteration per cell keeps the gate fast while proving the six
-# BenchmarkScanMode{Full,Targeted}{1x,10x,100x} cells still run and
-# regenerate BENCH_targeted.json's headline numbers.
-go test -run='^$' -bench='^BenchmarkScanMode' -benchtime=1x -timeout 10m .
+echo "== padded-scale bench smoke =="
+# One iteration per cell keeps the gate fast while proving the three
+# BenchmarkScanPadded{1x,10x,100x} cells still run.
+go test -run='^$' -bench='^BenchmarkScanPadded' -benchtime=1x -timeout 10m .
 
 echo "== cold-scan allocation smoke =="
 # Regenerates BENCH_cold.json's smoke section (-short scans the first
