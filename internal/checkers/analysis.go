@@ -312,14 +312,16 @@ type analysis struct {
 
 	// Demand-closure state (targeted.go), frozen at the start of the build
 	// stage. roots holds the relevant-method closure (sorted keys);
-	// demanded the class closure; tstats the work-avoided counters.
+	// demanded the class closure.
 	roots    []string
 	demanded map[string]bool
-	tstats   TargetedStats
 
-	// Validation-stage counters (validate.go); written sequentially by the
-	// validate stage, read by finish.
-	vstats ValidateStats
+	// diag is the scan's Diagnostics, filled in place: stage timings by
+	// the pipeline, Targeted by the closure, Validate by the validate
+	// stage, Cache's store counters by the cache stages (cache.go), and
+	// the AnalysisContext's counters at finish. All of these writes happen
+	// at sequential points of the pipeline.
+	diag Diagnostics
 
 	// Persistent-cache state (cache.go). The cache stages run at
 	// sequential points of the pipeline — probe before build, seed before
@@ -335,11 +337,6 @@ type analysis struct {
 	cacheClasses   []string
 	classHashes    map[string][sha256.Size]byte
 	closureMemo    map[string][sha256.Size]byte
-	sstats         storeStats
-	// hitAppMethods/hitSites carry the cached per-app diagnostics counts
-	// on a full result hit (the scan skips discovery, so a.methods and
-	// a.sites stay empty).
-	hitAppMethods, hitSites int
 }
 
 // fail records one survivable scan failure.

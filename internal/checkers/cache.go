@@ -138,26 +138,6 @@ func summaryCacheKey(class string, closure [sha256.Size]byte, reg *apimodel.Regi
 		[]byte(class), closure[:], reg.Fingerprint(), []byte(EngineVersion), opts.cacheFingerprint())
 }
 
-// storeStats counts this scan's persistent-cache traffic. The cache
-// stages run at sequential points of the pipeline, so plain ints suffice.
-type storeStats struct {
-	probes, hits, misses, corrupt  int
-	seeded, puts, putErrs, evicted int
-	digests                        int
-}
-
-func (s *storeStats) fill(c *CacheStats) {
-	c.StoreProbes = s.probes
-	c.StoreHits = s.hits
-	c.StoreMisses = s.misses
-	c.StoreCorrupt = s.corrupt
-	c.SummariesSeeded = s.seeded
-	c.StorePuts = s.puts
-	c.StorePutErrors = s.putErrs
-	c.StoreEvicted = s.evicted
-	c.ClassDigests = s.digests
-}
-
 // cacheGuard isolates the cache stages: a panic inside cache code is
 // corruption by definition — it is counted and the scan continues cold,
 // without a ScanError and without marking the Result Incomplete (cache
@@ -165,7 +145,7 @@ func (s *storeStats) fill(c *CacheStats) {
 func (a *analysis) cacheGuard(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			a.sstats.corrupt++
+			a.diag.Cache.StoreCorrupt++
 		}
 	}()
 	fn()
@@ -198,19 +178,19 @@ func (a *analysis) probeCache() *Result {
 	}
 	a.resultKey = resultCacheKey(digest, a.reg, a.opts)
 	a.haveResultKey = true
-	a.sstats.probes++
+	a.diag.Cache.StoreProbes++
 	payload, status := a.store.Get(a.resultKey)
 	switch status {
 	case cachestore.StatusMiss:
-		a.sstats.misses++
+		a.diag.Cache.StoreMisses++
 		return nil
 	case cachestore.StatusCorrupt:
-		a.sstats.corrupt++
+		a.diag.Cache.StoreCorrupt++
 		return nil
 	}
 	e, err := cachestore.DecodeResultEntry(payload)
 	if err != nil {
-		a.sstats.corrupt++
+		a.diag.Cache.StoreCorrupt++
 		a.store.Remove(a.resultKey)
 		return nil
 	}
@@ -218,12 +198,14 @@ func (a *analysis) probeCache() *Result {
 	if !ok {
 		// The Stats shape changed without an EngineVersion bump; treat the
 		// stale entry as corrupt and rescan.
-		a.sstats.corrupt++
+		a.diag.Cache.StoreCorrupt++
 		a.store.Remove(a.resultKey)
 		return nil
 	}
-	a.sstats.hits++
-	a.hitAppMethods, a.hitSites = e.AppMethods, e.Sites
+	a.diag.Cache.StoreHits++
+	// A full hit skips discovery (a.methods and a.sites stay empty), so
+	// the per-app counts come from the entry.
+	a.diag.AppMethods, a.diag.Sites = e.AppMethods, e.Sites
 	return &Result{Reports: e.Reports, Stats: stats}
 }
 
@@ -269,7 +251,7 @@ func (a *analysis) classHash(cls string) [sha256.Size]byte {
 	}
 	var h [sha256.Size]byte
 	if c := a.app.Program.Class(cls); c != nil {
-		a.sstats.digests++
+		a.diag.Cache.ClassDigests++
 		hasher := sha256.New()
 		bw := classPrintBufs.Get().(*bufio.Writer)
 		bw.Reset(hasher)
@@ -371,28 +353,28 @@ func (a *analysis) seedSummaries() {
 	a.seededClasses = make(map[string]bool)
 	for _, cls := range a.cacheClasses {
 		key := summaryCacheKey(cls, a.closureDigest(cls), a.reg, a.opts)
-		a.sstats.probes++
+		a.diag.Cache.StoreProbes++
 		payload, status := a.store.Get(key)
 		switch status {
 		case cachestore.StatusMiss:
-			a.sstats.misses++
+			a.diag.Cache.StoreMisses++
 			continue
 		case cachestore.StatusCorrupt:
-			a.sstats.corrupt++
+			a.diag.Cache.StoreCorrupt++
 			continue
 		}
 		e, err := cachestore.DecodeSummaryEntry(payload)
 		if err != nil || !a.summaryEntryCurrent(cls, e) {
-			a.sstats.corrupt++
+			a.diag.Cache.StoreCorrupt++
 			a.store.Remove(key)
 			continue
 		}
-		a.sstats.hits++
+		a.diag.Cache.StoreHits++
 		for i := range e.Methods {
 			a.seeds[e.Methods[i].Key] = e.Methods[i].Summary
 		}
 		a.seededClasses[cls] = true
-		a.sstats.seeded += len(e.Methods)
+		a.diag.Cache.SummariesSeeded += len(e.Methods)
 	}
 }
 
@@ -458,11 +440,11 @@ func (a *analysis) writeCache(res *Result) {
 func (a *analysis) putEntry(key cachestore.Key, payload []byte) {
 	evicted, err := a.store.Put(key, payload)
 	if err != nil {
-		a.sstats.putErrs++
+		a.diag.Cache.StorePutErrors++
 		return
 	}
-	a.sstats.puts++
-	a.sstats.evicted += evicted
+	a.diag.Cache.StorePuts++
+	a.diag.Cache.StoreEvicted += evicted
 }
 
 // statsCounters flattens Stats to the cached counter vector. The field

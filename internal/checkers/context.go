@@ -224,35 +224,32 @@ func (c *AnalysisContext) EntriesReaching(targetKey string) []callgraph.Entry {
 	return out
 }
 
-// cacheStats snapshots the context's counters for Diagnostics.
-func (c *AnalysisContext) cacheStats() CacheStats {
+// fillCacheStats writes the context's counters into the scan's
+// CacheStats (the store counters there belong to the cache stages).
+func (c *AnalysisContext) fillCacheStats(stats *CacheStats) {
 	c.mu.Lock()
-	methods := len(c.methods)
+	stats.Methods = len(c.methods)
 	c.mu.Unlock()
-	stats := CacheStats{
-		Methods:             methods,
-		CFGComputed:         int(c.cfgComputed.Load()),
-		CFGRequests:         int(c.cfgRequests.Load()),
-		ReachDefsComputed:   int(c.rdComputed.Load()),
-		ReachDefsRequests:   int(c.rdRequests.Load()),
-		ConstPropComputed:   int(c.cpComputed.Load()),
-		ConstPropRequests:   int(c.cpRequests.Load()),
-		DominatorsComputed:  int(c.domComputed.Load()),
-		DominatorsRequests:  int(c.domRequests.Load()),
-		LoopsComputed:       int(c.loopComputed.Load()),
-		LoopsRequests:       int(c.loopRequests.Load()),
-		SlicersComputed:     int(c.slicerComputed.Load()),
-		SlicerRequests:      int(c.slicerRequests.Load()),
-		SummaryRequests:     int(c.sumRequests.Load()),
-		FeasibleCFGComputed: int(c.feasComputed.Load()),
-		FeasibleCFGRequests: int(c.feasRequests.Load()),
-		PrunedEdges:         int(c.prunedEdges.Load()),
-	}
+	stats.CFGComputed = int(c.cfgComputed.Load())
+	stats.CFGRequests = int(c.cfgRequests.Load())
+	stats.ReachDefsComputed = int(c.rdComputed.Load())
+	stats.ReachDefsRequests = int(c.rdRequests.Load())
+	stats.ConstPropComputed = int(c.cpComputed.Load())
+	stats.ConstPropRequests = int(c.cpRequests.Load())
+	stats.DominatorsComputed = int(c.domComputed.Load())
+	stats.DominatorsRequests = int(c.domRequests.Load())
+	stats.LoopsComputed = int(c.loopComputed.Load())
+	stats.LoopsRequests = int(c.loopRequests.Load())
+	stats.SlicersComputed = int(c.slicerComputed.Load())
+	stats.SlicerRequests = int(c.slicerRequests.Load())
+	stats.SummaryRequests = int(c.sumRequests.Load())
+	stats.FeasibleCFGComputed = int(c.feasComputed.Load())
+	stats.FeasibleCFGRequests = int(c.feasRequests.Load())
+	stats.PrunedEdges = int(c.prunedEdges.Load())
 	if set := c.sumSet; set != nil {
 		ss := set.Stats()
 		stats.SummariesComputed = ss.Methods
 		stats.SummarySCCs = ss.SCCs
 		stats.SummaryFixpointIters = ss.FixpointIterations
 	}
-	return stats
 }

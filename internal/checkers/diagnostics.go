@@ -2,6 +2,7 @@ package checkers
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"time"
 
@@ -18,45 +19,67 @@ type StageTiming struct {
 	Reports  int // warnings the stage emitted
 }
 
+// Counter catalog. Every int field of CacheStats, TargetedStats and
+// ValidateStats is a counter whose `metric` tag is its export name; the
+// `counters` tag on the Diagnostics field that holds the struct is its
+// family. counterIndex, built from those tags once at init, is the single
+// list Diagnostics.Merge and Diagnostics.EachCounter (and through it
+// nchecker serve's nchecker_<family>_<name>_total series) walk, so adding
+// a tagged field is all it takes to merge and export a new counter.
+
 // CacheStats counts AnalysisContext artifact computations vs. requests.
 // Hits are Requests − Computed; Computed never exceeds the number of
 // distinct methods, proving each artifact is built at most once per
 // method per scan.
 type CacheStats struct {
-	Methods int // distinct methods with at least one cached artifact
+	Methods int `metric:"methods"` // distinct methods with at least one cached artifact
 
-	CFGComputed, CFGRequests               int
-	ReachDefsComputed, ReachDefsRequests   int
-	ConstPropComputed, ConstPropRequests   int
-	DominatorsComputed, DominatorsRequests int
-	LoopsComputed, LoopsRequests           int
-	SlicersComputed, SlicerRequests        int
+	CFGComputed        int `metric:"cfg_computed"`
+	CFGRequests        int `metric:"cfg_requests"`
+	ReachDefsComputed  int `metric:"reachdefs_computed"`
+	ReachDefsRequests  int `metric:"reachdefs_requests"`
+	ConstPropComputed  int `metric:"constprop_computed"`
+	ConstPropRequests  int `metric:"constprop_requests"`
+	DominatorsComputed int `metric:"dominators_computed"`
+	DominatorsRequests int `metric:"dominators_requests"`
+	LoopsComputed      int `metric:"loops_computed"`
+	LoopsRequests      int `metric:"loops_requests"`
+	SlicersComputed    int `metric:"slicers_computed"`
+	SlicerRequests     int `metric:"slicer_requests"`
 
 	// Interprocedural summary engine: the summary set is built once per
 	// scan (SummariesComputed = methods summarized, over SummarySCCs
 	// condensation components, spending SummaryFixpointIters extra passes
 	// on recursive cycles); every later consult is a cache hit
 	// (SummaryRequests − SummariesComputed).
-	SummariesComputed, SummaryRequests int
-	SummarySCCs, SummaryFixpointIters  int
+	SummariesComputed    int `metric:"summaries_computed"`
+	SummaryRequests      int `metric:"summary_requests"`
+	SummarySCCs          int `metric:"summary_sccs"`
+	SummaryFixpointIters int `metric:"summary_fixpoint_iters"`
 	// Path-feasibility pruning: pruned per-method CFGs built vs. requested,
 	// and the total statically-dead edges removed.
-	FeasibleCFGComputed, FeasibleCFGRequests int
-	PrunedEdges                              int
+	FeasibleCFGComputed int `metric:"feasible_cfg_computed"`
+	FeasibleCFGRequests int `metric:"feasible_cfg_requests"`
+	PrunedEdges         int `metric:"pruned_edges"`
 
 	// Persistent store (Options.CacheDir) traffic: entry probes and their
 	// outcomes, taint summaries seeded from summary-entry hits, and the
 	// write side. StoreCorrupt counts corrupt/truncated entries and
 	// in-cache panics, all of which degrade to cold computation. All zero
 	// when the persistent cache is off.
-	StoreProbes, StoreHits, StoreMisses, StoreCorrupt int
-	SummariesSeeded                                   int
-	StorePuts, StorePutErrors, StoreEvicted           int
+	StoreProbes     int `metric:"store_probes"`
+	StoreHits       int `metric:"store_hits"`
+	StoreMisses     int `metric:"store_misses"`
+	StoreCorrupt    int `metric:"store_corrupt"`
+	SummariesSeeded int `metric:"summaries_seeded"`
+	StorePuts       int `metric:"store_puts"`
+	StorePutErrors  int `metric:"store_put_errors"`
+	StoreEvicted    int `metric:"store_evicted"`
 	// ClassDigests counts per-class content-digest computations (a full
 	// streamed re-print of the class into the hasher). Digest work exists
 	// only to address cache entries, so it must be zero whenever the
 	// persistent cache is off — TestNoDigestWorkWithCacheOff pins this.
-	ClassDigests int
+	ClassDigests int `metric:"class_digests"`
 }
 
 // CFGHits returns the number of CFG requests served from the cache.
@@ -70,36 +93,16 @@ func (c CacheStats) ReachDefsHits() int { return c.ReachDefsRequests - c.ReachDe
 type TargetedStats struct {
 	// SeedMethods counts the closure's roots: methods with a target-API
 	// call plus registered callback implementations.
-	SeedMethods int
+	SeedMethods int `metric:"seed_methods"`
 	// ClosureMethods / ClosureClasses size the converged relevant-method
 	// and demanded-class sets.
-	ClosureMethods int
-	ClosureClasses int
+	ClosureMethods int `metric:"closure_methods"`
+	ClosureClasses int `metric:"closure_classes"`
 	// ClassesDecoded / ClassesSkipped split the app's body-bearing classes
 	// into materialized and never-decoded (lazy scan path) or analyzed and
 	// excluded (in-memory path).
-	ClassesDecoded int
-	ClassesSkipped int
-}
-
-func (t *TargetedStats) add(o TargetedStats) {
-	t.SeedMethods += o.SeedMethods
-	t.ClosureMethods += o.ClosureMethods
-	t.ClosureClasses += o.ClosureClasses
-	t.ClassesDecoded += o.ClassesDecoded
-	t.ClassesSkipped += o.ClassesSkipped
-}
-
-// counterMap flattens TargetedStats for metric export (the
-// nchecker_targeted_* family of nchecker serve's /metrics).
-func (t TargetedStats) counterMap() map[string]int64 {
-	return map[string]int64{
-		"seed_methods":    int64(t.SeedMethods),
-		"closure_methods": int64(t.ClosureMethods),
-		"closure_classes": int64(t.ClosureClasses),
-		"classes_decoded": int64(t.ClassesDecoded),
-		"classes_skipped": int64(t.ClassesSkipped),
-	}
+	ClassesDecoded int `metric:"classes_decoded"`
+	ClassesSkipped int `metric:"classes_skipped"`
 }
 
 // ValidateStats counts the dynamic-validation stage's work and verdicts.
@@ -108,22 +111,14 @@ func (t TargetedStats) counterMap() map[string]int64 {
 type ValidateStats struct {
 	// Confirmed / Unconfirmed / NotValidated partition the scan's warnings
 	// by verdict; their sum is the number of warnings examined.
-	Confirmed    int
-	Unconfirmed  int
-	NotValidated int
+	Confirmed    int `metric:"confirmed"`
+	Unconfirmed  int `metric:"unconfirmed"`
+	NotValidated int `metric:"not_validated"`
 	// Replays counts entry × scenario machine executions (shared across
 	// warnings with the same witness entry).
-	Replays int
+	Replays int `metric:"replays"`
 	// BudgetHits counts replays truncated by the interpreter step budget.
-	BudgetHits int
-}
-
-func (v *ValidateStats) add(o ValidateStats) {
-	v.Confirmed += o.Confirmed
-	v.Unconfirmed += o.Unconfirmed
-	v.NotValidated += o.NotValidated
-	v.Replays += o.Replays
-	v.BudgetHits += o.BudgetHits
+	BudgetHits int `metric:"budget_hits"`
 }
 
 // count tallies one warning's verdict (a report.Validation* value).
@@ -138,18 +133,6 @@ func (v *ValidateStats) count(verdict string) {
 	}
 }
 
-// counterMap flattens ValidateStats for metric export (the
-// nchecker_validate_* family of nchecker serve's /metrics).
-func (v ValidateStats) counterMap() map[string]int64 {
-	return map[string]int64{
-		"confirmed":     int64(v.Confirmed),
-		"unconfirmed":   int64(v.Unconfirmed),
-		"not_validated": int64(v.NotValidated),
-		"replays":       int64(v.Replays),
-		"budget_hits":   int64(v.BudgetHits),
-	}
-}
-
 // Diagnostics is the per-scan observability record: where the time went,
 // how much was analyzed, and how well the shared analysis cache worked.
 // It is populated by every Analyze call and threaded through core.Result
@@ -159,14 +142,56 @@ type Diagnostics struct {
 	Workers    int // resolved worker count the scan ran with
 	AppMethods int // body-bearing app methods scanned
 	Sites      int // request sites discovered
-	Targeted   TargetedStats
-	Validate   ValidateStats
-	Stages     []StageTiming
-	Cache      CacheStats
+
+	// The `counters` tags name the catalog's counter families.
+	Targeted TargetedStats `counters:"targeted"`
+	Validate ValidateStats `counters:"validate"`
+	Stages   []StageTiming
+	Cache    CacheStats `counters:"cache"`
+
 	// Errors lists the scan's survivable failures (stage panics, expired
 	// deadlines, cancellations), sorted by stage order then unit index.
 	// Non-empty exactly when the Result is Incomplete.
 	Errors []ScanError
+}
+
+// counterField locates one catalog counter: field inner of the stats
+// struct held in Diagnostics field outer.
+type counterField struct {
+	family, name string
+	outer, inner int
+}
+
+// counterIndex is the counter catalog in declaration order.
+var counterIndex = buildCounterIndex()
+
+// buildCounterIndex reads the catalog off the struct tags. An untagged
+// counter field, a non-int field in a stats struct, or a duplicate
+// family/name pair is a programming error and panics at init.
+func buildCounterIndex() []counterField {
+	var out []counterField
+	seen := make(map[[2]string]bool)
+	dt := reflect.TypeOf(Diagnostics{})
+	for i := 0; i < dt.NumField(); i++ {
+		family := dt.Field(i).Tag.Get("counters")
+		if family == "" {
+			continue
+		}
+		st := dt.Field(i).Type
+		for j := 0; j < st.NumField(); j++ {
+			f := st.Field(j)
+			name := f.Tag.Get("metric")
+			if f.Type.Kind() != reflect.Int || name == "" {
+				panic(fmt.Sprintf("checkers: %s.%s is not a tagged int counter", st.Name(), f.Name))
+			}
+			if seen[[2]string{family, name}] {
+				panic(fmt.Sprintf("checkers: duplicate counter %s/%s", family, name))
+			}
+			seen[[2]string{family, name}] = true
+			out = append(out, counterField{family: family, name: name, outer: i, inner: j})
+		}
+	}
+	return out
 }
 
 // Stage returns the timing record of the named stage, or nil.
@@ -184,14 +209,12 @@ func (d *Diagnostics) add(name string, dur time.Duration, items, reports int) {
 	d.Stages = append(d.Stages, StageTiming{Name: name, Duration: dur, Items: items, Reports: reports})
 }
 
-// merge accumulates another scan's diagnostics into d (stage-wise and
-// cache-wise), for corpus-level aggregation. Workers is kept from d.
+// Merge accumulates another scan's diagnostics into d (stage-wise and
+// counter-wise), for corpus-level aggregation. Workers is kept from d.
 func (d *Diagnostics) Merge(o Diagnostics) {
 	d.Total += o.Total
 	d.AppMethods += o.AppMethods
 	d.Sites += o.Sites
-	d.Targeted.add(o.Targeted)
-	d.Validate.add(o.Validate)
 	for _, s := range o.Stages {
 		if have := d.Stage(s.Name); have != nil {
 			have.Duration += s.Duration
@@ -201,121 +224,21 @@ func (d *Diagnostics) Merge(o Diagnostics) {
 			d.Stages = append(d.Stages, s)
 		}
 	}
-	d.Cache.Methods += o.Cache.Methods
-	d.Cache.CFGComputed += o.Cache.CFGComputed
-	d.Cache.CFGRequests += o.Cache.CFGRequests
-	d.Cache.ReachDefsComputed += o.Cache.ReachDefsComputed
-	d.Cache.ReachDefsRequests += o.Cache.ReachDefsRequests
-	d.Cache.ConstPropComputed += o.Cache.ConstPropComputed
-	d.Cache.ConstPropRequests += o.Cache.ConstPropRequests
-	d.Cache.DominatorsComputed += o.Cache.DominatorsComputed
-	d.Cache.DominatorsRequests += o.Cache.DominatorsRequests
-	d.Cache.LoopsComputed += o.Cache.LoopsComputed
-	d.Cache.LoopsRequests += o.Cache.LoopsRequests
-	d.Cache.SlicersComputed += o.Cache.SlicersComputed
-	d.Cache.SlicerRequests += o.Cache.SlicerRequests
-	d.Cache.SummariesComputed += o.Cache.SummariesComputed
-	d.Cache.SummaryRequests += o.Cache.SummaryRequests
-	d.Cache.SummarySCCs += o.Cache.SummarySCCs
-	d.Cache.SummaryFixpointIters += o.Cache.SummaryFixpointIters
-	d.Cache.FeasibleCFGComputed += o.Cache.FeasibleCFGComputed
-	d.Cache.FeasibleCFGRequests += o.Cache.FeasibleCFGRequests
-	d.Cache.PrunedEdges += o.Cache.PrunedEdges
-	d.Cache.StoreProbes += o.Cache.StoreProbes
-	d.Cache.StoreHits += o.Cache.StoreHits
-	d.Cache.StoreMisses += o.Cache.StoreMisses
-	d.Cache.StoreCorrupt += o.Cache.StoreCorrupt
-	d.Cache.SummariesSeeded += o.Cache.SummariesSeeded
-	d.Cache.StorePuts += o.Cache.StorePuts
-	d.Cache.StorePutErrors += o.Cache.StorePutErrors
-	d.Cache.StoreEvicted += o.Cache.StoreEvicted
-	d.Cache.ClassDigests += o.Cache.ClassDigests
+	dv, ov := reflect.ValueOf(d).Elem(), reflect.ValueOf(&o).Elem()
+	for _, c := range counterIndex {
+		f := dv.Field(c.outer).Field(c.inner)
+		f.SetInt(f.Int() + ov.Field(c.outer).Field(c.inner).Int())
+	}
 	d.Errors = append(d.Errors, o.Errors...)
 }
 
-// CounterMap flattens every CacheStats counter into a stable snake_case
-// name → value map, the shape metric exporters (nchecker serve's /metrics)
-// consume. TestCacheStatsCounterMapComplete pins the contract: every
-// CacheStats field appears here, so a new counter cannot be added without
-// also being exported.
-func (c CacheStats) CounterMap() map[string]int64 {
-	return map[string]int64{
-		"methods":                int64(c.Methods),
-		"cfg_computed":           int64(c.CFGComputed),
-		"cfg_requests":           int64(c.CFGRequests),
-		"reachdefs_computed":     int64(c.ReachDefsComputed),
-		"reachdefs_requests":     int64(c.ReachDefsRequests),
-		"constprop_computed":     int64(c.ConstPropComputed),
-		"constprop_requests":     int64(c.ConstPropRequests),
-		"dominators_computed":    int64(c.DominatorsComputed),
-		"dominators_requests":    int64(c.DominatorsRequests),
-		"loops_computed":         int64(c.LoopsComputed),
-		"loops_requests":         int64(c.LoopsRequests),
-		"slicers_computed":       int64(c.SlicersComputed),
-		"slicer_requests":        int64(c.SlicerRequests),
-		"summaries_computed":     int64(c.SummariesComputed),
-		"summary_requests":       int64(c.SummaryRequests),
-		"summary_sccs":           int64(c.SummarySCCs),
-		"summary_fixpoint_iters": int64(c.SummaryFixpointIters),
-		"feasible_cfg_computed":  int64(c.FeasibleCFGComputed),
-		"feasible_cfg_requests":  int64(c.FeasibleCFGRequests),
-		"pruned_edges":           int64(c.PrunedEdges),
-		"store_probes":           int64(c.StoreProbes),
-		"store_hits":             int64(c.StoreHits),
-		"store_misses":           int64(c.StoreMisses),
-		"store_corrupt":          int64(c.StoreCorrupt),
-		"summaries_seeded":       int64(c.SummariesSeeded),
-		"store_puts":             int64(c.StorePuts),
-		"store_put_errors":       int64(c.StorePutErrors),
-		"store_evicted":          int64(c.StoreEvicted),
-		"class_digests":          int64(c.ClassDigests),
+// EachCounter calls fn for every catalog counter, in declaration order,
+// with its family (cache, targeted, validate), export name and value.
+func (d *Diagnostics) EachCounter(fn func(family, name string, v int)) {
+	dv := reflect.ValueOf(d).Elem()
+	for _, c := range counterIndex {
+		fn(c.family, c.name, int(dv.Field(c.outer).Field(c.inner).Int()))
 	}
-}
-
-// StageMetric is one pipeline stage's timing flattened for metric export.
-type StageMetric struct {
-	Name    string
-	Seconds float64
-	Items   int64
-	Reports int64
-}
-
-// MetricsSnapshot is the metric-exporter view of one scan's Diagnostics:
-// plain numbers under stable names, ready to be folded into cumulative
-// counters and histograms (see internal/server).
-type MetricsSnapshot struct {
-	TotalSeconds float64
-	AppMethods   int64
-	Sites        int64
-	Reports      int64 // warnings across all stages
-	ScanErrors   int64 // recorded survivable failures (non-zero ⇒ degraded)
-	Stages       []StageMetric
-	Counters     map[string]int64 // CacheStats.CounterMap
-	Targeted     map[string]int64 // TargetedStats, flattened
-	Validate     map[string]int64 // ValidateStats, flattened
-}
-
-// MetricsSnapshot flattens the diagnostics for metric export.
-func (d *Diagnostics) MetricsSnapshot() MetricsSnapshot {
-	snap := MetricsSnapshot{
-		TotalSeconds: d.Total.Seconds(),
-		AppMethods:   int64(d.AppMethods),
-		Sites:        int64(d.Sites),
-		ScanErrors:   int64(len(d.Errors)),
-		Counters:     d.Cache.CounterMap(),
-		Targeted:     d.Targeted.counterMap(),
-		Validate:     d.Validate.counterMap(),
-	}
-	for _, s := range d.Stages {
-		snap.Reports += int64(s.Reports)
-		snap.Stages = append(snap.Stages, StageMetric{
-			Name:    s.Name,
-			Seconds: s.Duration.Seconds(),
-			Items:   int64(s.Items),
-			Reports: int64(s.Reports),
-		})
-	}
-	return snap
 }
 
 // Render formats the diagnostics for the -timings flag.

@@ -3,73 +3,84 @@ package checkers
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
-// TestCacheStatsCounterMapComplete pins the exporter contract with
-// reflection: every CacheStats field must appear in CounterMap, and with a
-// value distinguishable from every other field's. Adding a counter to
-// CacheStats without exporting it fails here.
-func TestCacheStatsCounterMapComplete(t *testing.T) {
-	var c CacheStats
-	v := reflect.ValueOf(&c).Elem()
-	typ := v.Type()
-	// Give every field a distinct value so a map entry wired to the wrong
-	// field is caught, not just a missing one.
-	for i := 0; i < typ.NumField(); i++ {
-		if typ.Field(i).Type.Kind() != reflect.Int {
-			t.Fatalf("CacheStats.%s is %s, not int; extend CounterMap and this test",
-				typ.Field(i).Name, typ.Field(i).Type)
-		}
-		v.Field(i).SetInt(int64(100 + i))
-	}
-	m := c.CounterMap()
-	if len(m) != typ.NumField() {
-		t.Fatalf("CounterMap has %d entries, CacheStats has %d fields: a counter is missing from the export",
-			len(m), typ.NumField())
-	}
-	seen := make(map[int64]string, len(m))
-	for name, val := range m {
-		if val < 100 || val >= int64(100+typ.NumField()) {
-			t.Errorf("CounterMap[%q] = %d: not wired to any CacheStats field", name, val)
-		}
-		if prev, dup := seen[val]; dup {
-			t.Errorf("CounterMap[%q] and CounterMap[%q] read the same field", name, prev)
-		}
-		seen[val] = name
+// counterStructs returns the three counter structs of d, the families the
+// catalog must cover.
+func counterStructs(d *Diagnostics) []reflect.Value {
+	return []reflect.Value{
+		reflect.ValueOf(&d.Cache).Elem(),
+		reflect.ValueOf(&d.Targeted).Elem(),
+		reflect.ValueOf(&d.Validate).Elem(),
 	}
 }
 
-// TestMetricsSnapshotFlattensDiagnostics: the snapshot must carry the
-// stage timings, totals, and error count the /metrics endpoint exports.
-func TestMetricsSnapshotFlattensDiagnostics(t *testing.T) {
-	d := Diagnostics{
-		Total:      1500 * time.Millisecond,
-		AppMethods: 7,
-		Sites:      3,
-		Errors:     []ScanError{{Kind: ErrDeadline, Stage: "discover", Unit: -1}},
+// TestCounterCatalogComplete pins the catalog contract with reflection:
+// EachCounter yields every int field of CacheStats, TargetedStats and
+// ValidateStats exactly once under a unique family/name, and Merge sums
+// every one of them. Adding a counter field without a tag panics at init;
+// a field the catalog skipped or double-counted fails here.
+func TestCounterCatalogComplete(t *testing.T) {
+	d := populatedDiagnostics() // every counter field holds a distinct value
+	fieldOf := make(map[int]string)
+	for _, s := range counterStructs(&d) {
+		for i := 0; i < s.NumField(); i++ {
+			if s.Field(i).Kind() != reflect.Int {
+				t.Fatalf("%s.%s is %s, not int", s.Type().Name(), s.Type().Field(i).Name, s.Field(i).Type())
+			}
+			fieldOf[int(s.Field(i).Int())] = s.Type().Name() + "." + s.Type().Field(i).Name
+		}
 	}
-	d.add("build", 200*time.Millisecond, 7, 0)
-	d.add("settings", 100*time.Millisecond, 3, 2)
-	d.Cache.StoreHits = 4
 
-	snap := d.MetricsSnapshot()
-	if snap.TotalSeconds != 1.5 || snap.AppMethods != 7 || snap.Sites != 3 {
-		t.Errorf("totals wrong: %+v", snap)
+	names := make(map[string]bool)
+	yielded := make(map[int]string)
+	d.EachCounter(func(family, name string, v int) {
+		key := family + "/" + name
+		if names[key] {
+			t.Errorf("counter %s yielded twice", key)
+		}
+		names[key] = true
+		field, ok := fieldOf[v]
+		if !ok {
+			t.Errorf("counter %s = %d: not wired to any counter field", key, v)
+			return
+		}
+		if prev, dup := yielded[v]; dup {
+			t.Errorf("counters %s and %s both read %s", prev, key, field)
+		}
+		yielded[v] = key
+	})
+	for v, field := range fieldOf {
+		if _, ok := yielded[v]; !ok {
+			t.Errorf("%s is never yielded by EachCounter", field)
+		}
 	}
-	if snap.ScanErrors != 1 {
-		t.Errorf("ScanErrors = %d, want 1", snap.ScanErrors)
+
+	// Merging a Diagnostics into a copy of itself doubles every counter.
+	merged := populatedDiagnostics()
+	merged.Merge(populatedDiagnostics())
+	want, got := counterStructs(&d), counterStructs(&merged)
+	for k := range want {
+		for i := 0; i < want[k].NumField(); i++ {
+			if w, g := 2*want[k].Field(i).Int(), got[k].Field(i).Int(); g != w {
+				t.Errorf("Merge: %s.%s = %d, want %d",
+					want[k].Type().Name(), want[k].Type().Field(i).Name, g, w)
+			}
+		}
 	}
-	if snap.Reports != 2 {
-		t.Errorf("Reports = %d, want 2", snap.Reports)
+	if merged.Total != 2*d.Total || merged.AppMethods != 2*d.AppMethods || merged.Sites != 2*d.Sites {
+		t.Errorf("Merge totals: %v/%d/%d, want doubled %v/%d/%d",
+			merged.Total, merged.AppMethods, merged.Sites, d.Total, d.AppMethods, d.Sites)
 	}
-	if len(snap.Stages) != 2 || snap.Stages[0].Name != "build" || snap.Stages[1].Name != "settings" {
-		t.Fatalf("stages wrong: %+v", snap.Stages)
+	if len(merged.Stages) != len(d.Stages) {
+		t.Fatalf("Merge: %d stages, want %d", len(merged.Stages), len(d.Stages))
 	}
-	if snap.Stages[1].Seconds != 0.1 || snap.Stages[1].Items != 3 || snap.Stages[1].Reports != 2 {
-		t.Errorf("settings stage wrong: %+v", snap.Stages[1])
+	for i, s := range merged.Stages {
+		if o := d.Stages[i]; s.Duration != 2*o.Duration || s.Items != 2*o.Items || s.Reports != 2*o.Reports {
+			t.Errorf("Merge: stage %s = %+v, want double %+v", s.Name, s, o)
+		}
 	}
-	if snap.Counters["store_hits"] != 4 {
-		t.Errorf("Counters[store_hits] = %d, want 4", snap.Counters["store_hits"])
+	if len(merged.Errors) != 2*len(d.Errors) {
+		t.Errorf("Merge: %d errors, want %d", len(merged.Errors), 2*len(d.Errors))
 	}
 }

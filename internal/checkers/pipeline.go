@@ -57,15 +57,14 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		defer cancel()
 	}
 	workers := opts.workerCount()
-	var diag Diagnostics
-	diag.Workers = workers
-
 	a := &analysis{
 		app:     app,
 		reg:     reg,
 		opts:    opts,
 		scanCtx: ctx,
 	}
+	diag := &a.diag
+	diag.Workers = workers
 	if workers > 1 {
 		a.sem = make(chan struct{}, workers)
 	}
@@ -73,15 +72,12 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	finish := func(res *Result) *Result {
 		sortScanErrors(a.errs)
 		diag.Errors = a.errs
-		diag.Targeted = a.tstats
-		diag.Validate = a.vstats
 		res.Incomplete = len(a.errs) > 0
 		if a.ctx != nil {
-			diag.Cache = a.ctx.cacheStats()
+			a.ctx.fillCacheStats(&diag.Cache)
 		}
-		a.sstats.fill(&diag.Cache)
 		diag.Total = time.Since(start)
-		res.Diagnostics = diag
+		res.Diagnostics = *diag
 		return res
 	}
 
@@ -95,8 +91,6 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		a.cacheGuard(func() { hit = a.probeCache() })
 		diag.add("cacheprobe", time.Since(probeStart), 1, 0)
 		if hit != nil {
-			diag.AppMethods = a.hitAppMethods
-			diag.Sites = a.hitSites
 			return finish(hit)
 		}
 	}
@@ -247,7 +241,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 			if res.Reports[i].Validation == "" {
 				res.Reports[i].Validation = report.ValidationNotValidated
 				res.Reports[i].ValidationNote = "validation did not complete"
-				a.vstats.NotValidated++
+				diag.Validate.NotValidated++
 			}
 		}
 		diag.add("validate", time.Since(valStart), len(res.Reports), 0)
@@ -258,7 +252,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	if a.store != nil && opts.CacheMode == CacheRW && len(a.errs) == 0 {
 		writeStart := time.Now()
 		a.cacheGuard(func() { a.writeCache(res) })
-		diag.add("cachewrite", time.Since(writeStart), a.sstats.puts, 0)
+		diag.add("cachewrite", time.Since(writeStart), diag.Cache.StorePuts, 0)
 	}
 
 	diag.AppMethods = len(a.methods)

@@ -325,7 +325,7 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 }
 
 // prepareBuild runs the demand closure over the skim records, freezing
-// a.roots / a.demanded / a.tstats, and decodes only the demanded classes
+// a.roots / a.demanded / a.diag.Targeted, and decodes only the demanded classes
 // (lazy path) or keeps them (in-memory path — the bodies exist but
 // collectAppMethods skips the rest). ClassesSkipped counts bodied classes
 // left undecoded (lazy) or unanalyzed (in-memory). Runs inside the "build" stage
@@ -345,7 +345,7 @@ func (a *analysis) prepareBuild() {
 	} else {
 		cl = computeTargetedClosure(records, a.reg, a.app.Manifest, a.opts.EnableICC)
 	}
-	a.roots, a.demanded, a.tstats = cl.roots, cl.demanded, cl.stats
+	a.roots, a.demanded, a.diag.Targeted = cl.roots, cl.demanded, cl.stats
 	if lazy == nil {
 		return
 	}

@@ -78,7 +78,7 @@ func (a *analysis) validateReports(reports []report.Report) {
 			v, note := a.validateOne(rp, cache, &reports[i])
 			reports[i].Validation = v
 			reports[i].ValidationNote = note
-			a.vstats.count(v)
+			a.diag.Validate.count(v)
 		})
 	}
 }
@@ -92,9 +92,9 @@ func (a *analysis) replay(rp *interp.Replayer, cache map[replayKey]replayOutcome
 	obs, ok := rp.Replay(entry, s, scenarioSeed(s))
 	out := replayOutcome{obs: obs, ok: ok}
 	if ok {
-		a.vstats.Replays++
+		a.diag.Validate.Replays++
 		if obs.BudgetExceeded {
-			a.vstats.BudgetHits++
+			a.diag.Validate.BudgetHits++
 		}
 	}
 	cache[k] = out

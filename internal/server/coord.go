@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"repro/internal/cachestore"
+	"repro/internal/core"
 	"repro/internal/promtext"
 )
 
@@ -237,7 +238,7 @@ func (c *Coordinator) Register(workerURL string) error {
 	}
 	w := &fleetWorker{url: base}
 	c.workers = append(c.workers, w)
-	c.cm.workerJoined()
+	c.cm.inc(fleetWorkersJoined)
 	c.startWorkerLocked(w)
 	c.replaceOrphansLocked()
 	c.log.Info("fleet worker registered", "worker", base, "fleet_size", len(c.liveWorkersLocked()))
@@ -358,7 +359,7 @@ func (c *Coordinator) popLocked(w *fleetWorker) *fleetDispatch {
 			d = victim.queue[victimIdx]
 			victim.queue = append(victim.queue[:victimIdx], victim.queue[victimIdx+1:]...)
 			if !d.job.terminal {
-				c.cm.steal()
+				c.cm.inc(fleetSteals)
 				c.log.Debug("dispatch stolen", "job", d.job.ID, "thief", w.url, "victim", victim.url)
 			}
 		}
@@ -432,7 +433,7 @@ func (c *Coordinator) dispatchLoop(w *fleetWorker) {
 			// Degraded by this worker's local trouble (deadline, load): keep
 			// the partial result as the floor and try elsewhere.
 			job.fallback = res
-			c.cm.degradedRetry()
+			c.cm.inc(fleetDegradedRetries)
 			c.log.Warn("degraded result, retrying elsewhere",
 				"job", job.ID, "worker", w.url, "attempt", attempt)
 			c.requeueLocked(job, w)
@@ -459,7 +460,7 @@ func (c *Coordinator) retryOrFailLocked(job *Job, avoid *fleetWorker, attempt in
 		return
 	}
 	if attempt < c.cfg.Retries {
-		c.cm.retry()
+		c.cm.inc(fleetRetries)
 		c.requeueLocked(job, avoid)
 		return
 	}
@@ -475,7 +476,7 @@ func (c *Coordinator) retryOrFailLocked(job *Job, avoid *fleetWorker, attempt in
 	job.Finished = &now
 	job.Error = fmt.Sprintf("all %d attempts failed; last worker %s: %v", attempt, avoid.url, cause)
 	c.sealLocked(job)
-	c.cm.jobFailed()
+	c.cm.inc(fleetJobsFailed)
 	c.log.Error("job failed: attempts exhausted", "job", job.ID, "attempts", attempt, "error", cause.Error())
 }
 
@@ -502,7 +503,7 @@ func (c *Coordinator) maybeHedge(job *Job, slow *fleetWorker) {
 		return // nowhere else to run it
 	}
 	job.Hedged = true
-	c.cm.hedge()
+	c.cm.inc(fleetHedges)
 	c.pending++
 	c.enqueueLocked(&fleetDispatch{job: job, hedge: true, avoid: slow}, slow)
 	c.log.Info("hedging slow dispatch", "job", job.ID, "slow_worker", slow.url, "hedge_after", c.cfg.Hedge)
@@ -528,9 +529,12 @@ func (c *Coordinator) finalizeLocked(job *Job, res *Job, w *fleetWorker) {
 	w.done++
 	c.sealLocked(job)
 	if job.Status == StatusFailed {
-		c.cm.jobFailed()
+		c.cm.inc(fleetJobsFailed)
 	} else {
-		c.cm.jobDone(job.Degraded)
+		c.cm.inc(fleetJobsDone)
+		if job.Degraded {
+			c.cm.inc(fleetJobsDegraded)
+		}
 	}
 	c.log.Info("job done",
 		"job", job.ID, "name", job.Name, "worker", w.url, "status", job.Status,
@@ -560,7 +564,7 @@ func (c *Coordinator) markDownLocked(w *fleetWorker) {
 		return
 	}
 	w.down = true
-	c.cm.workerDown()
+	c.cm.inc(fleetWorkersDown)
 	c.log.Warn("fleet worker down", "worker", w.url, "requeued", len(w.queue))
 	queued := w.queue
 	w.queue = nil
@@ -615,34 +619,11 @@ func (c *Coordinator) scanOnWorker(ctx context.Context, base, query string, data
 // overrides a worker accepts (rejecting bad ones here, before they cost a
 // dispatch), bound the pending queue, shard, enqueue.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("app container exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	if len(body) == 0 {
-		httpError(w, http.StatusBadRequest, "empty request body: POST the app container bytes")
+	req := readScanRequest(w, r, c.cfg.MaxBodyBytes, 0, core.Options{})
+	if req == nil {
 		return
 	}
 	q := r.URL.Query()
-	if _, err := jobTimeout(q.Get("timeout"), 0); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if _, err := jobValidate(q.Get("validate"), false); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if _, err := jobCheckers(q.Get("checkers"), 0); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	// Forward only the parameters /scansync understands, re-encoded.
 	fwd := url.Values{}
 	for _, k := range []string{"name", "timeout", "validate", "checkers"} {
@@ -664,7 +645,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if c.pending >= c.cfg.Queue {
 		pending := c.pending
 		c.mu.Unlock()
-		c.cm.jobRejected()
+		c.cm.inc(fleetJobsRejected)
 		c.log.Warn("job rejected: fleet queue full", "pending", pending, "queue", c.cfg.Queue)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests,
@@ -674,14 +655,14 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	c.nextID++
 	job := &Job{
 		ID:        fmt.Sprintf("job-%d", c.nextID),
-		Name:      q.Get("name"),
+		Name:      req.name,
 		Status:    StatusQueued,
-		BodyBytes: int64(len(body)),
+		BodyBytes: int64(len(req.body)),
 		Submitted: time.Now(),
 		seq:       c.nextID,
-		shard:     sha256.Sum256(body),
+		shard:     sha256.Sum256(req.body),
 		query:     query,
-		data:      body,
+		data:      req.body,
 	}
 	c.jobs[job.ID] = job
 	c.pending++
@@ -689,7 +670,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	depth := c.pending
 	c.mu.Unlock()
 
-	c.cm.jobSubmitted()
+	c.cm.inc(fleetJobsSubmitted)
 	c.log.Info("job submitted", "job", job.ID, "name", job.Name, "bytes", job.BodyBytes, "pending", depth)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -805,11 +786,11 @@ func (c *Coordinator) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 	data, ok := c.hub.GetEnvelope(r.PathValue("entry"))
 	if !ok {
-		c.cm.cacheFetchMiss()
+		c.cm.inc(fleetCacheFetchMisses)
 		httpError(w, http.StatusNotFound, "no such cache entry")
 		return
 	}
-	c.cm.cacheFetchHit()
+	c.cm.inc(fleetCacheFetchHits)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
@@ -829,11 +810,11 @@ func (c *Coordinator) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.hub.PutEnvelope(r.PathValue("entry"), data); err != nil {
-		c.cm.cachePutReject()
+		c.cm.inc(fleetCachePutRejects)
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	c.cm.cachePut()
+	c.cm.inc(fleetCachePuts)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -859,18 +840,18 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			resp, err := c.probe.Get(u + "/metrics")
 			if err != nil {
-				c.cm.scrapeError()
+				c.cm.inc(fleetScrapeErrors)
 				return
 			}
 			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK {
-				c.cm.scrapeError()
+				c.cm.inc(fleetScrapeErrors)
 				return
 			}
 			t, err := promtext.Parse(string(body))
 			if err != nil {
-				c.cm.scrapeError()
+				c.cm.inc(fleetScrapeErrors)
 				return
 			}
 			texts[i] = t

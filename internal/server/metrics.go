@@ -12,7 +12,7 @@ import (
 
 // metrics is the server's cumulative observability state, rendered at
 // /metrics in the Prometheus text exposition format. Everything is built
-// by folding per-scan checkers.MetricsSnapshot values (plus job-lifecycle
+// by folding each finished scan's checkers.Diagnostics (plus job-lifecycle
 // events) into counters and one latency histogram — no client library,
 // just the text format, so the dependency footprint stays zero.
 //
@@ -36,14 +36,11 @@ import (
 //	                                         with the family number)
 //	nchecker_app_methods_total               app methods scanned
 //	nchecker_request_sites_total             request sites discovered
-//	nchecker_cache_<counter>_total           every checkers.CacheStats counter
-//	                                         (store_hits, store_misses, summaries_seeded, ...)
-//	nchecker_targeted_<counter>_total        targeted-engine work counters
-//	                                         (seed_methods, closure_methods, closure_classes,
-//	                                         classes_decoded, classes_skipped)
-//	nchecker_validate_<counter>_total        dynamic-validation counters
-//	                                         (confirmed, unconfirmed, not_validated,
-//	                                         replays, budget_hits)
+//	nchecker_<family>_<counter>_total        every counter of the checkers catalog
+//	                                         (Diagnostics.EachCounter): the `metric`
+//	                                         tags of CacheStats (family cache),
+//	                                         TargetedStats (targeted) and
+//	                                         ValidateStats (validate)
 type metrics struct {
 	mu sync.Mutex
 
@@ -63,9 +60,18 @@ type metrics struct {
 	stageReports map[string]int64
 	checker      map[string]int64 // family-owned stage name → warnings
 
-	cache    map[string]int64 // CounterMap keys
-	targeted map[string]int64 // TargetedStats counter keys
-	validate map[string]int64 // ValidateStats counter keys
+	counters map[counterKey]int64 // catalog counters (Diagnostics.EachCounter)
+}
+
+// counterKey names one catalog counter: nchecker_<family>_<name>_total.
+type counterKey struct{ family, name string }
+
+// counterHelp is the HELP text prefix of each counter family; the counter
+// name completes it.
+var counterHelp = map[string]string{
+	"cache":    "Cumulative checkers.CacheStats counter ",
+	"targeted": "Cumulative targeted-engine counter ",
+	"validate": "Cumulative dynamic-validation counter ",
 }
 
 func newMetrics() *metrics {
@@ -76,9 +82,7 @@ func newMetrics() *metrics {
 		stageItems:   make(map[string]int64),
 		stageReports: make(map[string]int64),
 		checker:      make(map[string]int64),
-		cache:        make(map[string]int64),
-		targeted:     make(map[string]int64),
-		validate:     make(map[string]int64),
+		counters:     make(map[counterKey]int64),
 	}
 }
 
@@ -134,8 +138,8 @@ func (m *metrics) jobFailed() {
 	m.mu.Unlock()
 }
 
-// jobDone folds a finished scan's snapshot into the cumulative state.
-func (m *metrics) jobDone(snap checkers.MetricsSnapshot, degraded bool) {
+// jobDone folds a finished scan's diagnostics into the cumulative state.
+func (m *metrics) jobDone(d *checkers.Diagnostics, degraded bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.inflight--
@@ -145,27 +149,21 @@ func (m *metrics) jobDone(snap checkers.MetricsSnapshot, degraded bool) {
 	} else {
 		m.jobs["done"]++
 	}
-	m.reports += snap.Reports
-	m.appMethods += snap.AppMethods
-	m.sites += snap.Sites
-	m.scanHist.observe(snap.TotalSeconds)
-	for _, s := range snap.Stages {
-		m.stageSeconds[s.Name] += s.Seconds
-		m.stageItems[s.Name] += s.Items
-		m.stageReports[s.Name] += s.Reports
+	m.appMethods += int64(d.AppMethods)
+	m.sites += int64(d.Sites)
+	m.scanHist.observe(d.Total.Seconds())
+	for _, s := range d.Stages {
+		m.reports += int64(s.Reports)
+		m.stageSeconds[s.Name] += s.Duration.Seconds()
+		m.stageItems[s.Name] += int64(s.Items)
+		m.stageReports[s.Name] += int64(s.Reports)
 		if checkers.FamilyOfStage(s.Name) > 0 {
-			m.checker[s.Name] += s.Reports
+			m.checker[s.Name] += int64(s.Reports)
 		}
 	}
-	for k, v := range snap.Counters {
-		m.cache[k] += v
-	}
-	for k, v := range snap.Targeted {
-		m.targeted[k] += v
-	}
-	for k, v := range snap.Validate {
-		m.validate[k] += v
-	}
+	d.EachCounter(func(family, name string, v int) {
+		m.counters[counterKey{family, name}] += int64(v)
+	})
 }
 
 // fnum renders a float the way Prometheus expects (shortest round-trip).
@@ -234,14 +232,18 @@ func (m *metrics) render(queueDepth, queueCap int) string {
 	counter("nchecker_app_methods_total", "Body-bearing app methods scanned.", m.appMethods)
 	counter("nchecker_request_sites_total", "Network request sites discovered.", m.sites)
 
-	for _, k := range sortedKeys(m.cache) {
-		counter("nchecker_cache_"+k+"_total", "Cumulative checkers.CacheStats counter "+k+".", m.cache[k])
+	keys := make([]counterKey, 0, len(m.counters))
+	for k := range m.counters {
+		keys = append(keys, k)
 	}
-	for _, k := range sortedKeys(m.targeted) {
-		counter("nchecker_targeted_"+k+"_total", "Cumulative targeted-engine counter "+k+".", m.targeted[k])
-	}
-	for _, k := range sortedKeys(m.validate) {
-		counter("nchecker_validate_"+k+"_total", "Cumulative dynamic-validation counter "+k+".", m.validate[k])
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].family != keys[j].family {
+			return keys[i].family < keys[j].family
+		}
+		return keys[i].name < keys[j].name
+	})
+	for _, k := range keys {
+		counter("nchecker_"+k.family+"_"+k.name+"_total", counterHelp[k.family]+k.name+".", m.counters[k])
 	}
 	return b.String()
 }

@@ -258,34 +258,8 @@ func (s *Server) Handler() http.Handler {
 // handleSubmit admits a scan job: read the container bytes, try the
 // bounded queue, 429 when full.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("app container exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	if len(body) == 0 {
-		httpError(w, http.StatusBadRequest, "empty request body: POST the app container bytes")
-		return
-	}
-	timeout, err := jobTimeout(r.URL.Query().Get("timeout"), s.cfg.JobTimeout)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	validate, err := jobValidate(r.URL.Query().Get("validate"), s.cfg.Scan.Validate)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	checkerSet, err := jobCheckers(r.URL.Query().Get("checkers"), s.cfg.Scan.Checkers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	req := readScanRequest(w, r, s.cfg.MaxBodyBytes, s.cfg.JobTimeout, s.cfg.Scan)
+	if req == nil {
 		return
 	}
 
@@ -293,15 +267,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	job := &Job{
 		ID:        fmt.Sprintf("job-%d", s.nextID),
-		Name:      r.URL.Query().Get("name"),
+		Name:      req.name,
 		Status:    StatusQueued,
-		BodyBytes: int64(len(body)),
+		BodyBytes: int64(len(req.body)),
 		Submitted: time.Now(),
 		seq:       s.nextID,
-		deadline:  timeout,
-		validate:  validate,
-		checkers:  checkerSet,
-		data:      body,
+		deadline:  req.timeout,
+		validate:  req.validate,
+		checkers:  req.checkers,
+		data:      req.body,
 	}
 	// Register before enqueueing: a worker may finish the job (and hit the
 	// retention path) before this handler runs again.
@@ -329,6 +303,73 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{"id": job.ID, "status": string(StatusQueued)})
+}
+
+// scanRequest is one parsed scan submission: the container bytes and the
+// resolved per-request overrides.
+type scanRequest struct {
+	body     []byte
+	name     string
+	timeout  time.Duration
+	validate bool
+	checkers core.CheckerSet
+}
+
+// readScanRequest parses the scan submission every scan endpoint accepts
+// (POST /scan, POST /scansync, and the coordinator's POST /scan): the
+// container body, capped at maxBody (413 beyond it) and non-empty (400),
+// plus the ?name=, ?timeout=, ?validate= and ?checkers= parameters, the
+// overrides resolved against maxTimeout and defaults (400 on a bad one).
+// On a bad request it writes the error response and returns nil.
+func readScanRequest(w http.ResponseWriter, r *http.Request, maxBody int64, maxTimeout time.Duration, defaults core.Options) *scanRequest {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("app container exceeds %d bytes", tooLarge.Limit))
+			return nil
+		}
+		httpError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		return nil
+	}
+	if len(body) == 0 {
+		httpError(w, http.StatusBadRequest, "empty request body: POST the app container bytes")
+		return nil
+	}
+	q := r.URL.Query()
+	req := &scanRequest{body: body, name: q.Get("name")}
+	req.timeout, err = jobTimeout(q.Get("timeout"), maxTimeout)
+	if err == nil {
+		req.validate, err = jobValidate(q.Get("validate"), defaults.Validate)
+	}
+	if err == nil {
+		req.checkers, err = jobCheckers(q.Get("checkers"), defaults.Checkers)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return nil
+	}
+	return req
+}
+
+// fillJob records a finished scan's outcome on its job record: failed
+// with the decode error, or done with the scan's counts and reports.
+func fillJob(job *Job, res *core.Result, err error) {
+	if err != nil {
+		job.Status = StatusFailed
+		job.Error = err.Error()
+		return
+	}
+	job.Status = StatusDone
+	job.Requests = res.Stats.Requests
+	job.Warnings = len(res.Reports)
+	job.Degraded = res.Incomplete
+	job.ReportText = report.RenderAll(res.Reports)
+	job.Reports = res.Reports
+	if resErr := res.Err(); resErr != nil {
+		job.Error = resErr.Error()
+	}
 }
 
 // jobChecker derives a job's Checker from the server's with its resolved
@@ -479,20 +520,7 @@ func (s *Server) run(job *Job) {
 	s.mu.Lock()
 	job.Finished = &finished
 	job.data = nil // the container bytes are dead weight once scanned
-	if err != nil {
-		job.Status = StatusFailed
-		job.Error = err.Error()
-	} else {
-		job.Status = StatusDone
-		job.Requests = res.Stats.Requests
-		job.Warnings = len(res.Reports)
-		job.Degraded = res.Incomplete
-		job.ReportText = report.RenderAll(res.Reports)
-		job.Reports = res.Reports
-		if resErr := res.Err(); resErr != nil {
-			job.Error = resErr.Error()
-		}
-	}
+	fillJob(job, res, err)
 	s.retainLocked(job.ID)
 	s.mu.Unlock()
 
@@ -505,7 +533,7 @@ func (s *Server) run(job *Job) {
 			"duration", dur, "queue_wait", queueWait, "error", err.Error())
 		return
 	}
-	s.metrics.jobDone(res.Diagnostics.MetricsSnapshot(), res.Incomplete)
+	s.metrics.jobDone(&res.Diagnostics, res.Incomplete)
 	s.log.Info("job done",
 		"id", job.ID, "name", job.Name, "bytes", job.BodyBytes,
 		"duration", dur, "queue_wait", queueWait,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -14,7 +13,6 @@ import (
 
 	"repro/internal/cachestore"
 	"repro/internal/core"
-	"repro/internal/report"
 )
 
 // This file is the worker half of the scan fleet (DESIGN.md §12): the
@@ -31,34 +29,8 @@ import (
 // Canceling the request (a lost hedge race, a dead coordinator) cancels
 // the scan via the PR 2 degradation path.
 func (s *Server) handleScanSync(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("app container exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	if len(body) == 0 {
-		httpError(w, http.StatusBadRequest, "empty request body: POST the app container bytes")
-		return
-	}
-	timeout, err := jobTimeout(r.URL.Query().Get("timeout"), s.cfg.JobTimeout)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	validate, err := jobValidate(r.URL.Query().Get("validate"), s.cfg.Scan.Validate)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	checkerSet, err := jobCheckers(r.URL.Query().Get("checkers"), s.cfg.Scan.Checkers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	req := readScanRequest(w, r, s.cfg.MaxBodyBytes, s.cfg.JobTimeout, s.cfg.Scan)
+	if req == nil {
 		return
 	}
 
@@ -77,42 +49,32 @@ func (s *Server) handleScanSync(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	job := Job{
 		ID:        fmt.Sprintf("sync-%d", s.nextID),
-		Name:      r.URL.Query().Get("name"),
-		BodyBytes: int64(len(body)),
+		Name:      req.name,
+		BodyBytes: int64(len(req.body)),
 		Submitted: time.Now(),
 	}
 	s.mu.Unlock()
 
 	ctx := r.Context()
-	if timeout > 0 {
+	if req.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, req.timeout)
 		defer cancel()
 	}
 	start := time.Now()
 	s.metrics.scanStarted()
-	res, err := s.jobChecker(validate, checkerSet).ScanBytesContext(ctx, body)
+	res, err := s.jobChecker(req.validate, req.checkers).ScanBytesContext(ctx, req.body)
 	finished := time.Now()
 	job.Started, job.Finished = &start, &finished
 
+	fillJob(&job, res, err)
 	if err != nil {
-		job.Status = StatusFailed
-		job.Error = err.Error()
 		s.metrics.jobFailed()
 		s.log.Error("sync job failed",
 			"id", job.ID, "name", job.Name, "bytes", job.BodyBytes,
 			"duration", finished.Sub(start), "error", err.Error())
 	} else {
-		job.Status = StatusDone
-		job.Requests = res.Stats.Requests
-		job.Warnings = len(res.Reports)
-		job.Degraded = res.Incomplete
-		job.ReportText = report.RenderAll(res.Reports)
-		job.Reports = res.Reports
-		if resErr := res.Err(); resErr != nil {
-			job.Error = resErr.Error()
-		}
-		s.metrics.jobDone(res.Diagnostics.MetricsSnapshot(), res.Incomplete)
+		s.metrics.jobDone(&res.Diagnostics, res.Incomplete)
 		s.log.Info("sync job done",
 			"id", job.ID, "name", job.Name, "bytes", job.BodyBytes,
 			"duration", finished.Sub(start), "requests", job.Requests,

@@ -82,6 +82,38 @@ if [ "$w1_status" -ne "$w4_status" ]; then
 fi
 cmp "$diffdir/w1.txt" "$diffdir/w4.txt"
 
+echo "== CLI -timings counter differential =="
+# Every -timings counter line must render and be deterministic: with
+# durations masked, -workers 1 and -workers 4 print identical -timings
+# text (stderr under -json) with no cache, a cold cache (a fresh directory
+# per side), the same caches warm, and -validate.
+mask_timings() {
+    sed -E 's/[0-9.]+(µs|ms|s|ns)//g; s/ +/ /g' "$1"
+}
+for mode in nocache cold warm validate; do
+    for w in 1 4; do
+        case $mode in
+        nocache) set -- ;;
+        cold | warm) set -- -cache "$diffdir/cache.w$w" ;;
+        validate) set -- -validate ;;
+        esac
+        timings_status=0
+        "$diffdir/nchecker" -json -timings -workers "$w" "$@" "$diffdir"/corpus/*.apk \
+            2>"$diffdir/timings.raw" >/dev/null || timings_status=$?
+        if [ "$timings_status" -gt 1 ]; then
+            echo "timings differential ($mode, -workers $w): exit $timings_status" >&2
+            cat "$diffdir/timings.raw" >&2
+            exit 1
+        fi
+        mask_timings "$diffdir/timings.raw" >"$diffdir/timings.$mode.w$w"
+    done
+    if ! cmp "$diffdir/timings.$mode.w1" "$diffdir/timings.$mode.w4"; then
+        echo "timings differential ($mode): -workers 1 and -workers 4 differ" >&2
+        diff "$diffdir/timings.$mode.w1" "$diffdir/timings.$mode.w4" | head -n 20 >&2
+        exit 1
+    fi
+done
+
 echo "== validate smoke =="
 # -validate must stamp verdicts (at least one dynamically confirmed
 # warning on the buggy corpus) without changing the warning set or the
