@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -605,6 +606,60 @@ func benchScanPadded(b *testing.B, scale int) {
 func BenchmarkScanPadded1x(b *testing.B)   { benchScanPadded(b, 1) }
 func BenchmarkScanPadded10x(b *testing.B)  { benchScanPadded(b, 10) }
 func BenchmarkScanPadded100x(b *testing.B) { benchScanPadded(b, 100) }
+
+// largeAppsDraw returns the containers of perfbench's large-apps workload
+// at seed 2016: 64 corpus apps drawn in seeded order, each padded with
+// 200 + [0, 200) inert classes, the counts spread evenly over the draw.
+func largeAppsDraw(b *testing.B) [][]byte {
+	b.Helper()
+	const seed, draw, padMin, padSpan = 2016, 64, 200, 200
+	apps, err := corpus.GenerateCorpus(seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	drawn := rng.Perm(len(apps))[:draw]
+	order := rng.Perm(draw)
+	out := make([][]byte, draw)
+	for j, i := range drawn {
+		corpus.AddPadding(apps[i].App, padMin+order[j]*padSpan/draw)
+		if out[j], err = apk.Encode(apps[i].App); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
+}
+
+// BenchmarkOpenPadded times the lazy open every container scan starts
+// with (apk.DecodeLazy: container framing, class skeletons, body skim and
+// caller index) over the large-apps draw; one op is one app:
+//
+//	go test -run='^$' -bench='^BenchmarkOpenPadded$' -benchmem .
+func BenchmarkOpenPadded(b *testing.B) {
+	data := largeAppsDraw(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := apk.DecodeLazy(data[i%len(data)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScanBytesPadded is the whole single-worker scan of the same
+// draw, open included, so the open's share of a large-app scan can be
+// read off beside BenchmarkOpenPadded.
+func BenchmarkScanBytesPadded(b *testing.B) {
+	data := largeAppsDraw(b)
+	nc := core.NewWithOptions(core.Options{Workers: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nc.ScanBytes(data[i%len(data)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // --- pipeline micro-benchmarks ------------------------------------------------
 

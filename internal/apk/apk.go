@@ -40,10 +40,10 @@ type App struct {
 	Program  *jimple.Program
 
 	// Lazy is non-nil for apps opened by DecodeLazy: the dex payload has
-	// been skimmed (headers, method refs, body spans) but no method bodies
-	// are decoded yet. Program aliases Lazy.Program(); the targeted engine
-	// materializes demanded classes, and the full engine materializes
-	// everything before building.
+	// been skimmed (headers, the skim index, body spans) but no method
+	// bodies are decoded yet. Program aliases Lazy.Program(); a scan
+	// materializes the demanded classes, and dynamic validation
+	// everything.
 	Lazy *dex.Lazy
 
 	// digest memoizes Digest(): apps decoded from container bytes carry

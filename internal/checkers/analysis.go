@@ -38,6 +38,7 @@ import (
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
+	"repro/internal/dex"
 	"repro/internal/hierarchy"
 	"repro/internal/jimple"
 	"repro/internal/report"
@@ -311,10 +312,12 @@ type analysis struct {
 	sites []*requestSite
 
 	// Demand-closure state (targeted.go), frozen at the start of the build
-	// stage. roots holds the relevant-method closure (sorted keys);
-	// demanded the class closure.
+	// stage. index is the app's skim; roots holds the relevant-method
+	// closure (sorted keys); demanded the class closure (index slots,
+	// ascending).
+	index    *dex.Index
 	roots    []string
-	demanded map[string]bool
+	demanded []int32
 
 	// diag is the scan's Diagnostics, filled in place: stage timings by
 	// the pipeline, Targeted by the closure, Validate by the validate
@@ -440,23 +443,23 @@ func (a *analysis) parallelFor(stage string, n int, fn func(int)) {
 // subset — see targeted.go for the closure rules and DESIGN.md §9 for
 // the equivalence argument.
 func (a *analysis) collectAppMethods() []*jimple.Method {
-	var out []*jimple.Method
-	for _, c := range a.app.Program.Classes() {
-		if !a.demanded[c.Name] {
-			continue
-		}
-		for _, m := range c.Methods {
-			if m.HasBody() {
-				out = append(out, m)
-			}
-		}
+	x := a.index
+	n := 0
+	for _, slot := range a.demanded {
+		lo, hi := x.ClassRecords(slot)
+		n += int(hi - lo)
 	}
-	// Render each key once and sort on the cached strings; the comparator
-	// used to re-render both keys per comparison.
-	keys := make([]string, len(out))
-	intern := jimple.NewInterner()
-	for i, m := range out {
-		keys[i] = intern.SigKey(m.Sig)
+	// Demanded classes in name order, records in declaration order: the
+	// order the program's classes list their bodied methods. The keys
+	// come from the index, which rendered the roots' already.
+	out := make([]*jimple.Method, 0, n)
+	keys := make([]string, 0, n)
+	for _, slot := range a.demanded {
+		lo, hi := x.ClassRecords(slot)
+		for i := lo; i < hi; i++ {
+			out = append(out, x.Records()[i].Method)
+			keys = append(keys, x.Key(i))
+		}
 	}
 	sort.Sort(&methodKeySorter{methods: out, keys: keys})
 	a.keyOf = make(map[*jimple.Method]string, len(out))

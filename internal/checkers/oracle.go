@@ -21,23 +21,15 @@ func OracleOptions(o Options) Options {
 }
 
 // wholeProgramClosure is the oracle's closure: every record a root,
-// every record's class demanded. records are sorted by method key, so
-// the roots come out sorted.
-func wholeProgramClosure(records []dex.MethodRef) targetedClosure {
-	roots := make([]string, len(records))
-	demanded := make(map[string]bool)
-	for i := range records {
-		roots[i] = records[i].Key
-		demanded[records[i].Sig.Class] = true
+// every bodied class demanded.
+func wholeProgramClosure(x *dex.Index) targetedClosure {
+	rm := make([]int32, len(x.Records()))
+	for i := range rm {
+		rm[i] = int32(i)
 	}
-	return targetedClosure{
-		roots:    roots,
-		demanded: demanded,
-		stats: TargetedStats{
-			SeedMethods:    len(records),
-			ClosureMethods: len(records),
-			ClosureClasses: len(demanded),
-			ClassesDecoded: len(demanded),
-		},
+	demanded := make([]bool, x.NumClasses())
+	for i := range demanded {
+		demanded[i] = true
 	}
+	return newClosure(x, rm, demanded, TargetedStats{SeedMethods: len(rm)})
 }

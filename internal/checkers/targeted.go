@@ -2,6 +2,7 @@ package checkers
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/android"
@@ -13,10 +14,9 @@ import (
 // This file is the demand-driven closure every scan runs (paper §4.2's
 // "targeted analysis": start from the network-API call sites and pull in
 // only the code that can matter, instead of scanning the whole app). The
-// closure is computed from dex.MethodRef skim records — available both
-// from a lazy decode (dex.Lazy.MethodRefs, bodies never decoded) and from
-// a loaded program (dex.MethodRefsOf) — so the two scan paths demand the
-// same classes.
+// closure is computed from the dex.Index skim — available both from a
+// lazy decode (dex.Lazy.Index, bodies never decoded) and from a loaded
+// program (dex.IndexOf) — so the two scan paths demand the same classes.
 //
 // The engine computes two sets:
 //
@@ -62,7 +62,7 @@ const (
 // classes, and the size counters Diagnostics reports.
 type targetedClosure struct {
 	roots    []string // RM method keys, sorted; non-nil even when empty
-	demanded map[string]bool
+	demanded []int32  // demanded class slots of the index, ascending
 	stats    TargetedStats
 }
 
@@ -79,6 +79,9 @@ type closureTables struct {
 	// a call's subsig (callNames) is looked up against. A subsig whose
 	// name is absent cannot match, so the scan never renders it.
 	ownNames, callNames map[string]bool
+	// seedCallNames are the method names of the registry's target and
+	// endpoint APIs: only a call to one of these names can seed.
+	seedCallNames map[string]bool
 }
 
 // closureTablesKey keys closureTables in apimodel.Registry.Memo.
@@ -96,6 +99,7 @@ func newClosureTables(reg *apimodel.Registry) *closureTables {
 		seedSubsigs:    make(map[string]bool),
 		ownNames:       make(map[string]bool),
 		callNames:      make(map[string]bool),
+		seedCallNames:  make(map[string]bool),
 	}
 	for _, d := range android.AsyncDispatches() {
 		t.triggerCallees[d.TriggerSubsig] = append(t.triggerCallees[d.TriggerSubsig], d.CalleeSubsigs...)
@@ -115,6 +119,12 @@ func newClosureTables(reg *apimodel.Registry) *closureTables {
 		for _, cb := range lib.Callbacks {
 			seeds = append(seeds, cb.ErrorSubsig, cb.SuccessSubsig)
 		}
+		for _, tgt := range lib.Targets {
+			t.seedCallNames[tgt.Sig.Name] = true
+		}
+		for _, ep := range lib.Endpoints {
+			t.seedCallNames[ep.Sig.Name] = true
+		}
 	}
 	for _, sub := range seeds {
 		if sub != "" {
@@ -133,57 +143,74 @@ func subsigName(sub string) string {
 	return name
 }
 
-// computeTargetedClosure runs the closure rules over the skim records.
-func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man *android.Manifest, enableICC bool) targetedClosure {
+// computeTargetedClosure runs the closure rules over the skim index.
+// Every rule is a lookup in the index's caller and declarer lists, so
+// the work follows the closure, not the app: a record outside it is
+// never visited, and a call's signature is built only when its name is
+// one a rule can match.
+func computeTargetedClosure(x *dex.Index, reg *apimodel.Registry, man *android.Manifest, enableICC bool) targetedClosure {
 	tab := closureTablesOf(reg)
-	// Record indices: declaring class, own name/subsig (backward and
-	// forward rules resolve callees against these), and per-callee
-	// reverse maps, deduplicated per record: seen maps a callee name or
-	// subsig to the last record (index+1) filed under it. Names never
-	// contain '(' and subsigs always do, so the two share one map.
-	byClass := make(map[string][]int)
-	recsByName := make(map[string][]int)
-	recsBySubsig := make(map[string][]int)
-	callersByName := make(map[string][]int)
-	callersBySubsig := make(map[string][]int)
-	seen := make(map[string]int)
+	recs := x.Records()
 	// Subsignatures repeat heavily across records (every onClick, every
-	// run()); intern the few the rules can match, and remember each
-	// record's own subsig ("" when no rule can match it) so the rule
-	// passes below never re-render one.
+	// run()); render and intern only those the rules can match: a
+	// record's own subsig when its name is in ownNames (recSub), a call's
+	// when its callee's name is in callNames (callSub). "" elsewhere.
 	intern := jimple.NewInterner()
-	recSub := make([]string, len(records))
-	callSub := func(c jimple.Sig) string {
-		if !tab.callNames[c.Name] {
+	recSub := make(map[int32]string)
+	for name := range tab.ownNames {
+		if k, ok := x.NameID(name); ok {
+			for _, i := range x.Declarers(k) {
+				recSub[i] = intern.SubSigKey(recs[i].Method.Sig)
+			}
+		}
+	}
+	callName := make([]bool, x.NumNames())
+	for name := range tab.callNames {
+		if k, ok := x.NameID(name); ok {
+			callName[k] = true
+		}
+	}
+	callSub := func(c dex.Call) string {
+		if !callName[c.Name] {
 			return ""
 		}
-		return intern.SubSigKey(c)
+		return intern.SubSigKey(x.Sig(c))
 	}
-	for i := range records {
-		r := &records[i]
-		byClass[r.Sig.Class] = append(byClass[r.Sig.Class], i)
-		recsByName[r.Sig.Name] = append(recsByName[r.Sig.Name], i)
-		if tab.ownNames[r.Sig.Name] {
-			recSub[i] = intern.SubSigKey(r.Sig)
-			recsBySubsig[recSub[i]] = append(recsBySubsig[recSub[i]], i)
-		}
-		for _, c := range r.Calls {
-			if seen[c.Name] != i+1 {
-				seen[c.Name] = i + 1
-				callersByName[c.Name] = append(callersByName[c.Name], i)
+	// callersOf visits the records with a top-level call to a method
+	// named by name id k whose call satisfies want.
+	callersOf := func(k int32, want func(c dex.Call) bool, visit func(i int32)) {
+		for _, i := range x.Callers(k) {
+			for _, c := range x.Calls(i) {
+				if c.Name == k && want(c) {
+					visit(i)
+					break
+				}
 			}
-			if sub := callSub(c); sub != "" && seen[sub] != i+1 {
-				seen[sub] = i + 1
-				callersBySubsig[sub] = append(callersBySubsig[sub], i)
+		}
+	}
+	// callersOfSub visits the records calling the subsig sub.
+	callersOfSub := func(sub string, visit func(i int32)) {
+		if k, ok := x.NameID(subsigName(sub)); ok {
+			callersOf(k, func(c dex.Call) bool { return callSub(c) == sub }, visit)
+		}
+	}
+	// declarersOf visits the records whose own subsig is sub.
+	declarersOf := func(sub string, visit func(i int32)) {
+		if k, ok := x.NameID(subsigName(sub)); ok {
+			for _, i := range x.Declarers(k) {
+				if recSub[i] == sub {
+					visit(i)
+				}
 			}
 		}
 	}
 
-	rm := make([]bool, len(records))
-	var stack []int
-	add := func(i int) {
+	rm := make([]bool, len(recs))
+	var rmList, stack []int32
+	add := func(i int32) {
 		if !rm[i] {
 			rm[i] = true
+			rmList = append(rmList, i)
 			stack = append(stack, i)
 		}
 	}
@@ -193,62 +220,50 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 	// (discover.go, checker3.go, checker4.go) — plus endpoint-API callers
 	// (checker7.go scans them even when no target API is nearby) and
 	// network-state handlers (checker5.go).
-	seedCount := 0
-	for i := range records {
-		r := &records[i]
-		seed := tab.seedSubsigs[recSub[i]]
-		for _, c := range r.Calls {
-			if seed {
-				break
-			}
-			if _, _, ok := reg.TargetOf(c); ok {
-				seed = true
-			} else if _, _, ok := reg.EndpointOf(c); ok {
-				seed = true
-			}
+	for sub := range tab.seedSubsigs {
+		declarersOf(sub, add)
+	}
+	isSeed := func(c dex.Call) bool {
+		sig := x.Sig(c)
+		if _, _, ok := reg.TargetOf(sig); ok {
+			return true
 		}
-		if seed {
-			seedCount++
-			add(i)
+		_, _, ok := reg.EndpointOf(sig)
+		return ok
+	}
+	for name := range tab.seedCallNames {
+		if k, ok := x.NameID(name); ok {
+			callersOf(k, isSeed, add)
 		}
 	}
+	seedCount := len(rmList)
 
 	// ICC roots: component launchers are callers through ICC edges.
 	sawBroadcast := false
 	if enableICC {
-		for i := range records {
-			for _, c := range records[i].Calls {
-				switch callSub(c) {
-				case iccStartActivitySubsig:
-					add(i)
-				case iccSendBroadcastSubsig:
-					sawBroadcast = true
-					add(i)
-				}
-			}
-		}
+		callersOfSub(iccStartActivitySubsig, add)
+		callersOfSub(iccSendBroadcastSubsig, func(i int32) {
+			sawBroadcast = true
+			add(i)
+		})
 	}
 
 	// Backward fixpoint over RM.
-	processedName := make(map[string]bool)
-	processedTrigger := make(map[string]bool)
+	doneName := make([]bool, x.NumNames())
+	doneTrigger := make(map[string]bool)
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		r := &records[i]
-		if n := r.Sig.Name; !processedName[n] {
-			processedName[n] = true
-			for _, j := range callersByName[n] {
+		if n := recs[i].Name; !doneName[n] {
+			doneName[n] = true
+			for _, j := range x.Callers(n) {
 				add(j)
 			}
 		}
 		for _, trig := range tab.calleeTriggers[recSub[i]] {
-			if processedTrigger[trig] {
-				continue
-			}
-			processedTrigger[trig] = true
-			for _, j := range callersBySubsig[trig] {
-				add(j)
+			if !doneTrigger[trig] {
+				doneTrigger[trig] = true
+				callersOfSub(trig, add)
 			}
 		}
 	}
@@ -256,19 +271,21 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 	// Forward class fixpoint over D. Only classes with skim records can
 	// be demanded: a class with no bodied methods contributes nothing to
 	// any stage.
-	demanded := make(map[string]bool)
-	var cstack []string
-	addClass := func(cls string) {
-		if demanded[cls] || len(byClass[cls]) == 0 {
-			return
+	demanded := make([]bool, x.NumClasses())
+	var cstack []int32
+	addClass := func(slot int32) {
+		if !demanded[slot] {
+			demanded[slot] = true
+			cstack = append(cstack, slot)
 		}
-		demanded[cls] = true
-		cstack = append(cstack, cls)
 	}
-	for i := range records {
-		if rm[i] {
-			addClass(records[i].Sig.Class)
+	addNamed := func(cls string) {
+		if slot, ok := x.ClassSlot(cls); ok {
+			addClass(slot)
 		}
+	}
+	for _, i := range rmList {
+		addClass(recs[i].Class)
 	}
 	if enableICC {
 		// Explicit-intent targets (a superset of what callgraph/icc.go
@@ -276,86 +293,92 @@ func computeTargetedClosure(records []dex.MethodRef, reg *apimodel.Registry, man
 		// alias the launched Intent) and, once any broadcast exists, every
 		// manifest-declared receiver (icc.go wires sendBroadcast to all of
 		// them).
-		for i := range records {
-			for _, cls := range records[i].Intents {
-				addClass(cls)
+		for i := range recs {
+			for _, cls := range x.Intents(int32(i)) {
+				addNamed(cls)
 			}
 		}
 		if sawBroadcast {
 			for _, rcv := range man.Receivers {
-				addClass(rcv)
+				addNamed(rcv)
 			}
 		}
 	}
+	doneCallee := make([]bool, x.NumNames())
 	for len(cstack) > 0 {
-		cls := cstack[len(cstack)-1]
+		slot := cstack[len(cstack)-1]
 		cstack = cstack[:len(cstack)-1]
-		for _, i := range byClass[cls] {
-			for _, c := range records[i].Calls {
-				for _, j := range recsByName[c.Name] {
-					addClass(records[j].Sig.Class)
-				}
-				for _, calleeSub := range tab.triggerCallees[callSub(c)] {
-					for _, j := range recsBySubsig[calleeSub] {
-						addClass(records[j].Sig.Class)
+		lo, hi := x.ClassRecords(slot)
+		for i := lo; i < hi; i++ {
+			for _, c := range x.Calls(i) {
+				if !doneCallee[c.Name] {
+					doneCallee[c.Name] = true
+					for _, j := range x.Declarers(c.Name) {
+						addClass(recs[j].Class)
 					}
 				}
+				for _, sub := range tab.triggerCallees[callSub(c)] {
+					declarersOf(sub, func(j int32) { addClass(recs[j].Class) })
+				}
 			}
 		}
 	}
 
-	// The records are sorted by key, so the roots come out sorted.
-	roots := make([]string, 0, seedCount)
-	for i := range records {
-		if rm[i] {
-			roots = append(roots, records[i].Key)
-		}
-	}
-	return targetedClosure{
-		roots:    roots,
-		demanded: demanded,
-		stats: TargetedStats{
-			SeedMethods:    seedCount,
-			ClosureMethods: len(roots),
-			ClosureClasses: len(demanded),
-			ClassesDecoded: len(demanded),
-			ClassesSkipped: len(byClass) - len(demanded),
-		},
-	}
+	return newClosure(x, rmList, demanded, TargetedStats{SeedMethods: seedCount})
 }
 
-// prepareBuild runs the demand closure over the skim records, freezing
-// a.roots / a.demanded / a.diag.Targeted, and decodes only the demanded classes
-// (lazy path) or keeps them (in-memory path — the bodies exist but
-// collectAppMethods skips the rest). ClassesSkipped counts bodied classes
-// left undecoded (lazy) or unanalyzed (in-memory). Runs inside the "build" stage
-// guard: a materialization failure (bytes changed under us — effectively
-// impossible) panics into a recorded ScanError.
+// newClosure freezes a converged closure: the roots are the RM records'
+// keys, sorted, and the demanded slots ascend, which is class-name order.
+// Only these keys are ever rendered.
+func newClosure(x *dex.Index, rm []int32, demanded []bool, stats TargetedStats) targetedClosure {
+	cl := targetedClosure{roots: make([]string, len(rm)), stats: stats}
+	for n, i := range rm {
+		cl.roots[n] = x.Key(i)
+	}
+	sort.Strings(cl.roots)
+	for slot, ok := range demanded {
+		if ok {
+			cl.demanded = append(cl.demanded, int32(slot))
+		}
+	}
+	cl.stats.ClosureMethods = len(cl.roots)
+	cl.stats.ClosureClasses = len(cl.demanded)
+	cl.stats.ClassesDecoded = len(cl.demanded)
+	cl.stats.ClassesSkipped = x.NumClasses() - len(cl.demanded)
+	return cl
+}
+
+// prepareBuild runs the demand closure over the skim index, freezing
+// a.index / a.roots / a.demanded / a.diag.Targeted, and decodes only the
+// demanded classes (lazy path) or keeps them (in-memory path — the bodies
+// exist but collectAppMethods skips the rest). ClassesSkipped counts
+// bodied classes left undecoded (lazy) or unanalyzed (in-memory). Runs
+// inside the "build" stage guard: a materialization failure (bytes
+// changed under us — effectively impossible) panics into a recorded
+// ScanError.
 func (a *analysis) prepareBuild() {
 	lazy := a.app.Lazy
-	var records []dex.MethodRef
 	if lazy != nil {
-		records = lazy.MethodRefs()
+		a.index = lazy.Index()
 	} else {
-		records = dex.MethodRefsOf(a.app.Program)
+		a.index = dex.IndexOf(a.app.Program)
 	}
 	var cl targetedClosure
 	if a.opts.oracle {
-		cl = wholeProgramClosure(records)
+		cl = wholeProgramClosure(a.index)
 	} else {
-		cl = computeTargetedClosure(records, a.reg, a.app.Manifest, a.opts.EnableICC)
+		cl = computeTargetedClosure(a.index, a.reg, a.app.Manifest, a.opts.EnableICC)
 	}
 	a.roots, a.demanded, a.diag.Targeted = cl.roots, cl.demanded, cl.stats
 	if lazy == nil {
 		return
 	}
-	// Records are sorted by key, so classes materialize in the same order
-	// every run (Materialize is idempotent).
-	for i := range records {
-		if cls := records[i].Sig.Class; cl.demanded[cls] {
-			if err := lazy.Materialize(cls); err != nil {
-				panic(fmt.Sprintf("materialize %s: %v", cls, err))
-			}
+	// Demanded slots ascend in class-name order, so classes materialize
+	// in the same order every run (Materialize is idempotent).
+	for _, slot := range cl.demanded {
+		cls := a.index.ClassName(slot)
+		if err := lazy.Materialize(cls); err != nil {
+			panic(fmt.Sprintf("materialize %s: %v", cls, err))
 		}
 	}
 }

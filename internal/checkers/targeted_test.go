@@ -339,7 +339,7 @@ func TestClosureTablesArePerRegistry(t *testing.T) {
 	libs := apimodel.StandardLibraries()
 	libs[len(libs)-1].Callbacks = []apimodel.Callback{{ErrorSubsig: "onCustomError(java.lang.Object)void"}}
 	custom := apimodel.NewRegistryOf(libs)
-	records := dex.MethodRefsOf(jimple.MustParse(customCallbackApp))
+	records := dex.IndexOf(jimple.MustParse(customCallbackApp))
 	man := &android.Manifest{Package: "t"}
 	for i, tc := range []struct {
 		reg  *apimodel.Registry

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/apk"
+	"repro/internal/corpus"
 	"repro/internal/testutil"
 )
 
@@ -79,5 +80,48 @@ func TestScanAllocsRegression(t *testing.T) {
 					avg, tc.budget)
 			}
 		})
+	}
+}
+
+// TestOpenAllocsRegression pins an allocation budget on the lazy open
+// every container scan starts with: apk.DecodeLazy of the canonical
+// fixture padded with openAllocPadding inert classes, the shape of a
+// large app whose closure skips almost every class. The skim stores its
+// records, calls and indices flat, so the open's allocations must stay
+// flat in the app's size rather than grow per method. The budget carries
+// ~10% headroom over the measured value (110); re-measure with
+// `go test ./internal/core -run TestOpenAllocsRegression -v` and update
+// the constant in the same commit that explains why.
+const (
+	openAllocPadding = 300
+	openAllocBudget  = 121
+)
+
+func TestOpenAllocsRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful with -short's reduced work")
+	}
+	app, err := apk.Decode(testutil.MustFixtureApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus.AddPadding(app, openAllocPadding)
+	data, err := apk.Encode(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := apk.DecodeLazy(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("DecodeLazy allocations/run = %.0f (budget %d)", avg, openAllocBudget)
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.0f for the log only", avg)
+	}
+	if avg > float64(openAllocBudget) {
+		t.Errorf("DecodeLazy allocates %.0f per run, over the %d budget — "+
+			"if intentional, re-measure and raise the budget in the same change",
+			avg, openAllocBudget)
 	}
 }

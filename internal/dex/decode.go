@@ -22,12 +22,46 @@ type decoder struct {
 	data []byte
 	pos  int
 	pool []string
+	// text is data converted to a string once; pool strings are slices
+	// of it rather than one allocation each.
+	text string
+	// params is the shared backing store of decoded signatures' Params
+	// and classes' Interfaces: each gets a full slice expression of it, so
+	// an append by a later owner copies instead of clobbering a neighbour.
+	params []string
+	// The program's headers are carved from shared chunks rather than
+	// allocated one by one.
+	classes    slab[jimple.Class]
+	methods    slab[jimple.Method]
+	methodPtrs slab[*jimple.Method]
+	fields     slab[jimple.Field]
+	fieldPtrs  slab[*jimple.Field]
+	// lastName is the pool index of the method name sig last read.
+	lastName int32
 	// lazy, when non-nil, switches method bodies to the skim path: the
 	// same bytes are parsed with the same validation, but no statement
-	// objects are built — only the span + MethodRef are recorded.
-	lazy *Lazy
-	// localScratch is skimBody's reusable local-type buffer.
-	localScratch []string
+	// objects are built — only the span and the skim record are kept.
+	lazy *lazyBuild
+}
+
+// slab hands out slices carved from shared chunks, so decoding n headers
+// costs O(log n) allocations instead of n. Chunks double from 8 up to 512
+// elements; a request larger than that gets a chunk of its own. Each
+// slice is capped at its length, so appending to one never writes into
+// the next.
+type slab[T any] struct {
+	free []T
+	next int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.next = min(max(2*s.next, 8), 512)
+		s.free = make([]T, max(n, s.next))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 func (d *decoder) run() (*jimple.Program, error) {
@@ -50,6 +84,7 @@ func (d *decoder) run() (*jimple.Program, error) {
 		return nil, fmt.Errorf("string pool count %d exceeds input size", nstr)
 	}
 	d.pool = make([]string, nstr)
+	d.text = string(d.data)
 	for i := range d.pool {
 		s, err := d.str()
 		if err != nil {
@@ -69,6 +104,11 @@ func (d *decoder) run() (*jimple.Program, error) {
 		c, err := d.class()
 		if err != nil {
 			return nil, err
+		}
+		if d.lazy != nil && prog.Class(c.Name) != nil {
+			// The later class replaces the earlier one; its skim records
+			// are dropped once the container has parsed.
+			d.lazy.replaced = true
 		}
 		prog.AddClass(c)
 	}
@@ -124,24 +164,40 @@ func (d *decoder) str() (string, error) {
 	if uint64(d.pos)+n > uint64(len(d.data)) {
 		return "", fmt.Errorf("truncated string of length %d", n)
 	}
-	s := string(d.data[d.pos : d.pos+int(n)])
+	s := d.text[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	return s, nil
 }
 
-func (d *decoder) ref() (string, error) {
+// refIdx reads a string-pool index, range-checked.
+func (d *decoder) refIdx() (int32, error) {
 	idx, err := d.u64()
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	if idx >= uint64(len(d.pool)) {
-		return "", fmt.Errorf("string index %d out of pool range %d", idx, len(d.pool))
+		return 0, fmt.Errorf("string index %d out of pool range %d", idx, len(d.pool))
+	}
+	return int32(idx), nil
+}
+
+func (d *decoder) ref() (string, error) {
+	idx, err := d.refIdx()
+	if err != nil {
+		return "", err
 	}
 	return d.pool[idx], nil
 }
 
+// hint bounds a presize for n items of at least minBytes encoded bytes
+// each by what the rest of the input could hold, so a forged count
+// cannot force a huge allocation before the decode fails.
+func (d *decoder) hint(n, minBytes int) int {
+	return min(n, (len(d.data)-d.pos)/minBytes)
+}
+
 func (d *decoder) class() (*jimple.Class, error) {
-	c := &jimple.Class{}
+	c := &d.classes.take(1)[0]
 	var err error
 	if c.Name, err = d.ref(); err != nil {
 		return nil, err
@@ -159,19 +215,34 @@ func (d *decoder) class() (*jimple.Class, error) {
 	if err != nil {
 		return nil, err
 	}
+	lo := len(d.params)
 	for i := 0; i < nif; i++ {
 		s, err := d.ref()
 		if err != nil {
 			return nil, err
 		}
-		c.Interfaces = append(c.Interfaces, s)
+		d.params = append(d.params, s)
+	}
+	if nif > 0 {
+		c.Interfaces = d.params[lo:len(d.params):len(d.params)]
 	}
 	nf, err := d.count("field")
 	if err != nil {
 		return nil, err
 	}
+	var fields []jimple.Field
+	if nf > 0 {
+		// A field is at least name, type and flags: three bytes.
+		fields = d.fields.take(d.hint(nf, 3))
+		c.Fields = d.fieldPtrs.take(len(fields))[:0]
+	}
 	for i := 0; i < nf; i++ {
-		f := &jimple.Field{}
+		var f *jimple.Field
+		if i < len(fields) {
+			f = &fields[i]
+		} else {
+			f = new(jimple.Field)
+		}
 		if f.Name, err = d.ref(); err != nil {
 			return nil, err
 		}
@@ -189,12 +260,30 @@ func (d *decoder) class() (*jimple.Class, error) {
 	if err != nil {
 		return nil, err
 	}
+	var methods []jimple.Method
+	if nm > 0 {
+		// A method is at least class, name, param count, return type and
+		// flags: five bytes.
+		methods = d.methods.take(d.hint(nm, 5))
+		c.Methods = d.methodPtrs.take(len(methods))[:0]
+	}
+	if d.lazy != nil {
+		d.lazy.beginClass()
+	}
 	for i := 0; i < nm; i++ {
-		m, err := d.method()
-		if err != nil {
+		var m *jimple.Method
+		if i < len(methods) {
+			m = &methods[i]
+		} else {
+			m = new(jimple.Method)
+		}
+		if err := d.method(m); err != nil {
 			return nil, err
 		}
 		c.Methods = append(c.Methods, m)
+	}
+	if d.lazy != nil {
+		d.lazy.endClass(c)
 	}
 	return c, nil
 }
@@ -205,19 +294,25 @@ func (d *decoder) sig() (jimple.Sig, error) {
 	if s.Class, err = d.ref(); err != nil {
 		return s, err
 	}
-	if s.Name, err = d.ref(); err != nil {
+	name, err := d.refIdx()
+	if err != nil {
 		return s, err
 	}
+	s.Name, d.lastName = d.pool[name], name
 	np, err := d.count("param")
 	if err != nil {
 		return s, err
 	}
+	lo := len(d.params)
 	for i := 0; i < np; i++ {
 		p, err := d.ref()
 		if err != nil {
 			return s, err
 		}
-		s.Params = append(s.Params, p)
+		d.params = append(d.params, p)
+	}
+	if np > 0 {
+		s.Params = d.params[lo:len(d.params):len(d.params)]
 	}
 	if s.Ret, err = d.ref(); err != nil {
 		return s, err
@@ -225,40 +320,34 @@ func (d *decoder) sig() (jimple.Sig, error) {
 	return s, nil
 }
 
-func (d *decoder) method() (*jimple.Method, error) {
-	m := &jimple.Method{}
+// method decodes one method header, and its body unless the decoder is
+// skimming, into m.
+func (d *decoder) method(m *jimple.Method) error {
 	var err error
 	if m.Sig, err = d.sig(); err != nil {
-		return nil, err
+		return err
 	}
+	name := d.lastName
 	flags, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Static = flags&mflagStatic != 0
 	m.Abstract = flags&mflagAbstract != 0
 	if flags&mflagHasBody == 0 {
-		if !m.Abstract {
-			m.Abstract = true
-		}
-		return m, nil
+		m.Abstract = true
+		return nil
 	}
 	if m.Abstract {
 		// The encoder never emits both flags: an abstract method carrying
 		// a body is malformed input, not a representable program
 		// (fuzz-found canonicality break).
-		return nil, fmt.Errorf("method %s: abstract flag with body", m.Sig.Key())
+		return fmt.Errorf("method %s: abstract flag with body", m.Sig.Key())
 	}
 	if d.lazy != nil {
-		if err := d.lazyBody(m); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return d.lazyBody(m, name)
 	}
-	if err := d.body(m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return d.body(m)
 }
 
 // body decodes the encoded body section — locals, statements, traps, and

@@ -11,201 +11,188 @@ import (
 // This file is the lazy decode fast path every container scan opens with:
 // DecodeLazy parses the container eagerly down to class/field/method
 // headers but retains no method bodies. Each body section is skimmed once
-// to delimit its byte span and extract a MethodRef — the call targets,
-// explicit-intent class names, and referenced types the demand-driven
-// closure rules need. The skim (skimBody below) walks the same bytes the
-// eager core walks, runs the same validation checks in the same order,
-// but never materializes statement or value objects — the bulk of a cold
-// decode's allocations for bodies the demand closure will never visit. On
-// any skim rejection the materializing core re-runs over the span, so
-// malformed input fails with the eager path's exact error and offset.
-// Materialize re-runs the eager core over a recorded span to give a
-// demanded class its bodies back, so a fully materialized lazy program is
-// bit-identical to an eager Decode of the same bytes.
-
-// MethodRef is the skim record of one body-bearing method: everything the
-// targeted closure engine consults without the body being retained.
-type MethodRef struct {
-	// Sig is the method's full signature (declaring class included).
-	Sig jimple.Sig
-	// Key is Sig.Key(), rendered once when the records are sorted.
-	Key string
-	// Calls lists the top-level callee signatures in statement order —
-	// the jimple.InvokeOf shape: an InvokeStmt or an AssignStmt whose RHS
-	// is an invoke. Nested invokes cannot be expressed at statement level,
-	// so this is exactly the call set the call graph builds from.
-	Calls []jimple.Sig
-	// Intents lists the string-constant class names passed to one-argument
-	// setClassName calls anywhere in the body: a superset of the
-	// explicit-intent targets callgraph resolves (which also requires the
-	// receiver local to alias the launched Intent).
-	Intents []string
-}
-
-// refOf extracts the skim record from a decoded body-bearing method. It
-// is the single extraction rule shared by the lazy skim and MethodRefsOf,
-// which keeps the two scan paths' closure inputs identical.
-func refOf(m *jimple.Method) MethodRef {
-	ref := MethodRef{Sig: m.Sig}
-	for _, s := range m.Body {
-		inv, ok := jimple.InvokeOf(s)
-		if !ok {
-			continue
-		}
-		ref.Calls = append(ref.Calls, inv.Callee)
-		if inv.Callee.Name == "setClassName" && len(inv.Args) == 1 {
-			if sc, isStr := inv.Args[0].(jimple.StrConst); isStr {
-				ref.Intents = append(ref.Intents, sc.V)
-			}
-		}
-	}
-	return ref
-}
-
-// MethodRefsOf extracts skim records from an eagerly decoded program's
-// body-bearing methods, sorted by method key. The in-memory targeted scan
-// path feeds these to the closure engine; the differential tests pin them
-// equal to a Lazy skim of the same program's encoded bytes.
-func MethodRefsOf(p *jimple.Program) []MethodRef {
-	var out []MethodRef
-	for _, c := range p.Classes() {
-		for _, m := range c.Methods {
-			if m.HasBody() {
-				out = append(out, refOf(m))
-			}
-		}
-	}
-	sortRefs(out)
-	return out
-}
-
-// sortRefs fills in each record's Key and sorts the records by it,
-// stably, rendering every key once rather than twice per comparison.
-func sortRefs(refs []MethodRef) {
-	for i := range refs {
-		refs[i].Key = refs[i].Sig.Key()
-	}
-	sort.SliceStable(refs, func(i, j int) bool { return refs[i].Key < refs[j].Key })
-}
-
-// bodiedRec ties a skeleton method to its skim record and the offset of
-// its encoded body section (start of the locals count).
-type bodiedRec struct {
-	m     *jimple.Method
-	start int
-	ref   MethodRef
-}
+// to delimit its byte span and fill the Index: the method's record, its
+// top-level calls, the explicit-intent class names and its local types.
+// The skim (skimBody below) walks the same bytes the eager core walks,
+// runs the same validation checks in the same order, but never
+// materializes statement or value objects — the bulk of a cold decode's
+// allocations for bodies the demand closure will never visit. A call is
+// kept as pool ids plus the offset of its encoded signature, and a record
+// as integers, so the skim does constant work per method and builds no
+// string: keys and callee signatures are rendered only for what the
+// closure demands. On any skim rejection the materializing core re-runs
+// over the span, so malformed input fails with the eager path's exact
+// error and offset. Materialize re-runs the eager core over a recorded
+// span to give a demanded class its bodies back, so a fully materialized
+// lazy program is bit-identical to an eager Decode of the same bytes.
 
 // Lazy is a lazily decoded program: full headers, no bodies. Methods that
 // had a body in the bytes sit in the skeleton with Abstract=false and
 // Body=nil (HasBody false) until their class is materialized. Lazy is not
 // safe for concurrent mutation; materialize before sharing the program.
 type Lazy struct {
-	data []byte
-	pool []string
+	prog *jimple.Program
+	idx  *Index
+	// locals holds the local-type pool ids of every recorded body;
+	// MethodRef.locals spans into it.
+	locals       []int32
+	materialized []bool // by class slot
+	// fallbacks counts bodies the skim rejected but the materializing
+	// core accepted (a skim bug); their records come from the decoded
+	// body instead.
+	fallbacks int
+}
 
-	prog      *jimple.Program
-	classRecs map[string][]bodiedRec
-	refs      []MethodRef
-	// localTypes accumulates the declared local types seen during the
-	// skim; bodies are dropped, so the set is captured in passing.
-	localTypes   map[string]bool
-	refClasses   []string
-	materialized map[string]bool
-	poolSet      map[string]bool // built on first TargetSiteSearch
+// lazyBuild is the skim's state while the container parses.
+type lazyBuild struct {
+	l *Lazy
+	// poolName caches the name id of a pool index (id+1; 0 = not yet
+	// looked up), so a method name is hashed once per pool entry.
+	poolName []int32
+	classLo  int // first record of the class being decoded
+	replaced bool
+	// localScratch holds the local-type pool ids of the body being
+	// skimmed.
+	localScratch []int32
 }
 
 // DecodeLazy parses bytes produced by Encode into a Lazy program. It
 // accepts and rejects exactly the inputs Decode does: the skim shares the
 // eager decoder core statement for statement.
 func DecodeLazy(data []byte) (*Lazy, error) {
-	l := &Lazy{
-		data:         data,
-		classRecs:    make(map[string][]bodiedRec),
-		materialized: make(map[string]bool),
-	}
-	d := &decoder{data: data, lazy: l}
+	l := &Lazy{idx: &Index{src: data, nameIDs: make(map[string]int32)}}
+	b := &lazyBuild{l: l}
+	d := &decoder{data: data, lazy: b}
 	prog, err := d.run()
 	if err != nil {
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
-	l.prog = prog
-	l.pool = d.pool
-	l.finalize()
+	l.prog, l.idx.pool = prog, d.pool
+	if b.replaced {
+		l.dropReplaced()
+	}
+	l.idx.finish()
+	l.materialized = make([]bool, len(l.idx.classes))
 	return l, nil
 }
 
-// finalize freezes the sorted record list and the referenced-class set
-// once the whole container has parsed.
-func (l *Lazy) finalize() {
-	classes := make([]string, 0, len(l.classRecs))
-	for cls := range l.classRecs {
-		classes = append(classes, cls)
+func (b *lazyBuild) beginClass() { b.classLo = len(b.l.idx.recs) }
+
+func (b *lazyBuild) endClass(c *jimple.Class) { b.l.idx.endClass(c.Name, b.classLo) }
+
+// nameOf returns the name id of the method name at pool index p.
+func (d *decoder) nameOf(p int32) int32 {
+	b := d.lazy
+	if b.poolName == nil {
+		b.poolName = make([]int32, len(d.pool))
 	}
-	sort.Strings(classes)
-	noted := make(map[string]bool)
-	for _, cls := range classes {
-		for _, br := range l.classRecs[cls] {
-			l.refs = append(l.refs, br.ref)
+	if id := b.poolName[p]; id != 0 {
+		return id - 1
+	}
+	id := b.l.idx.nameID(d.pool[p])
+	b.poolName[p] = id + 1
+	return id
+}
+
+// dropReplaced removes the records of classes a later class of the same
+// name replaced in the program (Program.AddClass keeps the last), so the
+// index describes exactly the decoded program.
+func (l *Lazy) dropReplaced() {
+	x := l.idx
+	kept := x.classes[:0]
+	recs := make([]MethodRef, 0, len(x.recs))
+	for _, c := range x.classes {
+		if !owns(l.prog.Class(c.name), x.recs[c.lo].Method) {
+			continue
+		}
+		lo := int32(len(recs))
+		for _, r := range x.recs[c.lo:c.hi] {
+			r.Class = int32(len(kept))
+			recs = append(recs, r)
+		}
+		kept = append(kept, classSpan{name: c.name, lo: lo, hi: int32(len(recs))})
+	}
+	x.classes, x.recs = kept, recs
+}
+
+// owns reports whether m is one of c's methods.
+func owns(c *jimple.Class, m *jimple.Method) bool {
+	for _, cm := range c.Methods {
+		if cm == m {
+			return true
 		}
 	}
-	sortRefs(l.refs)
-	// The referenced-class note set mirrors apimodel.LibsUsedBy: every
-	// supertype and interface, every top-level callee's class, and every
-	// body-bearing method's local types (collected during the skim into
-	// the records' Calls plus the transient locals noted by lazyBody).
-	for _, c := range l.prog.Classes() {
-		noted[c.Super] = true
-		for _, i := range c.Interfaces {
-			noted[i] = true
-		}
-	}
-	for _, r := range l.refs {
-		for _, call := range r.Calls {
-			noted[call.Class] = true
-		}
-	}
-	for t := range l.localTypes {
-		noted[t] = true
-	}
-	l.refClasses = make([]string, 0, len(noted))
-	for cls := range noted {
-		if cls != "" {
-			l.refClasses = append(l.refClasses, cls)
-		}
-	}
-	sort.Strings(l.refClasses)
+	return false
 }
 
 // Program returns the skeleton program. Materialize mutates it in place;
 // after MaterializeAll it is bit-identical to an eager Decode.
 func (l *Lazy) Program() *jimple.Program { return l.prog }
 
-// MethodRefs returns the skim records of every body-bearing method,
-// sorted by method key. The slice is shared; treat it as read-only.
-func (l *Lazy) MethodRefs() []MethodRef { return l.refs }
-
-// RefClasses returns every class name the program references (supertypes,
-// interfaces, invoked classes, local types), sorted —
-// apimodel.LibsUsedByClasses' input, computed without retained bodies.
-func (l *Lazy) RefClasses() []string { return l.refClasses }
+// Index returns the skim index of the body-bearing methods.
+func (l *Lazy) Index() *Index { return l.idx }
 
 // NumBodiedClasses returns how many classes have at least one
 // body-bearing method (the denominator of the decoded/skipped counters).
-func (l *Lazy) NumBodiedClasses() int { return len(l.classRecs) }
+func (l *Lazy) NumBodiedClasses() int { return len(l.idx.classes) }
+
+// RefClasses returns every class name the program references
+// (supertypes, interfaces, invoked classes, local types), sorted —
+// apimodel.LibsUsedByClasses' input, computed without retained bodies.
+// The skim keeps invoked classes and local types as pool ids; they are
+// turned into strings only here.
+func (l *Lazy) RefClasses() []string {
+	x := l.idx
+	seen := make([]bool, len(x.pool))
+	var out []string
+	note := func(p int32) {
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, x.pool[p])
+		}
+	}
+	for i := range x.recs {
+		r := &x.recs[i]
+		for _, c := range x.calls[r.calls.lo:r.calls.hi] {
+			if c.class >= 0 {
+				note(c.class)
+			} else {
+				out = append(out, x.sigs[c.at].Class)
+			}
+		}
+		for _, t := range l.locals[r.locals.lo:r.locals.hi] {
+			note(t)
+		}
+	}
+	for _, c := range l.prog.Classes() {
+		out = append(out, c.Super)
+		out = append(out, c.Interfaces...)
+	}
+	sort.Strings(out)
+	uniq := out[:0]
+	for _, cls := range out {
+		if cls != "" && (len(uniq) == 0 || uniq[len(uniq)-1] != cls) {
+			uniq = append(uniq, cls)
+		}
+	}
+	return uniq
+}
 
 // Materialize decodes the retained body spans of one class into the
 // skeleton, idempotently. The spans were fully skimmed at DecodeLazy
 // time, so an error here means the underlying bytes changed — callers may
 // treat it as impossible for data they own.
 func (l *Lazy) Materialize(class string) error {
-	if l.materialized[class] {
+	slot, ok := l.idx.ClassSlot(class)
+	if !ok || l.materialized[slot] {
 		return nil
 	}
-	l.materialized[class] = true
-	for _, br := range l.classRecs[class] {
-		d := &decoder{data: l.data, pos: br.start, pool: l.pool}
-		if err := d.body(br.m); err != nil {
+	l.materialized[slot] = true
+	c := l.idx.classes[slot]
+	d := &decoder{data: l.idx.src, pool: l.idx.pool}
+	for _, r := range l.idx.recs[c.lo:c.hi] {
+		d.pos = int(r.start)
+		if err := d.body(r.Method); err != nil {
 			return fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 		}
 	}
@@ -216,75 +203,43 @@ func (l *Lazy) Materialize(class string) error {
 // to an eager Decode — what dynamic validation needs before it replays
 // the app.
 func (l *Lazy) MaterializeAll() error {
-	classes := make([]string, 0, len(l.classRecs))
-	for cls := range l.classRecs {
-		classes = append(classes, cls)
-	}
-	sort.Strings(classes)
-	for _, cls := range classes {
-		if err := l.Materialize(cls); err != nil {
+	for _, c := range l.idx.classes {
+		if err := l.Materialize(c.name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// TargetSiteSearch returns the sorted keys of skimmed methods containing
-// a top-level call to one of the wanted callee signatures. Fast path: a
-// method ref can only name a signature whose class and method-name
-// strings are interned in the constant pool, so an app that never
-// mentions a target API resolves to no sites from the pool scan alone,
-// before any method record is consulted.
-func (l *Lazy) TargetSiteSearch(wanted []jimple.Sig) []string {
-	if l.poolSet == nil {
-		l.poolSet = make(map[string]bool, len(l.pool))
-		for _, s := range l.pool {
-			l.poolSet[s] = true
-		}
-	}
-	keys := make(map[string]bool, len(wanted))
-	for _, w := range wanted {
-		if l.poolSet[w.Class] && l.poolSet[w.Name] {
-			keys[w.Key()] = true
-		}
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	var out []string
-	for i := range l.refs {
-		for _, c := range l.refs[i].Calls {
-			if keys[c.Key()] {
-				out = append(out, l.refs[i].Key)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // lazyBody is the decoder hook for the skim: it parses the body span
-// without materializing statements, records the span and the extracted
-// MethodRef, and leaves m bodiless.
-func (d *decoder) lazyBody(m *jimple.Method) error {
+// without materializing statements, appends the method's record to the
+// index, and leaves m bodiless. name is the pool index of m's name.
+func (d *decoder) lazyBody(m *jimple.Method, name int32) error {
+	b := d.lazy
+	l, x := b.l, b.l.idx
 	start := d.pos
-	ref := MethodRef{Sig: m.Sig}
-	empty, err := d.skimBody(&ref)
+	r := MethodRef{Method: m, Name: d.nameOf(name), Class: int32(len(x.classes)), start: int32(start)}
+	r.calls.lo, r.intents.lo, r.locals.lo = int32(len(x.calls)), int32(len(x.intents)), int32(len(l.locals))
+	empty, err := d.skimBody()
 	if err != nil {
 		// Re-run the materializing core over the same span: malformed input
 		// fails with the eager path's exact error and offset, and a span the
-		// core accepts (a skim divergence, never expected) falls back to the
-		// materialized record so the two paths cannot drift.
+		// core accepts (a skim divergence: counted, and pinned at zero by
+		// the tests) takes its record from the materialized body so the two
+		// paths cannot drift.
+		x.calls, x.intents, l.locals = x.calls[:r.calls.lo], x.intents[:r.intents.lo], l.locals[:r.locals.lo]
 		d.pos = start
 		tmp := jimple.Method{Sig: m.Sig, Static: m.Static}
 		if coreErr := d.body(&tmp); coreErr != nil {
 			return coreErr
 		}
-		empty, ref = !tmp.HasBody(), refOf(&tmp)
+		l.fallbacks++
+		empty = !tmp.HasBody()
 		if !empty {
-			for _, lcl := range tmp.Locals {
-				d.noteLocalType(lcl.Type)
-			}
+			// The skim read every local before it failed: the core
+			// accepted the same local section.
+			l.locals = append(l.locals, b.localScratch...)
+			x.addBody(&r, &tmp)
 		}
 	}
 	if empty {
@@ -293,16 +248,9 @@ func (d *decoder) lazyBody(m *jimple.Method) error {
 		m.Abstract = true
 		return nil
 	}
-	d.lazy.classRecs[m.Sig.Class] = append(d.lazy.classRecs[m.Sig.Class],
-		bodiedRec{m: m, start: start, ref: ref})
+	r.calls.hi, r.intents.hi, r.locals.hi = int32(len(x.calls)), int32(len(x.intents)), int32(len(l.locals))
+	x.recs = append(x.recs, r)
 	return nil
-}
-
-func (d *decoder) noteLocalType(t string) {
-	if d.lazy.localTypes == nil {
-		d.lazy.localTypes = make(map[string]bool)
-	}
-	d.lazy.localTypes[t] = true
 }
 
 // errSkimReject marks a structural check the skim cannot phrase exactly
@@ -311,24 +259,25 @@ func (d *decoder) noteLocalType(t string) {
 var errSkimReject = errors.New("dex: skim rejected span")
 
 // skimBody mirrors decoder.body over the same bytes with the same checks
-// in the same order, but drops everything except the MethodRef capture
-// and the local-type notes. empty reports whether the section holds zero
-// statements (the empty-body normalization case).
-func (d *decoder) skimBody(ref *MethodRef) (empty bool, err error) {
+// in the same order, but keeps only the record's calls, intents and
+// local types. empty reports whether the section holds zero statements
+// (the empty-body normalization case).
+func (d *decoder) skimBody() (empty bool, err error) {
+	b := d.lazy
 	nl, err := d.count("local")
 	if err != nil {
 		return false, err
 	}
-	d.localScratch = d.localScratch[:0]
+	b.localScratch = b.localScratch[:0]
 	for i := 0; i < nl; i++ {
-		if _, err := d.ref(); err != nil { // name
+		if _, err := d.refIdx(); err != nil { // name
 			return false, err
 		}
-		t, err := d.ref()
+		t, err := d.refIdx()
 		if err != nil {
 			return false, err
 		}
-		d.localScratch = append(d.localScratch, t)
+		b.localScratch = append(b.localScratch, t)
 	}
 	ns, err := d.count("statement")
 	if err != nil {
@@ -336,13 +285,11 @@ func (d *decoder) skimBody(ref *MethodRef) (empty bool, err error) {
 	}
 	if ns > 0 {
 		// Empty bodies normalize to abstract stubs with their locals
-		// dropped, so their local types must not leak into the note set.
-		for _, t := range d.localScratch {
-			d.noteLocalType(t)
-		}
+		// dropped, so their local types must not be recorded.
+		b.l.locals = append(b.l.locals, b.localScratch...)
 	}
 	for i := 0; i < ns; i++ {
-		if err := d.skimStmt(ref); err != nil {
+		if err := d.skimStmt(); err != nil {
 			return false, err
 		}
 	}
@@ -356,31 +303,31 @@ func (d *decoder) skimBody(ref *MethodRef) (empty bool, err error) {
 				return false, err
 			}
 		}
-		if _, err := d.ref(); err != nil { // exception
+		if _, err := d.refIdx(); err != nil { // exception
 			return false, err
 		}
 	}
 	return ns == 0, nil
 }
 
-func (d *decoder) skimStmt(ref *MethodRef) error {
+func (d *decoder) skimStmt() error {
 	op, err := d.byte()
 	if err != nil {
 		return err
 	}
 	switch op {
 	case opAssign:
-		lhsTag, _, err := d.skimValue(nil)
+		lhsTag, _, err := d.skimValue(false)
 		if err != nil {
 			return err
 		}
 		if lhsTag != tagLocal && lhsTag != tagFieldRef {
 			return errSkimReject // core: "assign target is not an lvalue"
 		}
-		_, _, err = d.skimValue(ref)
+		_, _, err = d.skimValue(true)
 		return err
 	case opInvoke:
-		tag, _, err := d.skimValue(ref)
+		tag, _, err := d.skimValue(true)
 		if err != nil {
 			return err
 		}
@@ -389,7 +336,7 @@ func (d *decoder) skimStmt(ref *MethodRef) error {
 		}
 		return nil
 	case opIf:
-		if _, _, err := d.skimValue(nil); err != nil {
+		if _, _, err := d.skimValue(false); err != nil {
 			return err
 		}
 		_, err := d.u64()
@@ -397,8 +344,8 @@ func (d *decoder) skimStmt(ref *MethodRef) error {
 	case opGoto:
 		_, err := d.u64()
 		return err
-	case opReturn:
-		_, _, err := d.skimValue(nil)
+	case opReturn, opThrow:
+		_, _, err := d.skimValue(false)
 		return err
 	case opReturnVoid, opNop:
 		return nil
@@ -407,124 +354,124 @@ func (d *decoder) skimStmt(ref *MethodRef) error {
 }
 
 // skimValue parses one value without materializing it, returning the
-// value's tag and, for string constants, the pooled string. When top is
-// non-nil and the value is an invoke, its callee lands in top.Calls (and
-// a lone string-constant setClassName argument in top.Intents); the
-// capture applies only at the outermost level, matching jimple.InvokeOf —
-// nested invokes are not statement-level calls.
-func (d *decoder) skimValue(top *MethodRef) (byte, string, error) {
+// value's tag and, for string constants, the pool index. When top is set
+// and the value is an invoke, its callee id joins the record's calls (and
+// a lone string-constant setClassName argument its intents); the capture
+// applies only at the outermost level, matching jimple.InvokeOf — nested
+// invokes are not statement-level calls.
+func (d *decoder) skimValue(top bool) (byte, int32, error) {
 	tag, err := d.byte()
 	if err != nil {
-		return 0, "", err
+		return 0, 0, err
 	}
 	switch tag {
 	case tagLocal, tagThisRef, tagNew:
-		_, err := d.ref()
-		return tag, "", err
+		_, err := d.refIdx()
+		return tag, 0, err
 	case tagIntConst:
 		_, err := d.i64()
-		return tag, "", err
+		return tag, 0, err
 	case tagStrConst:
-		s, err := d.ref()
+		s, err := d.refIdx()
 		return tag, s, err
 	case tagNull, tagCaughtEx:
-		return tag, "", nil
+		return tag, 0, nil
 	case tagParamRef:
 		if _, err := d.u64(); err != nil {
-			return tag, "", err
+			return tag, 0, err
 		}
-		_, err := d.ref()
-		return tag, "", err
+		_, err := d.refIdx()
+		return tag, 0, err
 	case tagFieldRef:
 		for i := 0; i < 3; i++ { // base, class, field
-			if _, err := d.ref(); err != nil {
-				return tag, "", err
+			if _, err := d.refIdx(); err != nil {
+				return tag, 0, err
 			}
 		}
-		return tag, "", nil
+		return tag, 0, nil
 	case tagInvoke:
 		kind, err := d.byte()
 		if err != nil {
-			return tag, "", err
+			return tag, 0, err
 		}
 		if kind > byte(jimple.InvokeStatic) {
-			return tag, "", fmt.Errorf("bad invoke kind %d", kind)
+			return tag, 0, fmt.Errorf("bad invoke kind %d", kind)
 		}
-		if _, err := d.ref(); err != nil { // base
-			return tag, "", err
+		if _, err := d.refIdx(); err != nil { // base
+			return tag, 0, err
 		}
-		var callee jimple.Sig
-		if top != nil {
-			if callee, err = d.sig(); err != nil {
-				return tag, "", err
-			}
-		} else if err := d.skimSig(); err != nil {
-			return tag, "", err
+		sigAt := d.pos
+		class, name, err := d.skimSig()
+		if err != nil {
+			return tag, 0, err
 		}
 		na, err := d.count("argument")
 		if err != nil {
-			return tag, "", err
+			return tag, 0, err
 		}
 		var arg0Tag byte
-		var arg0Str string
+		var arg0Str int32
 		for i := 0; i < na; i++ {
-			t, s, err := d.skimValue(nil)
+			t, s, err := d.skimValue(false)
 			if err != nil {
-				return tag, "", err
+				return tag, 0, err
 			}
 			if i == 0 {
 				arg0Tag, arg0Str = t, s
 			}
 		}
-		if top != nil {
-			top.Calls = append(top.Calls, callee)
-			if callee.Name == "setClassName" && na == 1 && arg0Tag == tagStrConst {
-				top.Intents = append(top.Intents, arg0Str)
+		if top {
+			x := d.lazy.l.idx
+			x.calls = append(x.calls, Call{Name: d.nameOf(name), class: class, at: int32(sigAt)})
+			if d.pool[name] == "setClassName" && na == 1 && arg0Tag == tagStrConst {
+				x.intents = append(x.intents, d.pool[arg0Str])
 			}
 		}
-		return tag, "", nil
+		return tag, 0, nil
 	case tagBin:
 		op, err := d.byte()
 		if err != nil {
-			return tag, "", err
+			return tag, 0, err
 		}
 		if op > byte(jimple.OpXor) {
-			return tag, "", fmt.Errorf("bad binary op %d", op)
+			return tag, 0, fmt.Errorf("bad binary op %d", op)
 		}
-		if _, _, err := d.skimValue(nil); err != nil {
-			return tag, "", err
+		if _, _, err := d.skimValue(false); err != nil {
+			return tag, 0, err
 		}
-		_, _, err = d.skimValue(nil)
-		return tag, "", err
+		_, _, err = d.skimValue(false)
+		return tag, 0, err
 	case tagNeg:
-		_, _, err := d.skimValue(nil)
-		return tag, "", err
+		_, _, err := d.skimValue(false)
+		return tag, 0, err
 	case tagCast, tagInstanceOf:
-		if _, err := d.ref(); err != nil {
-			return tag, "", err
+		if _, err := d.refIdx(); err != nil {
+			return tag, 0, err
 		}
-		_, _, err := d.skimValue(nil)
-		return tag, "", err
+		_, _, err := d.skimValue(false)
+		return tag, 0, err
 	}
-	return 0, "", fmt.Errorf("unknown value tag %d", tag)
+	return 0, 0, fmt.Errorf("unknown value tag %d", tag)
 }
 
-// skimSig consumes an encoded signature without building it.
-func (d *decoder) skimSig() error {
-	for i := 0; i < 2; i++ { // class, name
-		if _, err := d.ref(); err != nil {
-			return err
-		}
+// skimSig consumes an encoded signature without building it, returning
+// the pool ids of its class and method name.
+func (d *decoder) skimSig() (class, name int32, err error) {
+	if class, err = d.refIdx(); err != nil {
+		return
+	}
+	if name, err = d.refIdx(); err != nil {
+		return
 	}
 	np, err := d.count("param")
 	if err != nil {
-		return err
+		return
 	}
 	for i := 0; i < np; i++ {
-		if _, err := d.ref(); err != nil {
-			return err
+		if _, err = d.refIdx(); err != nil {
+			return
 		}
 	}
-	_, err = d.ref() // ret
-	return err
+	_, err = d.refIdx() // ret
+	return
 }

@@ -260,6 +260,7 @@ echo "== fuzz smoke =="
 # regression cases.
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s -timeout 5m ./internal/dex
 go test -run='^$' -fuzz=FuzzTargetSiteSearch -fuzztime=10s -timeout 5m ./internal/dex
+go test -run='^$' -fuzz=FuzzLazyIndex -fuzztime=10s -timeout 5m ./internal/dex
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s -timeout 5m ./internal/jimple
 go test -run='^$' -fuzz=FuzzCacheEntry -fuzztime=10s -timeout 5m ./internal/cachestore
 
