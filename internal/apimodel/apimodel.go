@@ -355,17 +355,19 @@ func (r *Registry) LibsUsedBy(p *jimple.Program) []LibKey {
 	return sortedLibKeys(used)
 }
 
-// LibsUsedByClasses is LibsUsedBy over a pre-collected referenced-class
-// set (supertypes, interfaces, invoked classes, local types): the lazy
-// decode path gathers those names during its skim — dex.Lazy.RefClasses —
-// so library usage resolves without any retained method bodies.
-func (r *Registry) LibsUsedByClasses(classes []string) []LibKey {
+// LibsUsedByRefs is LibsUsedBy over a referenced-class enumeration:
+// each calls its argument on every class name the program references
+// (supertypes, interfaces, invoked classes, local types; repeats and ""
+// allowed). The lazy decode path enumerates those names from its skim —
+// dex.Lazy.EachRefClass — so library usage resolves without any retained
+// method bodies and without collecting the names.
+func (r *Registry) LibsUsedByRefs(each func(note func(cls string))) []LibKey {
 	used := make(map[LibKey]bool)
-	for _, cls := range classes {
+	each(func(cls string) {
 		if k, ok := r.classToLib[cls]; ok {
 			used[k] = true
 		}
-	}
+	})
 	return sortedLibKeys(used)
 }
 

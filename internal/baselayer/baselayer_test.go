@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
+	"repro/internal/apk"
 	"repro/internal/baselayer"
 	"repro/internal/callgraph"
 	"repro/internal/corpus"
@@ -166,6 +167,74 @@ func TestOverlayMatchesFlat(t *testing.T) {
 			og := layer.CallGraph(over, app.manifest, opts)
 			if err := compareGraphs(fg, og); err != nil {
 				t.Errorf("%s: call graph %+v: %v", app.name, opts, err)
+			}
+		}
+	}
+}
+
+// TestOverlayMatchesFlatLazy runs the same differential on the shape a
+// production scan overlays: apk.DecodeLazy skeletons, where only a few
+// classes are materialized and every other method is bodiless. The cases
+// are the shadow fixture and padded corpus apps (200–399 inert classes);
+// the reference is hierarchy.New over the flat merge of the same skeleton
+// program.
+func TestOverlayMatchesFlatLazy(t *testing.T) {
+	members, err := corpus.GenerateCorpus(2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := shadowFixture()
+	cases := []struct {
+		name string
+		app  *apk.App
+	}{{shadow.name, &apk.App{Program: shadow.prog, Manifest: shadow.manifest}}}
+	pads := []int{200, 271, 333, 399}
+	if testing.Short() {
+		pads = pads[:1]
+	}
+	for i, pad := range pads {
+		m := members[i*len(members)/len(pads)]
+		corpus.AddPadding(m.App, pad)
+		cases = append(cases, struct {
+			name string
+			app  *apk.App
+		}{fmt.Sprintf("%s+pad%d", m.Name, pad), m.App})
+	}
+	layer := baselayer.Get()
+	for _, tc := range cases {
+		data, err := apk.Encode(tc.app)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		app, err := apk.DecodeLazy(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// Materialize about four bodied classes, spread over the slots;
+		// the rest stay skeletons, as outside a scan's demand closure.
+		x := app.Lazy.Index()
+		stride := max(2, x.NumClasses()/4)
+		materialized := 0
+		for slot := 0; slot < x.NumClasses(); slot += stride {
+			if err := app.Lazy.Materialize(x.ClassName(int32(slot))); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			materialized++
+		}
+		if materialized == 0 || materialized == x.NumClasses() {
+			t.Fatalf("%s: materialized %d of %d bodied classes; want a few", tc.name, materialized, x.NumClasses())
+		}
+		flat := flatHierarchy(app.Program)
+		over := layer.Overlay(app.Program)
+		if err := compareHierarchies(flat, over); err != nil {
+			t.Errorf("%s: hierarchy: %v", tc.name, err)
+			continue
+		}
+		for _, opts := range []callgraph.Options{{}, {EnableICC: true}, {DeclaredDispatchOnly: true}} {
+			fg := callgraph.BuildWith(flat, app.Manifest, opts)
+			og := layer.CallGraph(over, app.Manifest, opts)
+			if err := compareGraphs(fg, og); err != nil {
+				t.Errorf("%s: call graph %+v: %v", tc.name, opts, err)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package baselayer_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/hierarchy"
 	"repro/internal/interp"
+	"repro/internal/jimple"
 	"repro/internal/report"
 )
 
@@ -80,5 +83,116 @@ func TestConcurrentScansShareBase(t *testing.T) {
 	}
 	if after := snapshot(layer); after != before {
 		t.Errorf("shared base changed under concurrent scans: %+v -> %+v", before, after)
+	}
+}
+
+// TestConcurrentFirstUseOfOneOverlay starts many goroutines on one fresh
+// overlay at once, as the pipeline's parallel stages share theirs (run it
+// under -race): their first LookupMethod, SubtypesOf, IsSubtype and
+// Dispatch calls race to build the overlay's per-class method indexes,
+// its reverse edges and its dispatch memo. Every answer must equal the
+// flat reference, and the shared base's index sizes must be unchanged.
+func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
+	const goroutines = 8
+	members, err := corpus.GenerateCorpus(2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := members[0].App
+	corpus.AddPadding(app, 300)
+	layer := baselayer.Get()
+	before := snapshot(layer)
+
+	// The queries: every own class and the types it names, a few base
+	// types, the subsignatures the app declares and calls, and the app's
+	// invokes. Each answer is computed once on the flat reference.
+	flat := flatHierarchy(app.Program)
+	nameSet := map[string]bool{jimple.TypeObject: true, "android.app.Activity": true, "com.unknown.Phantom": true}
+	subsigSet := map[string]bool{"neverDeclared()void": true}
+	var invokes []jimple.InvokeExpr
+	for _, c := range app.Program.Classes() {
+		nameSet[c.Name] = true
+		if c.Super != "" {
+			nameSet[c.Super] = true
+		}
+		for _, i := range c.Interfaces {
+			nameSet[i] = true
+		}
+		for _, m := range c.Methods {
+			subsigSet[m.Sig.SubSigKey()] = true
+			for _, s := range m.Body {
+				if inv, ok := jimple.InvokeOf(s); ok {
+					invokes = append(invokes, inv)
+					subsigSet[inv.Callee.SubSigKey()] = true
+				}
+			}
+		}
+	}
+	names, subsigs := sortedKeys(nameSet), sortedKeys(subsigSet)
+	type query struct {
+		desc string
+		ask  func(h *hierarchy.Hierarchy) string
+	}
+	var queries []query
+	supers := []string{jimple.TypeObject, "android.app.Activity", "java.lang.Runnable", app.Program.Classes()[0].Name}
+	for _, a := range names {
+		queries = append(queries, query{"SubtypesOf(" + a + ")", func(h *hierarchy.Hierarchy) string {
+			return fmt.Sprint(h.SubtypesOf(a))
+		}})
+		for _, b := range supers {
+			queries = append(queries, query{"IsSubtype(" + a + ", " + b + ")", func(h *hierarchy.Hierarchy) string {
+				return fmt.Sprint(h.IsSubtype(a, b))
+			}})
+		}
+		for _, s := range subsigs {
+			queries = append(queries, query{"LookupMethod(" + a + ", " + s + ")", func(h *hierarchy.Hierarchy) string {
+				return fmt.Sprintf("%p", h.LookupMethod(a, s))
+			}})
+		}
+	}
+	for _, inv := range invokes {
+		queries = append(queries, query{"Dispatch(" + inv.Callee.Key() + ")", func(h *hierarchy.Hierarchy) string {
+			var out []string
+			for _, m := range h.Dispatch(inv) {
+				out = append(out, fmt.Sprintf("%p", m))
+			}
+			return strings.Join(out, " ")
+		}})
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = q.ask(flat)
+	}
+
+	over := layer.Overlay(app.Program)
+	start := make(chan struct{})
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			// Goroutines start in pairs at spread offsets: each pair
+			// races on the same first uses, and the pairs between them
+			// cover every query's first use early.
+			off := (g / 2) * len(queries) / (goroutines / 2)
+			for k := range queries {
+				i := (k + off) % len(queries)
+				if got := queries[i].ask(over); got != want[i] {
+					errs <- fmt.Errorf("goroutine %d: %s = %s, flat %s", g, queries[i].desc, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if after := snapshot(layer); after != before {
+		t.Errorf("shared base changed under concurrent first use: %+v -> %+v", before, after)
 	}
 }

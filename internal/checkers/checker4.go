@@ -54,38 +54,70 @@ func (a *analysis) checkSiteResponse(site *requestSite, f *findings) {
 	}
 }
 
+// successCallback is one library success callback whose parameter type
+// has response-check APIs: the interface an app class implements and the
+// subsignature of its success method.
+type successCallback struct {
+	lib    *apimodel.Library
+	iface  string
+	subsig string
+}
+
+// successCallbacksKey keys successCallbacks in apimodel.Registry.Memo.
+type successCallbacksKey struct{}
+
+// successCallbacks returns reg's success callbacks in registration order,
+// their signatures parsed once per registry.
+func successCallbacks(reg *apimodel.Registry) []successCallback {
+	return reg.Memo(successCallbacksKey{}, func() any {
+		var out []successCallback
+		for _, lib := range reg.Libraries() {
+			if !lib.HasRespCheckAPIs() {
+				continue
+			}
+			for i := range lib.Callbacks {
+				cb := &lib.Callbacks[i]
+				sig, err := jimple.ParseSigKey(cb.Iface + "." + cb.SuccessSubsig)
+				if err != nil {
+					continue
+				}
+				out = append(out, successCallback{lib: lib, iface: cb.Iface, subsig: sig.SubSigKey()})
+			}
+		}
+		return out
+	}).([]successCallback)
+}
+
 // checkCallbackResponses scans app classes implementing a library success
 // callback whose parameter type has response-check APIs (OkHttp's
-// Callback.onResponse). The (library, callback, class) work list is built
-// sequentially so unit order matches the historical scan order, then the
+// Callback.onResponse). Only demanded classes hold bodies, so one walk
+// over them (their slots ascend in class-name order) finds every
+// implementation; the work list is grouped per callback so unit order
+// matches the historical (library, callback, class) scan order, then the
 // method bodies are analyzed in parallel.
 func (a *analysis) checkCallbackResponses() []findings {
 	type cbWork struct {
 		m   *jimple.Method
 		lib *apimodel.Library
 	}
-	var work []cbWork
-	for _, lib := range a.reg.Libraries() {
-		if !lib.HasRespCheckAPIs() {
-			continue
-		}
-		for i := range lib.Callbacks {
-			cb := &lib.Callbacks[i]
-			sig, err := jimple.ParseSigKey(cb.Iface + "." + cb.SuccessSubsig)
-			if err != nil {
+	cbs := successCallbacks(a.reg)
+	perCB := make([][]cbWork, len(cbs))
+	for _, slot := range a.demanded {
+		cls := a.app.Program.Class(a.index.ClassName(slot))
+		for i, cb := range cbs {
+			if !a.h.IsSubtype(cls.Name, cb.iface) {
 				continue
 			}
-			for _, cls := range a.app.Program.Classes() {
-				if !a.h.IsSubtype(cls.Name, cb.Iface) {
-					continue
-				}
-				m := cls.Method(sig.SubSigKey())
-				if m == nil || !m.HasBody() {
-					continue
-				}
-				work = append(work, cbWork{m: m, lib: lib})
+			m := cls.Method(cb.subsig)
+			if m == nil || !m.HasBody() {
+				continue
 			}
+			perCB[i] = append(perCB[i], cbWork{m: m, lib: cb.lib})
 		}
+	}
+	var work []cbWork
+	for _, w := range perCB {
+		work = append(work, w...)
 	}
 	units := make([]findings, len(work))
 	a.parallelFor("responses", len(work), func(i int) {

@@ -204,9 +204,9 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	res := &Result{}
 	if app.Lazy != nil {
 		// A lazily opened app holds undecoded bodies outside the closure,
-		// so library usage resolves from the skim's referenced-class set —
+		// so library usage resolves from the skim's referenced classes —
 		// pinned equal to LibsUsedBy over the decoded program.
-		res.Stats.LibsUsed = reg.LibsUsedByClasses(app.Lazy.RefClasses())
+		res.Stats.LibsUsed = reg.LibsUsedByRefs(app.Lazy.EachRefClass)
 	} else {
 		res.Stats.LibsUsed = reg.LibsUsedBy(app.Program)
 	}

@@ -125,3 +125,51 @@ func TestOpenAllocsRegression(t *testing.T) {
 			avg, openAllocBudget)
 	}
 }
+
+// TestScanBytesAllocsRegression pins an allocation budget on the whole
+// production byte scan: ScanBytes of the canonical fixture padded with
+// openAllocPadding inert classes, through a single-threaded pipeline. It
+// gates the analysis half TestOpenAllocsRegression leaves out — closure,
+// materialization, overlay hierarchy, call graph, summaries, checkers and
+// library usage — on the shape where a stage doing work per app class,
+// not per demanded class, shows up. The budget carries ~10% headroom over
+// the measured value (561); re-measure with
+// `go test ./internal/core -run TestScanBytesAllocsRegression -v` and
+// update the constant in the same commit that explains why.
+const scanBytesAllocBudget = 617
+
+func TestScanBytesAllocsRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful with -short's reduced work")
+	}
+	app, err := apk.Decode(testutil.MustFixtureApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus.AddPadding(app, openAllocPadding)
+	data, err := apk.Encode(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := NewWithOptions(Options{Workers: 1})
+	// Warm once: the base layer, registry memos and pool growth must not
+	// bill the steady-state measurement.
+	if res, err := nc.ScanBytes(data); err != nil || len(res.Reports) == 0 {
+		t.Fatalf("padded fixture scan: err=%v; the measurement needs warnings", err)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		res, err := nc.ScanBytes(data)
+		if err != nil || res.Incomplete {
+			t.Fatalf("scan failed or degraded during measurement: %v", err)
+		}
+	})
+	t.Logf("ScanBytes allocations/run = %.0f (budget %d)", avg, scanBytesAllocBudget)
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %.0f for the log only", avg)
+	}
+	if avg > float64(scanBytesAllocBudget) {
+		t.Errorf("ScanBytes allocates %.0f per run, over the %d budget — "+
+			"if intentional, re-measure and raise the budget in the same change",
+			avg, scanBytesAllocBudget)
+	}
+}

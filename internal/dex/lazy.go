@@ -3,7 +3,6 @@ package dex
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/jimple"
 )
@@ -136,19 +135,19 @@ func (l *Lazy) Index() *Index { return l.idx }
 // body-bearing method (the denominator of the decoded/skipped counters).
 func (l *Lazy) NumBodiedClasses() int { return len(l.idx.classes) }
 
-// RefClasses returns every class name the program references
-// (supertypes, interfaces, invoked classes, local types), sorted —
-// apimodel.LibsUsedByClasses' input, computed without retained bodies.
-// The skim keeps invoked classes and local types as pool ids; they are
-// turned into strings only here.
-func (l *Lazy) RefClasses() []string {
+// EachRefClass calls fn on every class name the program references
+// (supertypes, interfaces, invoked classes, local types) — what
+// apimodel.LibsUsedByRefs resolves, computed without retained bodies.
+// The skim keeps invoked classes and local types as pool ids, and each
+// distinct id is passed once; a name may still repeat (a supertype, or a
+// string the pool holds twice), and "" may appear for a root class.
+func (l *Lazy) EachRefClass(fn func(string)) {
 	x := l.idx
 	seen := make([]bool, len(x.pool))
-	var out []string
 	note := func(p int32) {
 		if !seen[p] {
 			seen[p] = true
-			out = append(out, x.pool[p])
+			fn(x.pool[p])
 		}
 	}
 	for i := range x.recs {
@@ -157,25 +156,19 @@ func (l *Lazy) RefClasses() []string {
 			if c.class >= 0 {
 				note(c.class)
 			} else {
-				out = append(out, x.sigs[c.at].Class)
+				fn(x.sigs[c.at].Class)
 			}
 		}
 		for _, t := range l.locals[r.locals.lo:r.locals.hi] {
 			note(t)
 		}
 	}
-	for _, c := range l.prog.Classes() {
-		out = append(out, c.Super)
-		out = append(out, c.Interfaces...)
-	}
-	sort.Strings(out)
-	uniq := out[:0]
-	for _, cls := range out {
-		if cls != "" && (len(uniq) == 0 || uniq[len(uniq)-1] != cls) {
-			uniq = append(uniq, cls)
+	l.prog.EachOwnClass(func(c *jimple.Class) {
+		fn(c.Super)
+		for _, i := range c.Interfaces {
+			fn(i)
 		}
-	}
-	return uniq
+	})
 }
 
 // Materialize decodes the retained body spans of one class into the

@@ -248,9 +248,9 @@ func TestLazyMethodRefsMatchEager(t *testing.T) {
 	}
 }
 
-// TestLazyRefClasses: the skim's referenced-class set feeds
-// apimodel.LibsUsedByClasses with the same answer LibsUsedBy computes
-// from retained bodies.
+// TestLazyRefClasses: the skim's referenced classes feed
+// apimodel.LibsUsedByRefs with the same answer LibsUsedBy computes from
+// retained bodies.
 func TestLazyRefClasses(t *testing.T) {
 	p := lazySample(t)
 	l, err := dex.DecodeLazy(dex.Encode(p))
@@ -258,10 +258,10 @@ func TestLazyRefClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := apimodel.NewRegistry()
-	got := reg.LibsUsedByClasses(l.RefClasses())
+	got := reg.LibsUsedByRefs(l.EachRefClass)
 	want := reg.LibsUsedBy(p)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("LibsUsedByClasses(RefClasses) = %v, want %v", got, want)
+		t.Fatalf("LibsUsedByRefs(EachRefClass) = %v, want %v", got, want)
 	}
 	has := func(cls string) bool {
 		for _, c := range l.RefClasses() {
@@ -412,7 +412,8 @@ func FuzzTargetSiteSearch(f *testing.F) {
 // input Decode accepts, the lazy records (keys rendered) equal those
 // derived from the eager program's bodies, every caller- and
 // declarer-index lookup equals a linear scan over those records, and
-// RefClasses equals the eager referenced-class set.
+// the referenced classes EachRefClass enumerates (collected by the test
+// helper RefClasses) equal the eager referenced-class set.
 func FuzzLazyIndex(f *testing.F) {
 	apps, err := corpus.GenerateCorpus(7)
 	if err != nil {

@@ -12,11 +12,13 @@ import (
 
 // Hierarchy is an immutable view of a program's class hierarchy.
 //
-// A hierarchy is either flat, indexing every class of its program, or an
-// overlay over a frozen base hierarchy (NewOverlay): its own maps then
-// hold only the classes of the overlay program's own layer, and every
-// query falls through to the base for the rest. The base is only read, so
-// one base can sit under any number of concurrent overlays.
+// A hierarchy is either flat, indexing every class of its program
+// eagerly (New), or an overlay over a frozen base hierarchy (NewOverlay).
+// An overlay indexes nothing up front: an own class's supertypes are read
+// from its *Class, its subsignature map is built the first time a lookup
+// reaches it, and the own layer's reverse edges on the first subtype
+// query; every query falls through to the base for the rest. The base is
+// only read, so one base can sit under any number of concurrent overlays.
 type Hierarchy struct {
 	prog *jimple.Program
 
@@ -26,24 +28,35 @@ type Hierarchy struct {
 	base    *Hierarchy
 	shadows bool
 
-	subsOf   map[string][]string // direct subclasses and implementers
-	supersOf map[string][]string // direct superclass + interfaces
+	// subsOf maps a type to its direct subclasses and implementers. A flat
+	// hierarchy fills it eagerly, sorted; an overlay fills it with the own
+	// layer's edges, unsorted, on the first subtype query (nil until then).
+	subsOf map[string][]string
+	// supersOf maps each class of a flat hierarchy to its direct superclass
+	// and interfaces, sorted; an overlay reads them from its own *Class.
+	supersOf map[string][]string
 
-	// methodIdx maps each defined class to its methods by subsignature
-	// (first declaration wins, matching Class.Method's linear scan), and
-	// superOf maps it to its superclass name. Together they make method
+	// methodIdx maps a defined class to its methods by subsignature (first
+	// declaration wins, matching Class.Method's linear scan), and superOf
+	// (flat only) maps it to its superclass name. Together they make method
 	// lookup a pair of map probes instead of a linear subsignature render
-	// per declared method per query.
+	// per declared method per query. An overlay adds an own class to
+	// methodIdx the first time a lookup reaches it.
 	methodIdx map[string]map[string]*jimple.Method
 	superOf   map[string]string
 
+	// mu guards an overlay's lazily built state — methodIdx, subsOf and
+	// intern — and every hierarchy's dispatchMemo, so a Hierarchy stays
+	// safe to share between goroutines. A flat hierarchy's other maps are
+	// complete at construction and read without it; an overlay never writes
+	// to its base.
+	mu sync.Mutex
+	// intern dedups the subsignature keys of an overlay's indexed classes.
+	intern *jimple.Interner
 	// dispatchMemo caches CHA dispatch results per (kind-band, declared
 	// class, subsignature); the same framework callee is invoked from many
 	// sites, and each re-resolution used to redo the subtree walk and
-	// re-render every candidate's key. Guarded by mu so a Hierarchy stays
-	// safe to share between goroutines. An overlay keeps its own memo and
-	// never writes to its base's.
-	mu           sync.Mutex
+	// re-render every candidate's key. An overlay keeps its own memo.
 	dispatchMemo map[dispatchKey][]*jimple.Method
 }
 
@@ -56,34 +69,8 @@ type dispatchKey struct {
 // New indexes the hierarchy of p. Types referenced but not defined in p
 // (phantom classes) participate with no members and no known supertypes.
 func New(p *jimple.Program) *Hierarchy {
-	h := newIndex(p, p.NumClasses())
-	h.index(p.Classes())
-	return h
-}
-
-// NewOverlay indexes the own layer of the overlay program p over base,
-// which must be a flat hierarchy of p's base program. Only p's own classes
-// are indexed, so the cost is linear in them; every query answers exactly
-// as New over the flat merge of p's layers would.
-func NewOverlay(base *Hierarchy, p *jimple.Program) *Hierarchy {
-	if base.base != nil || p.Base() != base.prog {
-		panic("hierarchy: overlay program does not sit on the base hierarchy's program")
-	}
-	own := p.OwnClasses()
-	h := newIndex(p, len(own))
-	h.base = base
-	h.index(own)
-	for _, c := range own {
-		if _, shadowed := base.methodIdx[c.Name]; shadowed {
-			h.shadows = true
-			break
-		}
-	}
-	return h
-}
-
-func newIndex(p *jimple.Program, n int) *Hierarchy {
-	return &Hierarchy{
+	n := p.NumClasses()
+	h := &Hierarchy{
 		prog:         p,
 		subsOf:       make(map[string][]string),
 		supersOf:     make(map[string][]string, n),
@@ -91,13 +78,8 @@ func newIndex(p *jimple.Program, n int) *Hierarchy {
 		superOf:      make(map[string]string, n),
 		dispatchMemo: make(map[dispatchKey][]*jimple.Method),
 	}
-}
-
-// index adds classes to h's own maps; the edge lists come out sorted
-// whatever the order of classes.
-func (h *Hierarchy) index(classes []*jimple.Class) {
 	intern := jimple.NewInterner()
-	for _, c := range classes {
+	for _, c := range p.Classes() {
 		if c.Super != "" {
 			h.supersOf[c.Name] = append(h.supersOf[c.Name], c.Super)
 			h.subsOf[c.Super] = append(h.subsOf[c.Super], c.Name)
@@ -106,14 +88,7 @@ func (h *Hierarchy) index(classes []*jimple.Class) {
 			h.supersOf[c.Name] = append(h.supersOf[c.Name], i)
 			h.subsOf[i] = append(h.subsOf[i], c.Name)
 		}
-		mm := make(map[string]*jimple.Method, len(c.Methods))
-		for _, m := range c.Methods {
-			k := intern.SubSigKey(m.Sig)
-			if _, dup := mm[k]; !dup {
-				mm[k] = m
-			}
-		}
-		h.methodIdx[c.Name] = mm
+		h.methodIdx[c.Name] = methodsOf(c, intern)
 		h.superOf[c.Name] = c.Super
 	}
 	for _, m := range []map[string][]string{h.subsOf, h.supersOf} {
@@ -121,6 +96,68 @@ func (h *Hierarchy) index(classes []*jimple.Class) {
 			sort.Strings(m[k])
 		}
 	}
+	return h
+}
+
+// NewOverlay returns the hierarchy of the overlay program p over base,
+// which must be a flat hierarchy of p's base program. It does no work per
+// class: own classes are indexed as queries reach them, and every query
+// answers exactly as New over the flat merge of p's layers would.
+func NewOverlay(base *Hierarchy, p *jimple.Program) *Hierarchy {
+	if base.base != nil || p.Base() != base.prog {
+		panic("hierarchy: overlay program does not sit on the base hierarchy's program")
+	}
+	return &Hierarchy{prog: p, base: base, shadows: p.Shadows()}
+}
+
+// methodsOf maps c's methods by subsignature, first declaration winning.
+func methodsOf(c *jimple.Class, intern *jimple.Interner) map[string]*jimple.Method {
+	mm := make(map[string]*jimple.Method, len(c.Methods))
+	for _, m := range c.Methods {
+		k := intern.SubSigKey(m.Sig)
+		if _, dup := mm[k]; !dup {
+			mm[k] = m
+		}
+	}
+	return mm
+}
+
+// ownMethods returns the method index of the overlay's own class c,
+// building it on first use.
+func (h *Hierarchy) ownMethods(c *jimple.Class) map[string]*jimple.Method {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	mm, ok := h.methodIdx[c.Name]
+	if !ok {
+		if h.methodIdx == nil {
+			h.methodIdx = make(map[string]map[string]*jimple.Method)
+			h.intern = jimple.NewInterner()
+		}
+		mm = methodsOf(c, h.intern)
+		h.methodIdx[c.Name] = mm
+	}
+	return mm
+}
+
+// ownSubs returns the overlay's own reverse edges, building them from the
+// own classes on first use. The lists are unsorted: every query that
+// returns subtypes sorts its result.
+func (h *Hierarchy) ownSubs() map[string][]string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.subsOf == nil {
+		subs := make(map[string][]string)
+		h.prog.EachOwnClass(func(c *jimple.Class) {
+			if c.Super != "" {
+				subs[c.Super] = append(subs[c.Super], c.Name)
+			}
+			for _, i := range c.Interfaces {
+				subs[i] = append(subs[i], c.Name)
+			}
+		})
+		h.subsOf = subs
+	}
+	return h.subsOf
 }
 
 // Program returns the underlying program.
@@ -136,7 +173,8 @@ type IndexSizes struct {
 }
 
 // IndexSizes reports the sizes of h's own indexes (for an overlay, not
-// including its base's); tests use it to prove a shared base unchanged.
+// including its base's, and only what queries have built so far); tests
+// use it to prove a shared base unchanged.
 func (h *Hierarchy) IndexSizes() IndexSizes {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -151,38 +189,47 @@ func (h *Hierarchy) IndexSizes() IndexSizes {
 // defined returns the method index and superclass of class c, looking in
 // h's own classes first and then in the base; ok is false for a phantom.
 func (h *Hierarchy) defined(c string) (mm map[string]*jimple.Method, super string, ok bool) {
-	if mm, ok = h.methodIdx[c]; ok || h.base == nil {
+	if h.base == nil {
+		mm, ok = h.methodIdx[c]
 		return mm, h.superOf[c], ok
+	}
+	if cls := h.prog.OwnClass(c); cls != nil {
+		return h.ownMethods(cls), cls.Super, true
 	}
 	return h.base.defined(c)
 }
 
-// supers returns the direct supertypes of c: its own definition's when h
-// defines c, else the base's.
-func (h *Hierarchy) supers(c string) []string {
-	if h.base != nil {
-		if _, own := h.methodIdx[c]; !own {
-			return h.base.supers(c)
-		}
+// supers returns the direct supertypes of c — from h's own definition of
+// c if there is one, else from the base's — in two parts, a superclass
+// ("" for none) and the rest, so an own class of an overlay answers from
+// its *Class without building a list. A flat hierarchy returns its whole
+// sorted list as the rest.
+func (h *Hierarchy) supers(c string) (string, []string) {
+	if h.base == nil {
+		return "", h.supersOf[c]
 	}
-	return h.supersOf[c]
+	if cls := h.prog.OwnClass(c); cls != nil {
+		return cls.Super, cls.Interfaces
+	}
+	return h.base.supers(c)
 }
 
 // eachSub calls fn on every direct subtype of t: the own layer's, then the
 // base's that the own layer does not shadow (a shadowing class contributes
 // through its own definition instead). A name may repeat; callers dedup.
 func (h *Hierarchy) eachSub(t string, fn func(string)) {
-	for _, s := range h.subsOf[t] {
-		fn(s)
-	}
 	if h.base == nil {
+		for _, s := range h.subsOf[t] {
+			fn(s)
+		}
 		return
 	}
+	for _, s := range h.ownSubs()[t] {
+		fn(s)
+	}
 	for _, s := range h.base.subsOf[t] {
-		if h.shadows {
-			if _, own := h.methodIdx[s]; own {
-				continue
-			}
+		if h.shadows && h.prog.OwnClass(s) != nil {
+			continue
 		}
 		fn(s)
 	}
@@ -202,7 +249,16 @@ func (h *Hierarchy) IsSubtype(sub, super string) bool {
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range h.supers(c) {
+		sup, rest := h.supers(c)
+		if sup != "" {
+			if sup == super {
+				return true
+			}
+			if seen.add(sup) {
+				stack = append(stack, sup)
+			}
+		}
+		for _, s := range rest {
 			if s == super {
 				return true
 			}
@@ -282,14 +338,21 @@ func (h *Hierarchy) SubtypesOf(t string) []string {
 func (h *Hierarchy) Supertypes(t string) []string {
 	seen := map[string]bool{}
 	stack := []string{t}
+	visit := func(s string) {
+		if !seen[s] {
+			seen[s] = true
+			stack = append(stack, s)
+		}
+	}
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range h.supers(c) {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
+		sup, rest := h.supers(c)
+		if sup != "" {
+			visit(sup)
+		}
+		for _, s := range rest {
+			visit(s)
 		}
 	}
 	out := make([]string, 0, len(seen))
@@ -334,6 +397,9 @@ func (h *Hierarchy) Dispatch(e jimple.InvokeExpr) []*jimple.Method {
 	h.mu.Unlock()
 	out := h.dispatch(virtual, e.Callee.Class, sub)
 	h.mu.Lock()
+	if h.dispatchMemo == nil {
+		h.dispatchMemo = make(map[dispatchKey][]*jimple.Method)
+	}
 	h.dispatchMemo[key] = out
 	h.mu.Unlock()
 	return out

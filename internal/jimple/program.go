@@ -223,6 +223,22 @@ func (p *Program) OwnClasses() []*Class {
 	return out
 }
 
+// OwnClass returns the named class of p's own layer, or nil: unlike
+// Class, it never falls through to the base.
+func (p *Program) OwnClass(name string) *Class { return p.classes[name] }
+
+// Shadows reports whether an own class of an overlay hides a base class
+// of the same name.
+func (p *Program) Shadows() bool { return p.shadowed > 0 }
+
+// EachOwnClass calls fn on every class of p's own layer, in no
+// particular order, without collecting them into a slice.
+func (p *Program) EachOwnClass(fn func(*Class)) {
+	for _, c := range p.classes {
+		fn(c)
+	}
+}
+
 func (p *Program) sortedOwn() []*Class {
 	out := p.OwnClasses()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

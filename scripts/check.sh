@@ -153,8 +153,10 @@ fi
 
 echo "== padded-scale bench smoke =="
 # One iteration per cell keeps the gate fast while proving the three
-# BenchmarkScanPadded{1x,10x,100x} cells still run.
-go test -run='^$' -bench='^BenchmarkScanPadded' -benchtime=1x -timeout 10m .
+# BenchmarkScanPadded{1x,10x,100x} cells and the large-apps open and
+# byte-scan harness (BenchmarkOpenPadded, BenchmarkScanBytesPadded) still
+# run.
+go test -run='^$' -bench='^Benchmark(ScanPadded|OpenPadded$|ScanBytesPadded$)' -benchtime=1x -timeout 10m .
 
 echo "== cold-scan allocation smoke =="
 # Regenerates BENCH_cold.json's smoke section (-short scans the first
