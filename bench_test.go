@@ -631,8 +631,9 @@ func largeAppsDraw(b *testing.B) [][]byte {
 }
 
 // BenchmarkOpenPadded times the lazy open every container scan starts
-// with (apk.DecodeLazy: container framing, class skeletons, body skim and
-// caller index) over the large-apps draw; one op is one app:
+// with (apk.DecodeLazy: container framing, class headers, member and
+// body skim, and caller index) over the large-apps draw; one op is one
+// app:
 //
 //	go test -run='^$' -bench='^BenchmarkOpenPadded$' -benchmem .
 func BenchmarkOpenPadded(b *testing.B) {

@@ -46,28 +46,39 @@ type App struct {
 	// everything.
 	Lazy *dex.Lazy
 
-	// digest memoizes Digest(): apps decoded from container bytes carry
-	// the hash of those bytes, in-memory apps hash their canonical
-	// encoding on first use.
+	// src holds the container bytes an app was decoded from, until
+	// Digest hashes them; nil for an app built in memory.
+	src []byte
+
+	// digest memoizes Digest(): apps decoded from container bytes hash
+	// those bytes, in-memory apps their canonical encoding, on first use.
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
 	digestErr  error
 }
 
+// hashContainer is the digest's hash; tests count its calls.
+var hashContainer = sha256.Sum256
+
 // Digest returns the SHA-256 content identity of the app — the hash of
-// its container bytes — computed once per App. It is the app component of
-// the persistent scan cache's keys (internal/cachestore): any change to
-// the manifest or the dex payload changes the digest. For an app parsed
-// by Decode the digest covers the bytes as read; for an app built in
-// memory it covers the canonical Encode output.
+// its container bytes — computed on first use, once per App. It is the
+// app component of the persistent scan cache's keys (internal/cachestore):
+// any change to the manifest or the dex payload changes the digest. For
+// an app parsed by Decode or DecodeLazy the digest covers the bytes as
+// read; for an app built in memory it covers the canonical Encode output.
+// A scan with the cache off never asks, so it hashes nothing.
 func (a *App) Digest() ([sha256.Size]byte, error) {
 	a.digestOnce.Do(func() {
-		data, err := Encode(a)
-		if err != nil {
-			a.digestErr = err
-			return
+		data := a.src
+		if data == nil {
+			var err error
+			if data, err = Encode(a); err != nil {
+				a.digestErr = err
+				return
+			}
 		}
-		a.digest = sha256.Sum256(data)
+		a.digest = hashContainer(data)
+		a.src = nil
 	})
 	return a.digest, a.digestErr
 }
@@ -108,18 +119,17 @@ func Decode(data []byte) (*App, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apk: %w", err)
 	}
-	app := &App{Manifest: man, Program: prog}
-	// Seed the content digest from the bytes actually read, so scanning
-	// from disk never pays a re-encode to key the cache.
-	app.digestOnce.Do(func() { app.digest = sha256.Sum256(data) })
-	return app, nil
+	// Digest hashes the bytes actually read, so scanning from disk never
+	// pays a re-encode to key the cache.
+	return &App{Manifest: man, Program: prog, src: data}, nil
 }
 
-// DecodeLazy parses container bytes like Decode but defers the dex method
-// bodies: the returned App carries a skeleton Program plus the Lazy handle
-// that materializes classes on demand. It accepts and rejects exactly the
-// inputs Decode does, and the seeded digest is identical, so the two open
-// paths share cache entries.
+// DecodeLazy parses container bytes like Decode but defers the dex class
+// members and method bodies: the returned App carries a Program of class
+// headers, whose members are decoded on first lookup, plus the Lazy
+// handle that materializes classes' bodies on demand. It accepts and
+// rejects exactly the inputs Decode does, and the digest is identical, so
+// the two open paths share cache entries.
 func DecodeLazy(data []byte) (*App, error) {
 	man, dexBytes, err := decodeSections(data)
 	if err != nil {
@@ -129,9 +139,7 @@ func DecodeLazy(data []byte) (*App, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apk: %w", err)
 	}
-	app := &App{Manifest: man, Program: l.Program(), Lazy: l}
-	app.digestOnce.Do(func() { app.digest = sha256.Sum256(data) })
-	return app, nil
+	return &App{Manifest: man, Program: l.Program(), Lazy: l, src: data}, nil
 }
 
 // decodeSections validates the container framing and returns the decoded

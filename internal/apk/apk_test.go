@@ -2,6 +2,7 @@ package apk
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -190,5 +191,43 @@ func TestDigestStableAndDiscriminating(t *testing.T) {
 	}
 	if od == d1 {
 		t.Fatalf("distinct apps share a digest")
+	}
+}
+
+// TestDigestHashesOnFirstUse: opening a container hashes nothing — a
+// cache-off scan never asks for the digest — and the first Digest call
+// hashes the bytes as read, once, whichever open read them.
+func TestDigestHashesOnFirstUse(t *testing.T) {
+	data, err := Encode(sampleApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := 0
+	defer func(h func([]byte) [sha256.Size]byte) { hashContainer = h }(hashContainer)
+	hashContainer = func(b []byte) [sha256.Size]byte {
+		hashes++
+		return sha256.Sum256(b)
+	}
+	for name, open := range map[string]func([]byte) (*App, error){"Decode": Decode, "DecodeLazy": DecodeLazy} {
+		hashes = 0
+		app, err := open(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if hashes != 0 {
+			t.Fatalf("%s hashed the container %d times", name, hashes)
+		}
+		for call := 1; call <= 2; call++ {
+			d, err := app.Digest()
+			if err != nil {
+				t.Fatalf("%s: Digest: %v", name, err)
+			}
+			if d != sha256.Sum256(data) {
+				t.Fatalf("%s: Digest call %d is not the hash of the container bytes", name, call)
+			}
+			if hashes != 1 {
+				t.Fatalf("%s: after Digest call %d the container was hashed %d times, want 1", name, call, hashes)
+			}
+		}
 	}
 }

@@ -173,21 +173,23 @@ func TestOverlayMatchesFlat(t *testing.T) {
 }
 
 // TestOverlayMatchesFlatLazy runs the same differential on the shape a
-// production scan overlays: apk.DecodeLazy skeletons, where only a few
-// classes are materialized and every other method is bodiless. The cases
+// production scan overlays: apk.DecodeLazy opens, where only a few
+// classes are materialized, every other method is bodiless, and the
+// classes no lookup has reached have their members deferred. The cases
 // are the shadow fixture and padded corpus apps (200–399 inert classes);
-// the reference is hierarchy.New over the flat merge of the same skeleton
-// program.
+// the reference is hierarchy.New over the flat merge of the same program.
 func TestOverlayMatchesFlatLazy(t *testing.T) {
 	members, err := corpus.GenerateCorpus(2016)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shadow := shadowFixture()
-	cases := []struct {
-		name string
-		app  *apk.App
-	}{{shadow.name, &apk.App{Program: shadow.prog, Manifest: shadow.manifest}}}
+	type lazyCase struct {
+		name   string
+		app    *apk.App
+		padded bool
+	}
+	cases := []lazyCase{{shadow.name, &apk.App{Program: shadow.prog, Manifest: shadow.manifest}, false}}
 	pads := []int{200, 271, 333, 399}
 	if testing.Short() {
 		pads = pads[:1]
@@ -195,10 +197,7 @@ func TestOverlayMatchesFlatLazy(t *testing.T) {
 	for i, pad := range pads {
 		m := members[i*len(members)/len(pads)]
 		corpus.AddPadding(m.App, pad)
-		cases = append(cases, struct {
-			name string
-			app  *apk.App
-		}{fmt.Sprintf("%s+pad%d", m.Name, pad), m.App})
+		cases = append(cases, lazyCase{fmt.Sprintf("%s+pad%d", m.Name, pad), m.App, true})
 	}
 	layer := baselayer.Get()
 	for _, tc := range cases {
@@ -224,16 +223,32 @@ func TestOverlayMatchesFlatLazy(t *testing.T) {
 		if materialized == 0 || materialized == x.NumClasses() {
 			t.Fatalf("%s: materialized %d of %d bodied classes; want a few", tc.name, materialized, x.NumClasses())
 		}
-		flat := flatHierarchy(app.Program)
+		// The overlay's graphs are built first, as a scan builds its own,
+		// while the classes no lookup has reached still have their members
+		// deferred; the flat reference's merge then decodes every class.
 		over := layer.Overlay(app.Program)
+		optsList := []callgraph.Options{{}, {EnableICC: true}, {DeclaredDispatchOnly: true}}
+		graphs := make([]*callgraph.Graph, len(optsList))
+		for i, opts := range optsList {
+			graphs[i] = layer.CallGraph(over, app.Manifest, opts)
+		}
+		deferred := 0
+		app.Program.EachOwnHeader(func(c *jimple.Class) {
+			if c.MembersDeferred() {
+				deferred++
+			}
+		})
+		if tc.padded && deferred == 0 {
+			t.Fatalf("%s: no class left deferred; the overlay graphs would not skip any", tc.name)
+		}
+		flat := flatHierarchy(app.Program)
 		if err := compareHierarchies(flat, over); err != nil {
 			t.Errorf("%s: hierarchy: %v", tc.name, err)
 			continue
 		}
-		for _, opts := range []callgraph.Options{{}, {EnableICC: true}, {DeclaredDispatchOnly: true}} {
+		for i, opts := range optsList {
 			fg := callgraph.BuildWith(flat, app.Manifest, opts)
-			og := layer.CallGraph(over, app.Manifest, opts)
-			if err := compareGraphs(fg, og); err != nil {
+			if err := compareGraphs(fg, graphs[i]); err != nil {
 				t.Errorf("%s: call graph %+v: %v", tc.name, opts, err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/apimodel"
+	"repro/internal/apk"
 	"repro/internal/baselayer"
 	"repro/internal/checkers"
 	"repro/internal/corpus"
@@ -87,11 +88,13 @@ func TestConcurrentScansShareBase(t *testing.T) {
 }
 
 // TestConcurrentFirstUseOfOneOverlay starts many goroutines on one fresh
-// overlay at once, as the pipeline's parallel stages share theirs (run it
-// under -race): their first LookupMethod, SubtypesOf, IsSubtype and
-// Dispatch calls race to build the overlay's per-class method indexes,
-// its reverse edges and its dispatch memo. Every answer must equal the
-// flat reference, and the shared base's index sizes must be unchanged.
+// overlay of a lazily opened app at once, as the pipeline's parallel
+// stages share theirs (run it under -race): their first LookupMethod,
+// SubtypesOf, IsSubtype and Dispatch calls race to build the overlay's
+// per-class method indexes, its reverse edges and its dispatch memo, and
+// their first Class, OwnClass and Classes calls race to decode the
+// members of the same deferred classes. Every answer must equal the flat
+// reference, and the shared base's index sizes must be unchanged.
 func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 	const goroutines = 8
 	members, err := corpus.GenerateCorpus(2016)
@@ -100,18 +103,41 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 	}
 	app := members[0].App
 	corpus.AddPadding(app, 300)
+	data, err := apk.Encode(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() *jimple.Program {
+		lazy, err := apk.DecodeLazy(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lazy.Program
+	}
 	layer := baselayer.Get()
 	before := snapshot(layer)
+
+	// The reference is a second lazy open, flattened: Merge decodes every
+	// class's members, so it holds the eager program with its bodies
+	// stripped, which the first check below confirms. The two programs
+	// share no pointer, so methods are named by key.
+	refProg := open()
+	flat := flatHierarchy(refProg)
+	for _, c := range app.Program.Classes() {
+		if got, want := classView(refProg.Class(c.Name)), classView(c); got != want {
+			t.Fatalf("lazily opened class differs from the eager one:\nlazy:  %s\neager: %s", got, want)
+		}
+	}
 
 	// The queries: every own class and the types it names, a few base
 	// types, the subsignatures the app declares and calls, and the app's
 	// invokes. Each answer is computed once on the flat reference.
-	flat := flatHierarchy(app.Program)
 	nameSet := map[string]bool{jimple.TypeObject: true, "android.app.Activity": true, "com.unknown.Phantom": true}
+	ownSet := map[string]bool{}
 	subsigSet := map[string]bool{"neverDeclared()void": true}
 	var invokes []jimple.InvokeExpr
 	for _, c := range app.Program.Classes() {
-		nameSet[c.Name] = true
+		nameSet[c.Name], ownSet[c.Name] = true, true
 		if c.Super != "" {
 			nameSet[c.Super] = true
 		}
@@ -133,12 +159,29 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 		desc string
 		ask  func(h *hierarchy.Hierarchy) string
 	}
-	var queries []query
+	queries := []query{{"Classes()", func(h *hierarchy.Hierarchy) string {
+		var out []string
+		for _, c := range h.Program().Classes() {
+			out = append(out, classView(c))
+		}
+		return strings.Join(out, "\n")
+	}}}
 	supers := []string{jimple.TypeObject, "android.app.Activity", "java.lang.Runnable", app.Program.Classes()[0].Name}
 	for _, a := range names {
 		queries = append(queries, query{"SubtypesOf(" + a + ")", func(h *hierarchy.Hierarchy) string {
 			return fmt.Sprint(h.SubtypesOf(a))
+		}}, query{"Class(" + a + ")", func(h *hierarchy.Hierarchy) string {
+			return classView(h.Program().Class(a))
 		}})
+		if ownSet[a] {
+			queries = append(queries, query{"OwnClass(" + a + ")", func(h *hierarchy.Hierarchy) string {
+				if h.Base() == nil {
+					// The flat reference has no own layer: every class is its own.
+					return classView(h.Program().Class(a))
+				}
+				return classView(h.Program().OwnClass(a))
+			}})
+		}
 		for _, b := range supers {
 			queries = append(queries, query{"IsSubtype(" + a + ", " + b + ")", func(h *hierarchy.Hierarchy) string {
 				return fmt.Sprint(h.IsSubtype(a, b))
@@ -146,7 +189,7 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 		}
 		for _, s := range subsigs {
 			queries = append(queries, query{"LookupMethod(" + a + ", " + s + ")", func(h *hierarchy.Hierarchy) string {
-				return fmt.Sprintf("%p", h.LookupMethod(a, s))
+				return methodView(h.LookupMethod(a, s))
 			}})
 		}
 	}
@@ -154,7 +197,7 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 		queries = append(queries, query{"Dispatch(" + inv.Callee.Key() + ")", func(h *hierarchy.Hierarchy) string {
 			var out []string
 			for _, m := range h.Dispatch(inv) {
-				out = append(out, fmt.Sprintf("%p", m))
+				out = append(out, methodView(m))
 			}
 			return strings.Join(out, " ")
 		}})
@@ -164,7 +207,7 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 		want[i] = q.ask(flat)
 	}
 
-	over := layer.Overlay(app.Program)
+	over := layer.Overlay(open())
 	start := make(chan struct{})
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup
@@ -195,4 +238,28 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 	if after := snapshot(layer); after != before {
 		t.Errorf("shared base changed under concurrent first use: %+v -> %+v", before, after)
 	}
+}
+
+// classView renders a class's header and members, bodies left out.
+func classView(c *jimple.Class) string {
+	if c == nil {
+		return "<nil>"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s extends %q implements %v iface=%t abstract=%t;", c.Name, c.Super, c.Interfaces, c.IsIface, c.Abstract)
+	for _, f := range c.Fields {
+		fmt.Fprintf(&b, " field %s %s static=%t;", f.Type, f.Name, f.Static)
+	}
+	for _, m := range c.Methods {
+		b.WriteString(" " + methodView(m) + ";")
+	}
+	return b.String()
+}
+
+// methodView renders a method's header, its body left out.
+func methodView(m *jimple.Method) string {
+	if m == nil {
+		return "<nil>"
+	}
+	return fmt.Sprintf("%s static=%t abstract=%t", m.Sig.Key(), m.Static, m.Abstract)
 }

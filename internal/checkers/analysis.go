@@ -457,7 +457,7 @@ func (a *analysis) collectAppMethods() []*jimple.Method {
 	for _, slot := range a.demanded {
 		lo, hi := x.ClassRecords(slot)
 		for i := lo; i < hi; i++ {
-			out = append(out, x.Records()[i].Method)
+			out = append(out, x.Method(i))
 			keys = append(keys, x.Key(i))
 		}
 	}

@@ -160,7 +160,7 @@ func computeTargetedClosure(x *dex.Index, reg *apimodel.Registry, man *android.M
 	for name := range tab.ownNames {
 		if k, ok := x.NameID(name); ok {
 			for _, i := range x.Declarers(k) {
-				recSub[i] = intern.SubSigKey(recs[i].Method.Sig)
+				recSub[i] = intern.SubSigKey(x.MethodSig(i))
 			}
 		}
 	}

@@ -22,9 +22,6 @@ type decoder struct {
 	data []byte
 	pos  int
 	pool []string
-	// text is data converted to a string once; pool strings are slices
-	// of it rather than one allocation each.
-	text string
 	// params is the shared backing store of decoded signatures' Params
 	// and classes' Interfaces: each gets a full slice expression of it, so
 	// an append by a later owner copies instead of clobbering a neighbour.
@@ -36,11 +33,10 @@ type decoder struct {
 	methodPtrs slab[*jimple.Method]
 	fields     slab[jimple.Field]
 	fieldPtrs  slab[*jimple.Field]
-	// lastName is the pool index of the method name sig last read.
-	lastName int32
-	// lazy, when non-nil, switches method bodies to the skim path: the
-	// same bytes are parsed with the same validation, but no statement
-	// objects are built — only the span and the skim record are kept.
+	// lazy, when non-nil, switches class members to the skim path: the
+	// same bytes are parsed with the same validation, but no field,
+	// method or statement objects are built — only offsets and the skim
+	// records are kept.
 	lazy *lazyBuild
 }
 
@@ -83,14 +79,21 @@ func (d *decoder) run() (*jimple.Program, error) {
 	if nstr > uint64(len(d.data)) {
 		return nil, fmt.Errorf("string pool count %d exceeds input size", nstr)
 	}
+	// Pool strings are slices of one string conversion of the pool's
+	// bytes rather than one allocation each: a first pass finds where the
+	// pool ends.
 	d.pool = make([]string, nstr)
-	d.text = string(d.data)
-	for i := range d.pool {
-		s, err := d.str()
-		if err != nil {
+	start := d.pos
+	for range d.pool {
+		if _, err := d.skipStr(); err != nil {
 			return nil, err
 		}
-		d.pool[i] = s
+	}
+	text := string(d.data[start:d.pos])
+	d.pos = start
+	for i := range d.pool {
+		n, _ := d.skipStr() // the first pass checked it
+		d.pool[i] = text[d.pos-n-start : d.pos-start]
 	}
 	nclass, err := d.u64()
 	if err != nil {
@@ -99,18 +102,26 @@ func (d *decoder) run() (*jimple.Program, error) {
 	if nclass > uint64(len(d.data)) {
 		return nil, fmt.Errorf("class count %d exceeds input size", nclass)
 	}
-	prog := jimple.NewProgram()
+	var prog *jimple.Program
+	if d.lazy != nil {
+		// A class is at least name, superclass, flags and three counts:
+		// six bytes.
+		n := d.hint(int(nclass), 6)
+		prog = jimple.NewDeferredProgram(n, d.lazy.l.fill)
+		d.lazy.l.members = make([]classMembers, 0, n)
+	} else {
+		prog = jimple.NewProgram()
+	}
 	for i := uint64(0); i < nclass; i++ {
 		c, err := d.class()
 		if err != nil {
 			return nil, err
 		}
-		if d.lazy != nil && prog.Class(c.Name) != nil {
-			// The later class replaces the earlier one; its skim records
-			// are dropped once the container has parsed.
-			d.lazy.replaced = true
+		if d.lazy != nil {
+			prog.AddDeferred(c, int32(i))
+		} else {
+			prog.AddClass(c)
 		}
-		prog.AddClass(c)
 	}
 	if d.pos != len(d.data) {
 		return nil, fmt.Errorf("%d trailing bytes", len(d.data)-d.pos)
@@ -156,17 +167,17 @@ func (d *decoder) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *decoder) str() (string, error) {
+// skipStr steps over a length-prefixed string, returning its length.
+func (d *decoder) skipStr() (int, error) {
 	n, err := d.u64()
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	if uint64(d.pos)+n > uint64(len(d.data)) {
-		return "", fmt.Errorf("truncated string of length %d", n)
+		return 0, fmt.Errorf("truncated string of length %d", n)
 	}
-	s := d.text[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s, nil
+	return int(n), nil
 }
 
 // refIdx reads a string-pool index, range-checked.
@@ -198,37 +209,81 @@ func (d *decoder) hint(n, minBytes int) int {
 
 func (d *decoder) class() (*jimple.Class, error) {
 	c := &d.classes.take(1)[0]
-	var err error
-	if c.Name, err = d.ref(); err != nil {
+	at := d.pos
+	if err := d.classHeader(c); err != nil {
 		return nil, err
 	}
-	if c.Super, err = d.ref(); err != nil {
+	if d.lazy != nil {
+		return c, d.skimMembers(c, at)
+	}
+	if err := d.fieldSection(c); err != nil {
 		return nil, err
+	}
+	nm, err := d.count("method")
+	if err != nil {
+		return nil, err
+	}
+	var methods []jimple.Method
+	if nm > 0 {
+		// A method is at least class, name, param count, return type and
+		// flags: five bytes.
+		methods = d.methods.take(d.hint(nm, 5))
+		c.Methods = d.methodPtrs.take(len(methods))[:0]
+	}
+	for i := 0; i < nm; i++ {
+		var m *jimple.Method
+		if i < len(methods) {
+			m = &methods[i]
+		} else {
+			m = new(jimple.Method)
+		}
+		if err := d.method(m); err != nil {
+			return nil, err
+		}
+		c.Methods = append(c.Methods, m)
+	}
+	return c, nil
+}
+
+// classHeader decodes a class's name, superclass, flags and interfaces
+// into c.
+func (d *decoder) classHeader(c *jimple.Class) error {
+	var err error
+	if c.Name, err = d.ref(); err != nil {
+		return err
+	}
+	if c.Super, err = d.ref(); err != nil {
+		return err
 	}
 	flags, err := d.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.IsIface = flags&flagIface != 0
 	c.Abstract = flags&flagAbstract != 0
 	nif, err := d.count("interface")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lo := len(d.params)
 	for i := 0; i < nif; i++ {
 		s, err := d.ref()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.params = append(d.params, s)
 	}
 	if nif > 0 {
 		c.Interfaces = d.params[lo:len(d.params):len(d.params)]
 	}
+	return nil
+}
+
+// fieldSection decodes a class's field count and fields into c.
+func (d *decoder) fieldSection(c *jimple.Class) error {
 	nf, err := d.count("field")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var fields []jimple.Field
 	if nf > 0 {
@@ -244,48 +299,19 @@ func (d *decoder) class() (*jimple.Class, error) {
 			f = new(jimple.Field)
 		}
 		if f.Name, err = d.ref(); err != nil {
-			return nil, err
+			return err
 		}
 		if f.Type, err = d.ref(); err != nil {
-			return nil, err
+			return err
 		}
 		ff, err := d.byte()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		f.Static = ff&fflagStatic != 0
 		c.Fields = append(c.Fields, f)
 	}
-	nm, err := d.count("method")
-	if err != nil {
-		return nil, err
-	}
-	var methods []jimple.Method
-	if nm > 0 {
-		// A method is at least class, name, param count, return type and
-		// flags: five bytes.
-		methods = d.methods.take(d.hint(nm, 5))
-		c.Methods = d.methodPtrs.take(len(methods))[:0]
-	}
-	if d.lazy != nil {
-		d.lazy.beginClass()
-	}
-	for i := 0; i < nm; i++ {
-		var m *jimple.Method
-		if i < len(methods) {
-			m = &methods[i]
-		} else {
-			m = new(jimple.Method)
-		}
-		if err := d.method(m); err != nil {
-			return nil, err
-		}
-		c.Methods = append(c.Methods, m)
-	}
-	if d.lazy != nil {
-		d.lazy.endClass(c)
-	}
-	return c, nil
+	return nil
 }
 
 func (d *decoder) sig() (jimple.Sig, error) {
@@ -294,11 +320,9 @@ func (d *decoder) sig() (jimple.Sig, error) {
 	if s.Class, err = d.ref(); err != nil {
 		return s, err
 	}
-	name, err := d.refIdx()
-	if err != nil {
+	if s.Name, err = d.ref(); err != nil {
 		return s, err
 	}
-	s.Name, d.lastName = d.pool[name], name
 	np, err := d.count("param")
 	if err != nil {
 		return s, err
@@ -320,41 +344,52 @@ func (d *decoder) sig() (jimple.Sig, error) {
 	return s, nil
 }
 
-// method decodes one method header, and its body unless the decoder is
-// skimming, into m.
+// method decodes one method, header and body, into m.
 func (d *decoder) method(m *jimple.Method) error {
-	var err error
-	if m.Sig, err = d.sig(); err != nil {
+	bodied, err := d.methodHeader(m)
+	if err != nil || !bodied {
 		return err
 	}
-	name := d.lastName
+	return d.body(m)
+}
+
+// methodHeader decodes a method's signature and flags into m, leaving d
+// at its body section; bodied reports whether one follows. A method
+// without one is abstract.
+func (d *decoder) methodHeader(m *jimple.Method) (bodied bool, err error) {
+	if m.Sig, err = d.sig(); err != nil {
+		return false, err
+	}
 	flags, err := d.byte()
 	if err != nil {
-		return err
+		return false, err
 	}
 	m.Static = flags&mflagStatic != 0
 	m.Abstract = flags&mflagAbstract != 0
 	if flags&mflagHasBody == 0 {
 		m.Abstract = true
-		return nil
+		return false, nil
 	}
 	if m.Abstract {
-		// The encoder never emits both flags: an abstract method carrying
-		// a body is malformed input, not a representable program
-		// (fuzz-found canonicality break).
-		return fmt.Errorf("method %s: abstract flag with body", m.Sig.Key())
+		return false, errAbstractBody(m.Sig)
 	}
-	if d.lazy != nil {
-		return d.lazyBody(m, name)
-	}
-	return d.body(m)
+	return true, nil
+}
+
+// errAbstractBody is the error for a method flagged both abstract and
+// bodied. The encoder never emits both flags: such a method is malformed
+// input, not a representable program (fuzz-found canonicality break).
+func errAbstractBody(sig jimple.Sig) error {
+	return fmt.Errorf("method %s: abstract flag with body", sig.Key())
 }
 
 // body decodes the encoded body section — locals, statements, traps, and
 // the empty-body normalization — into m. It is the single decoder core
 // shared by the eager path (method) and the lazy path (lazy.go), which
 // skims it once for call records and re-runs it on demand to materialize
-// a class; sharing it is what makes the two paths bit-identical.
+// a class; sharing it is what makes the two paths bit-identical. The
+// headers are shared the same way: the lazy path fills a class's members
+// with fieldSection and methodHeader.
 func (d *decoder) body(m *jimple.Method) error {
 	nl, err := d.count("local")
 	if err != nil {

@@ -12,7 +12,8 @@ import (
 // decoded program (IndexOf), and the two builds of the same bytes agree.
 //
 // Everything is stored flat and by integer id, so building it costs a
-// handful of allocations however many methods the app has:
+// handful of allocations however many methods the app has, and the
+// records, calls and indices hold no pointer for the collector to scan:
 //
 //   - records: one MethodRef per body-bearing method, grouped by class;
 //   - calls: every record's top-level call sites, in statement order, in
@@ -26,9 +27,11 @@ import (
 //     lookup; and the declarer index: name id → the records declaring a
 //     method of that name, the forward rule's lookup.
 //
-// Method keys are rendered only on demand (Key), so an app whose closure
-// is small pays for few strings. Index is not safe for concurrent use:
-// Key caches its renderings.
+// Method keys and signatures are rendered only on demand (Key,
+// MethodSig), and a record's method is resolved through the program
+// (Method), so an app whose closure is small pays for few strings and
+// decodes few classes' members. Index is not safe for concurrent use: Key
+// caches its renderings.
 type Index struct {
 	recs    []MethodRef
 	keys    []string         // Key's renderings, allocated on first use
@@ -43,20 +46,23 @@ type Index struct {
 	src  []byte
 	pool []string
 	sigs []jimple.Sig
+	// methods holds IndexOf's decoded method of each record; a skim
+	// resolves a record's method through prog instead.
+	methods []*jimple.Method
+	prog    *jimple.Program
 }
 
-// MethodRef is the skim record of one body-bearing method.
+// MethodRef is the skim record of one body-bearing method. It is plain
+// integers: the method's signature and the method itself are reached
+// through the index (MethodSig, Method).
 type MethodRef struct {
-	// Method is the method the record describes: a bodiless skeleton
-	// until its class is materialized (lazy), or the decoded method
-	// (IndexOf).
-	Method *jimple.Method
-	// Name is the name id of Method.Sig.Name.
+	// Name is the name id of the method's name.
 	Name int32
 	// Class is the slot of the record's class among the index's bodied
 	// classes (ClassName, ClassRecords).
 	Class   int32
-	start   int32 // lazy: offset of the encoded body section
+	ord     int32 // the method's position in its class's Methods
+	hdr     int32 // lazy: offset of the encoded method header
 	calls   span
 	intents span
 	locals  span // lazy: local-type pool ids of the body
@@ -74,10 +80,12 @@ type Call struct {
 
 type span struct{ lo, hi int32 }
 
-// classSpan is one bodied class and the contiguous run of its records.
+// classSpan is one bodied class and the contiguous run of its records;
+// ord is the class's position among all the program's classes, in
+// container order (lazy) or name order (IndexOf).
 type classSpan struct {
-	name   string
-	lo, hi int32
+	name        string
+	lo, hi, ord int32
 }
 
 // csr is a compressed adjacency list: the ids of key k are
@@ -99,17 +107,18 @@ func IndexOf(p *jimple.Program) *Index {
 			}
 		}
 	}
-	x := &Index{recs: make([]MethodRef, 0, n), nameIDs: make(map[string]int32)}
-	for _, c := range classes {
+	x := &Index{recs: make([]MethodRef, 0, n), methods: make([]*jimple.Method, 0, n), nameIDs: make(map[string]int32)}
+	for ci, c := range classes {
 		lo := len(x.recs)
-		for _, m := range c.Methods {
+		for ord, m := range c.Methods {
 			if m.HasBody() {
-				r := MethodRef{Method: m, Name: x.nameID(m.Sig.Name), Class: int32(len(x.classes))}
+				r := MethodRef{Name: x.nameID(m.Sig.Name), Class: int32(len(x.classes)), ord: int32(ord)}
 				x.addBody(&r, m)
 				x.recs = append(x.recs, r)
+				x.methods = append(x.methods, m)
 			}
 		}
-		x.endClass(c.Name, lo)
+		x.endClass(c.Name, lo, int32(ci))
 	}
 	x.finish()
 	return x
@@ -151,10 +160,11 @@ func (x *Index) addBody(r *MethodRef, m *jimple.Method) {
 	r.calls.hi, r.intents.hi = int32(len(x.calls)), int32(len(x.intents))
 }
 
-// endClass closes the class whose records start at lo, if it has any.
-func (x *Index) endClass(name string, lo int) {
+// endClass closes the class whose records start at lo, if it has any;
+// ord is its position among the program's classes.
+func (x *Index) endClass(name string, lo int, ord int32) {
 	if len(x.recs) > lo {
-		x.classes = append(x.classes, classSpan{name: name, lo: int32(lo), hi: int32(len(x.recs))})
+		x.classes = append(x.classes, classSpan{name: name, lo: int32(lo), hi: int32(len(x.recs)), ord: ord})
 	}
 }
 
@@ -224,9 +234,33 @@ func (x *Index) Key(i int32) string {
 		x.keys = make([]string, len(x.recs))
 	}
 	if x.keys[i] == "" {
-		x.keys[i] = x.recs[i].Method.Sig.Key()
+		x.keys[i] = x.MethodSig(i).Key()
 	}
 	return x.keys[i]
+}
+
+// MethodSig returns the signature of record i's method, decoding it from
+// the container on each use for a skim, without decoding its class's
+// members.
+func (x *Index) MethodSig(i int32) jimple.Sig {
+	if x.methods != nil {
+		return x.methods[i].Sig
+	}
+	// The skim validated the header, so the decode cannot fail.
+	d := decoder{data: x.src, pos: int(x.recs[i].hdr), pool: x.pool}
+	sig, _ := d.sig()
+	return sig
+}
+
+// Method returns record i's method. For a skim it is resolved through
+// the program, which decodes the members of the method's class on first
+// lookup; the method is bodiless until its class is materialized.
+func (x *Index) Method(i int32) *jimple.Method {
+	if x.methods != nil {
+		return x.methods[i]
+	}
+	r := &x.recs[i]
+	return x.prog.OwnClass(x.classes[r.Class].name).Methods[r.ord]
 }
 
 // Calls returns record i's top-level calls, in statement order.

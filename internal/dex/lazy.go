@@ -8,39 +8,61 @@ import (
 )
 
 // This file is the lazy decode fast path every container scan opens with:
-// DecodeLazy parses the container eagerly down to class/field/method
-// headers but retains no method bodies. Each body section is skimmed once
-// to delimit its byte span and fill the Index: the method's record, its
-// top-level calls, the explicit-intent class names and its local types.
-// The skim (skimBody below) walks the same bytes the eager core walks,
-// runs the same validation checks in the same order, but never
-// materializes statement or value objects — the bulk of a cold decode's
-// allocations for bodies the demand closure will never visit. A call is
-// kept as pool ids plus the offset of its encoded signature, and a record
-// as integers, so the skim does constant work per method and builds no
-// string: keys and callee signatures are rendered only for what the
-// closure demands. On any skim rejection the materializing core re-runs
-// over the span, so malformed input fails with the eager path's exact
-// error and offset. Materialize re-runs the eager core over a recorded
-// span to give a demanded class its bodies back, so a fully materialized
-// lazy program is bit-identical to an eager Decode of the same bytes.
+// DecodeLazy parses the container eagerly down to class headers — name,
+// superclass, flags, interfaces — and retains no field, method or body.
+// The member sections are validated with the eager checks in the eager
+// order but built into nothing: the skim keeps where a class's fields
+// start and where each method header sits, in pointer-free slabs, and
+// each body section is skimmed once to delimit its byte span and fill the
+// Index: the method's record, its top-level calls, the explicit-intent
+// class names and its local types. The body skim (skimBody below) walks
+// the same bytes the eager core walks, runs the same validation checks in
+// the same order, but never materializes statement or value objects —
+// the bulk of a cold decode's allocations for bodies the demand closure
+// will never visit. A call is kept as pool ids plus the offset of its
+// encoded signature, and a record as integers, so the skim does constant
+// work per method and builds no string: keys and signatures are rendered
+// only for what the closure demands. On any skim rejection the
+// materializing core re-runs over the span, so malformed input fails with
+// the eager path's exact error and offset.
+//
+// A class's fields and method headers are decoded, with the eager
+// readers, the first time a program lookup returns the class (fill), and
+// Materialize re-runs the eager core over a recorded span to give a
+// demanded class its bodies back, so a fully materialized lazy program is
+// bit-identical to an eager Decode of the same bytes.
 
-// Lazy is a lazily decoded program: full headers, no bodies. Methods that
-// had a body in the bytes sit in the skeleton with Abstract=false and
-// Body=nil (HasBody false) until their class is materialized. Lazy is not
-// safe for concurrent mutation; materialize before sharing the program.
+// Lazy is a lazily decoded program: class headers, members decoded on
+// first lookup, no bodies. Methods that had a body in the bytes sit in
+// their class with Abstract=false and Body=nil (HasBody false) until the
+// class is materialized. Lookups may run concurrently (the program fills
+// members under a lock), but Materialize may not: materialize before
+// sharing the program.
 type Lazy struct {
-	prog *jimple.Program
-	idx  *Index
+	idx *Index
 	// locals holds the local-type pool ids of every recorded body;
 	// MethodRef.locals spans into it.
-	locals       []int32
+	locals []int32
+	// members locates the member sections of each class, by its position
+	// in the container: the slot the program defers the class under.
+	members []classMembers
+	// hdrs holds the offset of every method header, class by class, in
+	// declaration order. A has-body method whose body holds no statement
+	// (normalized to abstract) is stored as ^offset.
+	hdrs         []int32
 	materialized []bool // by class slot
 	// fallbacks counts bodies the skim rejected but the materializing
 	// core accepted (a skim bug); their records come from the decoded
 	// body instead.
 	fallbacks int
+	// filler decodes members for fill. The program runs fill under its
+	// member lock, so one decoder, and its slabs, serves every class.
+	filler decoder
 }
+
+// classMembers locates one class in the container: its header, its field
+// section, and its method headers hdrs[mlo:mhi].
+type classMembers struct{ at, fields, mlo, mhi int32 }
 
 // lazyBuild is the skim's state while the container parses.
 type lazyBuild struct {
@@ -48,8 +70,6 @@ type lazyBuild struct {
 	// poolName caches the name id of a pool index (id+1; 0 = not yet
 	// looked up), so a method name is hashed once per pool entry.
 	poolName []int32
-	classLo  int // first record of the class being decoded
-	replaced bool
 	// localScratch holds the local-type pool ids of the body being
 	// skimmed.
 	localScratch []int32
@@ -60,24 +80,21 @@ type lazyBuild struct {
 // eager decoder core statement for statement.
 func DecodeLazy(data []byte) (*Lazy, error) {
 	l := &Lazy{idx: &Index{src: data, nameIDs: make(map[string]int32)}}
-	b := &lazyBuild{l: l}
-	d := &decoder{data: data, lazy: b}
+	d := &decoder{data: data, lazy: &lazyBuild{l: l}}
 	prog, err := d.run()
 	if err != nil {
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
-	l.prog, l.idx.pool = prog, d.pool
-	if b.replaced {
+	l.idx.prog, l.idx.pool = prog, d.pool
+	l.filler = decoder{data: data, pool: d.pool}
+	if prog.NumClasses() < len(l.members) {
+		// A later class replaced an earlier one of the same name.
 		l.dropReplaced()
 	}
 	l.idx.finish()
 	l.materialized = make([]bool, len(l.idx.classes))
 	return l, nil
 }
-
-func (b *lazyBuild) beginClass() { b.classLo = len(b.l.idx.recs) }
-
-func (b *lazyBuild) endClass(c *jimple.Class) { b.l.idx.endClass(c.Name, b.classLo) }
 
 // nameOf returns the name id of the method name at pool index p.
 func (d *decoder) nameOf(p int32) int32 {
@@ -98,10 +115,17 @@ func (d *decoder) nameOf(p int32) int32 {
 // index describes exactly the decoded program.
 func (l *Lazy) dropReplaced() {
 	x := l.idx
+	last := make(map[string]int32, len(l.members))
+	d := decoder{data: x.src, pool: x.pool}
+	for i, cm := range l.members {
+		d.pos = int(cm.at)
+		name, _ := d.ref() // the skim validated it
+		last[name] = int32(i)
+	}
 	kept := x.classes[:0]
 	recs := make([]MethodRef, 0, len(x.recs))
 	for _, c := range x.classes {
-		if !owns(l.prog.Class(c.name), x.recs[c.lo].Method) {
+		if last[c.name] != c.ord {
 			continue
 		}
 		lo := int32(len(recs))
@@ -109,24 +133,44 @@ func (l *Lazy) dropReplaced() {
 			r.Class = int32(len(kept))
 			recs = append(recs, r)
 		}
-		kept = append(kept, classSpan{name: c.name, lo: lo, hi: int32(len(recs))})
+		c.lo, c.hi = lo, int32(len(recs))
+		kept = append(kept, c)
 	}
 	x.classes, x.recs = kept, recs
 }
 
-// owns reports whether m is one of c's methods.
-func owns(c *jimple.Class, m *jimple.Method) bool {
-	for _, cm := range c.Methods {
-		if cm == m {
-			return true
+// fill decodes the fields and method headers of the class deferred under
+// slot into c, with the eager readers. The program calls it once per
+// class, under its member lock. The skim validated these bytes, so an
+// error means they changed underneath.
+func (l *Lazy) fill(c *jimple.Class, slot int32) {
+	cm := l.members[slot]
+	d := &l.filler
+	d.pos = int(cm.fields)
+	err := d.fieldSection(c)
+	if hdrs := l.hdrs[cm.mlo:cm.mhi]; err == nil && len(hdrs) > 0 {
+		methods := d.methods.take(len(hdrs))
+		c.Methods = d.methodPtrs.take(len(hdrs))
+		for i, at := range hdrs {
+			m := &methods[i]
+			d.pos = int(max(at, ^at))
+			if _, err = d.methodHeader(m); err != nil {
+				break
+			}
+			// The empty-body normalization, as the skim saw it.
+			m.Abstract = m.Abstract || at < 0
+			c.Methods[i] = m
 		}
 	}
-	return false
+	if err != nil {
+		panic(fmt.Sprintf("dex: decoding the members of %s: %v", c.Name, err))
+	}
 }
 
-// Program returns the skeleton program. Materialize mutates it in place;
-// after MaterializeAll it is bit-identical to an eager Decode.
-func (l *Lazy) Program() *jimple.Program { return l.prog }
+// Program returns the program. Its classes' members are decoded on first
+// lookup, and Materialize adds bodies in place; after MaterializeAll it
+// is bit-identical to an eager Decode.
+func (l *Lazy) Program() *jimple.Program { return l.idx.prog }
 
 // Index returns the skim index of the body-bearing methods.
 func (l *Lazy) Index() *Index { return l.idx }
@@ -137,10 +181,11 @@ func (l *Lazy) NumBodiedClasses() int { return len(l.idx.classes) }
 
 // EachRefClass calls fn on every class name the program references
 // (supertypes, interfaces, invoked classes, local types) — what
-// apimodel.LibsUsedByRefs resolves, computed without retained bodies.
-// The skim keeps invoked classes and local types as pool ids, and each
-// distinct id is passed once; a name may still repeat (a supertype, or a
-// string the pool holds twice), and "" may appear for a root class.
+// apimodel.LibsUsedByRefs resolves, computed without retained bodies or
+// decoded members. The skim keeps invoked classes and local types as pool
+// ids, and each distinct id is passed once; a name may still repeat (a
+// supertype, or a string the pool holds twice), and "" may appear for a
+// root class.
 func (l *Lazy) EachRefClass(fn func(string)) {
 	x := l.idx
 	seen := make([]bool, len(x.pool))
@@ -163,7 +208,7 @@ func (l *Lazy) EachRefClass(fn func(string)) {
 			note(t)
 		}
 	}
-	l.prog.EachOwnClass(func(c *jimple.Class) {
+	x.prog.EachOwnHeader(func(c *jimple.Class) {
 		fn(c.Super)
 		for _, i := range c.Interfaces {
 			fn(i)
@@ -172,20 +217,30 @@ func (l *Lazy) EachRefClass(fn func(string)) {
 }
 
 // Materialize decodes the retained body spans of one class into the
-// skeleton, idempotently. The spans were fully skimmed at DecodeLazy
+// program, idempotently. The spans were fully skimmed at DecodeLazy
 // time, so an error here means the underlying bytes changed — callers may
 // treat it as impossible for data they own.
 func (l *Lazy) Materialize(class string) error {
-	slot, ok := l.idx.ClassSlot(class)
+	x := l.idx
+	slot, ok := x.ClassSlot(class)
 	if !ok || l.materialized[slot] {
 		return nil
 	}
 	l.materialized[slot] = true
-	c := l.idx.classes[slot]
-	d := &decoder{data: l.idx.src, pool: l.idx.pool}
-	for _, r := range l.idx.recs[c.lo:c.hi] {
-		d.pos = int(r.start)
-		if err := d.body(r.Method); err != nil {
+	c := x.classes[slot]
+	methods := x.prog.OwnClass(class).Methods
+	d := &decoder{data: x.src, pool: x.pool}
+	for _, r := range x.recs[c.lo:c.hi] {
+		// Step over the header, signature and flags, to the body.
+		d.pos = int(r.hdr)
+		_, _, err := d.skimSig()
+		if err == nil {
+			_, err = d.byte()
+		}
+		if err == nil {
+			err = d.body(methods[r.ord])
+		}
+		if err != nil {
 			return fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 		}
 	}
@@ -204,16 +259,94 @@ func (l *Lazy) MaterializeAll() error {
 	return nil
 }
 
-// lazyBody is the decoder hook for the skim: it parses the body span
-// without materializing statements, appends the method's record to the
-// index, and leaves m bodiless. name is the pool index of m's name.
-func (d *decoder) lazyBody(m *jimple.Method, name int32) error {
+// skimMembers validates the field and method sections of class c, whose
+// header starts at offset at, with the eager checks in the eager order,
+// building nothing: it records where the sections are, and the skim
+// record of each bodied method.
+func (d *decoder) skimMembers(c *jimple.Class, at int) error {
+	l := d.lazy.l
+	cm := classMembers{at: int32(at), fields: int32(d.pos)}
+	nf, err := d.count("field")
+	if err != nil {
+		return err
+	}
+	for i := 0; i < nf; i++ {
+		for j := 0; j < 2; j++ { // name, type
+			if _, err := d.refIdx(); err != nil {
+				return err
+			}
+		}
+		if _, err := d.byte(); err != nil { // flags
+			return err
+		}
+	}
+	nm, err := d.count("method")
+	if err != nil {
+		return err
+	}
+	cm.mlo = int32(len(l.hdrs))
+	recLo := len(l.idx.recs)
+	for ord := 0; ord < nm; ord++ {
+		if err := d.skimMethod(int32(ord)); err != nil {
+			return err
+		}
+	}
+	cm.mhi = int32(len(l.hdrs))
+	l.idx.endClass(c.Name, recLo, int32(len(l.members)))
+	l.members = append(l.members, cm)
+	return nil
+}
+
+// skimMethod validates one method, header then body, with the eager
+// checks in the eager order: it records the header's offset and, for a
+// bodied method, its skim record. ord is the method's position in its
+// class.
+func (d *decoder) skimMethod(ord int32) error {
+	l := d.lazy.l
+	at := d.pos
+	_, name, err := d.skimSig()
+	if err != nil {
+		return err
+	}
+	flags, err := d.byte()
+	if err != nil {
+		return err
+	}
+	hdr := int32(at)
+	if flags&mflagHasBody != 0 {
+		if flags&mflagAbstract != 0 {
+			// The eager error names the method: decode its signature on
+			// this path only.
+			end := d.pos
+			d.pos = at
+			sig, _ := d.sig()
+			d.pos = end
+			return errAbstractBody(sig)
+		}
+		empty, err := d.lazyBody(name, ord, hdr)
+		if err != nil {
+			return err
+		}
+		if empty {
+			hdr = ^hdr
+		}
+	}
+	l.hdrs = append(l.hdrs, hdr)
+	return nil
+}
+
+// lazyBody skims the body section at d.pos without materializing
+// statements and appends the method's record to the index. name is the
+// pool index of the method's name, ord its position in its class and hdr
+// the offset of its header. empty reports the empty-body normalization:
+// the body holds no statement, and the method is abstract.
+func (d *decoder) lazyBody(name, ord, hdr int32) (empty bool, err error) {
 	b := d.lazy
 	l, x := b.l, b.l.idx
 	start := d.pos
-	r := MethodRef{Method: m, Name: d.nameOf(name), Class: int32(len(x.classes)), start: int32(start)}
+	r := MethodRef{Name: d.nameOf(name), Class: int32(len(x.classes)), ord: ord, hdr: hdr}
 	r.calls.lo, r.intents.lo, r.locals.lo = int32(len(x.calls)), int32(len(x.intents)), int32(len(l.locals))
-	empty, err := d.skimBody()
+	empty, err = d.skimBody()
 	if err != nil {
 		// Re-run the materializing core over the same span: malformed input
 		// fails with the eager path's exact error and offset, and a span the
@@ -222,9 +355,9 @@ func (d *decoder) lazyBody(m *jimple.Method, name int32) error {
 		// paths cannot drift.
 		x.calls, x.intents, l.locals = x.calls[:r.calls.lo], x.intents[:r.intents.lo], l.locals[:r.locals.lo]
 		d.pos = start
-		tmp := jimple.Method{Sig: m.Sig, Static: m.Static}
+		var tmp jimple.Method
 		if coreErr := d.body(&tmp); coreErr != nil {
-			return coreErr
+			return false, coreErr
 		}
 		l.fallbacks++
 		empty = !tmp.HasBody()
@@ -236,14 +369,11 @@ func (d *decoder) lazyBody(m *jimple.Method, name int32) error {
 		}
 	}
 	if empty {
-		// Empty-body normalization, mirrored onto the skeleton: nothing to
-		// materialize later.
-		m.Abstract = true
-		return nil
+		return true, nil
 	}
 	r.calls.hi, r.intents.hi, r.locals.hi = int32(len(x.calls)), int32(len(x.intents)), int32(len(l.locals))
 	x.recs = append(x.recs, r)
-	return nil
+	return false, nil
 }
 
 // errSkimReject marks a structural check the skim cannot phrase exactly

@@ -2,8 +2,10 @@ package dex_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +49,64 @@ func lazySample(t *testing.T) *jimple.Program {
 	return jimple.MustParse(lazySampleSrc)
 }
 
+// membersSample is lazySample plus a class with fields, an interface and
+// only bodiless methods, one of which carries a body section with no
+// statement: the encoding flags it has-body, and both decoders normalize
+// it to abstract. The parser cannot express that method, so it is added
+// by hand.
+func membersSample(t testing.TB) *jimple.Program {
+	t.Helper()
+	p := jimple.MustParse(lazySampleSrc + `
+class com.app.Model extends java.lang.Object implements java.io.Serializable {
+  field count int
+  field static label java.lang.String
+  method abstract size()int
+}`)
+	p.Class("com.app.Model").AddMethod(&jimple.Method{
+		Sig:    jimple.Sig{Name: "reset", Params: []string{"int"}, Ret: "void"},
+		Static: true,
+		Body:   []jimple.Stmt{},
+	})
+	return p
+}
+
+// headerView renders a class's header and members, bodies left out: what
+// a lookup in a lazily opened program must agree on with the eager
+// decode.
+func headerView(c *jimple.Class) string {
+	if c == nil {
+		return "<nil>"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s extends %q implements %v iface=%t abstract=%t;", c.Name, c.Super, c.Interfaces, c.IsIface, c.Abstract)
+	for _, f := range c.Fields {
+		fmt.Fprintf(&b, " field %s %s static=%t;", f.Type, f.Name, f.Static)
+	}
+	for _, m := range c.Methods {
+		fmt.Fprintf(&b, " method %s static=%t abstract=%t;", m.Sig.Key(), m.Static, m.Abstract)
+	}
+	return b.String()
+}
+
+// checkLookupsMatchEager looks every class of eager up in l's program,
+// the first lookup of each: every class must still have its members
+// deferred until then, and the lookup must return the eager class with
+// its bodies left out.
+func checkLookupsMatchEager(t *testing.T, l *dex.Lazy, eager *jimple.Program) {
+	t.Helper()
+	p := l.Program()
+	p.EachOwnHeader(func(c *jimple.Class) {
+		if !c.MembersDeferred() {
+			t.Fatalf("%s: members decoded before any lookup", c.Name)
+		}
+	})
+	for _, want := range eager.Classes() {
+		if got := p.Class(want.Name); headerView(got) != headerView(want) {
+			t.Fatalf("lookup differs from the eager class:\nlazy:  %s\neager: %s", headerView(got), headerView(want))
+		}
+	}
+}
+
 // TestLazyMaterializeAllMatchesEagerDecode: a fully materialized lazy
 // program is text-identical to an eager decode of the same bytes, over
 // the generated corpus.
@@ -74,18 +134,27 @@ func TestLazyMaterializeAllMatchesEagerDecode(t *testing.T) {
 	}
 }
 
-// TestLazySkeletonHasNoBodies: before materialization every method is
-// bodiless, classes materialize independently and idempotently, and the
-// class/field/method headers are complete.
+// TestLazySkeletonHasNoBodies: a class's members are decoded on its first
+// lookup and equal the eager decode's, bodies left out; before
+// materialization every method is bodiless, and classes materialize
+// independently and idempotently.
 func TestLazySkeletonHasNoBodies(t *testing.T) {
-	data := dex.Encode(lazySample(t))
+	data := dex.Encode(membersSample(t))
 	l, err := dex.DecodeLazy(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eager, err := dex.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := l.Program()
-	if p.NumClasses() != 2 {
-		t.Fatalf("skeleton has %d classes, want 2", p.NumClasses())
+	if p.NumClasses() != 3 {
+		t.Fatalf("skeleton has %d classes, want 3", p.NumClasses())
+	}
+	checkLookupsMatchEager(t, l, eager)
+	if m := p.Class("com.app.Model").MethodNamed("reset"); !m.Abstract || !m.Static {
+		t.Fatalf("empty-body method decoded as %+v, want static and abstract", m)
 	}
 	for _, c := range p.Classes() {
 		for _, m := range c.Methods {
@@ -130,7 +199,7 @@ func indexView(x *dex.Index) []refView {
 		lo, hi := x.ClassRecords(slot)
 		for i := lo; i < hi; i++ {
 			r := x.Records()[i]
-			v := refView{Key: x.Key(i), Name: r.Method.Sig.Name, Class: x.ClassName(r.Class)}
+			v := refView{Key: x.Key(i), Name: x.MethodSig(i).Name, Class: x.ClassName(r.Class)}
 			for _, c := range x.Calls(i) {
 				v.Calls = append(v.Calls, x.Sig(c))
 			}
@@ -411,9 +480,11 @@ func FuzzTargetSiteSearch(f *testing.F) {
 // FuzzLazyIndex drives the skim index against the eager decoder: on any
 // input Decode accepts, the lazy records (keys rendered) equal those
 // derived from the eager program's bodies, every caller- and
-// declarer-index lookup equals a linear scan over those records, and
-// the referenced classes EachRefClass enumerates (collected by the test
-// helper RefClasses) equal the eager referenced-class set.
+// declarer-index lookup equals a linear scan over those records, the
+// referenced classes EachRefClass enumerates (collected by the test
+// helper RefClasses) equal the eager referenced-class set, none of which
+// decodes a class's members, and then a lookup of each class returns the
+// eager class with its bodies left out.
 func FuzzLazyIndex(f *testing.F) {
 	apps, err := corpus.GenerateCorpus(7)
 	if err != nil {
@@ -435,6 +506,22 @@ func FuzzLazyIndex(f *testing.F) {
 	// names by string, not by pool index.
 	f.Add(bytes.ReplaceAll(every, []byte("t.Other"), []byte("t.Every")))
 	f.Add(dex.Encode(jimple.MustParse(lazySampleSrc)))
+	// Fields, an interface and a has-body method with no statement.
+	f.Add(dex.Encode(membersSample(f)))
+	// A repeated class name whose later copy has no bodied method:
+	// t.Later sorts after t.First and is renamed to it in the pool, so
+	// the bodied t.First is replaced and its records must all go.
+	repeated := dex.Encode(jimple.MustParse(`class t.First extends java.lang.Object {
+  method run()void {
+    staticinvoke t.First.run()void
+    return
+  }
+}
+class t.Later extends java.lang.Object {
+  field n int
+  method abstract run()void
+}`))
+	f.Add(bytes.ReplaceAll(repeated, []byte("t.Later"), []byte("t.First")))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, lazyErr := dex.DecodeLazy(data)
@@ -495,5 +582,6 @@ func FuzzLazyIndex(f *testing.F) {
 		if got, want := l.RefClasses(), eagerRefClasses(eager); (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
 			t.Fatalf("RefClasses = %v, eager %v", got, want)
 		}
+		checkLookupsMatchEager(t, l, eager)
 	})
 }

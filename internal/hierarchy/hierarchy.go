@@ -147,7 +147,7 @@ func (h *Hierarchy) ownSubs() map[string][]string {
 	defer h.mu.Unlock()
 	if h.subsOf == nil {
 		subs := make(map[string][]string)
-		h.prog.EachOwnClass(func(c *jimple.Class) {
+		h.prog.EachOwnHeader(func(c *jimple.Class) {
 			if c.Super != "" {
 				subs[c.Super] = append(subs[c.Super], c.Name)
 			}

@@ -3,6 +3,8 @@ package jimple
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // LocalDecl declares a method-local variable with its static type.
@@ -62,7 +64,18 @@ type Class struct {
 	Abstract   bool
 	Fields     []*Field
 	Methods    []*Method
+
+	// deferred is, for a class added with AddDeferred, its member slot
+	// plus one until its program's member decoder has filled Fields and
+	// Methods, and 0 from then on.
+	deferred atomic.Int32
 }
+
+// MembersDeferred reports whether c's Fields and Methods are still
+// undecoded: only its header (Name, Super, Interfaces, IsIface,
+// Abstract) may be read. Program.Class, OwnClass, OwnClasses and
+// Classes never return such a class; Program.EachOwnHeader may pass one.
+func (c *Class) MembersDeferred() bool { return c.deferred.Load() != 0 }
 
 // Method returns the method with the given subsignature key declared
 // directly on c, or nil.
@@ -101,6 +114,13 @@ func (c *Class) AddMethod(m *Method) *Method {
 // own layer first and fall through to the base, so an own class shadows a
 // base class of the same name — the same app-wins rule Merge applies when
 // the framework is merged under an app. The base is only ever read.
+//
+// A program made by NewDeferredProgram may hold classes whose Fields and
+// Methods are decoded on first lookup. Every accessor that hands out a
+// class (Class, OwnClass, OwnClasses, Classes, and Merge, which hands
+// classes to another program) decodes them first, as does NumStmts, so
+// readers of a class's members never see a deferred class; only
+// EachOwnHeader passes one.
 type Program struct {
 	classes map[string]*Class
 
@@ -113,11 +133,61 @@ type Program struct {
 	// Classes() order, computed once by Freeze.
 	frozen bool
 	sorted []*Class
+
+	// members fills the deferred classes of a program made by
+	// NewDeferredProgram; overlays over such a program share it.
+	members *memberDecoder
+}
+
+// memberDecoder fills deferred classes, one at a time: the lock is the
+// slow path of every accessor that meets a deferred class, and each
+// class's deferred flag is its atomic fast path.
+type memberDecoder struct {
+	mu     sync.Mutex
+	decode func(c *Class, slot int32)
 }
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
 	return &Program{classes: make(map[string]*Class)}
+}
+
+// NewDeferredProgram returns an empty program, sized for n classes,
+// whose classes may be added header-only (AddDeferred). decode fills a
+// deferred class's Fields and Methods, given the slot it was added with;
+// it runs once per class, under the program's member lock, the first time
+// an accessor hands the class out, and must not call back into the
+// program.
+func NewDeferredProgram(n int, decode func(c *Class, slot int32)) *Program {
+	return &Program{classes: make(map[string]*Class, n), members: &memberDecoder{decode: decode}}
+}
+
+// AddDeferred inserts c like AddClass, with its Fields and Methods left
+// for the program's member decoder to fill, under slot, on first lookup.
+// p must come from NewDeferredProgram.
+func (p *Program) AddDeferred(c *Class, slot int32) {
+	if p.members == nil {
+		panic("jimple: AddDeferred on a program without a member decoder")
+	}
+	c.deferred.Store(slot + 1)
+	p.AddClass(c)
+}
+
+// decoded returns c, filling its members first if they are deferred.
+func (p *Program) decoded(c *Class) *Class {
+	if c != nil && c.deferred.Load() != 0 {
+		p.members.fill(c)
+	}
+	return c
+}
+
+func (d *memberDecoder) fill(c *Class) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if slot := c.deferred.Load(); slot != 0 {
+		d.decode(c, slot-1)
+		c.deferred.Store(0)
+	}
 }
 
 // NewOverlay returns a program whose own layer holds app's classes (the
@@ -131,7 +201,7 @@ func NewOverlay(app, base *Program) *Program {
 	if app.base != nil {
 		panic("jimple: overlay over an overlay app program")
 	}
-	p := &Program{classes: make(map[string]*Class, len(app.classes)), base: base}
+	p := &Program{classes: make(map[string]*Class, len(app.classes)), base: base, members: app.members}
 	for _, c := range app.classes {
 		p.AddClass(c)
 	}
@@ -171,7 +241,7 @@ func (p *Program) AddClass(c *Class) *Class {
 // Class returns the named class, or nil if it is not in the program.
 func (p *Program) Class(name string) *Class {
 	if c := p.classes[name]; c != nil || p.base == nil {
-		return c
+		return p.decoded(c)
 	}
 	return p.base.Class(name)
 }
@@ -218,22 +288,25 @@ func (p *Program) Classes() []*Class {
 func (p *Program) OwnClasses() []*Class {
 	out := make([]*Class, 0, len(p.classes))
 	for _, c := range p.classes {
-		out = append(out, c)
+		out = append(out, p.decoded(c))
 	}
 	return out
 }
 
 // OwnClass returns the named class of p's own layer, or nil: unlike
 // Class, it never falls through to the base.
-func (p *Program) OwnClass(name string) *Class { return p.classes[name] }
+func (p *Program) OwnClass(name string) *Class { return p.decoded(p.classes[name]) }
 
 // Shadows reports whether an own class of an overlay hides a base class
 // of the same name.
 func (p *Program) Shadows() bool { return p.shadowed > 0 }
 
-// EachOwnClass calls fn on every class of p's own layer, in no
-// particular order, without collecting them into a slice.
-func (p *Program) EachOwnClass(fn func(*Class)) {
+// EachOwnHeader calls fn on every class of p's own layer, in no
+// particular order, without collecting them into a slice and without
+// decoding deferred members: fn may read a class's header (Name, Super,
+// Interfaces, IsIface, Abstract) and MembersDeferred, and its Fields and
+// Methods only when MembersDeferred is false.
+func (p *Program) EachOwnHeader(fn func(*Class)) {
 	for _, c := range p.classes {
 		fn(c)
 	}
@@ -268,7 +341,7 @@ func (p *Program) Merge(other *Program) {
 	}
 	for name, c := range other.classes {
 		if p.Class(name) == nil {
-			p.AddClass(c)
+			p.AddClass(other.decoded(c))
 		}
 	}
 }
@@ -278,7 +351,7 @@ func (p *Program) Merge(other *Program) {
 func (p *Program) NumStmts() int {
 	n := 0
 	for _, c := range p.classes {
-		n += classStmts(c)
+		n += classStmts(p.decoded(c))
 	}
 	if p.base != nil {
 		for _, c := range p.base.sorted {

@@ -47,6 +47,12 @@ echo "== go test -race =="
 # deadline) into a gate failure instead of a stalled CI job.
 go test -race -timeout 10m ./...
 
+echo "== go test -race -count=3 (concurrent first use) =="
+# A lazily opened app decodes a class's members on the first lookup, and
+# the parallel stages share one overlay: repeat the concurrency tests so
+# more interleavings of those first uses reach the race detector.
+go test -race -count=3 -timeout 10m -run 'Concurrent' ./internal/baselayer ./internal/core
+
 echo "== go test -race (persistent cache on) =="
 # The differential cache harness normally runs against throwaway temp
 # dirs; NCHECKER_TEST_CACHEDIR points it at one shared on-disk store so
