@@ -88,19 +88,20 @@ func TestScanAllocsRegression(t *testing.T) {
 // every container scan starts with: apk.DecodeLazy of the canonical
 // fixture padded with openAllocPadding inert classes, the shape of a
 // large app whose closure skips almost every class. The skim stores its
-// records, calls and indices flat, so the open's allocations must stay
-// flat in the app's size rather than grow per method; and it builds only
-// class headers, so its bytes must not pay for fields, methods or
-// bodies. The allocation budget carries ~10% headroom over the 110
-// measured when it was set (88 now); the byte budget carries ~10% over
-// the measured 268,049 (the open that built every method header and
-// copied the whole payload into a string measured 558,700). Re-measure with
+// records, calls and indices flat, in pooled scratch copied out at exact
+// size, so the open's allocations must stay flat in the app's size rather
+// than grow per method; and it builds only class headers, so its bytes
+// must not pay for fields, methods or bodies. Both budgets carry ~10%
+// headroom over the measured 32 allocations and 159,418 bytes (the open
+// whose slabs grew by append measured 88 and 268,049; the one that built
+// every method header and copied the whole payload into a string,
+// 558,700 bytes). Re-measure with
 // `go test ./internal/core -run TestOpenAllocsRegression -v` and update
 // the constant in the same commit that explains why.
 const (
 	openAllocPadding = 300
-	openAllocBudget  = 121
-	openBytesBudget  = 295_000
+	openAllocBudget  = 35
+	openBytesBudget  = 175_000
 )
 
 func TestOpenAllocsRegression(t *testing.T) {
@@ -144,17 +145,22 @@ func TestOpenAllocsRegression(t *testing.T) {
 	}
 }
 
-// TestScanBytesAllocsRegression pins an allocation budget on the whole
-// production byte scan: ScanBytes of the canonical fixture padded with
-// openAllocPadding inert classes, through a single-threaded pipeline. It
-// gates the analysis half TestOpenAllocsRegression leaves out — closure,
-// materialization, overlay hierarchy, call graph, summaries, checkers and
-// library usage — on the shape where a stage doing work per app class,
-// not per demanded class, shows up. The budget carries ~10% headroom over
-// the measured value (561); re-measure with
+// TestScanBytesAllocsRegression pins an allocation and a byte budget on
+// the whole production byte scan: ScanBytes of the canonical fixture
+// padded with openAllocPadding inert classes, through a single-threaded
+// pipeline. It gates the analysis half TestOpenAllocsRegression leaves
+// out — closure, materialization, overlay hierarchy, call graph,
+// summaries, checkers and library usage — on the shape where a stage
+// doing work per app class, not per demanded class, shows up. The
+// budgets carry ~10% headroom over the measured 480 allocations and
+// 213,529 bytes (541 and 351,432 before the open's slabs were pooled);
+// re-measure with
 // `go test ./internal/core -run TestScanBytesAllocsRegression -v` and
-// update the constant in the same commit that explains why.
-const scanBytesAllocBudget = 617
+// update the constants in the same commit that explains why.
+const (
+	scanBytesAllocBudget = 528
+	scanBytesBytesBudget = 235_000
+)
 
 func TestScanBytesAllocsRegression(t *testing.T) {
 	if testing.Short() {
@@ -175,19 +181,31 @@ func TestScanBytesAllocsRegression(t *testing.T) {
 	if res, err := nc.ScanBytes(data); err != nil || len(res.Reports) == 0 {
 		t.Fatalf("padded fixture scan: err=%v; the measurement needs warnings", err)
 	}
-	avg := testing.AllocsPerRun(10, func() {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	avg := testing.AllocsPerRun(runs, func() {
 		res, err := nc.ScanBytes(data)
 		if err != nil || res.Incomplete {
 			t.Fatalf("scan failed or degraded during measurement: %v", err)
 		}
 	})
-	t.Logf("ScanBytes allocations/run = %.0f (budget %d)", avg, scanBytesAllocBudget)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun adds one warm-up run to the measured ones.
+	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	t.Logf("ScanBytes allocations/run = %.0f (budget %d), bytes/run = %d (budget %d)",
+		avg, scanBytesAllocBudget, bytes, scanBytesBytesBudget)
 	if testutil.RaceEnabled {
-		t.Skipf("race detector enabled; measured %.0f for the log only", avg)
+		t.Skipf("race detector enabled; measured %.0f allocations, %d bytes, for the log only", avg, bytes)
 	}
 	if avg > float64(scanBytesAllocBudget) {
 		t.Errorf("ScanBytes allocates %.0f per run, over the %d budget — "+
 			"if intentional, re-measure and raise the budget in the same change",
 			avg, scanBytesAllocBudget)
+	}
+	if bytes > scanBytesBytesBudget {
+		t.Errorf("ScanBytes allocates %d bytes per run, over the %d budget — "+
+			"if intentional, re-measure and raise the budget in the same change",
+			bytes, scanBytesBytesBudget)
 	}
 }

@@ -42,9 +42,11 @@ type decoder struct {
 
 // slab hands out slices carved from shared chunks, so decoding n headers
 // costs O(log n) allocations instead of n. Chunks double from 8 up to 512
-// elements; a request larger than that gets a chunk of its own. Each
-// slice is capped at its length, so appending to one never writes into
-// the next.
+// elements; a request larger than that gets a chunk of its own. A caller
+// that knows how many elements it will take sets free to one chunk of
+// that size up front: the lazy open carves its class headers from a
+// chunk sized by the class count. Each slice is capped at its length, so
+// appending to one never writes into the next.
 type slab[T any] struct {
 	free []T
 	next int
@@ -106,9 +108,7 @@ func (d *decoder) run() (*jimple.Program, error) {
 	if d.lazy != nil {
 		// A class is at least name, superclass, flags and three counts:
 		// six bytes.
-		n := d.hint(int(nclass), 6)
-		prog = jimple.NewDeferredProgram(n, d.lazy.l.fill)
-		d.lazy.l.members = make([]classMembers, 0, n)
+		prog = d.lazy.begin(d, d.hint(int(nclass), 6))
 	} else {
 		prog = jimple.NewProgram()
 	}

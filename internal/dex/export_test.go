@@ -17,3 +17,7 @@ func (l *Lazy) RefClasses() []string {
 	}
 	return uniq
 }
+
+// Fallbacks returns how many bodies the skim rejected but the
+// materializing core accepted: a skim bug, pinned at zero by the tests.
+func (l *Lazy) Fallbacks() int { return l.fallbacks }

@@ -65,7 +65,6 @@ type MethodRef struct {
 	hdr     int32 // lazy: offset of the encoded method header
 	calls   span
 	intents span
-	locals  span // lazy: local-type pool ids of the body
 }
 
 // Call is one top-level call site.

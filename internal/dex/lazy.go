@@ -1,8 +1,10 @@
 package dex
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"repro/internal/jimple"
 )
@@ -14,17 +16,23 @@ import (
 // order but built into nothing: the skim keeps where a class's fields
 // start and where each method header sits, in pointer-free slabs, and
 // each body section is skimmed once to delimit its byte span and fill the
-// Index: the method's record, its top-level calls, the explicit-intent
-// class names and its local types. The body skim (skimBody below) walks
-// the same bytes the eager core walks, runs the same validation checks in
-// the same order, but never materializes statement or value objects —
-// the bulk of a cold decode's allocations for bodies the demand closure
-// will never visit. A call is kept as pool ids plus the offset of its
+// Index: the method's record, its top-level calls and the explicit-intent
+// class names, while the callee classes and local types it reads are
+// marked in a set of pool ids (EachRefClass). The body skim (skimBody
+// below) walks the same bytes the eager core walks and runs the same
+// validation checks in the same order, but it only validates: it never
+// materializes statement or value objects — the bulk of a cold decode's
+// allocations for bodies the demand closure will never visit — and never
+// phrases an error. A call is kept as pool ids plus the offset of its
 // encoded signature, and a record as integers, so the skim does constant
 // work per method and builds no string: keys and signatures are rendered
 // only for what the closure demands. On any skim rejection the
 // materializing core re-runs over the span, so malformed input fails with
 // the eager path's exact error and offset.
+//
+// The skim appends to pooled scratch (lazyBuild), and the open copies
+// each slab out at its exact size when it ends, so an open allocates
+// what its index keeps rather than the doublings of growing it.
 //
 // A class's fields and method headers are decoded, with the eager
 // readers, the first time a program lookup returns the class (fill), and
@@ -40,9 +48,12 @@ import (
 // sharing the program.
 type Lazy struct {
 	idx *Index
-	// locals holds the local-type pool ids of every recorded body;
-	// MethodRef.locals spans into it.
-	locals []int32
+	// refs has a bit per string-pool id the program's bodies reference
+	// as a class: the class of each top-level call and the type of each
+	// local of a non-empty body. refNames adds the callee classes of the
+	// records a fallback took from a decoded body, which hold no pool id.
+	refs     []uint64
+	refNames []string
 	// members locates the member sections of each class, by its position
 	// in the container: the slot the program defers the class under.
 	members []classMembers
@@ -64,44 +75,112 @@ type Lazy struct {
 // section, and its method headers hdrs[mlo:mhi].
 type classMembers struct{ at, fields, mlo, mhi int32 }
 
-// lazyBuild is the skim's state while the container parses.
+// lazyBuild is the skim's state while the container parses. It is
+// scratch, reused across opens through buildPool: the skim appends to the
+// index's slabs in its growable backing arrays, and when the open ends
+// the index gets copies of exact size and the arrays go back to the pool
+// (release), so a steady stream of opens stops growing slices.
 type lazyBuild struct {
 	l *Lazy
+	// The backing arrays of the index's records, calls, intents and
+	// bodied-class spans, and of the method-header offsets, while no open
+	// holds them.
+	recs    []MethodRef
+	calls   []Call
+	intents []string
+	classes []classSpan
+	hdrs    []int32
 	// poolName caches the name id of a pool index (id+1; 0 = not yet
 	// looked up), so a method name is hashed once per pool entry.
 	poolName []int32
-	// localScratch holds the local-type pool ids of the body being
-	// skimmed.
-	localScratch []int32
+	// locals holds the local-type pool ids of the body being skimmed.
+	locals []int32
 }
 
+var buildPool = sync.Pool{New: func() any { return new(lazyBuild) }}
+
 // DecodeLazy parses bytes produced by Encode into a Lazy program. It
-// accepts and rejects exactly the inputs Decode does: the skim shares the
-// eager decoder core statement for statement.
+// accepts and rejects exactly the inputs Decode does, with the same
+// error: the skim runs the eager decoder's checks in the eager order, and
+// the eager core phrases any rejection.
 func DecodeLazy(data []byte) (*Lazy, error) {
 	l := &Lazy{idx: &Index{src: data, nameIDs: make(map[string]int32)}}
-	d := &decoder{data: data, lazy: &lazyBuild{l: l}}
+	b := buildPool.Get().(*lazyBuild)
+	b.acquire(l)
+	d := &decoder{data: data, lazy: b}
 	prog, err := d.run()
+	if err == nil {
+		l.idx.prog, l.idx.pool = prog, d.pool
+		if prog.NumClasses() < len(l.members) {
+			// A later class replaced an earlier one of the same name.
+			l.dropReplaced()
+		}
+	}
+	b.release(err == nil)
 	if err != nil {
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
-	l.idx.prog, l.idx.pool = prog, d.pool
 	l.filler = decoder{data: data, pool: d.pool}
-	if prog.NumClasses() < len(l.members) {
-		// A later class replaced an earlier one of the same name.
-		l.dropReplaced()
-	}
 	l.idx.finish()
 	l.materialized = make([]bool, len(l.idx.classes))
 	return l, nil
 }
 
+// acquire points the slabs the skim fills at b's backing arrays.
+func (b *lazyBuild) acquire(l *Lazy) {
+	x := l.idx
+	b.l = l
+	x.recs, x.calls, x.intents, x.classes, l.hdrs = b.recs[:0], b.calls[:0], b.intents[:0], b.classes[:0], b.hdrs[:0]
+}
+
+// release takes the backing arrays back from the open — giving its index
+// copies of exact size when keep is set, so a failed open keeps nothing —
+// and returns b to the pool, with the strings the arrays hold cleared so
+// the pool keeps no container alive.
+func (b *lazyBuild) release(keep bool) {
+	l := b.l
+	x := l.idx
+	b.recs, b.calls, b.intents, b.classes, b.hdrs = x.recs, x.calls, x.intents, x.classes, l.hdrs
+	if keep {
+		x.recs, x.calls, x.intents, x.classes, l.hdrs = exact(x.recs), exact(x.calls), exact(x.intents), exact(x.classes), exact(l.hdrs)
+	}
+	clear(b.intents)
+	clear(b.classes)
+	b.l = nil
+	buildPool.Put(b)
+}
+
+// exact returns a copy of s that shares no memory with it and has no
+// spare capacity, nil if s is empty: what an index keeps must not alias
+// the pooled arrays.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// begin sizes the open's state for n classes and the decoded string
+// pool, and returns the program the classes are deferred into.
+func (b *lazyBuild) begin(d *decoder, n int) *jimple.Program {
+	l := b.l
+	l.members = make([]classMembers, 0, n)
+	d.classes.free = make([]jimple.Class, n)
+	l.refs = make([]uint64, (len(d.pool)+63)/64)
+	if cap(b.poolName) < len(d.pool) {
+		b.poolName = make([]int32, len(d.pool))
+	} else {
+		b.poolName = b.poolName[:len(d.pool)]
+		clear(b.poolName)
+	}
+	return jimple.NewDeferredProgram(n, l.fill)
+}
+
 // nameOf returns the name id of the method name at pool index p.
 func (d *decoder) nameOf(p int32) int32 {
 	b := d.lazy
-	if b.poolName == nil {
-		b.poolName = make([]int32, len(d.pool))
-	}
 	if id := b.poolName[p]; id != 0 {
 		return id - 1
 	}
@@ -110,9 +189,36 @@ func (d *decoder) nameOf(p int32) int32 {
 	return id
 }
 
+// markRef sets the bit of pool id p in the referenced-class set.
+func (l *Lazy) markRef(p int32) { l.refs[p>>6] |= 1 << (p & 63) }
+
+// markLocals reads the local section at d.pos with the eager readers and
+// marks its types: the local refs of a record the skim did not build
+// itself. The skim validated the section.
+func (d *decoder) markLocals(l *Lazy) {
+	nl, _ := d.count("local")
+	for i := 0; i < nl; i++ {
+		d.refIdx() // name
+		t, _ := d.refIdx()
+		l.markRef(t)
+	}
+}
+
+// markCalls adds the callee classes of calls to the referenced-class set.
+func (l *Lazy) markCalls(calls []Call) {
+	for _, c := range calls {
+		if c.class >= 0 {
+			l.markRef(c.class)
+		} else {
+			l.refNames = append(l.refNames, l.idx.sigs[c.at].Class)
+		}
+	}
+}
+
 // dropReplaced removes the records of classes a later class of the same
 // name replaced in the program (Program.AddClass keeps the last), so the
-// index describes exactly the decoded program.
+// index describes exactly the decoded program, and rebuilds the
+// referenced-class set from the records it keeps.
 func (l *Lazy) dropReplaced() {
 	x := l.idx
 	last := make(map[string]int32, len(l.members))
@@ -122,21 +228,28 @@ func (l *Lazy) dropReplaced() {
 		name, _ := d.ref() // the skim validated it
 		last[name] = int32(i)
 	}
-	kept := x.classes[:0]
-	recs := make([]MethodRef, 0, len(x.recs))
+	clear(l.refs)
+	l.refNames = nil
+	// The kept records move down in place: a record's new position is
+	// never past its old one.
+	kept, n := x.classes[:0], int32(0)
 	for _, c := range x.classes {
 		if last[c.name] != c.ord {
 			continue
 		}
-		lo := int32(len(recs))
+		lo := n
 		for _, r := range x.recs[c.lo:c.hi] {
 			r.Class = int32(len(kept))
-			recs = append(recs, r)
+			x.recs[n] = r
+			n++
+			l.markCalls(x.calls[r.calls.lo:r.calls.hi])
+			_ = d.toBody(r.hdr) // the skim validated the header
+			d.markLocals(l)
 		}
-		c.lo, c.hi = lo, int32(len(recs))
+		c.lo, c.hi = lo, n
 		kept = append(kept, c)
 	}
-	x.classes, x.recs = kept, recs
+	x.classes, x.recs = kept, x.recs[:n]
 }
 
 // fill decodes the fields and method headers of the class deferred under
@@ -182,33 +295,22 @@ func (l *Lazy) NumBodiedClasses() int { return len(l.idx.classes) }
 // EachRefClass calls fn on every class name the program references
 // (supertypes, interfaces, invoked classes, local types) — what
 // apimodel.LibsUsedByRefs resolves, computed without retained bodies or
-// decoded members. The skim keeps invoked classes and local types as pool
-// ids, and each distinct id is passed once; a name may still repeat (a
+// decoded members. The skim marked invoked classes and local types in a
+// set of pool ids, so this walks the set and the class headers, not the
+// records. Each marked id is passed once; a name may still repeat (a
 // supertype, or a string the pool holds twice), and "" may appear for a
 // root class.
 func (l *Lazy) EachRefClass(fn func(string)) {
-	x := l.idx
-	seen := make([]bool, len(x.pool))
-	note := func(p int32) {
-		if !seen[p] {
-			seen[p] = true
-			fn(x.pool[p])
+	pool := l.idx.pool
+	for w, word := range l.refs {
+		for ; word != 0; word &= word - 1 {
+			fn(pool[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
-	for i := range x.recs {
-		r := &x.recs[i]
-		for _, c := range x.calls[r.calls.lo:r.calls.hi] {
-			if c.class >= 0 {
-				note(c.class)
-			} else {
-				fn(x.sigs[c.at].Class)
-			}
-		}
-		for _, t := range l.locals[r.locals.lo:r.locals.hi] {
-			note(t)
-		}
+	for _, name := range l.refNames {
+		fn(name)
 	}
-	x.prog.EachOwnHeader(func(c *jimple.Class) {
+	l.idx.prog.EachOwnHeader(func(c *jimple.Class) {
 		fn(c.Super)
 		for _, i := range c.Interfaces {
 			fn(i)
@@ -231,12 +333,7 @@ func (l *Lazy) Materialize(class string) error {
 	methods := x.prog.OwnClass(class).Methods
 	d := &decoder{data: x.src, pool: x.pool}
 	for _, r := range x.recs[c.lo:c.hi] {
-		// Step over the header, signature and flags, to the body.
-		d.pos = int(r.hdr)
-		_, _, err := d.skimSig()
-		if err == nil {
-			_, err = d.byte()
-		}
+		err := d.toBody(r.hdr)
 		if err == nil {
 			err = d.body(methods[r.ord])
 		}
@@ -245,6 +342,17 @@ func (l *Lazy) Materialize(class string) error {
 		}
 	}
 	return nil
+}
+
+// toBody moves d from the method header at hdr over its signature and
+// flags, to its body section.
+func (d *decoder) toBody(hdr int32) error {
+	d.pos = int(hdr)
+	if _, _, err := d.skimSig(); err != nil {
+		return err
+	}
+	_, err := d.byte()
+	return err
 }
 
 // MaterializeAll decodes every retained body, leaving the program equal
@@ -345,135 +453,180 @@ func (d *decoder) lazyBody(name, ord, hdr int32) (empty bool, err error) {
 	l, x := b.l, b.l.idx
 	start := d.pos
 	r := MethodRef{Name: d.nameOf(name), Class: int32(len(x.classes)), ord: ord, hdr: hdr}
-	r.calls.lo, r.intents.lo, r.locals.lo = int32(len(x.calls)), int32(len(x.intents)), int32(len(l.locals))
-	empty, err = d.skimBody()
-	if err != nil {
+	r.calls.lo, r.intents.lo = int32(len(x.calls)), int32(len(x.intents))
+	empty, ok := d.skimBody()
+	if ok && !empty {
+		for _, t := range b.locals {
+			l.markRef(t)
+		}
+		for _, c := range x.calls[r.calls.lo:] {
+			l.markRef(c.class)
+		}
+	} else if !ok {
 		// Re-run the materializing core over the same span: malformed input
 		// fails with the eager path's exact error and offset, and a span the
 		// core accepts (a skim divergence: counted, and pinned at zero by
 		// the tests) takes its record from the materialized body so the two
 		// paths cannot drift.
-		x.calls, x.intents, l.locals = x.calls[:r.calls.lo], x.intents[:r.intents.lo], l.locals[:r.locals.lo]
+		x.calls, x.intents = x.calls[:r.calls.lo], x.intents[:r.intents.lo]
 		d.pos = start
 		var tmp jimple.Method
-		if coreErr := d.body(&tmp); coreErr != nil {
-			return false, coreErr
+		if err := d.body(&tmp); err != nil {
+			return false, err
 		}
 		l.fallbacks++
 		empty = !tmp.HasBody()
 		if !empty {
-			// The skim read every local before it failed: the core
-			// accepted the same local section.
-			l.locals = append(l.locals, b.localScratch...)
 			x.addBody(&r, &tmp)
+			l.markCalls(x.calls[r.calls.lo:])
+			ld := decoder{data: d.data, pos: start, pool: d.pool}
+			ld.markLocals(l)
 		}
 	}
 	if empty {
 		return true, nil
 	}
-	r.calls.hi, r.intents.hi, r.locals.hi = int32(len(x.calls)), int32(len(x.intents)), int32(len(l.locals))
+	r.calls.hi, r.intents.hi = int32(len(x.calls)), int32(len(x.intents))
 	x.recs = append(x.recs, r)
 	return false, nil
 }
 
-// errSkimReject marks a structural check the skim cannot phrase exactly
-// (the eager error interpolates the materialized value's dynamic type);
-// lazyBody's fallback re-run produces the real error.
-var errSkimReject = errors.New("dex: skim rejected span")
+// The skim's readers mirror the eager ones (u64, byte, count, refIdx)
+// check for check but report only whether the checks passed, so the
+// byte, pool-ref and count readers stay small enough to inline into the
+// skim loops. The body skim reads through them alone: a rejection is
+// phrased by the eager core, which lazyBody re-runs over the span.
+
+// uvarint reads a uvarint, accepting exactly what binary.Uvarint accepts.
+// The one- and two-byte encodings (values below 16384: the pool indexes
+// and counts of all but the largest containers) are decoded here;
+// anything else, a truncation included, by binary.Uvarint itself.
+func (d *decoder) uvarint() (uint64, bool) {
+	data, p := d.data, d.pos
+	if p < len(data) {
+		b0 := data[p]
+		if b0 < 0x80 {
+			d.pos = p + 1
+			return uint64(b0), true
+		}
+		if p+1 < len(data) {
+			if b1 := data[p+1]; b1 < 0x80 {
+				d.pos = p + 2
+				return uint64(b0&0x7f) | uint64(b1)<<7, true
+			}
+		}
+	}
+	v, n := binary.Uvarint(data[p:])
+	if n <= 0 {
+		return 0, false
+	}
+	d.pos = p + n
+	return v, true
+}
+
+// skimByte is byte's check.
+func (d *decoder) skimByte() (byte, bool) {
+	if p := d.pos; p < len(d.data) {
+		d.pos = p + 1
+		return d.data[p], true
+	}
+	return 0, false
+}
+
+// skimCount is count's check.
+func (d *decoder) skimCount() (int, bool) {
+	v, ok := d.uvarint()
+	return int(v), ok && v <= uint64(len(d.data))
+}
+
+// skimRef is refIdx's check.
+func (d *decoder) skimRef() (int32, bool) {
+	v, ok := d.uvarint()
+	return int32(v), ok && v < uint64(len(d.pool))
+}
 
 // skimBody mirrors decoder.body over the same bytes with the same checks
-// in the same order, but keeps only the record's calls, intents and
-// local types. empty reports whether the section holds zero statements
-// (the empty-body normalization case).
-func (d *decoder) skimBody() (empty bool, err error) {
+// in the same order, but keeps only the record's calls and intents, and
+// its local types in the build's scratch. empty reports whether the
+// section holds zero statements (the empty-body normalization case); ok
+// whether every check passed.
+func (d *decoder) skimBody() (empty, ok bool) {
 	b := d.lazy
-	nl, err := d.count("local")
-	if err != nil {
-		return false, err
+	nl, ok := d.skimCount()
+	if !ok {
+		return false, false
 	}
-	b.localScratch = b.localScratch[:0]
+	b.locals = b.locals[:0]
 	for i := 0; i < nl; i++ {
-		if _, err := d.refIdx(); err != nil { // name
-			return false, err
+		if _, ok := d.skimRef(); !ok { // name
+			return false, false
 		}
-		t, err := d.refIdx()
-		if err != nil {
-			return false, err
+		t, ok := d.skimRef()
+		if !ok {
+			return false, false
 		}
-		b.localScratch = append(b.localScratch, t)
+		b.locals = append(b.locals, t)
 	}
-	ns, err := d.count("statement")
-	if err != nil {
-		return false, err
-	}
-	if ns > 0 {
-		// Empty bodies normalize to abstract stubs with their locals
-		// dropped, so their local types must not be recorded.
-		b.l.locals = append(b.l.locals, b.localScratch...)
+	ns, ok := d.skimCount()
+	if !ok {
+		return false, false
 	}
 	for i := 0; i < ns; i++ {
-		if err := d.skimStmt(); err != nil {
-			return false, err
+		if !d.skimStmt() {
+			return false, false
 		}
 	}
-	nt, err := d.count("trap")
-	if err != nil {
-		return false, err
+	nt, ok := d.skimCount()
+	if !ok {
+		return false, false
 	}
 	for i := 0; i < nt; i++ {
 		for j := 0; j < 3; j++ { // begin, end, handler
-			if _, err := d.u64(); err != nil {
-				return false, err
+			if _, ok := d.uvarint(); !ok {
+				return false, false
 			}
 		}
-		if _, err := d.refIdx(); err != nil { // exception
-			return false, err
+		if _, ok := d.skimRef(); !ok { // exception
+			return false, false
 		}
 	}
-	return ns == 0, nil
+	return ns == 0, true
 }
 
-func (d *decoder) skimStmt() error {
-	op, err := d.byte()
-	if err != nil {
-		return err
+func (d *decoder) skimStmt() bool {
+	op, ok := d.skimByte()
+	if !ok {
+		return false
 	}
 	switch op {
 	case opAssign:
-		lhsTag, _, err := d.skimValue(false)
-		if err != nil {
-			return err
+		// The core rejects a target that is not an lvalue before it reads
+		// the right-hand side.
+		lhs, _, ok := d.skimValue(false)
+		if !ok || lhs != tagLocal && lhs != tagFieldRef {
+			return false
 		}
-		if lhsTag != tagLocal && lhsTag != tagFieldRef {
-			return errSkimReject // core: "assign target is not an lvalue"
-		}
-		_, _, err = d.skimValue(true)
-		return err
+		_, _, ok = d.skimValue(true)
+		return ok
 	case opInvoke:
-		tag, _, err := d.skimValue(true)
-		if err != nil {
-			return err
-		}
-		if tag != tagInvoke {
-			return errSkimReject // core: "invoke statement holds ..."
-		}
-		return nil
+		tag, _, ok := d.skimValue(true)
+		return ok && tag == tagInvoke
 	case opIf:
-		if _, _, err := d.skimValue(false); err != nil {
-			return err
+		if _, _, ok := d.skimValue(false); !ok {
+			return false
 		}
-		_, err := d.u64()
-		return err
+		_, ok := d.uvarint()
+		return ok
 	case opGoto:
-		_, err := d.u64()
-		return err
+		_, ok := d.uvarint()
+		return ok
 	case opReturn, opThrow:
-		_, _, err := d.skimValue(false)
-		return err
+		_, _, ok := d.skimValue(false)
+		return ok
 	case opReturnVoid, opNop:
-		return nil
+		return true
 	}
-	return fmt.Errorf("unknown opcode %d", op)
+	return false // unknown opcode
 }
 
 // skimValue parses one value without materializing it, returning the
@@ -482,119 +635,124 @@ func (d *decoder) skimStmt() error {
 // a lone string-constant setClassName argument its intents); the capture
 // applies only at the outermost level, matching jimple.InvokeOf — nested
 // invokes are not statement-level calls.
-func (d *decoder) skimValue(top bool) (byte, int32, error) {
-	tag, err := d.byte()
-	if err != nil {
-		return 0, 0, err
+func (d *decoder) skimValue(top bool) (tag byte, str int32, ok bool) {
+	if tag, ok = d.skimByte(); !ok {
+		return
 	}
 	switch tag {
 	case tagLocal, tagThisRef, tagNew:
-		_, err := d.refIdx()
-		return tag, 0, err
+		_, ok = d.skimRef()
+		return
 	case tagIntConst:
-		_, err := d.i64()
-		return tag, 0, err
+		// A varint spans exactly the bytes of its uvarint.
+		_, ok = d.uvarint()
+		return
 	case tagStrConst:
-		s, err := d.refIdx()
-		return tag, s, err
+		str, ok = d.skimRef()
+		return
 	case tagNull, tagCaughtEx:
-		return tag, 0, nil
+		return
 	case tagParamRef:
-		if _, err := d.u64(); err != nil {
-			return tag, 0, err
+		if _, ok = d.uvarint(); ok {
+			_, ok = d.skimRef()
 		}
-		_, err := d.refIdx()
-		return tag, 0, err
+		return
 	case tagFieldRef:
-		for i := 0; i < 3; i++ { // base, class, field
-			if _, err := d.refIdx(); err != nil {
-				return tag, 0, err
-			}
+		for i := 0; i < 3 && ok; i++ { // base, class, field
+			_, ok = d.skimRef()
 		}
-		return tag, 0, nil
+		return
 	case tagInvoke:
-		kind, err := d.byte()
-		if err != nil {
-			return tag, 0, err
-		}
-		if kind > byte(jimple.InvokeStatic) {
-			return tag, 0, fmt.Errorf("bad invoke kind %d", kind)
-		}
-		if _, err := d.refIdx(); err != nil { // base
-			return tag, 0, err
-		}
-		sigAt := d.pos
-		class, name, err := d.skimSig()
-		if err != nil {
-			return tag, 0, err
-		}
-		na, err := d.count("argument")
-		if err != nil {
-			return tag, 0, err
-		}
-		var arg0Tag byte
-		var arg0Str int32
-		for i := 0; i < na; i++ {
-			t, s, err := d.skimValue(false)
-			if err != nil {
-				return tag, 0, err
-			}
-			if i == 0 {
-				arg0Tag, arg0Str = t, s
-			}
-		}
-		if top {
-			x := d.lazy.l.idx
-			x.calls = append(x.calls, Call{Name: d.nameOf(name), class: class, at: int32(sigAt)})
-			if d.pool[name] == "setClassName" && na == 1 && arg0Tag == tagStrConst {
-				x.intents = append(x.intents, d.pool[arg0Str])
-			}
-		}
-		return tag, 0, nil
+		return tag, 0, d.skimInvoke(top)
 	case tagBin:
-		op, err := d.byte()
-		if err != nil {
-			return tag, 0, err
+		var op byte
+		if op, ok = d.skimByte(); !ok || op > byte(jimple.OpXor) {
+			return tag, 0, false
 		}
-		if op > byte(jimple.OpXor) {
-			return tag, 0, fmt.Errorf("bad binary op %d", op)
+		if _, _, ok = d.skimValue(false); ok {
+			_, _, ok = d.skimValue(false)
 		}
-		if _, _, err := d.skimValue(false); err != nil {
-			return tag, 0, err
-		}
-		_, _, err = d.skimValue(false)
-		return tag, 0, err
+		return
 	case tagNeg:
-		_, _, err := d.skimValue(false)
-		return tag, 0, err
+		_, _, ok = d.skimValue(false)
+		return
 	case tagCast, tagInstanceOf:
-		if _, err := d.refIdx(); err != nil {
-			return tag, 0, err
+		if _, ok = d.skimRef(); ok {
+			_, _, ok = d.skimValue(false)
 		}
-		_, _, err := d.skimValue(false)
-		return tag, 0, err
+		return
 	}
-	return 0, 0, fmt.Errorf("unknown value tag %d", tag)
+	return tag, 0, false // unknown value tag
 }
 
-// skimSig consumes an encoded signature without building it, returning
-// the pool ids of its class and method name.
-func (d *decoder) skimSig() (class, name int32, err error) {
-	if class, err = d.refIdx(); err != nil {
-		return
+// skimInvoke is skimValue for an invoke, its tag read.
+func (d *decoder) skimInvoke(top bool) bool {
+	kind, ok := d.skimByte()
+	if !ok || kind > byte(jimple.InvokeStatic) {
+		return false
 	}
-	if name, err = d.refIdx(); err != nil {
-		return
+	if _, ok := d.skimRef(); !ok { // base
+		return false
 	}
-	np, err := d.count("param")
-	if err != nil {
-		return
+	sigAt := d.pos
+	class, name, ok := d.sigOK()
+	if !ok {
+		return false
 	}
-	for i := 0; i < np; i++ {
-		if _, err = d.refIdx(); err != nil {
-			return
+	na, ok := d.skimCount()
+	if !ok {
+		return false
+	}
+	var arg0Tag byte
+	var arg0Str int32
+	for i := 0; i < na; i++ {
+		t, s, ok := d.skimValue(false)
+		if !ok {
+			return false
+		}
+		if i == 0 {
+			arg0Tag, arg0Str = t, s
 		}
 	}
-	_, err = d.refIdx() // ret
+	if top {
+		x := d.lazy.l.idx
+		x.calls = append(x.calls, Call{Name: d.nameOf(name), class: class, at: int32(sigAt)})
+		if na == 1 && arg0Tag == tagStrConst && d.pool[name] == "setClassName" {
+			x.intents = append(x.intents, d.pool[arg0Str])
+		}
+	}
+	return true
+}
+
+// sigOK is sig's checks, building nothing: it consumes an encoded
+// signature and returns the pool ids of its class and method name.
+func (d *decoder) sigOK() (class, name int32, ok bool) {
+	if class, ok = d.skimRef(); !ok {
+		return
+	}
+	if name, ok = d.skimRef(); !ok {
+		return
+	}
+	np, ok := d.skimCount()
+	for i := 0; i < np && ok; i++ {
+		_, ok = d.skimRef()
+	}
+	if ok {
+		_, ok = d.skimRef() // ret
+	}
 	return
+}
+
+// skimSig is sigOK for a method header, whose error reaches the caller:
+// a rejected signature is re-read by sig, which phrases the error.
+func (d *decoder) skimSig() (class, name int32, err error) {
+	at := d.pos
+	if class, name, ok := d.sigOK(); ok {
+		return class, name, nil
+	}
+	d.pos = at
+	if _, err = d.sig(); err == nil {
+		err = fmt.Errorf("signature at offset %d: skim and decoder disagree", at)
+	}
+	return 0, 0, err
 }

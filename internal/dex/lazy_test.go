@@ -477,14 +477,15 @@ func FuzzTargetSiteSearch(f *testing.F) {
 	})
 }
 
-// FuzzLazyIndex drives the skim index against the eager decoder: on any
-// input Decode accepts, the lazy records (keys rendered) equal those
-// derived from the eager program's bodies, every caller- and
-// declarer-index lookup equals a linear scan over those records, the
-// referenced classes EachRefClass enumerates (collected by the test
-// helper RefClasses) equal the eager referenced-class set, none of which
-// decodes a class's members, and then a lookup of each class returns the
-// eager class with its bodies left out.
+// FuzzLazyIndex drives the skim index against the eager decoder. On any
+// input both decoders fail with the same error text or both succeed. On
+// any input Decode accepts, the skim takes no fallback, the lazy records
+// (keys rendered) equal those derived from the eager program's bodies,
+// every caller- and declarer-index lookup equals a linear scan over those
+// records, the referenced classes EachRefClass enumerates (collected by
+// the test helper RefClasses) equal the eager referenced-class set, none
+// of which decodes a class's members, and then a lookup of each class
+// returns the eager class with its bodies left out.
 func FuzzLazyIndex(f *testing.F) {
 	apps, err := corpus.GenerateCorpus(7)
 	if err != nil {
@@ -526,11 +527,16 @@ class t.Later extends java.lang.Object {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, lazyErr := dex.DecodeLazy(data)
 		eager, eagerErr := dex.Decode(data)
-		if (lazyErr == nil) != (eagerErr == nil) {
-			t.Fatalf("decodability disagrees: lazy=%v eager=%v", lazyErr, eagerErr)
+		if (lazyErr == nil) != (eagerErr == nil) || lazyErr != nil && lazyErr.Error() != eagerErr.Error() {
+			t.Fatalf("errors disagree: lazy=%v eager=%v", lazyErr, eagerErr)
 		}
 		if lazyErr != nil {
 			return
+		}
+		// The skim phrases no error, so one that wrongly rejects a valid
+		// body shows only as a fallback to the materializing core.
+		if n := l.Fallbacks(); n != 0 {
+			t.Fatalf("the skim rejected %d bodies the core accepted", n)
 		}
 		x := l.Index()
 		want := eagerRefs(eager)

@@ -1,6 +1,7 @@
 package dex
 
 import (
+	"encoding/binary"
 	"os"
 	"reflect"
 	"testing"
@@ -64,5 +65,52 @@ func TestSkimCoversEveryOpcode(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Fatalf("%d records, want 3 (util, run, onCreate): %q", len(got), got)
+	}
+}
+
+// TestUvarintMatchesBinary: the skim's uvarint reader accepts exactly
+// what binary.Uvarint accepts, with the same value and length, on every
+// input of one and two bytes — the encodings its fast paths decode
+// themselves — read both alone and from the middle of a longer input,
+// and on the boundaries of the fallback to binary.Uvarint.
+func TestUvarintMatchesBinary(t *testing.T) {
+	check := func(data []byte, pos int) {
+		t.Helper()
+		// Spare capacity holding a terminating byte catches a fast path
+		// that reslices past len(data), which Go allows up to the
+		// capacity: it would decode a value binary.Uvarint rejects.
+		padded := append(append(make([]byte, 0, len(data)+2), data...), 0x00, 0x00)[:len(data)]
+		d := decoder{data: padded, pos: pos}
+		v, ok := d.uvarint()
+		want, n := binary.Uvarint(data[pos:])
+		if ok != (n > 0) || ok && (v != want || d.pos != pos+n) {
+			t.Fatalf("uvarint(% x at %d) = %d, ok=%t, pos %d; binary.Uvarint = %d, n=%d",
+				data, pos, v, ok, d.pos, want, n)
+		}
+	}
+	for b0 := 0; b0 < 256; b0++ {
+		check([]byte{byte(b0)}, 0)
+		check([]byte{0x01, byte(b0)}, 1)
+		for b1 := 0; b1 < 256; b1++ {
+			check([]byte{byte(b0), byte(b1)}, 0)
+			check([]byte{0x7f, byte(b0), byte(b1), 0x01}, 1)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		pos  int
+	}{
+		{"no byte left", []byte{0x05}, 1},
+		{"one byte left at the end", []byte{0x80, 0x80, 0x05}, 2},
+		{"non-canonical zero", []byte{0x80, 0x00}, 0},
+		{"continuation byte ends the data", []byte{0x05, 0xff}, 1},
+		{"two continuation bytes end the data", []byte{0xff, 0xff}, 0},
+		{"three bytes", []byte{0x80, 0x80, 0x01}, 0},
+		{"largest value", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 0},
+		{"10-byte overflow", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, 0},
+		{"11 bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) { check(tc.data, tc.pos) })
 	}
 }

@@ -190,10 +190,15 @@ func (d *memberDecoder) fill(c *Class) {
 	}
 }
 
-// NewOverlay returns a program whose own layer holds app's classes (the
-// *Class values are shared, as Merge shares them) layered over base, which
-// must be frozen. Its cost is linear in app's classes: nothing of base is
-// copied. app must itself be flat.
+// NewOverlay returns a program whose own layer is app's classes layered
+// over base, which must be frozen. The overlay adopts app's layer rather
+// than copying it: the two programs share one class map (and a lazily
+// opened app's member decoder), so the cost is a check of base's classes
+// against that map, independent of app's size, and nothing of either
+// program is copied. app must itself be flat, and neither program may be
+// changed afterwards except through the overlay: a class added to one
+// appears in the other, and a class added to app directly escapes the
+// overlay's shadow count. No scan changes a program once it is overlaid.
 func NewOverlay(app, base *Program) *Program {
 	if !base.frozen {
 		panic("jimple: overlay base program is not frozen")
@@ -201,9 +206,11 @@ func NewOverlay(app, base *Program) *Program {
 	if app.base != nil {
 		panic("jimple: overlay over an overlay app program")
 	}
-	p := &Program{classes: make(map[string]*Class, len(app.classes)), base: base, members: app.members}
-	for _, c := range app.classes {
-		p.AddClass(c)
+	p := &Program{classes: app.classes, base: base, members: app.members}
+	for _, c := range base.sorted {
+		if _, own := app.classes[c.Name]; own {
+			p.shadowed++
+		}
 	}
 	return p
 }
