@@ -39,19 +39,19 @@ type App struct {
 	Manifest *android.Manifest
 	Program  *jimple.Program
 
-	// Lazy is non-nil for apps opened by DecodeLazy: the dex payload has
-	// been skimmed (headers, the skim index, body spans) but no method
-	// bodies are decoded yet. Program aliases Lazy.Program(); a scan
-	// materializes the demanded classes, and dynamic validation
-	// everything.
+	// Lazy is the handle of an app opened by DecodeLazy, the way every
+	// scan opens one: the dex payload has been skimmed (headers, the skim
+	// index, body spans) but no method bodies are decoded yet. Program
+	// aliases Lazy.Program(); a scan materializes the demanded classes,
+	// and dynamic validation and Encode everything. It is nil for an app
+	// built in memory or opened by Decode.
 	Lazy *dex.Lazy
 
 	// src holds the container bytes an app was decoded from, until
 	// Digest hashes them; nil for an app built in memory.
 	src []byte
 
-	// digest memoizes Digest(): apps decoded from container bytes hash
-	// those bytes, in-memory apps their canonical encoding, on first use.
+	// digest memoizes Digest(): the hash of src, on first use.
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
 	digestErr  error
@@ -61,29 +61,29 @@ type App struct {
 var hashContainer = sha256.Sum256
 
 // Digest returns the SHA-256 content identity of the app — the hash of
-// its container bytes — computed on first use, once per App. It is the
-// app component of the persistent scan cache's keys (internal/cachestore):
-// any change to the manifest or the dex payload changes the digest. For
-// an app parsed by Decode or DecodeLazy the digest covers the bytes as
-// read; for an app built in memory it covers the canonical Encode output.
-// A scan with the cache off never asks, so it hashes nothing.
+// the container bytes it was decoded from (by Decode or DecodeLazy) —
+// computed on first use, once per App. It is the app component of the
+// persistent scan cache's keys (internal/cachestore): any change to the
+// manifest or the dex payload changes the digest. Every scan runs on an
+// opened container, so it always has bytes to hash; an app built in
+// memory has none and gets an error. A scan with the cache off never
+// asks, so it hashes nothing.
 func (a *App) Digest() ([sha256.Size]byte, error) {
 	a.digestOnce.Do(func() {
-		data := a.src
-		if data == nil {
-			var err error
-			if data, err = Encode(a); err != nil {
-				a.digestErr = err
-				return
-			}
+		if a.src == nil {
+			a.digestErr = fmt.Errorf("apk: app was not decoded from container bytes")
+			return
 		}
-		a.digest = hashContainer(data)
+		a.digest = hashContainer(a.src)
 		a.src = nil
 	})
 	return a.digest, a.digestErr
 }
 
-// Encode serializes the app to container bytes.
+// Encode serializes the app to container bytes. A lazily opened app has
+// its bodies materialized first (Lazy.MaterializeAll), so it encodes to
+// the bytes it was opened from; like MaterializeAll, that may not run
+// concurrently with another Encode, scan or lookup of the same app.
 func Encode(app *App) ([]byte, error) {
 	if app.Manifest == nil {
 		return nil, fmt.Errorf("apk: app has no manifest")
@@ -93,6 +93,9 @@ func Encode(app *App) ([]byte, error) {
 	}
 	if app.Program == nil {
 		return nil, fmt.Errorf("apk: app has no program")
+	}
+	if err := app.Lazy.MaterializeAll(); err != nil {
+		return nil, fmt.Errorf("apk: %w", err)
 	}
 	buf := append([]byte(nil), magic...)
 	buf = binary.AppendUvarint(buf, 2) // section count
@@ -216,7 +219,7 @@ func readSection(data []byte, pos int) (name string, content []byte, next int, e
 	return name, content, pos + int(size), nil
 }
 
-// Write streams the encoded app to w.
+// Write streams the encoded app (Encode) to w.
 func Write(w io.Writer, app *App) error {
 	data, err := Encode(app)
 	if err != nil {
@@ -235,7 +238,7 @@ func Read(r io.Reader) (*App, error) {
 	return Decode(data)
 }
 
-// WriteFile writes the app to path.
+// WriteFile writes the encoded app (Encode) to path.
 func WriteFile(path string, app *App) error {
 	data, err := Encode(app)
 	if err != nil {

@@ -148,49 +148,47 @@ func TestQuickCorruptionDetected(t *testing.T) {
 }
 
 // TestDigestStableAndDiscriminating: Digest is the app component of the
-// persistent scan cache's result key. A decoded app's digest must equal
-// the digest of the bytes it was decoded from (decode does not re-encode),
-// an in-memory app's digest must be reproducible, and different apps must
-// digest differently.
+// persistent scan cache's result key. A decoded app's digest is the hash
+// of the bytes it was decoded from (decode does not re-encode), stable
+// across calls; different apps digest differently; and an app built in
+// memory, which has no container bytes, has no digest.
 func TestDigestStableAndDiscriminating(t *testing.T) {
+	digestOf := func(app *App) [sha256.Size]byte {
+		t.Helper()
+		data, err := Encode(app)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		decoded, err := DecodeLazy(data)
+		if err != nil {
+			t.Fatalf("DecodeLazy: %v", err)
+		}
+		d1, err := decoded.Digest()
+		if err != nil {
+			t.Fatalf("Digest: %v", err)
+		}
+		d2, err := decoded.Digest()
+		if err != nil {
+			t.Fatalf("Digest (memoized): %v", err)
+		}
+		if d1 != d2 || d1 != sha256.Sum256(data) {
+			t.Fatalf("Digest is not stably the hash of the container bytes")
+		}
+		return d1
+	}
 	app := sampleApp(t)
-	d1, err := app.Digest()
-	if err != nil {
-		t.Fatalf("Digest: %v", err)
+	d := digestOf(app)
+	if again := digestOf(sampleApp(t)); again != d {
+		t.Fatalf("the same app digests differently across encodes")
 	}
-	d2, err := app.Digest()
-	if err != nil {
-		t.Fatalf("Digest (memoized): %v", err)
-	}
-	if d1 != d2 {
-		t.Fatalf("Digest not stable across calls")
-	}
-
-	data, err := Encode(app)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	decoded, err := Decode(data)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	dd, err := decoded.Digest()
-	if err != nil {
-		t.Fatalf("decoded Digest: %v", err)
-	}
-	if dd != d1 {
-		t.Fatalf("decoded app digest differs from in-memory digest")
-	}
-
 	other := sampleApp(t)
 	other.Manifest.Package = "com.y"
 	other.Manifest.Normalize()
-	od, err := other.Digest()
-	if err != nil {
-		t.Fatalf("other Digest: %v", err)
-	}
-	if od == d1 {
+	if digestOf(other) == d {
 		t.Fatalf("distinct apps share a digest")
+	}
+	if _, err := app.Digest(); err == nil {
+		t.Fatalf("an app built in memory has a digest; want an error")
 	}
 }
 

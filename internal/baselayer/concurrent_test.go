@@ -51,16 +51,26 @@ func TestConcurrentScansShareBase(t *testing.T) {
 	layer := baselayer.Get()
 	before := snapshot(layer)
 
-	// scan runs both consumers of the base: the static pipeline and the
-	// dynamic replayer (interp.RunApp overlays the app through
-	// NewReplayer).
-	scan := func(m *corpus.CorpusApp) (string, int) {
-		text := report.RenderAll(checkers.Analyze(m.App, reg, opts).Reports)
+	// scan runs both consumers of the base: the static pipeline, over its
+	// own lazy open of the app's container, and the dynamic replayer
+	// (interp.RunApp overlays the app through NewReplayer).
+	containers := make([][]byte, n)
+	for i, m := range members {
+		if containers[i], err = apk.Encode(m.App); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(i int, m *corpus.CorpusApp) (string, int) {
+		app, err := apk.DecodeLazy(containers[i])
+		if err != nil {
+			panic(err)
+		}
+		text := report.RenderAll(checkers.Analyze(app, reg, opts).Reports)
 		return text, len(interp.RunApp(m.App, interp.NetOffline, 1).Runs)
 	}
 	wantText, wantRuns := make([]string, n), make([]int, n)
 	for i, m := range members {
-		wantText[i], wantRuns[i] = scan(m)
+		wantText[i], wantRuns[i] = scan(i, m)
 	}
 
 	gotText, gotRuns := make([]string, n), make([]int, n)
@@ -69,7 +79,7 @@ func TestConcurrentScansShareBase(t *testing.T) {
 		wg.Add(1)
 		go func(i int, m *corpus.CorpusApp) {
 			defer wg.Done()
-			gotText[i], gotRuns[i] = scan(m)
+			gotText[i], gotRuns[i] = scan(i, m)
 		}(i, m)
 	}
 	wg.Wait()

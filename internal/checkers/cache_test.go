@@ -40,7 +40,7 @@ func cacheTestApp(t *testing.T, src string) *apk.App {
 	}
 	man := &android.Manifest{Package: "t", Activities: []string{"t.Main"}}
 	man.Normalize()
-	return &apk.App{Manifest: man, Program: prog}
+	return openApp(man, prog)
 }
 
 func assertSameFindings(t *testing.T, got, want *Result, label string) {

@@ -20,8 +20,23 @@ func analyzeSrc(t *testing.T, src string, man *android.Manifest) *Result {
 		man = &android.Manifest{Package: "test.app"}
 	}
 	man.Normalize()
-	app := &apk.App{Manifest: man, Program: prog}
-	return Analyze(app, apimodel.NewRegistry(), Options{})
+	return Analyze(openApp(man, prog), apimodel.NewRegistry(), Options{})
+}
+
+// openApp opens an app built in memory the way every scan opens one: its
+// container encoding through apk.DecodeLazy, AnalyzeContext's
+// precondition. It panics on an app that does not encode, so helpers
+// without a *testing.T can use it too.
+func openApp(man *android.Manifest, prog *jimple.Program) *apk.App {
+	data, err := apk.Encode(&apk.App{Manifest: man, Program: prog})
+	if err != nil {
+		panic(err)
+	}
+	app, err := apk.DecodeLazy(data)
+	if err != nil {
+		panic(err)
+	}
+	return app
 }
 
 func countCause(res *Result, c report.Cause) int {
@@ -131,8 +146,7 @@ func TestChecker1TaintDistinguishesObjects(t *testing.T) {
 	// Ablation: the whole-method scan is fooled.
 	prog := jimple.MustParse(wrongObjectConfig)
 	man := &android.Manifest{Package: "t"}
-	app := &apk.App{Manifest: man, Program: prog}
-	ablated := Analyze(app, apimodel.NewRegistry(), Options{DisableTaintConfigDiscovery: true})
+	ablated := Analyze(openApp(man, prog), apimodel.NewRegistry(), Options{DisableTaintConfigDiscovery: true})
 	if countCause(ablated, report.CauseNoTimeout) != 0 {
 		t.Errorf("ablated analysis should (wrongly) accept the unrelated config call")
 	}
@@ -700,7 +714,7 @@ func analyzeSrcOpts(t *testing.T, src string, opts Options) *Result {
 	prog := jimple.MustParse(src)
 	man := &android.Manifest{Package: "t"}
 	man.Normalize()
-	return Analyze(&apk.App{Manifest: man, Program: prog}, apimodel.NewRegistry(), opts)
+	return Analyze(openApp(man, prog), apimodel.NewRegistry(), opts)
 }
 
 func TestGuardSensitiveOption(t *testing.T) {

@@ -99,8 +99,7 @@ type TargetedStats struct {
 	ClosureMethods int `metric:"closure_methods"`
 	ClosureClasses int `metric:"closure_classes"`
 	// ClassesDecoded / ClassesSkipped split the app's body-bearing classes
-	// into materialized and never-decoded (lazy scan path) or analyzed and
-	// excluded (in-memory path).
+	// into materialized and never-decoded.
 	ClassesDecoded int `metric:"classes_decoded"`
 	ClassesSkipped int `metric:"classes_skipped"`
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
-	"repro/internal/apk"
 	"repro/internal/jimple"
 	"repro/internal/report"
 )
@@ -20,7 +19,7 @@ func analyzeCtx(ctx context.Context, src string, opts Options) *Result {
 	prog := jimple.MustParse(src)
 	man := &android.Manifest{Package: "t"}
 	man.Normalize()
-	return AnalyzeContext(ctx, &apk.App{Manifest: man, Program: prog}, apimodel.NewRegistry(), opts)
+	return AnalyzeContext(ctx, openApp(man, prog), apimodel.NewRegistry(), opts)
 }
 
 // checkerStageCauses maps each checker stage to the report causes only it

@@ -18,8 +18,9 @@ import (
 //
 // The scan is a staged pass pipeline:
 //
-//	build      — merge the app with the framework model, build the class
-//	             hierarchy and the call graph
+//	build      — run the demand closure over the skim index, decode the
+//	             demanded classes, overlay the app on the framework base
+//	             layer, and build the class hierarchy and the call graph
 //	discover   — find and resolve every request site (§4.4), fanned out
 //	             per method
 //	settings | parameters | notifications | responses | offlinestate |
@@ -42,13 +43,17 @@ func Analyze(app *apk.App, reg *apimodel.Registry, opts Options) *Result {
 	return AnalyzeContext(context.Background(), app, reg, opts)
 }
 
-// AnalyzeContext is Analyze under a caller context. The scan is
-// fault-isolated end to end: a panic in any stage or work unit, an
-// expired Options.Timeout, or cancellation of ctx never crashes or wedges
-// the scan. Instead the failed stage/unit is dropped, every stage that
-// completed contributes its findings through the same deterministic merge
-// barrier, and the Result comes back Incomplete with the failures
-// recorded in Diagnostics.Errors as a sorted ScanError list.
+// AnalyzeContext is Analyze under a caller context. The app must come
+// from apk.DecodeLazy, as every scan's does (core opens container bytes,
+// and encodes an app built in memory first): the demand closure reads its
+// skim index, and only the classes the closure demands are decoded.
+//
+// The scan is fault-isolated end to end: a panic in any stage or work
+// unit, an expired Options.Timeout, or cancellation of ctx never crashes
+// or wedges the scan. Instead the failed stage/unit is dropped, every
+// stage that completed contributes its findings through the same
+// deterministic merge barrier, and the Result comes back Incomplete with
+// the failures recorded in Diagnostics.Errors as a sorted ScanError list.
 func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, opts Options) *Result {
 	start := time.Now()
 	if opts.Timeout > 0 {
@@ -202,14 +207,10 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	// degraded stage simply contributes fewer (or zero) units here; the
 	// surviving stages' reports are byte-identical to a clean scan's.
 	res := &Result{}
-	if app.Lazy != nil {
-		// A lazily opened app holds undecoded bodies outside the closure,
-		// so library usage resolves from the skim's referenced classes —
-		// pinned equal to LibsUsedBy over the decoded program.
-		res.Stats.LibsUsed = reg.LibsUsedByRefs(app.Lazy.EachRefClass)
-	} else {
-		res.Stats.LibsUsed = reg.LibsUsedBy(app.Program)
-	}
+	// The app holds undecoded bodies outside the closure, so library usage
+	// resolves from the skim's referenced classes — pinned equal to
+	// LibsUsedBy over the decoded program.
+	res.Stats.LibsUsed = reg.LibsUsedByRefs(app.Lazy.EachRefClass)
 	res.Stats.add(&discovered.stats)
 	for i := range stages {
 		res.Reports = append(res.Reports, outs[i].reports...)

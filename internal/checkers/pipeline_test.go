@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
-	"repro/internal/apk"
 	"repro/internal/jimple"
 )
 
@@ -34,7 +33,7 @@ func analyzeSrcQuiet(src string, opts Options) *Result {
 	prog := jimple.MustParse(src)
 	man := &android.Manifest{Package: "t"}
 	man.Normalize()
-	return Analyze(&apk.App{Manifest: man, Program: prog}, apimodel.NewRegistry(), opts)
+	return Analyze(openApp(man, prog), apimodel.NewRegistry(), opts)
 }
 
 func renderAll(res *Result) string {

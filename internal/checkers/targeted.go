@@ -14,9 +14,8 @@ import (
 // This file is the demand-driven closure every scan runs (paper §4.2's
 // "targeted analysis": start from the network-API call sites and pull in
 // only the code that can matter, instead of scanning the whole app). The
-// closure is computed from the dex.Index skim — available both from a
-// lazy decode (dex.Lazy.Index, bodies never decoded) and from a loaded
-// program (dex.IndexOf) — so the two scan paths demand the same classes.
+// closure is computed from the dex.Index skim of the lazy open
+// (dex.Lazy.Index), before any method body is decoded.
 //
 // The engine computes two sets:
 //
@@ -349,20 +348,14 @@ func newClosure(x *dex.Index, rm []int32, demanded []bool, stats TargetedStats) 
 }
 
 // prepareBuild runs the demand closure over the skim index, freezing
-// a.index / a.roots / a.demanded / a.diag.Targeted, and decodes only the
-// demanded classes (lazy path) or keeps them (in-memory path — the bodies
-// exist but collectAppMethods skips the rest). ClassesSkipped counts
-// bodied classes left undecoded (lazy) or unanalyzed (in-memory). Runs
-// inside the "build" stage guard: a materialization failure (bytes
-// changed under us — effectively impossible) panics into a recorded
-// ScanError.
+// a.index / a.roots / a.demanded / a.diag.Targeted, and decodes the
+// bodies of the demanded classes only; ClassesSkipped counts the bodied
+// classes left undecoded. Runs inside the "build" stage guard: a
+// materialization failure (bytes changed under us — effectively
+// impossible) panics into a recorded ScanError.
 func (a *analysis) prepareBuild() {
 	lazy := a.app.Lazy
-	if lazy != nil {
-		a.index = lazy.Index()
-	} else {
-		a.index = dex.IndexOf(a.app.Program)
-	}
+	a.index = lazy.Index()
 	var cl targetedClosure
 	if a.opts.oracle {
 		cl = wholeProgramClosure(a.index)
@@ -370,9 +363,6 @@ func (a *analysis) prepareBuild() {
 		cl = computeTargetedClosure(a.index, a.reg, a.app.Manifest, a.opts.EnableICC)
 	}
 	a.roots, a.demanded, a.diag.Targeted = cl.roots, cl.demanded, cl.stats
-	if lazy == nil {
-		return
-	}
 	// Demanded slots ascend in class-name order, so classes materialize
 	// in the same order every run (Materialize is idempotent).
 	for _, slot := range cl.demanded {

@@ -7,15 +7,13 @@ import (
 	"repro/internal/android"
 	"repro/internal/apimodel"
 	"repro/internal/apk"
-	"repro/internal/dex"
 	"repro/internal/jimple"
 )
 
-// assertModesAgree scans src three ways — the whole-program oracle, the
-// engine over the in-memory program, and the engine over a lazily
-// decoded encode of the same app — and requires byte-identical reports
-// and stats from all three. It returns the engine's lazy result and app
-// for closure-counter assertions.
+// assertModesAgree scans src twice — the whole-program oracle and the
+// engine, each over a lazily opened encode of the app — and requires
+// byte-identical reports and stats from both. It returns the engine's
+// result and app for closure-counter assertions.
 func assertModesAgree(t *testing.T, src string, man *android.Manifest, opts Options) (*Result, *apk.App) {
 	t.Helper()
 	reg := apimodel.NewRegistry()
@@ -28,45 +26,26 @@ func assertModesAgree(t *testing.T, src string, man *android.Manifest, opts Opti
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("fixture invalid: %v", err)
 		}
-		return &apk.App{Manifest: man, Program: prog}
+		return openApp(man, prog)
 	}
 	oracle := Analyze(mkApp(), reg, OracleOptions(opts))
 	if oracle.Incomplete {
 		t.Fatalf("oracle scan incomplete: %+v", oracle.Diagnostics.Errors)
 	}
-
-	mem := Analyze(mkApp(), reg, opts)
-
-	data, err := apk.Encode(mkApp())
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
+	app := mkApp()
+	res := Analyze(app, reg, opts)
+	if res.Incomplete {
+		t.Errorf("engine scan incomplete: %+v", res.Diagnostics.Errors)
 	}
-	lazyApp, err := apk.DecodeLazy(data)
-	if err != nil {
-		t.Fatalf("DecodeLazy: %v", err)
+	if !reflect.DeepEqual(res.Reports, oracle.Reports) {
+		t.Errorf("engine reports differ from the oracle:\noracle: %+v\nengine: %+v",
+			oracle.Reports, res.Reports)
 	}
-	lazyRes := Analyze(lazyApp, reg, opts)
-
-	for _, tc := range []struct {
-		name string
-		res  *Result
-	}{
-		{"in-memory", mem},
-		{"lazy", lazyRes},
-	} {
-		if tc.res.Incomplete {
-			t.Errorf("%s scan incomplete: %+v", tc.name, tc.res.Diagnostics.Errors)
-		}
-		if !reflect.DeepEqual(tc.res.Reports, oracle.Reports) {
-			t.Errorf("%s reports differ from the oracle:\noracle: %+v\nengine: %+v",
-				tc.name, oracle.Reports, tc.res.Reports)
-		}
-		if !reflect.DeepEqual(tc.res.Stats, oracle.Stats) {
-			t.Errorf("%s stats differ from the oracle:\noracle: %+v\nengine: %+v",
-				tc.name, oracle.Stats, tc.res.Stats)
-		}
+	if !reflect.DeepEqual(res.Stats, oracle.Stats) {
+		t.Errorf("engine stats differ from the oracle:\noracle: %+v\nengine: %+v",
+			oracle.Stats, res.Stats)
 	}
-	return lazyRes, lazyApp
+	return res, app
 }
 
 // Config tainting through a helper callee: the helper is not a summary
@@ -339,8 +318,9 @@ func TestClosureTablesArePerRegistry(t *testing.T) {
 	libs := apimodel.StandardLibraries()
 	libs[len(libs)-1].Callbacks = []apimodel.Callback{{ErrorSubsig: "onCustomError(java.lang.Object)void"}}
 	custom := apimodel.NewRegistryOf(libs)
-	records := dex.IndexOf(jimple.MustParse(customCallbackApp))
 	man := &android.Manifest{Package: "t"}
+	man.Normalize()
+	records := openApp(man, jimple.MustParse(customCallbackApp)).Lazy.Index()
 	for i, tc := range []struct {
 		reg  *apimodel.Registry
 		want int

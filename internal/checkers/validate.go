@@ -62,10 +62,8 @@ func (a *analysis) validateReports(reports []report.Report) {
 	// not just what the checkers consulted — the classes the closure left
 	// undecoded must be materialized first, or verdicts would diverge
 	// from the whole-program oracle's.
-	if a.app.Lazy != nil {
-		if err := a.app.Lazy.MaterializeAll(); err != nil {
-			panic(fmt.Sprintf("validate: materializing app for replay: %v", err))
-		}
+	if err := a.app.Lazy.MaterializeAll(); err != nil {
+		panic(fmt.Sprintf("validate: materializing app for replay: %v", err))
 	}
 	rp := interp.NewReplayer(a.app)
 	cache := make(map[replayKey]replayOutcome)

@@ -10,16 +10,17 @@ import (
 )
 
 // TestScanAllocsRegression pins an allocation budget on the per-app scan
-// path: one ScanApp of the canonical fixture through a single-threaded
-// pipeline must stay under the case's budget. The fleet dispatch path
-// runs this exact call once per /scansync request, so an allocation
-// regression here multiplies by the whole corpus × worker count. Two
-// shapes of scan are gated: "full" runs every checker family, and
-// "targeted" runs a family subset, whose demand-driven closure is
-// narrower, so a regression in the subset path is caught alongside one
-// in the full scan. The budgets carry ~10% headroom over the measured
-// values (full: 448, targeted: 348); if a deliberate feature change
-// raises a floor, re-measure with
+// path: one ScanBytes of the canonical fixture's container through a
+// single-threaded pipeline — the lazy open included — must stay under
+// the case's budget. Every production scan runs this path (the CLI, and
+// the fleet's /scansync handler once per request through
+// ScanBytesContext), so an allocation regression here multiplies by the
+// whole corpus × worker count. Two shapes of scan are gated: "full" runs
+// every checker family, and "targeted" runs a family subset, whose
+// demand-driven closure is narrower, so a regression in the subset path
+// is caught alongside one in the full scan. The budgets carry headroom
+// over the measured values (full: 469, targeted: 372); if a deliberate
+// feature change raises a floor, re-measure with
 // `go test ./internal/core -run TestScanAllocsRegression -v` and update
 // the constant in the same commit that explains why.
 //
@@ -51,32 +52,28 @@ func TestScanAllocsRegression(t *testing.T) {
 		{"targeted", targeted, scanAllocBudgetTargeted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			app, err := apk.Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Workers:1 keeps the pipeline single-threaded: goroutine stacks
 			// and channel buffers would otherwise smear the measurement.
 			nc := NewWithOptions(Options{Workers: 1, Checkers: tc.checkers})
 
 			// Warm once: registry laziness, stub program, and pool growth
 			// must not bill the steady-state measurement.
-			if res := nc.ScanApp(app); len(res.Reports) == 0 {
-				t.Fatal("fixture app produced no reports; the measurement would be vacuous")
+			if res, err := nc.ScanBytes(data); err != nil || len(res.Reports) == 0 {
+				t.Fatalf("fixture app produced no reports (err %v); the measurement would be vacuous", err)
 			}
 
 			avg := testing.AllocsPerRun(10, func() {
-				res := nc.ScanApp(app)
-				if res.Incomplete {
-					t.Fatal("scan degraded during measurement")
+				res, err := nc.ScanBytes(data)
+				if err != nil || res.Incomplete {
+					t.Fatal("scan failed or degraded during measurement")
 				}
 			})
-			t.Logf("ScanApp allocations/run = %.0f (budget %d)", avg, tc.budget)
+			t.Logf("ScanBytes allocations/run = %.0f (budget %d)", avg, tc.budget)
 			if testutil.RaceEnabled {
 				t.Skipf("race detector enabled; measured %.0f for the log only", avg)
 			}
 			if avg > float64(tc.budget) {
-				t.Errorf("ScanApp allocates %.0f per run, over the %d budget — "+
+				t.Errorf("ScanBytes allocates %.0f per run, over the %d budget — "+
 					"if intentional, re-measure and raise the budget in the same change",
 					avg, tc.budget)
 			}

@@ -10,13 +10,16 @@
 //	    fmt.Println(r.Render())
 //	}
 //
-// The pipeline mirrors §4 of the paper: parse the binary into the Jimple
-// IR (internal/dex, internal/apk), build a lifecycle-aware call graph
-// (internal/callgraph extending internal/hierarchy), then run the four
-// API-misuse analyses and the customized-retry-loop identification
-// (internal/checkers) against the library annotations
-// (internal/apimodel), emitting actionable warning reports
-// (internal/report).
+// Every scan starts from container bytes, as the paper's tool starts from
+// the APK: ScanFile and ScanBytes open them, and ScanApp encodes an
+// already-parsed app first. The pipeline mirrors §4 of the paper: open
+// the binary lazily into the Jimple IR (internal/apk, internal/dex),
+// decoding only the method bodies the demand closure reaches, build a
+// lifecycle-aware call graph (internal/callgraph extending
+// internal/hierarchy), then run the four API-misuse analyses and the
+// customized-retry-loop identification (internal/checkers) against the
+// library annotations (internal/apimodel), emitting actionable warning
+// reports (internal/report).
 package core
 
 import (
@@ -129,17 +132,22 @@ func (c *Checker) WithOptions(opts Options) *Checker {
 // callers (nchecker serve) use it to report the effective configuration.
 func (c *Checker) Options() Options { return c.opts }
 
-// ScanApp analyzes an already-parsed app.
+// ScanApp analyzes an already-parsed app. Every scan runs on container
+// bytes, so the app is encoded and scanned exactly as ScanBytes would
+// scan that encoding; the scan never touches the app itself, though the
+// encode materializes a lazily opened app's bodies (see apk.Encode). An
+// app that cannot be encoded (no manifest, an invalid one, or no
+// program) yields an Incomplete Result whose single error is an
+// ErrDecode ScanError.
 func (c *Checker) ScanApp(app *apk.App) *Result {
-	return c.ScanAppContext(context.Background(), app)
-}
-
-// ScanAppContext analyzes an already-parsed app under ctx. Cancellation
-// and deadlines (including Options.Timeout) degrade the scan instead of
-// aborting it: the Result keeps every completed stage's findings and is
-// marked Incomplete.
-func (c *Checker) ScanAppContext(ctx context.Context, app *apk.App) *Result {
-	return checkers.AnalyzeContext(ctx, app, c.reg, c.opts)
+	data, err := apk.Encode(app)
+	if err == nil {
+		app, err = apk.DecodeLazy(data)
+	}
+	if err != nil {
+		return &Result{Incomplete: true, Diagnostics: Diagnostics{Errors: []ScanError{*decodeErr(err)}}}
+	}
+	return checkers.Analyze(app, c.reg, c.opts)
 }
 
 // ScanBytes parses an APK container from bytes and analyzes it.
@@ -150,12 +158,15 @@ func (c *Checker) ScanBytes(data []byte) (*Result, error) {
 // ScanBytesContext is ScanBytes under a caller context. A malformed
 // container yields an error matching ErrDecode. The container is opened
 // lazily: method bodies outside the demand closure are never decoded.
+// Cancellation and deadlines (including Options.Timeout) degrade the scan
+// instead of aborting it: the Result keeps every completed stage's
+// findings and is marked Incomplete.
 func (c *Checker) ScanBytesContext(ctx context.Context, data []byte) (*Result, error) {
 	app, err := apk.DecodeLazy(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", decodeErr(err))
 	}
-	return c.ScanAppContext(ctx, app), nil
+	return checkers.AnalyzeContext(ctx, app, c.reg, c.opts), nil
 }
 
 // ScanFile parses the APK container at path and analyzes it.
@@ -171,11 +182,11 @@ func (c *Checker) ScanFileContext(ctx context.Context, path string) (*Result, er
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", decodeErr(err))
 	}
-	return c.ScanAppContext(ctx, app), nil
+	return checkers.AnalyzeContext(ctx, app, c.reg, c.opts), nil
 }
 
 // decodeErr files a read/parse failure under ErrDecode in the taxonomy.
-func decodeErr(err error) error {
+func decodeErr(err error) *ScanError {
 	return &ScanError{Kind: ErrDecode, Unit: -1, Msg: err.Error()}
 }
 

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/android"
 	"repro/internal/apk"
+	"repro/internal/corpus"
 	"repro/internal/jimple"
 	"repro/internal/report"
+	"repro/internal/testutil"
 )
 
 func buggyApp(t *testing.T) *apk.App {
@@ -48,6 +51,68 @@ func TestScanAppEndToEnd(t *testing.T) {
 	for _, c := range wantCauses {
 		if sum.ByCause[c] == 0 {
 			t.Errorf("expected cause %s in scan results: %+v", c, sum.ByCause)
+		}
+	}
+}
+
+// TestScanAppUnencodableApp: ScanApp scans an app's container encoding,
+// so an app that does not encode — no manifest, an invalid manifest, no
+// program — comes back as an Incomplete result whose single error is an
+// ErrDecode, not as a panic.
+func TestScanAppUnencodableApp(t *testing.T) {
+	prog, man := buggyApp(t).Program, buggyApp(t).Manifest
+	for name, app := range map[string]*apk.App{
+		"nil manifest":     {Program: prog},
+		"invalid manifest": {Manifest: &android.Manifest{}, Program: prog},
+		"nil program":      {Manifest: man},
+	} {
+		res := New().ScanApp(app)
+		if !res.Incomplete || len(res.Reports) != 0 {
+			t.Errorf("%s: Incomplete=%t with %d reports, want a degraded empty result", name, res.Incomplete, len(res.Reports))
+		}
+		if errs := res.Diagnostics.Errors; len(errs) != 1 || !errors.Is(&errs[0], ErrDecode) {
+			t.Errorf("%s: errors %v, want a single ErrDecode", name, errs)
+		}
+		if !errors.Is(res.Err(), ErrDecode) {
+			t.Errorf("%s: Err()=%v, want ErrDecode", name, res.Err())
+		}
+	}
+}
+
+// TestScanAppOfOpenedApp: ScanApp of a lazily opened app, whose bodies
+// the open left undecoded, renders the same bytes and stats as ScanBytes
+// of the container it was opened from — on the canonical fixture and on
+// a padded app.
+func TestScanAppOfOpenedApp(t *testing.T) {
+	fixture := testutil.MustFixtureApp(t)
+	padded, err := apk.Decode(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus.AddPadding(padded, 300)
+	paddedData, err := apk.Encode(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := NewWithOptions(Options{Workers: 1})
+	for name, data := range map[string][]byte{"fixture": fixture, "pad300": paddedData} {
+		want, err := nc.ScanBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := apk.DecodeLazy(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := nc.ScanApp(app)
+		if got.Incomplete {
+			t.Fatalf("%s: ScanApp degraded: %v", name, got.Err())
+		}
+		if g, w := report.RenderAll(got.Reports), report.RenderAll(want.Reports); g != w || w == "" {
+			t.Errorf("%s: ScanApp of the opened app renders\n%s\nScanBytes of its container renders\n%s", name, g, w)
+		}
+		if !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Errorf("%s: stats differ: %+v vs %+v", name, got.Stats, want.Stats)
 		}
 	}
 }

@@ -1,19 +1,19 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/apk"
+	"repro/internal/checkers"
 	"repro/internal/corpus"
 	"repro/internal/jimple"
 )
 
 // TestScanLeavesPaddingDeferred: a scan decodes the members of only the
 // classes it looks up. Over padded corpus apps opened with
-// apk.DecodeLazy and scanned with ScanAppContext (every family, with and
+// apk.DecodeLazy and scanned by checkers.Analyze (every family, with and
 // without -icc), every padding class, which no closure rule reaches,
 // still has its members deferred after the scan: the members'
 // counterpart of the HasBody guard on the classes a scan skips.
@@ -40,7 +40,8 @@ func TestScanLeavesPaddingDeferred(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			res := NewWithOptions(Options{Workers: 1, EnableICC: icc}).ScanAppContext(context.Background(), app)
+			nc := NewWithOptions(Options{Workers: 1, EnableICC: icc})
+			res := checkers.Analyze(app, nc.reg, nc.opts)
 			if res.Incomplete {
 				t.Fatalf("%s: scan degraded", name)
 			}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/apk"
 )
 
 // TestDecodeFailuresClassify: unreadable and malformed inputs come back
@@ -29,13 +31,20 @@ func TestDecodeFailuresClassify(t *testing.T) {
 	}
 }
 
-// TestScanAppContextCancellation: a canceled caller context degrades the
-// scan instead of erroring or crashing — the API keeps its no-error
-// signature and reports through Result.Incomplete.
-func TestScanAppContextCancellation(t *testing.T) {
+// TestScanBytesContextCancellation: a canceled caller context degrades
+// the scan instead of erroring or crashing — a well-formed container gets
+// no error, and the scan reports through Result.Incomplete.
+func TestScanBytesContextCancellation(t *testing.T) {
+	data, err := apk.Encode(buggyApp(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := New().ScanAppContext(ctx, buggyApp(t))
+	res, err := New().ScanBytesContext(ctx, data)
+	if err != nil {
+		t.Fatalf("ScanBytesContext: %v", err)
+	}
 	if !res.Incomplete {
 		t.Fatal("canceled scan not marked Incomplete")
 	}

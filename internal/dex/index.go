@@ -7,9 +7,8 @@ import (
 )
 
 // Index is the skim of a program's body-bearing methods: everything the
-// demand closure consults, with no method body retained. It is built
-// either by the lazy decoder's skim (DecodeLazy) or by walking an eagerly
-// decoded program (IndexOf), and the two builds of the same bytes agree.
+// demand closure consults, with no method body retained. The lazy
+// decoder's skim (DecodeLazy) builds it.
 //
 // Everything is stored flat and by integer id, so building it costs a
 // handful of allocations however many methods the app has, and the
@@ -42,14 +41,12 @@ type Index struct {
 	callers csr              // name id → calling records
 	decls   csr              // name id → declaring records
 	// A skimmed call's signature is decoded from src on demand; a call
-	// taken from a decoded body keeps its signature in sigs.
+	// taken from a decoded body (the skim's fallback) keeps its signature
+	// in sigs.
 	src  []byte
 	pool []string
 	sigs []jimple.Sig
-	// methods holds IndexOf's decoded method of each record; a skim
-	// resolves a record's method through prog instead.
-	methods []*jimple.Method
-	prog    *jimple.Program
+	prog *jimple.Program
 }
 
 // MethodRef is the skim record of one body-bearing method. It is plain
@@ -71,9 +68,9 @@ type MethodRef struct {
 type Call struct {
 	// Name is the name id of the callee's method name.
 	Name int32
-	// class is the pool id of the callee's class, or -1 when the call
-	// came from a decoded body; at is then an index into Index.sigs, else
-	// the offset of the encoded signature.
+	// class is the pool id of the callee's class, or -1 when the skim's
+	// fallback took the call from a decoded body; at is then an index
+	// into Index.sigs, else the offset of the encoded signature.
 	class, at int32
 }
 
@@ -81,7 +78,7 @@ type span struct{ lo, hi int32 }
 
 // classSpan is one bodied class and the contiguous run of its records;
 // ord is the class's position among all the program's classes, in
-// container order (lazy) or name order (IndexOf).
+// container order.
 type classSpan struct {
 	name        string
 	lo, hi, ord int32
@@ -92,36 +89,6 @@ type classSpan struct {
 type csr struct{ off, ids []int32 }
 
 func (c *csr) of(k int32) []int32 { return c.ids[c.off[k]:c.off[k+1]] }
-
-// IndexOf builds the index of an eagerly decoded program from its
-// bodies: the reference the lazy skim must agree with, and the closure
-// input of a scan over an in-memory program.
-func IndexOf(p *jimple.Program) *Index {
-	classes := p.Classes()
-	n := 0
-	for _, c := range classes {
-		for _, m := range c.Methods {
-			if m.HasBody() {
-				n++
-			}
-		}
-	}
-	x := &Index{recs: make([]MethodRef, 0, n), methods: make([]*jimple.Method, 0, n), nameIDs: make(map[string]int32)}
-	for ci, c := range classes {
-		lo := len(x.recs)
-		for ord, m := range c.Methods {
-			if m.HasBody() {
-				r := MethodRef{Name: x.nameID(m.Sig.Name), Class: int32(len(x.classes)), ord: int32(ord)}
-				x.addBody(&r, m)
-				x.recs = append(x.recs, r)
-				x.methods = append(x.methods, m)
-			}
-		}
-		x.endClass(c.Name, lo, int32(ci))
-	}
-	x.finish()
-	return x
-}
 
 // nameID returns the name id of a method name, assigning the next one on
 // first sight.
@@ -239,25 +206,18 @@ func (x *Index) Key(i int32) string {
 }
 
 // MethodSig returns the signature of record i's method, decoding it from
-// the container on each use for a skim, without decoding its class's
-// members.
+// the container on each use, without decoding its class's members.
 func (x *Index) MethodSig(i int32) jimple.Sig {
-	if x.methods != nil {
-		return x.methods[i].Sig
-	}
 	// The skim validated the header, so the decode cannot fail.
 	d := decoder{data: x.src, pos: int(x.recs[i].hdr), pool: x.pool}
 	sig, _ := d.sig()
 	return sig
 }
 
-// Method returns record i's method. For a skim it is resolved through
-// the program, which decodes the members of the method's class on first
-// lookup; the method is bodiless until its class is materialized.
+// Method returns record i's method, resolved through the program, which
+// decodes the members of the method's class on first lookup; the method
+// is bodiless until its class is materialized.
 func (x *Index) Method(i int32) *jimple.Method {
-	if x.methods != nil {
-		return x.methods[i]
-	}
 	r := &x.recs[i]
 	return x.prog.OwnClass(x.classes[r.Class].name).Methods[r.ord]
 }
@@ -269,7 +229,8 @@ func (x *Index) Calls(i int32) []Call {
 }
 
 // Sig returns the callee signature of a call, decoding it from the
-// container on each use for a skimmed call.
+// container on each use unless the skim's fallback took it from a decoded
+// body.
 func (x *Index) Sig(c Call) jimple.Sig {
 	if c.class < 0 {
 		return x.sigs[c.at]

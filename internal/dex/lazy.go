@@ -357,8 +357,12 @@ func (d *decoder) toBody(hdr int32) error {
 
 // MaterializeAll decodes every retained body, leaving the program equal
 // to an eager Decode — what dynamic validation needs before it replays
-// the app.
+// the app, and re-encoding before it writes the app out. A nil Lazy, the
+// handle of a program built in memory, has nothing to decode.
 func (l *Lazy) MaterializeAll() error {
+	if l == nil {
+		return nil
+	}
 	for _, c := range l.idx.classes {
 		if err := l.Materialize(c.name); err != nil {
 			return err

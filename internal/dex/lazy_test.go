@@ -285,9 +285,8 @@ func paddedSample(t testing.TB) *jimple.Program {
 	return apps[0].App.Program
 }
 
-// TestLazyMethodRefsMatchEager: the skim's records equal the records
-// derived from the eager decode's bodies, and so do IndexOf's over that
-// decode — the two closure-engine inputs are one.
+// TestLazyMethodRefsMatchEager: the skim's records, the demand closure's
+// input, equal the records derived from the eager decode's bodies.
 func TestLazyMethodRefsMatchEager(t *testing.T) {
 	apps, err := corpus.GenerateCorpus(11)
 	if err != nil {
@@ -311,9 +310,32 @@ func TestLazyMethodRefsMatchEager(t *testing.T) {
 		if got := indexView(l.Index()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("prog %d: lazy records differ from eager:\nlazy:  %+v\neager: %+v", i, got, want)
 		}
-		if got := indexView(dex.IndexOf(eager)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("prog %d: IndexOf records differ from eager:\nindex: %+v\neager: %+v", i, got, want)
-		}
+	}
+}
+
+// TestSkimCoversEveryOpcode: the skim parses every opcode and value tag
+// itself. A skim that rejected a form the core accepts would silently
+// take lazyBody's materializing fallback, so the fallback counter must
+// stay at zero and the records must equal the eager walk's.
+func TestSkimCoversEveryOpcode(t *testing.T) {
+	data := dex.Encode(dex.EveryOpProgram(t))
+	l, err := dex.DecodeLazy(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.Fallbacks(); n != 0 {
+		t.Fatalf("skim fell back to the materializing core %d times", n)
+	}
+	eager, err := dex.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := indexView(l.Index()), eagerRefs(eager)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("skim records differ from eager:\nlazy:  %+v\neager: %+v", got, want)
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d records, want 3 (util, run, onCreate): %+v", len(got), got)
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // demand-driven engine must match the test-only whole-program oracle
 // (checkers.OracleOptions) in reports and Stats, byte for byte, over the
 // goldens, the 285-app corpus and padded apps, at worker counts 1/2/8,
-// with the cache off, cold and warm, over both the in-memory and the lazy
-// scan paths. Only Diagnostics may differ.
+// with the cache off, cold and warm. Both scan a lazy open of the app's
+// container (ScanApp encodes an in-memory app first). Only Diagnostics
+// may differ.
 
 var oracleOpts = checkers.OracleOptions(core.Options{Workers: 1})
 
@@ -87,8 +88,9 @@ func TestTargetedDifferentialFullCorpus(t *testing.T) {
 // container (apk.Encode → ScanBytes), which decodes lazily and
 // materializes only the demanded classes — the path cmd/nchecker and the
 // serve endpoint take — in every worker × cache cell. Reports and stats
-// must match the oracle's in-memory scan, and some golden must actually
-// skip classes (or the lazy path silently degenerated to eager decoding).
+// must match the oracle's ScanApp of the golden, and some golden must
+// actually skip classes (or the lazy path silently degenerated to eager
+// decoding).
 func TestTargetedDifferentialLazyPath(t *testing.T) {
 	apps := mustGoldens(t)
 	skipped := 0

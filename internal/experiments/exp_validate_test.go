@@ -96,8 +96,8 @@ func TestValidatedReportsIdenticalAcrossModesAndWorkers(t *testing.T) {
 // TestValidatedLazyPathMatchesFull routes the goldens through the byte
 // container — the path where classes are decoded lazily and the validate
 // stage must materialize the app before replaying — and requires
-// report-level equality (verdicts included) with the oracle's in-memory
-// scan.
+// report-level equality (verdicts included) with the oracle's ScanApp of
+// the golden.
 func TestValidatedLazyPathMatchesFull(t *testing.T) {
 	apps := mustGoldens(t)
 	full := core.NewWithOptions(checkers.OracleOptions(core.Options{Workers: 1, Validate: true}))

@@ -157,6 +157,18 @@ if grep -vE "$newfam" "$diffdir/ablated.txt" | grep -vE '^== ' | grep -q .; then
     exit 1
 fi
 
+echo "== examples smoke =="
+# `go build ./...` compiles the example programs; this runs each one, so
+# an example that stops working (autofix and casestudies scan through
+# core.ScanApp) fails the gate. Each must exit 0.
+for ex in examples/*; do
+    [ -d "$ex" ] || continue
+    if ! go run "./$ex" >/dev/null; then
+        echo "examples smoke: $ex exited non-zero" >&2
+        exit 1
+    fi
+done
+
 echo "== padded-scale bench smoke =="
 # One iteration per cell keeps the gate fast while proving the three
 # BenchmarkScanPadded{1x,10x,100x} cells and the large-apps open and
