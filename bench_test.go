@@ -16,8 +16,10 @@ import (
 	"repro/internal/android"
 	"repro/internal/apimodel"
 	"repro/internal/apk"
+	"repro/internal/baselayer"
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
+	"repro/internal/checkers"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dataflow"
@@ -658,6 +660,65 @@ func BenchmarkScanBytesPadded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := nc.ScanBytes(data[i%len(data)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// corpusContainers returns the encoded containers of the 285-app corpus.
+func corpusContainers(b *testing.B) [][]byte {
+	b.Helper()
+	apps := benchCorpus(b)
+	out := make([][]byte, len(apps))
+	for i, ca := range apps {
+		var err error
+		if out[i], err = apk.Encode(ca.App); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
+}
+
+// BenchmarkScanBytesCorpus is the corpus twin of BenchmarkScanBytesPadded:
+// the whole single-worker byte scan of each corpus container, open
+// included; one op is one app:
+//
+//	go test -run='^$' -bench='^BenchmarkScanBytesCorpus$' -benchmem .
+func BenchmarkScanBytesCorpus(b *testing.B) {
+	data := corpusContainers(b)
+	nc := core.NewWithOptions(core.Options{Workers: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nc.ScanBytes(data[i%len(data)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCallGraphOverlay times the per-scan call graph alone: the
+// overlay hierarchy and baselayer.CallGraph over each corpus app, opened
+// lazily and with its demand closure materialized by one prior scan; one
+// op is one app.
+func BenchmarkCallGraphOverlay(b *testing.B) {
+	data := corpusContainers(b)
+	reg := apimodel.NewRegistry()
+	base := baselayer.Get()
+	apps := make([]*apk.App, len(data))
+	for i, d := range data {
+		app, err := apk.DecodeLazy(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		checkers.Analyze(app, reg, checkers.Options{Workers: 1})
+		apps[i] = app
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		app := apps[i%len(apps)]
+		g := base.CallGraph(base.Overlay(app.Program), app.Manifest, callgraph.Options{})
+		if g.NumMethods() == 0 {
+			b.Fatal("empty graph")
 		}
 	}
 }

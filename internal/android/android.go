@@ -180,19 +180,20 @@ var listenerEntryPoints = map[string][]string{
 func LifecycleSubsigs(base string) []string { return lifecycleEntryPoints[base] }
 
 // ComponentBases returns the component base classes in deterministic order.
-func ComponentBases() []string {
-	out := make([]string, 0, len(lifecycleEntryPoints))
-	for k := range lifecycleEntryPoints {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// The slice is shared: callers must not modify it.
+func ComponentBases() []string { return componentBases }
 
 // ListenerIfaces returns the listener interfaces in deterministic order.
-func ListenerIfaces() []string {
-	out := make([]string, 0, len(listenerEntryPoints))
-	for k := range listenerEntryPoints {
+// The slice is shared: callers must not modify it.
+func ListenerIfaces() []string { return listenerIfaces }
+
+// componentBases and listenerIfaces are the sorted keys of the entry-point
+// tables, computed once per process.
+var componentBases, listenerIfaces = sortedKeys(lifecycleEntryPoints), sortedKeys(listenerEntryPoints)
+
+func sortedKeys(m map[string][]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -284,12 +285,20 @@ var ConnectivityCheckSigs = map[string]bool{
 
 // IsConnectivityCheck reports whether sig is a connectivity-check API.
 // The class gate runs first so the overwhelmingly common miss never
-// renders a signature key.
+// renders a signature key, and a hit renders it on the stack.
 func IsConnectivityCheck(sig jimple.Sig) bool {
 	if sig.Class != ClassConnectivityMgr && sig.Class != ClassNetworkInfo {
 		return false
 	}
-	return ConnectivityCheckSigs[sig.Key()]
+	return inSigSet(ConnectivityCheckSigs, sig)
+}
+
+// inSigSet looks sig's key up in set without allocating it: the key is
+// rendered into a stack buffer, and a map index by string(bytes) does not
+// copy.
+func inSigSet(set map[string]bool, sig jimple.Sig) bool {
+	var buf [128]byte
+	return set[string(sig.AppendKey(buf[:0]))]
 }
 
 // NetworkCallbackSubsigs lists the ConnectivityManager.NetworkCallback
@@ -312,7 +321,7 @@ var CacheFallbackSigs = map[string]bool{
 
 // IsCacheFallback reports whether sig reads cached content.
 func IsCacheFallback(sig jimple.Sig) bool {
-	return CacheFallbackSigs[sig.Key()]
+	return inSigSet(CacheFallbackSigs, sig)
 }
 
 // WaitCallSigs lists blocking-wait calls. Checker 6 treats a connectivity
@@ -329,7 +338,7 @@ func IsWaitCall(sig jimple.Sig) bool {
 	if sig.Class != ClassThread {
 		return false
 	}
-	return WaitCallSigs[sig.Key()]
+	return inSigSet(WaitCallSigs, sig)
 }
 
 // IsUIAlertCall reports whether an invocation of sig counts as displaying

@@ -321,10 +321,11 @@ func compareHierarchies(flat, over *hierarchy.Hierarchy) error {
 		}
 	}
 	for _, inv := range invokes {
-		if f, o := flat.Dispatch(inv), over.Dispatch(inv); !equalMethods(f, o) {
+		sub := inv.Callee.SubSigKey()
+		if f, o := flat.Dispatch(inv, sub), over.Dispatch(inv, sub); !equalMethods(f, o) {
 			return fmt.Errorf("Dispatch(%s) = %d vs %d targets", inv.Callee.Key(), len(f), len(o))
 		}
-		if f, o := flat.DeclaredDispatch(inv), over.DeclaredDispatch(inv); !equalMethods(f, o) {
+		if f, o := flat.DeclaredDispatch(inv, sub), over.DeclaredDispatch(inv, sub); !equalMethods(f, o) {
 			return fmt.Errorf("DeclaredDispatch(%s) differs", inv.Callee.Key())
 		}
 	}
@@ -372,7 +373,7 @@ func compareGraphs(flat, over *callgraph.Graph) error {
 func edgeStrings(es []callgraph.Edge, sorted bool) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
-		out[i] = fmt.Sprintf("%s@%d-%s->%s", e.CallerKey(), e.Site, e.Kind, e.CalleeKey())
+		out[i] = fmt.Sprintf("%s@%d-%s->%s", e.Caller.Key(), e.Site, e.Kind, e.Callee.Key())
 	}
 	if sorted {
 		sort.Strings(out)

@@ -206,7 +206,7 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 	for _, inv := range invokes {
 		queries = append(queries, query{"Dispatch(" + inv.Callee.Key() + ")", func(h *hierarchy.Hierarchy) string {
 			var out []string
-			for _, m := range h.Dispatch(inv) {
+			for _, m := range h.Dispatch(inv, inv.Callee.SubSigKey()) {
 				out = append(out, methodView(m))
 			}
 			return strings.Join(out, " ")

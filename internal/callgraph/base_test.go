@@ -77,7 +77,7 @@ func TestBaseBuildMatchesFlatWithBodiedBase(t *testing.T) {
 	}
 	var callees []string
 	for _, e := range got.OutEdges(onClick) {
-		callees = append(callees, e.CalleeKey())
+		callees = append(callees, e.Callee.Key())
 	}
 	if len(callees) != 2 || callees[0] != "app.MyClick.hook()void" || callees[1] != "lib.Click.hook()void" {
 		t.Errorf("base callback must dispatch into the app override too, got %v", callees)

@@ -1,6 +1,8 @@
 package callgraph
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/android"
@@ -166,13 +168,54 @@ func TestReachability(t *testing.T) {
 	if !reach["com.app.Main$Click.doWork()void"] {
 		t.Error("doWork should be reachable from onCreate via the registered listener")
 	}
-	entries := g.EntriesReaching(fetchKey)
-	if len(entries) != 2 {
-		keys := make([]string, len(entries))
-		for i, e := range entries {
-			keys[i] = e.Method.Sig.Key()
+	var reaching []string
+	for _, e := range g.Entries() {
+		if g.ReachableFrom(e.Method.Sig)[fetchKey] {
+			reaching = append(reaching, e.Method.Sig.Key())
 		}
-		t.Errorf("EntriesReaching(fetch): got %v", keys)
+	}
+	if len(reaching) != 2 {
+		t.Errorf("entries reaching fetch: got %v", reaching)
+	}
+}
+
+// TestBuildOrderDeterministic builds the same program twice and requires
+// identical edge lists in both directions and identical call stacks: edge
+// order follows method ids, which follow the classes, not map iteration.
+func TestBuildOrderDeterministic(t *testing.T) {
+	render := func(g *Graph) []string {
+		var out []string
+		for id := int32(0); id < int32(g.NumIDs()); id++ {
+			for _, e := range g.Out(id) {
+				out = append(out, fmt.Sprintf("out %s@%d-%s->%s", e.Caller.Key(), e.Site, e.Kind, e.Callee.Key()))
+			}
+			for _, e := range g.InEdges(g.Key(id)) {
+				out = append(out, fmt.Sprintf("in %s@%d-%s->%s", e.Caller.Key(), e.Site, e.Kind, e.Callee.Key()))
+			}
+		}
+		for i, e := range g.Entries() {
+			if g.Key(g.EntryID(i)) != e.Method.Sig.Key() {
+				t.Fatalf("entry %d: id names %s, entry is %s", i, g.Key(g.EntryID(i)), e.Method.Sig.Key())
+			}
+			for id := int32(0); id < int32(g.NumIDs()); id++ {
+				for _, f := range g.CallStackIDs(g.EntryID(i), id) {
+					if f.Key != f.Method.Key() {
+						t.Fatalf("frame key %s for method %s", f.Key, f.Method.Key())
+					}
+					out = append(out, fmt.Sprintf("stack %d %s %s@%d", i, g.Key(id), f.Key, f.Site))
+				}
+			}
+		}
+		return out
+	}
+	first := render(buildGraph(t))
+	if len(first) == 0 {
+		t.Fatal("empty rendering")
+	}
+	for run := 0; run < 5; run++ {
+		if again := render(buildGraph(t)); !reflect.DeepEqual(first, again) {
+			t.Fatalf("build %d differs:\n%v\nvs\n%v", run, first, again)
+		}
 	}
 }
 

@@ -20,25 +20,25 @@ import (
 //     set is the sound over-approximation).
 func (g *Graph) addICCEdges() {
 	launchedActivities := make(map[string]bool)
-	methodKeys := make([]string, 0, len(g.methods))
-	for k := range g.methods {
-		methodKeys = append(methodKeys, k)
+	ids := make([]int32, g.numBodied)
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	sort.Strings(methodKeys)
-	for _, mk := range methodKeys {
-		m := g.methods[mk]
+	sort.Slice(ids, func(i, j int) bool { return g.keys[ids[i]] < g.keys[ids[j]] })
+	for _, id := range ids {
+		m := g.methods[id]
 		for i, s := range m.Body {
 			inv, ok := jimple.InvokeOf(s)
 			if !ok {
 				continue
 			}
-			switch inv.Callee.SubSigKey() {
+			switch g.intern.SubSigKey(inv.Callee) {
 			case "startActivity(android.content.Intent)void":
 				target := g.intentTarget(m, inv)
 				if target == "" {
 					continue
 				}
-				if g.addLifecycleEdges(m, i, target, android.ClassActivity) {
+				if g.addLifecycleEdges(id, i, target, android.ClassActivity) {
 					launchedActivities[target] = true
 				}
 			case "sendBroadcast(android.content.Intent)void":
@@ -46,7 +46,7 @@ func (g *Graph) addICCEdges() {
 					continue
 				}
 				for _, recv := range g.Manifest.Receivers {
-					g.addLifecycleEdges(m, i, recv, android.ClassBroadcastReceiver)
+					g.addLifecycleEdges(id, i, recv, android.ClassBroadcastReceiver)
 				}
 			}
 		}
@@ -56,14 +56,14 @@ func (g *Graph) addICCEdges() {
 	}
 	// Explicitly launched activities are no longer independent entries:
 	// their facts flow in from the launcher.
-	kept := g.entries[:0]
-	for _, e := range g.entries {
+	kept, keptIDs := g.entries[:0], g.entryIDs[:0]
+	for i, e := range g.entries {
 		if launchedActivities[e.Method.Sig.Class] && e.Kind == android.KindActivity {
 			continue
 		}
-		kept = append(kept, e)
+		kept, keptIDs = append(kept, e), append(keptIDs, g.entryIDs[i])
 	}
-	g.entries = kept
+	g.entries, g.entryIDs = kept, keptIDs
 }
 
 // intentTarget resolves the explicit class name set on the Intent passed
@@ -95,7 +95,7 @@ func (g *Graph) intentTarget(m *jimple.Method, inv jimple.InvokeExpr) string {
 // addLifecycleEdges links a call site to the body-bearing lifecycle
 // methods of the target component class; it reports whether any edge was
 // added.
-func (g *Graph) addLifecycleEdges(caller *jimple.Method, site int, target, base string) bool {
+func (g *Graph) addLifecycleEdges(caller int32, site int, target, base string) bool {
 	cls := g.H.Program().Class(target)
 	if cls == nil || !g.H.IsSubtype(target, base) {
 		return false
@@ -106,7 +106,7 @@ func (g *Graph) addLifecycleEdges(caller *jimple.Method, site int, target, base 
 		if cb == nil || !cb.HasBody() {
 			continue
 		}
-		g.addEdge(Edge{Caller: caller.Sig, Site: site, Callee: cb.Sig, Kind: EdgeICC})
+		g.addEdge(caller, site, cb, EdgeICC)
 		added = true
 	}
 	return added

@@ -6,7 +6,9 @@
 package cfg
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/jimple"
 )
@@ -21,6 +23,69 @@ type Graph struct {
 	// ExceptionalInto[i] is true when the only way to reach node i is via
 	// an exceptional (trap) edge; handler heads typically qualify.
 	exceptionalEdge map[[2]int]bool
+	// locals is the method's local index, built on first use and shared
+	// with the graphs WithoutEdges derives.
+	locals *localIndex
+}
+
+// localIndex numbers the locals of one method body.
+type localIndex struct {
+	once  sync.Once
+	names []string // sorted, distinct
+}
+
+// Locals returns the sorted, distinct names of every local m declares or
+// its body names (defines, reads, invokes on or stores into). A local's
+// position in the list is its local id, the index the dataflow engines
+// key their per-local rows by. The list is built once per method and
+// shared by every graph derived from g; callers must not modify it.
+func (g *Graph) Locals() []string {
+	x := g.locals
+	x.once.Do(func() {
+		m := g.Method
+		names := make([]string, 0, len(m.Locals)+4)
+		for _, l := range m.Locals {
+			names = append(names, l.Name)
+		}
+		slices.Sort(names)
+		names = slices.Compact(names)
+		// Bodies mostly name declared locals: a binary search finds them,
+		// and the rare undeclared name is inserted in place.
+		add := func(name string) {
+			if i, ok := slices.BinarySearch(names, name); !ok {
+				names = slices.Insert(names, i, name)
+			}
+		}
+		var buf [16]string
+		for _, s := range m.Body {
+			if d := jimple.DefOf(s); d != "" {
+				add(d)
+			}
+			for _, u := range jimple.UsesOf(buf[:0], s) {
+				add(u)
+			}
+		}
+		x.names = slices.Clip(names)
+	})
+	return x.names
+}
+
+// LocalIn returns the index of name in the sorted list names, or -1: the
+// local id of name when names is a Locals list.
+func LocalIn(names []string, name string) int {
+	lo, hi := 0, len(names)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if names[mid] < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(names) && names[lo] == name {
+		return lo
+	}
+	return -1
 }
 
 // New builds the CFG of m, which must have a body. Exceptional edges are
@@ -33,6 +98,7 @@ func New(m *jimple.Method) *Graph {
 		succs:           make([][]int, n+1),
 		preds:           make([][]int, n+1),
 		exceptionalEdge: make(map[[2]int]bool),
+		locals:          new(localIndex),
 	}
 	addEdge := func(from, to int, exceptional bool) {
 		for _, s := range g.succs[from] {
@@ -103,6 +169,7 @@ func (g *Graph) WithoutEdges(drop [][2]int) *Graph {
 		succs:           make([][]int, len(g.succs)),
 		preds:           make([][]int, len(g.preds)),
 		exceptionalEdge: make(map[[2]int]bool),
+		locals:          g.locals,
 	}
 	for from, ss := range g.succs {
 		for _, to := range ss {

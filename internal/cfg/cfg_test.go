@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,39 @@ func loopMethod(t *testing.T) *jimple.Method {
 		t.Fatalf("Build: %v", err)
 	}
 	return m
+}
+
+// TestLocalsIndex: every declared or named local, sorted and once, and
+// shared with the graphs WithoutEdges derives.
+func TestLocalsIndex(t *testing.T) {
+	m := loopMethod(t)
+	// A body may name a local it never declares.
+	m.Body = append([]jimple.Stmt{&jimple.AssignStmt{LHS: jimple.Local{Name: "extra"}, RHS: jimple.IntConst{V: 1}}}, m.Body...)
+	for i := range m.Body[1:] {
+		if iff, ok := m.Body[i+1].(*jimple.IfStmt); ok {
+			iff.Target++
+		}
+		if g, ok := m.Body[i+1].(*jimple.GotoStmt); ok {
+			g.Target++
+		}
+	}
+	g := New(m)
+	want := []string{"extra", "ok"}
+	if got := g.Locals(); !slices.Equal(got, want) {
+		t.Fatalf("Locals = %v, want %v", got, want)
+	}
+	for i, name := range want {
+		if id := LocalIn(g.Locals(), name); id != i {
+			t.Errorf("LocalIn(%s) = %d, want %d", name, id, i)
+		}
+	}
+	if id := LocalIn(g.Locals(), "absent"); id != -1 {
+		t.Errorf("LocalIn(absent) = %d, want -1", id)
+	}
+	pruned := g.WithoutEdges([][2]int{{0, 1}})
+	if &pruned.Locals()[0] != &g.Locals()[0] {
+		t.Error("a pruned graph rebuilt the local index")
+	}
 }
 
 func TestDiamondEdges(t *testing.T) {

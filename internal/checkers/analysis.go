@@ -246,8 +246,16 @@ func (f *findings) report(r report.Report) {
 }
 
 // mergeFindings concatenates units in index order and sums their stats.
+// The report slice is sized once and stays nil when no unit reported.
 func mergeFindings(units []findings) findings {
 	var out findings
+	n := 0
+	for i := range units {
+		n += len(units[i].reports)
+	}
+	if n > 0 {
+		out.reports = make([]report.Report, 0, n)
+	}
 	for i := range units {
 		out.reports = append(out.reports, units[i].reports...)
 		out.stats.add(&units[i].stats)
@@ -276,7 +284,9 @@ type requestSite struct {
 	retrySet   bool
 	retryCount int  // effective retry count
 	retryKnown bool // retryCount is meaningful
-	entrySig   jimple.Sig
+	// entry is the call-graph id of the representative entry point the
+	// report's call stack starts from; -1 for none.
+	entry int32
 }
 
 // analysis carries the shared read-only state of one app scan. After the
@@ -304,12 +314,14 @@ type analysis struct {
 	errs  []ScanError
 
 	methods []*jimple.Method // app's body-bearing methods, sorted by key
-	// keyOf caches each collected method's rendered signature key; the
-	// checkers look methods up by key constantly, and re-rendering was a
-	// top allocation source. Frozen alongside methods in the build stage,
-	// read-only afterwards (so safe for concurrent stages).
-	keyOf map[*jimple.Method]string
-	sites []*requestSite
+	sites   []*requestSite
+
+	// connOnce builds connMP, the connectivity-check must-precede shared
+	// by the settings and stalechecks stages; connPanic keeps a panic of
+	// that build so each stage that asks for it fails the same way.
+	connOnce  sync.Once
+	connMP    *dataflow.MustPrecede
+	connPanic any
 
 	// Demand-closure state (targeted.go), frozen at the start of the build
 	// stage. index is the app's skim; roots holds the relevant-method
@@ -451,31 +463,93 @@ func (a *analysis) collectAppMethods() []*jimple.Method {
 	}
 	// Demanded classes in name order, records in declaration order: the
 	// order the program's classes list their bodied methods. The keys
-	// come from the index, which rendered the roots' already.
+	// come from the call graph's key table.
 	out := make([]*jimple.Method, 0, n)
 	keys := make([]string, 0, n)
 	for _, slot := range a.demanded {
 		lo, hi := x.ClassRecords(slot)
 		for i := lo; i < hi; i++ {
-			out = append(out, x.Method(i))
-			keys = append(keys, x.Key(i))
+			m := x.Method(i)
+			out = append(out, m)
+			keys = append(keys, a.methodKey(m))
 		}
 	}
 	sort.Sort(&methodKeySorter{methods: out, keys: keys})
-	a.keyOf = make(map[*jimple.Method]string, len(out))
-	for i, m := range out {
-		a.keyOf[m] = keys[i]
-	}
 	return out
 }
 
-// methodKey returns m's signature key, from the per-scan cache when m is
-// one of the collected app methods, rendering it otherwise.
+// methodID returns m's call-graph method id, -1 when the graph does not
+// hold m (never for a collected app method).
+func (a *analysis) methodID(m *jimple.Method) int32 {
+	if id, ok := a.cg.IDOf(m); ok {
+		return id
+	}
+	return -1
+}
+
+// outEdges returns m's outgoing call-graph edges.
+func (a *analysis) outEdges(m *jimple.Method) []callgraph.Edge {
+	if id := a.methodID(m); id >= 0 {
+		return a.cg.Out(id)
+	}
+	return nil
+}
+
+// reachesCall reports whether method id, or any body-bearing method it
+// reaches in the call graph, invokes a callee that match accepts; false
+// for id -1.
+func (a *analysis) reachesCall(id int32, match func(jimple.Sig) bool) bool {
+	if id < 0 {
+		return false
+	}
+	found := false
+	a.cg.Reach(id).Each(func(r int32) {
+		m := a.cg.MethodOf(r)
+		if found || m == nil {
+			return
+		}
+		for _, s := range m.Body {
+			if inv, ok := jimple.InvokeOf(s); ok && match(inv.Callee) {
+				found = true
+				return
+			}
+		}
+	})
+	return found
+}
+
+// isTarget reports whether callee is a registry target API (a request).
+func (a *analysis) isTarget(callee jimple.Sig) bool {
+	_, _, ok := a.reg.TargetOf(callee)
+	return ok
+}
+
+// methodKey returns m's signature key, from the call graph's key table
+// when the graph holds m, rendering it otherwise.
 func (a *analysis) methodKey(m *jimple.Method) string {
-	if k, ok := a.keyOf[m]; ok {
-		return k
+	if id, ok := a.cg.IDOf(m); ok {
+		return a.cg.Key(id)
 	}
 	return m.Sig.Key()
+}
+
+// connCheck returns the scan's connectivity-check must-precede analysis
+// over the checkers' CFGs, building it on first use. Settings (unless
+// GuardSensitiveConnCheck gives it its own) and stalechecks share it. A
+// panic while building it is re-raised in every stage that asks, so both
+// fail as they would each building their own.
+func (a *analysis) connCheck() *dataflow.MustPrecede {
+	a.connOnce.Do(func() {
+		defer func() { a.connPanic = recover() }()
+		isCheck := func(_ *jimple.Method, _ int, inv jimple.InvokeExpr) bool {
+			return android.IsConnectivityCheck(inv.Callee)
+		}
+		a.connMP = dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
+	})
+	if a.connPanic != nil {
+		panic(a.connPanic)
+	}
+	return a.connMP
 }
 
 type methodKeySorter struct {
@@ -535,7 +609,7 @@ func (a *analysis) summaryResolver(m *jimple.Method) dataflow.SummaryResolver {
 	if set == nil {
 		return nil
 	}
-	edges := a.cg.OutEdges(a.methodKey(m))
+	edges := a.outEdges(m)
 	return func(site int) []*dataflow.TaintSummary {
 		a.ctx.sumRequests.Add(1)
 		var out []*dataflow.TaintSummary
@@ -543,7 +617,7 @@ func (a *analysis) summaryResolver(m *jimple.Method) dataflow.SummaryResolver {
 			if e.Site != site || e.Kind != callgraph.EdgeCall {
 				continue
 			}
-			if sum := set.Of(e.CalleeKey()); sum != nil {
+			if sum := set.OfID(e.CalleeID); sum != nil {
 				out = append(out, sum)
 			}
 		}
@@ -589,9 +663,13 @@ func (a *analysis) newReport(site *requestSite, cause report.Cause, msg string) 
 		Context:       ctx,
 		FixSuggestion: report.Suggest(cause, ctx, site.lib),
 	}
-	if site.entrySig.Name != "" {
-		for _, f := range a.cg.CallStack(site.entrySig, a.methodKey(site.method)) {
-			r.CallStack = append(r.CallStack, report.Frame{Method: f.Method.Key(), Site: f.Site})
+	if to := a.methodID(site.method); site.entry >= 0 && to >= 0 {
+		frames := a.cg.CallStackIDs(site.entry, to)
+		if len(frames) > 0 {
+			r.CallStack = make([]report.Frame, len(frames))
+			for i, f := range frames {
+				r.CallStack[i] = report.Frame{Method: f.Key, Site: f.Site}
+			}
 		}
 	}
 	return r

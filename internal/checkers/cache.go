@@ -287,7 +287,7 @@ func (a *analysis) closureDigest(cls string) [sha256.Size]byte {
 			if e.Kind != callgraph.EdgeCall {
 				continue
 			}
-			ck := e.CalleeKey()
+			ck := a.cg.Key(e.CalleeID)
 			if owner, inApp := a.classOfMethod[ck]; inApp {
 				reachedClasses[owner] = true
 				if !visited[ck] {

@@ -17,20 +17,21 @@ import (
 // The interprocedural must-precede analysis is built once per stage (it
 // shares the scan's cached CFGs); sites are then checked in parallel.
 func (a *analysis) checkRequestSettings() findings {
-	isCheck := func(_ *jimple.Method, _ int, inv jimple.InvokeExpr) bool {
-		return android.IsConnectivityCheck(inv.Callee)
-	}
-	if a.opts.GuardSensitiveConnCheck {
-		guarding := a.guardingCheckSites()
-		isCheck = func(m *jimple.Method, stmt int, inv jimple.InvokeExpr) bool {
-			return android.IsConnectivityCheck(inv.Callee) && guarding[a.methodKey(m)][stmt]
-		}
-	}
 	// The must-precede analysis runs over the feasibility-pruned CFGs (see
 	// AnalysisContext.FeasibleCFG): a connectivity check reachable only
 	// through a statically-false branch no longer blocks the fact, and a
-	// request only reachable through one no longer demands it.
-	mp := dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
+	// request only reachable through one no longer demands it. The plain
+	// analysis is the one stalechecks reads too, so it is built once.
+	var mp *dataflow.MustPrecede
+	if a.opts.GuardSensitiveConnCheck {
+		guarding := a.guardingCheckSites()
+		isCheck := func(m *jimple.Method, stmt int, inv jimple.InvokeExpr) bool {
+			return android.IsConnectivityCheck(inv.Callee) && guarding[m][stmt]
+		}
+		mp = dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
+	} else {
+		mp = a.connCheck()
+	}
 	units := make([]findings, len(a.sites))
 	a.parallelFor("settings", len(a.sites), func(i int) {
 		a.checkSiteSettings(mp, a.sites[i], &units[i])
@@ -41,8 +42,7 @@ func (a *analysis) checkRequestSettings() findings {
 // checkSiteSettings emits one site's setting warnings in the fixed order
 // conn-check, timeout, retry-config.
 func (a *analysis) checkSiteSettings(mp *dataflow.MustPrecede, site *requestSite, f *findings) {
-	mKey := a.methodKey(site.method)
-	if !mp.FactBefore(mKey, site.stmt) {
+	if !mp.FactAt(a.methodID(site.method), site.stmt) {
 		f.stats.MissConnCheck++
 		f.report(a.newReport(site, report.CauseNoConnectivityCheck,
 			fmt.Sprintf("Missing network connectivity check before %s.%s()",
@@ -68,7 +68,7 @@ func (a *analysis) checkSiteSettings(mp *dataflow.MustPrecede, site *requestSite
 // result local is tainted forward; any if statement whose condition reads
 // a tainted local marks the check as guarding. Methods are scanned in
 // parallel; each writes only its own slot.
-func (a *analysis) guardingCheckSites() map[string]map[int]bool {
+func (a *analysis) guardingCheckSites() map[*jimple.Method]map[int]bool {
 	perMethod := make([]map[int]bool, len(a.methods))
 	a.parallelFor("settings", len(a.methods), func(mi int) {
 		m := a.methods[mi]
@@ -108,10 +108,10 @@ func (a *analysis) guardingCheckSites() map[string]map[int]bool {
 		}
 		perMethod[mi] = sites
 	})
-	out := make(map[string]map[int]bool)
+	out := make(map[*jimple.Method]map[int]bool)
 	for mi, sites := range perMethod {
 		if sites != nil {
-			out[a.keyOf[a.methods[mi]]] = sites
+			out[a.methods[mi]] = sites
 		}
 	}
 	return out

@@ -159,17 +159,13 @@ func (a *analysis) volleyErrorListener(site *requestSite) (*jimple.Method, *apim
 // doInBackground contains the request, if applicable: that is where
 // synchronous-library users surface results to the UI thread.
 func (a *analysis) asyncTaskSibling(m *jimple.Method) *jimple.Method {
-	if m.Sig.SubSigKey() != "doInBackground()void" {
+	if !m.Sig.HasSubSig("doInBackground()void") {
 		return nil
 	}
 	if !a.h.IsSubtype(m.Sig.Class, android.ClassAsyncTask) {
 		return nil
 	}
-	cls := a.h.Program().Class(m.Sig.Class)
-	if cls == nil {
-		return nil
-	}
-	if post := cls.Method("onPostExecute()void"); post != nil && post.HasBody() {
+	if post := a.h.DeclaredMethod(m.Sig.Class, "onPostExecute()void"); post != nil && post.HasBody() {
 		return post
 	}
 	return nil
@@ -180,30 +176,32 @@ func (a *analysis) asyncTaskSibling(m *jimple.Method) *jimple.Method {
 // and runOnUiThread indirection is covered).
 func (a *analysis) scopeFrom(root *jimple.Method) []*jimple.Method {
 	type item struct {
-		key   string
+		id    int32
 		depth int
 	}
-	rootKey := a.methodKey(root)
-	seen := map[string]bool{rootKey: true}
 	out := []*jimple.Method{root}
-	queue := []item{{key: rootKey}}
+	rootID := a.methodID(root)
+	if rootID < 0 {
+		return out
+	}
+	seen := a.cg.NewBitset()
+	seen.Add(rootID)
+	queue := []item{{id: rootID}}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		if cur.depth >= notifScanDepth {
 			continue
 		}
-		for _, e := range a.cg.OutEdges(cur.key) {
-			tk := e.CalleeKey()
-			if seen[tk] {
+		for _, e := range a.cg.Out(cur.id) {
+			if !seen.Add(e.CalleeID) {
 				continue
 			}
-			seen[tk] = true
 			// Only walk into the app's own code.
 			if cls := a.app.Program.Class(e.Callee.Class); cls != nil {
-				if m := a.cg.Method(tk); m != nil {
+				if m := a.cg.MethodOf(e.CalleeID); m != nil {
 					out = append(out, m)
-					queue = append(queue, item{key: tk, depth: cur.depth + 1})
+					queue = append(queue, item{id: e.CalleeID, depth: cur.depth + 1})
 				}
 			}
 		}

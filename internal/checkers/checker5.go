@@ -37,13 +37,12 @@ const onReceiveSubsig = "onReceive(android.content.Context,android.content.Inten
 // a network-state handler); NetworkCallback overrides qualify by
 // registration semantics alone.
 func (a *analysis) networkStateHandler(m *jimple.Method) bool {
-	switch m.Sig.SubSigKey() {
-	case onReceiveSubsig:
+	if m.Sig.HasSubSig(onReceiveSubsig) {
 		return a.h.IsSubtype(m.Sig.Class, android.ClassBroadcastReceiver) &&
 			a.closureChecksConnectivity(m)
 	}
 	for _, sub := range android.NetworkCallbackSubsigs {
-		if m.Sig.SubSigKey() == sub {
+		if m.Sig.HasSubSig(sub) {
 			return a.h.IsSubtype(m.Sig.Class, android.ClassNetworkCallback)
 		}
 	}
@@ -53,42 +52,15 @@ func (a *analysis) networkStateHandler(m *jimple.Method) bool {
 // closureChecksConnectivity reports whether m or anything it reaches
 // invokes a connectivity-check API.
 func (a *analysis) closureChecksConnectivity(m *jimple.Method) bool {
-	for key := range a.cg.ReachableFrom(m.Sig) {
-		mm := a.cg.Method(key)
-		if mm == nil {
-			continue
-		}
-		for _, s := range mm.Body {
-			if inv, ok := jimple.InvokeOf(s); ok && android.IsConnectivityCheck(inv.Callee) {
-				return true
-			}
-		}
-	}
-	return false
+	return a.reachesCall(a.methodID(m), android.IsConnectivityCheck)
 }
 
 // closureRecovers reports whether the handler's closure reaches a
 // registry target API (a retried request) or a cache-fallback read.
 func (a *analysis) closureRecovers(m *jimple.Method) bool {
-	for key := range a.cg.ReachableFrom(m.Sig) {
-		mm := a.cg.Method(key)
-		if mm == nil {
-			continue
-		}
-		for _, s := range mm.Body {
-			inv, ok := jimple.InvokeOf(s)
-			if !ok {
-				continue
-			}
-			if _, _, isTarget := a.reg.TargetOf(inv.Callee); isTarget {
-				return true
-			}
-			if android.IsCacheFallback(inv.Callee) {
-				return true
-			}
-		}
-	}
-	return false
+	return a.reachesCall(a.methodID(m), func(callee jimple.Sig) bool {
+		return a.isTarget(callee) || android.IsCacheFallback(callee)
+	})
 }
 
 func (a *analysis) checkMethodOfflineState(m *jimple.Method, f *findings) {
@@ -115,6 +87,7 @@ func (a *analysis) syntheticHandlerSite(m *jimple.Method) *requestSite {
 		method: m,
 		stmt:   0,
 		lib:    a.reg.Libraries()[0],
+		entry:  a.methodID(m),
 	}
 	if len(site.lib.Targets) > 0 {
 		site.target = &site.lib.Targets[0]
@@ -131,6 +104,5 @@ func (a *analysis) syntheticHandlerSite(m *jimple.Method) *requestSite {
 		site.kind = android.KindReceiver
 	}
 	site.userInitiated = false
-	site.entrySig = m.Sig
 	return site
 }

@@ -28,10 +28,7 @@ import (
 // The interprocedural must-precede analysis gates the whole checker:
 // unguarded sites are Checker 1's territory, not staleness.
 func (a *analysis) checkStaleChecks() findings {
-	isCheck := func(_ *jimple.Method, _ int, inv jimple.InvokeExpr) bool {
-		return android.IsConnectivityCheck(inv.Callee)
-	}
-	mp := dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
+	mp := a.connCheck()
 	units := make([]findings, len(a.sites))
 	a.parallelFor("stalechecks", len(a.sites), func(i int) {
 		a.checkSiteStaleness(mp, a.sites[i], &units[i])
@@ -41,7 +38,7 @@ func (a *analysis) checkStaleChecks() findings {
 
 func (a *analysis) checkSiteStaleness(mp *dataflow.MustPrecede, site *requestSite, f *findings) {
 	m := site.method
-	if !mp.FactBefore(a.methodKey(m), site.stmt) {
+	if !mp.FactAt(a.methodID(m), site.stmt) {
 		return // unguarded: Checker 1 reports the missing check
 	}
 	f.stats.GuardedSites++
@@ -90,9 +87,11 @@ func (a *analysis) checkSiteStaleness(mp *dataflow.MustPrecede, site *requestSit
 // reachedViaAsyncDispatch reports whether any call-graph edge into m is a
 // framework-mediated asynchronous dispatch.
 func (a *analysis) reachedViaAsyncDispatch(m *jimple.Method) bool {
-	for _, e := range a.cg.InEdges(a.methodKey(m)) {
-		if e.Kind == callgraph.EdgeAsync {
-			return true
+	if id := a.methodID(m); id >= 0 {
+		for _, e := range a.cg.In(id) {
+			if e.Kind == callgraph.EdgeAsync {
+				return true
+			}
 		}
 	}
 	return false

@@ -72,13 +72,13 @@ func (a *analysis) checkMethodEndpoints(m *jimple.Method, f *findings) {
 // not be a target API (e.g. a request constructor), so the library's
 // first target stands in for context resolution.
 func (a *analysis) endpointSite(m *jimple.Method, stmt int, inv jimple.InvokeExpr, lib *apimodel.Library) *requestSite {
-	site := &requestSite{method: m, stmt: stmt, inv: inv, lib: lib}
+	site := &requestSite{method: m, stmt: stmt, inv: inv, lib: lib, entry: -1}
 	if _, tgt, isTarget := a.reg.TargetOf(inv.Callee); isTarget {
 		site.target = tgt
 	} else if len(lib.Targets) > 0 {
 		site.target = &lib.Targets[0]
 	}
-	entries := a.ctx.EntriesReaching(a.methodKey(m))
+	entries := a.ctx.EntriesReaching(a.methodID(m))
 	if len(entries) > 0 {
 		a.resolveContext(site, entries)
 	} else {

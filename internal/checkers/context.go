@@ -24,7 +24,7 @@ type AnalysisContext struct {
 	methods map[*jimple.Method]*methodArtifacts
 
 	entriesOnce sync.Once
-	entryReach  []map[string]bool // parallel to cg.Entries()
+	entryReach  []callgraph.Bitset // parallel to cg.Entries()
 
 	// summarize is installed by the pipeline's build stage (nil when the
 	// scan is intraprocedural); the SummarySet is then computed at most
@@ -203,21 +203,22 @@ func (c *AnalysisContext) Summaries() *dataflow.SummarySet {
 	return c.sumSet
 }
 
-// EntriesReaching returns the entry points from which the method with the
-// given signature key is reachable — same result as
-// callgraph.Graph.EntriesReaching, but the per-entry reachability sets are
-// computed once per scan instead of once per query.
-func (c *AnalysisContext) EntriesReaching(targetKey string) []callgraph.Entry {
+// EntriesReaching returns the entry points from which the method with
+// call-graph id id is reachable (none for id -1). Each entry's reach set is
+// computed once per scan, on the first query.
+func (c *AnalysisContext) EntriesReaching(id int32) []callgraph.Entry {
 	c.entriesOnce.Do(func() {
-		entries := c.cg.Entries()
-		c.entryReach = make([]map[string]bool, len(entries))
-		for i, e := range entries {
-			c.entryReach[i] = c.cg.ReachableFrom(e.Method.Sig)
+		c.entryReach = c.cg.NewBitsets(len(c.cg.Entries()))
+		for i, reach := range c.entryReach {
+			c.cg.ReachInto(reach, c.cg.EntryID(i))
 		}
 	})
+	if id < 0 {
+		return nil
+	}
 	var out []callgraph.Entry
 	for i, e := range c.cg.Entries() {
-		if c.entryReach[i][targetKey] {
+		if c.entryReach[i].Has(id) {
 			out = append(out, e)
 		}
 	}

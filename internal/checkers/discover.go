@@ -37,7 +37,7 @@ func (a *analysis) discoverSites() findings {
 // discoverMethodSites finds and resolves the request sites of one method.
 func (a *analysis) discoverMethodSites(m *jimple.Method) []*requestSite {
 	var out []*requestSite
-	mKey := a.methodKey(m)
+	mID := a.methodID(m)
 	var entries []callgraph.Entry
 	entriesResolved := false
 	for i, s := range m.Body {
@@ -50,7 +50,7 @@ func (a *analysis) discoverMethodSites(m *jimple.Method) []*requestSite {
 			continue
 		}
 		if !entriesResolved {
-			entries = a.ctx.EntriesReaching(mKey)
+			entries = a.ctx.EntriesReaching(mID)
 			entriesResolved = true
 		}
 		if len(entries) == 0 {
@@ -59,7 +59,7 @@ func (a *analysis) discoverMethodSites(m *jimple.Method) []*requestSite {
 			continue
 		}
 		site := &requestSite{
-			method: m, stmt: i, inv: inv, lib: lib, target: target,
+			method: m, stmt: i, inv: inv, lib: lib, target: target, entry: -1,
 		}
 		a.resolveContext(site, entries)
 		a.resolveConfig(site)
@@ -80,18 +80,18 @@ func (a *analysis) resolveContext(site *requestSite, entries []callgraph.Entry) 
 			site.userInitiated = true
 			site.kind = android.KindActivity
 			site.component = e.Component
-			site.entrySig = e.Method.Sig
+			site.entry = a.methodID(e.Method)
 		case android.KindService:
 			if !site.userInitiated {
 				site.kind = android.KindService
 				site.component = e.Component
-				site.entrySig = e.Method.Sig
+				site.entry = a.methodID(e.Method)
 			}
 		default:
 			if site.component == "" {
 				site.kind = e.Kind
 				site.component = e.Component
-				site.entrySig = e.Method.Sig
+				site.entry = a.methodID(e.Method)
 			}
 		}
 	}

@@ -212,6 +212,15 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	// LibsUsedBy over the decoded program.
 	res.Stats.LibsUsed = reg.LibsUsedByRefs(app.Lazy.EachRefClass)
 	res.Stats.add(&discovered.stats)
+	// Sized once; nil when no stage reported, as the cache differential's
+	// DeepEqual against a decoded entry requires.
+	n := 0
+	for i := range outs {
+		n += len(outs[i].reports)
+	}
+	if n > 0 {
+		res.Reports = make([]report.Report, 0, n)
+	}
 	for i := range stages {
 		res.Reports = append(res.Reports, outs[i].reports...)
 		res.Stats.add(&outs[i].stats)

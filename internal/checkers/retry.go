@@ -78,24 +78,11 @@ func (a *analysis) loopPerformsRequest(m *jimple.Method, loop *cfg.Loop) bool {
 			return true
 		}
 		// Walk synchronous callees.
-		for _, e := range a.cg.OutEdges(a.methodKey(m)) {
+		for _, e := range a.outEdges(m) {
 			if e.Site != i {
 				continue
 			}
-			for reached := range a.cg.ReachableFrom(e.Callee) {
-				if callee := a.cg.Method(reached); callee != nil && a.methodHasRequest(callee) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-func (a *analysis) methodHasRequest(m *jimple.Method) bool {
-	for _, s := range m.Body {
-		if inv, ok := jimple.InvokeOf(s); ok {
-			if _, _, isTarget := a.reg.TargetOf(inv.Callee); isTarget {
+			if a.reachesCall(e.CalleeID, a.isTarget) {
 				return true
 			}
 		}
@@ -203,11 +190,11 @@ func (a *analysis) stmtBacksOff(m *jimple.Method, i int) bool {
 	if isBackoffSig(inv.Callee) {
 		return true
 	}
-	for _, e := range a.cg.OutEdges(a.methodKey(m)) {
+	for _, e := range a.outEdges(m) {
 		if e.Site != i {
 			continue
 		}
-		if callee := a.cg.Method(e.CalleeKey()); callee != nil {
+		if callee := a.cg.MethodOf(e.CalleeID); callee != nil {
 			for _, cs := range callee.Body {
 				if cinv, okc := jimple.InvokeOf(cs); okc && isBackoffSig(cinv.Callee) {
 					return true
@@ -257,6 +244,7 @@ func (a *analysis) syntheticLoopSite(m *jimple.Method, loop *cfg.Loop) *requestS
 		method: m,
 		stmt:   loop.Head,
 		lib:    a.reg.Libraries()[0],
+		entry:  -1,
 	}
 	// Attribute the loop to the library actually used inside it, if any;
 	// resolveContext needs target set first for HTTP-method resolution.
@@ -274,7 +262,7 @@ func (a *analysis) syntheticLoopSite(m *jimple.Method, loop *cfg.Loop) *requestS
 	if site.target == nil && len(site.lib.Targets) > 0 {
 		site.target = &site.lib.Targets[0]
 	}
-	entries := a.ctx.EntriesReaching(a.methodKey(m))
+	entries := a.ctx.EntriesReaching(a.methodID(m))
 	if len(entries) > 0 {
 		a.resolveContext(site, entries)
 	} else {

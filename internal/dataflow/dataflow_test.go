@@ -1,6 +1,10 @@
 package dataflow
 
 import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -190,6 +194,38 @@ func TestForwardTaintCopiesAndCalls(t *testing.T) {
 	locals := res.TaintedLocalsAt(4)
 	if len(locals) != 3 {
 		t.Errorf("TaintedLocalsAt: %v", locals)
+	}
+}
+
+// TestForwardTaintWideAndUnnamed: taint rows span more than one word of
+// local ids, and a source the body never names still taints (it gets a
+// private id) without disturbing the others.
+func TestForwardTaintWideAndUnnamed(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("class t.T extends java.lang.Object {\n  method m()void {\n")
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&src, "    local l%02d t.Response\n", i)
+	}
+	src.WriteString("    l00 = staticinvoke t.Client.get()t.Response\n")
+	for i := 1; i < 70; i++ {
+		fmt.Fprintf(&src, "    l%02d = l%02d\n", i, i-1)
+	}
+	src.WriteString("    return\n  }\n}")
+	g := cfg.New(methodOf(t, src.String()))
+	res := ForwardTaint(g, map[int][]string{0: {"l00", "ghost"}}, DefaultTaintOptions())
+	end := 70
+	if !res.TaintedAt(end, "l69") || !res.TaintedAt(end, "l00") || !res.TaintedAt(end, "ghost") {
+		t.Error("the copy chain and the unnamed source must reach the end")
+	}
+	if res.TaintedAt(1, "l01") || res.TaintedAt(0, "ghost") {
+		t.Error("taint arrived before its definition")
+	}
+	locals := res.TaintedLocalsAt(end)
+	if len(locals) != 71 || !sort.StringsAreSorted(locals) || locals[70] != "l69" {
+		t.Errorf("TaintedLocalsAt(end) = %v", locals)
+	}
+	if !slices.Equal(g.Locals()[:2], []string{"l00", "l01"}) || cfg.LocalIn(g.Locals(), "ghost") != -1 {
+		t.Error("the unnamed source leaked into the method's local index")
 	}
 }
 

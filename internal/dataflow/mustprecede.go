@@ -26,7 +26,9 @@ type MustPrecede struct {
 	cg    *callgraph.Graph
 	gen   GenFunc
 	cfgOf CFGProvider
-	fact  map[string][]bool // method key -> per-statement "definitely established before stmt"
+	// fact[id] holds, per statement of method id, "definitely established
+	// before stmt"; nil for methods outside the reachable set.
+	fact [][]bool
 }
 
 // CFGProvider supplies the control-flow graph of a method. Passing a
@@ -47,7 +49,7 @@ func NewMustPrecedeWith(cg *callgraph.Graph, gen GenFunc, cfgOf CFGProvider) *Mu
 	if cfgOf == nil {
 		cfgOf = cfg.New
 	}
-	mp := &MustPrecede{cg: cg, gen: gen, cfgOf: cfgOf, fact: make(map[string][]bool)}
+	mp := &MustPrecede{cg: cg, gen: gen, cfgOf: cfgOf, fact: make([][]bool, cg.NumIDs())}
 	mp.solve()
 	return mp
 }
@@ -56,7 +58,13 @@ func NewMustPrecedeWith(cg *callgraph.Graph, gen GenFunc, cfgOf CFGProvider) *Mu
 // before stmt of the method with the given signature key executes. It
 // returns false for methods outside the reachable set.
 func (mp *MustPrecede) FactBefore(methodKey string, stmt int) bool {
-	f := mp.fact[methodKey]
+	id, ok := mp.cg.ID(methodKey)
+	return ok && mp.FactAt(id, stmt)
+}
+
+// FactAt is FactBefore for the method with graph id id.
+func (mp *MustPrecede) FactAt(id int32, stmt int) bool {
+	f := mp.fact[id]
 	if f == nil || stmt < 0 || stmt >= len(f) {
 		return false
 	}
@@ -64,20 +72,27 @@ func (mp *MustPrecede) FactBefore(methodKey string, stmt int) bool {
 }
 
 type mpMethodState struct {
+	id      int32
 	m       *jimple.Method
 	g       *cfg.Graph
 	in      []bool // per node
 	out     []bool
-	gen     []bool // per node, GenFunc result (pure, so computed once)
+	gen     []bool // per statement, GenFunc result (pure, so computed once)
 	summary bool   // every entry→exit path establishes the condition
 	entry   bool   // condition definitely holds at method entry
+	isEntry bool   // an entry point: its entry fact is fixed false
 
 	// Pre-resolved interprocedural links, computed once after the state
-	// set is fixed so the fixpoint iterations never touch the call graph
-	// or re-render signature keys.
-	siteCallees    map[int][]*mpMethodState // EdgeCall targets per call site
-	siteUnresolved map[int]bool             // site has an EdgeCall target outside the state set
-	inCalls        []mpInEdge               // reachable call sites dispatching into this method
+	// set is fixed so the fixpoint iterations never touch the call graph.
+	calls   []mpCall   // EdgeCall out edges, by site
+	inCalls []mpInEdge // reachable call sites dispatching into this method
+}
+
+// mpCall is one synchronous call edge: the site and the callee's state
+// (nil when the callee is outside the state set).
+type mpCall struct {
+	site   int
+	callee *mpMethodState
 }
 
 // mpInEdge is one pre-resolved incoming call: the caller's state, the
@@ -90,94 +105,93 @@ type mpInEdge struct {
 }
 
 func (mp *MustPrecede) solve() {
-	// Reachable methods from all entries.
-	reach := make(map[string]bool)
-	for _, e := range mp.cg.Entries() {
-		for k := range mp.cg.ReachableFrom(e.Method.Sig) {
-			reach[k] = true
-		}
+	cg := mp.cg
+	entries := cg.Entries()
+	// Reachable methods from all entries: one closed set, grown per entry.
+	reach := cg.NewBitset()
+	for i := range entries {
+		cg.ReachInto(reach, cg.EntryID(i))
 	}
-	entryKeys := make(map[string]bool)
-	for _, e := range mp.cg.Entries() {
-		entryKeys[e.Method.Sig.Key()] = true
-	}
-	states := make(map[string]*mpMethodState)
-	for k := range reach {
-		m := mp.cg.Method(k)
-		if m == nil {
-			continue
+	// One state per reachable method, in id order; byID maps ids to them.
+	var states []mpMethodState
+	nodes := 0
+	reach.Each(func(id int32) {
+		if m := cg.MethodOf(id); m != nil {
+			g := mp.cfgOf(m)
+			nodes += g.NumNodes()
+			states = append(states, mpMethodState{
+				id: id, m: m, g: g,
+				summary: true, // optimistic; lowered by iteration
+				entry:   true,
+			})
 		}
-		g := mp.cfgOf(m)
-		st := &mpMethodState{
-			m:       m,
-			g:       g,
-			in:      make([]bool, g.NumNodes()),
-			out:     make([]bool, g.NumNodes()),
-			gen:     make([]bool, g.NumNodes()),
-			summary: true, // optimistic; lowered by iteration
-			entry:   !entryKeys[k],
-		}
+	})
+	byID := make([]*mpMethodState, cg.NumIDs())
+	// One slab backs every state's in, out and gen rows.
+	slab := make([]bool, 3*nodes)
+	for i := range states {
+		st := &states[i]
+		byID[st.id] = st
+		nn := st.g.NumNodes()
+		st.in, st.out, st.gen = slab[:nn:nn], slab[nn:2*nn:2*nn], slab[2*nn:3*nn:3*nn]
+		slab = slab[3*nn:]
 		// GenFunc is pure, so its per-statement verdicts are fixed before
-		// the fixpoint starts; evaluating it here keeps the (checker-
-		// supplied, often key-rendering) closure out of the inner loop.
-		for u := 0; u < len(m.Body); u++ {
-			if inv, ok := jimple.InvokeOf(m.Body[u]); ok {
-				st.gen[u] = mp.gen(m, u, inv)
+		// the fixpoint starts; evaluating it here keeps the checker-supplied
+		// closure out of the inner loop.
+		for u := 0; u < len(st.m.Body) && u < nn; u++ {
+			if inv, ok := jimple.InvokeOf(st.m.Body[u]); ok {
+				st.gen[u] = mp.gen(st.m, u, inv)
 			}
 		}
 		// Must-analysis requires optimistic initialization (start at TOP
 		// and lower): pessimistic false would be sticky around loop back
 		// edges and never recover.
-		for i := range st.in {
-			st.in[i] = true
-			st.out[i] = true
+		for j := range st.in {
+			st.in[j] = true
+			st.out[j] = true
 		}
-		states[k] = st
 	}
-	// Resolve the interprocedural links once: per call site the callee
-	// states (genAt), per method the incoming calls with their
+	for i := range entries {
+		if st := byID[cg.EntryID(i)]; st != nil {
+			st.isEntry, st.entry = true, false
+		}
+	}
+	// Resolve the interprocedural links once: per method the synchronous
+	// call sites (genAt) and the incoming calls with their
 	// establishes-before-dispatch bit (entryFact). The fixpoint below then
 	// runs on direct pointers.
-	for k, st := range states {
-		for _, e := range mp.cg.OutEdges(k) {
-			if e.Kind != callgraph.EdgeCall {
-				continue
-			}
-			if callee := states[e.CalleeKey()]; callee != nil {
-				if st.siteCallees == nil {
-					st.siteCallees = make(map[int][]*mpMethodState)
-				}
-				st.siteCallees[e.Site] = append(st.siteCallees[e.Site], callee)
-			} else {
-				if st.siteUnresolved == nil {
-					st.siteUnresolved = make(map[int]bool)
-				}
-				st.siteUnresolved[e.Site] = true
+	for i := range states {
+		st := &states[i]
+		for _, e := range cg.Out(st.id) {
+			if e.Kind == callgraph.EdgeCall {
+				st.calls = append(st.calls, mpCall{site: e.Site, callee: byID[e.CalleeID]})
 			}
 		}
-		for _, e := range mp.cg.InEdges(k) {
-			caller := states[e.CallerKey()]
+		for _, e := range cg.In(st.id) {
+			caller := byID[e.CallerID]
 			if caller == nil {
 				continue
 			}
 			st.inCalls = append(st.inCalls, mpInEdge{
 				caller: caller,
 				site:   e.Site,
-				estab:  mp.siteEstablishesBeforeDispatch(caller, e),
+				estab:  e.Site >= 0 && e.Site < len(caller.gen) && caller.gen[e.Site],
 			})
 		}
 	}
-	// Global fixpoint: facts only move true→false, so this terminates.
+	// Global fixpoint: facts only move true→false, so this terminates, and
+	// the greatest fixpoint it reaches does not depend on the visit order.
 	for changed := true; changed; {
 		changed = false
-		for _, st := range states {
-			if mp.solveMethod(st) {
+		for i := range states {
+			if mp.solveMethod(&states[i]) {
 				changed = true
 			}
 		}
 		// Recompute entry facts from call-site facts.
-		for k, st := range states {
-			if entryKeys[k] {
+		for i := range states {
+			st := &states[i]
+			if st.isEntry {
 				continue
 			}
 			newEntry := entryFact(st)
@@ -187,8 +201,10 @@ func (mp *MustPrecede) solve() {
 			}
 		}
 	}
-	for k, st := range states {
-		mp.fact[k] = st.in[:len(st.m.Body)]
+	for id, st := range byID {
+		if st != nil {
+			mp.fact[id] = st.in[:len(st.m.Body)]
+		}
 	}
 }
 
@@ -205,14 +221,6 @@ func entryFact(st *mpMethodState) bool {
 	return true
 }
 
-// siteEstablishesBeforeDispatch reports whether the trigger statement
-// itself establishes the condition before control reaches the callee
-// (it does when the trigger invocation is itself a gen, e.g. a request
-// wrapped in a checking helper — conservative: only the direct GenFunc).
-func (mp *MustPrecede) siteEstablishesBeforeDispatch(caller *mpMethodState, e callgraph.Edge) bool {
-	return e.Site >= 0 && e.Site < len(caller.gen) && caller.gen[e.Site]
-}
-
 // solveMethod runs the intraprocedural forward must-analysis for one
 // method given the current callee summaries; reports whether anything
 // changed.
@@ -223,6 +231,7 @@ func (mp *MustPrecede) solveMethod(st *mpMethodState) bool {
 	// Iterate locally to a fixpoint (bodies are small).
 	for localChange := true; localChange; {
 		localChange = false
+		next := 0 // first call edge at or after node u
 		for u := 0; u < n; u++ {
 			// in = meet (AND) over predecessor outs; the entry node also
 			// meets the interprocedural entry fact. Unreachable nodes are
@@ -234,7 +243,10 @@ func (mp *MustPrecede) solveMethod(st *mpMethodState) bool {
 			for _, p := range g.Preds(u) {
 				in = in && st.out[p]
 			}
-			out := in || mp.genAt(st, u)
+			for next < len(st.calls) && st.calls[next].site < u {
+				next++
+			}
+			out := in || genAt(st, u, next)
 			if in != st.in[u] {
 				st.in[u] = in
 				localChange, changed = true, true
@@ -255,8 +267,9 @@ func (mp *MustPrecede) solveMethod(st *mpMethodState) bool {
 
 // genAt decides whether node u establishes the condition: either its
 // statement matches GenFunc directly, or it is a call site whose every
-// (synchronously) dispatched target has a true summary.
-func (mp *MustPrecede) genAt(st *mpMethodState, u int) bool {
+// (synchronously) dispatched target has a true summary. st.calls[next:]
+// are the call edges at sites u and later.
+func genAt(st *mpMethodState, u, next int) bool {
 	if u >= len(st.m.Body) {
 		return false
 	}
@@ -265,14 +278,15 @@ func (mp *MustPrecede) genAt(st *mpMethodState, u int) bool {
 	}
 	// Call into app methods: condition established if every possible
 	// synchronous callee establishes it on all its paths.
-	callees := st.siteCallees[u]
-	if len(callees) == 0 || st.siteUnresolved[u] {
-		return false
-	}
-	for _, callee := range callees {
-		if !callee.summary {
+	found := false
+	for _, c := range st.calls[next:] {
+		if c.site != u {
+			break
+		}
+		if c.callee == nil || !c.callee.summary {
 			return false
 		}
+		found = true
 	}
-	return true
+	return found
 }

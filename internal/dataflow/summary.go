@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
@@ -159,7 +161,8 @@ type SummaryStats struct {
 // SummarySet holds the computed summaries of one scan. Lookups are safe
 // for concurrent use once ComputeSummaries returns.
 type SummarySet struct {
-	sums  map[string]*TaintSummary
+	sums  map[string]*TaintSummary // by method key: the cache boundary
+	byID  []*TaintSummary          // by call-graph method id
 	stats SummaryStats
 }
 
@@ -170,6 +173,15 @@ func (s *SummarySet) Of(key string) *TaintSummary {
 		return nil
 	}
 	return s.sums[key]
+}
+
+// OfID returns the summary of the call-graph method id, or nil when the
+// method was not in the summarized set.
+func (s *SummarySet) OfID(id int32) *TaintSummary {
+	if s == nil || int(id) >= len(s.byID) {
+		return nil
+	}
+	return s.byID[id]
 }
 
 // Stats returns the computation statistics.
@@ -186,155 +198,243 @@ type SummaryResolver func(site int) []*TaintSummary
 // methods are processed in sorted-key order and every summary list is
 // deduplicated and sorted. On cancellation the partial set built so far is
 // returned along with the error.
+//
+// The methods are numbered once, in sorted-key order; the closure, the
+// condensation and the fixpoint run over those numbers and the graph's
+// method ids, and keys are read from the graph's key table.
 func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf SummaryConfig) (*SummarySet, error) {
 	b := &summaryBuilder{
-		cg:     cg,
-		conf:   conf,
-		inSet:  make(map[string]*jimple.Method, len(methods)),
-		seeded: make(map[string]bool),
-		set:    &SummarySet{sums: make(map[string]*TaintSummary, len(methods))},
+		cg:   cg,
+		conf: conf,
+		loc:  make([]int32, cg.NumIDs()),
+		set:  &SummarySet{},
 	}
-	keys := make([]string, 0, len(methods))
+	for i := range b.loc {
+		b.loc[i] = -1
+	}
+	var extra map[string]bool // keys of methods the graph does not hold
 	for _, m := range methods {
+		id, ok := cg.IDOf(m)
+		if !ok {
+			id, ok = cg.ID(m.Sig.Key())
+		}
+		if ok {
+			if b.loc[id] >= 0 {
+				continue // a repeated key: the first method wins
+			}
+			b.loc[id] = 0 // seen; numbered after the sort
+			b.nodes = append(b.nodes, sumNode{key: cg.Key(id), id: id, m: m})
+			continue
+		}
 		k := m.Sig.Key()
-		if _, dup := b.inSet[k]; !dup {
-			b.inSet[k] = m
-			keys = append(keys, k)
+		if extra[k] {
+			continue
+		}
+		if extra == nil {
+			extra = make(map[string]bool)
+		}
+		extra[k] = true
+		b.nodes = append(b.nodes, sumNode{key: k, id: -1, m: m})
+	}
+	slices.SortFunc(b.nodes, func(x, y sumNode) int { return strings.Compare(x.key, y.key) })
+	for i, n := range b.nodes {
+		if n.id >= 0 {
+			b.loc[n.id] = int32(i)
 		}
 	}
-	sort.Strings(keys)
-	if conf.Roots != nil {
-		keys = b.demandedClosure(keys, conf.Roots)
+	b.sums = make([]*TaintSummary, len(b.nodes))
+	b.seeded = make([]bool, len(b.nodes))
+	order := make([]int32, len(b.nodes))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	for _, k := range keys {
-		if sum := conf.Seeds[k]; sum != nil {
-			b.set.sums[k] = sum
-			b.seeded[k] = true
+	if conf.Roots != nil {
+		order = b.demandedClosure(order, conf.Roots)
+	}
+	for _, i := range order {
+		if sum := conf.Seeds[b.nodes[i].key]; sum != nil {
+			b.sums[i] = sum
+			b.seeded[i] = true
 			b.set.stats.Seeded++
 		}
 	}
-	sccs := b.condense(keys)
+	sccs := b.condense(order)
 	b.set.stats.SCCs = len(sccs)
 	for _, scc := range sccs {
 		if len(scc) > b.set.stats.MaxSCC {
 			b.set.stats.MaxSCC = len(scc)
 		}
 		if err := b.computeSCC(scc); err != nil {
+			b.finish()
 			return b.set, err
 		}
 	}
-	b.set.stats.Methods = len(b.set.sums)
+	b.finish()
 	return b.set, nil
 }
 
-type summaryBuilder struct {
-	cg     *callgraph.Graph
-	conf   SummaryConfig
-	inSet  map[string]*jimple.Method
-	seeded map[string]bool // keys whose summary came from conf.Seeds
-	set    *SummarySet
+// sumNode is one summarized method: its key, its graph id (-1 when the
+// graph does not hold it, so it has no call edges) and the method.
+type sumNode struct {
+	key string
+	id  int32
+	m   *jimple.Method
 }
 
-// demandedClosure filters the sorted key list down to the forward EdgeCall
-// closure of the roots within the in-set, preserving the sorted order.
-func (b *summaryBuilder) demandedClosure(keys, roots []string) []string {
-	want := make(map[string]bool, len(roots))
-	var stack []string
+type summaryBuilder struct {
+	cg   *callgraph.Graph
+	conf SummaryConfig
+	set  *SummarySet
+
+	nodes  []sumNode       // sorted by key; a node's index is its number
+	loc    []int32         // graph id -> node number, -1 outside the set
+	sums   []*TaintSummary // by node number
+	seeded []bool          // by node number: the summary came from conf.Seeds
+
+	// Scratch reused across methods by aliasFixpoint.
+	arena    []aliasFact
+	cur, tmp aliasRow
+	rows     []aliasRow
+	work     []int
+	inWork   []bool
+}
+
+// finish publishes the summaries computed so far into the set.
+func (b *summaryBuilder) finish() {
+	b.set.sums = make(map[string]*TaintSummary, len(b.nodes))
+	b.set.byID = make([]*TaintSummary, b.cg.NumIDs())
+	for i, sum := range b.sums {
+		if sum == nil {
+			continue
+		}
+		n := b.nodes[i]
+		b.set.sums[n.key] = sum
+		if n.id >= 0 {
+			b.set.byID[n.id] = sum
+		}
+	}
+	b.set.stats.Methods = len(b.set.sums)
+}
+
+// callees calls fn on the node number of every synchronous callee of node
+// i inside the set, in edge order (repeats included).
+func (b *summaryBuilder) callees(i int32, fn func(site int, callee int32)) {
+	id := b.nodes[i].id
+	if id < 0 {
+		return
+	}
+	for _, e := range b.cg.Out(id) {
+		if e.Kind != callgraph.EdgeCall {
+			continue
+		}
+		if c := b.loc[e.CalleeID]; c >= 0 {
+			fn(e.Site, c)
+		}
+	}
+}
+
+// demandedClosure filters the sorted node list down to the forward EdgeCall
+// closure of the roots within the set, preserving the sorted order.
+func (b *summaryBuilder) demandedClosure(order []int32, roots []string) []int32 {
+	want := make([]bool, len(b.nodes))
+	var stack []int32
 	for _, r := range roots {
-		if _, ok := b.inSet[r]; ok && !want[r] {
-			want[r] = true
-			stack = append(stack, r)
+		i, ok := slices.BinarySearchFunc(b.nodes, r, func(n sumNode, k string) int { return strings.Compare(n.key, k) })
+		if ok && !want[i] {
+			want[i] = true
+			stack = append(stack, int32(i))
 		}
 	}
 	for len(stack) > 0 {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range b.cg.OutEdges(k) {
-			ck := e.CalleeKey()
-			if e.Kind != callgraph.EdgeCall || want[ck] {
-				continue
+		b.callees(k, func(_ int, c int32) {
+			if !want[c] {
+				want[c] = true
+				stack = append(stack, c)
 			}
-			if _, ok := b.inSet[ck]; !ok {
-				continue
-			}
-			want[ck] = true
-			stack = append(stack, ck)
-		}
+		})
 	}
-	out := keys[:0]
-	for _, k := range keys {
-		if want[k] {
-			out = append(out, k)
+	out := order[:0]
+	for _, i := range order {
+		if want[i] {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// condense runs Tarjan's algorithm over the in-set call edges and returns
-// the SCCs in reverse topological order (callees before callers), each
-// SCC's members sorted by key. Iteration order over keys and edges is
-// deterministic, so the condensation is too.
-func (b *summaryBuilder) condense(keys []string) [][]string {
-	adj := make(map[string][]string, len(keys))
-	for _, k := range keys {
-		var succs []string
-		seen := make(map[string]bool)
-		for _, e := range b.cg.OutEdges(k) {
-			ck := e.CalleeKey()
-			if e.Kind != callgraph.EdgeCall || seen[ck] {
-				continue
-			}
-			if _, ok := b.inSet[ck]; !ok {
-				continue
-			}
-			seen[ck] = true
-			succs = append(succs, ck)
-		}
-		adj[k] = succs
+// condense runs Tarjan's algorithm over the set's call edges among order
+// and returns the SCCs in reverse topological order (callees before
+// callers), each SCC's members sorted by key. Iteration order over nodes
+// and edges is deterministic, so the condensation is too.
+func (b *summaryBuilder) condense(order []int32) [][]int32 {
+	// Distinct successors per node, flat: succ[adj[i]:adj[i+1]] for the
+	// i'th node of order.
+	pos := make([]int32, len(b.nodes)) // node -> position in order, +1
+	for p, i := range order {
+		pos[i] = int32(p) + 1
 	}
-	index := make(map[string]int, len(keys))
-	low := make(map[string]int, len(keys))
-	onStack := make(map[string]bool, len(keys))
-	var stack []string
-	var sccs [][]string
-	next := 0
+	adj := make([]int32, len(order)+1)
+	var succ []int32
+	for p, i := range order {
+		lo := len(succ)
+		b.callees(i, func(_ int, c int32) {
+			if pos[c] == 0 || slices.Contains(succ[lo:], c) {
+				return
+			}
+			succ = append(succ, c)
+		})
+		adj[p+1] = int32(len(succ))
+	}
+	const unvisited = -1
+	index := make([]int32, len(b.nodes))
+	low := make([]int32, len(b.nodes))
+	onStack := make([]bool, len(b.nodes))
+	for i := range index {
+		index[i] = unvisited
+	}
+	var stack []int32
+	var sccs [][]int32
+	next := int32(0)
 	type frame struct {
-		key string
-		ei  int
+		node int32
+		ei   int32
 	}
-	for _, root := range keys {
-		if _, visited := index[root]; visited {
+	var call []frame
+	for _, root := range order {
+		if index[root] != unvisited {
 			continue
 		}
-		call := []frame{{key: root}}
+		call = append(call[:0], frame{node: root, ei: adj[pos[root]-1]})
 		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
 		onStack[root] = true
 		for len(call) > 0 {
 			f := &call[len(call)-1]
-			if f.ei < len(adj[f.key]) {
-				w := adj[f.key][f.ei]
+			if f.ei < adj[pos[f.node]] {
+				w := succ[f.ei]
 				f.ei++
-				if _, visited := index[w]; !visited {
+				if index[w] == unvisited {
 					index[w], low[w] = next, next
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					call = append(call, frame{key: w})
-				} else if onStack[w] && index[w] < low[f.key] {
-					low[f.key] = index[w]
+					call = append(call, frame{node: w, ei: adj[pos[w]-1]})
+				} else if onStack[w] && index[w] < low[f.node] {
+					low[f.node] = index[w]
 				}
 				continue
 			}
-			// f.key finished: pop, propagate lowlink, emit SCC at root.
-			k := f.key
+			// f.node finished: pop, propagate lowlink, emit SCC at root.
+			k := f.node
 			call = call[:len(call)-1]
-			if len(call) > 0 && low[k] < low[call[len(call)-1].key] {
-				low[call[len(call)-1].key] = low[k]
+			if len(call) > 0 && low[k] < low[call[len(call)-1].node] {
+				low[call[len(call)-1].node] = low[k]
 			}
 			if low[k] == index[k] {
-				var scc []string
+				var scc []int32
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -344,7 +444,7 @@ func (b *summaryBuilder) condense(keys []string) [][]string {
 						break
 					}
 				}
-				sort.Strings(scc)
+				slices.Sort(scc) // node numbers ascend with keys
 				sccs = append(sccs, scc)
 			}
 		}
@@ -358,10 +458,10 @@ func (b *summaryBuilder) condense(keys []string) [][]string {
 // recomputed — except inside a partially seeded recursive component,
 // where the seeds are dropped and the whole cycle converges fresh (see
 // SummaryConfig.Seeds).
-func (b *summaryBuilder) computeSCC(scc []string) error {
+func (b *summaryBuilder) computeSCC(scc []int32) error {
 	seededHere := 0
-	for _, k := range scc {
-		if b.seeded[k] {
+	for _, i := range scc {
+		if b.seeded[i] {
 			seededHere++
 		}
 	}
@@ -370,26 +470,25 @@ func (b *summaryBuilder) computeSCC(scc []string) error {
 	}
 	recursive := len(scc) > 1
 	if !recursive {
-		for _, e := range b.cg.OutEdges(scc[0]) {
-			if e.Kind == callgraph.EdgeCall && e.CalleeKey() == scc[0] {
+		b.callees(scc[0], func(_ int, c int32) {
+			if c == scc[0] {
 				recursive = true
-				break
 			}
-		}
+		})
 	}
 	if recursive && seededHere > 0 {
-		for _, k := range scc {
-			if b.seeded[k] {
-				delete(b.set.sums, k)
-				delete(b.seeded, k)
+		for _, i := range scc {
+			if b.seeded[i] {
+				b.sums[i] = nil
+				b.seeded[i] = false
 				b.set.stats.Seeded--
 			}
 		}
 	}
 	for iter := 0; ; iter++ {
 		changed := false
-		for _, k := range scc {
-			if b.seeded[k] {
+		for _, i := range scc {
+			if b.seeded[i] {
 				continue
 			}
 			if b.conf.Cancel != nil {
@@ -397,11 +496,11 @@ func (b *summaryBuilder) computeSCC(scc []string) error {
 					return err
 				}
 			}
-			sum := b.computeMethod(b.inSet[k])
-			if prev := b.set.sums[k]; prev == nil || !equalSummary(prev, sum) {
+			sum := b.computeMethod(i)
+			if prev := b.sums[i]; prev == nil || !equalSummary(prev, sum) {
 				changed = true
 			}
-			b.set.sums[k] = sum
+			b.sums[i] = sum
 		}
 		if !recursive || !changed || iter+1 >= summaryFixpointBound {
 			return nil
@@ -410,23 +509,49 @@ func (b *summaryBuilder) computeSCC(scc []string) error {
 	}
 }
 
-// calleeAt resolves the summarized callees of each call site of the
-// method with key k, in deterministic (sorted) edge order. A callee in
-// the summarized set whose summary is not yet computed (same SCC, first
-// iteration) contributes a nil entry: callers treat it as an empty
-// summary, which the fixpoint then grows.
-func (b *summaryBuilder) calleeAt(k string) map[int][]*TaintSummary {
-	out := make(map[int][]*TaintSummary)
-	for _, e := range b.cg.OutEdges(k) {
-		if e.Kind != callgraph.EdgeCall {
-			continue
+// siteSums maps the call sites of one method to the summaries of their
+// summarized callees: sites ascend, and sums[lo:hi] of a site's span hold
+// its callees in edge order. A callee in the summarized set whose summary
+// is not yet computed (same SCC, first iteration) contributes a nil entry:
+// callers treat it as an empty summary, which the fixpoint then grows.
+type siteSums struct {
+	spans []siteSpan
+	sums  []*TaintSummary
+}
+
+type siteSpan struct{ site, lo, hi int32 }
+
+// at returns the summaries of the callees at site.
+func (c siteSums) at(site int) []*TaintSummary {
+	lo, hi := 0, len(c.spans)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(c.spans[mid].site) < site {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		ck := e.CalleeKey()
-		if _, ok := b.inSet[ck]; !ok {
-			continue
-		}
-		out[e.Site] = append(out[e.Site], b.set.sums[ck])
 	}
+	if lo < len(c.spans) && int(c.spans[lo].site) == site {
+		sp := c.spans[lo]
+		return c.sums[sp.lo:sp.hi:sp.hi]
+	}
+	return nil
+}
+
+// calleeAt resolves the summarized callees of each call site of node i,
+// in deterministic (sorted) edge order.
+func (b *summaryBuilder) calleeAt(i int32) siteSums {
+	var out siteSums
+	b.callees(i, func(site int, c int32) {
+		n := int32(len(out.sums))
+		if k := len(out.spans) - 1; k >= 0 && int(out.spans[k].site) == site {
+			out.spans[k].hi = n + 1
+		} else {
+			out.spans = append(out.spans, siteSpan{site: int32(site), lo: n, hi: n + 1})
+		}
+		out.sums = append(out.sums, b.sums[c])
+	})
 	return out
 }
 
@@ -466,11 +591,12 @@ func tokenLocal(inv jimple.InvokeExpr, tok int) string {
 	return ""
 }
 
-// computeMethod builds one method's summary against the callee summaries
+// computeMethod builds node i's summary against the callee summaries
 // currently in the set.
-func (b *summaryBuilder) computeMethod(m *jimple.Method) *TaintSummary {
+func (b *summaryBuilder) computeMethod(i int32) *TaintSummary {
+	m := b.nodes[i].m
 	g := b.conf.cfg(m)
-	callees := b.calleeAt(m.Sig.Key())
+	callees := b.calleeAt(i)
 	inputs := 1 + len(m.Sig.Params)
 	if inputs > maxSummaryInputs {
 		inputs = maxSummaryInputs
@@ -490,21 +616,153 @@ func (b *summaryBuilder) computeMethod(m *jimple.Method) *TaintSummary {
 	return sum
 }
 
-// aliasFixpoint computes, per node, the map local → input mask holding
+// aliasFact is one local's input mask: the inputs the local may alias or
+// derive from. A mask is never zero.
+type aliasFact struct {
+	local int32
+	mask  uint64
+}
+
+// aliasRow is one node's alias state: its facts by ascending local id (a
+// local's index in cfg.Graph.Locals). Rows are sparse because most locals
+// never carry an input.
+type aliasRow []aliasFact
+
+func (r aliasRow) get(local int) uint64 {
+	for _, f := range r {
+		if int(f.local) >= local {
+			if int(f.local) == local {
+				return f.mask
+			}
+			break
+		}
+	}
+	return 0
+}
+
+// find returns the position of local in r, or where it would be inserted.
+func (r aliasRow) find(local int) (int, bool) {
+	for i, f := range r {
+		if int(f.local) >= local {
+			return i, int(f.local) == local
+		}
+	}
+	return len(r), false
+}
+
+// or merges mask (non-zero) into local's fact.
+func (r *aliasRow) or(local int, mask uint64) {
+	i, ok := r.find(local)
+	if ok {
+		(*r)[i].mask |= mask
+		return
+	}
+	*r = slices.Insert(*r, i, aliasFact{local: int32(local), mask: mask})
+}
+
+// set replaces local's fact with mask (non-zero).
+func (r *aliasRow) set(local int, mask uint64) {
+	i, ok := r.find(local)
+	if ok {
+		(*r)[i].mask = mask
+		return
+	}
+	*r = slices.Insert(*r, i, aliasFact{local: int32(local), mask: mask})
+}
+
+// del drops local's fact.
+func (r *aliasRow) del(local int) {
+	if i, ok := r.find(local); ok {
+		*r = slices.Delete(*r, i, i+1)
+	}
+}
+
+// union sets dst to the fact-wise OR of a and b.
+func union(dst, a, b aliasRow) aliasRow {
+	dst = dst[:0]
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].local < b[0].local:
+			dst, a = append(dst, a[0]), a[1:]
+		case b[0].local < a[0].local:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst = append(dst, aliasFact{local: a[0].local, mask: a[0].mask | b[0].mask})
+			a, b = a[1:], b[1:]
+		}
+	}
+	dst = append(dst, a...)
+	return append(dst, b...)
+}
+
+// aliasVals reads and writes a row by local name.
+type aliasVals struct {
+	names []string
+	row   aliasRow
+}
+
+func (v *aliasVals) get(name string) uint64 {
+	if id := cfg.LocalIn(v.names, name); id >= 0 {
+		return v.row.get(id)
+	}
+	return 0
+}
+
+func (v *aliasVals) or(name string, mask uint64) {
+	if id := cfg.LocalIn(v.names, name); id >= 0 {
+		v.row.or(id, mask)
+	}
+}
+
+func (v *aliasVals) set(name string, mask uint64) {
+	if id := cfg.LocalIn(v.names, name); id >= 0 {
+		v.row.set(id, mask)
+	}
+}
+
+func (v *aliasVals) del(name string) {
+	if id := cfg.LocalIn(v.names, name); id >= 0 {
+		v.row.del(id)
+	}
+}
+
+// aliasIn is the converged alias state before every node.
+type aliasIn struct {
+	names []string
+	rows  []aliasRow
+}
+
+// at returns the state before node i.
+func (a aliasIn) at(i int) aliasVals { return aliasVals{names: a.names, row: a.rows[i]} }
+
+// aliasFixpoint computes, per node, the input mask of each local holding
 // immediately before the node executes: which inputs each local may alias
 // or derive from. The transfer mirrors ForwardTaint's object-taint rules
 // (receiver derivation, field-store insensitivity, strong updates on
 // overwrite) lifted to per-input masks, and additionally flows through
 // summarized callees (return derivation and state effects).
-func (b *summaryBuilder) aliasFixpoint(m *jimple.Method, g *cfg.Graph, callees map[int][]*TaintSummary) []map[string]uint64 {
+//
+// Rows live in an arena the builder reuses from method to method; a node's
+// row is stored again only when it changes.
+func (b *summaryBuilder) aliasFixpoint(m *jimple.Method, g *cfg.Graph, callees siteSums) aliasIn {
+	names := g.Locals()
 	n := g.NumNodes()
-	// Maps stay nil until a fact arrives: reads from nil maps are free, so
-	// nodes no masks flow through never allocate (most nodes of most
-	// methods). Consumers index in[i][name] and tolerate nil the same way.
-	in := make([]map[string]uint64, n)
-	out := make([]map[string]uint64, n)
-	work := make([]int, 0, n)
-	inWork := make([]bool, n)
+	// The rows of the previous method are dead by now: reuse them.
+	b.rows = slices.Grow(b.rows[:0], 2*n)[:2*n]
+	clear(b.rows)
+	in, out := b.rows[:n:n], b.rows[n:]
+	b.arena = b.arena[:0]
+	store := func(r aliasRow) aliasRow {
+		if len(r) == 0 {
+			return nil
+		}
+		lo := len(b.arena)
+		b.arena = append(b.arena, r...)
+		return b.arena[lo:len(b.arena):len(b.arena)]
+	}
+	work := b.work[:0]
+	inWork := slices.Grow(b.inWork[:0], n)[:n]
+	clear(inWork)
 	push := func(i int) {
 		if !inWork[i] {
 			inWork[i] = true
@@ -514,60 +772,54 @@ func (b *summaryBuilder) aliasFixpoint(m *jimple.Method, g *cfg.Graph, callees m
 	for i := 0; i < n; i++ {
 		push(i)
 	}
+	defer func() { b.work, b.inWork = work[:0], inWork }()
 	for head := 0; head < len(work); head++ {
 		u := work[head]
 		inWork[u] = false
-		var nu map[string]uint64
+		cur := b.cur[:0]
 		for _, p := range g.Preds(u) {
-			for l, mask := range out[p] {
-				if nu == nil {
-					nu = make(map[string]uint64, 8)
-				}
-				nu[l] |= mask
-			}
+			b.tmp = union(b.tmp, cur, out[p])
+			cur, b.tmp = b.tmp, cur
 		}
-		in[u] = nu
-		var no map[string]uint64
-		if len(nu) > 0 {
-			no = make(map[string]uint64, len(nu))
-			for l, mask := range nu {
-				no[l] = mask
-			}
+		if !slices.Equal(in[u], cur) {
+			in[u] = store(cur)
 		}
 		if u < len(m.Body) {
-			no = b.aliasTransfer(m.Body[u], u, no, callees)
+			v := aliasVals{names: names, row: cur}
+			b.aliasTransfer(m.Body[u], u, &v, callees)
+			cur = v.row
 		}
-		if !sameMasks(out[u], no) {
-			out[u] = no
+		if !slices.Equal(out[u], cur) {
+			out[u] = store(cur)
 			for _, s := range g.Succs(u) {
 				push(s)
 			}
 		}
+		b.cur = cur
 	}
-	return in
+	return aliasIn{names: names, rows: in}
 }
 
-// aliasTransfer applies one statement's transfer to cur and returns it,
-// allocating the map only when the first fact is introduced (cur may come
-// in nil and leave nil). Every other write is guarded by a non-zero mask,
-// which can only derive from an already-populated map.
-func (b *summaryBuilder) aliasTransfer(s jimple.Stmt, at int, cur map[string]uint64, callees map[int][]*TaintSummary) map[string]uint64 {
+// aliasTransfer applies one statement's transfer to cur. Every write but
+// the strong update is guarded by a non-zero mask, which can only derive
+// from a fact already present.
+func (b *summaryBuilder) aliasTransfer(s jimple.Stmt, at int, cur *aliasVals, callees siteSums) {
 	if inv, ok := jimple.InvokeOf(s); ok {
-		applyStateEffects(inv, callees[at], cur)
+		applyStateEffects(inv, callees.at(at), cur)
 	}
 	a, ok := s.(*jimple.AssignStmt)
 	if !ok {
-		return cur
+		return
 	}
 	if f, isField := a.LHS.(jimple.FieldRef); isField {
 		if f.Base != "" {
 			// Object-level field insensitivity: storing a derived value
 			// into x makes x's object state derive the same inputs.
 			if vm := maskOfValue(a.RHS, at, cur, callees); vm != 0 {
-				cur[f.Base] |= vm
+				cur.or(f.Base, vm)
 			}
 		}
-		return cur
+		return
 	}
 	dst := a.LHS.(jimple.Local).Name
 	var mask uint64
@@ -580,21 +832,17 @@ func (b *summaryBuilder) aliasTransfer(s jimple.Stmt, at int, cur map[string]uin
 		mask = maskOfValue(a.RHS, at, cur, callees)
 	}
 	if mask != 0 {
-		if cur == nil {
-			cur = make(map[string]uint64, 4)
-		}
-		cur[dst] = mask
+		cur.set(dst, mask)
 	} else {
-		delete(cur, dst) // strong update: overwritten with a fresh value
+		cur.del(dst) // strong update: overwritten with a fresh value
 	}
-	return cur
 }
 
 // applyStateEffects propagates callee StateFrom relations to the caller's
 // bound locals: if the callee stores input t_in into input t_out's state,
 // the caller local bound to t_out now derives everything the local bound
 // to t_in derives.
-func applyStateEffects(inv jimple.InvokeExpr, sums []*TaintSummary, cur map[string]uint64) {
+func applyStateEffects(inv jimple.InvokeExpr, sums []*TaintSummary, cur *aliasVals) {
 	for _, sum := range sums {
 		if sum == nil {
 			continue
@@ -612,32 +860,32 @@ func applyStateEffects(inv jimple.InvokeExpr, sums []*TaintSummary, cur map[stri
 			for tIn := 0; tIn < sum.Inputs; tIn++ {
 				if effects&bit(tIn) != 0 {
 					if l := tokenLocal(inv, tIn); l != "" {
-						inMask |= cur[l]
+						inMask |= cur.get(l)
 					}
 				}
 			}
 			if inMask != 0 {
-				cur[outLocal] |= inMask
+				cur.or(outLocal, inMask)
 			}
 		}
 	}
 }
 
-func maskOfValue(v jimple.Value, at int, cur map[string]uint64, callees map[int][]*TaintSummary) uint64 {
+func maskOfValue(v jimple.Value, at int, cur *aliasVals, callees siteSums) uint64 {
 	switch v := v.(type) {
 	case jimple.Local:
-		return cur[v.Name]
+		return cur.get(v.Name)
 	case jimple.CastExpr:
 		return maskOfValue(v.V, at, cur, callees)
 	case jimple.FieldRef:
 		// A load from a derived object yields a derived value (field
 		// insensitivity); static loads are fresh.
 		if v.Base != "" {
-			return cur[v.Base]
+			return cur.get(v.Base)
 		}
 		return 0
 	case jimple.InvokeExpr:
-		if sums := callees[at]; len(sums) > 0 {
+		if sums := callees.at(at); len(sums) > 0 {
 			// Summarized callees: the result derives exactly what the
 			// callee's RetFrom maps the bindings to.
 			var mask uint64
@@ -648,7 +896,7 @@ func maskOfValue(v jimple.Value, at int, cur map[string]uint64, callees map[int]
 				for t := 0; t < sum.Inputs; t++ {
 					if sum.RetFrom&bit(t) != 0 {
 						if l := tokenLocal(v, t); l != "" {
-							mask |= cur[l]
+							mask |= cur.get(l)
 						}
 					}
 				}
@@ -658,7 +906,7 @@ func maskOfValue(v jimple.Value, at int, cur map[string]uint64, callees map[int]
 		// Unsummarized (framework) callee: receiver derivation, matching
 		// DefaultTaintOptions.TaintThroughReceiver.
 		if v.Base != "" {
-			return cur[v.Base]
+			return cur.get(v.Base)
 		}
 		return 0
 	default:
@@ -666,22 +914,10 @@ func maskOfValue(v jimple.Value, at int, cur map[string]uint64, callees map[int]
 	}
 }
 
-func sameMasks(a, b map[string]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // collectFacts walks the body once with the converged in-states and
 // records the summary's may-facts: calls on inputs, uses, escapes, state
 // transfer, return derivation, and the factory CallsOnRet list.
-func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees map[int][]*TaintSummary, in []map[string]uint64, sum *TaintSummary) {
+func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees siteSums, in aliasIn, sum *TaintSummary) {
 	var rd *ReachDefs
 	var cp *ConstProp
 	lazyCP := func() *ConstProp {
@@ -700,16 +936,16 @@ func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees ma
 	}
 	var freshReturns []int
 	for i, s := range m.Body {
-		cur := in[i]
+		cur := in.at(i)
 		if a, isAsg := s.(*jimple.AssignStmt); isAsg {
 			if f, isField := a.LHS.(jimple.FieldRef); isField {
-				vm := maskOfValue(a.RHS, i, cur, callees)
+				vm := maskOfValue(a.RHS, i, &cur, callees)
 				if vm != 0 {
-					if f.Base == "" || cur[f.Base] == 0 {
+					if base := cur.get(f.Base); f.Base == "" || base == 0 {
 						sum.Escapes |= vm
 					} else {
 						for k := 0; k < sum.Inputs; k++ {
-							if cur[f.Base]&bit(k) != 0 {
+							if base&bit(k) != 0 {
 								sum.StateFrom[k] |= vm
 							}
 						}
@@ -718,12 +954,12 @@ func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees ma
 			}
 			if io, isIO := a.RHS.(jimple.InstanceOfExpr); isIO {
 				if l, isLocal := io.V.(jimple.Local); isLocal {
-					sum.Uses |= cur[l.Name]
+					sum.Uses |= cur.get(l.Name)
 				}
 			}
 		}
 		if r, isRet := s.(*jimple.ReturnStmt); isRet && r.V != nil {
-			vm := maskOfValue(r.V, i, cur, callees)
+			vm := maskOfValue(r.V, i, &cur, callees)
 			sum.RetFrom |= vm
 			if vm == 0 {
 				if _, isLocal := r.V.(jimple.Local); isLocal {
@@ -735,20 +971,20 @@ func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees ma
 		if !isInv {
 			continue
 		}
-		sums := callees[i]
-		if inv.Base != "" && cur[inv.Base] != 0 {
+		sums := callees.at(i)
+		if base := cur.get(inv.Base); inv.Base != "" && base != 0 {
 			// A call on an alias of an input: record it (with constant
 			// arguments folded here, where they are evaluable) and mark
 			// the inputs used.
-			sum.Uses |= cur[inv.Base]
-			addCallsOn(cur[inv.Base], SummaryCall{Callee: inv.Callee, Args: evalArgs(lazyCP(), i, inv)})
+			sum.Uses |= base
+			addCallsOn(base, SummaryCall{Callee: inv.Callee, Args: evalArgs(lazyCP(), i, inv)})
 		}
 		if len(sums) == 0 {
 			// Passing an input into unsummarized code counts as a use
 			// (unknown code may consult it).
 			for _, arg := range inv.Args {
 				if l, ok := arg.(jimple.Local); ok {
-					sum.Uses |= cur[l.Name]
+					sum.Uses |= cur.get(l.Name)
 				}
 			}
 			continue
@@ -760,10 +996,13 @@ func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees ma
 			}
 			for t := 0; t < cs.Inputs; t++ {
 				l := tokenLocal(inv, t)
-				if l == "" || cur[l] == 0 {
+				if l == "" {
 					continue
 				}
-				mask := cur[l]
+				mask := cur.get(l)
+				if mask == 0 {
+					continue
+				}
 				if cs.UsesToken(t) {
 					sum.Uses |= mask
 				}
@@ -779,8 +1018,9 @@ func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees ma
 						continue
 					}
 					if lOut := tokenLocal(inv, tOut); lOut != "" {
+						out := cur.get(lOut)
 						for k := 0; k < sum.Inputs; k++ {
-							if cur[lOut]&bit(k) != 0 {
+							if out&bit(k) != 0 {
 								sum.StateFrom[k] |= mask
 							}
 						}
@@ -800,7 +1040,7 @@ func (b *summaryBuilder) collectFacts(m *jimple.Method, g *cfg.Graph, callees ma
 		// summarized factory (its CallsOnRet) or be a callee's
 		// passed-through input (its CallsOn via RetFrom).
 		for _, alloc := range AllocSitesOf(rd, ret, l.Name) {
-			for _, cs := range callees[alloc] {
+			for _, cs := range callees.at(alloc) {
 				if cs == nil {
 					continue
 				}
@@ -826,11 +1066,11 @@ func mustInvoke(m *jimple.Method, stmt int) jimple.InvokeExpr {
 // (every entry→exit path validates the input) and UncheckedUse (some path
 // reads the payload before any validation) — the summary form of checker
 // 4's response-validity analysis.
-func (b *summaryBuilder) checkFacts(m *jimple.Method, g *cfg.Graph, callees map[int][]*TaintSummary, in []map[string]uint64, sum *TaintSummary) {
+func (b *summaryBuilder) checkFacts(m *jimple.Method, g *cfg.Graph, callees siteSums, in aliasIn, sum *TaintSummary) {
 	var present uint64
-	for i := range in {
-		for _, mask := range in[i] {
-			present |= mask
+	for _, r := range in.rows {
+		for _, f := range r {
+			present |= f.mask
 		}
 	}
 	for k := 0; k < sum.Inputs; k++ {
@@ -838,7 +1078,11 @@ func (b *summaryBuilder) checkFacts(m *jimple.Method, g *cfg.Graph, callees map[
 			continue
 		}
 		isAlias := func(stmt int, name string) bool {
-			return stmt < len(in) && in[stmt][name]&bit(k) != 0
+			if stmt >= len(in.rows) {
+				return false
+			}
+			v := in.at(stmt)
+			return v.get(name)&bit(k) != 0
 		}
 		checked := mustCheckedIn(g, m, isAlias, callees, b.conf.IsValidityCheck)
 		if checked[g.Exit()] {
@@ -858,7 +1102,7 @@ func (b *summaryBuilder) checkFacts(m *jimple.Method, g *cfg.Graph, callees map[
 // check call, a null test, or a summarized callee that validates the
 // bound token on all its paths. Optimistic initialization (start at TOP),
 // entry starts unchecked.
-func mustCheckedIn(g *cfg.Graph, m *jimple.Method, isAlias func(int, string) bool, callees map[int][]*TaintSummary, isCheck func(jimple.Sig) bool) []bool {
+func mustCheckedIn(g *cfg.Graph, m *jimple.Method, isAlias func(int, string) bool, callees siteSums, isCheck func(jimple.Sig) bool) []bool {
 	n := g.NumNodes()
 	in := make([]bool, n)
 	out := make([]bool, n)
@@ -883,7 +1127,7 @@ func mustCheckedIn(g *cfg.Graph, m *jimple.Method, isAlias func(int, string) boo
 		}
 		// A call whose every summarized callee validates a bound alias
 		// token on all its paths establishes the check here too.
-		sums := callees[i]
+		sums := callees.at(i)
 		if len(sums) == 0 {
 			return false
 		}
@@ -924,12 +1168,12 @@ func mustCheckedIn(g *cfg.Graph, m *jimple.Method, isAlias func(int, string) boo
 // payloadReadAt reports whether statement i reads the tracked alias's
 // payload: a non-check call on it, or passing it to a summarized callee
 // that itself has an unchecked use of the bound token.
-func payloadReadAt(m *jimple.Method, i int, isAlias func(int, string) bool, callees map[int][]*TaintSummary, isCheck func(jimple.Sig) bool) bool {
+func payloadReadAt(m *jimple.Method, i int, isAlias func(int, string) bool, callees siteSums, isCheck func(jimple.Sig) bool) bool {
 	inv, ok := jimple.InvokeOf(m.Body[i])
 	if !ok {
 		return false
 	}
-	sums := callees[i]
+	sums := callees.at(i)
 	if inv.Base != "" && isAlias(i, inv.Base) {
 		if isCheck != nil && isCheck(inv.Callee) {
 			return false
@@ -992,10 +1236,7 @@ func dedupeCalls(calls []SummaryCall) []SummaryCall {
 	if len(calls) == 0 {
 		return nil
 	}
-	keys := make([]string, len(calls))
-	for i := range calls {
-		keys[i] = calls[i].Callee.Key()
-	}
+	keys := calleeKeys(len(calls), func(i int) jimple.Sig { return calls[i].Callee })
 	sort.Stable(&callSorter{calls: calls, keys: keys})
 	out := calls[:1]
 	last := 0

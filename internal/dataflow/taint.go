@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -35,39 +37,76 @@ func DefaultTaintOptions() TaintOptions {
 // TaintResult reports, per statement, which locals may be tainted when the
 // statement executes (a may-analysis: union over paths).
 type TaintResult struct {
-	in []map[string]bool // per node
+	names []string // local ids: the method's Locals, plus any extra source
+	w     int      // words per row
+	in    []uint64 // per node, a w-word bitset over local ids
 }
 
 // TaintedAt reports whether local may be tainted immediately before stmt
 // executes.
 func (t *TaintResult) TaintedAt(stmt int, local string) bool {
-	if stmt < 0 || stmt >= len(t.in) {
+	if stmt < 0 || stmt*t.w >= len(t.in) {
 		return false
 	}
-	return t.in[stmt][local]
+	return taintRow{names: t.names, bits: t.in[stmt*t.w : (stmt+1)*t.w]}.has(local)
 }
 
 // TaintedLocalsAt returns the sorted tainted-local set before stmt.
 func (t *TaintResult) TaintedLocalsAt(stmt int) []string {
-	m := t.in[stmt]
-	out := make([]string, 0, len(m))
-	for l := range m {
-		out = append(out, l)
+	out := []string{}
+	for i, w := range t.in[stmt*t.w : (stmt+1)*t.w] {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, t.names[i*64+bits.TrailingZeros64(w)])
+		}
 	}
-	sort.Strings(out)
 	return out
+}
+
+// taintRow is one node's tainted-local set during propagation.
+type taintRow struct {
+	names []string
+	bits  []uint64
+}
+
+func (r taintRow) has(local string) bool {
+	id := cfg.LocalIn(r.names, local)
+	return id >= 0 && r.bits[id>>6]&(1<<(id&63)) != 0
+}
+
+func (r taintRow) add(local string) {
+	if id := cfg.LocalIn(r.names, local); id >= 0 {
+		r.bits[id>>6] |= 1 << (id & 63)
+	}
+}
+
+func (r taintRow) remove(local string) {
+	if id := cfg.LocalIn(r.names, local); id >= 0 {
+		r.bits[id>>6] &^= 1 << (id & 63)
+	}
 }
 
 // ForwardTaint propagates taint forward from sources, where sources maps a
 // statement index to locals that become tainted immediately after that
 // statement executes (e.g. the def site of a response object).
+//
+// Taint sets are bitsets over the method's local ids (cfg.Graph.Locals):
+// one slab holds every node's in and out rows.
 func ForwardTaint(g *cfg.Graph, sources map[int][]string, opts TaintOptions) *TaintResult {
+	names := g.Locals()
+	for _, ls := range sources {
+		for _, l := range ls {
+			if cfg.LocalIn(names, l) < 0 {
+				// A source the body never names: number it privately.
+				names = append(slices.Clip(names), l)
+				slices.Sort(names)
+			}
+		}
+	}
 	n := g.NumNodes()
-	// Maps stay nil until taint arrives: most nodes of most methods never
-	// see a tainted local, and nil-map reads are free. TaintedAt and the
-	// transfer's guards all tolerate nil the same way they tolerate empty.
-	in := make([]map[string]bool, n)
-	out := make([]map[string]bool, n)
+	w := max(1, (len(names)+63)/64)
+	slab := make([]uint64, (2*n+1)*w)
+	in, out, scratch := slab[:n*w], slab[n*w:2*n*w], slab[2*n*w:]
+	row := func(rows []uint64, u int) []uint64 { return rows[u*w : (u+1)*w] }
 	body := g.Method.Body
 	work := make([]int, 0, n)
 	inWork := make([]bool, n)
@@ -84,50 +123,40 @@ func ForwardTaint(g *cfg.Graph, sources map[int][]string, opts TaintOptions) *Ta
 		u := work[head]
 		inWork[u] = false
 		// in[u] = union of out[preds]
-		var nu map[string]bool
+		nu := row(in, u)
+		clear(nu)
+		tainted := uint64(0)
 		for _, p := range g.Preds(u) {
-			for l := range out[p] {
-				if nu == nil {
-					nu = make(map[string]bool, 8)
-				}
-				nu[l] = true
+			for i, b := range row(out, p) {
+				nu[i] |= b
+				tainted |= b
 			}
 		}
-		in[u] = nu
 		// transfer
-		var no map[string]bool
-		if len(nu) > 0 {
-			no = make(map[string]bool, len(nu))
-			for l := range nu {
-				no[l] = true
-			}
-		}
+		copy(scratch, nu)
 		if u < len(body) {
-			srcs := sources[u]
-			if no == nil && len(srcs) > 0 {
-				no = make(map[string]bool, len(srcs))
-			}
-			if no != nil {
-				// With no incoming taint and no sources the transfer is a
-				// no-op (every write is guarded by an existing-taint read),
-				// so the nil case skips it wholesale.
-				applyTaintTransfer(body[u], u, no, opts)
+			// With no incoming taint and no sources the transfer is a no-op
+			// (every write is guarded by an existing-taint read), so that
+			// case skips it wholesale, summary lookups included.
+			if srcs := sources[u]; tainted != 0 || len(srcs) > 0 {
+				cur := taintRow{names: names, bits: scratch}
+				applyTaintTransfer(body[u], u, cur, opts)
 				for _, l := range srcs {
-					no[l] = true
+					cur.add(l)
 				}
 			}
 		}
-		if !sameSet(out[u], no) {
-			out[u] = no
+		if o := row(out, u); !slices.Equal(o, scratch) {
+			copy(o, scratch)
 			for _, s := range g.Succs(u) {
 				push(s)
 			}
 		}
 	}
-	return &TaintResult{in: in}
+	return &TaintResult{names: names, w: w, in: in}
 }
 
-func applyTaintTransfer(s jimple.Stmt, at int, taint map[string]bool, opts TaintOptions) {
+func applyTaintTransfer(s jimple.Stmt, at int, taint taintRow, opts TaintOptions) {
 	// Interprocedural state effects: a callee that stores one input into
 	// another's object state taints the bound caller local.
 	if opts.CalleeSummaries != nil {
@@ -142,19 +171,19 @@ func applyTaintTransfer(s jimple.Stmt, at int, taint map[string]bool, opts Taint
 	// Field store: x.f = v may taint x.
 	if f, isField := a.LHS.(jimple.FieldRef); isField {
 		if opts.TaintStoredInto && f.Base != "" && valueTainted(a.RHS, at, taint, opts) {
-			taint[f.Base] = true
+			taint.add(f.Base)
 		}
 		return
 	}
 	dst := a.LHS.(jimple.Local).Name
 	if valueTainted(a.RHS, at, taint, opts) {
-		taint[dst] = true
+		taint.add(dst)
 	} else {
-		delete(taint, dst) // strong update: overwritten with untainted value
+		taint.remove(dst) // strong update: overwritten with untainted value
 	}
 }
 
-func applyTaintStateEffects(inv jimple.InvokeExpr, sums []*TaintSummary, taint map[string]bool) {
+func applyTaintStateEffects(inv jimple.InvokeExpr, sums []*TaintSummary, taint taintRow) {
 	for _, sum := range sums {
 		if sum == nil {
 			continue
@@ -164,13 +193,13 @@ func applyTaintStateEffects(inv jimple.InvokeExpr, sums []*TaintSummary, taint m
 				continue
 			}
 			outLocal := tokenLocal(inv, tOut)
-			if outLocal == "" || taint[outLocal] {
+			if outLocal == "" || taint.has(outLocal) {
 				continue
 			}
 			for tIn := 0; tIn < sum.Inputs; tIn++ {
 				if sum.StateFrom[tOut]&bit(tIn) != 0 {
-					if l := tokenLocal(inv, tIn); l != "" && taint[l] {
-						taint[outLocal] = true
+					if l := tokenLocal(inv, tIn); l != "" && taint.has(l) {
+						taint.add(outLocal)
 						break
 					}
 				}
@@ -179,15 +208,15 @@ func applyTaintStateEffects(inv jimple.InvokeExpr, sums []*TaintSummary, taint m
 	}
 }
 
-func valueTainted(v jimple.Value, at int, taint map[string]bool, opts TaintOptions) bool {
+func valueTainted(v jimple.Value, at int, taint taintRow, opts TaintOptions) bool {
 	switch v := v.(type) {
 	case jimple.Local:
-		return taint[v.Name]
+		return taint.has(v.Name)
 	case jimple.CastExpr:
 		return valueTainted(v.V, at, taint, opts)
 	case jimple.FieldRef:
 		// Field load from a tainted object yields taint.
-		return v.Base != "" && taint[v.Base]
+		return v.Base != "" && taint.has(v.Base)
 	case jimple.InvokeExpr:
 		if opts.CalleeSummaries != nil {
 			if sums := opts.CalleeSummaries(at); len(sums) > 0 {
@@ -199,7 +228,7 @@ func valueTainted(v jimple.Value, at int, taint map[string]bool, opts TaintOptio
 					}
 					for t := 0; t < sum.Inputs; t++ {
 						if sum.RetFrom&bit(t) != 0 {
-							if l := tokenLocal(v, t); l != "" && taint[l] {
+							if l := tokenLocal(v, t); l != "" && taint.has(l) {
 								return true
 							}
 						}
@@ -208,7 +237,7 @@ func valueTainted(v jimple.Value, at int, taint map[string]bool, opts TaintOptio
 				return false
 			}
 		}
-		if opts.TaintThroughReceiver && v.Base != "" && taint[v.Base] {
+		if opts.TaintThroughReceiver && v.Base != "" && taint.has(v.Base) {
 			return true
 		}
 		if opts.TaintThroughArgs {
@@ -228,18 +257,6 @@ func valueTainted(v jimple.Value, at int, taint map[string]bool, opts TaintOptio
 	default:
 		return false
 	}
-}
-
-func sameSet(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // AllocSitesOf chases the definition chain of local at stmt backward
@@ -419,10 +436,7 @@ func dedupeObjectCalls(calls []ObjectCall) []ObjectCall {
 	}
 	// Render each callee key once up front; sorting and dedup below compare
 	// the cached strings instead of re-rendering per comparison.
-	keys := make([]string, len(calls))
-	for i := range calls {
-		keys[i] = calls[i].Callee.Key()
-	}
+	keys := calleeKeys(len(calls), func(i int) jimple.Sig { return calls[i].Callee })
 	sort.Stable(&objectCallSorter{calls: calls, keys: keys})
 	out := calls[:1]
 	last := 0
@@ -470,6 +484,27 @@ func (s *objectCallSorter) Less(i, j int) bool {
 		}
 	}
 	return false
+}
+
+// calleeKeys renders the keys of n signatures back to back into one
+// string and returns them as substrings of it: a list's keys cost two
+// allocations, not one per signature.
+func calleeKeys(n int, sig func(int) jimple.Sig) []string {
+	var bufArr [1024]byte
+	var endArr [32]int
+	buf, ends := bufArr[:0], endArr[:0]
+	for i := 0; i < n; i++ {
+		buf = sig(i).AppendKey(buf)
+		ends = append(ends, len(buf))
+	}
+	all := string(buf)
+	keys := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		keys[i] = all[start:end]
+		start = end
+	}
+	return keys
 }
 
 func sourcesContain(sources map[int][]string, stmt int, local string) bool {

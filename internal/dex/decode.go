@@ -237,7 +237,7 @@ func (d *decoder) class() (*jimple.Class, error) {
 		} else {
 			m = new(jimple.Method)
 		}
-		if err := d.method(m); err != nil {
+		if err := d.method(m, c.Name); err != nil {
 			return nil, err
 		}
 		c.Methods = append(c.Methods, m)
@@ -344,9 +344,9 @@ func (d *decoder) sig() (jimple.Sig, error) {
 	return s, nil
 }
 
-// method decodes one method, header and body, into m.
-func (d *decoder) method(m *jimple.Method) error {
-	bodied, err := d.methodHeader(m)
+// method decodes one method of class owner, header and body, into m.
+func (d *decoder) method(m *jimple.Method, owner string) error {
+	bodied, err := d.methodHeader(m, owner)
 	if err != nil || !bodied {
 		return err
 	}
@@ -355,10 +355,14 @@ func (d *decoder) method(m *jimple.Method) error {
 
 // methodHeader decodes a method's signature and flags into m, leaving d
 // at its body section; bodied reports whether one follows. A method
-// without one is abstract.
-func (d *decoder) methodHeader(m *jimple.Method) (bodied bool, err error) {
+// without one is abstract. owner is the declaring class, which the
+// signature must name.
+func (d *decoder) methodHeader(m *jimple.Method, owner string) (bodied bool, err error) {
 	if m.Sig, err = d.sig(); err != nil {
 		return false, err
+	}
+	if m.Sig.Class != owner {
+		return false, errForeignMethod(m.Sig, owner)
 	}
 	flags, err := d.byte()
 	if err != nil {
@@ -374,6 +378,14 @@ func (d *decoder) methodHeader(m *jimple.Method) (bodied bool, err error) {
 		return false, errAbstractBody(m.Sig)
 	}
 	return true, nil
+}
+
+// errForeignMethod is the error for a method whose signature names a class
+// other than the one declaring it. Real DEX rules it out (a class's
+// encoded methods reference method ids of that class), and accepting it
+// gave two methods one key, after which map order decided the warnings.
+func errForeignMethod(sig jimple.Sig, owner string) error {
+	return fmt.Errorf("method %s: declared in class %s", sig.Key(), owner)
 }
 
 // errAbstractBody is the error for a method flagged both abstract and

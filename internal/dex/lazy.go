@@ -267,7 +267,7 @@ func (l *Lazy) fill(c *jimple.Class, slot int32) {
 		for i, at := range hdrs {
 			m := &methods[i]
 			d.pos = int(max(at, ^at))
-			if _, err = d.methodHeader(m); err != nil {
+			if _, err = d.methodHeader(m, c.Name); err != nil {
 				break
 			}
 			// The empty-body normalization, as the skim saw it.
@@ -399,7 +399,7 @@ func (d *decoder) skimMembers(c *jimple.Class, at int) error {
 	cm.mlo = int32(len(l.hdrs))
 	recLo := len(l.idx.recs)
 	for ord := 0; ord < nm; ord++ {
-		if err := d.skimMethod(int32(ord)); err != nil {
+		if err := d.skimMethod(c.Name, int32(ord)); err != nil {
 			return err
 		}
 	}
@@ -411,14 +411,22 @@ func (d *decoder) skimMembers(c *jimple.Class, at int) error {
 
 // skimMethod validates one method, header then body, with the eager
 // checks in the eager order: it records the header's offset and, for a
-// bodied method, its skim record. ord is the method's position in its
-// class.
-func (d *decoder) skimMethod(ord int32) error {
+// bodied method, its skim record. owner is the declaring class, which the
+// signature must name, and ord the method's position in it.
+func (d *decoder) skimMethod(owner string, ord int32) error {
 	l := d.lazy.l
 	at := d.pos
-	_, name, err := d.skimSig()
+	class, name, err := d.skimSig()
 	if err != nil {
 		return err
+	}
+	// Compare strings, not pool ids: the pool may hold a string twice.
+	if d.pool[class] != owner {
+		end := d.pos
+		d.pos = at
+		sig, _ := d.sig()
+		d.pos = end
+		return errForeignMethod(sig, owner)
 	}
 	flags, err := d.byte()
 	if err != nil {

@@ -613,3 +613,46 @@ class t.Later extends java.lang.Object {
 		checkLookupsMatchEager(t, l, eager)
 	})
 }
+
+// foreignMethodSrc declares two classes; foreignMethodSample moves the
+// bodied t.Second.run into t.First, so t.First declares a method whose
+// signature names t.Second — the shape a payload mutation of
+// gen.app242 produced, after which two methods shared one key.
+const foreignMethodSrc = `class t.First extends java.lang.Object {
+  method go()void {
+    return
+  }
+}
+class t.Second extends java.lang.Object {
+  method run()void {
+    staticinvoke t.First.go()void
+    return
+  }
+}`
+
+func foreignMethodSample(t testing.TB) []byte {
+	t.Helper()
+	p := jimple.MustParse(foreignMethodSrc)
+	first, second := p.Class("t.First"), p.Class("t.Second")
+	first.Methods = append(first.Methods, second.Methods...)
+	second.Methods = nil
+	return dex.Encode(p)
+}
+
+// TestForeignMethodRejected: both decoders reject a method declared in a
+// class its signature does not name, with the same error.
+func TestForeignMethodRejected(t *testing.T) {
+	data := foreignMethodSample(t)
+	_, eagerErr := dex.Decode(data)
+	_, lazyErr := dex.DecodeLazy(data)
+	if eagerErr == nil || lazyErr == nil {
+		t.Fatalf("accepted a foreign method: eager=%v lazy=%v", eagerErr, lazyErr)
+	}
+	if eagerErr.Error() != lazyErr.Error() {
+		t.Fatalf("errors disagree: eager=%v lazy=%v", eagerErr, lazyErr)
+	}
+	const want = "method t.Second.run()void: declared in class t.First"
+	if !strings.Contains(eagerErr.Error(), want) {
+		t.Errorf("error %q does not name the method and its declarer (%q)", eagerErr, want)
+	}
+}

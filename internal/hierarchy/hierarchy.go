@@ -4,6 +4,7 @@
 package hierarchy
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -270,6 +271,27 @@ func (h *Hierarchy) IsSubtype(sub, super string) bool {
 	return false
 }
 
+// AppendSupertypes appends t and its transitive supertypes to dst, each
+// once, in breadth-first order: IsSubtype(t, s) holds exactly for the
+// appended names s. A caller testing one type against many candidates
+// walks its supertypes once this way instead of once per candidate.
+func (h *Hierarchy) AppendSupertypes(dst []string, t string) []string {
+	lo := len(dst)
+	dst = append(dst, t)
+	for i := lo; i < len(dst); i++ {
+		sup, rest := h.supers(dst[i])
+		if sup != "" && !slices.Contains(dst[lo:], sup) {
+			dst = append(dst, sup)
+		}
+		for _, s := range rest {
+			if !slices.Contains(dst[lo:], s) {
+				dst = append(dst, s)
+			}
+		}
+	}
+	return dst
+}
+
 // visitSmall bounds the inline part of a visitSet; supertype closures
 // past it (only pathological or generated hierarchies) spill to a map.
 const visitSmall = 16
@@ -363,6 +385,14 @@ func (h *Hierarchy) Supertypes(t string) []string {
 	return out
 }
 
+// DeclaredMethod returns the method class c itself declares with the
+// given subsignature key (the first such declaration, as Class.Method
+// finds it), or nil; c's inherited methods do not count.
+func (h *Hierarchy) DeclaredMethod(c, subSigKey string) *jimple.Method {
+	mm, _, _ := h.defined(c)
+	return mm[subSigKey]
+}
+
 // LookupMethod resolves a method by subsignature starting at class c and
 // walking up the superclass chain, as Java virtual lookup does. Returns
 // nil if no definition is found in the program.
@@ -384,10 +414,11 @@ func (h *Hierarchy) LookupMethod(c, subSigKey string) *jimple.Method {
 // CHA. For virtual/interface invokes the result is every definition of the
 // subsignature on the declared class's subtree (plus the inherited
 // definition if the declared class itself doesn't define it). For special
-// and static invokes it is the single static target.
-func (h *Hierarchy) Dispatch(e jimple.InvokeExpr) []*jimple.Method {
+// and static invokes it is the single static target. sub is the callee's
+// subsignature key, which the caller renders (once per call site, into an
+// interner), so a memo hit allocates nothing.
+func (h *Hierarchy) Dispatch(e jimple.InvokeExpr, sub string) []*jimple.Method {
 	virtual := e.Kind != jimple.InvokeStatic && e.Kind != jimple.InvokeSpecial
-	sub := e.Callee.SubSigKey()
 	key := dispatchKey{virtual: virtual, class: e.Callee.Class, subsig: sub}
 	h.mu.Lock()
 	if out, ok := h.dispatchMemo[key]; ok {
@@ -432,9 +463,10 @@ func (h *Hierarchy) dispatch(virtual bool, class, sub string) []*jimple.Method {
 
 // DeclaredDispatch resolves only against the declared type (no subtree
 // search). It exists as the ablation baseline for the CHA comparison
-// benchmark: it misses overrides in subclasses.
-func (h *Hierarchy) DeclaredDispatch(e jimple.InvokeExpr) []*jimple.Method {
-	if m := h.LookupMethod(e.Callee.Class, e.Callee.SubSigKey()); m != nil && m.HasBody() {
+// benchmark: it misses overrides in subclasses. sub is the callee's
+// subsignature key, as for Dispatch.
+func (h *Hierarchy) DeclaredDispatch(e jimple.InvokeExpr, sub string) []*jimple.Method {
+	if m := h.LookupMethod(e.Callee.Class, sub); m != nil && m.HasBody() {
 		return []*jimple.Method{m}
 	}
 	return nil

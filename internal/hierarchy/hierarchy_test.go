@@ -57,6 +57,46 @@ func TestIsSubtype(t *testing.T) {
 	}
 }
 
+// TestAppendSupertypes: the appended names are exactly those IsSubtype
+// accepts, each once.
+func TestAppendSupertypes(t *testing.T) {
+	h := New(buildProg())
+	all := []string{"java.lang.Object", "x.Iface", "x.A", "x.B", "x.C", "x.D", "ghost.Phantom"}
+	for _, c := range all {
+		got := h.AppendSupertypes([]string{"keep"}, c)
+		if got[0] != "keep" || got[1] != c {
+			t.Fatalf("AppendSupertypes(%s) = %v: want the prefix kept and %s first", c, got, c)
+		}
+		seen := map[string]bool{}
+		for _, s := range got[1:] {
+			if seen[s] {
+				t.Errorf("AppendSupertypes(%s) repeats %s: %v", c, s, got)
+			}
+			seen[s] = true
+		}
+		for _, s := range all {
+			if seen[s] != h.IsSubtype(c, s) {
+				t.Errorf("AppendSupertypes(%s) has %s = %v, IsSubtype says %v", c, s, seen[s], h.IsSubtype(c, s))
+			}
+		}
+	}
+}
+
+// TestDeclaredMethod: a class's own declaration only, never an inherited
+// one.
+func TestDeclaredMethod(t *testing.T) {
+	h := New(buildProg())
+	if m := h.DeclaredMethod("x.D", "only()void"); m == nil || m.Sig.Class != "x.D" {
+		t.Errorf("DeclaredMethod(x.D, only) = %v", m)
+	}
+	if m := h.DeclaredMethod("x.C", "m()void"); m != nil {
+		t.Errorf("DeclaredMethod(x.C, m) = %v, want nil: x.C inherits m", m.Sig)
+	}
+	if m := h.DeclaredMethod("ghost.Phantom", "m()void"); m != nil {
+		t.Errorf("DeclaredMethod on a phantom = %v", m.Sig)
+	}
+}
+
 func TestSubtypesOf(t *testing.T) {
 	h := New(buildProg())
 	subs := h.SubtypesOf("x.A")
@@ -108,7 +148,7 @@ func TestDispatchVirtual(t *testing.T) {
 		Base:   "o",
 		Callee: jimple.Sig{Class: "x.A", Name: "m", Ret: jimple.TypeVoid},
 	}
-	targets := h.Dispatch(call)
+	targets := h.Dispatch(call, call.Callee.SubSigKey())
 	// A.m, B.m (covers C), D.m — three distinct bodies.
 	if len(targets) != 3 {
 		t.Fatalf("Dispatch: got %d targets %v", len(targets), sigKeys(targets))
@@ -122,7 +162,7 @@ func TestDispatchInterface(t *testing.T) {
 		Base:   "o",
 		Callee: jimple.Sig{Class: "x.Iface", Name: "m", Ret: jimple.TypeVoid},
 	}
-	targets := h.Dispatch(call)
+	targets := h.Dispatch(call, call.Callee.SubSigKey())
 	if len(targets) != 1 || targets[0].Sig.Class != "x.B" {
 		t.Fatalf("interface dispatch: %v", sigKeys(targets))
 	}
@@ -135,13 +175,13 @@ func TestDispatchSpecialAndStatic(t *testing.T) {
 		Base:   "o",
 		Callee: jimple.Sig{Class: "x.B", Name: "m", Ret: jimple.TypeVoid},
 	}
-	targets := h.Dispatch(call)
+	targets := h.Dispatch(call, call.Callee.SubSigKey())
 	if len(targets) != 1 || targets[0].Sig.Class != "x.B" {
 		t.Fatalf("special dispatch: %v", sigKeys(targets))
 	}
 	// Special dispatch on a class that inherits the method resolves up.
 	call.Callee.Class = "x.C"
-	targets = h.Dispatch(call)
+	targets = h.Dispatch(call, call.Callee.SubSigKey())
 	if len(targets) != 1 || targets[0].Sig.Class != "x.B" {
 		t.Fatalf("special dispatch via super chain: %v", sigKeys(targets))
 	}
@@ -154,7 +194,7 @@ func TestDeclaredDispatchMissesOverrides(t *testing.T) {
 		Base:   "o",
 		Callee: jimple.Sig{Class: "x.A", Name: "m", Ret: jimple.TypeVoid},
 	}
-	targets := h.DeclaredDispatch(call)
+	targets := h.DeclaredDispatch(call, call.Callee.SubSigKey())
 	if len(targets) != 1 || targets[0].Sig.Class != "x.A" {
 		t.Fatalf("DeclaredDispatch: %v", sigKeys(targets))
 	}
@@ -167,7 +207,7 @@ func TestDispatchPhantomClass(t *testing.T) {
 		Base:   "o",
 		Callee: jimple.Sig{Class: "ghost.Phantom", Name: "m", Ret: jimple.TypeVoid},
 	}
-	if got := h.Dispatch(call); len(got) != 0 {
+	if got := h.Dispatch(call, call.Callee.SubSigKey()); len(got) != 0 {
 		t.Errorf("phantom dispatch should be empty, got %v", sigKeys(got))
 	}
 }

@@ -42,6 +42,35 @@ func TestSubSigKeyIgnoresClass(t *testing.T) {
 	}
 }
 
+// TestHasSubSigMatchesRendering: HasSubSig agrees with comparing the
+// rendered SubSigKey, and allocates nothing.
+func TestHasSubSigMatchesRendering(t *testing.T) {
+	sigs := []Sig{
+		{Class: "x.A", Name: "m", Params: []string{"int"}, Ret: "void"},
+		{Class: "x.A", Name: "m", Params: []string{"int", "long"}, Ret: "void"},
+		{Class: "x", Name: "A.m", Params: []string{"int"}, Ret: "void"},
+		{Class: "x.A", Name: "m", Ret: "void"},
+		{Class: "x.A", Name: "m", Params: []string{"int,long"}, Ret: "void"},
+		{Class: "", Name: "", Ret: ""},
+	}
+	for _, s := range sigs {
+		for _, o := range sigs {
+			if got, want := s.HasSubSig(o.SubSigKey()), s.SubSigKey() == o.SubSigKey(); got != want {
+				t.Errorf("%+v.HasSubSig(%q) = %v, want %v", s, o.SubSigKey(), got, want)
+			}
+		}
+		for _, k := range []string{"", "m(int)voi", "m(int)voidx", "m(int", "m(int,)void"} {
+			if got, want := s.HasSubSig(k), s.SubSigKey() == k; got != want {
+				t.Errorf("%+v.HasSubSig(%q) = %v, want %v", s, k, got, want)
+			}
+		}
+	}
+	sub := sigs[1].SubSigKey()
+	if n := testing.AllocsPerRun(100, func() { sigs[1].HasSubSig(sub) }); n != 0 {
+		t.Errorf("HasSubSig allocates %.0f times", n)
+	}
+}
+
 func TestTypeHelpers(t *testing.T) {
 	if !IsPrimitive("int") || IsPrimitive("java.lang.String") {
 		t.Error("IsPrimitive misclassifies")

@@ -81,7 +81,7 @@ func (c *Class) MembersDeferred() bool { return c.deferred.Load() != 0 }
 // directly on c, or nil.
 func (c *Class) Method(subSigKey string) *Method {
 	for _, m := range c.Methods {
-		if m.Sig.SubSigKey() == subSigKey {
+		if m.Sig.HasSubSig(subSigKey) {
 			return m
 		}
 	}

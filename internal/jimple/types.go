@@ -155,6 +155,31 @@ func (s Sig) appendSubSig(dst []byte) []byte {
 
 func (s Sig) String() string { return s.Key() }
 
+// HasSubSig reports whether s.SubSigKey() == sub, without rendering it.
+func (s Sig) HasSubSig(sub string) bool {
+	rest, ok := strings.CutPrefix(sub, s.Name)
+	if !ok {
+		return false
+	}
+	if rest, ok = strings.CutPrefix(rest, "("); !ok {
+		return false
+	}
+	for i, p := range s.Params {
+		if i > 0 {
+			if rest, ok = strings.CutPrefix(rest, ","); !ok {
+				return false
+			}
+		}
+		if rest, ok = strings.CutPrefix(rest, p); !ok {
+			return false
+		}
+	}
+	if rest, ok = strings.CutPrefix(rest, ")"); !ok {
+		return false
+	}
+	return rest == s.Ret
+}
+
 // WithClass returns a copy of s redeclared on class c. Used when resolving
 // an inherited method to a concrete implementing class.
 func (s Sig) WithClass(c string) Sig {
