@@ -695,6 +695,44 @@ func BenchmarkScanBytesCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkMethodKernelsCorpus times the per-method layer under the
+// checkers over each corpus container: the lazy open, materializing every
+// body, and the kernel family over every bodied method (CFG, local index,
+// dominators, natural loops, reaching definitions, constant propagation
+// and the feasibility-pruned graph); one op is one app:
+//
+//	go test -run='^$' -bench='^BenchmarkMethodKernelsCorpus$' -benchmem .
+func BenchmarkMethodKernelsCorpus(b *testing.B) {
+	data := corpusContainers(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		app, err := apk.DecodeLazy(data[i%len(data)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := app.Lazy.MaterializeAll(); err != nil {
+			b.Fatal(err)
+		}
+		nodes := 0
+		for _, c := range app.Program.Classes() {
+			for _, m := range c.Methods {
+				if !m.HasBody() {
+					continue
+				}
+				g := cfg.New(m)
+				g.Locals()
+				g.NaturalLoopsWith(g.Dominators())
+				cp := dataflow.NewConstProp(dataflow.NewReachDefs(g))
+				nodes += g.WithoutEdges(dataflow.InfeasibleEdges(g, cp)).NumNodes()
+			}
+		}
+		if nodes == 0 {
+			b.Fatal("no bodied method")
+		}
+	}
+}
+
 // BenchmarkCallGraphOverlay times the per-scan call graph alone: the
 // overlay hierarchy and baselayer.CallGraph over each corpus app, opened
 // lazily and with its demand closure materialized by one prior scan; one

@@ -3,11 +3,16 @@
 // post-dominators, and natural-loop detection. Nodes are statement indexes
 // into the method body, so CFG results compose directly with the dataflow
 // engines in internal/dataflow.
+//
+// Corpus methods are small (a handful of statements each) and a scan
+// builds a graph per analyzed method, so the representation is flat: a
+// graph is two slabs (CSR offsets and node ids), and the analyses run
+// over pooled scratch and return slices carved from one allocation.
 package cfg
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/jimple"
@@ -18,11 +23,14 @@ import (
 // index len(Body), the target of every return/throw-without-handler.
 type Graph struct {
 	Method *jimple.Method
-	succs  [][]int
-	preds  [][]int
-	// ExceptionalInto[i] is true when the only way to reach node i is via
-	// an exceptional (trap) edge; handler heads typically qualify.
-	exceptionalEdge map[[2]int]bool
+	n      int // nodes, the exit included
+	// off[i]:off[i+1] delimits node i's successors in adj and
+	// off[n+i]:off[n+i+1] its predecessors; both are in insertion order.
+	off []int
+	adj []int
+	// exc[k] reports whether successor slot k (an index into adj below
+	// off[n]) is an exceptional (trap) edge; nil when no edge is.
+	exc []bool
 	// locals is the method's local index, built on first use and shared
 	// with the graphs WithoutEdges derives.
 	locals *localIndex
@@ -88,45 +96,134 @@ func LocalIn(names []string, name string) int {
 	return -1
 }
 
+// scratch is the transient state of graph building and of the graph
+// analyses, reused through scratches so a build or an analysis allocates
+// only its result. A build collects the graph's edges in insertion order,
+// dropping repeats, and lays them out as CSR.
+type scratch struct {
+	edges []edge
+	// last[u] is 1 + the index in edges of u's latest successor edge
+	// (0 for none); edge.prev chains the earlier ones, so a repeat check
+	// walks only u's own successors.
+	last []int32
+	cnt  []int
+	drop [][2]int
+	ints []int
+}
+
+type edge struct {
+	from, to int32
+	prev     int32
+	exc      bool
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// intsOf returns s's int scratch resized to n, contents undefined.
+func (s *scratch) intsOf(n int) []int {
+	s.ints = slices.Grow(s.ints[:0], n)[:n]
+	return s.ints
+}
+
+func (s *scratch) reset(n int) {
+	s.edges = s.edges[:0]
+	s.last = slices.Grow(s.last[:0], n)[:n]
+	clear(s.last)
+}
+
+// add records the edge from→to unless it is already present; a repeat
+// keeps the first insertion's exceptional flag.
+func (s *scratch) add(from, to int, exc bool) {
+	for k := s.last[from]; k != 0; k = s.edges[k-1].prev {
+		if int(s.edges[k-1].to) == to {
+			return
+		}
+	}
+	s.edges = append(s.edges, edge{from: int32(from), to: int32(to), prev: s.last[from], exc: exc})
+	s.last[from] = int32(len(s.edges))
+}
+
+// graph lays the collected edges out as a graph of n nodes over m, its
+// local index shared with locals when that is non-nil.
+func (s *scratch) graph(m *jimple.Method, n int, locals *localIndex) *Graph {
+	e := len(s.edges)
+	var g *Graph
+	if locals == nil {
+		// The graph and its local index share one allocation.
+		pair := new(struct {
+			g Graph
+			l localIndex
+		})
+		g, locals = &pair.g, &pair.l
+	} else {
+		g = new(Graph)
+	}
+	slab := make([]int, 2*n+1+2*e)
+	*g = Graph{Method: m, n: n, off: slab[:2*n+1], adj: slab[2*n+1:], locals: locals}
+	// Counting sorts by source and by target; both keep insertion order.
+	cnt := slices.Grow(s.cnt[:0], 2*n)[:2*n]
+	clear(cnt)
+	anyExc := false
+	for _, x := range s.edges {
+		cnt[x.from]++
+		cnt[n+int(x.to)]++
+		anyExc = anyExc || x.exc
+	}
+	sum := 0
+	for i, c := range cnt {
+		g.off[i] = sum
+		cnt[i] = sum
+		sum += c
+	}
+	g.off[2*n] = sum
+	if anyExc {
+		g.exc = make([]bool, e)
+	}
+	for _, x := range s.edges {
+		k := cnt[x.from]
+		cnt[x.from]++
+		g.adj[k] = int(x.to)
+		if x.exc {
+			g.exc[k] = true
+		}
+		p := cnt[n+int(x.to)]
+		cnt[n+int(x.to)]++
+		g.adj[p] = int(x.from)
+	}
+	s.cnt = cnt
+	return g
+}
+
 // New builds the CFG of m, which must have a body. Exceptional edges are
 // added from every statement inside a trap range to the trap handler
 // (conservatively: any statement in range may throw).
 func New(m *jimple.Method) *Graph {
 	n := len(m.Body)
-	g := &Graph{
-		Method:          m,
-		succs:           make([][]int, n+1),
-		preds:           make([][]int, n+1),
-		exceptionalEdge: make(map[[2]int]bool),
-		locals:          new(localIndex),
-	}
-	addEdge := func(from, to int, exceptional bool) {
-		for _, s := range g.succs[from] {
-			if s == to {
-				return
-			}
-		}
-		g.succs[from] = append(g.succs[from], to)
-		g.preds[to] = append(g.preds[to], from)
-		if exceptional {
-			g.exceptionalEdge[[2]int{from, to}] = true
-		}
-	}
-	var scratch []int
+	b := scratches.Get().(*scratch)
+	defer scratches.Put(b)
+	b.reset(n + 1)
+	var scratch [2]int
 	for i, s := range m.Body {
 		for _, t := range jimple.BranchTargets(scratch[:0], s) {
-			addEdge(i, t, false)
+			b.add(i, t, false)
 		}
 		if jimple.FallsThrough(s) {
-			addEdge(i, i+1, false)
+			b.add(i, i+1, false)
 		}
 		switch s.(type) {
 		case *jimple.ReturnStmt:
-			addEdge(i, n, false)
+			b.add(i, n, false)
 		case *jimple.ThrowStmt:
-			// A throw reaches its enclosing handler if any, else exit.
-			if !inAnyTrap(m, i, addEdge) {
-				addEdge(i, n, false)
+			// A throw reaches its enclosing handlers if any, else exit.
+			covered := false
+			for _, t := range m.Traps {
+				if i >= t.Begin && i < t.End {
+					b.add(i, t.Handler, true)
+					covered = true
+				}
+			}
+			if !covered {
+				b.add(i, n, false)
 			}
 		}
 	}
@@ -134,21 +231,10 @@ func New(m *jimple.Method) *Graph {
 	// the handler (calls and dereferences may throw).
 	for _, t := range m.Traps {
 		for i := t.Begin; i < t.End && i < n; i++ {
-			addEdge(i, t.Handler, true)
+			b.add(i, t.Handler, true)
 		}
 	}
-	return g
-}
-
-func inAnyTrap(m *jimple.Method, i int, addEdge func(int, int, bool)) bool {
-	covered := false
-	for _, t := range m.Traps {
-		if i >= t.Begin && i < t.End {
-			addEdge(i, t.Handler, true)
-			covered = true
-		}
-	}
-	return covered
+	return b.graph(m, n+1, nil)
 }
 
 // WithoutEdges returns a copy of g lacking the given (from, to) edges.
@@ -160,48 +246,56 @@ func (g *Graph) WithoutEdges(drop [][2]int) *Graph {
 	if len(drop) == 0 {
 		return g
 	}
-	dropSet := make(map[[2]int]bool, len(drop))
-	for _, e := range drop {
-		dropSet[e] = true
-	}
-	ng := &Graph{
-		Method:          g.Method,
-		succs:           make([][]int, len(g.succs)),
-		preds:           make([][]int, len(g.preds)),
-		exceptionalEdge: make(map[[2]int]bool),
-		locals:          g.locals,
-	}
-	for from, ss := range g.succs {
-		for _, to := range ss {
-			if dropSet[[2]int{from, to}] {
+	b := scratches.Get().(*scratch)
+	defer scratches.Put(b)
+	b.drop = append(b.drop[:0], drop...)
+	slices.SortFunc(b.drop, cmpEdge)
+	b.reset(g.n)
+	for from := 0; from < g.n; from++ {
+		for k := g.off[from]; k < g.off[from+1]; k++ {
+			to := g.adj[k]
+			if _, dropped := slices.BinarySearchFunc(b.drop, [2]int{from, to}, cmpEdge); dropped {
 				continue
 			}
-			ng.succs[from] = append(ng.succs[from], to)
-			ng.preds[to] = append(ng.preds[to], from)
-			if g.exceptionalEdge[[2]int{from, to}] {
-				ng.exceptionalEdge[[2]int{from, to}] = true
-			}
+			b.add(from, to, g.exc != nil && g.exc[k])
 		}
 	}
-	return ng
+	return b.graph(g.Method, g.n, g.locals)
+}
+
+func cmpEdge(x, y [2]int) int {
+	if x[0] != y[0] {
+		return x[0] - y[0]
+	}
+	return x[1] - y[1]
 }
 
 // NumNodes returns the node count including the synthetic exit node.
-func (g *Graph) NumNodes() int { return len(g.succs) }
+func (g *Graph) NumNodes() int { return g.n }
 
 // Exit returns the synthetic exit node's index.
-func (g *Graph) Exit() int { return len(g.succs) - 1 }
+func (g *Graph) Exit() int { return g.n - 1 }
 
 // Succs returns the successors of node i. The returned slice is shared;
 // callers must not modify it.
-func (g *Graph) Succs(i int) []int { return g.succs[i] }
+func (g *Graph) Succs(i int) []int { return g.adj[g.off[i]:g.off[i+1]:g.off[i+1]] }
 
 // Preds returns the predecessors of node i. The returned slice is shared.
-func (g *Graph) Preds(i int) []int { return g.preds[i] }
+func (g *Graph) Preds(i int) []int {
+	return g.adj[g.off[g.n+i]:g.off[g.n+i+1]:g.off[g.n+i+1]]
+}
 
 // IsExceptionalEdge reports whether from→to is a trap (exception) edge.
 func (g *Graph) IsExceptionalEdge(from, to int) bool {
-	return g.exceptionalEdge[[2]int{from, to}]
+	if g.exc == nil || from < 0 || from >= g.n {
+		return false
+	}
+	for k := g.off[from]; k < g.off[from+1]; k++ {
+		if g.adj[k] == to {
+			return g.exc[k]
+		}
+	}
+	return false
 }
 
 // Reachable returns the set of nodes reachable from the entry node.
@@ -212,7 +306,7 @@ func (g *Graph) Reachable() []bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range g.succs[n] {
+		for _, s := range g.Succs(n) {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
@@ -226,38 +320,53 @@ func (g *Graph) Reachable() []bool {
 // node i (idom[0] == 0 for the entry; unreachable nodes get -1). Uses the
 // Cooper–Harvey–Kennedy iterative algorithm over a reverse postorder.
 func (g *Graph) Dominators() []int {
-	return dominators(g.NumNodes(), 0, g.Succs, g.Preds)
+	return g.dominators(0, false)
 }
 
 // PostDominators returns ipdom over the reversed graph rooted at the
 // synthetic exit node. Nodes that cannot reach the exit get -1.
 func (g *Graph) PostDominators() []int {
-	return dominators(g.NumNodes(), g.Exit(), g.Preds, g.Succs)
+	return g.dominators(g.Exit(), true)
 }
 
-func dominators(n, root int, succs, preds func(int) []int) []int {
-	// Reverse postorder from root.
-	order := make([]int, 0, n)
-	state := make([]uint8, n)
-	var dfs func(int)
-	dfs = func(u int) {
-		state[u] = 1
-		for _, v := range succs(u) {
-			if state[v] == 0 {
-				dfs(v)
-			}
-		}
-		order = append(order, u)
+// dominators runs the dominator analysis from root over the successor
+// edges, or over the predecessor edges when reverse is set.
+func (g *Graph) dominators(root int, reverse bool) []int {
+	n := g.n
+	next, prev := g.Succs, g.Preds
+	if reverse {
+		next, prev = g.Preds, g.Succs
 	}
-	dfs(root)
-	// order is postorder; reverse it.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	rpoNum := make([]int, n)
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	// rpoNum[u] is u's reverse-postorder number (-1 when unvisited),
+	// order the nodes in reverse postorder, and stack the depth-first
+	// search's (node, next successor) pairs.
+	buf := s.intsOf(4 * n)
+	rpoNum, order, stack := buf[:n], buf[n:n], buf[2*n:2*n]
 	for i := range rpoNum {
 		rpoNum[i] = -1
 	}
+	// An explicit-stack depth-first search, visiting successors in order
+	// and emitting each node after its last successor, as the recursive
+	// formulation does. rpoNum marks visited nodes (-2) until numbered.
+	rpoNum[root] = -2
+	stack = append(stack, root, 0)
+	for len(stack) > 0 {
+		top := len(stack) - 2
+		u, k := stack[top], stack[top+1]
+		if ss := next(u); k < len(ss) {
+			stack[top+1]++
+			if v := ss[k]; rpoNum[v] == -1 {
+				rpoNum[v] = -2
+				stack = append(stack, v, 0)
+			}
+			continue
+		}
+		order = append(order, u)
+		stack = stack[:top]
+	}
+	slices.Reverse(order)
 	for i, u := range order {
 		rpoNum[u] = i
 	}
@@ -285,7 +394,7 @@ func dominators(n, root int, succs, preds func(int) []int) []int {
 				continue
 			}
 			newIdom := -1
-			for _, p := range preds(u) {
+			for _, p := range prev(u) {
 				if rpoNum[p] < 0 || idom[p] < 0 {
 					continue
 				}
@@ -321,34 +430,28 @@ func Dominates(idom []int, a, b int) bool {
 	return a == b
 }
 
-// Loop is a natural loop: Head is the loop header, Body the set of nodes
-// in the loop (including Head), and BackEdges the tail nodes of the back
-// edges into Head.
+// Loop is a natural loop: Head is the loop header, Body the nodes in the
+// loop (Head included) in ascending order, and BackEdges the tail nodes
+// of the back edges into Head. Body and BackEdges are shared; callers
+// must not modify them.
 type Loop struct {
 	Head      int
-	Body      map[int]bool
+	Body      []int
 	BackEdges []int
+	in        []uint64 // Body as a bitset over nodes
 }
 
 // Contains reports whether node i belongs to the loop.
-func (l *Loop) Contains(i int) bool { return l.Body[i] }
-
-// SortedBody returns the loop body as a sorted slice.
-func (l *Loop) SortedBody() []int {
-	out := make([]int, 0, len(l.Body))
-	for i := range l.Body {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+func (l *Loop) Contains(i int) bool {
+	return i >= 0 && i>>6 < len(l.in) && l.in[i>>6]&(1<<(i&63)) != 0
 }
 
 // ExitEdges returns the (from, to) pairs leaving the loop.
 func (l *Loop) ExitEdges(g *Graph) [][2]int {
 	var out [][2]int
-	for _, from := range l.SortedBody() {
+	for _, from := range l.Body {
 		for _, to := range g.Succs(from) {
-			if !l.Body[to] {
+			if !l.Contains(to) {
 				out = append(out, [2]int{from, to})
 			}
 		}
@@ -365,81 +468,144 @@ func (g *Graph) NaturalLoops() []*Loop {
 
 // NaturalLoopsWith is NaturalLoops reusing a precomputed Dominators
 // result, so callers that cache idom (e.g. a per-scan analysis context)
-// do not recompute the dominator tree per query.
+// do not recompute the dominator tree per query. The loops are ordered by
+// header; a method without one gets nil.
 func (g *Graph) NaturalLoopsWith(idom []int) []*Loop {
-	byHead := make(map[int]*Loop)
-	n := g.NumNodes()
+	n := g.n
+	// The back edges, as (head, tail) pairs in discovery order.
+	var back [][2]int
 	for t := 0; t < n; t++ {
-		for _, h := range g.succs[t] {
-			if !Dominates(idom, h, t) {
-				continue
-			}
-			l := byHead[h]
-			if l == nil {
-				l = &Loop{Head: h, Body: map[int]bool{h: true}}
-				byHead[h] = l
-			}
-			l.BackEdges = append(l.BackEdges, t)
-			// Collect the loop body: nodes that can reach t without
-			// passing through h.
-			stack := []int{t}
-			for len(stack) > 0 {
-				u := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if l.Body[u] {
-					continue
-				}
-				l.Body[u] = true
-				for _, p := range g.preds[u] {
-					if !l.Body[p] {
-						stack = append(stack, p)
-					}
-				}
+		for _, h := range g.Succs(t) {
+			if Dominates(idom, h, t) {
+				back = append(back, [2]int{h, t})
 			}
 		}
 	}
-	heads := make([]int, 0, len(byHead))
-	for h := range byHead {
-		heads = append(heads, h)
+	if len(back) == 0 {
+		return nil
 	}
-	sort.Ints(heads)
-	out := make([]*Loop, 0, len(heads))
-	for _, h := range heads {
-		out = append(out, byHead[h])
+	// Group the back edges by header, ascending, keeping discovery order
+	// within a header.
+	slices.SortStableFunc(back, func(x, y [2]int) int { return x[0] - y[0] })
+	nloops := 0
+	for i := range back {
+		if i == 0 || back[i][0] != back[i-1][0] {
+			nloops++
+		}
+	}
+	words := (n + 63) / 64
+	loops := make([]Loop, nloops)
+	out := make([]*Loop, nloops)
+	in := make([]uint64, nloops*words)
+	tails := make([]int, len(back))
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	li := -1
+	for i, e := range back {
+		h, t := e[0], e[1]
+		if i == 0 || h != back[i-1][0] {
+			li++
+			l := &loops[li]
+			l.Head, l.in = h, in[li*words:(li+1)*words:(li+1)*words]
+			l.BackEdges = tails[i:i:len(back)]
+			l.in[h>>6] |= 1 << (h & 63)
+			out[li] = l
+		}
+		l := &loops[li]
+		l.BackEdges = append(l.BackEdges, t)
+		// Collect the loop body: nodes that can reach t without passing
+		// through h.
+		stack := append(s.intsOf(0), t)
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if l.Contains(u) {
+				continue
+			}
+			l.in[u>>6] |= 1 << (u & 63)
+			for _, p := range g.Preds(u) {
+				if !l.Contains(p) {
+					stack = append(stack, p)
+				}
+			}
+		}
+		s.ints = stack
+	}
+	total := 0
+	for _, w := range in {
+		total += bits.OnesCount64(w)
+	}
+	body := make([]int, 0, total)
+	for i := range loops {
+		l := &loops[i]
+		lo := len(body)
+		for u := 0; u < n; u++ {
+			if l.Contains(u) {
+				body = append(body, u)
+			}
+		}
+		l.Body = body[lo:len(body):len(body)]
+		l.BackEdges = slices.Clip(l.BackEdges)
 	}
 	return out
 }
 
 // ControlDeps computes control dependence using post-dominators: node u is
 // control dependent on branch node b if b has a successor s such that u
-// post-dominates s but u does not post-dominate b. Returns deps[u] = set
-// of b.
-func (g *Graph) ControlDeps() map[int]map[int]bool {
+// post-dominates s but u does not post-dominate b. deps[u] lists those b,
+// ascending; the lists share one backing array.
+func (g *Graph) ControlDeps() [][]int {
 	ipdom := g.PostDominators()
-	deps := make(map[int]map[int]bool)
-	n := g.NumNodes()
-	for b := 0; b < n; b++ {
-		if len(g.succs[b]) < 2 {
-			continue
+	n := g.n
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	// A first walk counts each node's branches and a second files them.
+	// Branches are walked in ascending order, so a repeat of (u, b) —
+	// b reaching u through two successors — is always u's latest entry.
+	buf := s.intsOf(2 * n)
+	cnt, last := buf[:n], buf[n:]
+	clear(cnt)
+	deps := make([][]int, n)
+	walk := func(file func(u, b int)) {
+		for i := range last {
+			last[i] = -1
 		}
-		for _, s := range g.succs[b] {
-			// Walk the post-dominator tree from s up to (excluding)
-			// ipdom[b]; every node on the walk is control dependent on b.
-			stop := ipdom[b]
-			u := s
-			for u >= 0 && u != stop {
-				if u != b {
-					if deps[u] == nil {
-						deps[u] = make(map[int]bool)
+		for b := 0; b < n; b++ {
+			if g.off[b+1]-g.off[b] < 2 {
+				continue
+			}
+			for _, s := range g.Succs(b) {
+				// Walk the post-dominator tree from s up to (excluding)
+				// ipdom[b]; every node on the walk is control dependent
+				// on b.
+				stop := ipdom[b]
+				u := s
+				for u >= 0 && u != stop {
+					if u != b && last[u] != b {
+						last[u] = b
+						file(u, b)
 					}
-					deps[u][b] = true
+					if u == ipdom[u] {
+						break
+					}
+					u = ipdom[u]
 				}
-				if u == ipdom[u] {
-					break
-				}
-				u = ipdom[u]
 			}
 		}
 	}
+	total := 0
+	walk(func(u, _ int) { cnt[u]++; total++ })
+	if total == 0 {
+		return deps
+	}
+	ids := make([]int, total)
+	at := 0
+	for u, c := range cnt {
+		if c > 0 {
+			deps[u] = ids[at : at : at+c]
+			at += c
+		}
+	}
+	walk(func(u, b int) { deps[u] = append(deps[u], b) })
 	return deps
 }

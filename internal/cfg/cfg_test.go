@@ -156,12 +156,12 @@ func TestControlDeps(t *testing.T) {
 	deps := g.ControlDeps()
 	// Nodes 1,2 (then-arm) and 3 (else-arm) are control dependent on 0.
 	for _, n := range []int{1, 2, 3} {
-		if !deps[n][0] {
+		if !slices.Contains(deps[n], 0) {
 			t.Errorf("node %d should be control dependent on the branch", n)
 		}
 	}
 	// The join is not control dependent on the branch.
-	if deps[4][0] {
+	if slices.Contains(deps[4], 0) {
 		t.Error("join must not be control dependent on the branch")
 	}
 }
@@ -291,7 +291,7 @@ func TestQuickLoopDomination(t *testing.T) {
 		g := New(m)
 		idom := g.Dominators()
 		for _, l := range g.NaturalLoops() {
-			for node := range l.Body {
+			for _, node := range l.Body {
 				if !Dominates(idom, l.Head, node) {
 					return false
 				}

@@ -417,7 +417,7 @@ func (a *analysis) guard(stage string, fn func()) {
 // unit is isolated by runUnit; either way the units that did complete
 // keep their slots, so partial results stay deterministic.
 func (a *analysis) parallelFor(stage string, n int, fn func(int)) {
-	if n <= 1 || a.sem == nil || cap(a.sem) <= 1 {
+	if a.sequential(n) {
 		for i := 0; i < n; i++ {
 			if err := a.scanCtx.Err(); err != nil {
 				a.failCancel(stage, err)
@@ -446,6 +446,27 @@ func (a *analysis) parallelFor(stage string, n int, fn func(int)) {
 	if canceled {
 		a.failCancel(stage, a.scanCtx.Err())
 	}
+}
+
+// sequential reports whether parallelFor runs n units one after another,
+// in index order, on the calling goroutine.
+func (a *analysis) sequential(n int) bool {
+	return n <= 1 || a.sem == nil || cap(a.sem) <= 1
+}
+
+// unitFindings runs fn over n units through parallelFor and returns
+// their findings in unit order. A sequential run hands every unit the
+// same findings, as appending in unit order is the merge order, so only
+// a parallel run pays for a findings per unit.
+func (a *analysis) unitFindings(stage string, n int, fn func(i int, f *findings)) findings {
+	if a.sequential(n) {
+		var f findings
+		a.parallelFor(stage, n, func(i int) { fn(i, &f) })
+		return f
+	}
+	units := make([]findings, n)
+	a.parallelFor(stage, n, func(i int) { fn(i, &units[i]) })
+	return mergeFindings(units)
 }
 
 // collectAppMethods returns the body-bearing methods of the demanded app

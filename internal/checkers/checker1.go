@@ -32,11 +32,9 @@ func (a *analysis) checkRequestSettings() findings {
 	} else {
 		mp = a.connCheck()
 	}
-	units := make([]findings, len(a.sites))
-	a.parallelFor("settings", len(a.sites), func(i int) {
-		a.checkSiteSettings(mp, a.sites[i], &units[i])
+	return a.unitFindings("settings", len(a.sites), func(i int, f *findings) {
+		a.checkSiteSettings(mp, a.sites[i], f)
 	})
-	return mergeFindings(units)
 }
 
 // checkSiteSettings emits one site's setting warnings in the fixed order

@@ -14,11 +14,9 @@ import (
 // the library default when the developer never invoked one (which is what
 // makes the majority of over-retries "default-caused", Table 8).
 func (a *analysis) checkParameters() findings {
-	units := make([]findings, len(a.sites))
-	a.parallelFor("parameters", len(a.sites), func(i int) {
-		a.checkSiteParameters(a.sites[i], &units[i])
+	return a.unitFindings("parameters", len(a.sites), func(i int, f *findings) {
+		a.checkSiteParameters(a.sites[i], f)
 	})
-	return mergeFindings(units)
 }
 
 func (a *analysis) checkSiteParameters(site *requestSite, f *findings) {

@@ -22,11 +22,9 @@ const notifScanDepth = 2
 // classes. For Volley it additionally checks that the error callback
 // inspects the typed error object. Sites are checked in parallel.
 func (a *analysis) checkNotifications() findings {
-	units := make([]findings, len(a.sites))
-	a.parallelFor("notifications", len(a.sites), func(i int) {
-		a.checkSiteNotifications(a.sites[i], &units[i])
+	return a.unitFindings("notifications", len(a.sites), func(i int, f *findings) {
+		a.checkSiteNotifications(a.sites[i], f)
 	})
-	return mergeFindings(units)
 }
 
 func (a *analysis) checkSiteNotifications(site *requestSite, f *findings) {

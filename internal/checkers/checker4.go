@@ -18,17 +18,14 @@ import (
 // isSuccess) or an explicit null test on an alias of the response.
 func (a *analysis) checkResponses() findings {
 	// Synchronous targets: response = LHS at the request site.
-	siteUnits := make([]findings, len(a.sites))
-	a.parallelFor("responses", len(a.sites), func(i int) {
-		a.checkSiteResponse(a.sites[i], &siteUnits[i])
+	sites := a.unitFindings("responses", len(a.sites), func(i int, f *findings) {
+		a.checkSiteResponse(a.sites[i], f)
 	})
 	// Asynchronous success callbacks: the response arrives as a parameter.
-	cbUnits := a.checkCallbackResponses()
-	f := mergeFindings(siteUnits)
-	cb := mergeFindings(cbUnits)
-	f.reports = append(f.reports, cb.reports...)
-	f.stats.add(&cb.stats)
-	return f
+	cb := a.checkCallbackResponses()
+	sites.reports = append(sites.reports, cb.reports...)
+	sites.stats.add(&cb.stats)
+	return sites
 }
 
 func (a *analysis) checkSiteResponse(site *requestSite, f *findings) {
@@ -95,7 +92,7 @@ func successCallbacks(reg *apimodel.Registry) []successCallback {
 // implementation; the work list is grouped per callback so unit order
 // matches the historical (library, callback, class) scan order, then the
 // method bodies are analyzed in parallel.
-func (a *analysis) checkCallbackResponses() []findings {
+func (a *analysis) checkCallbackResponses() findings {
 	type cbWork struct {
 		m   *jimple.Method
 		lib *apimodel.Library
@@ -119,11 +116,9 @@ func (a *analysis) checkCallbackResponses() []findings {
 	for _, w := range perCB {
 		work = append(work, w...)
 	}
-	units := make([]findings, len(work))
-	a.parallelFor("responses", len(work), func(i int) {
-		a.checkCallbackResponseBody(work[i].m, work[i].lib, &units[i])
+	return a.unitFindings("responses", len(work), func(i int, f *findings) {
+		a.checkCallbackResponseBody(work[i].m, work[i].lib, f)
 	})
-	return units
 }
 
 func (a *analysis) checkCallbackResponseBody(m *jimple.Method, lib *apimodel.Library, f *findings) {

@@ -22,11 +22,9 @@ import (
 // runnable recovers), reusing the scan's shared graph. Methods are
 // examined in parallel over the worker pool.
 func (a *analysis) checkOfflineState() findings {
-	units := make([]findings, len(a.methods))
-	a.parallelFor("offlinestate", len(a.methods), func(i int) {
-		a.checkMethodOfflineState(a.methods[i], &units[i])
+	return a.unitFindings("offlinestate", len(a.methods), func(i int, f *findings) {
+		a.checkMethodOfflineState(a.methods[i], f)
 	})
-	return mergeFindings(units)
 }
 
 const onReceiveSubsig = "onReceive(android.content.Context,android.content.Intent)void"

@@ -29,11 +29,9 @@ import (
 // unguarded sites are Checker 1's territory, not staleness.
 func (a *analysis) checkStaleChecks() findings {
 	mp := a.connCheck()
-	units := make([]findings, len(a.sites))
-	a.parallelFor("stalechecks", len(a.sites), func(i int) {
-		a.checkSiteStaleness(mp, a.sites[i], &units[i])
+	return a.unitFindings("stalechecks", len(a.sites), func(i int, f *findings) {
+		a.checkSiteStaleness(mp, a.sites[i], f)
 	})
-	return mergeFindings(units)
 }
 
 func (a *analysis) checkSiteStaleness(mp *dataflow.MustPrecede, site *requestSite, f *findings) {

@@ -26,11 +26,9 @@ import (
 // false-negative source (DESIGN.md §11). Hygiene is lexical: sites are
 // flagged even when unreachable from an entry point.
 func (a *analysis) checkEndpoints() findings {
-	units := make([]findings, len(a.methods))
-	a.parallelFor("endpoints", len(a.methods), func(i int) {
-		a.checkMethodEndpoints(a.methods[i], &units[i])
+	return a.unitFindings("endpoints", len(a.methods), func(i int, f *findings) {
+		a.checkMethodEndpoints(a.methods[i], f)
 	})
-	return mergeFindings(units)
 }
 
 func (a *analysis) checkMethodEndpoints(m *jimple.Method, f *findings) {

@@ -20,8 +20,11 @@ import (
 type AnalysisContext struct {
 	cg *callgraph.Graph
 
+	// art holds the per-method artifacts by call-graph method id; mu
+	// guards each entry's first claim and the methods count.
 	mu      sync.Mutex
-	methods map[*jimple.Method]*methodArtifacts
+	art     []methodArtifacts
+	methods int
 
 	entriesOnce sync.Once
 	entryReach  []callgraph.Bitset // parallel to cg.Entries()
@@ -49,7 +52,7 @@ type AnalysisContext struct {
 // is guarded by its own sync.Once so concurrent stages requesting the
 // same artifact block on a single computation.
 type methodArtifacts struct {
-	m *jimple.Method
+	m *jimple.Method // nil until the first request
 
 	cfgOnce sync.Once
 	cfg     *cfg.Graph
@@ -75,19 +78,23 @@ type methodArtifacts struct {
 
 // newAnalysisContext prepares an empty context over the scan's call graph.
 func newAnalysisContext(cg *callgraph.Graph) *AnalysisContext {
-	return &AnalysisContext{cg: cg, methods: make(map[*jimple.Method]*methodArtifacts)}
+	return &AnalysisContext{cg: cg, art: make([]methodArtifacts, cg.NumIDs())}
 }
 
-// arts keys by method pointer, not rendered signature: every program
-// method is a single *jimple.Method shared by the program, hierarchy and
-// call graph, and this accessor runs on every artifact request — rendering
-// the key here used to dominate the scan's allocation profile.
+// arts returns m's artifacts, by its call-graph id: every method a stage
+// analyzes is a body-bearing method of the scan's call graph. A method
+// that is not the graph's method of any id (a foreign method, or the
+// loser of a duplicated key) gets fresh artifacts, computed per request.
 func (c *AnalysisContext) arts(m *jimple.Method) *methodArtifacts {
+	id, ok := c.cg.IDOf(m)
+	if !ok || c.cg.MethodOf(id) != m {
+		return &methodArtifacts{m: m}
+	}
+	a := &c.art[id]
 	c.mu.Lock()
-	a := c.methods[m]
-	if a == nil {
-		a = &methodArtifacts{m: m}
-		c.methods[m] = a
+	if a.m == nil {
+		a.m = m
+		c.methods++
 	}
 	c.mu.Unlock()
 	return a
@@ -229,7 +236,7 @@ func (c *AnalysisContext) EntriesReaching(id int32) []callgraph.Entry {
 // CacheStats (the store counters there belong to the cache stages).
 func (c *AnalysisContext) fillCacheStats(stats *CacheStats) {
 	c.mu.Lock()
-	stats.Methods = len(c.methods)
+	stats.Methods = c.methods
 	c.mu.Unlock()
 	stats.CFGComputed = int(c.cfgComputed.Load())
 	stats.CFGRequests = int(c.cfgRequests.Load())

@@ -2,7 +2,8 @@ package checkers
 
 import (
 	"context"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -212,30 +213,32 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	// LibsUsedBy over the decoded program.
 	res.Stats.LibsUsed = reg.LibsUsedByRefs(app.Lazy.EachRefClass)
 	res.Stats.add(&discovered.stats)
-	// Sized once; nil when no stage reported, as the cache differential's
-	// DeepEqual against a decoded entry requires.
+	// The reports are sorted by (location method key, statement, cause),
+	// stably in stage order, through an index of keys rendered once per
+	// report, and each is copied into the result once. The result is nil
+	// when no stage reported, as the cache differential's DeepEqual
+	// against a decoded entry requires.
 	n := 0
-	for i := range outs {
-		n += len(outs[i].reports)
-	}
-	if n > 0 {
-		res.Reports = make([]report.Report, 0, n)
-	}
 	for i := range stages {
-		res.Reports = append(res.Reports, outs[i].reports...)
+		n += len(outs[i].reports)
 		res.Stats.add(&outs[i].stats)
 		diag.add(stages[i].name, durs[i], stages[i].items, len(outs[i].reports))
 	}
-	// Sort on location keys rendered once per report, not once per
-	// comparison (the closure used to re-render up to four keys per call).
-	reportKeys := make([]string, len(res.Reports))
-	{
+	if n > 0 {
+		order := make([]keyedReport, 0, n)
 		intern := jimple.NewInterner()
-		for i := range res.Reports {
-			reportKeys[i] = intern.SigKey(res.Reports[i].Location.Method)
+		for i := range outs {
+			for j := range outs[i].reports {
+				r := &outs[i].reports[j]
+				order = append(order, keyedReport{intern.SigKey(r.Location.Method), r})
+			}
+		}
+		slices.SortStableFunc(order, compareReports)
+		res.Reports = make([]report.Report, n)
+		for i, o := range order {
+			res.Reports[i] = *o.r
 		}
 	}
-	sort.Stable(&reportSorter{reports: res.Reports, keys: reportKeys})
 	// Dynamic validation replays each warning's witness entry point under
 	// injected disruptions and stamps a verdict on the report (validate.go).
 	// It runs after the sort (verdict order matches report order) and
@@ -270,27 +273,20 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	return finish(res)
 }
 
-// reportSorter orders reports by (location method key, statement, cause)
-// using keys rendered once up front.
-type reportSorter struct {
-	reports []report.Report
-	keys    []string
+// keyedReport is a report to place, with its location method's key.
+type keyedReport struct {
+	key string
+	r   *report.Report
 }
 
-func (s *reportSorter) Len() int { return len(s.reports) }
-
-func (s *reportSorter) Swap(i, j int) {
-	s.reports[i], s.reports[j] = s.reports[j], s.reports[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-func (s *reportSorter) Less(i, j int) bool {
-	if s.keys[i] != s.keys[j] {
-		return s.keys[i] < s.keys[j]
+// compareReports orders reports by (location method key, statement,
+// cause).
+func compareReports(a, b keyedReport) int {
+	if a.key != b.key {
+		return strings.Compare(a.key, b.key)
 	}
-	ri, rj := &s.reports[i], &s.reports[j]
-	if ri.Location.Stmt != rj.Location.Stmt {
-		return ri.Location.Stmt < rj.Location.Stmt
+	if a.r.Location.Stmt != b.r.Location.Stmt {
+		return a.r.Location.Stmt - b.r.Location.Stmt
 	}
-	return ri.Cause < rj.Cause
+	return strings.Compare(string(a.r.Cause), string(b.r.Cause))
 }

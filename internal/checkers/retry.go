@@ -24,11 +24,9 @@ import (
 //	    statements of a catch block (Figure 6(c)/(d)), established by
 //	    backward slicing.
 func (a *analysis) checkRetryLoops() findings {
-	units := make([]findings, len(a.methods))
-	a.parallelFor("retryloops", len(a.methods), func(i int) {
-		a.checkMethodRetryLoops(a.methods[i], &units[i])
+	return a.unitFindings("retryloops", len(a.methods), func(i int, f *findings) {
+		a.checkMethodRetryLoops(a.methods[i], f)
 	})
-	return mergeFindings(units)
 }
 
 func (a *analysis) checkMethodRetryLoops(m *jimple.Method, f *findings) {
@@ -66,7 +64,7 @@ func (a *analysis) checkMethodRetryLoops(m *jimple.Method, f *findings) {
 // target API directly or calls into app code that reaches one (the paper
 // recursively parses callers; we equivalently walk callees).
 func (a *analysis) loopPerformsRequest(m *jimple.Method, loop *cfg.Loop) bool {
-	for _, i := range loop.SortedBody() {
+	for _, i := range loop.Body {
 		if i >= len(m.Body) {
 			continue
 		}
@@ -99,7 +97,7 @@ func catchStmtsInLoop(m *jimple.Method, idom []int, loop *cfg.Loop) map[int]bool
 		if !loop.Contains(t.Handler) {
 			continue
 		}
-		for _, i := range loop.SortedBody() {
+		for _, i := range loop.Body {
 			if i < len(m.Body) && cfg.Dominates(idom, t.Handler, i) {
 				out[i] = true
 			}
@@ -115,7 +113,7 @@ func (a *analysis) isRetryLoop(m *jimple.Method, g *cfg.Graph, loop *cfg.Loop) b
 		return false
 	}
 	reachFromCatch := reachableFrom(g, catch)
-	for _, i := range loop.SortedBody() {
+	for _, i := range loop.Body {
 		if i >= len(m.Body) {
 			continue
 		}
@@ -209,7 +207,7 @@ func (a *analysis) stmtBacksOff(m *jimple.Method, i int) bool {
 // between attempts: Thread.sleep, Handler.postDelayed, or a Timer
 // schedule.
 func (a *analysis) loopHasBackoff(m *jimple.Method, loop *cfg.Loop) bool {
-	for _, i := range loop.SortedBody() {
+	for _, i := range loop.Body {
 		if a.stmtBacksOff(m, i) {
 			return true
 		}
@@ -248,7 +246,7 @@ func (a *analysis) syntheticLoopSite(m *jimple.Method, loop *cfg.Loop) *requestS
 	}
 	// Attribute the loop to the library actually used inside it, if any;
 	// resolveContext needs target set first for HTTP-method resolution.
-	for _, i := range loop.SortedBody() {
+	for _, i := range loop.Body {
 		if i >= len(m.Body) {
 			continue
 		}

@@ -364,11 +364,13 @@ func (a *analysis) prepareBuild() {
 	}
 	a.roots, a.demanded, a.diag.Targeted = cl.roots, cl.demanded, cl.stats
 	// Demanded slots ascend in class-name order, so classes materialize
-	// in the same order every run (Materialize is idempotent).
-	for _, slot := range cl.demanded {
-		cls := a.index.ClassName(slot)
-		if err := lazy.Materialize(cls); err != nil {
-			panic(fmt.Sprintf("materialize %s: %v", cls, err))
-		}
+	// in the same order every run (Materialize is idempotent). One call
+	// decodes them all, so their bodies share one chunk per slab.
+	names := make([]string, len(cl.demanded))
+	for i, slot := range cl.demanded {
+		names[i] = a.index.ClassName(slot)
+	}
+	if err := lazy.Materialize(names...); err != nil {
+		panic(fmt.Sprintf("materialize: %v", err))
 	}
 }

@@ -13,8 +13,9 @@ type ConstProp struct {
 	rd *ReachDefs
 }
 
-// NewConstProp wraps a reaching-definitions result.
-func NewConstProp(rd *ReachDefs) *ConstProp { return &ConstProp{rd: rd} }
+// NewConstProp wraps a reaching-definitions result. The engine is part
+// of rd, so every call returns the same one and none allocates.
+func NewConstProp(rd *ReachDefs) *ConstProp { return &rd.cp }
 
 // maxConstDepth bounds copy-chain recursion; chains longer than this are
 // treated as non-constant.
@@ -31,7 +32,8 @@ func (c *ConstProp) intAt(stmt int, local string, depth int) (int64, bool) {
 	if depth > maxConstDepth {
 		return 0, false
 	}
-	defs := c.rd.DefsReaching(stmt, local)
+	var buf [8]int
+	defs := c.rd.appendDefsReaching(buf[:0], stmt, local)
 	if len(defs) == 0 {
 		return 0, false
 	}
@@ -185,7 +187,8 @@ func (c *ConstProp) strAt(stmt int, local string, depth int) (string, bool) {
 	if depth > maxConstDepth {
 		return "", false
 	}
-	defs := c.rd.DefsReaching(stmt, local)
+	var buf [8]int
+	defs := c.rd.appendDefsReaching(buf[:0], stmt, local)
 	if len(defs) == 0 {
 		return "", false
 	}

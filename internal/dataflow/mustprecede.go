@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
 	"repro/internal/jimple"
@@ -113,7 +115,11 @@ func (mp *MustPrecede) solve() {
 		cg.ReachInto(reach, cg.EntryID(i))
 	}
 	// One state per reachable method, in id order; byID maps ids to them.
-	var states []mpMethodState
+	reachable := 0
+	for _, w := range reach {
+		reachable += bits.OnesCount64(w)
+	}
+	states := make([]mpMethodState, 0, reachable)
 	nodes := 0
 	reach.Each(func(id int32) {
 		if m := cg.MethodOf(id); m != nil {

@@ -15,7 +15,7 @@ import (
 type Slicer struct {
 	g    *cfg.Graph
 	rd   *ReachDefs
-	cd   map[int]map[int]bool
+	cd   [][]int // control dependences, cfg.Graph.ControlDeps
 	body []jimple.Stmt
 }
 
@@ -41,14 +41,10 @@ func (s *Slicer) BackwardSlice(seeds ...int) map[int]bool {
 		var uses []string
 		uses = jimple.UsesOf(uses, s.body[u])
 		for _, l := range uses {
-			for _, d := range s.rd.DefsReaching(u, l) {
-				if !inSlice[d] {
-					work = append(work, d)
-				}
-			}
+			work = s.rd.appendDefsReaching(work, u, l)
 		}
 		// Control dependence: the branches governing u.
-		for b := range s.cd[u] {
+		for _, b := range s.cd[u] {
 			if !inSlice[b] {
 				work = append(work, b)
 			}

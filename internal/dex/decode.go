@@ -22,17 +22,17 @@ type decoder struct {
 	data []byte
 	pos  int
 	pool []string
-	// params is the shared backing store of decoded signatures' Params
-	// and classes' Interfaces: each gets a full slice expression of it, so
-	// an append by a later owner copies instead of clobbering a neighbour.
-	params []string
 	// The program's headers are carved from shared chunks rather than
-	// allocated one by one.
+	// allocated one by one. strs backs signatures' Params and classes'
+	// Interfaces.
 	classes    slab[jimple.Class]
 	methods    slab[jimple.Method]
 	methodPtrs slab[*jimple.Method]
 	fields     slab[jimple.Field]
 	fieldPtrs  slab[*jimple.Field]
+	strs       slab[string]
+	// The bodies' slices and nodes, once the decoder reads a body.
+	*bodySlabs
 	// lazy, when non-nil, switches class members to the skim path: the
 	// same bytes are parsed with the same validation, but no field,
 	// method or statement objects are built — only offsets and the skim
@@ -40,16 +40,127 @@ type decoder struct {
 	lazy *lazyBuild
 }
 
+// bodySlabs are the chunks a decoder carves bodies from: their locals,
+// statements, traps and call arguments, and the statement nodes by type.
+type bodySlabs struct {
+	localDecls slab[jimple.LocalDecl]
+	stmts      slab[jimple.Stmt]
+	traps      slab[jimple.Trap]
+	values     slab[jimple.Value]
+	assigns    slab[jimple.AssignStmt]
+	invokes    slab[jimple.InvokeStmt]
+	ifs        slab[jimple.IfStmt]
+	gotos      slab[jimple.GotoStmt]
+	returns    slab[jimple.ReturnStmt]
+	throws     slab[jimple.ThrowStmt]
+	// boxes holds the boxed single-reference values (locals, this refs,
+	// string constants, allocations) of the bodies decoded since the last
+	// resetBoxes, so each distinct one is boxed once per batch of bodies
+	// rather than once per use.
+	boxes []box
+	// args is the stack invoke arguments are decoded onto.
+	args []jimple.Value
+}
+
 // slab hands out slices carved from shared chunks, so decoding n headers
 // costs O(log n) allocations instead of n. Chunks double from 8 up to 512
 // elements; a request larger than that gets a chunk of its own. A caller
-// that knows how many elements it will take sets free to one chunk of
-// that size up front: the lazy open carves its class headers from a
-// chunk sized by the class count. Each slice is capped at its length, so
-// appending to one never writes into the next.
+// that knows how many elements it will take reserves one chunk of that
+// size up front: the lazy open carves its class headers from a chunk
+// sized by the class count, and Materialize its bodies from chunks sized
+// by their counts. Each slice is capped at its length, so appending to
+// one never writes into the next.
 type slab[T any] struct {
 	free []T
 	next int
+}
+
+// box is one boxed value: the value's tag and its pool reference.
+type box struct {
+	tag byte
+	ref int32
+	v   jimple.Value
+}
+
+// maxBoxes bounds the box list, which is searched linearly: a batch with
+// more distinct values boxes the rest per use. Over the corpus a scan's
+// batch never fills it; on a large app's MaterializeAll, 16 entries
+// leave about half the repeats unshared and 256 share none more than 64.
+const maxBoxes = 64
+
+// boxed returns the value of tag with pool reference ref, boxed at most
+// once per batch.
+func (d *decoder) boxed(tag byte, ref int32) jimple.Value {
+	for i := range d.boxes {
+		if b := &d.boxes[i]; b.ref == ref && b.tag == tag {
+			return b.v
+		}
+	}
+	var v jimple.Value
+	switch s := d.pool[ref]; tag {
+	case tagLocal:
+		v = jimple.Local{Name: s}
+	case tagStrConst:
+		v = jimple.StrConst{V: s}
+	case tagThisRef:
+		v = jimple.ThisRef{Type: s}
+	default: // tagNew
+		v = jimple.NewExpr{Type: s}
+	}
+	if len(d.boxes) < maxBoxes {
+		d.boxes = append(d.boxes, box{tag: tag, ref: ref, v: v})
+	}
+	return v
+}
+
+// resetBoxes starts a batch: the eager decoder resets the box list for
+// each class, Materialize for each call.
+func (d *decoder) resetBoxes() {
+	if d.bodySlabs != nil {
+		clear(d.boxes)
+		d.boxes = d.boxes[:0]
+	}
+}
+
+// takeUpTo returns an empty slice from s with room for n items of at
+// least minBytes encoded bytes each, bounded by hint, or nil when n is
+// zero; appending past the room reallocates.
+func takeUpTo[T any](d *decoder, s *slab[T], n, minBytes int) []T {
+	if n == 0 {
+		return nil
+	}
+	return s.take(d.hint(n, minBytes))[:0]
+}
+
+// bodyCounts tallies body sections: their locals, statements and traps,
+// and their statements by opcode.
+type bodyCounts struct {
+	locals, stmts, traps int
+	ops                  [opNop + 1]int
+}
+
+// reserve gives each body slab room for the counted items in one chunk.
+func (d *decoder) reserve(n *bodyCounts) {
+	if d.bodySlabs == nil {
+		d.bodySlabs = new(bodySlabs)
+	}
+	d.localDecls.reserve(n.locals)
+	d.stmts.reserve(n.stmts)
+	d.traps.reserve(n.traps)
+	d.assigns.reserve(n.ops[opAssign])
+	d.invokes.reserve(n.ops[opInvoke])
+	d.ifs.reserve(n.ops[opIf])
+	d.gotos.reserve(n.ops[opGoto])
+	d.returns.reserve(n.ops[opReturn] + n.ops[opReturnVoid])
+	d.throws.reserve(n.ops[opThrow])
+}
+
+// reserve makes sure the next n items come from one chunk, allocating
+// one of exactly n items when the free room is short.
+func (s *slab[T]) reserve(n int) {
+	if n > len(s.free) {
+		s.free = make([]T, n)
+	}
 }
 
 func (s *slab[T]) take(n int) []T {
@@ -209,6 +320,7 @@ func (d *decoder) hint(n, minBytes int) int {
 
 func (d *decoder) class() (*jimple.Class, error) {
 	c := &d.classes.take(1)[0]
+	d.resetBoxes()
 	at := d.pos
 	if err := d.classHeader(c); err != nil {
 		return nil, err
@@ -265,16 +377,13 @@ func (d *decoder) classHeader(c *jimple.Class) error {
 	if err != nil {
 		return err
 	}
-	lo := len(d.params)
+	c.Interfaces = takeUpTo(d, &d.strs, nif, 1)
 	for i := 0; i < nif; i++ {
 		s, err := d.ref()
 		if err != nil {
 			return err
 		}
-		d.params = append(d.params, s)
-	}
-	if nif > 0 {
-		c.Interfaces = d.params[lo:len(d.params):len(d.params)]
+		c.Interfaces = append(c.Interfaces, s)
 	}
 	return nil
 }
@@ -327,16 +436,13 @@ func (d *decoder) sig() (jimple.Sig, error) {
 	if err != nil {
 		return s, err
 	}
-	lo := len(d.params)
+	s.Params = takeUpTo(d, &d.strs, np, 1)
 	for i := 0; i < np; i++ {
 		p, err := d.ref()
 		if err != nil {
 			return s, err
 		}
-		d.params = append(d.params, p)
-	}
-	if np > 0 {
-		s.Params = d.params[lo:len(d.params):len(d.params)]
+		s.Params = append(s.Params, p)
 	}
 	if s.Ret, err = d.ref(); err != nil {
 		return s, err
@@ -403,10 +509,17 @@ func errAbstractBody(sig jimple.Sig) error {
 // headers are shared the same way: the lazy path fills a class's members
 // with fieldSection and methodHeader.
 func (d *decoder) body(m *jimple.Method) error {
+	if d.bodySlabs == nil {
+		d.bodySlabs = new(bodySlabs)
+	}
 	nl, err := d.count("local")
 	if err != nil {
 		return err
 	}
+	// Each slice is presized from its encoded count, bounded by what the
+	// rest of the input could hold: a local is at least two bytes (name
+	// and type), a statement one (its opcode), a trap four.
+	m.Locals = takeUpTo(d, &d.localDecls, nl, 2)
 	for i := 0; i < nl; i++ {
 		var l jimple.LocalDecl
 		if l.Name, err = d.ref(); err != nil {
@@ -421,6 +534,7 @@ func (d *decoder) body(m *jimple.Method) error {
 	if err != nil {
 		return err
 	}
+	m.Body = takeUpTo(d, &d.stmts, ns, 1)
 	for i := 0; i < ns; i++ {
 		s, err := d.stmt()
 		if err != nil {
@@ -432,6 +546,7 @@ func (d *decoder) body(m *jimple.Method) error {
 	if err != nil {
 		return err
 	}
+	m.Traps = takeUpTo(d, &d.traps, nt, 4)
 	for i := 0; i < nt; i++ {
 		var t jimple.Trap
 		b, err := d.u64()
@@ -453,12 +568,13 @@ func (d *decoder) body(m *jimple.Method) error {
 		t.Begin, t.End, t.Handler, t.Exception = int(b), int(e), int(h), exc
 		m.Traps = append(m.Traps, t)
 	}
-	if m.Body == nil {
+	if len(m.Body) == 0 {
 		// A has-body method with zero statements decodes to the same
 		// program state as an abstract stub; normalize it like the
 		// jimple parser does so re-encoding is canonical.
 		m.Abstract = true
 		m.Locals = nil
+		m.Body = nil
 		m.Traps = nil
 	}
 	return nil
@@ -483,7 +599,9 @@ func (d *decoder) stmt() (jimple.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &jimple.AssignStmt{LHS: lv, RHS: rhs}, nil
+		st := &d.assigns.take(1)[0]
+		st.LHS, st.RHS = lv, rhs
+		return st, nil
 	case opInvoke:
 		v, err := d.value()
 		if err != nil {
@@ -493,7 +611,9 @@ func (d *decoder) stmt() (jimple.Stmt, error) {
 		if !ok {
 			return nil, fmt.Errorf("invoke statement holds %T", v)
 		}
-		return &jimple.InvokeStmt{Call: inv}, nil
+		st := &d.invokes.take(1)[0]
+		st.Call = inv
+		return st, nil
 	case opIf:
 		cond, err := d.value()
 		if err != nil {
@@ -503,27 +623,35 @@ func (d *decoder) stmt() (jimple.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &jimple.IfStmt{Cond: cond, Target: int(t)}, nil
+		st := &d.ifs.take(1)[0]
+		st.Cond, st.Target = cond, int(t)
+		return st, nil
 	case opGoto:
 		t, err := d.u64()
 		if err != nil {
 			return nil, err
 		}
-		return &jimple.GotoStmt{Target: int(t)}, nil
+		st := &d.gotos.take(1)[0]
+		st.Target = int(t)
+		return st, nil
 	case opReturn:
 		v, err := d.value()
 		if err != nil {
 			return nil, err
 		}
-		return &jimple.ReturnStmt{V: v}, nil
+		st := &d.returns.take(1)[0]
+		st.V = v
+		return st, nil
 	case opReturnVoid:
-		return &jimple.ReturnStmt{}, nil
+		return &d.returns.take(1)[0], nil
 	case opThrow:
 		v, err := d.value()
 		if err != nil {
 			return nil, err
 		}
-		return &jimple.ThrowStmt{V: v}, nil
+		st := &d.throws.take(1)[0]
+		st.V = v
+		return st, nil
 	case opNop:
 		return &jimple.NopStmt{}, nil
 	}
@@ -536,24 +664,18 @@ func (d *decoder) value() (jimple.Value, error) {
 		return nil, err
 	}
 	switch tag {
-	case tagLocal:
-		n, err := d.ref()
+	case tagLocal, tagStrConst, tagThisRef, tagNew:
+		ref, err := d.refIdx()
 		if err != nil {
 			return nil, err
 		}
-		return jimple.Local{Name: n}, nil
+		return d.boxed(tag, ref), nil
 	case tagIntConst:
 		v, err := d.i64()
 		if err != nil {
 			return nil, err
 		}
 		return jimple.IntConst{V: v}, nil
-	case tagStrConst:
-		s, err := d.ref()
-		if err != nil {
-			return nil, err
-		}
-		return jimple.StrConst{V: s}, nil
 	case tagNull:
 		return jimple.NullConst{}, nil
 	case tagParamRef:
@@ -566,12 +688,6 @@ func (d *decoder) value() (jimple.Value, error) {
 			return nil, err
 		}
 		return jimple.ParamRef{Index: int(idx), Type: t}, nil
-	case tagThisRef:
-		t, err := d.ref()
-		if err != nil {
-			return nil, err
-		}
-		return jimple.ThisRef{Type: t}, nil
 	case tagCaughtEx:
 		return jimple.CaughtExRef{}, nil
 	case tagFieldRef:
@@ -588,12 +704,6 @@ func (d *decoder) value() (jimple.Value, error) {
 			return nil, err
 		}
 		return jimple.FieldRef{Base: base, Class: cls, Field: fld}, nil
-	case tagNew:
-		t, err := d.ref()
-		if err != nil {
-			return nil, err
-		}
-		return jimple.NewExpr{Type: t}, nil
 	case tagInvoke:
 		kind, err := d.byte()
 		if err != nil {
@@ -614,13 +724,24 @@ func (d *decoder) value() (jimple.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		var args []jimple.Value
+		// The arguments go onto the args stack, above those of the invoke
+		// this one is an argument of, and are carved from the slab only
+		// once decoded, at their real count: a forged count reserves
+		// nothing, however deep the nesting.
+		lo := len(d.args)
 		for i := 0; i < na; i++ {
 			a, err := d.value()
 			if err != nil {
+				d.args = d.args[:lo]
 				return nil, err
 			}
-			args = append(args, a)
+			d.args = append(d.args, a)
+		}
+		var args []jimple.Value
+		if na > 0 {
+			args = d.values.take(na)
+			copy(args, d.args[lo:])
+			d.args = d.args[:lo]
 		}
 		return jimple.InvokeExpr{Kind: jimple.InvokeKind(kind), Base: base, Callee: callee, Args: args}, nil
 	case tagBin:

@@ -2,6 +2,7 @@ package dex
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +159,36 @@ func TestEncodeSizeReasonable(t *testing.T) {
 	// The pooled binary form should not balloon beyond the text form.
 	if len(data) > 2*text {
 		t.Errorf("encoding suspiciously large: %d bytes vs %d text", len(data), text)
+	}
+}
+
+// TestDecodeForgedArgCountsBounded: a chain of nested invokes whose
+// argument counts are forged fails to decode, eagerly and through the
+// skim's fallback to the eager core, without allocating in proportion
+// to the forged counts. Presizing each level's arguments from its count
+// would hold about (bytes left) x 16 B per level of the chain at once.
+func TestDecodeForgedArgCountsBounded(t *testing.T) {
+	const depth, na = 3000, 16000
+	data := ForgedInvokeChain(t, depth, na)
+	if len(data) < na {
+		t.Fatalf("container of %d bytes cannot carry a count of %d", len(data), na)
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"Decode", func() error { _, err := Decode(data); return err }},
+		{"DecodeLazy", func() error { _, err := DecodeLazy(data); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a chain of forged argument counts", tc.name)
+		}
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)); got > limit {
+			t.Errorf("%s of a %d-byte container allocated %d B, want at most %d", tc.name, len(data), got, limit)
+		}
 	}
 }

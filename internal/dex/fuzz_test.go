@@ -49,6 +49,8 @@ func FuzzDecode(f *testing.F) {
 	flipped := bytes.Clone(seed)
 	flipped[len(flipped)/3] ^= 0xff
 	f.Add(flipped)
+	// Nested invokes with forged argument counts.
+	f.Add(dex.ForgedInvokeChain(f, 200, 1000))
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 

@@ -66,9 +66,11 @@ type Lazy struct {
 	// core accepted (a skim bug); their records come from the decoded
 	// body instead.
 	fallbacks int
-	// filler decodes members for fill. The program runs fill under its
-	// member lock, so one decoder, and its slabs, serves every class.
-	filler decoder
+	// dec decodes members for fill and bodies for Materialize. The
+	// program runs fill under its member lock, and Materialize runs
+	// before the program is shared, so one decoder, and its slabs, serves
+	// every class.
+	dec decoder
 }
 
 // classMembers locates one class in the container: its header, its field
@@ -120,7 +122,7 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
-	l.filler = decoder{data: data, pool: d.pool}
+	l.dec = decoder{data: data, pool: d.pool}
 	l.idx.finish()
 	l.materialized = make([]bool, len(l.idx.classes))
 	return l, nil
@@ -167,7 +169,7 @@ func exact[T any](s []T) []T {
 func (b *lazyBuild) begin(d *decoder, n int) *jimple.Program {
 	l := b.l
 	l.members = make([]classMembers, 0, n)
-	d.classes.free = make([]jimple.Class, n)
+	d.classes.reserve(n)
 	l.refs = make([]uint64, (len(d.pool)+63)/64)
 	if cap(b.poolName) < len(d.pool) {
 		b.poolName = make([]int32, len(d.pool))
@@ -258,7 +260,7 @@ func (l *Lazy) dropReplaced() {
 // error means they changed underneath.
 func (l *Lazy) fill(c *jimple.Class, slot int32) {
 	cm := l.members[slot]
-	d := &l.filler
+	d := &l.dec
 	d.pos = int(cm.fields)
 	err := d.fieldSection(c)
 	if hdrs := l.hdrs[cm.mlo:cm.mhi]; err == nil && len(hdrs) > 0 {
@@ -318,27 +320,54 @@ func (l *Lazy) EachRefClass(fn func(string)) {
 	})
 }
 
-// Materialize decodes the retained body spans of one class into the
-// program, idempotently. The spans were fully skimmed at DecodeLazy
+// Materialize decodes the retained body spans of the given classes into
+// the program, idempotently. The spans were fully skimmed at DecodeLazy
 // time, so an error here means the underlying bytes changed — callers may
 // treat it as impossible for data they own.
-func (l *Lazy) Materialize(class string) error {
+//
+// The bodies' slices and statement nodes are carved from slabs sized by
+// a first skim of the spans, which tallies their locals, statements and
+// traps, so one call takes one exact chunk of each, and a value naming a
+// pool string (a local, say) is boxed once per call: a caller with
+// several classes to decode passes them together. Should that skim fail
+// anyway, the slabs simply grow as the decode goes.
+func (l *Lazy) Materialize(classes ...string) error {
 	x := l.idx
-	slot, ok := x.ClassSlot(class)
-	if !ok || l.materialized[slot] {
-		return nil
-	}
-	l.materialized[slot] = true
-	c := x.classes[slot]
-	methods := x.prog.OwnClass(class).Methods
-	d := &decoder{data: x.src, pool: x.pool}
-	for _, r := range x.recs[c.lo:c.hi] {
-		err := d.toBody(r.hdr)
-		if err == nil {
-			err = d.body(methods[r.ord])
+	d := &l.dec
+	var n bodyCounts
+	for _, class := range classes {
+		slot, ok := x.ClassSlot(class)
+		if !ok || l.materialized[slot] {
+			continue
 		}
-		if err != nil {
-			return fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
+		c := x.classes[slot]
+		for _, r := range x.recs[c.lo:c.hi] {
+			if d.toBody(r.hdr) != nil {
+				break
+			}
+			if _, ok := d.skimBody(&n); !ok {
+				break
+			}
+		}
+	}
+	d.reserve(&n)
+	d.resetBoxes()
+	for _, class := range classes {
+		slot, ok := x.ClassSlot(class)
+		if !ok || l.materialized[slot] {
+			continue
+		}
+		l.materialized[slot] = true
+		c := x.classes[slot]
+		methods := x.prog.OwnClass(class).Methods
+		for _, r := range x.recs[c.lo:c.hi] {
+			err := d.toBody(r.hdr)
+			if err == nil {
+				err = d.body(methods[r.ord])
+			}
+			if err != nil {
+				return fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
+			}
 		}
 	}
 	return nil
@@ -363,12 +392,11 @@ func (l *Lazy) MaterializeAll() error {
 	if l == nil {
 		return nil
 	}
-	for _, c := range l.idx.classes {
-		if err := l.Materialize(c.name); err != nil {
-			return err
-		}
+	names := make([]string, len(l.idx.classes))
+	for i, c := range l.idx.classes {
+		names[i] = c.name
 	}
-	return nil
+	return l.Materialize(names...)
 }
 
 // skimMembers validates the field and method sections of class c, whose
@@ -466,7 +494,7 @@ func (d *decoder) lazyBody(name, ord, hdr int32) (empty bool, err error) {
 	start := d.pos
 	r := MethodRef{Name: d.nameOf(name), Class: int32(len(x.classes)), ord: ord, hdr: hdr}
 	r.calls.lo, r.intents.lo = int32(len(x.calls)), int32(len(x.intents))
-	empty, ok := d.skimBody()
+	empty, ok := d.skimBody(nil)
 	if ok && !empty {
 		for _, t := range b.locals {
 			l.markRef(t)
@@ -561,14 +589,19 @@ func (d *decoder) skimRef() (int32, bool) {
 // in the same order, but keeps only the record's calls and intents, and
 // its local types in the build's scratch. empty reports whether the
 // section holds zero statements (the empty-body normalization case); ok
-// whether every check passed.
-func (d *decoder) skimBody() (empty, ok bool) {
+// whether every check passed. On a decoder without a lazy build it keeps
+// nothing and instead adds the section's counts to n (see bodyCounts).
+func (d *decoder) skimBody(n *bodyCounts) (empty, ok bool) {
 	b := d.lazy
 	nl, ok := d.skimCount()
 	if !ok {
 		return false, false
 	}
-	b.locals = b.locals[:0]
+	if b != nil {
+		b.locals = b.locals[:0]
+	} else {
+		n.locals += nl
+	}
 	for i := 0; i < nl; i++ {
 		if _, ok := d.skimRef(); !ok { // name
 			return false, false
@@ -577,20 +610,29 @@ func (d *decoder) skimBody() (empty, ok bool) {
 		if !ok {
 			return false, false
 		}
-		b.locals = append(b.locals, t)
+		if b != nil {
+			b.locals = append(b.locals, t)
+		}
 	}
 	ns, ok := d.skimCount()
 	if !ok {
 		return false, false
 	}
 	for i := 0; i < ns; i++ {
-		if !d.skimStmt() {
+		if b == nil && d.pos < len(d.data) && d.data[d.pos] < byte(len(n.ops)) {
+			n.ops[d.data[d.pos]]++
+		}
+		if !d.skimStmt(b != nil) {
 			return false, false
 		}
 	}
 	nt, ok := d.skimCount()
 	if !ok {
 		return false, false
+	}
+	if b == nil {
+		n.stmts += ns
+		n.traps += nt
 	}
 	for i := 0; i < nt; i++ {
 		for j := 0; j < 3; j++ { // begin, end, handler
@@ -605,7 +647,9 @@ func (d *decoder) skimBody() (empty, ok bool) {
 	return ns == 0, true
 }
 
-func (d *decoder) skimStmt() bool {
+// skimStmt skims one statement; top is skimValue's, for the statement's
+// own call.
+func (d *decoder) skimStmt(top bool) bool {
 	op, ok := d.skimByte()
 	if !ok {
 		return false
@@ -618,10 +662,10 @@ func (d *decoder) skimStmt() bool {
 		if !ok || lhs != tagLocal && lhs != tagFieldRef {
 			return false
 		}
-		_, _, ok = d.skimValue(true)
+		_, _, ok = d.skimValue(top)
 		return ok
 	case opInvoke:
-		tag, _, ok := d.skimValue(true)
+		tag, _, ok := d.skimValue(top)
 		return ok && tag == tagInvoke
 	case opIf:
 		if _, _, ok := d.skimValue(false); !ok {

@@ -545,6 +545,9 @@ class t.Later extends java.lang.Object {
   method abstract run()void
 }`))
 	f.Add(bytes.ReplaceAll(repeated, []byte("t.Later"), []byte("t.First")))
+	// Nested invokes with forged argument counts: the skim rejects them
+	// and the eager core, run over the span, fails the same way.
+	f.Add(dex.ForgedInvokeChain(f, 200, 1000))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, lazyErr := dex.DecodeLazy(data)

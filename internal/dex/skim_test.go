@@ -1,6 +1,7 @@
 package dex
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"testing"
@@ -22,6 +23,48 @@ func EveryOpProgram(t testing.TB) *jimple.Program {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// ForgedInvokeChain returns a container whose one body is a chain of
+// depth nested static invokes, each claiming na arguments but holding
+// only the next invoke, the innermost a null: every byte up to the
+// innermost argument is well formed, so a decode fails only after it has
+// descended the whole chain. It is exported for the package's external
+// tests.
+func ForgedInvokeChain(t testing.TB, depth, na int) []byte {
+	t.Helper()
+	prog := jimple.MustParse(`class t.C extends java.lang.Object {
+  method static f(java.lang.Object)void {
+    staticinvoke t.C.f(java.lang.Object)void null
+    return
+  }
+}`)
+	call := prog.OwnClass("t.C").Methods[0].Body[0].(*jimple.InvokeStmt).Call
+	data := Encode(prog)
+	collect := newCollector()
+	collect.class(prog.OwnClass("t.C"))
+	e := &encoder{strings: make(map[string]uint64)}
+	for i, s := range collect.sorted() {
+		e.strings[s] = uint64(i)
+	}
+	e.value(call)
+	whole := e.buf
+	at := bytes.Index(data, whole)
+	if at < 0 || bytes.Contains(data[at+1:], whole) {
+		t.Fatalf("the invoke's encoding is not unique in the container")
+	}
+	// One level is the invoke's encoding up to its argument count.
+	e.buf = nil
+	call.Args = nil
+	e.value(call)
+	hdr := e.buf[:len(e.buf)-1]
+	out := bytes.Clone(data[:at])
+	for range depth {
+		out = append(out, hdr...)
+		out = binary.AppendUvarint(out, uint64(na))
+	}
+	out = append(out, whole[len(hdr)+1:]...) // the null argument
+	return append(out, data[at+len(whole):]...)
 }
 
 // TestUvarintMatchesBinary: the skim's uvarint reader accepts exactly

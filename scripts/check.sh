@@ -172,10 +172,11 @@ done
 echo "== padded-scale bench smoke =="
 # One iteration per cell keeps the gate fast while proving the three
 # BenchmarkScanPadded{1x,10x,100x} cells, the large-apps open and
-# byte-scan harness (BenchmarkOpenPadded, BenchmarkScanBytesPadded), and
-# the corpus byte scan and per-scan call graph (BenchmarkScanBytesCorpus,
-# BenchmarkCallGraphOverlay) still run.
-go test -run='^$' -bench='^Benchmark(ScanPadded|OpenPadded$|ScanBytesPadded$|ScanBytesCorpus$|CallGraphOverlay$)' -benchtime=1x -timeout 10m .
+# byte-scan harness (BenchmarkOpenPadded, BenchmarkScanBytesPadded), the
+# corpus byte scan and per-scan call graph (BenchmarkScanBytesCorpus,
+# BenchmarkCallGraphOverlay), and the per-method body and kernel layer
+# (BenchmarkMethodKernelsCorpus) still run.
+go test -run='^$' -bench='^Benchmark(ScanPadded|OpenPadded$|ScanBytesPadded$|ScanBytesCorpus$|CallGraphOverlay$|MethodKernelsCorpus$)' -benchtime=1x -timeout 10m .
 
 echo "== cold-scan allocation smoke =="
 # Regenerates BENCH_cold.json's smoke section (-short scans the first
