@@ -1,9 +1,9 @@
 // Package cachestore is NChecker's persistent, content-addressed scan
-// cache: an on-disk store of serialized scan results and per-class taint
-// summaries, keyed by SHA-256 over the inputs that determine them (the
-// app's container bytes, the apimodel registry fingerprint, the engine
-// version, and the analysis options — see internal/checkers/cache.go for
-// the key anatomy and DESIGN.md §7 for the invalidation rules).
+// cache: an on-disk store of serialized whole-app scan results, keyed by
+// SHA-256 over the inputs that determine them (the app's container
+// bytes, the apimodel registry fingerprint, the engine version, and the
+// analysis options — see internal/checkers/cache.go for the key anatomy
+// and DESIGN.md §7 for the invalidation rules).
 //
 // The store is crash-safe and self-healing by construction:
 //
@@ -37,15 +37,12 @@ import (
 	"time"
 )
 
-// Entry kinds: the first byte of a Key and of the entry envelope. A key's
-// kind is part of its filename, so result and summary entries can never
-// shadow each other even under a hash collision across kinds.
-const (
-	// KindResult is a whole-app scan result (ResultEntry).
-	KindResult byte = 'r'
-	// KindSummary is one app class's taint summaries (SummaryEntry).
-	KindSummary byte = 's'
-)
+// entryKind is the format's kind byte: the first byte of every entry
+// filename and the fifth of every envelope. The store holds one kind of
+// entry (a whole-app ResultEntry); files of any other kind — the
+// per-class summary entries ('s') of earlier engines — are never read,
+// fail ParseFilename and DecodeEntry, and age out through LRU eviction.
+const entryKind byte = 'r'
 
 // DefaultMaxBytes is the default LRU size bound (256 MiB).
 const DefaultMaxBytes int64 = 256 << 20
@@ -54,18 +51,17 @@ const DefaultMaxBytes int64 = 256 << 20
 // crashed writer's leftovers are invisible to Get and to the LRU scan.
 const entryExt = ".nce"
 
-// Key addresses one cache entry: an entry kind plus a SHA-256 over the
-// entry's identity parts.
+// Key addresses one cache entry: a SHA-256 over the entry's identity
+// parts.
 type Key struct {
-	Kind byte
-	Sum  [sha256.Size]byte
+	Sum [sha256.Size]byte
 }
 
 // NewKey hashes the parts (length-prefixed, so part boundaries are
-// unambiguous) into a key of the given kind. Flipping any single part —
-// app bytes, registry fingerprint, engine version, options — yields a
-// different key, which is the store's entire invalidation story.
-func NewKey(kind byte, parts ...[]byte) Key {
+// unambiguous) into a key. Flipping any single part — app bytes, registry
+// fingerprint, engine version, options — yields a different key, which is
+// the store's entire invalidation story.
+func NewKey(parts ...[]byte) Key {
 	h := sha256.New()
 	var lenBuf [8]byte
 	for _, p := range parts {
@@ -73,14 +69,14 @@ func NewKey(kind byte, parts ...[]byte) Key {
 		h.Write(lenBuf[:])
 		h.Write(p)
 	}
-	k := Key{Kind: kind}
+	var k Key
 	h.Sum(k.Sum[:0])
 	return k
 }
 
 // Filename is the entry's on-disk name within the store directory.
 func (k Key) Filename() string {
-	return fmt.Sprintf("%c-%x%s", k.Kind, k.Sum, entryExt)
+	return fmt.Sprintf("%c-%x%s", entryKind, k.Sum, entryExt)
 }
 
 // GetStatus classifies a Get outcome.
@@ -92,7 +88,7 @@ const (
 	// StatusHit: the entry decoded and checksummed clean.
 	StatusHit
 	// StatusCorrupt: an entry existed but failed envelope validation
-	// (truncated writer crash, bit rot, kind mismatch). The file has been
+	// (truncated writer crash, bit rot, foreign kind). The file has been
 	// removed; the caller should treat it as a miss and rescan cold.
 	StatusCorrupt
 )
@@ -209,8 +205,8 @@ func (s *Store) Get(key Key) ([]byte, GetStatus) {
 	if err != nil {
 		return s.getRemote(key)
 	}
-	kind, payload, err := DecodeEntry(data)
-	if err != nil || kind != key.Kind {
+	payload, err := DecodeEntry(data)
+	if err != nil {
 		// Corruption detection: a truncated or damaged entry must never
 		// surface as a result. Remove it so the next Put heals the slot.
 		os.Remove(path)
@@ -236,8 +232,8 @@ func (s *Store) getRemote(key Key) ([]byte, GetStatus) {
 	if data == nil {
 		return nil, StatusMiss
 	}
-	kind, payload, err := DecodeEntry(data)
-	if err != nil || kind != key.Kind {
+	payload, err := DecodeEntry(data)
+	if err != nil {
 		// A damaged or mismatched transfer must never surface as a hit,
 		// and must not be committed.
 		return nil, StatusMiss
@@ -258,7 +254,7 @@ func (s *Store) getRemote(key Key) ([]byte, GetStatus) {
 // everything else. With a Replicator wired, a committed entry is also
 // pushed to the remote side (best-effort) so peers can hit it.
 func (s *Store) Put(key Key, payload []byte) (evicted int, err error) {
-	data := EncodeEntry(key.Kind, payload)
+	data := EncodeEntry(payload)
 	evicted, err = s.commitRaw(key, data)
 	if err == nil {
 		if r := s.replicator(); r != nil {
@@ -298,8 +294,13 @@ func (s *Store) commitRaw(key Key, data []byte) (evicted int, err error) {
 	// The first commit pays for one directory scan (pre-existing entries
 	// plus crashed writers' stale temp files); after that Put is O(1) and
 	// the full LRU scan only runs when the running total crosses the
-	// bound.
-	s.usedInit.Do(func() { s.evict() })
+	// bound. The first scan already counts this commit, so it reports its
+	// own evictions instead of adding the entry a second time.
+	first := false
+	s.usedInit.Do(func() { evicted, first = s.evict(), true })
+	if first {
+		return evicted, nil
+	}
 	if s.used.Add(int64(len(data))) > s.maxBytes {
 		return s.evict(), nil
 	}

@@ -21,7 +21,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
-	key := NewKey(KindResult, []byte("app"), []byte("reg"), []byte("v1"))
+	key := NewKey([]byte("app"), []byte("reg"), []byte("v1"))
 	payload := []byte("hello cached world")
 
 	if _, status := s.Get(key); status != StatusMiss {
@@ -70,7 +70,7 @@ func TestKeyInvalidation(t *testing.T) {
 	}
 
 	s := mustOpen(t, t.TempDir(), Options{})
-	baseKey := NewKey(KindResult, base[0], base[1], base[2], base[3])
+	baseKey := NewKey(base[0], base[1], base[2], base[3])
 	if _, err := s.Put(baseKey, []byte("cached result")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestKeyInvalidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			parts := base
 			parts[tc.flip] = tc.with
-			k := NewKey(KindResult, parts[0], parts[1], parts[2], parts[3])
+			k := NewKey(parts[0], parts[1], parts[2], parts[3])
 			if k == baseKey {
 				t.Fatalf("flipped key equals base key")
 			}
@@ -87,17 +87,13 @@ func TestKeyInvalidation(t *testing.T) {
 			}
 		})
 	}
-	// The kind byte partitions the keyspace too.
-	if k := NewKey(KindSummary, base[0], base[1], base[2], base[3]); k == baseKey {
-		t.Fatalf("summary key equals result key for identical parts")
-	}
 }
 
 // TestKeyPartBoundaries: the length-prefixed part hashing must keep
 // ("ab","c") distinct from ("a","bc") — concatenation alone would not.
 func TestKeyPartBoundaries(t *testing.T) {
-	k1 := NewKey(KindResult, []byte("ab"), []byte("c"))
-	k2 := NewKey(KindResult, []byte("a"), []byte("bc"))
+	k1 := NewKey([]byte("ab"), []byte("c"))
+	k2 := NewKey([]byte("a"), []byte("bc"))
 	if k1 == k2 {
 		t.Fatalf("part boundaries not keyed: (ab,c) and (a,bc) collide")
 	}
@@ -106,7 +102,7 @@ func TestKeyPartBoundaries(t *testing.T) {
 func TestCorruptEntryDetectedAndHealed(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
-	key := NewKey(KindResult, []byte("app"))
+	key := NewKey([]byte("app"))
 	if _, err := s.Put(key, []byte("some serialized result")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -163,29 +159,92 @@ func writeRaw(t *testing.T, path string, data []byte) {
 }
 
 // TestKindMismatchIsCorrupt: an entry stored under a result key but
-// carrying a summary envelope (or vice versa) is corruption.
+// carrying an envelope of the retired summary kind is corruption.
 func TestKindMismatchIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
-	key := NewKey(KindResult, []byte("app"))
-	// Forge a valid summary-kind envelope at the result key's path.
-	writeRaw(t, filepath.Join(dir, key.Filename()), EncodeEntry(KindSummary, []byte("payload")))
+	key := NewKey([]byte("app"))
+	writeRaw(t, filepath.Join(dir, key.Filename()), summaryEnvelope([]byte("payload")))
 	if _, status := s.Get(key); status != StatusCorrupt {
 		t.Fatalf("Get on kind-mismatched entry = %v, want corrupt", status)
+	}
+}
+
+// TestSummaryFilesFromEarlierEngines: a directory filled by an engine
+// that also stored per-class summary entries holds s-<hex>.nce files.
+// The store never reads them — no key maps to their names, and the hub
+// surface refuses them — yet they count toward MaxBytes and LRU
+// eviction removes them like any other entry.
+func TestSummaryFilesFromEarlierEngines(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte("x"), 1000)
+	entrySize := int64(len(EncodeEntry(payload)))
+	old := time.Now().Add(-time.Hour)
+	var names []string
+	for i := 0; i < 2; i++ {
+		key := NewKey([]byte{byte('a' + i)})
+		name := "s" + key.Filename()[1:]
+		path := filepath.Join(dir, name)
+		writeRaw(t, path, summaryEnvelope(payload))
+		mt := old.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(path, mt, mt); err != nil {
+			t.Fatalf("chtimes: %v", err)
+		}
+		names = append(names, name)
+	}
+	// Room for the two summary files or for one of them plus a result
+	// entry, never for all three.
+	s := mustOpen(t, dir, Options{MaxBytes: 2*entrySize + entrySize/2})
+
+	for i, name := range names {
+		if _, ok := ParseFilename(name); ok {
+			t.Errorf("ParseFilename accepted %q", name)
+		}
+		if _, ok := s.GetEnvelope(name); ok {
+			t.Errorf("GetEnvelope served %q", name)
+		}
+		// A key with the same hash names the result file, not this one.
+		if _, status := s.Get(NewKey([]byte{byte('a' + i)})); status != StatusMiss {
+			t.Errorf("Get over %q = %v, want miss", name, status)
+		}
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("%s removed by a read: %v", name, err)
+		}
+		if !info.ModTime().Equal(old.Add(time.Duration(i) * time.Minute)) {
+			t.Errorf("%s: mtime refreshed by a read", name)
+		}
+	}
+
+	evicted, err := s.Put(NewKey([]byte("app")), payload)
+	if err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if evicted != 1 {
+		t.Fatalf("Put evicted %d entries, want 1 (the older summary file)", evicted)
+	}
+	if _, err := os.Stat(filepath.Join(dir, names[0])); !os.IsNotExist(err) {
+		t.Errorf("LRU victim %s still on disk", names[0])
+	}
+	if _, err := os.Stat(filepath.Join(dir, names[1])); err != nil {
+		t.Errorf("newer summary file evicted: %v", err)
+	}
+	if _, status := s.Get(NewKey([]byte("app"))); status != StatusHit {
+		t.Errorf("result entry = %v, want hit", status)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 1000)
-	entrySize := int64(len(EncodeEntry(KindResult, payload)))
+	entrySize := int64(len(EncodeEntry(payload)))
 	// Room for 3 entries, not 4.
 	s := mustOpen(t, dir, Options{MaxBytes: 3*entrySize + entrySize/2})
 
 	keys := make([]Key, 4)
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 3; i++ {
-		keys[i] = NewKey(KindResult, []byte{byte('a' + i)})
+		keys[i] = NewKey([]byte{byte('a' + i)})
 		if _, err := s.Put(keys[i], payload); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
@@ -200,7 +259,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("Get keys[0] = %v, want hit", status)
 	}
 
-	keys[3] = NewKey(KindResult, []byte{'d'})
+	keys[3] = NewKey([]byte{'d'})
 	evicted, err := s.Put(keys[3], payload)
 	if err != nil {
 		t.Fatalf("Put over budget: %v", err)
@@ -223,7 +282,7 @@ func TestLRUEviction(t *testing.T) {
 // itself).
 func TestOversizedPayloadSkipped(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{MaxBytes: 128})
-	key := NewKey(KindResult, []byte("big"))
+	key := NewKey([]byte("big"))
 	if _, err := s.Put(key, bytes.Repeat([]byte("x"), 4096)); err != nil {
 		t.Fatalf("Put oversized: %v", err)
 	}
@@ -272,7 +331,7 @@ func TestStaleTempSweep(t *testing.T) {
 	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatalf("chtimes: %v", err)
 	}
-	if _, err := s.Put(NewKey(KindResult, []byte("k")), []byte("v")); err != nil {
+	if _, err := s.Put(NewKey([]byte("k")), []byte("v")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -293,7 +352,7 @@ func TestStaleTempSweep(t *testing.T) {
 func TestHotEntrySurvivesCoarseMtimeEviction(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 1000)
-	entrySize := int64(len(EncodeEntry(KindResult, payload)))
+	entrySize := int64(len(EncodeEntry(payload)))
 	s := mustOpen(t, dir, Options{MaxBytes: 3*entrySize + entrySize/2})
 
 	// Three keys, Put in lexical filename order so the hot entry (the
@@ -302,7 +361,7 @@ func TestHotEntrySurvivesCoarseMtimeEviction(t *testing.T) {
 	// touch-on-Get.
 	keys := make([]Key, 3)
 	for i := range keys {
-		keys[i] = NewKey(KindResult, []byte{byte('a' + i)})
+		keys[i] = NewKey([]byte{byte('a' + i)})
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Filename() < keys[j].Filename() })
 	for i, k := range keys {
@@ -330,7 +389,7 @@ func TestHotEntrySurvivesCoarseMtimeEviction(t *testing.T) {
 
 	// A fourth Put overflows the budget and must evict a cold entry, not
 	// the hot one.
-	if _, err := s.Put(NewKey(KindResult, []byte("fresh")), payload); err != nil {
+	if _, err := s.Put(NewKey([]byte("fresh")), payload); err != nil {
 		t.Fatalf("Put over budget: %v", err)
 	}
 	if _, status := s.Get(hot); status != StatusHit {
@@ -353,14 +412,14 @@ func TestHotEntrySurvivesCoarseMtimeEviction(t *testing.T) {
 func TestEvictionTieBreakDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("y"), 1000)
-	raw := EncodeEntry(KindResult, payload)
+	raw := EncodeEntry(payload)
 	entrySize := int64(len(raw))
 
 	// Three committed entries written behind the store's back: no overlay
 	// recency, identical mtimes.
 	keys := make([]Key, 3)
 	for i := range keys {
-		keys[i] = NewKey(KindResult, []byte{byte('p' + i)})
+		keys[i] = NewKey([]byte{byte('p' + i)})
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Filename() < keys[j].Filename() })
 	tick := time.Now().Add(-time.Hour).Truncate(time.Second)
@@ -376,7 +435,7 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 	// by the first Put must remove exactly the lexically-smallest old
 	// entry.
 	s := mustOpen(t, dir, Options{MaxBytes: 3*entrySize + entrySize/2})
-	if _, err := s.Put(NewKey(KindResult, []byte("new")), payload); err != nil {
+	if _, err := s.Put(NewKey([]byte("new")), payload); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if _, status := s.Get(keys[0]); status != StatusMiss {
@@ -390,8 +449,11 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 }
 
 func TestFilenameShape(t *testing.T) {
-	k := NewKey(KindSummary, []byte("x"))
+	k := NewKey([]byte("x"))
 	name := k.Filename()
+	if name[:2] != "r-" {
+		t.Fatalf("Filename %q does not start with the result kind", name)
+	}
 	if filepath.Base(name) != name {
 		t.Fatalf("Filename %q contains path separators", name)
 	}

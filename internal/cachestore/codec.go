@@ -10,12 +10,11 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
-	"repro/internal/dataflow"
 	"repro/internal/jimple"
 	"repro/internal/report"
 )
 
-// The entry envelope and the two payload codecs. Entries are untrusted
+// The entry envelope and the result payload codec. Entries are untrusted
 // input (any process can write to the cache directory, and crashed
 // writers can truncate files mid-entry), so decoding is defensive end to
 // end: a checksummed envelope rejects damage cheaply, and the payload
@@ -26,6 +25,9 @@ import (
 // Wire format (envelope):
 //
 //	magic "NCC1" | kind byte | payload length u32 LE | sha256(payload) | payload
+//
+// The kind byte is always entryKind; envelopes carrying any other kind
+// (the per-class summary entries of earlier engines) decode as corrupt.
 //
 // Payload values use uvarint/varint primitives; strings and slices are
 // count-prefixed. The format carries the codec version in the magic: any
@@ -42,38 +44,34 @@ const maxPayload = 1 << 28
 var errCorrupt = errors.New("cachestore: corrupt entry")
 
 // EncodeEntry wraps a payload in the checksummed envelope.
-func EncodeEntry(kind byte, payload []byte) []byte {
+func EncodeEntry(payload []byte) []byte {
 	out := make([]byte, 0, envelopeOverhead+len(payload))
 	out = append(out, entryMagic...)
-	out = append(out, kind)
+	out = append(out, entryKind)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
 	sum := sha256.Sum256(payload)
 	out = append(out, sum[:]...)
 	return append(out, payload...)
 }
 
-// DecodeEntry validates the envelope and returns the entry kind and
-// payload. Truncation, trailing garbage, a checksum mismatch, or an
-// unknown format all return an error — the caller treats the entry as
-// corrupt.
-func DecodeEntry(data []byte) (kind byte, payload []byte, err error) {
-	if len(data) < envelopeOverhead || string(data[:4]) != string(entryMagic) {
-		return 0, nil, errCorrupt
-	}
-	kind = data[4]
-	if kind != KindResult && kind != KindSummary {
-		return 0, nil, errCorrupt
+// DecodeEntry validates the envelope and returns its payload.
+// Truncation, trailing garbage, a checksum mismatch, another entry kind,
+// or an unknown format all return an error — the caller treats the entry
+// as corrupt.
+func DecodeEntry(data []byte) (payload []byte, err error) {
+	if len(data) < envelopeOverhead || string(data[:4]) != string(entryMagic) || data[4] != entryKind {
+		return nil, errCorrupt
 	}
 	n := binary.LittleEndian.Uint32(data[5:])
 	if n > maxPayload || envelopeOverhead+int(n) != len(data) {
-		return 0, nil, errCorrupt
+		return nil, errCorrupt
 	}
 	payload = data[envelopeOverhead:]
 	sum := sha256.Sum256(payload)
 	if subtle.ConstantTimeCompare(sum[:], data[9:9+sha256.Size]) != 1 {
-		return 0, nil, errCorrupt
+		return nil, errCorrupt
 	}
-	return kind, payload, nil
+	return payload, nil
 }
 
 // ResultEntry is a whole-app scan result as cached: the reports verbatim,
@@ -88,20 +86,8 @@ type ResultEntry struct {
 	Libs       []string
 }
 
-// MethodSummary pairs one method's signature key with its taint summary.
-type MethodSummary struct {
-	Key     string
-	Summary *dataflow.TaintSummary
-}
-
-// SummaryEntry is one app class's taint summaries, keyed by method.
-type SummaryEntry struct {
-	Class   string
-	Methods []MethodSummary
-}
-
-// EncodeResultEntry serializes a result payload (wrap with EncodeEntry
-// under KindResult before storing).
+// EncodeResultEntry serializes a result payload (Store.Put wraps it in
+// the envelope).
 func EncodeResultEntry(e *ResultEntry) []byte {
 	w := newWriter()
 	w.uvarint(uint64(e.AppMethods))
@@ -144,34 +130,6 @@ func DecodeResultEntry(payload []byte) (*ResultEntry, error) {
 		e.Libs = make([]string, n)
 		for i := range e.Libs {
 			e.Libs[i] = r.str()
-		}
-	}
-	return e, r.finish()
-}
-
-// EncodeSummaryEntry serializes a class-summary payload (wrap with
-// EncodeEntry under KindSummary before storing). Every MethodSummary must
-// carry a non-nil Summary.
-func EncodeSummaryEntry(e *SummaryEntry) []byte {
-	w := newWriter()
-	w.str(e.Class)
-	w.uvarint(uint64(len(e.Methods)))
-	for i := range e.Methods {
-		w.str(e.Methods[i].Key)
-		w.summary(e.Methods[i].Summary)
-	}
-	return w.buf
-}
-
-// DecodeSummaryEntry parses a class-summary payload.
-func DecodeSummaryEntry(payload []byte) (*SummaryEntry, error) {
-	r := &reader{buf: payload}
-	e := &SummaryEntry{Class: r.str()}
-	if n := r.sliceLen(); n > 0 {
-		e.Methods = make([]MethodSummary, n)
-		for i := range e.Methods {
-			e.Methods[i].Key = r.str()
-			e.Methods[i].Summary = r.summary()
 		}
 	}
 	return e, r.finish()
@@ -235,34 +193,6 @@ func (w *writer) reportValue(r *report.Report) {
 	w.boolean(r.DefaultCaused)
 	w.str(r.Validation)
 	w.str(r.ValidationNote)
-}
-
-func (w *writer) calls(cs []dataflow.SummaryCall) {
-	w.uvarint(uint64(len(cs)))
-	for i := range cs {
-		w.sig(cs[i].Callee)
-		w.uvarint(uint64(len(cs[i].Args)))
-		for _, a := range cs[i].Args {
-			w.boolean(a.Known)
-			w.varint(a.V)
-		}
-	}
-}
-
-func (w *writer) summary(s *dataflow.TaintSummary) {
-	w.uvarint(uint64(s.Inputs))
-	w.uvarint(s.RetFrom)
-	w.uvarint(s.Escapes)
-	w.uvarint(s.Uses)
-	w.uvarint(s.ValidatedAllPaths)
-	w.uvarint(s.UncheckedUse)
-	for _, m := range s.StateFrom {
-		w.uvarint(m)
-	}
-	for _, cs := range s.CallsOn {
-		w.calls(cs)
-	}
-	w.calls(s.CallsOnRet)
 }
 
 // --- reader -----------------------------------------------------------------
@@ -406,52 +336,4 @@ func (r *reader) reportValue(out *report.Report) {
 	out.DefaultCaused = r.boolean()
 	out.Validation = r.str()
 	out.ValidationNote = r.str()
-}
-
-func (r *reader) calls() []dataflow.SummaryCall {
-	n := r.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	out := make([]dataflow.SummaryCall, n)
-	for i := range out {
-		out[i].Callee = r.sig()
-		if na := r.sliceLen(); na > 0 {
-			out[i].Args = make([]dataflow.SummaryArg, na)
-			for j := range out[i].Args {
-				out[i].Args[j].Known = r.boolean()
-				out[i].Args[j].V = r.varint()
-			}
-		}
-	}
-	return out
-}
-
-// maxSummaryInputs mirrors dataflow's bound: Inputs beyond it cannot come
-// from a real summary, so larger values are corruption.
-const maxSummaryInputs = 64
-
-func (r *reader) summary() *dataflow.TaintSummary {
-	s := &dataflow.TaintSummary{Inputs: r.count()}
-	if s.Inputs > maxSummaryInputs {
-		r.fail("summary inputs")
-		return s
-	}
-	s.RetFrom = r.uvarint()
-	s.Escapes = r.uvarint()
-	s.Uses = r.uvarint()
-	s.ValidatedAllPaths = r.uvarint()
-	s.UncheckedUse = r.uvarint()
-	if s.Inputs > 0 {
-		s.StateFrom = make([]uint64, s.Inputs)
-		for i := range s.StateFrom {
-			s.StateFrom[i] = r.uvarint()
-		}
-		s.CallsOn = make([][]dataflow.SummaryCall, s.Inputs)
-		for i := range s.CallsOn {
-			s.CallsOn[i] = r.calls()
-		}
-	}
-	s.CallsOnRet = r.calls()
-	return s
 }

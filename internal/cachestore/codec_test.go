@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
-	"repro/internal/dataflow"
 	"repro/internal/jimple"
 	"repro/internal/report"
 )
@@ -71,47 +70,12 @@ func randResultEntry(rng *rand.Rand) *ResultEntry {
 	return e
 }
 
-func randCalls(rng *rand.Rand) []dataflow.SummaryCall {
-	var out []dataflow.SummaryCall
-	for i := rng.Intn(3); i > 0; i-- {
-		c := dataflow.SummaryCall{Callee: randSig(rng)}
-		for j := rng.Intn(3); j > 0; j-- {
-			c.Args = append(c.Args, dataflow.SummaryArg{Known: rng.Intn(2) == 1, V: rng.Int63n(1000) - 500})
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-func randSummary(rng *rand.Rand) *dataflow.TaintSummary {
-	// Mirror dataflow's invariant: StateFrom and CallsOn are allocated to
-	// exactly Inputs elements.
-	inputs := rng.Intn(6)
-	s := &dataflow.TaintSummary{
-		Inputs:            inputs,
-		RetFrom:           rng.Uint64() >> 32,
-		Escapes:           rng.Uint64() >> 32,
-		Uses:              rng.Uint64() >> 32,
-		ValidatedAllPaths: rng.Uint64() >> 32,
-		UncheckedUse:      rng.Uint64() >> 32,
-		CallsOnRet:        randCalls(rng),
-	}
-	if inputs > 0 {
-		s.StateFrom = make([]uint64, inputs)
-		s.CallsOn = make([][]dataflow.SummaryCall, inputs)
-		for i := 0; i < inputs; i++ {
-			s.StateFrom[i] = rng.Uint64() >> 32
-			s.CallsOn[i] = randCalls(rng)
-		}
-	}
-	return s
-}
-
-func randSummaryEntry(rng *rand.Rand) *SummaryEntry {
-	e := &SummaryEntry{Class: randString(rng, 24)}
-	for i := rng.Intn(4); i > 0; i-- {
-		e.Methods = append(e.Methods, MethodSummary{Key: randString(rng, 30), Summary: randSummary(rng)})
-	}
+// summaryEnvelope returns a well-formed envelope of the per-class
+// summary kind ('s') the store held before it kept only result entries:
+// magic, length and checksum all valid, only the kind byte foreign.
+func summaryEnvelope(payload []byte) []byte {
+	e := EncodeEntry(payload)
+	e[4] = 's'
 	return e
 }
 
@@ -132,51 +96,37 @@ func TestResultEntryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSummaryEntryRoundTrip: same property for class-summary entries.
-func TestSummaryEntryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2017))
-	for i := 0; i < 300; i++ {
-		e := randSummaryEntry(rng)
-		got, err := DecodeSummaryEntry(EncodeSummaryEntry(e))
-		if err != nil {
-			t.Fatalf("iter %d: decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, e) {
-			t.Fatalf("iter %d: round-trip mismatch:\n got %+v\nwant %+v", i, got, e)
-		}
-	}
-}
-
 // TestEnvelopeRejectsEveryBitFlip: the checksummed envelope makes single
 // bit flips anywhere in the entry — header or payload — decode errors,
 // never silent garbage.
 func TestEnvelopeRejectsEveryBitFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2018))
 	payload := EncodeResultEntry(randResultEntry(rng))
-	entry := EncodeEntry(KindResult, payload)
+	entry := EncodeEntry(payload)
 	for pos := 0; pos < len(entry); pos++ {
 		for _, mask := range []byte{0x01, 0x80} {
 			mangled := append([]byte(nil), entry...)
 			mangled[pos] ^= mask
-			kind, got, err := DecodeEntry(mangled)
-			if err == nil {
-				// The kind byte has two valid values; a flip that lands on
-				// the other valid kind passes the envelope but must then be
-				// rejected by the caller's kind check.
-				if pos == 4 && kind != KindResult {
-					continue
-				}
-				t.Fatalf("bit flip at %d (mask %#x) decoded: kind=%c payload=%d bytes", pos, mask, kind, len(got))
+			if got, err := DecodeEntry(mangled); err == nil {
+				t.Fatalf("bit flip at %d (mask %#x) decoded: payload=%d bytes", pos, mask, len(got))
 			}
 		}
 	}
 }
 
+// TestEnvelopeRejectsSummaryKind: an envelope of the retired summary
+// kind is corrupt even though its checksum is intact.
+func TestEnvelopeRejectsSummaryKind(t *testing.T) {
+	if _, err := DecodeEntry(summaryEnvelope([]byte("summary payload bytes"))); err == nil {
+		t.Fatal("summary-kind envelope decoded")
+	}
+}
+
 // TestEnvelopeRejectsTruncation: every proper prefix fails to decode.
 func TestEnvelopeRejectsTruncation(t *testing.T) {
-	entry := EncodeEntry(KindSummary, []byte("summary payload bytes"))
+	entry := EncodeEntry([]byte("result payload bytes"))
 	for n := 0; n < len(entry); n++ {
-		if _, _, err := DecodeEntry(entry[:n]); err == nil {
+		if _, err := DecodeEntry(entry[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded", n, len(entry))
 		}
 	}

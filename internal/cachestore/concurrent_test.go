@@ -19,7 +19,7 @@ import (
 func TestConcurrentSharedSameDir(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("p"), 512)
-	entrySize := int64(len(EncodeEntry(KindResult, payload)))
+	entrySize := int64(len(EncodeEntry(payload)))
 	opts := Options{MaxBytes: 4 * entrySize} // room for ~4 of 8 keys: constant eviction
 	const goroutines = 16
 	const ops = 60
@@ -35,7 +35,7 @@ func TestConcurrentSharedSameDir(t *testing.T) {
 				return
 			}
 			for i := 0; i < ops; i++ {
-				key := NewKey(KindResult, []byte{byte((g + i) % 8)})
+				key := NewKey([]byte{byte((g + i) % 8)})
 				switch i % 4 {
 				case 0, 1:
 					if _, err := s.Put(key, payload); err != nil {
@@ -67,7 +67,7 @@ func TestConcurrentSharedSameDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shared: %v", err)
 	}
-	key := NewKey(KindResult, []byte("after"))
+	key := NewKey([]byte("after"))
 	if _, err := s.Put(key, payload); err != nil {
 		t.Fatalf("Put after storm: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestConcurrentSharedDistinctDirs(t *testing.T) {
 				return
 			}
 			for i := 0; i < 40; i++ {
-				key := NewKey(KindSummary, []byte(fmt.Sprintf("g%d-%d", g, i%5)))
+				key := NewKey([]byte(fmt.Sprintf("g%d-%d", g, i%5)))
 				if _, err := s.Put(key, payload); err != nil {
 					t.Errorf("Put: %v", err)
 					return
@@ -119,7 +119,7 @@ func TestConcurrentSharedDistinctDirs(t *testing.T) {
 func TestConcurrentEvictAndPut(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("e"), 512)
-	entrySize := int64(len(EncodeEntry(KindResult, payload)))
+	entrySize := int64(len(EncodeEntry(payload)))
 	s := mustOpen(t, dir, Options{MaxBytes: 2 * entrySize}) // 2-entry budget
 
 	var wg sync.WaitGroup
@@ -127,7 +127,7 @@ func TestConcurrentEvictAndPut(t *testing.T) {
 	go func() { // the evictor: unique keys, each Put overflows the budget
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			key := NewKey(KindResult, []byte(fmt.Sprintf("churn-%d", i)))
+			key := NewKey([]byte(fmt.Sprintf("churn-%d", i)))
 			if _, err := s.Put(key, payload); err != nil {
 				t.Errorf("churn Put: %v", err)
 				return
@@ -136,7 +136,7 @@ func TestConcurrentEvictAndPut(t *testing.T) {
 	}()
 	go func() { // the worker: one hot key, put + get
 		defer wg.Done()
-		key := NewKey(KindResult, []byte("hot"))
+		key := NewKey([]byte("hot"))
 		for i := 0; i < 100; i++ {
 			if _, err := s.Put(key, payload); err != nil {
 				t.Errorf("hot Put: %v", err)

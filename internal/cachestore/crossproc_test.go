@@ -32,7 +32,7 @@ const (
 var crossPayload = bytes.Repeat([]byte("x"), 512)
 
 // crossKey derives the same key in both processes from a string seed.
-func crossKey(seed string) Key { return NewKey(KindResult, []byte(seed)) }
+func crossKey(seed string) Key { return NewKey([]byte(seed)) }
 
 // TestCacheHelperProcess is not a test of its own: it is the child half
 // of the cross-process suite, selected via -test.run by the parents
@@ -142,7 +142,7 @@ func TestCrossProcessPutEvictChurn(t *testing.T) {
 		t.Skip("spawns child processes")
 	}
 	dir := t.TempDir()
-	entrySize := int64(len(EncodeEntry(KindResult, crossPayload)))
+	entrySize := int64(len(EncodeEntry(crossPayload)))
 	max := 6 * entrySize // room for ~6 entries: constant eviction on both sides
 	s := mustOpen(t, dir, Options{MaxBytes: max})
 

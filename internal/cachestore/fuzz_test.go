@@ -8,66 +8,52 @@ import (
 )
 
 // FuzzCacheEntry throws arbitrary bytes at the full decode path — the
-// envelope plus whichever payload codec the kind byte selects. Cache
-// entries are untrusted input (any process can write the cache
-// directory), so the properties are:
+// envelope plus the result payload codec. Cache entries are untrusted
+// input (any process can write the cache directory), so the properties
+// are:
 //
 //  1. decoding never panics, whatever the input;
-//  2. any entry that does decode re-encodes and re-decodes to the same
+//  2. only envelopes of the store's one kind decode — a summary entry
+//     left by an earlier engine never reaches a payload decoder;
+//  3. any entry that does decode re-encodes and re-decodes to the same
 //     value (decode∘encode is the identity on the codec's image, the
 //     canonical-form property the warm path's byte-identity rests on).
 func FuzzCacheEntry(f *testing.F) {
-	// Seed with well-formed entries of both kinds plus structured junk.
+	// Seed with well-formed result entries, envelopes of the retired
+	// summary kind, and structured junk.
 	rng := rand.New(rand.NewSource(2016))
-	f.Add(EncodeEntry(KindResult, EncodeResultEntry(randResultEntry(rng))))
-	f.Add(EncodeEntry(KindSummary, EncodeSummaryEntry(randSummaryEntry(rng))))
-	f.Add(EncodeEntry(KindResult, EncodeResultEntry(&ResultEntry{})))
-	f.Add(EncodeEntry(KindSummary, EncodeSummaryEntry(&SummaryEntry{Class: "a.B"})))
+	f.Add(EncodeEntry(EncodeResultEntry(randResultEntry(rng))))
+	f.Add(summaryEnvelope(EncodeResultEntry(randResultEntry(rng))))
+	f.Add(EncodeEntry(EncodeResultEntry(&ResultEntry{})))
+	f.Add(summaryEnvelope(nil))
 	f.Add([]byte("NCC1"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, payload, err := DecodeEntry(data)
+		payload, err := DecodeEntry(data)
 		if err != nil {
 			return
 		}
-		switch kind {
-		case KindResult:
-			e, err := DecodeResultEntry(payload)
-			if err != nil {
-				return
-			}
-			re := EncodeEntry(KindResult, EncodeResultEntry(e))
-			kind2, payload2, err := DecodeEntry(re)
-			if err != nil || kind2 != KindResult {
-				t.Fatalf("re-encoded result entry failed envelope decode: %v", err)
-			}
-			e2, err := DecodeResultEntry(payload2)
-			if err != nil {
-				t.Fatalf("re-encoded result entry failed payload decode: %v", err)
-			}
-			if !reflect.DeepEqual(e, e2) {
-				t.Fatalf("result entry not canonical:\n first %+v\nsecond %+v", e, e2)
-			}
-		case KindSummary:
-			e, err := DecodeSummaryEntry(payload)
-			if err != nil {
-				return
-			}
-			// Re-encoding requires the codec's documented precondition
-			// (StateFrom/CallsOn sized to Inputs); the decoder constructs
-			// exactly that shape, so the round trip is legal.
-			re := EncodeSummaryEntry(e)
-			e2, err := DecodeSummaryEntry(re)
-			if err != nil {
-				t.Fatalf("re-encoded summary entry failed decode: %v", err)
-			}
-			if !reflect.DeepEqual(e, e2) {
-				t.Fatalf("summary entry not canonical:\n first %+v\nsecond %+v", e, e2)
-			}
-			if !bytes.Equal(re, EncodeSummaryEntry(e2)) {
-				t.Fatalf("summary encoding not deterministic")
-			}
+		if data[4] != entryKind {
+			t.Fatalf("envelope of kind %q decoded", data[4])
+		}
+		e, err := DecodeResultEntry(payload)
+		if err != nil {
+			return
+		}
+		payload2, err := DecodeEntry(EncodeEntry(EncodeResultEntry(e)))
+		if err != nil {
+			t.Fatalf("re-encoded result entry failed envelope decode: %v", err)
+		}
+		e2, err := DecodeResultEntry(payload2)
+		if err != nil {
+			t.Fatalf("re-encoded result entry failed payload decode: %v", err)
+		}
+		if !reflect.DeepEqual(e, e2) {
+			t.Fatalf("result entry not canonical:\n first %+v\nsecond %+v", e, e2)
+		}
+		if !bytes.Equal(payload2, EncodeResultEntry(e2)) {
+			t.Fatalf("result encoding not deterministic")
 		}
 	})
 }

@@ -58,17 +58,13 @@ func ParseFilename(name string) (Key, bool) {
 	if len(name) != 2+2*len(k.Sum)+len(entryExt) || !strings.HasSuffix(name, entryExt) {
 		return k, false
 	}
-	if name[0] != KindResult && name[0] != KindSummary {
-		return k, false
-	}
-	if name[1] != '-' {
+	if name[0] != entryKind || name[1] != '-' {
 		return k, false
 	}
 	sum, err := hex.DecodeString(name[2 : 2+2*len(k.Sum)])
 	if err != nil {
 		return k, false
 	}
-	k.Kind = name[0]
 	copy(k.Sum[:], sum)
 	return k, true
 }
@@ -79,8 +75,7 @@ func ParseFilename(name string) (Key, bool) {
 // same healing Get performs) and the read refreshes hub LRU recency, so
 // fleet-hot entries stay resident.
 func (s *Store) GetEnvelope(name string) ([]byte, bool) {
-	key, ok := ParseFilename(name)
-	if !ok {
+	if _, ok := ParseFilename(name); !ok {
 		return nil, false
 	}
 	path := filepath.Join(s.dir, name)
@@ -88,7 +83,7 @@ func (s *Store) GetEnvelope(name string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if kind, _, err := DecodeEntry(data); err != nil || kind != key.Kind {
+	if _, err := DecodeEntry(data); err != nil {
 		os.Remove(path)
 		return nil, false
 	}
@@ -99,23 +94,18 @@ func (s *Store) GetEnvelope(name string) ([]byte, bool) {
 }
 
 // PutEnvelope accepts one raw entry envelope by filename — the hub side
-// of a worker push. The name must parse, the envelope must checksum
-// clean, and the declared kind must match the name; anything else is
-// rejected so a confused or malicious writer cannot plant corrupt
-// entries. Accepted envelopes commit atomically under the LRU bound like
-// any local Put.
+// of a worker push. The name must parse and the envelope must checksum
+// clean under the store's one entry kind; anything else is rejected so a
+// confused or malicious writer cannot plant corrupt entries. Accepted
+// envelopes commit atomically under the LRU bound like any local Put.
 func (s *Store) PutEnvelope(name string, data []byte) error {
 	key, ok := ParseFilename(name)
 	if !ok {
 		return fmt.Errorf("cachestore: invalid entry name %q", name)
 	}
-	kind, _, err := DecodeEntry(data)
-	if err != nil {
+	if _, err := DecodeEntry(data); err != nil {
 		return fmt.Errorf("cachestore: rejected envelope for %q: %w", name, err)
 	}
-	if kind != key.Kind {
-		return fmt.Errorf("cachestore: envelope kind %q does not match name %q", kind, name)
-	}
-	_, err = s.commitRaw(key, data)
+	_, err := s.commitRaw(key, data)
 	return err
 }

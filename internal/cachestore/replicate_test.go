@@ -36,18 +36,16 @@ func (m *memReplicator) Push(name string, data []byte) {
 }
 
 func TestParseFilenameRoundTrip(t *testing.T) {
-	for _, kind := range []byte{KindResult, KindSummary} {
-		key := NewKey(kind, []byte("some identity"))
-		got, ok := ParseFilename(key.Filename())
-		if !ok || got != key {
-			t.Errorf("ParseFilename(%q) = %v %v, want %v", key.Filename(), got, ok, key)
-		}
+	key := NewKey([]byte("some identity"))
+	if got, ok := ParseFilename(key.Filename()); !ok || got != key {
+		t.Errorf("ParseFilename(%q) = %v %v, want %v", key.Filename(), got, ok, key)
 	}
 	for _, bad := range []string{
-		"", "r-.nce", "x-" + NewKey(KindResult, nil).Filename()[2:], // unknown kind
-		"r_" + NewKey(KindResult, nil).Filename()[2:],   // no dash
-		NewKey(KindResult, nil).Filename()[:10],         // truncated
-		"r-zz" + NewKey(KindResult, nil).Filename()[4:], // non-hex
+		"", "r-.nce", "x-" + NewKey(nil).Filename()[2:], // unknown kind
+		"s-" + NewKey(nil).Filename()[2:],   // retired summary kind
+		"r_" + NewKey(nil).Filename()[2:],   // no dash
+		NewKey(nil).Filename()[:10],         // truncated
+		"r-zz" + NewKey(nil).Filename()[4:], // non-hex
 		"../../etc/passwd", "r-deadbeef.nce",
 	} {
 		if _, ok := ParseFilename(bad); ok {
@@ -64,7 +62,7 @@ func TestReplicatedFetchServesAndCommitsLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := NewKey(KindResult, []byte("app"))
+	key := NewKey([]byte("app"))
 	payload := []byte("scan result payload")
 	if _, err := hub.Put(key, payload); err != nil {
 		t.Fatal(err)
@@ -108,8 +106,8 @@ func TestPutPushesToReplicator(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SetReplicator(repl)
-	key := NewKey(KindSummary, []byte("class"))
-	payload := []byte("summaries")
+	key := NewKey([]byte("app"))
+	payload := []byte("result")
 	if _, err := a.Put(key, payload); err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +133,13 @@ func TestCorruptRemoteEntryIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := NewKey(KindResult, []byte("app"))
+	key := NewKey([]byte("app"))
 	repl := newMemReplicator()
-	good := EncodeEntry(KindResult, []byte("payload"))
+	good := EncodeEntry([]byte("payload"))
 	for name, bad := range map[string][]byte{
 		"truncated":     good[:len(good)-3],
 		"bitflip":       append(append([]byte{}, good[:8]...), append([]byte{good[8] ^ 0x40}, good[9:]...)...),
-		"wrong kind":    EncodeEntry(KindSummary, []byte("payload")),
+		"wrong kind":    summaryEnvelope([]byte("payload")),
 		"empty":         {},
 		"garbage bytes": []byte("not an envelope at all"),
 	} {
@@ -163,8 +161,8 @@ func TestPutEnvelopeValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := NewKey(KindResult, []byte("app"))
-	good := EncodeEntry(KindResult, []byte("payload"))
+	key := NewKey([]byte("app"))
+	good := EncodeEntry([]byte("payload"))
 
 	if err := hub.PutEnvelope("../sneaky.nce", good); err == nil {
 		t.Error("PutEnvelope accepted a path-traversal name")
@@ -172,8 +170,11 @@ func TestPutEnvelopeValidates(t *testing.T) {
 	if err := hub.PutEnvelope(key.Filename(), good[:4]); err == nil {
 		t.Error("PutEnvelope accepted a truncated envelope")
 	}
-	if err := hub.PutEnvelope(key.Filename(), EncodeEntry(KindSummary, []byte("payload"))); err == nil {
+	if err := hub.PutEnvelope(key.Filename(), summaryEnvelope([]byte("payload"))); err == nil {
 		t.Error("PutEnvelope accepted a kind-mismatched envelope")
+	}
+	if err := hub.PutEnvelope("s"+key.Filename()[1:], summaryEnvelope([]byte("payload"))); err == nil {
+		t.Error("PutEnvelope accepted a summary entry")
 	}
 	if hub.Len() != 0 {
 		t.Fatalf("rejected envelopes left %d entries", hub.Len())
@@ -198,7 +199,7 @@ func TestGetEnvelopeHealsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := NewKey(KindResult, []byte("app"))
+	key := NewKey([]byte("app"))
 	if _, err := hub.Put(key, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ package checkers
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -339,19 +338,11 @@ type analysis struct {
 	diag Diagnostics
 
 	// Persistent-cache state (cache.go). The cache stages run at
-	// sequential points of the pipeline — probe before build, seed before
-	// summaries, write after merge — so none of this needs locking.
-	store          *cachestore.Store
-	resultKey      cachestore.Key
-	haveResultKey  bool
-	manifestHash   [sha256.Size]byte
-	seeds          map[string]*dataflow.TaintSummary
-	seededClasses  map[string]bool
-	classOfMethod  map[string]string
-	methodsOfClass map[string][]string
-	cacheClasses   []string
-	classHashes    map[string][sha256.Size]byte
-	closureMemo    map[string][sha256.Size]byte
+	// sequential points of the pipeline — probe before build, write after
+	// merge — so none of this needs locking.
+	store         *cachestore.Store
+	resultKey     cachestore.Key
+	haveResultKey bool
 }
 
 // fail records one survivable scan failure.
@@ -471,10 +462,9 @@ func (a *analysis) unitFindings(stage string, n int, fn func(i int, f *findings)
 
 // collectAppMethods returns the body-bearing methods of the demanded app
 // classes, sorted by key. Every consumer of a.methods (discovery, retry
-// loops, guard-site scans, summary roots, the summary cache's class
-// index) provably produces the whole-program oracle's reports over this
-// subset — see targeted.go for the closure rules and DESIGN.md §9 for
-// the equivalence argument.
+// loops, guard-site scans, summary roots) provably produces the
+// whole-program oracle's reports over this subset — see targeted.go for
+// the closure rules and DESIGN.md §9 for the equivalence argument.
 func (a *analysis) collectAppMethods() []*jimple.Method {
 	x := a.index
 	n := 0
@@ -601,10 +591,6 @@ func (a *analysis) configureSummaries() {
 			ReachDefs:       a.ctx.ReachDefs,
 			ConstProp:       a.ctx.ConstProp,
 			Cancel:          a.scanCtx.Err,
-			// Seeds is read here, at producer-invocation time: the cacheseed
-			// stage has populated a.seeds by the time the summaries stage
-			// forces the computation.
-			Seeds: a.seeds,
 			// Roots restricts the computation to the demanded
 			// sub-condensation.
 			Roots: a.roots,

@@ -1,26 +1,18 @@
 package checkers
 
 import (
-	"bufio"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/apimodel"
 	"repro/internal/cachestore"
-	"repro/internal/callgraph"
-	"repro/internal/dataflow"
-	"repro/internal/jimple"
 )
 
 // This file wires the persistent scan cache (internal/cachestore) into
-// the pipeline: the cache-probe stage that short-circuits unchanged apps,
-// the summary-seeding stage that restores per-class taint summaries on
-// partial hits, and the post-merge write stage. DESIGN.md §7 documents
-// the key anatomy and fault semantics; the differential harness in
-// internal/experiments proves cold and warm reports byte-identical.
+// the pipeline: the cache-probe stage that short-circuits unchanged apps
+// and the post-merge write stage. DESIGN.md §7 documents the key anatomy
+// and fault semantics; the differential harness in internal/experiments
+// proves cold and warm reports byte-identical.
 //
 // Key anatomy. A result entry is keyed by
 //
@@ -31,22 +23,9 @@ import (
 // report-affecting option forces a miss. Workers and Timeout are
 // deliberately excluded: reports are deterministic regardless of Workers,
 // and degraded (deadline-hit) scans are never written, so neither can
-// change what a cached entry would contain.
-//
-// A summary entry holds one app class's converged taint summaries and is
-// keyed by
-//
-//	H(class name, closure digest, registry fingerprint, engine version,
-//	  options fingerprint)
-//
-// where the closure digest hashes the manifest plus the transitive
-// EdgeCall closure of the class's methods: every app class reached
-// contributes its name and the hash of its printed body, every reached
-// framework/library method contributes its signature key. Under CHA
-// dispatch any body-bearing override that could be invoked is an edge
-// target and therefore inside the closure, so two scans agreeing on a
-// class's closure digest compute identical summaries for it — changed
-// apps reuse summaries for the classes whose closures didn't change.
+// change what a cached entry would contain. A changed app misses and
+// rescans cold: its demand closure summarizes only a handful of methods,
+// which costs less than addressing per-class entries would.
 //
 // Fault semantics: cache trouble of any kind — unopenable directory,
 // corrupt or truncated entries, decode failures, even a panic inside the
@@ -128,14 +107,7 @@ func (o Options) cacheFingerprint() []byte {
 
 // resultCacheKey addresses the whole-app result entry.
 func resultCacheKey(digest [sha256.Size]byte, reg *apimodel.Registry, opts Options) cachestore.Key {
-	return cachestore.NewKey(cachestore.KindResult,
-		digest[:], reg.Fingerprint(), []byte(EngineVersion), opts.cacheFingerprint())
-}
-
-// summaryCacheKey addresses one app class's summary entry.
-func summaryCacheKey(class string, closure [sha256.Size]byte, reg *apimodel.Registry, opts Options) cachestore.Key {
-	return cachestore.NewKey(cachestore.KindSummary,
-		[]byte(class), closure[:], reg.Fingerprint(), []byte(EngineVersion), opts.cacheFingerprint())
+	return cachestore.NewKey(digest[:], reg.Fingerprint(), []byte(EngineVersion), opts.cacheFingerprint())
 }
 
 // cacheGuard isolates the cache stages: a panic inside cache code is
@@ -209,195 +181,9 @@ func (a *analysis) probeCache() *Result {
 	return &Result{Reports: e.Reports, Stats: stats}
 }
 
-// ensureClassIndex builds the per-class method index the summary cache
-// works in terms of: which sorted classes have body-bearing methods,
-// which class owns which method key, and the manifest hash. Derived
-// deterministically from the frozen a.methods list.
-func (a *analysis) ensureClassIndex() {
-	if a.classOfMethod != nil {
-		return
-	}
-	a.classOfMethod = make(map[string]string, len(a.methods))
-	a.methodsOfClass = make(map[string][]string)
-	for _, m := range a.methods {
-		k := a.methodKey(m)
-		a.classOfMethod[k] = m.Sig.Class
-		// a.methods is sorted by key, so each class's list is too.
-		a.methodsOfClass[m.Sig.Class] = append(a.methodsOfClass[m.Sig.Class], k)
-	}
-	a.cacheClasses = make([]string, 0, len(a.methodsOfClass))
-	for cls := range a.methodsOfClass {
-		a.cacheClasses = append(a.cacheClasses, cls)
-	}
-	sort.Strings(a.cacheClasses)
-	a.manifestHash = sha256.Sum256([]byte(a.app.Manifest.Encode()))
-	a.classHashes = make(map[string][sha256.Size]byte)
-	a.closureMemo = make(map[string][sha256.Size]byte)
-}
-
-// classPrintBufs pools the buffered writers classHash streams printed
-// classes through; the buffer is reused across classes and scans instead
-// of materializing a fresh multi-kilobyte string per class per digest.
-var classPrintBufs = sync.Pool{
-	New: func() interface{} { return bufio.NewWriterSize(nil, 16<<10) },
-}
-
-// classHash hashes one app class's printed body (memoized per scan). The
-// rendering streams straight into the hasher, producing exactly the bytes
-// of jimple.PrintClass without ever holding them.
-func (a *analysis) classHash(cls string) [sha256.Size]byte {
-	if h, ok := a.classHashes[cls]; ok {
-		return h
-	}
-	var h [sha256.Size]byte
-	if c := a.app.Program.Class(cls); c != nil {
-		a.diag.Cache.ClassDigests++
-		hasher := sha256.New()
-		bw := classPrintBufs.Get().(*bufio.Writer)
-		bw.Reset(hasher)
-		jimple.FprintClass(bw, c)
-		bw.Flush()
-		bw.Reset(nil) // drop the hasher reference before pooling
-		classPrintBufs.Put(bw)
-		hasher.Sum(h[:0])
-	}
-	a.classHashes[cls] = h
-	return h
-}
-
-// closureDigest hashes everything a class's summaries can depend on: the
-// manifest, plus the transitive EdgeCall closure of the class's methods —
-// reached app classes by content, reached external (framework/library)
-// methods by signature key. Memoized per scan.
-func (a *analysis) closureDigest(cls string) [sha256.Size]byte {
-	if d, ok := a.closureMemo[cls]; ok {
-		return d
-	}
-	visited := make(map[string]bool)
-	reachedClasses := map[string]bool{cls: true}
-	extKeys := make(map[string]bool)
-	stack := append([]string(nil), a.methodsOfClass[cls]...)
-	for _, k := range stack {
-		visited[k] = true
-	}
-	for len(stack) > 0 {
-		k := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range a.cg.OutEdges(k) {
-			if e.Kind != callgraph.EdgeCall {
-				continue
-			}
-			ck := a.cg.Key(e.CalleeID)
-			if owner, inApp := a.classOfMethod[ck]; inApp {
-				reachedClasses[owner] = true
-				if !visited[ck] {
-					visited[ck] = true
-					stack = append(stack, ck)
-				}
-			} else {
-				extKeys[ck] = true
-			}
-		}
-	}
-	h := sha256.New()
-	h.Write(a.manifestHash[:])
-	// Hand-rolled "app <name> <hex>\n" / "ext <key>\n" lines, byte-identical
-	// to the fmt.Fprintf rendering this replaces but reusing one buffer.
-	line := make([]byte, 0, 128)
-	var hexed [2 * sha256.Size]byte
-	for _, c := range sortedKeys(reachedClasses) {
-		ch := a.classHash(c)
-		hex.Encode(hexed[:], ch[:])
-		line = append(line[:0], "app "...)
-		line = append(line, c...)
-		line = append(line, ' ')
-		line = append(line, hexed[:]...)
-		line = append(line, '\n')
-		h.Write(line)
-	}
-	for _, k := range sortedKeys(extKeys) {
-		line = append(line[:0], "ext "...)
-		line = append(line, k...)
-		line = append(line, '\n')
-		h.Write(line)
-	}
-	var d [sha256.Size]byte
-	h.Sum(d[:0])
-	a.closureMemo[cls] = d
-	return d
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// seedSummaries probes the per-class summary entries and collects the
-// hits into a.seeds, which the summaries stage feeds to
-// dataflow.ComputeSummaries — the partial-hit path: a changed app reuses
-// the converged summaries of every class whose closure didn't change.
-func (a *analysis) seedSummaries() {
-	// The cacheEnabled re-check is belt and braces: a.store is only ever
-	// set under it, and digest work (closureDigest → classHash re-prints
-	// every reachable class) must never run with the cache off —
-	// TestNoDigestWorkWithCacheOff pins the ClassDigests counter at zero.
-	if a.store == nil || !a.opts.cacheEnabled() || a.opts.Intraprocedural {
-		return
-	}
-	a.ensureClassIndex()
-	a.seeds = make(map[string]*dataflow.TaintSummary)
-	a.seededClasses = make(map[string]bool)
-	for _, cls := range a.cacheClasses {
-		key := summaryCacheKey(cls, a.closureDigest(cls), a.reg, a.opts)
-		a.diag.Cache.StoreProbes++
-		payload, status := a.store.Get(key)
-		switch status {
-		case cachestore.StatusMiss:
-			a.diag.Cache.StoreMisses++
-			continue
-		case cachestore.StatusCorrupt:
-			a.diag.Cache.StoreCorrupt++
-			continue
-		}
-		e, err := cachestore.DecodeSummaryEntry(payload)
-		if err != nil || !a.summaryEntryCurrent(cls, e) {
-			a.diag.Cache.StoreCorrupt++
-			a.store.Remove(key)
-			continue
-		}
-		a.diag.Cache.StoreHits++
-		for i := range e.Methods {
-			a.seeds[e.Methods[i].Key] = e.Methods[i].Summary
-		}
-		a.seededClasses[cls] = true
-		a.diag.Cache.SummariesSeeded += len(e.Methods)
-	}
-}
-
-// summaryEntryCurrent checks a decoded summary entry against the current
-// class: same class name and every method key still owned by it. A
-// mismatch under a matching content-addressed key cannot happen without
-// corruption (or a hash collision), so it reads as corrupt.
-func (a *analysis) summaryEntryCurrent(cls string, e *cachestore.SummaryEntry) bool {
-	if e.Class != cls {
-		return false
-	}
-	for i := range e.Methods {
-		if e.Methods[i].Summary == nil || a.classOfMethod[e.Methods[i].Key] != cls {
-			return false
-		}
-	}
-	return true
-}
-
-// writeCache commits the clean scan: the whole-app result entry plus one
-// summary entry per class that wasn't already seeded from the cache.
-// Callers gate on CacheRW and on len(a.errs) == 0 — an Incomplete scan
-// commits nothing.
+// writeCache commits the clean scan's whole-app result entry. Callers
+// gate on CacheRW and on len(a.errs) == 0 — an Incomplete scan commits
+// nothing.
 func (a *analysis) writeCache(res *Result) {
 	if a.store == nil || !a.opts.cacheEnabled() || !a.haveResultKey {
 		return
@@ -409,36 +195,7 @@ func (a *analysis) writeCache(res *Result) {
 		Counters:   statsCounters(&res.Stats),
 		Libs:       libsToStrings(res.Stats.LibsUsed),
 	}
-	a.putEntry(a.resultKey, cachestore.EncodeResultEntry(e))
-
-	if a.opts.Intraprocedural {
-		return
-	}
-	set := a.ctx.Summaries()
-	if set == nil {
-		return
-	}
-	a.ensureClassIndex()
-	for _, cls := range a.cacheClasses {
-		if a.seededClasses[cls] {
-			continue // identical content is already committed
-		}
-		entry := cachestore.SummaryEntry{Class: cls}
-		for _, mk := range a.methodsOfClass[cls] {
-			if sum := set.Of(mk); sum != nil {
-				entry.Methods = append(entry.Methods, cachestore.MethodSummary{Key: mk, Summary: sum})
-			}
-		}
-		if len(entry.Methods) == 0 {
-			continue
-		}
-		key := summaryCacheKey(cls, a.closureDigest(cls), a.reg, a.opts)
-		a.putEntry(key, cachestore.EncodeSummaryEntry(&entry))
-	}
-}
-
-func (a *analysis) putEntry(key cachestore.Key, payload []byte) {
-	evicted, err := a.store.Put(key, payload)
+	evicted, err := a.store.Put(a.resultKey, cachestore.EncodeResultEntry(e))
 	if err != nil {
 		a.diag.Cache.StorePutErrors++
 		return

@@ -10,11 +10,11 @@ import (
 	"repro/internal/apimodel"
 	"repro/internal/apk"
 	"repro/internal/jimple"
+	"repro/internal/report"
 )
 
-// cacheTestApp returns a small interprocedural app: an activity whose
-// entry point routes a request through a helper, so both result caching
-// and summary caching have something to store.
+// cacheTestSrc is a small interprocedural app: an activity whose entry
+// point routes a request through a helper.
 const cacheTestSrc = `class t.Main extends android.app.Activity {
   method onCreate(android.os.Bundle)void {
     local c com.turbomanage.httpclient.BasicHttpClient
@@ -205,10 +205,11 @@ func TestCorruptEntriesFallBackCold(t *testing.T) {
 	}
 }
 
-// TestSummarySeedingOnChangedApp: adding a class to an app invalidates
-// the whole-app result entry but not the summary entries of untouched
-// classes — the rescan seeds those and matches an uncached scan exactly.
-func TestSummarySeedingOnChangedApp(t *testing.T) {
+// TestChangedAppRescansCold: adding a class to an app changes its bytes,
+// so the rescan against v1's cache misses the result entry, runs the
+// pipeline from discovery on, matches an uncached scan byte for byte, and
+// commits exactly one entry — its own result.
+func TestChangedAppRescansCold(t *testing.T) {
 	const extraClass = `
 class t.Extra extends java.lang.Object {
   method poke()void {
@@ -220,20 +221,26 @@ class t.Extra extends java.lang.Object {
 	opts := Options{Workers: 1, CacheDir: dir, CacheMode: CacheRW}
 
 	v1 := Analyze(cacheTestApp(t, cacheTestSrc), reg, opts)
-	if v1.Diagnostics.Cache.StorePuts == 0 {
-		t.Fatalf("v1 scan cached nothing")
+	if v1.Diagnostics.Cache.StorePuts != 1 {
+		t.Fatalf("v1 scan committed %d entries, want 1", v1.Diagnostics.Cache.StorePuts)
 	}
 
 	v2src := cacheTestSrc + extraClass
 	baseline := Analyze(cacheTestApp(t, v2src), reg, Options{Workers: 1})
 	v2 := Analyze(cacheTestApp(t, v2src), reg, opts)
-	assertSameFindings(t, v2, baseline, "seeded v2 vs uncached v2")
+	assertSameFindings(t, v2, baseline, "changed v2 vs uncached v2")
+	if got, want := report.RenderAll(v2.Reports), report.RenderAll(baseline.Reports); got != want {
+		t.Fatalf("changed v2 rendering differs from uncached v2:\n got %s\nwant %s", got, want)
+	}
 	c := v2.Diagnostics.Cache
-	if c.SummariesSeeded == 0 {
-		t.Fatalf("v2 scan seeded no summaries: %+v", c)
+	if c.StoreProbes != 1 || c.StoreMisses != 1 || c.StoreHits != 0 {
+		t.Fatalf("v2 probes = %d (%d misses, %d hits), want one miss", c.StoreProbes, c.StoreMisses, c.StoreHits)
 	}
 	if v2.Diagnostics.Stage("discover") == nil {
 		t.Fatalf("v2 scan short-circuited despite changed app bytes")
+	}
+	if c.StorePuts != 1 {
+		t.Fatalf("v2 scan committed %d entries, want 1", c.StorePuts)
 	}
 }
 
@@ -272,11 +279,10 @@ func TestParseCacheMode(t *testing.T) {
 	}
 }
 
-// TestNoDigestWorkWithCacheOff: digest work (a full per-class re-print
-// streamed into the hasher) exists only to address cache entries, so a
-// scan with the cache off — no directory, or a directory with
-// -cache-mode=off — must compute zero class digests. An rw scan over the
-// same app proves the counter is live.
+// TestNoDigestWorkWithCacheOff: the app's container digest exists only
+// to address the result entry, and only the cache probe computes it, so
+// a scan with the cache off — no directory, or a directory with
+// -cache-mode=off — must never probe the store.
 func TestNoDigestWorkWithCacheOff(t *testing.T) {
 	reg := apimodel.NewRegistry()
 	for _, opts := range []Options{
@@ -284,16 +290,8 @@ func TestNoDigestWorkWithCacheOff(t *testing.T) {
 		{Workers: 1, CacheDir: t.TempDir(), CacheMode: CacheOff},
 	} {
 		res := Analyze(cacheTestApp(t, cacheTestSrc), reg, opts)
-		if n := res.Diagnostics.Cache.ClassDigests; n != 0 {
-			t.Errorf("cache-off scan (dir=%q) computed %d class digests, want 0", opts.CacheDir, n)
-		}
 		if n := res.Diagnostics.Cache.StoreProbes; n != 0 {
 			t.Errorf("cache-off scan (dir=%q) probed the store %d times, want 0", opts.CacheDir, n)
 		}
-	}
-	rw := Analyze(cacheTestApp(t, cacheTestSrc), reg,
-		Options{Workers: 1, CacheDir: t.TempDir(), CacheMode: CacheRW})
-	if rw.Diagnostics.Cache.ClassDigests == 0 {
-		t.Fatal("rw scan computed no class digests; the counter (or the digest path) is dead")
 	}
 }

@@ -62,24 +62,17 @@ type CacheStats struct {
 	FeasibleCFGRequests int `metric:"feasible_cfg_requests"`
 	PrunedEdges         int `metric:"pruned_edges"`
 
-	// Persistent store (Options.CacheDir) traffic: entry probes and their
-	// outcomes, taint summaries seeded from summary-entry hits, and the
-	// write side. StoreCorrupt counts corrupt/truncated entries and
-	// in-cache panics, all of which degrade to cold computation. All zero
-	// when the persistent cache is off.
-	StoreProbes     int `metric:"store_probes"`
-	StoreHits       int `metric:"store_hits"`
-	StoreMisses     int `metric:"store_misses"`
-	StoreCorrupt    int `metric:"store_corrupt"`
-	SummariesSeeded int `metric:"summaries_seeded"`
-	StorePuts       int `metric:"store_puts"`
-	StorePutErrors  int `metric:"store_put_errors"`
-	StoreEvicted    int `metric:"store_evicted"`
-	// ClassDigests counts per-class content-digest computations (a full
-	// streamed re-print of the class into the hasher). Digest work exists
-	// only to address cache entries, so it must be zero whenever the
-	// persistent cache is off — TestNoDigestWorkWithCacheOff pins this.
-	ClassDigests int `metric:"class_digests"`
+	// Persistent store (Options.CacheDir) traffic: result-entry probes and
+	// their outcomes, and the write side. StoreCorrupt counts
+	// corrupt/truncated entries and in-cache panics, all of which degrade
+	// to cold computation. All zero when the persistent cache is off.
+	StoreProbes    int `metric:"store_probes"`
+	StoreHits      int `metric:"store_hits"`
+	StoreMisses    int `metric:"store_misses"`
+	StoreCorrupt   int `metric:"store_corrupt"`
+	StorePuts      int `metric:"store_puts"`
+	StorePutErrors int `metric:"store_put_errors"`
+	StoreEvicted   int `metric:"store_evicted"`
 }
 
 // CFGHits returns the number of CFG requests served from the cache.
@@ -285,9 +278,9 @@ func (d Diagnostics) Render() string {
 		c.SummariesComputed, c.SummarySCCs, c.SummaryFixpointIters, c.SummaryRequests,
 		c.FeasibleCFGComputed, c.FeasibleCFGRequests, c.PrunedEdges)
 	if c.StoreProbes > 0 || c.StorePuts > 0 || c.StorePutErrors > 0 {
-		fmt.Fprintf(&b, "  store: %d probes (%d hits, %d misses, %d corrupt), %d summaries seeded, %d class digests; %d puts (%d errors), %d evicted\n",
+		fmt.Fprintf(&b, "  store: %d probes (%d hits, %d misses, %d corrupt); %d puts (%d errors), %d evicted\n",
 			c.StoreProbes, c.StoreHits, c.StoreMisses, c.StoreCorrupt,
-			c.SummariesSeeded, c.ClassDigests, c.StorePuts, c.StorePutErrors, c.StoreEvicted)
+			c.StorePuts, c.StorePutErrors, c.StoreEvicted)
 	}
 	for i := range d.Errors {
 		fmt.Fprintf(&b, "  error: %v\n", &d.Errors[i])

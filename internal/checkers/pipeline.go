@@ -126,17 +126,6 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		return finish(&Result{})
 	}
 
-	// Summary seeding: before the summaries stage forces the bottom-up
-	// pass, restore the converged summaries of every app class whose call
-	// closure is unchanged since a prior clean scan. Seeded methods are
-	// skipped by dataflow.ComputeSummaries — the partial-hit path for
-	// changed apps.
-	if a.store != nil && !opts.Intraprocedural {
-		seedStart := time.Now()
-		a.cacheGuard(func() { a.seedSummaries() })
-		diag.add("cacheseed", time.Since(seedStart), len(a.cacheClasses), 0)
-	}
-
 	// Interprocedural summaries are built eagerly under their own stage
 	// guard so -timings attributes the cost distinctly and a failure (or a
 	// deadline hit inside the bottom-up pass) degrades every consumer to

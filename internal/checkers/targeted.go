@@ -214,11 +214,11 @@ func computeTargetedClosure(x *dex.Index, reg *apimodel.Registry, man *android.M
 		}
 	}
 
-	// Seeds: target-API call sites, registered callback implementations —
-	// exactly the methods the pipeline resolves summaries from
-	// (discover.go, checker3.go, checker4.go) — plus endpoint-API callers
-	// (checker7.go scans them even when no target API is nearby) and
-	// network-state handlers (checker5.go).
+	// Closure roots: target-API call sites, registered callback
+	// implementations — exactly the methods the pipeline resolves
+	// summaries from (discover.go, checker3.go, checker4.go) — plus
+	// endpoint-API callers (checker7.go scans them even when no target API
+	// is nearby) and network-state handlers (checker5.go).
 	for sub := range tab.seedSubsigs {
 		declarersOf(sub, add)
 	}

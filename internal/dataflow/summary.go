@@ -107,16 +107,6 @@ type SummaryConfig struct {
 	// aborts the remaining work and ComputeSummaries returns the error
 	// (deadline cooperation for fault-tolerant scans).
 	Cancel func() error
-	// Seeds supplies already-converged summaries by method key (the
-	// persistent scan cache's partial hits). A seeded method is not
-	// recomputed: its summary enters the set as-is and its callers build
-	// on it. Seeds must be the exact values a cold run would converge to
-	// for the same bodies — the cache's content-addressed keys guarantee
-	// that. Inside a recursive SCC, seeds are only kept when the whole
-	// component is seeded; a partially seeded cycle is recomputed from
-	// scratch (a mid-cycle seed is only trustworthy alongside the
-	// co-converged values of its cycle peers).
-	Seeds map[string]*TaintSummary
 	// Roots, when non-nil, restricts the computation to the sub-condensation
 	// demanded by the given method keys: only SCCs inside the forward
 	// synchronous-call closure of Roots (intersected with the method set)
@@ -155,24 +145,13 @@ type SummaryStats struct {
 	SCCs               int // strongly connected components processed
 	MaxSCC             int // size of the largest (recursive) SCC
 	FixpointIterations int // extra passes spent converging recursive SCCs
-	Seeded             int // summaries taken from SummaryConfig.Seeds
 }
 
 // SummarySet holds the computed summaries of one scan. Lookups are safe
 // for concurrent use once ComputeSummaries returns.
 type SummarySet struct {
-	sums  map[string]*TaintSummary // by method key: the cache boundary
-	byID  []*TaintSummary          // by call-graph method id
+	byID  []*TaintSummary // by call-graph method id
 	stats SummaryStats
-}
-
-// Of returns the summary of the method with the given signature key, or
-// nil when the method was not in the summarized set.
-func (s *SummarySet) Of(key string) *TaintSummary {
-	if s == nil {
-		return nil
-	}
-	return s.sums[key]
 }
 
 // OfID returns the summary of the call-graph method id, or nil when the
@@ -243,20 +222,12 @@ func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf Summar
 		}
 	}
 	b.sums = make([]*TaintSummary, len(b.nodes))
-	b.seeded = make([]bool, len(b.nodes))
 	order := make([]int32, len(b.nodes))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	if conf.Roots != nil {
 		order = b.demandedClosure(order, conf.Roots)
-	}
-	for _, i := range order {
-		if sum := conf.Seeds[b.nodes[i].key]; sum != nil {
-			b.sums[i] = sum
-			b.seeded[i] = true
-			b.set.stats.Seeded++
-		}
 	}
 	sccs := b.condense(order)
 	b.set.stats.SCCs = len(sccs)
@@ -286,10 +257,9 @@ type summaryBuilder struct {
 	conf SummaryConfig
 	set  *SummarySet
 
-	nodes  []sumNode       // sorted by key; a node's index is its number
-	loc    []int32         // graph id -> node number, -1 outside the set
-	sums   []*TaintSummary // by node number
-	seeded []bool          // by node number: the summary came from conf.Seeds
+	nodes []sumNode       // sorted by key; a node's index is its number
+	loc   []int32         // graph id -> node number, -1 outside the set
+	sums  []*TaintSummary // by node number
 
 	// Scratch reused across methods by aliasFixpoint.
 	arena    []aliasFact
@@ -301,19 +271,16 @@ type summaryBuilder struct {
 
 // finish publishes the summaries computed so far into the set.
 func (b *summaryBuilder) finish() {
-	b.set.sums = make(map[string]*TaintSummary, len(b.nodes))
 	b.set.byID = make([]*TaintSummary, b.cg.NumIDs())
 	for i, sum := range b.sums {
 		if sum == nil {
 			continue
 		}
-		n := b.nodes[i]
-		b.set.sums[n.key] = sum
-		if n.id >= 0 {
-			b.set.byID[n.id] = sum
+		b.set.stats.Methods++
+		if id := b.nodes[i].id; id >= 0 {
+			b.set.byID[id] = sum
 		}
 	}
-	b.set.stats.Methods = len(b.set.sums)
 }
 
 // callees calls fn on the node number of every synchronous callee of node
@@ -454,20 +421,8 @@ func (b *summaryBuilder) condense(order []int32) [][]int32 {
 
 // computeSCC summarizes one SCC's methods. A non-recursive singleton needs
 // one pass; a recursive component iterates to a fixpoint (facts only grow,
-// so comparing summaries detects convergence). Seeded members are not
-// recomputed — except inside a partially seeded recursive component,
-// where the seeds are dropped and the whole cycle converges fresh (see
-// SummaryConfig.Seeds).
+// so comparing summaries detects convergence).
 func (b *summaryBuilder) computeSCC(scc []int32) error {
-	seededHere := 0
-	for _, i := range scc {
-		if b.seeded[i] {
-			seededHere++
-		}
-	}
-	if seededHere == len(scc) {
-		return nil
-	}
 	recursive := len(scc) > 1
 	if !recursive {
 		b.callees(scc[0], func(_ int, c int32) {
@@ -476,21 +431,9 @@ func (b *summaryBuilder) computeSCC(scc []int32) error {
 			}
 		})
 	}
-	if recursive && seededHere > 0 {
-		for _, i := range scc {
-			if b.seeded[i] {
-				b.sums[i] = nil
-				b.seeded[i] = false
-				b.set.stats.Seeded--
-			}
-		}
-	}
 	for iter := 0; ; iter++ {
 		changed := false
 		for _, i := range scc {
-			if b.seeded[i] {
-				continue
-			}
 			if b.conf.Cancel != nil {
 				if err := b.conf.Cancel(); err != nil {
 					return err

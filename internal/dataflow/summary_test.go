@@ -38,8 +38,18 @@ func summariesOf(t *testing.T, src string) (*SummarySet, *callgraph.Graph, []*ji
 	return set, cg, methods
 }
 
+// summaryOf looks the summary of the method with the given signature key
+// up through the graph's id table.
+func summaryOf(set *SummarySet, cg *callgraph.Graph, key string) *TaintSummary {
+	id, ok := cg.ID(key)
+	if !ok {
+		return nil
+	}
+	return set.OfID(id)
+}
+
 func TestSummaryRetFromAndCallsOn(t *testing.T) {
-	set, _, _ := summariesOf(t, `class t.H extends java.lang.Object {
+	set, cg, _ := summariesOf(t, `class t.H extends java.lang.Object {
   method static configure(t.Client)t.Client {
     local cl t.Client
     cl = param 0 t.Client
@@ -52,7 +62,7 @@ class t.Client extends java.lang.Object {
     return
   }
 }`)
-	sum := set.Of("t.H.configure(t.Client)t.Client")
+	sum := summaryOf(set, cg, "t.H.configure(t.Client)t.Client")
 	if sum == nil {
 		t.Fatal("no summary for configure")
 	}
@@ -84,7 +94,7 @@ class t.Client extends java.lang.Object {
 }
 
 func TestSummaryFactoryCallsOnRet(t *testing.T) {
-	set, _, _ := summariesOf(t, `class t.F extends java.lang.Object {
+	set, cg, _ := summariesOf(t, `class t.F extends java.lang.Object {
   method static make()t.Client {
     local cl t.Client
     cl = new t.Client
@@ -106,7 +116,7 @@ class t.Client extends java.lang.Object {
     return
   }
 }`)
-	sum := set.Of("t.F.make()t.Client")
+	sum := summaryOf(set, cg, "t.F.make()t.Client")
 	if sum == nil {
 		t.Fatal("no summary for make")
 	}
@@ -124,7 +134,7 @@ class t.Client extends java.lang.Object {
 		t.Errorf("CallsOnRet: %v", got)
 	}
 	// The chained factory inherits the producer's CallsOnRet.
-	ind := set.Of("t.F.makeIndirect()t.Client")
+	ind := summaryOf(set, cg, "t.F.makeIndirect()t.Client")
 	if ind == nil {
 		t.Fatal("no summary for makeIndirect")
 	}
@@ -134,7 +144,7 @@ class t.Client extends java.lang.Object {
 }
 
 func TestSummaryStateFromAndEscape(t *testing.T) {
-	set, _, _ := summariesOf(t, `class t.S extends java.lang.Object {
+	set, cg, _ := summariesOf(t, `class t.S extends java.lang.Object {
   field sink t.Obj
   method static stash(t.Holder,t.Obj)void {
     local h t.Holder
@@ -155,7 +165,7 @@ class t.Holder extends java.lang.Object {
 }
 class t.Obj extends java.lang.Object {
 }`)
-	stash := set.Of("t.S.stash(t.Holder,t.Obj)void")
+	stash := summaryOf(set, cg, "t.S.stash(t.Holder,t.Obj)void")
 	if stash == nil {
 		t.Fatal("no summary for stash")
 	}
@@ -166,7 +176,7 @@ class t.Obj extends java.lang.Object {
 	if stash.Escapes != 0 {
 		t.Errorf("stash should not escape: %b", stash.Escapes)
 	}
-	leak := set.Of("t.S.leak(t.Obj)void")
+	leak := summaryOf(set, cg, "t.S.leak(t.Obj)void")
 	if leak == nil {
 		t.Fatal("no summary for leak")
 	}
@@ -217,11 +227,11 @@ func TestSummaryUncheckedUseAndValidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := set.Of("t.U.useRaw(t.Resp)void")
+	raw := summaryOf(set, cg, "t.U.useRaw(t.Resp)void")
 	if raw == nil || raw.UncheckedUse&(1<<1) == 0 {
 		t.Errorf("useRaw should have an unchecked use of its parameter: %+v", raw)
 	}
-	checked := set.Of("t.U.useChecked(t.Resp)void")
+	checked := summaryOf(set, cg, "t.U.useChecked(t.Resp)void")
 	if checked == nil {
 		t.Fatal("no summary for useChecked")
 	}
@@ -234,7 +244,7 @@ func TestSummaryUncheckedUseAndValidated(t *testing.T) {
 }
 
 func TestSummaryRecursionConverges(t *testing.T) {
-	set, _, _ := summariesOf(t, `class t.R extends java.lang.Object {
+	set, cg, _ := summariesOf(t, `class t.R extends java.lang.Object {
   method static ping(t.Obj,int)t.Obj {
     local v t.Obj
     local n int
@@ -264,7 +274,7 @@ class t.Obj extends java.lang.Object {
 		t.Errorf("ping/pong should form one SCC of 2: %+v", stats)
 	}
 	for _, key := range []string{"t.R.ping(t.Obj,int)t.Obj", "t.R.pong(t.Obj,int)t.Obj"} {
-		sum := set.Of(key)
+		sum := summaryOf(set, cg, key)
 		if sum == nil {
 			t.Fatalf("no summary for %s", key)
 		}
@@ -299,14 +309,14 @@ class t.Obj extends java.lang.Object {
     return
   }
 }`
-	set1, _, _ := summariesOf(t, src)
-	set2, _, _ := summariesOf(t, src)
+	set1, cg1, _ := summariesOf(t, src)
+	set2, cg2, _ := summariesOf(t, src)
 	for _, key := range []string{"t.D.a(t.Obj)t.Obj", "t.D.b(t.Obj)t.Obj"} {
-		if !reflect.DeepEqual(set1.Of(key), set2.Of(key)) {
+		if !reflect.DeepEqual(summaryOf(set1, cg1, key), summaryOf(set2, cg2, key)) {
 			t.Errorf("%s: summaries differ across runs", key)
 		}
 	}
-	a := set1.Of("t.D.a(t.Obj)t.Obj")
+	a := summaryOf(set1, cg1, "t.D.a(t.Obj)t.Obj")
 	// a's parameter is passed to b, which touches it: CallsOn and Uses
 	// propagate through the summary.
 	if a.RetFrom&(1<<1) == 0 {
@@ -423,7 +433,7 @@ func resolverFor(set *SummarySet, cg *callgraph.Graph, m *jimple.Method) Summary
 			if e.Site != site || e.Kind != callgraph.EdgeCall {
 				continue
 			}
-			if s := set.Of(e.Callee.Key()); s != nil {
+			if s := summaryOf(set, cg, e.Callee.Key()); s != nil {
 				out = append(out, s)
 			}
 		}

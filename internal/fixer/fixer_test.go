@@ -196,3 +196,54 @@ func TestFixAllConvergesOnGeneratedApps(t *testing.T) {
 		t.Fatal("no buggy apps sampled")
 	}
 }
+
+// warningKeys counts a scan's warnings as (cause, method) pairs: the
+// identity of a warning that a fix inserted elsewhere in the same method
+// leaves intact (only the statement index of later warnings shifts).
+func warningKeys(res *core.Result) map[string]int {
+	out := make(map[string]int, len(res.Reports))
+	for i := range res.Reports {
+		out[warningKey(&res.Reports[i])]++
+	}
+	return out
+}
+
+func warningKey(r *report.Report) string {
+	return string(r.Cause) + " " + r.Location.Method.Key()
+}
+
+// TestFixEachGoldenWarningAlone is the fixer's metamorphic relation over
+// the goldens: fixing any one warning W of a fresh golden app and
+// rescanning removes W and adds no warning, compared as (cause, method)
+// multisets. Other warnings may go too — a retry-config fix, for one,
+// also settles the site's over-retry warning.
+func TestFixEachGoldenWarningAlone(t *testing.T) {
+	nc := core.New()
+	fixed := 0
+	for _, g := range corpus.GoldenSpecs() {
+		before := nc.ScanApp(corpus.MustBuild(g.Spec))
+		allowed := warningKeys(before)
+		for i := range before.Reports {
+			w := &before.Reports[i]
+			// Each fix starts from a fresh build, so W's location is
+			// exactly the one the scan reported.
+			app := corpus.MustBuild(g.Spec)
+			if err := New().Apply(app, w); err != nil {
+				t.Errorf("%s: fixing %s at %d: %v", g.Name, warningKey(w), w.Location.Stmt, err)
+				continue
+			}
+			fixed++
+			allowed[warningKey(w)]--
+			for k, n := range warningKeys(nc.ScanApp(app)) {
+				if n > allowed[k] {
+					t.Errorf("%s: after fixing %s: %q reported %d times, want at most %d",
+						g.Name, warningKey(w), k, n, allowed[k])
+				}
+			}
+			allowed[warningKey(w)]++
+		}
+	}
+	if fixed == 0 {
+		t.Fatal("the goldens have no warnings to fix")
+	}
+}

@@ -1,26 +1,15 @@
 package jimple
 
 import (
-	"io"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// ClassWriter is the sink the printer streams into. Both *strings.Builder
-// and *bufio.Writer satisfy it, so callers that only need the printed
-// bytes transiently (content hashing) can stream them through a buffered
-// writer instead of materializing a throwaway string per class.
-type ClassWriter interface {
-	io.Writer
-	WriteString(s string) (int, error)
-	WriteByte(c byte) error
-}
-
 // Fprint renders the program in the textual assembly form accepted by
 // Parse. The rendering is deterministic: classes sorted by name, members
 // in declaration order.
-func Fprint(b ClassWriter, p *Program) {
+func Fprint(b *strings.Builder, p *Program) {
 	for i, c := range p.Classes() {
 		if i > 0 {
 			b.WriteByte('\n')
@@ -43,11 +32,7 @@ func PrintClass(c *Class) string {
 	return b.String()
 }
 
-// FprintClass streams the rendering of a single class into w, emitting
-// exactly the bytes PrintClass returns.
-func FprintClass(w ClassWriter, c *Class) { printClass(w, c) }
-
-func printClass(b ClassWriter, c *Class) {
+func printClass(b *strings.Builder, c *Class) {
 	if c.IsIface {
 		b.WriteString("interface ")
 	} else {
@@ -87,7 +72,7 @@ func printClass(b ClassWriter, c *Class) {
 	b.WriteString("}\n")
 }
 
-func printMethod(b ClassWriter, m *Method) {
+func printMethod(b *strings.Builder, m *Method) {
 	b.WriteString("  method ")
 	if m.Static {
 		b.WriteString("static ")
@@ -151,7 +136,7 @@ func printMethod(b ClassWriter, m *Method) {
 }
 
 // writeInt writes the decimal rendering of v without going through fmt.
-func writeInt(b ClassWriter, v int64) {
+func writeInt(b *strings.Builder, v int64) {
 	var buf [20]byte
 	b.Write(strconv.AppendInt(buf[:0], v, 10))
 }
@@ -183,7 +168,7 @@ func collectLabels(m *Method) map[int]int {
 	return labels
 }
 
-func writeStmt(b ClassWriter, s Stmt, labels map[int]int) {
+func writeStmt(b *strings.Builder, s Stmt, labels map[int]int) {
 	switch s := s.(type) {
 	case *AssignStmt:
 		writeLValue(b, s.LHS)
@@ -216,7 +201,7 @@ func writeStmt(b ClassWriter, s Stmt, labels map[int]int) {
 	}
 }
 
-func writeLValue(b ClassWriter, v LValue) {
+func writeLValue(b *strings.Builder, v LValue) {
 	switch v := v.(type) {
 	case Local:
 		b.WriteString(v.Name)
@@ -227,7 +212,7 @@ func writeLValue(b ClassWriter, v LValue) {
 	}
 }
 
-func writeFieldRef(b ClassWriter, f FieldRef) {
+func writeFieldRef(b *strings.Builder, f FieldRef) {
 	if f.Base == "" {
 		b.WriteString("sfield(")
 	} else {
@@ -241,7 +226,7 @@ func writeFieldRef(b ClassWriter, f FieldRef) {
 	b.WriteByte(')')
 }
 
-func writeAtom(b ClassWriter, v Value) {
+func writeAtom(b *strings.Builder, v Value) {
 	switch v := v.(type) {
 	case Local:
 		b.WriteString(v.Name)
@@ -269,7 +254,7 @@ func writeAtom(b ClassWriter, v Value) {
 	}
 }
 
-func writeValue(b ClassWriter, v Value) {
+func writeValue(b *strings.Builder, v Value) {
 	switch v := v.(type) {
 	case NewExpr:
 		b.WriteString("new ")
@@ -300,7 +285,7 @@ func writeValue(b ClassWriter, v Value) {
 	}
 }
 
-func writeInvoke(b ClassWriter, e InvokeExpr) {
+func writeInvoke(b *strings.Builder, e InvokeExpr) {
 	b.WriteString(e.Kind.String())
 	b.WriteByte(' ')
 	if e.Kind != InvokeStatic {

@@ -361,13 +361,13 @@ func TestCacheReplicationServesFleetWideHits(t *testing.T) {
 // and corrupt envelopes, and answers 404 when no hub is configured.
 func TestCacheHubEndpointsValidate(t *testing.T) {
 	_, noHub := newTestCoordinator(t, CoordConfig{})
-	if code, _ := getBody(t, noHub.URL+"/cache/"+cachestore.NewKey(cachestore.KindResult, []byte("x")).Filename()); code != http.StatusNotFound {
+	if code, _ := getBody(t, noHub.URL+"/cache/"+cachestore.NewKey([]byte("x")).Filename()); code != http.StatusNotFound {
 		t.Errorf("hub-less GET = %d, want 404", code)
 	}
 
 	_, ts := newTestCoordinator(t, CoordConfig{CacheDir: t.TempDir()})
-	name := cachestore.NewKey(cachestore.KindResult, []byte("x")).Filename()
-	good := cachestore.EncodeEntry(cachestore.KindResult, []byte("payload"))
+	name := cachestore.NewKey([]byte("x")).Filename()
+	good := cachestore.EncodeEntry([]byte("payload"))
 
 	put := func(entry string, data []byte) int {
 		req, err := http.NewRequest(http.MethodPut, ts.URL+"/cache/"+entry, bytes.NewReader(data))
@@ -393,7 +393,7 @@ func TestCacheHubEndpointsValidate(t *testing.T) {
 	if code, body := getBody(t, ts.URL+"/cache/"+name); code != http.StatusOK || !strings.Contains(body, "payload") {
 		t.Errorf("GET after PUT = %d", code)
 	}
-	if code, _ := getBody(t, ts.URL+"/cache/"+cachestore.NewKey(cachestore.KindResult, []byte("missing")).Filename()); code != http.StatusNotFound {
+	if code, _ := getBody(t, ts.URL+"/cache/"+cachestore.NewKey([]byte("missing")).Filename()); code != http.StatusNotFound {
 		t.Errorf("missing entry GET = %d, want 404", code)
 	}
 }

@@ -97,10 +97,10 @@ type FleetJoin struct {
 // JoinFleet registers the worker with its coordinator and, when the scan
 // options carry a cache directory, wires the worker's shared cache store
 // to the coordinator's replication hub — after this, any fleet member's
-// cache hit (whole-app results and per-class summary seeds alike) serves
-// every worker. Registration retries briefly (the coordinator may still
-// be starting); failure to join is an error so the operator notices, but
-// the worker itself keeps serving standalone.
+// cached whole-app result serves every worker. Registration retries
+// briefly (the coordinator may still be starting); failure to join is an
+// error so the operator notices, but the worker itself keeps serving
+// standalone.
 func JoinFleet(cfg FleetJoin, scan core.Options) error {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
