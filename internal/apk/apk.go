@@ -50,6 +50,9 @@ type App struct {
 	// src holds the container bytes an app was decoded from, until
 	// Digest hashes them; nil for an app built in memory.
 	src []byte
+	// buf is the pooled buffer ReadFileLazy read the container into,
+	// which src and the Lazy's index alias until Release returns it.
+	buf *[]byte
 
 	// digest memoizes Digest(): the hash of src, on first use.
 	digestOnce sync.Once
@@ -257,11 +260,80 @@ func ReadFile(path string) (*App, error) {
 }
 
 // ReadFileLazy parses the app at path without decoding method bodies; see
-// DecodeLazy.
+// DecodeLazy. The container is read into a pooled buffer, which Release
+// returns: a caller done with the app releases it, so the next read
+// reuses the buffer.
 func ReadFileLazy(path string) (*App, error) {
-	data, err := os.ReadFile(path)
+	buf, err := readPooled(path)
 	if err != nil {
 		return nil, fmt.Errorf("apk: %w", err)
 	}
-	return DecodeLazy(data)
+	app, err := DecodeLazy(*buf)
+	if err != nil {
+		// The decode errors are formatted strings: nothing aliases buf.
+		bufPool.Put(buf)
+		return nil, err
+	}
+	app.buf = buf
+	return app, nil
+}
+
+// bufPool holds the container buffers of released apps.
+var bufPool sync.Pool
+
+// readPooled reads the file at path into a buffer from bufPool, sized by
+// the file's Stat: one read fills it, and the buffer grows only if the
+// file grew since.
+func readPooled(path string) (*[]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size := 0
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = int(fi.Size())
+	}
+	buf, _ := bufPool.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	// One byte of room past the size lets the read that meets EOF
+	// succeed without growing the buffer.
+	data := (*buf)[:0]
+	if cap(data) < size+1 {
+		data = make([]byte, 0, size+1)
+	}
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*buf = data
+			bufPool.Put(buf)
+			return nil, err
+		}
+	}
+	*buf = data
+	return buf, nil
+}
+
+// Release gives back the memory the app's open holds only for the scan:
+// the Lazy's index arrays (dex.Lazy.Release) and the buffer ReadFileLazy
+// read the container into. The app's strings, signatures and
+// already-decoded classes stay valid, but a lookup that would decode
+// panics, and Digest fails unless it ran before. Release is idempotent
+// and may not run concurrently with any other use of the app.
+func (a *App) Release() {
+	a.Lazy.Release()
+	a.src = nil
+	if a.buf != nil {
+		bufPool.Put(a.buf)
+		a.buf = nil
+	}
 }

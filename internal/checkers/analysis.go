@@ -234,13 +234,16 @@ type Result struct {
 // findings collects one unit of pipeline work (a site, a method, a whole
 // stage): its warnings and stat deltas. Units are merged in a fixed
 // deterministic order at each stage's barrier, so the assembled report
-// stream is identical to the historical sequential analyzer's.
+// stream is identical to the historical sequential analyzer's. Each
+// report is built once, in place (newReport), and held by pointer, so a
+// growing report slice and the merges copy pointers; the pipeline copies
+// each report once, into the Result.
 type findings struct {
-	reports []report.Report
+	reports []*report.Report
 	stats   Stats
 }
 
-func (f *findings) report(r report.Report) {
+func (f *findings) report(r *report.Report) {
 	f.reports = append(f.reports, r)
 }
 
@@ -253,7 +256,7 @@ func mergeFindings(units []findings) findings {
 		n += len(units[i].reports)
 	}
 	if n > 0 {
-		out.reports = make([]report.Report, 0, n)
+		out.reports = make([]*report.Report, 0, n)
 	}
 	for i := range units {
 		out.reports = append(out.reports, units[i].reports...)
@@ -654,14 +657,14 @@ func argLocal(inv jimple.InvokeExpr, i int) (string, bool) {
 
 // newReport assembles a report for a site with the call stack from its
 // representative entry point.
-func (a *analysis) newReport(site *requestSite, cause report.Cause, msg string) report.Report {
+func (a *analysis) newReport(site *requestSite, cause report.Cause, msg string) *report.Report {
 	ctx := report.Context{
 		Component:     site.component,
 		Kind:          site.kind,
 		UserInitiated: site.userInitiated,
 		HTTPMethod:    site.httpMethod,
 	}
-	r := report.Report{
+	r := &report.Report{
 		Cause:         cause,
 		Lib:           site.lib.Key,
 		Message:       msg,

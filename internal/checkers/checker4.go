@@ -140,7 +140,7 @@ func (a *analysis) checkCallbackResponseBody(m *jimple.Method, lib *apimodel.Lib
 		if useStmt, missing := a.findUncheckedUse(m, i, respLocal.Name); missing {
 			f.stats.RespMissCheck++
 			ctx := report.Context{Component: jimple.OuterClass(m.Sig.Class), UserInitiated: true}
-			r := report.Report{
+			r := &report.Report{
 				Cause:         report.CauseNoResponseCheck,
 				Lib:           lib.Key,
 				Message:       "Callback response used without a validity check",

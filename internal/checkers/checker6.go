@@ -41,8 +41,8 @@ func (a *analysis) checkSiteStaleness(mp *dataflow.MustPrecede, site *requestSit
 	}
 	f.stats.GuardedSites++
 	g := a.checkGraph(m)
-	idom := g.Dominators()
-	cd := dataflow.NewCheckDistance(g, idom, g.NaturalLoopsWith(idom),
+	idom, loops := a.ctx.checkStructure(m, g)
+	cd := dataflow.NewCheckDistance(g, idom, loops,
 		func(_ int, inv jimple.InvokeExpr) bool {
 			return android.IsWaitCall(inv.Callee)
 		})

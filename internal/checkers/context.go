@@ -74,6 +74,12 @@ type methodArtifacts struct {
 
 	feasOnce sync.Once
 	feas     *cfg.Graph
+
+	// The dominators and natural loops of the method's check graph
+	// (analysis.checkGraph), for the stale-check checker.
+	checkOnce  sync.Once
+	checkDom   []int
+	checkLoops []*cfg.Loop
 }
 
 // newAnalysisContext prepares an empty context over the scan's call graph.
@@ -186,6 +192,20 @@ func (c *AnalysisContext) FeasibleCFG(m *jimple.Method) *cfg.Graph {
 		a.feas = g.WithoutEdges(dead)
 	})
 	return a.feas
+}
+
+// checkStructure returns the dominator tree and natural loops of g, m's
+// check graph — FeasibleCFG(m), or CFG(m) in an intraprocedural scan
+// (analysis.checkGraph) — memoized per method: a scan passes every
+// request for m the same graph. They are not counted: the dominator and
+// loop counters count the unpruned graph's.
+func (c *AnalysisContext) checkStructure(m *jimple.Method, g *cfg.Graph) ([]int, []*cfg.Loop) {
+	a := c.arts(m)
+	a.checkOnce.Do(func() {
+		a.checkDom = g.Dominators()
+		a.checkLoops = g.NaturalLoopsWith(a.checkDom)
+	})
+	return a.checkDom, a.checkLoops
 }
 
 // configureSummaries installs the interprocedural summary producer; the

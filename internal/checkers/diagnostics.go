@@ -130,7 +130,11 @@ func (v *ValidateStats) count(verdict string) {
 // It is populated by every Analyze call and threaded through core.Result
 // to cmd/nchecker (-timings) and the experiment harness.
 type Diagnostics struct {
+	// Total is the pipeline's wall time, AnalyzeContext's own; Open, the
+	// open's before it (file read, container framing and skim), which
+	// core records for the scans that open their own container.
 	Total      time.Duration
+	Open       time.Duration
 	Workers    int // resolved worker count the scan ran with
 	AppMethods int // body-bearing app methods scanned
 	Sites      int // request sites discovered
@@ -205,6 +209,7 @@ func (d *Diagnostics) add(name string, dur time.Duration, items, reports int) {
 // counter-wise), for corpus-level aggregation. Workers is kept from d.
 func (d *Diagnostics) Merge(o Diagnostics) {
 	d.Total += o.Total
+	d.Open += o.Open
 	d.AppMethods += o.AppMethods
 	d.Sites += o.Sites
 	for _, s := range o.Stages {
@@ -238,6 +243,9 @@ func (d Diagnostics) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pipeline: %v total, %d workers, %d app methods, %d request sites\n",
 		d.Total.Round(time.Microsecond), d.Workers, d.AppMethods, d.Sites)
+	if d.Open > 0 {
+		fmt.Fprintf(&b, "  open: %v (file read, framing, skim)\n", d.Open.Round(time.Microsecond))
+	}
 	if t := d.Targeted; t != (TargetedStats{}) {
 		fmt.Fprintf(&b, "  targeted: %d seeds -> %d methods over %d classes; classes decoded %d, skipped %d\n",
 			t.SeedMethods, t.ClosureMethods, t.ClosureClasses, t.ClassesDecoded, t.ClassesSkipped)

@@ -218,7 +218,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		intern := jimple.NewInterner()
 		for i := range outs {
 			for j := range outs[i].reports {
-				r := &outs[i].reports[j]
+				r := outs[i].reports[j]
 				order = append(order, keyedReport{intern.SigKey(r.Location.Method), r})
 			}
 		}

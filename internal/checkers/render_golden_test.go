@@ -18,6 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata goldens")
 func populatedDiagnostics() Diagnostics {
 	d := Diagnostics{
 		Total:      1500 * time.Millisecond,
+		Open:       420 * time.Microsecond,
 		Workers:    4,
 		AppMethods: 7,
 		Sites:      3,

@@ -25,6 +25,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/apimodel"
 	"repro/internal/apk"
@@ -141,13 +142,15 @@ func (c *Checker) Options() Options { return c.opts }
 // ErrDecode ScanError.
 func (c *Checker) ScanApp(app *apk.App) *Result {
 	data, err := apk.Encode(app)
+	start := time.Now()
+	var opened *apk.App
 	if err == nil {
-		app, err = apk.DecodeLazy(data)
+		opened, err = apk.DecodeLazy(data)
 	}
 	if err != nil {
 		return &Result{Incomplete: true, Diagnostics: Diagnostics{Errors: []ScanError{*decodeErr(err)}}}
 	}
-	return checkers.Analyze(app, c.reg, c.opts)
+	return c.analyze(context.Background(), opened, start)
 }
 
 // ScanBytes parses an APK container from bytes and analyzes it.
@@ -162,11 +165,12 @@ func (c *Checker) ScanBytes(data []byte) (*Result, error) {
 // instead of aborting it: the Result keeps every completed stage's
 // findings and is marked Incomplete.
 func (c *Checker) ScanBytesContext(ctx context.Context, data []byte) (*Result, error) {
+	start := time.Now()
 	app, err := apk.DecodeLazy(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", decodeErr(err))
 	}
-	return checkers.AnalyzeContext(ctx, app, c.reg, c.opts), nil
+	return c.analyze(ctx, app, start), nil
 }
 
 // ScanFile parses the APK container at path and analyzes it.
@@ -178,11 +182,26 @@ func (c *Checker) ScanFile(path string) (*Result, error) {
 // malformed file yields an error matching ErrDecode. The file is opened
 // lazily, like ScanBytesContext.
 func (c *Checker) ScanFileContext(ctx context.Context, path string) (*Result, error) {
+	start := time.Now()
 	app, err := apk.ReadFileLazy(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", decodeErr(err))
 	}
-	return checkers.AnalyzeContext(ctx, app, c.reg, c.opts), nil
+	return c.analyze(ctx, app, start), nil
+}
+
+// analyze scans an app the scan opened itself, starting at start, and
+// then releases it. The Result holds nothing the release recycles: its
+// reports keep strings and signatures, which stay with the collector, and
+// every stage goroutine has been waited on when AnalyzeContext returns.
+// The open's wall time — file read, container framing and skim — is the
+// time from start to the analysis.
+func (c *Checker) analyze(ctx context.Context, app *apk.App, start time.Time) *Result {
+	open := time.Since(start)
+	res := checkers.AnalyzeContext(ctx, app, c.reg, c.opts)
+	app.Release()
+	res.Diagnostics.Open = open
+	return res
 }
 
 // decodeErr files a read/parse failure under ErrDecode in the taxonomy.

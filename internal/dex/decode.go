@@ -195,7 +195,11 @@ func (d *decoder) run() (*jimple.Program, error) {
 	// Pool strings are slices of one string conversion of the pool's
 	// bytes rather than one allocation each: a first pass finds where the
 	// pool ends.
-	d.pool = make([]string, nstr)
+	if d.lazy != nil {
+		d.pool = reuse(d.lazy.reuse.pool, int(nstr))
+	} else {
+		d.pool = make([]string, nstr)
+	}
 	start := d.pos
 	for range d.pool {
 		if _, err := d.skipStr(); err != nil {

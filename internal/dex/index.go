@@ -47,6 +47,9 @@ type Index struct {
 	pool []string
 	sigs []jimple.Sig
 	prog *jimple.Program
+	// offs holds both indices' offsets and finish's bookkeeping, ids both
+	// indices' ids: whole, for Release to recycle.
+	offs, ids []int32
 }
 
 // MethodRef is the skim record of one body-bearing method. It is plain
@@ -136,8 +139,10 @@ func (x *Index) endClass(name string, lo int, ord int32) {
 
 // finish sorts the bodied classes by name (a container lists them in any
 // order; the encoder's is already sorted) and builds the caller and
-// declarer indices.
-func (x *Index) finish() {
+// declarer indices, in s's arrays where they have the room. It takes the
+// key table from s too when s's has the room; otherwise Key allocates it
+// on first use.
+func (x *Index) finish(s *spare) {
 	if !sort.SliceIsSorted(x.classes, func(i, j int) bool { return x.classes[i].name < x.classes[j].name }) {
 		sort.Slice(x.classes, func(i, j int) bool { return x.classes[i].name < x.classes[j].name })
 		for slot, c := range x.classes {
@@ -152,7 +157,11 @@ func (x *Index) finish() {
 	// record calling one name twice is filed once; fill[k] is name k's
 	// next free slot. The bookkeeping shares one allocation, the two id
 	// lists another.
-	scratch := make([]int32, 5*n+2)
+	if len(x.recs) > 0 && cap(s.keys) >= len(x.recs) {
+		x.keys = s.keys[:len(x.recs)] // cleared when it was released
+	}
+	scratch := reuse(s.offs, 5*n+2)
+	x.offs = scratch
 	x.callers.off, x.decls.off = scratch[:n+1:n+1], scratch[n+1:2*n+2:2*n+2]
 	last, callerFill, declFill := scratch[2*n+2:3*n+2], scratch[3*n+2:4*n+2], scratch[4*n+2:5*n+2]
 	for i := range x.recs {
@@ -169,7 +178,8 @@ func (x *Index) finish() {
 		x.callers.off[k+1] += x.callers.off[k]
 		x.decls.off[k+1] += x.decls.off[k]
 	}
-	ids := make([]int32, x.callers.off[n]+x.decls.off[n])
+	ids := reuse(s.ids, int(x.callers.off[n]+x.decls.off[n]))
+	x.ids = ids
 	x.callers.ids, x.decls.ids = ids[:x.callers.off[n]], ids[x.callers.off[n]:]
 	clear(last)
 	copy(callerFill, x.callers.off[:n])

@@ -30,9 +30,13 @@ import (
 // materializing core re-runs over the span, so malformed input fails with
 // the eager path's exact error and offset.
 //
-// The skim appends to pooled scratch (lazyBuild), and the open copies
-// each slab out at its exact size when it ends, so an open allocates
-// what its index keeps rather than the doublings of growing it.
+// The skim appends to pooled scratch (lazyBuild), and when the open ends
+// its index keeps a copy of each slab: in the arrays of an earlier open
+// that gave its memory back (Release) when they have the room, else at
+// exact size. Either way an app that is never released costs what its
+// index keeps rather than the doublings of growing it, and a scan that
+// releases its app allocates none of it. DESIGN.md §13 ("A scan returns
+// what it opened") states the ownership rule.
 //
 // A class's fields and method headers are decoded, with the eager
 // readers, the first time a program lookup returns the class (fill), and
@@ -71,27 +75,37 @@ type Lazy struct {
 	// before the program is shared, so one decoder, and its slabs, serves
 	// every class.
 	dec decoder
+	// released marks a Lazy whose arrays have gone back (Release).
+	released bool
 }
 
 // classMembers locates one class in the container: its header, its field
 // section, and its method headers hdrs[mlo:mhi].
 type classMembers struct{ at, fields, mlo, mhi int32 }
 
-// lazyBuild is the skim's state while the container parses. It is
-// scratch, reused across opens through buildPool: the skim appends to the
-// index's slabs in its growable backing arrays, and when the open ends
-// the index gets copies of exact size and the arrays go back to the pool
-// (release), so a steady stream of opens stops growing slices.
-type lazyBuild struct {
-	l *Lazy
-	// The backing arrays of the index's records, calls, intents and
-	// bodied-class spans, and of the method-header offsets, while no open
-	// holds them.
+// slabs are the arrays the skim appends to: the index's records, calls,
+// intents and bodied-class spans, and the method-header offsets.
+type slabs struct {
 	recs    []MethodRef
 	calls   []Call
 	intents []string
 	classes []classSpan
 	hdrs    []int32
+}
+
+// lazyBuild is the skim's state while the container parses. It is
+// scratch, reused across opens through buildPool: the skim appends to
+// the index's slabs in its growable backing arrays, which the build gets
+// back when the open ends (release), so a steady stream of opens stops
+// growing slices.
+type lazyBuild struct {
+	l *Lazy
+	// The backing arrays of the slabs while no open holds them.
+	slabs
+	// reuse holds the arrays of a released open that this open takes its
+	// other arrays from, where they have the room (see spare); all nil
+	// when the open found none.
+	reuse spare
 	// poolName caches the name id of a pool index (id+1; 0 = not yet
 	// looked up), so a method name is hashed once per pool entry.
 	poolName []int32
@@ -101,13 +115,61 @@ type lazyBuild struct {
 
 var buildPool = sync.Pool{New: func() any { return new(lazyBuild) }}
 
+// spare holds the arrays of a released open for a later open to reuse:
+// what only the open holds — its index's slabs, string-pool slice, key
+// table and caller and declarer tables, and its member table,
+// referenced-class set and materialized flags. Nothing a Result, the
+// program or a registry memo can reach goes in, and no memory backing a
+// string: the pool text and the decoder's slabs stay with the collector.
+// The string-holding arrays are cleared, to their capacity, before a
+// spare is pooled, so the pool keeps no container alive.
+type spare struct {
+	slabs
+	pool         []string
+	keys         []string
+	members      []classMembers
+	refs         []uint64
+	materialized []bool
+	offs, ids    []int32
+}
+
+// sparePool holds released opens' spares; an open that finds none
+// allocates as if no open had ever been released.
+var sparePool sync.Pool
+
+// clearStrings drops every string s's arrays hold.
+func (s *spare) clearStrings() {
+	clear(s.intents[:cap(s.intents)])
+	clear(s.classes[:cap(s.classes)])
+	clear(s.pool[:cap(s.pool)])
+	clear(s.keys[:cap(s.keys)])
+}
+
+// reuse returns s resliced to n zeroed elements when it has the room, and
+// a new slice of n elements when it has not.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // DecodeLazy parses bytes produced by Encode into a Lazy program. It
 // accepts and rejects exactly the inputs Decode does, with the same
 // error: the skim runs the eager decoder's checks in the eager order, and
-// the eager core phrases any rejection.
+// the eager core phrases any rejection. A caller that is done with the
+// program calls Release, so the next open reuses its memory.
 func DecodeLazy(data []byte) (*Lazy, error) {
 	l := &Lazy{idx: &Index{src: data, nameIDs: make(map[string]int32)}}
 	b := buildPool.Get().(*lazyBuild)
+	// Empty the holder: the open owns the arrays it held now. A failed
+	// open pools it again; a good one drops it, and Release pools a new one.
+	held, _ := sparePool.Get().(*spare)
+	if held != nil {
+		b.reuse, *held = *held, spare{}
+	}
 	b.acquire(l)
 	d := &decoder{data: data, lazy: b}
 	prog, err := d.run()
@@ -118,13 +180,21 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 			l.dropReplaced()
 		}
 	}
+	reused := b.reuse
 	b.release(err == nil)
 	if err != nil {
+		if held != nil {
+			// The failed open may have written pool strings into the
+			// reused arrays.
+			*held = reused
+			held.clearStrings()
+			sparePool.Put(held)
+		}
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
 	l.dec = decoder{data: data, pool: d.pool}
-	l.idx.finish()
-	l.materialized = make([]bool, len(l.idx.classes))
+	l.idx.finish(&reused)
+	l.materialized = reuse(reused.materialized, len(l.idx.classes))
 	return l, nil
 }
 
@@ -135,21 +205,37 @@ func (b *lazyBuild) acquire(l *Lazy) {
 	x.recs, x.calls, x.intents, x.classes, l.hdrs = b.recs[:0], b.calls[:0], b.intents[:0], b.classes[:0], b.hdrs[:0]
 }
 
-// release takes the backing arrays back from the open — giving its index
-// copies of exact size when keep is set, so a failed open keeps nothing —
-// and returns b to the pool, with the strings the arrays hold cleared so
-// the pool keeps no container alive.
+// release takes the backing arrays back from the open and returns b to
+// the pool, with the strings the arrays hold cleared so the pool keeps no
+// container alive. When keep is set the open succeeded, and its index
+// keeps a copy of each slab (keepSlab); a failed open keeps nothing.
 func (b *lazyBuild) release(keep bool) {
 	l := b.l
 	x := l.idx
-	b.recs, b.calls, b.intents, b.classes, b.hdrs = x.recs, x.calls, x.intents, x.classes, l.hdrs
+	b.slabs = slabs{x.recs, x.calls, x.intents, x.classes, l.hdrs}
 	if keep {
-		x.recs, x.calls, x.intents, x.classes, l.hdrs = exact(x.recs), exact(x.calls), exact(x.intents), exact(x.classes), exact(l.hdrs)
+		s := &b.reuse
+		x.recs = keepSlab(x.recs, s.recs)
+		x.calls = keepSlab(x.calls, s.calls)
+		x.intents = keepSlab(x.intents, s.intents)
+		x.classes = keepSlab(x.classes, s.classes)
+		l.hdrs = keepSlab(l.hdrs, s.hdrs)
 	}
-	clear(b.intents)
-	clear(b.classes)
-	b.l = nil
+	clear(b.intents[:cap(b.intents)])
+	clear(b.classes[:cap(b.classes)])
+	b.l, b.reuse = nil, spare{}
 	buildPool.Put(b)
+}
+
+// keepSlab returns the copy of a slab the skim grew that the index keeps:
+// in released, the array of a released open (nil for none), when it has
+// the room, so the copy allocates nothing; otherwise at exact size, as an
+// open that reused nothing copies it.
+func keepSlab[T any](grown, released []T) []T {
+	if cap(released) >= len(grown) {
+		return append(released[:0], grown...)
+	}
+	return exact(grown)
 }
 
 // exact returns a copy of s that shares no memory with it and has no
@@ -164,13 +250,50 @@ func exact[T any](s []T) []T {
 	return out
 }
 
+// Release gives the open's arrays back for a later open to reuse (see
+// spare). The caller must be done with the program and the index: a
+// member lookup that decodes, a Materialize, an EachRefClass or an Index
+// after Release panics rather than read recycled memory, while the
+// strings, signatures and classes already obtained stay valid. Release
+// is idempotent. It may not run concurrently with any other use of the
+// program.
+func (l *Lazy) Release() {
+	if l == nil || l.released {
+		return
+	}
+	l.released = true
+	x := l.idx
+	s := &spare{
+		slabs:        slabs{x.recs, x.calls, x.intents, x.classes, l.hdrs},
+		pool:         x.pool,
+		keys:         x.keys,
+		members:      l.members,
+		refs:         l.refs,
+		materialized: l.materialized,
+		offs:         x.offs,
+		ids:          x.ids,
+	}
+	s.clearStrings()
+	*x = Index{prog: x.prog}
+	l.refs, l.refNames, l.members, l.hdrs, l.materialized = nil, nil, nil, nil, nil
+	l.dec = decoder{}
+	sparePool.Put(s)
+}
+
+// live panics if l has been released.
+func (l *Lazy) live() {
+	if l.released {
+		panic("dex: use of a lazily decoded program after Lazy.Release")
+	}
+}
+
 // begin sizes the open's state for n classes and the decoded string
 // pool, and returns the program the classes are deferred into.
 func (b *lazyBuild) begin(d *decoder, n int) *jimple.Program {
 	l := b.l
-	l.members = make([]classMembers, 0, n)
+	l.members = reuse(b.reuse.members, n)[:0]
 	d.classes.reserve(n)
-	l.refs = make([]uint64, (len(d.pool)+63)/64)
+	l.refs = reuse(b.reuse.refs, (len(d.pool)+63)/64)
 	if cap(b.poolName) < len(d.pool) {
 		b.poolName = make([]int32, len(d.pool))
 	} else {
@@ -259,6 +382,7 @@ func (l *Lazy) dropReplaced() {
 // class, under its member lock. The skim validated these bytes, so an
 // error means they changed underneath.
 func (l *Lazy) fill(c *jimple.Class, slot int32) {
+	l.live()
 	cm := l.members[slot]
 	d := &l.dec
 	d.pos = int(cm.fields)
@@ -288,7 +412,10 @@ func (l *Lazy) fill(c *jimple.Class, slot int32) {
 func (l *Lazy) Program() *jimple.Program { return l.idx.prog }
 
 // Index returns the skim index of the body-bearing methods.
-func (l *Lazy) Index() *Index { return l.idx }
+func (l *Lazy) Index() *Index {
+	l.live()
+	return l.idx
+}
 
 // NumBodiedClasses returns how many classes have at least one
 // body-bearing method (the denominator of the decoded/skipped counters).
@@ -303,6 +430,7 @@ func (l *Lazy) NumBodiedClasses() int { return len(l.idx.classes) }
 // supertype, or a string the pool holds twice), and "" may appear for a
 // root class.
 func (l *Lazy) EachRefClass(fn func(string)) {
+	l.live()
 	pool := l.idx.pool
 	for w, word := range l.refs {
 		for ; word != 0; word &= word - 1 {
@@ -332,6 +460,7 @@ func (l *Lazy) EachRefClass(fn func(string)) {
 // several classes to decode passes them together. Should that skim fail
 // anyway, the slabs simply grow as the decode goes.
 func (l *Lazy) Materialize(classes ...string) error {
+	l.live()
 	x := l.idx
 	d := &l.dec
 	var n bodyCounts
@@ -392,6 +521,7 @@ func (l *Lazy) MaterializeAll() error {
 	if l == nil {
 		return nil
 	}
+	l.live()
 	names := make([]string, len(l.idx.classes))
 	for i, c := range l.idx.classes {
 		names[i] = c.name

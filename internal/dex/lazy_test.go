@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -657,5 +658,71 @@ func TestForeignMethodRejected(t *testing.T) {
 	const want = "method t.Second.run()void: declared in class t.First"
 	if !strings.Contains(eagerErr.Error(), want) {
 		t.Errorf("error %q does not name the method and its declarer (%q)", eagerErr, want)
+	}
+}
+
+// TestReleasedOpensMatchEager: opens that reuse the arrays of released
+// ones — grown, copied into or traded, in every order of sizes — build
+// the same index, referenced-class set and program as the eager decode,
+// and leave no earlier open's records, names or calls behind.
+func TestReleasedOpensMatchEager(t *testing.T) {
+	apps, err := corpus.GenerateCorpus(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*jimple.Program{lazySample(t), paddedSample(t), dex.EveryOpProgram(t)}
+	for _, a := range apps[:8] {
+		progs = append(progs, a.App.Program)
+	}
+	progs = append(progs, paddedSample(t))
+	var order []int
+	for i := range progs {
+		order = append(order, i)
+	}
+	for i := range progs {
+		order = append(order, len(progs)-1-i)
+	}
+	for _, i := range order {
+		data := dex.Encode(progs[i])
+		eager, err := dex.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := dex.DecodeLazy(data)
+		if err != nil {
+			t.Fatalf("prog %d: %v", i, err)
+		}
+		x := l.Index()
+		if got, want := indexView(x), eagerRefs(eager); !reflect.DeepEqual(got, want) {
+			t.Fatalf("prog %d: records after released opens differ from eager:\nlazy:  %+v\neager: %+v", i, got, want)
+		}
+		for k := int32(0); k < int32(x.NumNames()); k++ {
+			var callers, declarers []int32
+			for r := range x.Records() {
+				if x.Records()[r].Name == k {
+					declarers = append(declarers, int32(r))
+				}
+				for _, c := range x.Calls(int32(r)) {
+					if c.Name == k {
+						callers = append(callers, int32(r))
+						break
+					}
+				}
+			}
+			if !slices.Equal(x.Callers(k), callers) || !slices.Equal(x.Declarers(k), declarers) {
+				t.Fatalf("prog %d: name %d: callers %v / declarers %v, want %v / %v",
+					i, k, x.Callers(k), x.Declarers(k), callers, declarers)
+			}
+		}
+		if got, want := l.RefClasses(), eagerRefClasses(eager); !reflect.DeepEqual(got, want) {
+			t.Fatalf("prog %d: referenced classes differ:\nlazy:  %v\neager: %v", i, got, want)
+		}
+		if err := l.MaterializeAll(); err != nil {
+			t.Fatal(err)
+		}
+		if jimple.Print(l.Program()) != jimple.Print(eager) {
+			t.Fatalf("prog %d: materialized program differs from eager decode", i)
+		}
+		l.Release()
 	}
 }
