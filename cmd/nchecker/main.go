@@ -25,7 +25,7 @@
 //	-timeout   per-file scan deadline (e.g. 30s; 0 = none)
 //	-timings   print per-stage pipeline timings and cache statistics
 //	-cache     persistent scan-cache directory; unchanged files rescan
-//	           from cache, changed files reuse per-class taint summaries
+//	           from cache, a changed file misses and is rescanned cold
 //	-cache-mode off|ro|rw (default rw): how -cache is used; ro probes
 //	           and restores without writing
 //	-validate  replay each warning's witness entry point under injected

@@ -100,10 +100,9 @@ type Options struct {
 	// CacheDir, when non-empty and CacheMode is not CacheOff, enables the
 	// persistent content-addressed scan cache (internal/cachestore) rooted
 	// at that directory. Unchanged apps are answered from cache without
-	// analysis; changed apps reuse per-class taint summaries whose call
-	// closures didn't change. See cache.go for key anatomy and fault
-	// semantics — cache trouble degrades to a cold scan, never to a failed
-	// one.
+	// analysis; a changed app misses and is rescanned cold. See cache.go
+	// for key anatomy and fault semantics — cache trouble degrades to a
+	// cold scan, never to a failed one.
 	CacheDir string
 	// CacheMode selects off / read-only / read-write use of CacheDir.
 	CacheMode CacheMode

@@ -1,8 +1,8 @@
 // Fleet coordinator (DESIGN.md §12): the front door of a multi-process
 // scan fleet. The coordinator owns admission, job records, and retention
-// — the same surface a single `nchecker serve` exposes — but instead of
-// scanning, it shards each job to one of N registered worker processes
-// over HTTP:
+// — the same surface a single `nchecker serve` exposes, kept in the same
+// job book (jobbook.go) — but instead of scanning, it shards each job to
+// one of N registered worker processes over HTTP:
 //
 //	POST /scan ──► shard by sha256(body) ──► per-worker queue ──► POST {worker}/scansync
 //	                   (rendezvous hash)      │ work stealing          │ hedged + retried
@@ -46,7 +46,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -119,11 +118,7 @@ type Coordinator struct {
 	cond    *sync.Cond // signals queued work to dispatch loops
 	workers []*fleetWorker
 	orphans []*fleetDispatch // dispatches with no live worker to run them
-	jobs    map[string]*Job
-	done    []string
-	pruned  map[string]bool
-	prFIFO  []string
-	nextID  int64
+	book    jobBook
 	pending int // queued dispatches fleet-wide (per-worker queues + orphans)
 	closed  bool
 	wg      sync.WaitGroup
@@ -153,10 +148,9 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		cm:     newCoordMetrics(),
 		client: &http.Client{},
 		probe:  &http.Client{Timeout: 3 * time.Second},
-		jobs:   make(map[string]*Job),
-		pruned: make(map[string]bool),
 	}
 	c.cond = sync.NewCond(&c.mu)
+	c.book = newJobBook(&c.mu, cfg.Retain)
 	if cfg.CacheDir != "" {
 		hub, err := cachestore.Shared(cfg.CacheDir, cachestore.Options{MaxBytes: cfg.CacheMaxBytes})
 		if err != nil {
@@ -172,7 +166,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 func (c *Coordinator) Shutdown(ctx context.Context) error {
 	c.mu.Lock()
 	c.closed = true
-	for _, j := range c.jobs {
+	for _, j := range c.book.jobs {
 		for _, cancel := range j.cancels {
 			cancel()
 		}
@@ -198,10 +192,8 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /scan", c.handleSubmit)
-	mux.HandleFunc("GET /scan/{id}", c.handleGet)
-	mux.HandleFunc("GET /scans", c.handleList)
-	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	c.book.mount(mux)
 	mux.HandleFunc("POST /fleet/register", c.handleRegister)
 	mux.HandleFunc("GET /fleet", c.handleFleet)
 	mux.HandleFunc("GET /cache/{entry}", c.handleCacheGet)
@@ -553,7 +545,7 @@ func (c *Coordinator) sealLocked(job *Job) {
 		cancel()
 	}
 	job.cancels = nil
-	c.retainLocked(job.ID)
+	c.book.retireLocked(job.ID)
 }
 
 // markDownLocked removes a worker from placement and re-places everything
@@ -652,19 +644,9 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("fleet queue full (%d jobs waiting)", pending))
 		return
 	}
-	c.nextID++
-	job := &Job{
-		ID:        fmt.Sprintf("job-%d", c.nextID),
-		Name:      req.name,
-		Status:    StatusQueued,
-		BodyBytes: int64(len(req.body)),
-		Submitted: time.Now(),
-		seq:       c.nextID,
-		shard:     sha256.Sum256(req.body),
-		query:     query,
-		data:      req.body,
-	}
-	c.jobs[job.ID] = job
+	job := newJob(req)
+	job.shard, job.query = sha256.Sum256(req.body), query
+	c.book.addLocked(job)
 	c.pending++
 	c.enqueueLocked(&fleetDispatch{job: job}, nil)
 	depth := c.pending
@@ -675,63 +657,6 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{"id": job.ID, "status": string(StatusQueued)})
-}
-
-// handleGet serves one job record, with the same 404/410 semantics as a
-// single worker.
-func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	job, ok := c.jobs[r.PathValue("id")]
-	var snapshot Job
-	if ok {
-		snapshot = *job
-	}
-	if !ok {
-		expired := c.pruned[r.PathValue("id")]
-		c.mu.Unlock()
-		if expired {
-			httpError(w, http.StatusGone, "job expired: its record was pruned by the -retain bound")
-			return
-		}
-		httpError(w, http.StatusNotFound, "no such job (finished jobs are retained up to the -retain bound)")
-		return
-	}
-	c.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(&snapshot)
-}
-
-// handleList serves the compact all-jobs summary, newest first.
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	type row struct {
-		ID       string    `json:"id"`
-		Name     string    `json:"name,omitempty"`
-		Status   JobStatus `json:"status"`
-		Warnings int       `json:"warnings"`
-		Degraded bool      `json:"degraded,omitempty"`
-		Worker   string    `json:"worker,omitempty"`
-	}
-	c.mu.Lock()
-	jobs := make([]*Job, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq > jobs[k].seq })
-	rows := make([]row, 0, len(jobs))
-	for _, j := range jobs {
-		rows = append(rows, row{ID: j.ID, Name: j.Name, Status: j.Status, Warnings: j.Warnings, Degraded: j.Degraded, Worker: j.Worker})
-	}
-	c.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rows)
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, "ok\n")
 }
 
 // handleRegister is the worker announcement endpoint: {"url": "http://…"}.
@@ -861,26 +786,4 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, c.cm.render(pending, c.cfg.Queue, live, texts))
-}
-
-// retainLocked mirrors the worker-side retention FIFO. Caller holds c.mu.
-func (c *Coordinator) retainLocked(id string) {
-	c.done = append(c.done, id)
-	for len(c.done) > c.cfg.Retain {
-		dropped := c.done[0]
-		delete(c.jobs, dropped)
-		c.done = c.done[1:]
-		if !c.pruned[dropped] {
-			c.pruned[dropped] = true
-			c.prFIFO = append(c.prFIFO, dropped)
-		}
-		bound := 4 * c.cfg.Retain
-		if bound < 64 {
-			bound = 64
-		}
-		for len(c.prFIFO) > bound {
-			delete(c.pruned, c.prFIFO[0])
-			c.prFIFO = c.prFIFO[1:]
-		}
-	}
 }

@@ -5,9 +5,13 @@
 //
 // Architecture (DESIGN.md §8):
 //
-//	POST /scan ──► admission queue (bounded; full ⇒ 429) ──► worker pool
-//	                                                          │ per-job deadline
-//	GET /scan/{id} ◄── in-memory job store ◄──────────────────┘ (ctx cancellation)
+//	POST /scan ──────► admission queue (bounded; full ⇒ 429) ──► worker pool (-jobs)
+//	POST /scansync ──► (full ⇒ the request waits)                │ per-job deadline, ctx cancellation
+//	GET /scan/{id} ◄── job book (jobbook.go) ◄───────────────────┤ /scan jobs
+//	/scansync response ◄─────────────────────────────────────────┘ /scansync jobs
+//
+// Every scan, whichever endpoint submitted it, runs on one of the -jobs
+// queue workers, so -jobs bounds all scans of the process.
 //
 // One process-wide core.Checker serves every job, so the API-model
 // registry and framework stub program are built once, and all jobs share
@@ -34,7 +38,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -51,8 +54,9 @@ type Config struct {
 	// batch-mode division, so concurrent jobs never multiply into N×M
 	// goroutines.
 	Scan core.Options
-	// Jobs is the number of concurrent scan workers. 0 means 1: scans
-	// serialize and each gets the machine's full pipeline parallelism.
+	// Jobs is the number of concurrent scan workers, shared by POST /scan
+	// and POST /scansync. 0 means 1: scans serialize and each gets the
+	// machine's full pipeline parallelism.
 	Jobs int
 	// Queue bounds the admission queue; a POST /scan arriving with the
 	// queue full is rejected with 429. 0 means DefaultQueue.
@@ -125,6 +129,12 @@ type Job struct {
 	checkers core.CheckerSet // resolved family selection (?checkers= or the server default)
 	data     []byte          // app container bytes; released when the scan finishes
 
+	// Sync-only (POST /scansync): the request's context, which bounds the
+	// job's wait and its scan, and the signal run closes once the record
+	// is final. Both are nil for a POST /scan job.
+	req     context.Context
+	settled chan struct{}
+
 	// Coordinator-only bookkeeping (coord.go); unused by a worker Server.
 	shard    [32]byte             // sha256 of the container bytes (= apk.Digest)
 	query    string               // sanitized query string forwarded to /scansync
@@ -143,19 +153,11 @@ type Server struct {
 	metrics *metrics
 
 	queue chan *Job
-	// syncSem bounds concurrent POST /scansync scans to cfg.Jobs slots —
-	// the fleet dispatch path shares the same concurrency budget as the
-	// async queue workers (worker.go).
-	syncSem chan struct{}
-	mu      sync.Mutex // guards jobs, done, pruned, nextID, and per-Job mutation
-	jobs    map[string]*Job
-	done    []string // finished job IDs in completion order (retention FIFO)
-	// pruned remembers ids the retention FIFO dropped, so GET can answer
-	// 410 Gone (expired) instead of 404 (never existed). Bounded like the
-	// retention itself: prunedFIFO evicts the oldest tombstones.
-	pruned     map[string]bool
-	prunedFIFO []string
-	nextID     int64
+	mu    sync.Mutex // guards book and per-Job mutation
+	book  jobBook
+	// scanHook, when set, runs just before each scan with the scan's
+	// context. Tests use it to hold a scan in flight.
+	scanHook func(ctx context.Context)
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -192,18 +194,17 @@ func New(cfg Config) *Server {
 		cfg.Scan.Workers = w
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		cfg:     cfg,
 		checker: core.NewWithOptions(cfg.Scan),
 		log:     cfg.Logger,
 		metrics: newMetrics(),
 		queue:   make(chan *Job, cfg.Queue),
-		syncSem: make(chan struct{}, cfg.Jobs),
-		jobs:    make(map[string]*Job),
-		pruned:  make(map[string]bool),
 		baseCtx: ctx,
 		cancel:  cancel,
 	}
+	s.book = newJobBook(&s.mu, cfg.Retain)
+	return s
 }
 
 // Start launches the worker pool. It is idempotent.
@@ -221,7 +222,8 @@ func (s *Server) Start() {
 }
 
 // Shutdown stops accepting queued work and waits (up to ctx) for running
-// jobs to finish. Jobs still queued are abandoned in status "queued".
+// jobs to finish. Jobs still queued are abandoned in status "queued"; a
+// POST /scansync still waiting answers 503.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.cancel()
 	doneCh := make(chan struct{})
@@ -242,10 +244,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /scan", s.handleSubmit)
 	mux.HandleFunc("POST /scansync", s.handleScanSync)
-	mux.HandleFunc("GET /scan/{id}", s.handleGet)
-	mux.HandleFunc("GET /scans", s.handleList)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.book.mount(mux)
 	// pprof must be mounted explicitly on a non-default mux.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -263,30 +263,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	job := newJob(req)
 	s.mu.Lock()
-	s.nextID++
-	job := &Job{
-		ID:        fmt.Sprintf("job-%d", s.nextID),
-		Name:      req.name,
-		Status:    StatusQueued,
-		BodyBytes: int64(len(req.body)),
-		Submitted: time.Now(),
-		seq:       s.nextID,
-		deadline:  req.timeout,
-		validate:  req.validate,
-		checkers:  req.checkers,
-		data:      req.body,
-	}
-	// Register before enqueueing: a worker may finish the job (and hit the
-	// retention path) before this handler runs again.
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
-
 	select {
 	case s.queue <- job:
+		// A worker locks s.mu before it touches the job, so the id is set
+		// before the job runs.
+		s.book.addLocked(job)
+		s.mu.Unlock()
 	default:
-		s.mu.Lock()
-		delete(s.jobs, job.ID)
 		s.mu.Unlock()
 		s.metrics.jobRejected()
 		s.log.Warn("job rejected: queue full",
@@ -296,13 +281,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("admission queue full (%d jobs waiting)", cap(s.queue)))
 		return
 	}
-	s.metrics.jobSubmitted()
-	s.log.Info("job submitted",
-		"id", job.ID, "name", job.Name, "bytes", job.BodyBytes, "queue_depth", len(s.queue))
+	s.admitted(job)
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{"id": job.ID, "status": string(StatusQueued)})
+}
+
+// admitted counts and logs a job the queue accepted.
+func (s *Server) admitted(job *Job) {
+	s.metrics.jobSubmitted()
+	s.log.Info("job submitted",
+		"id", job.ID, "name", job.Name, "bytes", job.BodyBytes, "queue_depth", len(s.queue))
 }
 
 // scanRequest is one parsed scan submission: the container bytes and the
@@ -351,6 +341,20 @@ func readScanRequest(w http.ResponseWriter, r *http.Request, maxBody int64, maxT
 		return nil
 	}
 	return req
+}
+
+// newJob builds the queued record of a parsed scan request.
+func newJob(req *scanRequest) *Job {
+	return &Job{
+		Name:      req.name,
+		Status:    StatusQueued,
+		BodyBytes: int64(len(req.body)),
+		Submitted: time.Now(),
+		deadline:  req.timeout,
+		validate:  req.validate,
+		checkers:  req.checkers,
+		data:      req.body,
+	}
 }
 
 // fillJob records a finished scan's outcome on its job record: failed
@@ -425,61 +429,6 @@ func jobTimeout(param string, serverMax time.Duration) (time.Duration, error) {
 	return d, nil
 }
 
-// handleGet serves one job's record.
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	job, ok := s.jobs[r.PathValue("id")]
-	var snapshot Job
-	if ok {
-		snapshot = *job
-	}
-	if !ok {
-		expired := s.pruned[r.PathValue("id")]
-		s.mu.Unlock()
-		if expired {
-			httpError(w, http.StatusGone, "job expired: its record was pruned by the -retain bound")
-			return
-		}
-		httpError(w, http.StatusNotFound, "no such job (finished jobs are retained up to the -retain bound)")
-		return
-	}
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(&snapshot)
-}
-
-// handleList serves a compact all-jobs summary, newest first.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	type row struct {
-		ID       string    `json:"id"`
-		Name     string    `json:"name,omitempty"`
-		Status   JobStatus `json:"status"`
-		Warnings int       `json:"warnings"`
-		Degraded bool      `json:"degraded,omitempty"`
-	}
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq > jobs[k].seq })
-	rows := make([]row, 0, len(jobs))
-	for _, j := range jobs {
-		rows = append(rows, row{ID: j.ID, Name: j.Name, Status: j.Status, Warnings: j.Warnings, Degraded: j.Degraded})
-	}
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(rows)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	io.WriteString(w, "ok\n")
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, s.metrics.render(len(s.queue), cap(s.queue)))
@@ -499,7 +448,17 @@ func (s *Server) worker() {
 }
 
 // run executes one job through the shared Checker under its deadline.
+// A sync job's scan also stops with its request, and one whose request
+// is already gone is dropped unscanned; its record is the response, so it
+// never enters the book.
 func (s *Server) run(job *Job) {
+	if job.req != nil {
+		defer close(job.settled)
+		if job.req.Err() != nil {
+			s.log.Info("job dropped: request gone before its scan", "id", job.ID, "name", job.Name)
+			return
+		}
+	}
 	start := time.Now()
 	s.mu.Lock()
 	job.Status = StatusRunning
@@ -508,11 +467,17 @@ func (s *Server) run(job *Job) {
 	s.mu.Unlock()
 	s.metrics.scanStarted()
 
-	ctx := s.baseCtx
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	defer cancel()
+	if job.req != nil {
+		defer context.AfterFunc(job.req, cancel)()
+	}
 	if deadline > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
+	}
+	if s.scanHook != nil {
+		s.scanHook(ctx)
 	}
 	res, err := s.jobChecker(validate, checkerSet).ScanBytesContext(ctx, data)
 	finished := time.Now()
@@ -521,7 +486,9 @@ func (s *Server) run(job *Job) {
 	job.Finished = &finished
 	job.data = nil // the container bytes are dead weight once scanned
 	fillJob(job, res, err)
-	s.retainLocked(job.ID)
+	if job.req == nil {
+		s.book.retireLocked(job.ID)
+	}
 	s.mu.Unlock()
 
 	dur := finished.Sub(start)
@@ -539,38 +506,6 @@ func (s *Server) run(job *Job) {
 		"duration", dur, "queue_wait", queueWait,
 		"requests", res.Stats.Requests, "warnings", len(res.Reports),
 		"degraded", res.Incomplete)
-}
-
-// retainLocked records a finished job and prunes the oldest finished jobs
-// beyond the retention bound. Caller holds s.mu.
-func (s *Server) retainLocked(id string) {
-	s.done = append(s.done, id)
-	for len(s.done) > s.cfg.Retain {
-		dropped := s.done[0]
-		delete(s.jobs, dropped)
-		s.done = s.done[1:]
-		if !s.pruned[dropped] {
-			s.pruned[dropped] = true
-			s.prunedFIFO = append(s.prunedFIFO, dropped)
-		}
-		// The tombstone set is bounded too (a long-lived server prunes
-		// without end): keep the most recent tombstoneBound ids.
-		for len(s.prunedFIFO) > s.tombstoneBound() {
-			delete(s.pruned, s.prunedFIFO[0])
-			s.prunedFIFO = s.prunedFIFO[1:]
-		}
-	}
-}
-
-// tombstoneBound sizes the pruned-id memory: generous enough that any
-// client polling at a sane cadence sees 410 rather than 404 after its
-// job expires, bounded so memory stays O(Retain).
-func (s *Server) tombstoneBound() int {
-	const minTombstones = 64
-	if n := 4 * s.cfg.Retain; n > minTombstones {
-		return n
-	}
-	return minTombstones
 }
 
 // httpError writes a JSON error body with the status code.

@@ -42,7 +42,15 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	s := New(cfg)
 	s.Start()
-	ts := httptest.NewServer(s.Handler())
+	return s, serveTest(t, s, s.Handler())
+}
+
+// serveTest serves h (s's routes, possibly wrapped) behind httptest and
+// registers the cleanup that closes it and shuts s down. It does not
+// start s.
+func serveTest(t *testing.T, s *Server, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -51,7 +59,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 			t.Errorf("Shutdown: %v", err)
 		}
 	})
-	return s, ts
+	return ts
 }
 
 // submit POSTs app bytes and returns the accepted job ID.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,67 +20,47 @@ import (
 // its coordinator and wires the worker's cache store to the
 // coordinator's replication hub.
 
-// handleScanSync runs one scan inline in the request and answers the
-// finished Job record — the dispatch surface `nchecker coord` drives.
-// Unlike POST /scan there is no queue and no job store: the coordinator
-// owns job bookkeeping, retention, and retries; the worker just bounds
-// concurrency to its -jobs slots and folds the scan into its /metrics.
-// Canceling the request (a lost hedge race, a dead coordinator) cancels
-// the scan via the PR 2 degradation path.
+// handleScanSync admits one scan into the queue POST /scan feeds and
+// answers the finished Job record once a queue worker has run it: the
+// dispatch surface `nchecker coord` drives. The record never enters the
+// job book, since the coordinator owns job bookkeeping, retention and
+// retries. A full queue makes the request wait for room instead of
+// answering 429, so a coordinator fanning out wider than the worker's
+// -jobs budget queues here. Giving up the request (a lost hedge race, a
+// dead coordinator) drops the job while it is queued and cancels its
+// scan, which ends degraded, once it runs. Shutdown ends the wait with
+// a 503.
 func (s *Server) handleScanSync(w http.ResponseWriter, r *http.Request) {
 	req := readScanRequest(w, r, s.cfg.MaxBodyBytes, s.cfg.JobTimeout, s.cfg.Scan)
 	if req == nil {
 		return
 	}
-
-	// One -jobs slot per sync scan, so a coordinator fanning out wider
-	// than the worker's budget queues here instead of oversubscribing the
-	// pipeline pools. A canceled request stops waiting immediately.
-	select {
-	case s.syncSem <- struct{}{}:
-		defer func() { <-s.syncSem }()
-	case <-r.Context().Done():
-		httpError(w, http.StatusServiceUnavailable, "canceled while waiting for a scan slot")
-		return
-	}
-
+	job := newJob(req)
+	job.req, job.settled = r.Context(), make(chan struct{})
 	s.mu.Lock()
-	s.nextID++
-	job := Job{
-		ID:        fmt.Sprintf("sync-%d", s.nextID),
-		Name:      req.name,
-		BodyBytes: int64(len(req.body)),
-		Submitted: time.Now(),
-	}
+	s.book.numberLocked(job, "sync")
 	s.mu.Unlock()
 
-	ctx := r.Context()
-	if req.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, req.timeout)
-		defer cancel()
+	select {
+	case s.queue <- job:
+		s.admitted(job)
+	case <-r.Context().Done():
+		httpError(w, http.StatusServiceUnavailable, "canceled while waiting for queue room")
+		return
+	case <-s.baseCtx.Done():
+		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		return
 	}
-	start := time.Now()
-	s.metrics.scanStarted()
-	res, err := s.jobChecker(req.validate, req.checkers).ScanBytesContext(ctx, req.body)
-	finished := time.Now()
-	job.Started, job.Finished = &start, &finished
-
-	fillJob(&job, res, err)
-	if err != nil {
-		s.metrics.jobFailed()
-		s.log.Error("sync job failed",
-			"id", job.ID, "name", job.Name, "bytes", job.BodyBytes,
-			"duration", finished.Sub(start), "error", err.Error())
-	} else {
-		s.metrics.jobDone(&res.Diagnostics, res.Incomplete)
-		s.log.Info("sync job done",
-			"id", job.ID, "name", job.Name, "bytes", job.BodyBytes,
-			"duration", finished.Sub(start), "requests", job.Requests,
-			"warnings", job.Warnings, "degraded", job.Degraded)
+	select {
+	case <-job.settled:
+	case <-r.Context().Done():
+		return // nobody is left to answer; run drops or cancels the job
+	case <-s.baseCtx.Done():
+		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&job)
+	json.NewEncoder(w).Encode(job)
 }
 
 // FleetJoin configures a worker's membership in a fleet.

@@ -206,9 +206,10 @@ fi
 
 echo "== serve smoke =="
 # End-to-end over a real socket: start `nchecker serve` on an ephemeral
-# port, have scripts/servesmoke POST a fixture app, poll the report, and
-# assert /healthz and the /metrics scan counters; then a clean SIGTERM
-# drain must exit 0.
+# port, have scripts/servesmoke POST a fixture app, poll the report, POST
+# it again to /scansync for byte-identical report text, and assert
+# /healthz and the /metrics scan counters; then a clean SIGTERM drain must
+# exit 0.
 smokedir=$(mktemp -d)
 trap 'rm -rf "$cachedir" "$diffdir" "$smokedir"; [ -n "${serve_pid:-}" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
 go build -o "$smokedir/nchecker" ./cmd/nchecker

@@ -2,16 +2,21 @@
 // (scripts/check.sh drives it; no curl required in the container). It
 // waits for the server's -ready-file, then exercises the service end to
 // end: /healthz must answer 200, a POSTed fixture app must scan to a
-// finished job with warnings and report text, and /metrics must expose
-// the scan counters. Exit 0 on success, 1 with a message on any failure.
+// finished job with warnings and report text, the same app POSTed to
+// /scansync must answer byte-identical report text, and /metrics must
+// expose the scan counters of both jobs. Exit 0 on success, 1 with a
+// message on any failure.
 //
 // The fixture app, ready-file handshake, and HTTP client live in
 // internal/testutil, shared with the server and fleet test suites.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -58,12 +63,23 @@ func main() {
 	}
 	fmt.Printf("servesmoke: job done, %d warnings\n", job.Warnings)
 
-	// The scan must be visible on /metrics.
+	// The fleet's dispatch endpoint goes through the same queue and must
+	// answer the same bytes.
+	sjob := scanSync(client, "?name=smoke-sync.apk", app)
+	switch {
+	case sjob.Status != "done" || sjob.Degraded:
+		fail("sync job %s finished %q (degraded=%v, %s), want clean done", sjob.ID, sjob.Status, sjob.Degraded, sjob.Error)
+	case sjob.ReportText != job.ReportText:
+		fail("/scansync report text differs from job %s's:\n--- scansync ---\n%s\n--- scan ---\n%s", job.ID, sjob.ReportText, job.ReportText)
+	}
+	fmt.Printf("servesmoke: sync job %s done, report text identical\n", sjob.ID)
+
+	// Both scans must be visible on /metrics.
 	metrics := getMetrics(client)
 	for _, want := range []string{
-		"nchecker_jobs_submitted_total 1",
-		`nchecker_jobs_total{status="done"} 1`,
-		"nchecker_scan_seconds_count 1",
+		"nchecker_jobs_submitted_total 2",
+		`nchecker_jobs_total{status="done"} 2`,
+		"nchecker_scan_seconds_count 2",
 		`nchecker_stage_seconds_total{stage="build"}`,
 		"nchecker_queue_depth 0",
 		"nchecker_degraded_scans_total 0",
@@ -115,6 +131,25 @@ func scanJob(client *testutil.ScanClient, query string, app []byte, deadline tim
 		fail("job %s finished %q (%s), want done", job.ID, job.Status, job.Error)
 	case job.Degraded:
 		fail("job %s degraded: %s", job.ID, job.Error)
+	}
+	return job
+}
+
+// scanSync POSTs one app to /scansync and decodes the finished record it
+// answers.
+func scanSync(client *testutil.ScanClient, query string, app []byte) testutil.JobView {
+	resp, err := http.Post(client.Base+"/scansync"+query, "application/octet-stream", bytes.NewReader(app))
+	if err != nil {
+		fail("POST /scansync%s: %v", query, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		fail("POST /scansync%s = %d (%v): %s", query, resp.StatusCode, err, body)
+	}
+	var job testutil.JobView
+	if err := json.Unmarshal(body, &job); err != nil {
+		fail("POST /scansync%s response: %v: %s", query, err, body)
 	}
 	return job
 }
