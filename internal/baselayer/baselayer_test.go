@@ -1,7 +1,11 @@
 package baselayer_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,6 +15,7 @@ import (
 	"repro/internal/baselayer"
 	"repro/internal/callgraph"
 	"repro/internal/corpus"
+	"repro/internal/dex"
 	"repro/internal/hierarchy"
 	"repro/internal/jimple"
 )
@@ -174,22 +179,23 @@ func TestOverlayMatchesFlat(t *testing.T) {
 
 // TestOverlayMatchesFlatLazy runs the same differential on the shape a
 // production scan overlays: apk.DecodeLazy opens, where only a few
-// classes are materialized, every other method is bodiless, and the
-// classes no lookup has reached have their members deferred. The cases
-// are the shadow fixture and padded corpus apps (200–399 inert classes);
-// the reference is hierarchy.New over the flat merge of the same program.
+// classes are materialized, every other method is bodiless, and no class
+// object exists for a class no lookup has reached. The cases are the
+// shadow fixture, padded corpus apps (200–399 inert classes) and the
+// lazy-overlay fixtures (lazyFixtures), the last with the classes a scan
+// would demand materialized; the reference is hierarchy.New over the
+// flat merge of the same program.
 func TestOverlayMatchesFlatLazy(t *testing.T) {
 	members, err := corpus.GenerateCorpus(2016)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shadow := shadowFixture()
-	type lazyCase struct {
-		name   string
-		app    *apk.App
-		padded bool
+	shadowData, err := apk.Encode(&apk.App{Program: shadow.prog, Manifest: shadow.manifest})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases := []lazyCase{{shadow.name, &apk.App{Program: shadow.prog, Manifest: shadow.manifest}, false}}
+	cases := []lazyCase{{name: shadow.name, data: shadowData}}
 	pads := []int{200, 271, 333, 399}
 	if testing.Short() {
 		pads = pads[:1]
@@ -197,49 +203,54 @@ func TestOverlayMatchesFlatLazy(t *testing.T) {
 	for i, pad := range pads {
 		m := members[i*len(members)/len(pads)]
 		corpus.AddPadding(m.App, pad)
-		cases = append(cases, lazyCase{fmt.Sprintf("%s+pad%d", m.Name, pad), m.App, true})
+		data, err := apk.Encode(m.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, lazyCase{name: fmt.Sprintf("%s+pad%d", m.Name, pad), data: data, padded: true})
 	}
+	cases = append(cases, lazyFixtures(t)...)
 	layer := baselayer.Get()
 	for _, tc := range cases {
-		data, err := apk.Encode(tc.app)
+		app, err := apk.DecodeLazy(tc.data)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		app, err := apk.DecodeLazy(data)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		// Materialize about four bodied classes, spread over the slots;
-		// the rest stay skeletons, as outside a scan's demand closure.
 		x := app.Lazy.Index()
-		stride := max(2, x.NumClasses()/4)
 		materialized := 0
-		for slot := 0; slot < x.NumClasses(); slot += stride {
-			if err := app.Lazy.Materialize(x.ClassName(int32(slot))); err != nil {
+		if tc.materialize != nil {
+			if err := app.Lazy.Materialize(tc.materialize...); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			materialized++
+			materialized = len(tc.materialize)
+		} else {
+			// Materialize about four bodied classes, spread over the
+			// slots; the rest stay skeletons, as outside a scan's demand
+			// closure.
+			stride := max(2, x.NumClasses()/4)
+			for slot := 0; slot < x.NumClasses(); slot += stride {
+				if err := app.Lazy.Materialize(x.ClassName(int32(slot))); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				materialized++
+			}
 		}
 		if materialized == 0 || materialized == x.NumClasses() {
 			t.Fatalf("%s: materialized %d of %d bodied classes; want a few", tc.name, materialized, x.NumClasses())
 		}
 		// The overlay's graphs are built first, as a scan builds its own,
-		// while the classes no lookup has reached still have their members
-		// deferred; the flat reference's merge then decodes every class.
+		// while the classes no lookup has reached are still unbuilt; the
+		// flat reference's merge then builds every class.
 		over := layer.Overlay(app.Program)
 		optsList := []callgraph.Options{{}, {EnableICC: true}, {DeclaredDispatchOnly: true}}
 		graphs := make([]*callgraph.Graph, len(optsList))
 		for i, opts := range optsList {
 			graphs[i] = layer.CallGraph(over, app.Manifest, opts)
 		}
-		deferred := 0
-		app.Program.EachOwnHeader(func(c *jimple.Class) {
-			if c.MembersDeferred() {
-				deferred++
-			}
-		})
-		if tc.padded && deferred == 0 {
-			t.Fatalf("%s: no class left deferred; the overlay graphs would not skip any", tc.name)
+		built := 0
+		app.Program.EachBuilt(func(*jimple.Class) { built++ })
+		if tc.padded && built == app.Program.NumClasses() {
+			t.Fatalf("%s: every class built; the overlay graphs would not skip any", tc.name)
 		}
 		flat := flatHierarchy(app.Program)
 		if err := compareHierarchies(flat, over); err != nil {
@@ -252,6 +263,95 @@ func TestOverlayMatchesFlatLazy(t *testing.T) {
 				t.Errorf("%s: call graph %+v: %v", tc.name, opts, err)
 			}
 		}
+		for _, e := range tc.wantEdges {
+			if !slices.Contains(edgeStrings(graphs[0].OutEdges(e[0]), false), e[1]) {
+				t.Errorf("%s: the overlay graph has no edge %s from %s", tc.name, e[1], e[0])
+			}
+		}
+	}
+}
+
+// lazyCase is one app of TestOverlayMatchesFlatLazy: its container, and
+// the classes to materialize (nil: about four, spread over the slots).
+// wantEdges are (caller key, edge) pairs the overlay graph must hold.
+type lazyCase struct {
+	name        string
+	data        []byte
+	padded      bool
+	materialize []string
+	wantEdges   [][2]string
+}
+
+// lazyOverlaySrc is the app of the lazy-overlay fixtures. l.Main, the
+// demanded component, starts an l.Impl through java.lang.Runnable. l.Impl
+// declares no method — so no closure rule can demand it, and a scan never
+// materializes it — but implements Runnable and inherits a bodied run()
+// from the demanded l.Worker: dispatch must still reach l.Impl through the
+// own layer's reverse edges and build it, or the graph loses its only
+// run() target. android.app.IntentService is redefined under another
+// superclass and left unbuilt, so the base's subtype list of
+// android.app.Service must drop it without building it. l.Omega is renamed
+// to l.Alpha in the container's string pool (lazyFixtures), so l.Alpha is
+// a repeated class name whose earlier definition, an Activity, must
+// vanish from every answer.
+const lazyOverlaySrc = `class l.Main extends android.app.Activity {
+  method onCreate(android.os.Bundle)void {
+    local self l.Main
+    local i l.Impl
+    local r java.lang.Runnable
+    self = this l.Main
+    i = new l.Impl
+    r = i
+    interfaceinvoke r java.lang.Runnable.run()void
+    return
+  }
+}
+class l.Worker extends java.lang.Object {
+  method run()void {
+    return
+  }
+}
+class l.Impl extends l.Worker implements java.lang.Runnable {
+  field n int
+}
+class android.app.IntentService extends android.content.BroadcastReceiver {
+  method abstract onHandleIntent(android.content.Intent)void
+}
+class l.Sync extends android.app.IntentService {
+  method onReceive(android.content.Context,android.content.Intent)void {
+    return
+  }
+}
+class l.Alpha extends android.app.Activity {
+  field a int
+}
+class l.Omega extends java.lang.Object {
+  field b int
+}`
+
+// lazyFixtures returns the lazy-overlay fixtures: lazyOverlaySrc as
+// written, and with l.Omega renamed to l.Alpha.
+func lazyFixtures(t *testing.T) []lazyCase {
+	t.Helper()
+	man := &android.Manifest{Package: "l", Activities: []string{"l.Main"}, Services: []string{"l.Sync"}}
+	man.Normalize()
+	prog := jimple.MustParse(lazyOverlaySrc)
+	data, err := apk.Encode(&apk.App{Program: prog, Manifest: man})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dex payload is the container's last section, after its CRC-32;
+	// the rename keeps its length, so only the CRC changes.
+	payload := bytes.Replace(dex.Encode(prog), []byte("l.Omega"), []byte("l.Alpha"), 1)
+	n := len(payload)
+	repeated := bytes.Clone(data)
+	copy(repeated[len(repeated)-n:], payload)
+	binary.LittleEndian.PutUint32(repeated[len(repeated)-n-4:], crc32.ChecksumIEEE(payload))
+	want := [][2]string{{"l.Main.onCreate(android.os.Bundle)void", "l.Main.onCreate(android.os.Bundle)void@3-call->l.Worker.run()void"}}
+	materialize := []string{"l.Main", "l.Worker"}
+	return []lazyCase{
+		{name: "lazy-overlay", data: data, materialize: materialize, wantEdges: want},
+		{name: "lazy-overlay repeated class", data: repeated, materialize: materialize, wantEdges: want},
 	}
 }
 

@@ -101,9 +101,8 @@ func TestConcurrentScansShareBase(t *testing.T) {
 // overlay of a lazily opened app at once, as the pipeline's parallel
 // stages share theirs (run it under -race): their first LookupMethod,
 // SubtypesOf, IsSubtype and Dispatch calls race to build the overlay's
-// per-class method indexes, its reverse edges and its dispatch memo, and
-// their first Class, OwnClass and Classes calls race to decode the
-// members of the same deferred classes. Every answer must equal the flat
+// per-class method indexes and its dispatch memo, and their first Class,
+// OwnClass and Classes calls race to build the same classes. Every answer must equal the flat
 // reference, and the shared base's index sizes must be unchanged.
 func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 	const goroutines = 8

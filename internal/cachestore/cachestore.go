@@ -33,7 +33,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -102,23 +101,24 @@ type Options struct {
 }
 
 // Store is one cache directory. All methods are safe for concurrent use
-// by multiple goroutines; concurrent processes sharing the directory are
-// safe too (atomic renames), though their LRU scans may race benignly.
+// by multiple goroutines, and concurrent processes sharing the directory
+// are safe too: commits are atomic renames, and commits and eviction
+// scans run under the directory's lock (total.go).
 type Store struct {
 	dir      string
 	maxBytes int64
 
-	// evictMu serializes eviction scans so concurrent Puts don't double-
-	// delete; commits themselves need no lock (rename is atomic).
-	evictMu sync.Mutex
-
-	// used approximates the committed-entry total so Put can stay O(1):
-	// initialized from one directory scan on the first Put, then bumped
-	// per commit. The approximation only ever errs high (overwrites and
-	// concurrent removals aren't subtracted), which at worst triggers an
-	// eviction scan early — the scan itself recomputes the true total.
-	usedInit sync.Once
-	used     atomic.Int64
+	// The committed-entry total lets Put stay O(1): it lives in the
+	// directory's total file, shared by every process using it, and is
+	// set by one directory scan on the first Put, bumped per commit, and
+	// reset by each eviction scan. It errs only high — an overwrite adds
+	// its entry again, and Remove and a corrupt entry's deletion subtract
+	// nothing — which at worst starts an eviction scan early; the scan
+	// recomputes the true total. localMu and local hold the total instead
+	// where the directory cannot be locked.
+	localMu    sync.Mutex
+	local      int64
+	localKnown bool
 
 	// recency overlays the on-disk mtimes with the last time this process
 	// touched each entry (Get hit or Put commit). mtime alone is not a
@@ -286,25 +286,30 @@ func (s *Store) commitRaw(key Key, data []byte) (evicted int, err error) {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("cachestore: %w", err)
 	}
+	// The rename and the total change together under the directory's
+	// lock, the total first: a writer that dies between them leaves the
+	// total high, never low. The first commit into a directory with no
+	// total pays for one directory scan (pre-existing entries plus crashed
+	// writers' stale temp files), which counts this commit; after that Put
+	// is O(1), and the full LRU scan runs only when the total crosses the
+	// bound.
+	t := s.lockTotal()
+	defer t.unlock()
+	size := int64(len(data))
+	if t.known {
+		t.set(t.total + size)
+	}
 	if err := os.Rename(tmpName, filepath.Join(s.dir, key.Filename())); err != nil {
 		os.Remove(tmpName)
 		return 0, fmt.Errorf("cachestore: %w", err)
 	}
 	s.touch(key.Filename(), time.Now())
-	// The first commit pays for one directory scan (pre-existing entries
-	// plus crashed writers' stale temp files); after that Put is O(1) and
-	// the full LRU scan only runs when the running total crosses the
-	// bound. The first scan already counts this commit, so it reports its
-	// own evictions instead of adding the entry a second time.
-	first := false
-	s.usedInit.Do(func() { evicted, first = s.evict(), true })
-	if first {
-		return evicted, nil
+	if !t.known || t.total > s.maxBytes {
+		var total int64
+		evicted, total = s.evict()
+		t.set(total)
 	}
-	if s.used.Add(int64(len(data))) > s.maxBytes {
-		return s.evict(), nil
-	}
-	return 0, nil
+	return evicted, nil
 }
 
 // Remove deletes the entry under the key, if present.
@@ -332,11 +337,10 @@ func (s *Store) Len() int {
 // entry's recency is the newer of its mtime and this process's in-memory
 // overlay, so a burst of hits inside one coarse mtime tick (or with
 // Chtimes failing) still protects the hot entry; ties break
-// deterministically by filename. evict leaves s.used holding the
-// post-eviction true total. Returns the number of entries removed.
-func (s *Store) evict() int {
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
+// deterministically by filename. It returns the number of entries
+// removed and the true total left. The caller holds the directory's lock
+// (lockTotal).
+func (s *Store) evict() (evicted int, total int64) {
 
 	type entry struct {
 		name  string
@@ -344,10 +348,9 @@ func (s *Store) evict() int {
 		mtime time.Time
 	}
 	var entries []entry
-	var total int64
 	dirents, err := os.ReadDir(s.dir)
 	if err != nil {
-		return 0
+		return 0, 0
 	}
 	staleCutoff := time.Now().Add(-time.Hour)
 	for _, de := range dirents {
@@ -386,8 +389,7 @@ func (s *Store) evict() int {
 	}
 	s.recMu.Unlock()
 	if total <= s.maxBytes {
-		s.used.Store(total)
-		return 0
+		return 0, total
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if !entries[i].mtime.Equal(entries[j].mtime) {
@@ -395,7 +397,6 @@ func (s *Store) evict() int {
 		}
 		return entries[i].name < entries[j].name
 	})
-	evicted := 0
 	for _, e := range entries {
 		if total <= s.maxBytes {
 			break
@@ -410,6 +411,5 @@ func (s *Store) evict() int {
 		total -= e.size
 		evicted++
 	}
-	s.used.Store(total)
-	return evicted
+	return evicted, total
 }

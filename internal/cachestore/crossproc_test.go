@@ -13,8 +13,9 @@ import (
 // Cross-OS-process tests: the store's documented contract says concurrent
 // *processes* sharing one directory are safe (atomic renames; benignly
 // racing LRU scans). The in-process concurrent_test.go storms cannot
-// prove that — the evictMu and the recency overlay only serialize within
-// a process — so these tests re-exec the test binary as a genuinely
+// prove that — the recency overlay lives in one process, and two Stores
+// of one process share no memory but lock the directory alike — so these
+// tests re-exec the test binary as a genuinely
 // separate process (the classic helper-process pattern) and drive churn
 // and corruption healing across the process boundary. The fleet mode
 // leans on exactly this: every worker on a host shares the same -cache
@@ -179,9 +180,9 @@ func TestCrossProcessPutEvictChurn(t *testing.T) {
 		t.Fatalf("child churn did not finish cleanly:\n%s", out)
 	}
 
-	// One more Put forces a full eviction scan (the running total errs
-	// high after cross-process traffic), which recomputes the true
-	// on-disk total and trims it under the bound.
+	// One more Put: the directory's shared total counts the child's
+	// commits too, so this Put sees the disk over the bound, if it is,
+	// and its eviction scan trims it under.
 	if _, err := s.Put(crossKey("final"), crossPayload); err != nil {
 		t.Fatal(err)
 	}
@@ -271,5 +272,30 @@ func TestCrossProcessCorruptHealing(t *testing.T) {
 	out = runHelper(t, dir, "get", "damaged", 0)
 	if !strings.Contains(out, "helper: get=corrupt") {
 		t.Fatalf("child did not report the bit-flipped entry corrupt:\n%s", out)
+	}
+}
+
+// TestTwoStoresShareTheBound: two Stores on one directory — what two
+// processes sharing a -cache directory hold — keep its committed total
+// under the bound through interleaved Puts. Each Store alone would count
+// only its own commits: the second Store's first three Puts leave six
+// entries, and the first Store's next three would leave nine under a
+// bound of six.
+func TestTwoStoresShareTheBound(t *testing.T) {
+	dir := t.TempDir()
+	entrySize := int64(len(EncodeEntry(crossPayload)))
+	max := 6 * entrySize
+	a := mustOpen(t, dir, Options{MaxBytes: max})
+	b := mustOpen(t, dir, Options{MaxBytes: max})
+	for i, s := range []*Store{a, a, a, b, b, b, a, a, a, b, a, b} {
+		if _, err := s.Put(crossKey(fmt.Sprintf("interleaved-%d", i)), crossPayload); err != nil {
+			t.Fatal(err)
+		}
+		if n := a.Len(); int64(n)*entrySize > max {
+			t.Fatalf("after Put %d the directory holds %d entries, bound %d", i, n, max/entrySize)
+		}
+	}
+	if _, status := b.Get(crossKey("interleaved-11")); status != StatusHit {
+		t.Errorf("latest entry = %v, want hit", status)
 	}
 }

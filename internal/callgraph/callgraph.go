@@ -154,22 +154,18 @@ func NewBase(h *hierarchy.Hierarchy) *Base {
 func (b *Base) NumClasses() int { return len(b.classes) }
 
 // Build constructs the call graph of the overlay hierarchy h, which must
-// sit on b's hierarchy. It walks only h's own classes whose members are
-// decoded and b's bodied classes that the overlay does not shadow, and
-// yields the same graph BuildWith would over the flat merge of the
-// layers: a class whose members are still deferred holds no body, so it
-// adds no method, entry or edge.
+// sit on b's hierarchy. It walks only the own classes a lookup has built
+// (jimple.Program.EachBuilt) and b's bodied classes that the overlay does
+// not shadow, and yields the same graph BuildWith would over the flat
+// merge of the layers: a class of a lazily opened program that no lookup
+// has reached holds no body, so it adds no method, entry or edge.
 func (b *Base) Build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options) *Graph {
 	if h.Base() != b.h {
 		panic("callgraph: overlay hierarchy does not sit on this base")
 	}
 	prog := h.Program()
 	var classes []*jimple.Class
-	prog.EachOwnHeader(func(c *jimple.Class) {
-		if !c.MembersDeferred() {
-			classes = append(classes, c)
-		}
-	})
+	prog.EachBuilt(func(c *jimple.Class) { classes = append(classes, c) })
 	for _, c := range b.classes {
 		if prog.Class(c.Name) == c {
 			classes = append(classes, c)

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/android"
 	"repro/internal/apk"
+	"repro/internal/corpus"
 )
 
 // TestDecodeFailuresClassify: unreadable and malformed inputs come back
@@ -64,5 +68,81 @@ func TestOptionsTimeoutCompleteScan(t *testing.T) {
 	}
 	if len(plain.Reports) != len(bounded.Reports) {
 		t.Errorf("timeout changed results: %d vs %d reports", len(plain.Reports), len(bounded.Reports))
+	}
+}
+
+// TestMalformedStructureRejectedAtOpen: the open rejects a class that is
+// its own supertype and a branch past the end of its body, where a scan
+// used to hang or panic. Each committed container in
+// internal/dex/testdata is a two-class app whose AsyncTask subclass makes
+// a network call: in inheritance-cycle.apk the task extends itself (the
+// call graph's method lookup walked its superclass chain forever), and in
+// branch-out-of-range.apk the task's goto targets a statement past its
+// body (the summaries stage indexed the CFG out of range). Both decoders
+// reject each with one error, and a ScanBytesContext of it fails with
+// ErrDecode well within its deadline. The corpus app the cycle was first
+// seen in, with its task made its own superclass, is rejected the same
+// way.
+func TestMalformedStructureRejectedAtOpen(t *testing.T) {
+	for _, tc := range []struct{ file, want string }{
+		{"inheritance-cycle.apk", "class t.Task: inheritance cycle"},
+		{"branch-out-of-range.apk", "statement 3 branches out of range (7 of 4)"},
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "dex", "testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRejectedAtOpen(t, tc.file, data, tc.want)
+	}
+	if testing.Short() {
+		return
+	}
+	apps, err := corpus.GenerateCorpus(2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const task = "gen.app152.Comp0$Task"
+	for _, a := range apps {
+		if c := a.App.Program.Class(task); c != nil {
+			if c.Super != android.ClassAsyncTask {
+				t.Fatalf("%s extends %s; the case needs an AsyncTask", task, c.Super)
+			}
+			c.Super = task
+			data, err := apk.Encode(a.App)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRejectedAtOpen(t, a.Name, data, "class "+task+": inheritance cycle")
+			return
+		}
+	}
+	t.Fatalf("no corpus app declares %s", task)
+}
+
+func checkRejectedAtOpen(t *testing.T, name string, data []byte, want string) {
+	t.Helper()
+	_, eagerErr := apk.Decode(data)
+	_, lazyErr := apk.DecodeLazy(data)
+	if eagerErr == nil || lazyErr == nil || eagerErr.Error() != lazyErr.Error() {
+		t.Fatalf("%s: eager=%v lazy=%v, want one error", name, eagerErr, lazyErr)
+	}
+	if !strings.Contains(eagerErr.Error(), want) {
+		t.Errorf("%s: error %q does not say %q", name, eagerErr, want)
+	}
+	const deadline = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := New().ScanBytesContext(ctx, data)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: ScanBytesContext = %v, want ErrDecode", name, err)
+		}
+	case <-time.After(2 * deadline):
+		t.Fatalf("%s: ScanBytesContext still running at twice its %v deadline", name, deadline)
 	}
 }

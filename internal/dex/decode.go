@@ -33,11 +33,16 @@ type decoder struct {
 	strs       slab[string]
 	// The bodies' slices and nodes, once the decoder reads a body.
 	*bodySlabs
-	// lazy, when non-nil, switches class members to the skim path: the
-	// same bytes are parsed with the same validation, but no field,
-	// method or statement objects are built — only offsets and the skim
-	// records are kept.
+	// lazy, when non-nil, switches classes to the skim path: the same
+	// bytes are parsed with the same validation, but no class, field,
+	// method or statement objects are built — only the headers, offsets
+	// and the skim records are kept.
 	lazy *lazyBuild
+	// ct holds the class headers read so far, and poolType memoizes the
+	// type id of a pool id (id+1; 0 = not yet interned) while they are
+	// read.
+	ct       *classTable
+	poolType []int32
 }
 
 // bodySlabs are the chunks a decoder carves bodies from: their locals,
@@ -219,27 +224,43 @@ func (d *decoder) run() (*jimple.Program, error) {
 	if nclass > uint64(len(d.data)) {
 		return nil, fmt.Errorf("class count %d exceeds input size", nclass)
 	}
+	// A class is at least name, superclass, flags and three counts: six
+	// bytes.
+	n := d.hint(int(nclass), 6)
 	var prog *jimple.Program
+	var colour []byte
+	var stack []cycleFrame
 	if d.lazy != nil {
-		// A class is at least name, superclass, flags and three counts:
-		// six bytes.
-		prog = d.lazy.begin(d, d.hint(int(nclass), 6))
+		d.lazy.begin(d, n)
+		colour, stack = d.lazy.colour, d.lazy.stack
 	} else {
 		prog = jimple.NewProgram()
+		d.ct = new(classTable)
+		d.ct.begin(n, &spare{})
+		d.poolType = make([]int32, len(d.pool))
 	}
 	for i := uint64(0); i < nclass; i++ {
+		if d.lazy != nil {
+			if err := d.skimClass(); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		c, err := d.class()
 		if err != nil {
 			return nil, err
 		}
-		if d.lazy != nil {
-			prog.AddDeferred(c, int32(i))
-		} else {
-			prog.AddClass(c)
-		}
+		prog.AddClass(c)
 	}
 	if d.pos != len(d.data) {
 		return nil, fmt.Errorf("%d trailing bytes", len(d.data)-d.pos)
+	}
+	colour, stack, err = d.ct.checkCycles(d.pool, colour, stack)
+	if d.lazy != nil {
+		d.lazy.colour, d.lazy.stack = colour, stack
+	}
+	if err != nil {
+		return nil, err
 	}
 	return prog, nil
 }
@@ -323,15 +344,13 @@ func (d *decoder) hint(n, minBytes int) int {
 }
 
 func (d *decoder) class() (*jimple.Class, error) {
-	c := &d.classes.take(1)[0]
 	d.resetBoxes()
-	at := d.pos
-	if err := d.classHeader(c); err != nil {
+	slot, err := d.classHeader()
+	if err != nil {
 		return nil, err
 	}
-	if d.lazy != nil {
-		return c, d.skimMembers(c, at)
-	}
+	c := &d.classes.take(1)[0]
+	d.setHeader(c, slot)
 	if err := d.fieldSection(c); err != nil {
 		return nil, err
 	}
@@ -359,37 +378,6 @@ func (d *decoder) class() (*jimple.Class, error) {
 		c.Methods = append(c.Methods, m)
 	}
 	return c, nil
-}
-
-// classHeader decodes a class's name, superclass, flags and interfaces
-// into c.
-func (d *decoder) classHeader(c *jimple.Class) error {
-	var err error
-	if c.Name, err = d.ref(); err != nil {
-		return err
-	}
-	if c.Super, err = d.ref(); err != nil {
-		return err
-	}
-	flags, err := d.byte()
-	if err != nil {
-		return err
-	}
-	c.IsIface = flags&flagIface != 0
-	c.Abstract = flags&flagAbstract != 0
-	nif, err := d.count("interface")
-	if err != nil {
-		return err
-	}
-	c.Interfaces = takeUpTo(d, &d.strs, nif, 1)
-	for i := 0; i < nif; i++ {
-		s, err := d.ref()
-		if err != nil {
-			return err
-		}
-		c.Interfaces = append(c.Interfaces, s)
-	}
-	return nil
 }
 
 // fieldSection decodes a class's field count and fields into c.
@@ -540,7 +528,7 @@ func (d *decoder) body(m *jimple.Method) error {
 	}
 	m.Body = takeUpTo(d, &d.stmts, ns, 1)
 	for i := 0; i < ns; i++ {
-		s, err := d.stmt()
+		s, err := d.stmt(i, ns)
 		if err != nil {
 			return err
 		}
@@ -569,6 +557,12 @@ func (d *decoder) body(m *jimple.Method) error {
 		if err != nil {
 			return err
 		}
+		// The traps of a body with no statement go with it (below).
+		if ns > 0 {
+			if err := checkTrap(i, b, e, h, ns); err != nil {
+				return err
+			}
+		}
 		t.Begin, t.End, t.Handler, t.Exception = int(b), int(e), int(h), exc
 		m.Traps = append(m.Traps, t)
 	}
@@ -584,7 +578,30 @@ func (d *decoder) body(m *jimple.Method) error {
 	return nil
 }
 
-func (d *decoder) stmt() (jimple.Stmt, error) {
+// checkTrap rejects trap i of a body of n statements unless it covers a
+// non-empty range of them and its handler is one of them: the checks
+// jimple's Validate makes, so no analysis indexes a body by a bad trap.
+func checkTrap(i int, begin, end, handler uint64, n int) error {
+	if begin >= end || end > uint64(n) {
+		return fmt.Errorf("trap %d has bad range [%d,%d) of %d", i, begin, end, n)
+	}
+	if handler >= uint64(n) {
+		return fmt.Errorf("trap %d has bad handler %d", i, handler)
+	}
+	return nil
+}
+
+// checkBranch rejects a branch of statement i to target t unless t is one
+// of the body's n statements, as jimple's Validate does.
+func checkBranch(i int, t uint64, n int) error {
+	if t >= uint64(n) {
+		return fmt.Errorf("statement %d branches out of range (%d of %d)", i, t, n)
+	}
+	return nil
+}
+
+// stmt decodes statement i of a body of n statements.
+func (d *decoder) stmt(i, n int) (jimple.Stmt, error) {
 	op, err := d.byte()
 	if err != nil {
 		return nil, err
@@ -627,12 +644,18 @@ func (d *decoder) stmt() (jimple.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkBranch(i, t, n); err != nil {
+			return nil, err
+		}
 		st := &d.ifs.take(1)[0]
 		st.Cond, st.Target = cond, int(t)
 		return st, nil
 	case opGoto:
 		t, err := d.u64()
 		if err != nil {
+			return nil, err
+		}
+		if err := checkBranch(i, t, n); err != nil {
 			return nil, err
 		}
 		st := &d.gotos.take(1)[0]

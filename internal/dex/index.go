@@ -24,7 +24,10 @@ import (
 //   - the caller index: name id → the records calling a method of that
 //     name (each record once), the backward rule of the closure as a
 //     lookup; and the declarer index: name id → the records declaring a
-//     method of that name, the forward rule's lookup.
+//     method of that name, the forward rule's lookup;
+//   - the class table (classes.go): every class header as type ids, and
+//     the subtype index: type id → the live classes directly under it,
+//     the program's reverse subtype edges as a lookup.
 //
 // Method keys and signatures are rendered only on demand (Key,
 // MethodSig), and a record's method is resolved through the program
@@ -47,8 +50,9 @@ type Index struct {
 	pool []string
 	sigs []jimple.Sig
 	prog *jimple.Program
-	// offs holds both indices' offsets and finish's bookkeeping, ids both
-	// indices' ids: whole, for Release to recycle.
+	cls  classTable
+	// offs holds the three indices' offsets and finish's bookkeeping, ids
+	// their ids: whole, for Release to recycle.
 	offs, ids []int32
 }
 
@@ -138,10 +142,10 @@ func (x *Index) endClass(name string, lo int, ord int32) {
 }
 
 // finish sorts the bodied classes by name (a container lists them in any
-// order; the encoder's is already sorted) and builds the caller and
-// declarer indices, in s's arrays where they have the room. It takes the
-// key table from s too when s's has the room; otherwise Key allocates it
-// on first use.
+// order; the encoder's is already sorted) and builds the caller, declarer
+// and subtype indices, in s's arrays where they have the room. It takes
+// the key table from s too when s's has the room; otherwise Key allocates
+// it on first use.
 func (x *Index) finish(s *spare) {
 	if !sort.SliceIsSorted(x.classes, func(i, j int) bool { return x.classes[i].name < x.classes[j].name }) {
 		sort.Slice(x.classes, func(i, j int) bool { return x.classes[i].name < x.classes[j].name })
@@ -151,19 +155,22 @@ func (x *Index) finish(s *spare) {
 			}
 		}
 	}
-	n := len(x.nameIDs)
-	// One counting pass for both indices, then prefix sums and a fill
-	// pass. last[k] is the last record (index+1) filed under name k, so a
-	// record calling one name twice is filed once; fill[k] is name k's
-	// next free slot. The bookkeeping shares one allocation, the two id
-	// lists another.
+	n, t := len(x.nameIDs), &x.cls
+	m := len(t.types)
+	// One counting pass for each index, then prefix sums and a fill pass.
+	// last[k] is the last record (index+1) filed under name k, so a
+	// record calling one name twice is filed once; fill[k] is key k's next
+	// free slot. The bookkeeping shares one allocation, the id lists
+	// another.
 	if len(x.recs) > 0 && cap(s.keys) >= len(x.recs) {
 		x.keys = s.keys[:len(x.recs)] // cleared when it was released
 	}
-	scratch := reuse(s.offs, 5*n+2)
+	scratch := reuse(s.offs, 5*n+2+2*m+1)
 	x.offs = scratch
 	x.callers.off, x.decls.off = scratch[:n+1:n+1], scratch[n+1:2*n+2:2*n+2]
 	last, callerFill, declFill := scratch[2*n+2:3*n+2], scratch[3*n+2:4*n+2], scratch[4*n+2:5*n+2]
+	t.subs.off = scratch[5*n+2 : 5*n+3+m : 5*n+3+m]
+	subFill := scratch[5*n+3+m:]
 	for i := range x.recs {
 		r := &x.recs[i]
 		x.decls.off[r.Name+1]++
@@ -174,16 +181,26 @@ func (x *Index) finish(s *spare) {
 			}
 		}
 	}
+	for slot := range t.headers {
+		if t.isLive(int32(slot)) {
+			t.supers(x.pool, int32(slot), func(id int32) { t.subs.off[id+1]++ })
+		}
+	}
 	for k := 0; k < n; k++ {
 		x.callers.off[k+1] += x.callers.off[k]
 		x.decls.off[k+1] += x.decls.off[k]
 	}
-	ids := reuse(s.ids, int(x.callers.off[n]+x.decls.off[n]))
+	for k := 0; k < m; k++ {
+		t.subs.off[k+1] += t.subs.off[k]
+	}
+	nc, nd := x.callers.off[n], x.decls.off[n]
+	ids := reuse(s.ids, int(nc+nd+t.subs.off[m]))
 	x.ids = ids
-	x.callers.ids, x.decls.ids = ids[:x.callers.off[n]], ids[x.callers.off[n]:]
+	x.callers.ids, x.decls.ids, t.subs.ids = ids[:nc:nc], ids[nc:nc+nd:nc+nd], ids[nc+nd:]
 	clear(last)
 	copy(callerFill, x.callers.off[:n])
 	copy(declFill, x.decls.off[:n])
+	copy(subFill, t.subs.off[:m])
 	for i := range x.recs {
 		r := &x.recs[i]
 		x.decls.ids[declFill[r.Name]] = int32(i)
@@ -194,6 +211,14 @@ func (x *Index) finish(s *spare) {
 				x.callers.ids[callerFill[c.Name]] = int32(i)
 				callerFill[c.Name]++
 			}
+		}
+	}
+	for slot := range t.headers {
+		if t.isLive(int32(slot)) {
+			t.supers(x.pool, int32(slot), func(id int32) {
+				t.subs.ids[subFill[id]] = int32(slot)
+				subFill[id]++
+			})
 		}
 	}
 }

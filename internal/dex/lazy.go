@@ -10,23 +10,24 @@ import (
 )
 
 // This file is the lazy decode fast path every container scan opens with:
-// DecodeLazy parses the container eagerly down to class headers — name,
-// superclass, flags, interfaces — and retains no field, method or body.
+// DecodeLazy parses the container down to class headers — name,
+// superclass, flags, interfaces — which it keeps as type ids in a
+// classTable (classes.go), and builds no class, field, method or body.
 // The member sections are validated with the eager checks in the eager
 // order but built into nothing: the skim keeps where a class's fields
 // start and where each method header sits, in pointer-free slabs, and
 // each body section is skimmed once to delimit its byte span and fill the
 // Index: the method's record, its top-level calls and the explicit-intent
-// class names, while the callee classes and local types it reads are
-// marked in a set of pool ids (EachRefClass). The body skim (skimBody
-// below) walks the same bytes the eager core walks and runs the same
-// validation checks in the same order, but it only validates: it never
-// materializes statement or value objects — the bulk of a cold decode's
-// allocations for bodies the demand closure will never visit — and never
-// phrases an error. A call is kept as pool ids plus the offset of its
-// encoded signature, and a record as integers, so the skim does constant
-// work per method and builds no string: keys and signatures are rendered
-// only for what the closure demands. On any skim rejection the
+// class names, while the supertypes, callee classes and local types it
+// reads are marked in a set of pool ids (EachRefClass). The body skim
+// (skimBody below) walks the same bytes the eager core walks and runs the
+// same validation checks in the same order, but it only validates: it
+// never materializes statement or value objects — the bulk of a cold
+// decode's allocations for bodies the demand closure will never visit —
+// and never phrases an error. A call is kept as pool ids plus the offset
+// of its encoded signature, and a record as integers, so the skim does
+// constant work per method and builds no string: keys and signatures are
+// rendered only for what the closure demands. On any skim rejection the
 // materializing core re-runs over the span, so malformed input fails with
 // the eager path's exact error and offset.
 //
@@ -38,50 +39,48 @@ import (
 // releases its app allocates none of it. DESIGN.md §13 ("A scan returns
 // what it opened") states the ownership rule.
 //
-// A class's fields and method headers are decoded, with the eager
-// readers, the first time a program lookup returns the class (fill), and
-// Materialize re-runs the eager core over a recorded span to give a
-// demanded class its bodies back, so a fully materialized lazy program is
-// bit-identical to an eager Decode of the same bytes.
+// The program (jimple.NewLazyProgram) builds a class — its header and,
+// with the eager readers, its fields and method headers — the first time
+// a lookup reaches it (BuildClass), and Materialize re-runs the eager
+// core over a recorded span to give a demanded class its bodies back, so
+// a fully materialized lazy program is bit-identical to an eager Decode
+// of the same bytes.
 
-// Lazy is a lazily decoded program: class headers, members decoded on
+// Lazy is a lazily decoded program: class headers, each class built on
 // first lookup, no bodies. Methods that had a body in the bytes sit in
 // their class with Abstract=false and Body=nil (HasBody false) until the
-// class is materialized. Lookups may run concurrently (the program fills
-// members under a lock), but Materialize may not: materialize before
-// sharing the program.
+// class is materialized. Lookups may run concurrently (the program builds
+// classes under a lock), but Materialize may not: materialize before
+// sharing the program. Lazy is the program's jimple.ClassSource.
 type Lazy struct {
 	idx *Index
-	// refs has a bit per string-pool id the program's bodies reference
-	// as a class: the class of each top-level call and the type of each
-	// local of a non-empty body. refNames adds the callee classes of the
-	// records a fallback took from a decoded body, which hold no pool id.
+	// refs has a bit per string-pool id the program references as a
+	// class: each live class's superclass and interfaces, the class of
+	// each top-level call and the type of each local of a non-empty body.
+	// refNames adds the callee classes of the records a fallback took from
+	// a decoded body, which hold no pool id.
 	refs     []uint64
 	refNames []string
-	// members locates the member sections of each class, by its position
-	// in the container: the slot the program defers the class under.
-	members []classMembers
 	// hdrs holds the offset of every method header, class by class, in
 	// declaration order. A has-body method whose body holds no statement
 	// (normalized to abstract) is stored as ^offset.
 	hdrs         []int32
-	materialized []bool // by class slot
+	materialized []bool // by bodied-class slot
+	// numSlots and numLive count the container's classes and the live
+	// ones; they outlive Release.
+	numSlots, numLive int
 	// fallbacks counts bodies the skim rejected but the materializing
 	// core accepted (a skim bug); their records come from the decoded
 	// body instead.
 	fallbacks int
-	// dec decodes members for fill and bodies for Materialize. The
-	// program runs fill under its member lock, and Materialize runs
-	// before the program is shared, so one decoder, and its slabs, serves
-	// every class.
+	// dec builds classes for BuildClass and decodes bodies for
+	// Materialize. The program builds under its lock, and Materialize
+	// runs before the program is shared, so one decoder, and its slabs,
+	// serves every class.
 	dec decoder
 	// released marks a Lazy whose arrays have gone back (Release).
 	released bool
 }
-
-// classMembers locates one class in the container: its header, its field
-// section, and its method headers hdrs[mlo:mhi].
-type classMembers struct{ at, fields, mlo, mhi int32 }
 
 // slabs are the arrays the skim appends to: the index's records, calls,
 // intents and bodied-class spans, and the method-header offsets.
@@ -107,17 +106,21 @@ type lazyBuild struct {
 	// when the open found none.
 	reuse spare
 	// poolName caches the name id of a pool index (id+1; 0 = not yet
-	// looked up), so a method name is hashed once per pool entry.
-	poolName []int32
+	// looked up), so a method name is hashed once per pool entry;
+	// poolType is the decoder's type-id memo (decoder.poolType).
+	poolName, poolType []int32
 	// locals holds the local-type pool ids of the body being skimmed.
 	locals []int32
+	// colour and stack are the cycle check's.
+	colour []byte
+	stack  []cycleFrame
 }
 
 var buildPool = sync.Pool{New: func() any { return new(lazyBuild) }}
 
 // spare holds the arrays of a released open for a later open to reuse:
 // what only the open holds — its index's slabs, string-pool slice, key
-// table and caller and declarer tables, and its member table,
+// table and caller, declarer and subtype tables, its class table, and its
 // referenced-class set and materialized flags. Nothing a Result, the
 // program or a registry memo can reach goes in, and no memory backing a
 // string: the pool text and the decoder's slabs stay with the collector.
@@ -127,7 +130,9 @@ type spare struct {
 	slabs
 	pool         []string
 	keys         []string
-	members      []classMembers
+	headers      []classHeader
+	ifaces, tab  []int32
+	types        []typeEntry
 	refs         []uint64
 	materialized []bool
 	offs, ids    []int32
@@ -172,10 +177,10 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 	}
 	b.acquire(l)
 	d := &decoder{data: data, lazy: b}
-	prog, err := d.run()
+	_, err := d.run()
 	if err == nil {
-		l.idx.prog, l.idx.pool = prog, d.pool
-		if prog.NumClasses() < len(l.members) {
+		l.idx.pool = d.pool
+		if l.idx.cls.replaced {
 			// A later class replaced an earlier one of the same name.
 			l.dropReplaced()
 		}
@@ -192,9 +197,12 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 		}
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
-	l.dec = decoder{data: data, pool: d.pool}
-	l.idx.finish(&reused)
-	l.materialized = reuse(reused.materialized, len(l.idx.classes))
+	x := l.idx
+	l.dec = decoder{data: data, pool: d.pool, ct: &x.cls}
+	x.finish(&reused)
+	l.materialized = reuse(reused.materialized, len(x.classes))
+	l.numSlots, l.numLive = len(x.cls.headers), x.cls.live
+	x.prog = jimple.NewLazyProgram(l)
 	return l, nil
 }
 
@@ -251,11 +259,11 @@ func exact[T any](s []T) []T {
 }
 
 // Release gives the open's arrays back for a later open to reuse (see
-// spare). The caller must be done with the program and the index: a
-// member lookup that decodes, a Materialize, an EachRefClass or an Index
-// after Release panics rather than read recycled memory, while the
-// strings, signatures and classes already obtained stay valid. Release
-// is idempotent. It may not run concurrently with any other use of the
+// spare). The caller must be done with the program and the index: an
+// own-class lookup, a Materialize, an EachRefClass or an Index after
+// Release panics rather than read recycled memory, while the strings,
+// signatures and classes already obtained stay valid. Release is
+// idempotent. It may not run concurrently with any other use of the
 // program.
 func (l *Lazy) Release() {
 	if l == nil || l.released {
@@ -267,7 +275,10 @@ func (l *Lazy) Release() {
 		slabs:        slabs{x.recs, x.calls, x.intents, x.classes, l.hdrs},
 		pool:         x.pool,
 		keys:         x.keys,
-		members:      l.members,
+		headers:      x.cls.headers,
+		ifaces:       x.cls.ifaces,
+		tab:          x.cls.tab,
+		types:        x.cls.types,
 		refs:         l.refs,
 		materialized: l.materialized,
 		offs:         x.offs,
@@ -275,7 +286,7 @@ func (l *Lazy) Release() {
 	}
 	s.clearStrings()
 	*x = Index{prog: x.prog}
-	l.refs, l.refNames, l.members, l.hdrs, l.materialized = nil, nil, nil, nil, nil
+	l.refs, l.refNames, l.hdrs, l.materialized = nil, nil, nil, nil
 	l.dec = decoder{}
 	sparePool.Put(s)
 }
@@ -288,19 +299,15 @@ func (l *Lazy) live() {
 }
 
 // begin sizes the open's state for n classes and the decoded string
-// pool, and returns the program the classes are deferred into.
-func (b *lazyBuild) begin(d *decoder, n int) *jimple.Program {
+// pool.
+func (b *lazyBuild) begin(d *decoder, n int) {
 	l := b.l
-	l.members = reuse(b.reuse.members, n)[:0]
-	d.classes.reserve(n)
+	d.ct = &l.idx.cls
+	d.ct.begin(n, &b.reuse)
 	l.refs = reuse(b.reuse.refs, (len(d.pool)+63)/64)
-	if cap(b.poolName) < len(d.pool) {
-		b.poolName = make([]int32, len(d.pool))
-	} else {
-		b.poolName = b.poolName[:len(d.pool)]
-		clear(b.poolName)
-	}
-	return jimple.NewDeferredProgram(n, l.fill)
+	b.poolName = reuse(b.poolName, len(d.pool))
+	b.poolType = reuse(b.poolType, len(d.pool))
+	d.poolType = b.poolType
 }
 
 // nameOf returns the name id of the method name at pool index p.
@@ -343,23 +350,26 @@ func (l *Lazy) markCalls(calls []Call) {
 // dropReplaced removes the records of classes a later class of the same
 // name replaced in the program (Program.AddClass keeps the last), so the
 // index describes exactly the decoded program, and rebuilds the
-// referenced-class set from the records it keeps.
+// referenced-class set from the headers and records it keeps.
 func (l *Lazy) dropReplaced() {
 	x := l.idx
-	last := make(map[string]int32, len(l.members))
+	t := &x.cls
 	d := decoder{data: x.src, pool: x.pool}
-	for i, cm := range l.members {
-		d.pos = int(cm.at)
-		name, _ := d.ref() // the skim validated it
-		last[name] = int32(i)
-	}
 	clear(l.refs)
 	l.refNames = nil
+	for slot := range t.headers {
+		if h := &t.headers[slot]; t.isLive(int32(slot)) {
+			l.markRef(t.types[h.super].name)
+			for _, id := range t.ifaces[h.ifaces.lo:h.ifaces.hi] {
+				l.markRef(t.types[id].name)
+			}
+		}
+	}
 	// The kept records move down in place: a record's new position is
 	// never past its old one.
 	kept, n := x.classes[:0], int32(0)
 	for _, c := range x.classes {
-		if last[c.name] != c.ord {
+		if !t.isLive(c.ord) {
 			continue
 		}
 		lo := n
@@ -377,17 +387,30 @@ func (l *Lazy) dropReplaced() {
 	x.classes, x.recs = kept, x.recs[:n]
 }
 
-// fill decodes the fields and method headers of the class deferred under
-// slot into c, with the eager readers. The program calls it once per
-// class, under its member lock. The skim validated these bytes, so an
-// error means they changed underneath.
-func (l *Lazy) fill(c *jimple.Class, slot int32) {
+// OwnSlot returns the slot of the live class named name: a probe of the
+// class table, building nothing.
+func (l *Lazy) OwnSlot(name string) (int32, bool) {
 	l.live()
-	cm := l.members[slot]
+	t := &l.idx.cls
+	if id := t.find(l.idx.pool, name); id >= 0 && t.types[id].own != 0 {
+		return t.types[id].own - 1, true
+	}
+	return 0, false
+}
+
+// BuildClass builds the class at a live slot: its header from the class
+// table, and its fields and method headers with the eager readers. The
+// program calls it once per class, under its build lock. The skim
+// validated these bytes, so an error means they changed underneath.
+func (l *Lazy) BuildClass(slot int32) *jimple.Class {
+	l.live()
 	d := &l.dec
-	d.pos = int(cm.fields)
+	h := &d.ct.headers[slot]
+	c := &d.classes.take(1)[0]
+	d.setHeader(c, slot)
+	d.pos = int(h.fields)
 	err := d.fieldSection(c)
-	if hdrs := l.hdrs[cm.mlo:cm.mhi]; err == nil && len(hdrs) > 0 {
+	if hdrs := l.hdrs[h.mlo:h.mhi]; err == nil && len(hdrs) > 0 {
 		methods := d.methods.take(len(hdrs))
 		c.Methods = d.methodPtrs.take(len(hdrs))
 		for i, at := range hdrs {
@@ -404,11 +427,49 @@ func (l *Lazy) fill(c *jimple.Class, slot int32) {
 	if err != nil {
 		panic(fmt.Sprintf("dex: decoding the members of %s: %v", c.Name, err))
 	}
+	return c
 }
 
-// Program returns the program. Its classes' members are decoded on first
-// lookup, and Materialize adds bodies in place; after MaterializeAll it
-// is bit-identical to an eager Decode.
+// NumSlots returns the number of classes in the container.
+func (l *Lazy) NumSlots() int { return l.numSlots }
+
+// NumOwnClasses returns the number of live classes: the container's
+// classes less those a later class of the same name replaced.
+func (l *Lazy) NumOwnClasses() int { return l.numLive }
+
+// EachLiveSlot calls fn on the slot of every live class, ascending.
+func (l *Lazy) EachLiveSlot(fn func(slot int32)) {
+	l.live()
+	t := &l.idx.cls
+	for slot := range t.headers {
+		if t.isLive(int32(slot)) {
+			fn(int32(slot))
+		}
+	}
+}
+
+// OwnSubs returns the live slots whose class has t as its superclass or
+// as one of its interfaces, a slot per such edge: a lookup in the index's
+// subtype table.
+func (l *Lazy) OwnSubs(t string) []int32 {
+	l.live()
+	ct := &l.idx.cls
+	if id := ct.find(l.idx.pool, t); id >= 0 {
+		return ct.subs.of(id)
+	}
+	return nil
+}
+
+// ClassName returns the name of the class at slot.
+func (l *Lazy) ClassName(slot int32) string {
+	l.live()
+	ct := &l.idx.cls
+	return ct.name(l.idx.pool, ct.headers[slot].name)
+}
+
+// Program returns the program. Its classes are built on first lookup,
+// and Materialize adds bodies in place; after MaterializeAll it is
+// bit-identical to an eager Decode.
 func (l *Lazy) Program() *jimple.Program { return l.idx.prog }
 
 // Index returns the skim index of the body-bearing methods.
@@ -424,11 +485,10 @@ func (l *Lazy) NumBodiedClasses() int { return len(l.idx.classes) }
 // EachRefClass calls fn on every class name the program references
 // (supertypes, interfaces, invoked classes, local types) — what
 // apimodel.LibsUsedByRefs resolves, computed without retained bodies or
-// decoded members. The skim marked invoked classes and local types in a
-// set of pool ids, so this walks the set and the class headers, not the
-// records. Each marked id is passed once; a name may still repeat (a
-// supertype, or a string the pool holds twice), and "" may appear for a
-// root class.
+// built classes. The open marked them in a set of pool ids, so this walks
+// the set, not the headers or the records. Each marked id is passed once;
+// a name may still repeat (a string the pool holds twice), and "" may
+// appear for a root class.
 func (l *Lazy) EachRefClass(fn func(string)) {
 	l.live()
 	pool := l.idx.pool
@@ -440,12 +500,6 @@ func (l *Lazy) EachRefClass(fn func(string)) {
 	for _, name := range l.refNames {
 		fn(name)
 	}
-	l.idx.prog.EachOwnHeader(func(c *jimple.Class) {
-		fn(c.Super)
-		for _, i := range c.Interfaces {
-			fn(i)
-		}
-	})
 }
 
 // Materialize decodes the retained body spans of the given classes into
@@ -529,13 +583,19 @@ func (l *Lazy) MaterializeAll() error {
 	return l.Materialize(names...)
 }
 
-// skimMembers validates the field and method sections of class c, whose
-// header starts at offset at, with the eager checks in the eager order,
-// building nothing: it records where the sections are, and the skim
-// record of each bodied method.
-func (d *decoder) skimMembers(c *jimple.Class, at int) error {
+// skimClass validates the class at d.pos, header and members, with the
+// eager checks in the eager order, building nothing: it reads the header
+// into the class table, and records where the member sections are and
+// the skim record of each bodied method.
+func (d *decoder) skimClass() error {
+	slot, err := d.classHeader()
+	if err != nil {
+		return err
+	}
 	l := d.lazy.l
-	cm := classMembers{at: int32(at), fields: int32(d.pos)}
+	h := &d.ct.headers[slot]
+	owner := d.ct.name(d.pool, h.name)
+	h.fields = int32(d.pos)
 	nf, err := d.count("field")
 	if err != nil {
 		return err
@@ -554,16 +614,15 @@ func (d *decoder) skimMembers(c *jimple.Class, at int) error {
 	if err != nil {
 		return err
 	}
-	cm.mlo = int32(len(l.hdrs))
+	h.mlo = int32(len(l.hdrs))
 	recLo := len(l.idx.recs)
 	for ord := 0; ord < nm; ord++ {
-		if err := d.skimMethod(c.Name, int32(ord)); err != nil {
+		if err := d.skimMethod(owner, int32(ord)); err != nil {
 			return err
 		}
 	}
-	cm.mhi = int32(len(l.hdrs))
-	l.idx.endClass(c.Name, recLo, int32(len(l.members)))
-	l.members = append(l.members, cm)
+	h.mhi = int32(len(l.hdrs))
+	l.idx.endClass(owner, recLo, slot)
 	return nil
 }
 
@@ -752,7 +811,7 @@ func (d *decoder) skimBody(n *bodyCounts) (empty, ok bool) {
 		if b == nil && d.pos < len(d.data) && d.data[d.pos] < byte(len(n.ops)) {
 			n.ops[d.data[d.pos]]++
 		}
-		if !d.skimStmt(b != nil) {
+		if !d.skimStmt(b != nil, ns) {
 			return false, false
 		}
 	}
@@ -765,21 +824,26 @@ func (d *decoder) skimBody(n *bodyCounts) (empty, ok bool) {
 		n.traps += nt
 	}
 	for i := 0; i < nt; i++ {
-		for j := 0; j < 3; j++ { // begin, end, handler
-			if _, ok := d.uvarint(); !ok {
+		var r [3]uint64 // begin, end, handler
+		for j := range r {
+			if r[j], ok = d.uvarint(); !ok {
 				return false, false
 			}
 		}
 		if _, ok := d.skimRef(); !ok { // exception
 			return false, false
 		}
+		// checkTrap's checks.
+		if ns > 0 && (r[0] >= r[1] || r[1] > uint64(ns) || r[2] >= uint64(ns)) {
+			return false, false
+		}
 	}
 	return ns == 0, true
 }
 
-// skimStmt skims one statement; top is skimValue's, for the statement's
-// own call.
-func (d *decoder) skimStmt(top bool) bool {
+// skimStmt skims one statement of a body of n statements; top is
+// skimValue's, for the statement's own call.
+func (d *decoder) skimStmt(top bool, n int) bool {
 	op, ok := d.skimByte()
 	if !ok {
 		return false
@@ -801,11 +865,11 @@ func (d *decoder) skimStmt(top bool) bool {
 		if _, _, ok := d.skimValue(false); !ok {
 			return false
 		}
-		_, ok := d.uvarint()
-		return ok
+		t, ok := d.uvarint()
+		return ok && t < uint64(n) // checkBranch's check
 	case opGoto:
-		_, ok := d.uvarint()
-		return ok
+		t, ok := d.uvarint()
+		return ok && t < uint64(n)
 	case opReturn, opThrow:
 		_, _, ok := d.skimValue(false)
 		return ok

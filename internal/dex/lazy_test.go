@@ -90,16 +90,37 @@ func headerView(c *jimple.Class) string {
 }
 
 // checkLookupsMatchEager looks every class of eager up in l's program,
-// the first lookup of each: every class must still have its members
-// deferred until then, and the lookup must return the eager class with
-// its bodies left out.
+// the first lookup of each: no class may be built until then — the class
+// count, the reverse subtype edges of every name a header uses and the
+// by-name membership test build none — and the lookup must return the
+// eager class with its bodies left out.
 func checkLookupsMatchEager(t *testing.T, l *dex.Lazy, eager *jimple.Program) {
 	t.Helper()
 	p := l.Program()
-	p.EachOwnHeader(func(c *jimple.Class) {
-		if !c.MembersDeferred() {
-			t.Fatalf("%s: members decoded before any lookup", c.Name)
+	if p.NumClasses() != eager.NumClasses() {
+		t.Fatalf("NumClasses = %d, eager %d", p.NumClasses(), eager.NumClasses())
+	}
+	subs := func(p *jimple.Program, name string) []string {
+		var out []string
+		p.EachOwnSub(name, func(s string) { out = append(out, s) })
+		sort.Strings(out)
+		return out
+	}
+	for _, c := range eager.Classes() {
+		for _, name := range append([]string{c.Name, c.Super}, c.Interfaces...) {
+			if got, want := subs(p, name), subs(eager, name); !slices.Equal(got, want) {
+				t.Fatalf("EachOwnSub(%q) = %v, eager %v", name, got, want)
+			}
 		}
+		if !p.HasOwnClass(c.Name) {
+			t.Fatalf("HasOwnClass(%q) = false", c.Name)
+		}
+	}
+	if p.HasOwnClass("no.such.Class") || p.OwnClass("no.such.Class") != nil {
+		t.Fatal("a lookup of an absent class hit")
+	}
+	p.EachBuilt(func(c *jimple.Class) {
+		t.Fatalf("%s: built before any lookup", c.Name)
 	})
 	for _, want := range eager.Classes() {
 		if got := p.Class(want.Name); headerView(got) != headerView(want) {
@@ -507,8 +528,8 @@ func FuzzTargetSiteSearch(f *testing.F) {
 // every caller- and declarer-index lookup equals a linear scan over those
 // records, the referenced classes EachRefClass enumerates (collected by
 // the test helper RefClasses) equal the eager referenced-class set, none
-// of which decodes a class's members, and then a lookup of each class
-// returns the eager class with its bodies left out.
+// of which builds a class, and then a lookup of each class returns the
+// eager class with its bodies left out.
 func FuzzLazyIndex(f *testing.F) {
 	apps, err := corpus.GenerateCorpus(7)
 	if err != nil {
@@ -549,6 +570,12 @@ class t.Later extends java.lang.Object {
 	// Nested invokes with forged argument counts: the skim rejects them
 	// and the eager core, run over the span, fails the same way.
 	f.Add(dex.ForgedInvokeChain(f, 200, 1000))
+	// Inheritance cycles, and branches and traps outside their body.
+	for _, tc := range structureCases {
+		p := jimple.MustParse(structureSrc)
+		tc.edit(p)
+		f.Add(dex.Encode(p))
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, lazyErr := dex.DecodeLazy(data)

@@ -17,9 +17,10 @@ import (
 // eagerly (New), or an overlay over a frozen base hierarchy (NewOverlay).
 // An overlay indexes nothing up front: an own class's supertypes are read
 // from its *Class, its subsignature map is built the first time a lookup
-// reaches it, and the own layer's reverse edges on the first subtype
-// query; every query falls through to the base for the rest. The base is
-// only read, so one base can sit under any number of concurrent overlays.
+// reaches it, and the own layer's reverse edges are the program's
+// (jimple.Program.EachOwnSub); every query falls through to the base for
+// the rest. The base is only read, so one base can sit under any number
+// of concurrent overlays.
 type Hierarchy struct {
 	prog *jimple.Program
 
@@ -29,9 +30,8 @@ type Hierarchy struct {
 	base    *Hierarchy
 	shadows bool
 
-	// subsOf maps a type to its direct subclasses and implementers. A flat
-	// hierarchy fills it eagerly, sorted; an overlay fills it with the own
-	// layer's edges, unsorted, on the first subtype query (nil until then).
+	// subsOf maps a type to its direct subclasses and implementers, sorted;
+	// only a flat hierarchy fills it.
 	subsOf map[string][]string
 	// supersOf maps each class of a flat hierarchy to its direct superclass
 	// and interfaces, sorted; an overlay reads them from its own *Class.
@@ -46,9 +46,9 @@ type Hierarchy struct {
 	methodIdx map[string]map[string]*jimple.Method
 	superOf   map[string]string
 
-	// mu guards an overlay's lazily built state — methodIdx, subsOf and
-	// intern — and every hierarchy's dispatchMemo, so a Hierarchy stays
-	// safe to share between goroutines. A flat hierarchy's other maps are
+	// mu guards an overlay's lazily built state — methodIdx and intern —
+	// and every hierarchy's dispatchMemo, so a Hierarchy stays safe to
+	// share between goroutines. A flat hierarchy's other maps are
 	// complete at construction and read without it; an overlay never writes
 	// to its base.
 	mu sync.Mutex
@@ -140,27 +140,6 @@ func (h *Hierarchy) ownMethods(c *jimple.Class) map[string]*jimple.Method {
 	return mm
 }
 
-// ownSubs returns the overlay's own reverse edges, building them from the
-// own classes on first use. The lists are unsorted: every query that
-// returns subtypes sorts its result.
-func (h *Hierarchy) ownSubs() map[string][]string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.subsOf == nil {
-		subs := make(map[string][]string)
-		h.prog.EachOwnHeader(func(c *jimple.Class) {
-			if c.Super != "" {
-				subs[c.Super] = append(subs[c.Super], c.Name)
-			}
-			for _, i := range c.Interfaces {
-				subs[i] = append(subs[i], c.Name)
-			}
-		})
-		h.subsOf = subs
-	}
-	return h.subsOf
-}
-
 // Program returns the underlying program.
 func (h *Hierarchy) Program() *jimple.Program { return h.prog }
 
@@ -225,11 +204,9 @@ func (h *Hierarchy) eachSub(t string, fn func(string)) {
 		}
 		return
 	}
-	for _, s := range h.ownSubs()[t] {
-		fn(s)
-	}
+	h.prog.EachOwnSub(t, fn)
 	for _, s := range h.base.subsOf[t] {
-		if h.shadows && h.prog.OwnClass(s) != nil {
+		if h.shadows && h.prog.HasOwnClass(s) {
 			continue
 		}
 		fn(s)

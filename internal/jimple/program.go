@@ -64,18 +64,7 @@ type Class struct {
 	Abstract   bool
 	Fields     []*Field
 	Methods    []*Method
-
-	// deferred is, for a class added with AddDeferred, its member slot
-	// plus one until its program's member decoder has filled Fields and
-	// Methods, and 0 from then on.
-	deferred atomic.Int32
 }
-
-// MembersDeferred reports whether c's Fields and Methods are still
-// undecoded: only its header (Name, Super, Interfaces, IsIface,
-// Abstract) may be read. Program.Class, OwnClass, OwnClasses and
-// Classes never return such a class; Program.EachOwnHeader may pass one.
-func (c *Class) MembersDeferred() bool { return c.deferred.Load() != 0 }
 
 // Method returns the method with the given subsignature key declared
 // directly on c, or nil.
@@ -115,14 +104,18 @@ func (c *Class) AddMethod(m *Method) *Method {
 // base class of the same name — the same app-wins rule Merge applies when
 // the framework is merged under an app. The base is only ever read.
 //
-// A program made by NewDeferredProgram may hold classes whose Fields and
-// Methods are decoded on first lookup. Every accessor that hands out a
-// class (Class, OwnClass, OwnClasses, Classes, and Merge, which hands
-// classes to another program) decodes them first, as does NumStmts, so
-// readers of a class's members never see a deferred class; only
-// EachOwnHeader passes one.
+// A program made by NewLazyProgram holds no class object up front: its own
+// classes live in a ClassSource, and each is built — header and members,
+// bodies left to the source — the first time a lookup reaches it, then
+// memoized. The accessors that hand out every class (Classes, OwnClasses,
+// Merge, which hands classes to another program, and NumStmts) build
+// every class first; the lookups (Class, OwnClass, Method) build only the
+// class they return, and HasOwnClass and EachOwnSub build none.
 type Program struct {
+	// classes holds a flat program's own classes; nil for a lazily opened
+	// program, whose own classes are in lazy.
 	classes map[string]*Class
+	lazy    *lazyClasses
 
 	// base is the frozen layer beneath an overlay; nil for a flat program.
 	// shadowed counts own classes that hide a base class of the same name.
@@ -134,17 +127,84 @@ type Program struct {
 	frozen bool
 	sorted []*Class
 
-	// members fills the deferred classes of a program made by
-	// NewDeferredProgram; overlays over such a program share it.
-	members *memberDecoder
+	// subs holds a flat own layer's reverse subtype edges (EachOwnSub),
+	// built under subsMu on first use and dropped by AddClass.
+	subsMu sync.Mutex
+	subs   map[string][]string
 }
 
-// memberDecoder fills deferred classes, one at a time: the lock is the
-// slow path of every accessor that meets a deferred class, and each
-// class's deferred flag is its atomic fast path.
-type memberDecoder struct {
-	mu     sync.Mutex
-	decode func(c *Class, slot int32)
+// ClassSource is the own layer of a lazily opened program: its classes by
+// slot, a slot per class of the container, of which only the last class
+// of each name is live. A source answers by name without building
+// anything (OwnSlot, EachOwnSub), and builds a class only on request.
+type ClassSource interface {
+	// OwnSlot returns the slot of the live class named name.
+	OwnSlot(name string) (int32, bool)
+	// BuildClass returns a new class for a live slot: its header and
+	// members, with every method bodiless until the source adds bodies. The
+	// program calls it at most once per slot, under its build lock, and it
+	// must not call back into the program.
+	BuildClass(slot int32) *Class
+	// NumSlots returns the number of slots; NumOwnClasses the number of
+	// live ones.
+	NumSlots() int
+	NumOwnClasses() int
+	// EachLiveSlot calls fn on every live slot, ascending.
+	EachLiveSlot(fn func(slot int32))
+	// OwnSubs returns the live slots whose class has t as its superclass
+	// or as one of its interfaces, a slot per such edge; the slice is
+	// shared.
+	OwnSubs(t string) []int32
+	// ClassName returns the name of the class at slot.
+	ClassName(slot int32) string
+}
+
+// lazyClasses is the own layer of a program made by NewLazyProgram: the
+// source, and the memo of the classes built from it. The memo is by slot,
+// an atomic pointer each, so a lookup reads it without a lock while
+// another goroutine builds a class (a map could not be read then); builds
+// run one at a time under mu.
+type lazyClasses struct {
+	src   ClassSource
+	mu    sync.Mutex
+	built []atomic.Pointer[Class] // by slot
+}
+
+// class returns the live class named name, building it on first lookup,
+// or nil.
+func (lc *lazyClasses) class(name string) *Class {
+	slot, ok := lc.src.OwnSlot(name)
+	if !ok {
+		return nil
+	}
+	if c := lc.built[slot].Load(); c != nil {
+		return c
+	}
+	return lc.build(slot)
+}
+
+func (lc *lazyClasses) build(slot int32) *Class {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	c := lc.built[slot].Load()
+	if c == nil {
+		c = lc.src.BuildClass(slot)
+		lc.built[slot].Store(c)
+	}
+	return c
+}
+
+// all builds every live class and returns them in slot order.
+func (lc *lazyClasses) all() []*Class {
+	out := make([]*Class, 0, lc.src.NumOwnClasses())
+	lc.src.EachLiveSlot(func(slot int32) {
+		c := lc.built[slot].Load()
+		if c == nil {
+			c = lc.build(slot)
+		}
+		out = append(out, c)
+	})
+	return out
 }
 
 // NewProgram returns an empty program.
@@ -152,49 +212,18 @@ func NewProgram() *Program {
 	return &Program{classes: make(map[string]*Class)}
 }
 
-// NewDeferredProgram returns an empty program, sized for n classes,
-// whose classes may be added header-only (AddDeferred). decode fills a
-// deferred class's Fields and Methods, given the slot it was added with;
-// it runs once per class, under the program's member lock, the first time
-// an accessor hands the class out, and must not call back into the
-// program.
-func NewDeferredProgram(n int, decode func(c *Class, slot int32)) *Program {
-	return &Program{classes: make(map[string]*Class, n), members: &memberDecoder{decode: decode}}
-}
-
-// AddDeferred inserts c like AddClass, with its Fields and Methods left
-// for the program's member decoder to fill, under slot, on first lookup.
-// p must come from NewDeferredProgram.
-func (p *Program) AddDeferred(c *Class, slot int32) {
-	if p.members == nil {
-		panic("jimple: AddDeferred on a program without a member decoder")
-	}
-	c.deferred.Store(slot + 1)
-	p.AddClass(c)
-}
-
-// decoded returns c, filling its members first if they are deferred.
-func (p *Program) decoded(c *Class) *Class {
-	if c != nil && c.deferred.Load() != 0 {
-		p.members.fill(c)
-	}
-	return c
-}
-
-func (d *memberDecoder) fill(c *Class) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if slot := c.deferred.Load(); slot != 0 {
-		d.decode(c, slot-1)
-		c.deferred.Store(0)
-	}
+// NewLazyProgram returns the program whose own classes src holds, each
+// built on its first lookup. Its own layer is fixed: AddClass and Merge
+// into it panic.
+func NewLazyProgram(src ClassSource) *Program {
+	return &Program{lazy: &lazyClasses{src: src, built: make([]atomic.Pointer[Class], src.NumSlots())}}
 }
 
 // NewOverlay returns a program whose own layer is app's classes layered
 // over base, which must be frozen. The overlay adopts app's layer rather
-// than copying it: the two programs share one class map (and a lazily
-// opened app's member decoder), so the cost is a check of base's classes
-// against that map, independent of app's size, and nothing of either
+// than copying it: the two programs share one class map (or a lazily
+// opened app's source and memo), so the cost is a check of base's classes
+// against app's names, independent of app's size, and nothing of either
 // program is copied. app must itself be flat, and neither program may be
 // changed afterwards except through the overlay: a class added to one
 // appears in the other, and a class added to app directly escapes the
@@ -206,9 +235,9 @@ func NewOverlay(app, base *Program) *Program {
 	if app.base != nil {
 		panic("jimple: overlay over an overlay app program")
 	}
-	p := &Program{classes: app.classes, base: base, members: app.members}
+	p := &Program{classes: app.classes, lazy: app.lazy, base: base}
 	for _, c := range base.sorted {
-		if _, own := app.classes[c.Name]; own {
+		if p.HasOwnClass(c.Name) {
 			p.shadowed++
 		}
 	}
@@ -236,29 +265,37 @@ func (p *Program) AddClass(c *Class) *Class {
 	if p.frozen {
 		panic("jimple: AddClass on a frozen program")
 	}
+	if p.lazy != nil {
+		panic("jimple: AddClass on a lazily opened program")
+	}
 	if p.base != nil && p.base.Class(c.Name) != nil {
 		if _, own := p.classes[c.Name]; !own {
 			p.shadowed++
 		}
 	}
 	p.classes[c.Name] = c
+	p.subs = nil
 	return c
 }
 
 // Class returns the named class, or nil if it is not in the program.
 func (p *Program) Class(name string) *Class {
-	if c := p.classes[name]; c != nil || p.base == nil {
-		return p.decoded(c)
+	if c := p.OwnClass(name); c != nil || p.base == nil {
+		return c
 	}
 	return p.base.Class(name)
 }
 
 // NumClasses returns the number of classes in the program.
 func (p *Program) NumClasses() int {
-	if p.base == nil {
-		return len(p.classes)
+	n := len(p.classes)
+	if p.lazy != nil {
+		n = p.lazy.src.NumOwnClasses()
 	}
-	return len(p.classes) + p.base.NumClasses() - p.shadowed
+	if p.base == nil {
+		return n
+	}
+	return n + p.base.NumClasses() - p.shadowed
 }
 
 // Classes returns all classes sorted by name. The slice is freshly
@@ -267,7 +304,8 @@ func (p *Program) Classes() []*Class {
 	if p.frozen {
 		return append([]*Class(nil), p.sorted...)
 	}
-	own := p.sortedOwn()
+	own := p.OwnClasses()
+	sort.Slice(own, func(i, j int) bool { return own[i].Name < own[j].Name })
 	if p.base == nil {
 		return own
 	}
@@ -282,7 +320,7 @@ func (p *Program) Classes() []*Class {
 			out = append(out, own[i])
 			i++
 		}
-		if _, shadowed := p.classes[b.Name]; !shadowed {
+		if !p.HasOwnClass(b.Name) {
 			out = append(out, b)
 		}
 	}
@@ -293,36 +331,88 @@ func (p *Program) Classes() []*Class {
 // classes layered over the base; for a flat program, all of them — in no
 // particular order. The slice is freshly allocated.
 func (p *Program) OwnClasses() []*Class {
+	if p.lazy != nil {
+		return p.lazy.all()
+	}
 	out := make([]*Class, 0, len(p.classes))
 	for _, c := range p.classes {
-		out = append(out, p.decoded(c))
+		out = append(out, c)
 	}
 	return out
 }
 
 // OwnClass returns the named class of p's own layer, or nil: unlike
 // Class, it never falls through to the base.
-func (p *Program) OwnClass(name string) *Class { return p.decoded(p.classes[name]) }
+func (p *Program) OwnClass(name string) *Class {
+	if p.lazy != nil {
+		return p.lazy.class(name)
+	}
+	return p.classes[name]
+}
+
+// HasOwnClass reports whether p's own layer holds a class of that name,
+// building none.
+func (p *Program) HasOwnClass(name string) bool {
+	if p.lazy != nil {
+		_, ok := p.lazy.src.OwnSlot(name)
+		return ok
+	}
+	_, ok := p.classes[name]
+	return ok
+}
 
 // Shadows reports whether an own class of an overlay hides a base class
 // of the same name.
 func (p *Program) Shadows() bool { return p.shadowed > 0 }
 
-// EachOwnHeader calls fn on every class of p's own layer, in no
-// particular order, without collecting them into a slice and without
-// decoding deferred members: fn may read a class's header (Name, Super,
-// Interfaces, IsIface, Abstract) and MembersDeferred, and its Fields and
-// Methods only when MembersDeferred is false.
-func (p *Program) EachOwnHeader(fn func(*Class)) {
-	for _, c := range p.classes {
-		fn(c)
+// EachBuilt calls fn on every own class a lookup has built so far: for a
+// lazily opened program, the classes a lookup or a whole-program accessor
+// reached, in slot order, read from the memo without building any; for a
+// flat program, all of them, in no particular order. A class built while
+// it runs may be left out.
+func (p *Program) EachBuilt(fn func(*Class)) {
+	if p.lazy == nil {
+		for _, c := range p.classes {
+			fn(c)
+		}
+		return
+	}
+	for i := range p.lazy.built {
+		if c := p.lazy.built[i].Load(); c != nil {
+			fn(c)
+		}
 	}
 }
 
-func (p *Program) sortedOwn() []*Class {
-	out := p.OwnClasses()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+// EachOwnSub calls fn on the name of every own class whose superclass or
+// one of whose interfaces is t — the own layer's reverse subtype edges —
+// as many times as the class names t, building no class. A name may
+// repeat; callers dedup.
+func (p *Program) EachOwnSub(t string, fn func(name string)) {
+	if p.lazy != nil {
+		src := p.lazy.src
+		for _, slot := range src.OwnSubs(t) {
+			fn(src.ClassName(slot))
+		}
+		return
+	}
+	p.subsMu.Lock()
+	if p.subs == nil {
+		p.subs = make(map[string][]string)
+		for _, c := range p.classes {
+			if c.Super != "" {
+				p.subs[c.Super] = append(p.subs[c.Super], c.Name)
+			}
+			for _, i := range c.Interfaces {
+				p.subs[i] = append(p.subs[i], c.Name)
+			}
+		}
+	}
+	subs := p.subs[t]
+	p.subsMu.Unlock()
+	for _, s := range subs {
+		fn(s)
+	}
 }
 
 // Method resolves a signature to its defining method by exact declaring
@@ -346,9 +436,9 @@ func (p *Program) Merge(other *Program) {
 	if other.base != nil {
 		panic("jimple: Merge from an overlay program")
 	}
-	for name, c := range other.classes {
-		if p.Class(name) == nil {
-			p.AddClass(other.decoded(c))
+	for _, c := range other.OwnClasses() {
+		if p.Class(c.Name) == nil {
+			p.AddClass(c)
 		}
 	}
 }
@@ -357,12 +447,12 @@ func (p *Program) Merge(other *Program) {
 // bodies; a cheap size metric used in reports and benchmarks.
 func (p *Program) NumStmts() int {
 	n := 0
-	for _, c := range p.classes {
-		n += classStmts(p.decoded(c))
+	for _, c := range p.OwnClasses() {
+		n += classStmts(c)
 	}
 	if p.base != nil {
 		for _, c := range p.base.sorted {
-			if _, shadowed := p.classes[c.Name]; !shadowed {
+			if !p.HasOwnClass(c.Name) {
 				n += classStmts(c)
 			}
 		}

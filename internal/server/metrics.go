@@ -19,7 +19,8 @@ import (
 // The metric catalog (DESIGN.md §8):
 //
 //	nchecker_jobs_submitted_total            jobs accepted into the queue
-//	nchecker_jobs_total{status=...}          terminal outcomes: done, degraded, failed, rejected
+//	nchecker_jobs_total{status=...}          terminal outcomes: done, degraded, failed, rejected,
+//	                                         canceled (a /scansync job dropped unscanned)
 //	nchecker_degraded_scans_total            scans that finished Incomplete
 //	nchecker_reports_total                   warnings emitted across all jobs
 //	nchecker_jobs_inflight                   gauge: jobs currently scanning
@@ -120,6 +121,14 @@ func (m *metrics) jobSubmitted() {
 func (m *metrics) jobRejected() {
 	m.mu.Lock()
 	m.jobs["rejected"]++
+	m.mu.Unlock()
+}
+
+// jobCanceled counts a submitted job dropped before its scan started: a
+// /scansync job whose request went away while it waited in the queue.
+func (m *metrics) jobCanceled() {
+	m.mu.Lock()
+	m.jobs["canceled"]++
 	m.mu.Unlock()
 }
 

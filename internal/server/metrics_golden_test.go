@@ -62,7 +62,8 @@ func checkGolden(t *testing.T, name, got string) {
 
 // TestMetricsRenderGolden pins the full /metrics text — HELP/TYPE lines,
 // series order and values — after folding two fully populated scans, one
-// of them degraded, plus one submission, rejection and failure.
+// of them degraded, plus one submission that failed, one dropped before
+// its scan, and one rejection.
 func TestMetricsRenderGolden(t *testing.T) {
 	m := newMetrics()
 	for _, degraded := range []bool{false, true} {
@@ -74,6 +75,8 @@ func TestMetricsRenderGolden(t *testing.T) {
 	m.jobSubmitted()
 	m.scanStarted()
 	m.jobFailed()
+	m.jobSubmitted()
+	m.jobCanceled()
 	m.jobRejected()
 	checkGolden(t, "metrics_render.golden", m.render(3, 16))
 }

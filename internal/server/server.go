@@ -455,6 +455,7 @@ func (s *Server) run(job *Job) {
 	if job.req != nil {
 		defer close(job.settled)
 		if job.req.Err() != nil {
+			s.metrics.jobCanceled()
 			s.log.Info("job dropped: request gone before its scan", "id", job.ID, "name", job.Name)
 			return
 		}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/apk"
 	"repro/internal/corpus"
+	"repro/internal/promtext"
 )
 
 // scanSync POSTs app bytes to /scansync under ctx and decodes the job
@@ -184,6 +185,7 @@ func TestScanSyncCancellation(t *testing.T) {
 		_, metricsText := getBody(t, ts.URL+"/metrics")
 		for _, want := range []string{
 			"nchecker_jobs_submitted_total 2",
+			`nchecker_jobs_total{status="canceled"} 1`,
 			"nchecker_scan_seconds_count 1",
 			"nchecker_queue_depth 0",
 		} {
@@ -191,6 +193,7 @@ func TestScanSyncCancellation(t *testing.T) {
 				t.Errorf("/metrics missing %q", want)
 			}
 		}
+		checkJobsAccounted(t, metricsText)
 	})
 
 	t.Run("canceled mid-scan ends degraded and frees the slot", func(t *testing.T) {
@@ -239,5 +242,28 @@ func TestScanSyncCancellation(t *testing.T) {
 				t.Errorf("/metrics missing %q:\n%s", want, grepLines(metricsText, "nchecker_jobs"))
 			}
 		}
+		checkJobsAccounted(t, metricsText)
 	})
+}
+
+// checkJobsAccounted: every submitted job ends under exactly one terminal
+// status of nchecker_jobs_total; a rejected job was never submitted.
+func checkJobsAccounted(t *testing.T, metricsText string) {
+	t.Helper()
+	parsed, err := promtext.Parse(metricsText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var submitted, terminal float64
+	for _, s := range parsed.Samples {
+		switch {
+		case s.Name == "nchecker_jobs_submitted_total":
+			submitted = s.Value
+		case s.Name == "nchecker_jobs_total" && s.Labels != `{status="rejected"}`:
+			terminal += s.Value
+		}
+	}
+	if submitted != terminal {
+		t.Errorf("%v jobs submitted, %v ended under a terminal status:\n%s", submitted, terminal, grepLines(metricsText, "nchecker_jobs"))
+	}
 }
