@@ -264,7 +264,7 @@ func BenchmarkAblation_NoRetrySlicing(b *testing.B) {
 	}
 }
 
-// --- scan-pipeline parallelism ------------------------------------------------
+// --- batch concurrency --------------------------------------------------------
 
 // benchCorpus caches the generated corpus so the ScanApp benchmarks time
 // only the scanning, not corpus generation.
@@ -290,8 +290,8 @@ func BenchmarkScanApp(b *testing.B) {
 	}
 }
 
-// BenchmarkScanAppParallel is the same corpus scan with the worker pool
-// sized to the machine; compare ns/op against BenchmarkScanApp.
+// BenchmarkScanAppParallel is the same corpus scan with one app per CPU
+// scanned at once; compare ns/op against BenchmarkScanApp.
 func BenchmarkScanAppParallel(b *testing.B) {
 	apps := benchCorpus(b)
 	workers := runtime.NumCPU()

@@ -20,8 +20,8 @@
 //	-checkers  checker families to run (default all): comma-separated
 //	           family numbers and ranges, e.g. -checkers=5-8; disabled
 //	           families emit no reports, enabled ones are unchanged
-//	-workers   worker-pool size for the scan pipeline and for scanning
-//	           multiple files concurrently (0 = NumCPU)
+//	-workers   apps scanned at once (0 = NumCPU); each scan runs on
+//	           one goroutine
 //	-timeout   per-file scan deadline (e.g. 30s; 0 = none)
 //	-timings   print per-stage pipeline timings and cache statistics
 //	-cache     persistent scan-cache directory; unchanged files rescan
@@ -42,12 +42,6 @@
 // -coord http://coordinator`, with content-hash sharding, work stealing,
 // hedged retries, cache replication, and aggregated /metrics. See
 // `nchecker coord -h` and DESIGN.md §12.
-//
-// With multiple files the worker budget goes to the file-level pool and
-// each scan's internal pipeline runs single-threaded (the same division
-// the corpus harness uses), so batch mode never multiplies the two pools
-// into N×M goroutines; a single file gets the full budget inside its
-// pipeline.
 //
 // In -json mode stdout carries only the JSON documents: the per-file
 // banner, degraded-scan notices, -stats, and -timings all go to stderr.
@@ -124,7 +118,7 @@ func runScan(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&cfg.opts.EnableICC, "icc", false, "enable the inter-component analysis (removes launcher/broadcast FPs)")
 	fs.BoolVar(&cfg.opts.GuardSensitiveConnCheck, "guard", false, "require connectivity checks to govern a branch (removes unused-check FNs)")
 	fs.BoolVar(&cfg.opts.Intraprocedural, "intra", false, "intraprocedural ablation: no taint summaries, no path-feasibility pruning")
-	fs.IntVar(&cfg.opts.Workers, "workers", 0, "worker-pool size for the scan pipeline (0 = NumCPU)")
+	fs.IntVar(&cfg.opts.Workers, "workers", 0, "apps scanned at once (0 = NumCPU)")
 	fs.DurationVar(&cfg.opts.Timeout, "timeout", 0, "per-file scan deadline (0 = none); an expired deadline yields a degraded scan and exit code 2")
 	fs.BoolVar(&cfg.timings, "timings", false, "print per-stage pipeline timings and cache statistics")
 	fs.BoolVar(&cfg.opts.Validate, "validate", false, "dynamically validate warnings by replaying witness entries under injected disruptions")
@@ -156,17 +150,10 @@ func runScan(args []string, stdout, stderr io.Writer) int {
 	cfg.opts.Checkers = cset
 	paths := fs.Args()
 
-	// Divide the CPU budget between the file-level pool and the per-scan
-	// pipeline the way internal/experiments.ScanApps does: in batch mode
-	// the files fan out across the pool and each scan runs
-	// single-threaded; a single file keeps the whole budget inside its
-	// pipeline. Without this the two pools multiply (N×M goroutines).
+	// Files fan out across the pool, each scan on its own goroutine.
 	filePool := poolSize(cfg.opts.Workers)
 	if filePool > len(paths) {
 		filePool = len(paths)
-	}
-	if len(paths) > 1 && filePool > 1 {
-		cfg.opts.Workers = 1
 	}
 	nc := core.NewWithOptions(cfg.opts)
 
@@ -261,7 +248,7 @@ func foldOutcomes(outcomes []outcome, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// poolSize resolves the -workers value like the pipeline does.
+// poolSize resolves the -workers value: 0 means one app per CPU.
 func poolSize(n int) int {
 	if n > 0 {
 		return n

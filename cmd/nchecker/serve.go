@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -25,7 +26,7 @@ func runServe(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	readyFile := fs.String("ready-file", "", "write the bound listen address to this file once serving (for scripts using -addr ...:0)")
-	jobs := fs.Int("jobs", 1, "concurrent scan jobs (1 = serialize scans, each with full pipeline parallelism)")
+	jobs := fs.Int("jobs", runtime.NumCPU(), "concurrent scan jobs, one goroutine each")
 	queueLen := fs.Int("queue", server.DefaultQueue, "admission queue bound; a POST /scan beyond it gets 429")
 	jobTimeout := fs.Duration("job-timeout", 2*time.Minute, "per-job scan deadline (0 = none); an expired deadline yields a degraded report, not an error")
 	retain := fs.Int("retain", server.DefaultRetain, "finished jobs kept for GET /scan/{id}")
@@ -37,7 +38,6 @@ func runServe(args []string, stderr io.Writer) int {
 	fs.BoolVar(&opts.EnableICC, "icc", false, "enable the inter-component analysis")
 	fs.BoolVar(&opts.GuardSensitiveConnCheck, "guard", false, "require connectivity checks to govern a branch")
 	fs.BoolVar(&opts.Intraprocedural, "intra", false, "intraprocedural ablation")
-	fs.IntVar(&opts.Workers, "workers", 0, "per-scan pipeline workers (0 = auto: NumCPU divided across -jobs)")
 	fs.StringVar(&opts.CacheDir, "cache", "", "persistent scan-cache directory shared by all jobs (empty = no cache)")
 	cacheMode := fs.String("cache-mode", "rw", "persistent-cache mode: off, ro, or rw")
 	fs.BoolVar(&opts.Validate, "validate", false, "dynamically validate warnings by default (per-job override via ?validate=)")

@@ -12,22 +12,23 @@
 //     validity check on every def→use path.
 //
 // The entry point is Analyze, which runs a staged pass pipeline (see
-// pipeline.go): request-site discovery, the four checkers, and retry-loop
-// identification are named stages fanned out over a bounded worker pool,
-// sharing per-method analysis artifacts through an AnalysisContext
-// (context.go) and reporting per-stage wall time and cache statistics
-// through Diagnostics (diagnostics.go). Reports are deterministic
-// regardless of Options.Workers.
+// pipeline.go): request-site discovery, the checker families, and
+// retry-loop identification are named stages run one after another, each
+// over its work units (sites or methods) in a fixed order, all on the
+// caller's goroutine. Stages share per-method analysis artifacts through
+// an AnalysisContext (context.go) and report per-stage wall time and
+// cache statistics through Diagnostics (diagnostics.go). Concurrency is
+// across scans, never inside one; what concurrent scans share (the frozen
+// framework base layer, the registry, the cache store, buffer pools)
+// keeps its own synchronization.
 package checkers
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/android"
@@ -86,10 +87,10 @@ type Options struct {
 	// not-validated verdict. Off by default; verdicts join the persistent
 	// cache fingerprint.
 	Validate bool
-	// Workers bounds the pipeline's fan-out inside one scan, and the
-	// per-app concurrency of batch scans (cmd/nchecker, the corpus
-	// harness). 0 means runtime.NumCPU(). Reports and stats are
-	// deterministic regardless of the value.
+	// Workers is how many apps a batch caller scans at once
+	// (cmd/nchecker's file pool, experiments.ScanApps); 0 means one per
+	// CPU. The analysis never reads it: one scan runs on its caller's
+	// goroutine.
 	Workers int
 	// Timeout bounds one scan's wall time; 0 means no deadline. An
 	// expired deadline never aborts the process: the scan stops
@@ -118,14 +119,6 @@ type Options struct {
 	// oracle (oracle.go): every bodied class demanded, every method a
 	// summary root. Only OracleOptions sets it, and only in test binaries.
 	oracle bool
-}
-
-// workerCount resolves Workers to a concrete pool size.
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.NumCPU()
 }
 
 // Stats aggregates per-request findings for one app; the evaluation
@@ -181,9 +174,9 @@ type Stats struct {
 	LibsUsed []apimodel.LibKey
 }
 
-// add accumulates another unit's counters into s (every stage touches a
-// disjoint field set, so summation reproduces the sequential totals).
-// LibsUsed is app-level and set once by the pipeline, never summed.
+// add accumulates another stage's counters into s (every stage touches a
+// disjoint field set). LibsUsed is app-level and set once by the
+// pipeline, never summed.
 func (s *Stats) add(o *Stats) {
 	s.Requests += o.Requests
 	s.UserRequests += o.UserRequests
@@ -230,13 +223,10 @@ type Result struct {
 	Diagnostics Diagnostics
 }
 
-// findings collects one unit of pipeline work (a site, a method, a whole
-// stage): its warnings and stat deltas. Units are merged in a fixed
-// deterministic order at each stage's barrier, so the assembled report
-// stream is identical to the historical sequential analyzer's. Each
-// report is built once, in place (newReport), and held by pointer, so a
-// growing report slice and the merges copy pointers; the pipeline copies
-// each report once, into the Result.
+// findings collects one stage's warnings and stat deltas, its units
+// appending in unit order. Each report is built once, in place
+// (newReport), and held by pointer, so a growing report slice copies
+// pointers; the pipeline copies each report once, into the Result.
 type findings struct {
 	reports []*report.Report
 	stats   Stats
@@ -244,24 +234,6 @@ type findings struct {
 
 func (f *findings) report(r *report.Report) {
 	f.reports = append(f.reports, r)
-}
-
-// mergeFindings concatenates units in index order and sums their stats.
-// The report slice is sized once and stays nil when no unit reported.
-func mergeFindings(units []findings) findings {
-	var out findings
-	n := 0
-	for i := range units {
-		n += len(units[i].reports)
-	}
-	if n > 0 {
-		out.reports = make([]*report.Report, 0, n)
-	}
-	for i := range units {
-		out.reports = append(out.reports, units[i].reports...)
-		out.stats.add(&units[i].stats)
-	}
-	return out
 }
 
 // requestSite is one network-request call site with everything the
@@ -290,9 +262,9 @@ type requestSite struct {
 	entry int32
 }
 
-// analysis carries the shared read-only state of one app scan. After the
-// discovery stage runs, methods and sites are frozen; the checker stages
-// only read them and write into per-unit findings.
+// analysis carries the state of one app scan. After the discovery stage
+// runs, methods and sites are frozen; the checker stages only read them
+// and write into their own findings.
 type analysis struct {
 	app  *apk.App
 	reg  *apimodel.Registry
@@ -302,25 +274,21 @@ type analysis struct {
 	ctx  *AnalysisContext
 
 	// scanCtx carries the scan's deadline and cancellation; every stage
-	// and work-unit dispatch checks it cooperatively.
+	// and work unit checks it first.
 	scanCtx context.Context
 
-	// sem bounds concurrent per-item work across all stages (the shared
-	// worker pool); nil or capacity 1 means sequential execution.
-	sem chan struct{}
-
-	// errMu guards errs, the scan's accumulated failure records. Sorted
-	// deterministically at the merge barrier into Diagnostics.Errors.
-	errMu sync.Mutex
-	errs  []ScanError
+	// errs holds the scan's failure records, sorted deterministically into
+	// Diagnostics.Errors when the scan finishes.
+	errs []ScanError
 
 	methods []*jimple.Method // app's body-bearing methods, sorted by key
 	sites   []*requestSite
 
-	// connOnce builds connMP, the connectivity-check must-precede shared
-	// by the settings and stalechecks stages; connPanic keeps a panic of
-	// that build so each stage that asks for it fails the same way.
-	connOnce  sync.Once
+	// connMP is the connectivity-check must-precede shared by the
+	// settings and stalechecks stages, built once (connTried); connPanic
+	// keeps a panic of that build so each stage that asks for it fails the
+	// same way.
+	connTried bool
 	connMP    *dataflow.MustPrecede
 	connPanic any
 
@@ -335,13 +303,11 @@ type analysis struct {
 	// diag is the scan's Diagnostics, filled in place: stage timings by
 	// the pipeline, Targeted by the closure, Validate by the validate
 	// stage, Cache's store counters by the cache stages (cache.go), and
-	// the AnalysisContext's counters at finish. All of these writes happen
-	// at sequential points of the pipeline.
+	// its artifact counters by the AnalysisContext.
 	diag Diagnostics
 
-	// Persistent-cache state (cache.go). The cache stages run at
-	// sequential points of the pipeline — probe before build, write after
-	// merge — so none of this needs locking.
+	// Persistent-cache state (cache.go): probed before build, written
+	// after the merge.
 	store         *cachestore.Store
 	resultKey     cachestore.Key
 	haveResultKey bool
@@ -349,9 +315,7 @@ type analysis struct {
 
 // fail records one survivable scan failure.
 func (a *analysis) fail(e ScanError) {
-	a.errMu.Lock()
 	a.errs = append(a.errs, e)
-	a.errMu.Unlock()
 }
 
 // failCancel records the scan context's termination as an ErrDeadline or
@@ -384,9 +348,8 @@ func (a *analysis) runUnit(stage string, i int, fn func(int)) {
 
 // guard runs one stage body with cancellation and panic isolation: a
 // canceled context skips the stage (recording why), and a panic anywhere
-// in the stage — including its sequential pre/post work outside
-// parallelFor — becomes a stage-level ErrStagePanic instead of crashing
-// the scan.
+// in the stage — including its work outside eachUnit — becomes a
+// stage-level ErrStagePanic instead of crashing the scan.
 func (a *analysis) guard(stage string, fn func()) {
 	if err := a.scanCtx.Err(); err != nil {
 		a.failCancel(stage, err)
@@ -403,63 +366,26 @@ func (a *analysis) guard(stage string, fn func()) {
 	fn()
 }
 
-// parallelFor runs fn(0..n-1) over the bounded worker pool and waits for
-// completion. Each index must write only to its own output slot, which
-// makes the stage's merged result independent of scheduling. Cancellation
-// is checked before every dispatch (work-unit granularity) and a panicked
-// unit is isolated by runUnit; either way the units that did complete
-// keep their slots, so partial results stay deterministic.
-func (a *analysis) parallelFor(stage string, n int, fn func(int)) {
-	if a.sequential(n) {
-		for i := 0; i < n; i++ {
-			if err := a.scanCtx.Err(); err != nil {
-				a.failCancel(stage, err)
-				return
-			}
-			a.runUnit(stage, i, fn)
+// eachUnit runs fn(0..n-1) in index order. Cancellation is checked
+// before every unit and a panicked unit is isolated by runUnit; either way
+// the units that did complete keep their output, so partial results stay
+// deterministic.
+func (a *analysis) eachUnit(stage string, n int, fn func(int)) {
+	for i := 0; i < n; i++ {
+		if err := a.scanCtx.Err(); err != nil {
+			a.failCancel(stage, err)
+			return
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	canceled := false
-	for i := 0; i < n && !canceled; i++ {
-		select {
-		case <-a.scanCtx.Done():
-			canceled = true
-		case a.sem <- struct{}{}:
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-a.sem }()
-				a.runUnit(stage, i, fn)
-			}(i)
-		}
-	}
-	wg.Wait()
-	if canceled {
-		a.failCancel(stage, a.scanCtx.Err())
+		a.runUnit(stage, i, fn)
 	}
 }
 
-// sequential reports whether parallelFor runs n units one after another,
-// in index order, on the calling goroutine.
-func (a *analysis) sequential(n int) bool {
-	return n <= 1 || a.sem == nil || cap(a.sem) <= 1
-}
-
-// unitFindings runs fn over n units through parallelFor and returns
-// their findings in unit order. A sequential run hands every unit the
-// same findings, as appending in unit order is the merge order, so only
-// a parallel run pays for a findings per unit.
+// unitFindings runs fn over n units through eachUnit, every unit
+// appending to the same findings: unit order is the merge order.
 func (a *analysis) unitFindings(stage string, n int, fn func(i int, f *findings)) findings {
-	if a.sequential(n) {
-		var f findings
-		a.parallelFor(stage, n, func(i int) { fn(i, &f) })
-		return f
-	}
-	units := make([]findings, n)
-	a.parallelFor(stage, n, func(i int) { fn(i, &units[i]) })
-	return mergeFindings(units)
+	var f findings
+	a.eachUnit(stage, n, func(i int) { fn(i, &f) })
+	return f
 }
 
 // collectAppMethods returns the body-bearing methods of the demanded app
@@ -552,13 +478,16 @@ func (a *analysis) methodKey(m *jimple.Method) string {
 // panic while building it is re-raised in every stage that asks, so both
 // fail as they would each building their own.
 func (a *analysis) connCheck() *dataflow.MustPrecede {
-	a.connOnce.Do(func() {
-		defer func() { a.connPanic = recover() }()
-		isCheck := func(_ *jimple.Method, _ int, inv jimple.InvokeExpr) bool {
-			return android.IsConnectivityCheck(inv.Callee)
-		}
-		a.connMP = dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
-	})
+	if !a.connTried {
+		a.connTried = true
+		func() {
+			defer func() { a.connPanic = recover() }()
+			isCheck := func(_ *jimple.Method, _ int, inv jimple.InvokeExpr) bool {
+				return android.IsConnectivityCheck(inv.Callee)
+			}
+			a.connMP = dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
+		}()
+	}
 	if a.connPanic != nil {
 		panic(a.connPanic)
 	}
@@ -585,8 +514,12 @@ func (s *methodKeySorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
 // inside the engine is isolated there, and a deadline hit mid-pass aborts
 // cooperatively (the Cancel hook) and is recorded here; either way the
 // scan survives with every consumer degraded to intraprocedural facts.
+// For Options.unitHook the computation is unit 0 of the summaries stage.
 func (a *analysis) configureSummaries() {
 	a.ctx.configureSummaries(func() (*dataflow.SummarySet, error) {
+		if h := a.opts.unitHook; h != nil {
+			h("summaries", 0)
+		}
 		set, err := dataflow.ComputeSummaries(a.cg, a.methods, dataflow.SummaryConfig{
 			IsValidityCheck: a.reg.IsRespCheck,
 			CFG:             a.ctx.CFG,
@@ -620,7 +553,7 @@ func (a *analysis) summaryResolver(m *jimple.Method) dataflow.SummaryResolver {
 	}
 	edges := a.outEdges(m)
 	return func(site int) []*dataflow.TaintSummary {
-		a.ctx.sumRequests.Add(1)
+		a.ctx.stats.SummaryRequests++
 		var out []*dataflow.TaintSummary
 		for _, e := range edges {
 			if e.Site != site || e.Kind != callgraph.EdgeCall {

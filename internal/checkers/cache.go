@@ -21,8 +21,8 @@ import (
 //
 // so any change to the app bytes, the API annotations, the engine, or a
 // report-affecting option forces a miss. Workers and Timeout are
-// deliberately excluded: reports are deterministic regardless of Workers,
-// and degraded (deadline-hit) scans are never written, so neither can
+// deliberately excluded: the analysis never reads Workers (a batch
+// caller's app concurrency), and degraded (deadline-hit) scans are never written, so neither can
 // change what a cached entry would contain. A changed app misses and
 // rescans cold: its demand closure summarizes only a handful of methods,
 // which costs less than addressing per-class entries would.

@@ -15,7 +15,7 @@ import (
 // config object had its timeout and retry config APIs invoked.
 //
 // The interprocedural must-precede analysis is built once per stage (it
-// shares the scan's cached CFGs); sites are then checked in parallel.
+// shares the scan's cached CFGs); sites are then checked one by one.
 func (a *analysis) checkRequestSettings() findings {
 	// The must-precede analysis runs over the feasibility-pruned CFGs (see
 	// AnalysisContext.FeasibleCFG): a connectivity check reachable only
@@ -64,11 +64,10 @@ func (a *analysis) checkSiteSettings(mp *dataflow.MustPrecede, site *requestSite
 // sites whose result flows into a branch condition — the "check actually
 // guards something" refinement of GuardSensitiveConnCheck. The check's
 // result local is tainted forward; any if statement whose condition reads
-// a tainted local marks the check as guarding. Methods are scanned in
-// parallel; each writes only its own slot.
+// a tainted local marks the check as guarding.
 func (a *analysis) guardingCheckSites() map[*jimple.Method]map[int]bool {
-	perMethod := make([]map[int]bool, len(a.methods))
-	a.parallelFor("settings", len(a.methods), func(mi int) {
+	out := make(map[*jimple.Method]map[int]bool)
+	a.eachUnit("settings", len(a.methods), func(mi int) {
 		m := a.methods[mi]
 		var sites map[int]bool
 		g := a.ctx.CFG(m)
@@ -104,14 +103,10 @@ func (a *analysis) guardingCheckSites() map[*jimple.Method]map[int]bool {
 				}
 			}
 		}
-		perMethod[mi] = sites
-	})
-	out := make(map[*jimple.Method]map[int]bool)
-	for mi, sites := range perMethod {
 		if sites != nil {
-			out[a.methods[mi]] = sites
+			out[m] = sites
 		}
-	}
+	})
 	return out
 }
 

@@ -20,7 +20,7 @@ const notifScanDepth = 2
 // AsyncTask's onPostExecute, or — failing those — the requesting method
 // itself), then scans that scope for calls on the five Android UI-alert
 // classes. For Volley it additionally checks that the error callback
-// inspects the typed error object. Sites are checked in parallel.
+// inspects the typed error object.
 func (a *analysis) checkNotifications() findings {
 	return a.unitFindings("notifications", len(a.sites), func(i int, f *findings) {
 		a.checkSiteNotifications(a.sites[i], f)

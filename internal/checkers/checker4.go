@@ -90,8 +90,7 @@ func successCallbacks(reg *apimodel.Registry) []successCallback {
 // Callback.onResponse). Only demanded classes hold bodies, so one walk
 // over them (their slots ascend in class-name order) finds every
 // implementation; the work list is grouped per callback so unit order
-// matches the historical (library, callback, class) scan order, then the
-// method bodies are analyzed in parallel.
+// matches the historical (library, callback, class) scan order.
 func (a *analysis) checkCallbackResponses() findings {
 	type cbWork struct {
 		m   *jimple.Method

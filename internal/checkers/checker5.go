@@ -19,8 +19,7 @@ import (
 //
 // Reachability is the call graph's full closure from the handler (sync
 // calls and async dispatches alike: a handler that posts a retry
-// runnable recovers), reusing the scan's shared graph. Methods are
-// examined in parallel over the worker pool.
+// runnable recovers), reusing the scan's shared graph.
 func (a *analysis) checkOfflineState() findings {
 	return a.unitFindings("offlinestate", len(a.methods), func(i int, f *findings) {
 		a.checkMethodOfflineState(a.methods[i], f)

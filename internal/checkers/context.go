@@ -1,9 +1,6 @@
 package checkers
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/callgraph"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -14,77 +11,77 @@ import (
 // pipeline stage: it lazily computes and caches the per-method analysis
 // artifacts (CFG, dominators, natural loops, reaching definitions,
 // constant propagation, slicer) plus the per-entry reachability sets
-// behind one accessor API. All accessors are safe for concurrent use, and
-// each artifact is computed at most once per method per scan — the cache
-// counters in Diagnostics prove it.
+// behind one accessor API. A scan runs on one goroutine, so the context
+// takes no locks. Each artifact is computed at most once per method per
+// scan — the cache counters in Diagnostics prove it — and is tried only
+// once: a computation that panicked is not retried, and later requests
+// get the zero value.
 type AnalysisContext struct {
 	cg *callgraph.Graph
 
-	// art holds the per-method artifacts by call-graph method id; mu
-	// guards each entry's first claim and the methods count.
-	mu      sync.Mutex
-	art     []methodArtifacts
-	methods int
+	// art holds the per-method artifacts by call-graph method id.
+	art []methodArtifacts
 
-	entriesOnce sync.Once
-	entryReach  []callgraph.Bitset // parallel to cg.Entries()
+	// stats is the scan's CacheStats, counted into directly.
+	stats *CacheStats
+
+	entriesTried bool
+	entryReach   []callgraph.Bitset // parallel to cg.Entries()
 
 	// summarize is installed by the pipeline's build stage (nil when the
 	// scan is intraprocedural); the SummarySet is then computed at most
-	// once, on first consult, behind sumOnce. A failed computation leaves
-	// sumSet nil and every consumer degrades to intraprocedural behavior.
+	// once, on first consult. A failed computation leaves sumSet nil and
+	// every consumer degrades to intraprocedural behavior.
 	summarize func() (*dataflow.SummarySet, error)
-	sumOnce   sync.Once
+	sumTried  bool
 	sumSet    *dataflow.SummarySet
-
-	cfgRequests, cfgComputed       atomic.Int64
-	rdRequests, rdComputed         atomic.Int64
-	cpRequests, cpComputed         atomic.Int64
-	domRequests, domComputed       atomic.Int64
-	loopRequests, loopComputed     atomic.Int64
-	slicerRequests, slicerComputed atomic.Int64
-	sumRequests                    atomic.Int64
-	feasRequests, feasComputed     atomic.Int64
-	prunedEdges                    atomic.Int64
 }
 
-// methodArtifacts holds one method's lazily-built artifacts. Each field
-// is guarded by its own sync.Once so concurrent stages requesting the
-// same artifact block on a single computation.
+// artifact names one per-method artifact in methodArtifacts.tried.
+type artifact uint8
+
+const (
+	artCFG artifact = 1 << iota
+	artReachDefs
+	artConstProp
+	artDominators
+	artLoops
+	artSlicer
+	artFeasible
+	artCheckStructure
+)
+
+// methodArtifacts holds one method's lazily-built artifacts.
 type methodArtifacts struct {
-	m *jimple.Method // nil until the first request
+	m     *jimple.Method // nil until the first request
+	tried artifact       // artifacts whose computation has started
 
-	cfgOnce sync.Once
-	cfg     *cfg.Graph
-
-	rdOnce sync.Once
-	rd     *dataflow.ReachDefs
-
-	cpOnce sync.Once
-	cp     *dataflow.ConstProp
-
-	domOnce sync.Once
-	dom     []int
-
-	loopsOnce sync.Once
-	loops     []*cfg.Loop
-
-	slicerOnce sync.Once
+	cfg        *cfg.Graph
+	rd         *dataflow.ReachDefs
+	cp         *dataflow.ConstProp
+	dom        []int
+	loops      []*cfg.Loop
 	slicer     *dataflow.Slicer
-
-	feasOnce sync.Once
-	feas     *cfg.Graph
-
-	// The dominators and natural loops of the method's check graph
-	// (analysis.checkGraph), for the stale-check checker.
-	checkOnce  sync.Once
-	checkDom   []int
+	feas       *cfg.Graph
+	checkDom   []int // of the method's check graph (analysis.checkGraph)
 	checkLoops []*cfg.Loop
 }
 
-// newAnalysisContext prepares an empty context over the scan's call graph.
-func newAnalysisContext(cg *callgraph.Graph) *AnalysisContext {
-	return &AnalysisContext{cg: cg, art: make([]methodArtifacts, cg.NumIDs())}
+// try reports whether artifact k is still to be computed and marks it
+// tried, before the computation runs, so a computation that panics is
+// never retried.
+func (a *methodArtifacts) try(k artifact) bool {
+	if a.tried&k != 0 {
+		return false
+	}
+	a.tried |= k
+	return true
+}
+
+// newAnalysisContext prepares an empty context over the scan's call graph
+// that counts into stats.
+func newAnalysisContext(cg *callgraph.Graph, stats *CacheStats) *AnalysisContext {
+	return &AnalysisContext{cg: cg, art: make([]methodArtifacts, cg.NumIDs()), stats: stats}
 }
 
 // arts returns m's artifacts, by its call-graph id: every method a stage
@@ -97,56 +94,54 @@ func (c *AnalysisContext) arts(m *jimple.Method) *methodArtifacts {
 		return &methodArtifacts{m: m}
 	}
 	a := &c.art[id]
-	c.mu.Lock()
 	if a.m == nil {
 		a.m = m
-		c.methods++
+		c.stats.Methods++
 	}
-	c.mu.Unlock()
 	return a
 }
 
 // CFG returns the memoized control-flow graph of m.
 func (c *AnalysisContext) CFG(m *jimple.Method) *cfg.Graph {
 	a := c.arts(m)
-	c.cfgRequests.Add(1)
-	a.cfgOnce.Do(func() {
-		c.cfgComputed.Add(1)
+	c.stats.CFGRequests++
+	if a.try(artCFG) {
+		c.stats.CFGComputed++
 		a.cfg = cfg.New(m)
-	})
+	}
 	return a.cfg
 }
 
 // ReachDefs returns the memoized reaching-definitions result of m.
 func (c *AnalysisContext) ReachDefs(m *jimple.Method) *dataflow.ReachDefs {
 	a := c.arts(m)
-	c.rdRequests.Add(1)
-	a.rdOnce.Do(func() {
-		c.rdComputed.Add(1)
+	c.stats.ReachDefsRequests++
+	if a.try(artReachDefs) {
+		c.stats.ReachDefsComputed++
 		a.rd = dataflow.NewReachDefs(c.CFG(m))
-	})
+	}
 	return a.rd
 }
 
 // ConstProp returns the memoized constant-propagation engine of m.
 func (c *AnalysisContext) ConstProp(m *jimple.Method) *dataflow.ConstProp {
 	a := c.arts(m)
-	c.cpRequests.Add(1)
-	a.cpOnce.Do(func() {
-		c.cpComputed.Add(1)
+	c.stats.ConstPropRequests++
+	if a.try(artConstProp) {
+		c.stats.ConstPropComputed++
 		a.cp = dataflow.NewConstProp(c.ReachDefs(m))
-	})
+	}
 	return a.cp
 }
 
 // Dominators returns the memoized immediate-dominator array of m's CFG.
 func (c *AnalysisContext) Dominators(m *jimple.Method) []int {
 	a := c.arts(m)
-	c.domRequests.Add(1)
-	a.domOnce.Do(func() {
-		c.domComputed.Add(1)
+	c.stats.DominatorsRequests++
+	if a.try(artDominators) {
+		c.stats.DominatorsComputed++
 		a.dom = c.CFG(m).Dominators()
-	})
+	}
 	return a.dom
 }
 
@@ -154,11 +149,11 @@ func (c *AnalysisContext) Dominators(m *jimple.Method) []int {
 // dominator tree.
 func (c *AnalysisContext) Loops(m *jimple.Method) []*cfg.Loop {
 	a := c.arts(m)
-	c.loopRequests.Add(1)
-	a.loopsOnce.Do(func() {
-		c.loopComputed.Add(1)
+	c.stats.LoopsRequests++
+	if a.try(artLoops) {
+		c.stats.LoopsComputed++
 		a.loops = c.CFG(m).NaturalLoopsWith(c.Dominators(m))
-	})
+	}
 	return a.loops
 }
 
@@ -166,11 +161,11 @@ func (c *AnalysisContext) Loops(m *jimple.Method) []*cfg.Loop {
 // and reaching-defs result).
 func (c *AnalysisContext) Slicer(m *jimple.Method) *dataflow.Slicer {
 	a := c.arts(m)
-	c.slicerRequests.Add(1)
-	a.slicerOnce.Do(func() {
-		c.slicerComputed.Add(1)
+	c.stats.SlicerRequests++
+	if a.try(artSlicer) {
+		c.stats.SlicersComputed++
 		a.slicer = dataflow.NewSlicer(c.CFG(m), c.ReachDefs(m))
-	})
+	}
 	return a.slicer
 }
 
@@ -183,14 +178,14 @@ func (c *AnalysisContext) Slicer(m *jimple.Method) *dataflow.Slicer {
 // pruned graph shares node indexing with CFG(m) and is memoized.
 func (c *AnalysisContext) FeasibleCFG(m *jimple.Method) *cfg.Graph {
 	a := c.arts(m)
-	c.feasRequests.Add(1)
-	a.feasOnce.Do(func() {
-		c.feasComputed.Add(1)
+	c.stats.FeasibleCFGRequests++
+	if a.try(artFeasible) {
+		c.stats.FeasibleCFGComputed++
 		g := c.CFG(m)
 		dead := dataflow.InfeasibleEdges(g, c.ConstProp(m))
-		c.prunedEdges.Add(int64(len(dead)))
+		c.stats.PrunedEdges += len(dead)
 		a.feas = g.WithoutEdges(dead)
-	})
+	}
 	return a.feas
 }
 
@@ -201,10 +196,10 @@ func (c *AnalysisContext) FeasibleCFG(m *jimple.Method) *cfg.Graph {
 // loop counters count the unpruned graph's.
 func (c *AnalysisContext) checkStructure(m *jimple.Method, g *cfg.Graph) ([]int, []*cfg.Loop) {
 	a := c.arts(m)
-	a.checkOnce.Do(func() {
+	if a.try(artCheckStructure) {
 		a.checkDom = g.Dominators()
 		a.checkLoops = g.NaturalLoopsWith(a.checkDom)
-	})
+	}
 	return a.checkDom, a.checkLoops
 }
 
@@ -217,29 +212,35 @@ func (c *AnalysisContext) configureSummaries(f func() (*dataflow.SummarySet, err
 // Summaries returns the scan's interprocedural summary set, computing it
 // on first use, or nil when the scan is intraprocedural or the
 // computation failed (consumers then degrade to intraprocedural facts).
+// The producer runs at most once: one that panicked is not retried.
 func (c *AnalysisContext) Summaries() *dataflow.SummarySet {
-	c.sumOnce.Do(func() {
-		if c.summarize == nil {
-			return
-		}
-		set, err := c.summarize()
-		if err == nil {
-			c.sumSet = set
-		}
-	})
-	return c.sumSet
+	if c.sumTried || c.summarize == nil {
+		return c.sumSet
+	}
+	c.sumTried = true
+	set, err := c.summarize()
+	if err != nil || set == nil {
+		return nil
+	}
+	c.sumSet = set
+	ss := set.Stats()
+	c.stats.SummariesComputed = ss.Methods
+	c.stats.SummarySCCs = ss.SCCs
+	c.stats.SummaryFixpointIters = ss.FixpointIterations
+	return set
 }
 
 // EntriesReaching returns the entry points from which the method with
 // call-graph id id is reachable (none for id -1). Each entry's reach set is
 // computed once per scan, on the first query.
 func (c *AnalysisContext) EntriesReaching(id int32) []callgraph.Entry {
-	c.entriesOnce.Do(func() {
+	if !c.entriesTried {
+		c.entriesTried = true
 		c.entryReach = c.cg.NewBitsets(len(c.cg.Entries()))
 		for i, reach := range c.entryReach {
 			c.cg.ReachInto(reach, c.cg.EntryID(i))
 		}
-	})
+	}
 	if id < 0 {
 		return nil
 	}
@@ -250,34 +251,4 @@ func (c *AnalysisContext) EntriesReaching(id int32) []callgraph.Entry {
 		}
 	}
 	return out
-}
-
-// fillCacheStats writes the context's counters into the scan's
-// CacheStats (the store counters there belong to the cache stages).
-func (c *AnalysisContext) fillCacheStats(stats *CacheStats) {
-	c.mu.Lock()
-	stats.Methods = c.methods
-	c.mu.Unlock()
-	stats.CFGComputed = int(c.cfgComputed.Load())
-	stats.CFGRequests = int(c.cfgRequests.Load())
-	stats.ReachDefsComputed = int(c.rdComputed.Load())
-	stats.ReachDefsRequests = int(c.rdRequests.Load())
-	stats.ConstPropComputed = int(c.cpComputed.Load())
-	stats.ConstPropRequests = int(c.cpRequests.Load())
-	stats.DominatorsComputed = int(c.domComputed.Load())
-	stats.DominatorsRequests = int(c.domRequests.Load())
-	stats.LoopsComputed = int(c.loopComputed.Load())
-	stats.LoopsRequests = int(c.loopRequests.Load())
-	stats.SlicersComputed = int(c.slicerComputed.Load())
-	stats.SlicerRequests = int(c.slicerRequests.Load())
-	stats.SummaryRequests = int(c.sumRequests.Load())
-	stats.FeasibleCFGComputed = int(c.feasComputed.Load())
-	stats.FeasibleCFGRequests = int(c.feasRequests.Load())
-	stats.PrunedEdges = int(c.prunedEdges.Load())
-	if set := c.sumSet; set != nil {
-		ss := set.Stats()
-		stats.SummariesComputed = ss.Methods
-		stats.SummarySCCs = ss.SCCs
-		stats.SummaryFixpointIters = ss.FixpointIterations
-	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // StageTiming records one pipeline stage's wall time and work volume.
-// Stages overlap when Options.Workers > 1, so durations do not sum to
-// Diagnostics.Total.
+// Stages run one after another inside the scan, so their durations sum
+// to at most Diagnostics.Total.
 type StageTiming struct {
 	Name     string
 	Duration time.Duration
@@ -135,7 +135,6 @@ type Diagnostics struct {
 	// core records for the scans that open their own container.
 	Total      time.Duration
 	Open       time.Duration
-	Workers    int // resolved worker count the scan ran with
 	AppMethods int // body-bearing app methods scanned
 	Sites      int // request sites discovered
 
@@ -206,7 +205,7 @@ func (d *Diagnostics) add(name string, dur time.Duration, items, reports int) {
 }
 
 // Merge accumulates another scan's diagnostics into d (stage-wise and
-// counter-wise), for corpus-level aggregation. Workers is kept from d.
+// counter-wise), for corpus-level aggregation.
 func (d *Diagnostics) Merge(o Diagnostics) {
 	d.Total += o.Total
 	d.Open += o.Open
@@ -241,8 +240,8 @@ func (d *Diagnostics) EachCounter(fn func(family, name string, v int)) {
 // Render formats the diagnostics for the -timings flag.
 func (d Diagnostics) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline: %v total, %d workers, %d app methods, %d request sites\n",
-		d.Total.Round(time.Microsecond), d.Workers, d.AppMethods, d.Sites)
+	fmt.Fprintf(&b, "pipeline: %v total, %d app methods, %d request sites\n",
+		d.Total.Round(time.Microsecond), d.AppMethods, d.Sites)
 	if d.Open > 0 {
 		fmt.Fprintf(&b, "  open: %v (file read, framing, skim)\n", d.Open.Round(time.Microsecond))
 	}

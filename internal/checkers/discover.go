@@ -11,16 +11,12 @@ import (
 // discoverSites performs the reachability analysis of §4.4: it finds every
 // target-API call site, determines which entry points reach it, and
 // resolves its context (user vs. background, HTTP method) and config-API
-// call set. Methods are scanned in parallel; site order is the methods'
-// sorted-key order, matching the sequential scan.
+// call set. Methods are scanned in sorted-key order, which is the site
+// order.
 func (a *analysis) discoverSites() findings {
-	perMethod := make([][]*requestSite, len(a.methods))
-	a.parallelFor("discover", len(a.methods), func(i int) {
-		perMethod[i] = a.discoverMethodSites(a.methods[i])
-	})
 	var f findings
-	for _, sites := range perMethod {
-		for _, site := range sites {
+	a.eachUnit("discover", len(a.methods), func(i int) {
+		for _, site := range a.discoverMethodSites(a.methods[i]) {
 			a.sites = append(a.sites, site)
 			f.stats.Requests++
 			if site.userInitiated {
@@ -30,7 +26,7 @@ func (a *analysis) discoverSites() findings {
 				f.stats.RetryEvalRequests++
 			}
 		}
-	}
+	})
 	return f
 }
 

@@ -81,8 +81,8 @@ var stageRank = map[string]int{
 	"parameters": 5, "notifications": 6, "responses": 7, "retryloops": 8,
 }
 
-// sortScanErrors orders errors by (stage, unit, message) so a degraded
-// scan's error list is identical for any Options.Workers.
+// sortScanErrors orders errors by (stage, unit, message), the documented
+// order of Diagnostics.Errors.
 func sortScanErrors(errs []ScanError) {
 	sort.SliceStable(errs, func(i, j int) bool {
 		ri, okI := stageRank[errs[i].Stage]

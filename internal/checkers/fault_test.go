@@ -53,7 +53,7 @@ func renderExcluding(res *Result, skip []report.Cause) string {
 // TestStagePanicIsolation is the acceptance criterion: a checker stage
 // whose every work unit panics yields a degraded Result — no process
 // crash — whose surviving stages' reports are byte-identical to a clean
-// scan's, for any Options.Workers.
+// scan's, whatever Options.Workers says (the analysis ignores it).
 func TestStagePanicIsolation(t *testing.T) {
 	src := multiClassApp()
 	clean := analyzeSrcQuiet(src, Options{Workers: 1})
@@ -100,7 +100,7 @@ func TestStagePanicIsolation(t *testing.T) {
 
 // TestUnitPanicIsolation kills a single work unit: only that unit's
 // findings are lost, the error record names the unit, and the degraded
-// output is identical for sequential and parallel scans.
+// output is identical across runs, whatever Options.Workers says.
 func TestUnitPanicIsolation(t *testing.T) {
 	src := multiClassApp()
 	outputs := make(map[int]string)
@@ -216,6 +216,39 @@ func TestCancelMidDiscoveryExternal(t *testing.T) {
 	}
 	if n := int(ran.Load()); n >= total {
 		t.Errorf("cancellation ignored — all %d discovery units ran", n)
+	}
+}
+
+// TestSummaryPanicTriedOnce: a summary producer that panics runs exactly
+// once. The scan records one stage panic, and every later consumer reads
+// the missing summaries as intraprocedural facts instead of running the
+// producer (and panicking) again.
+func TestSummaryPanicTriedOnce(t *testing.T) {
+	intra := analyzeSrcQuiet(helperCfgApp, Options{Intraprocedural: true})
+	if countCause(intra, report.CauseNoTimeout) != 1 {
+		t.Fatalf("fixture broken: intra mode should miss the helper timeout: %v", causes(intra))
+	}
+	runs := 0
+	opts := Options{}
+	opts.unitHook = func(s string, unit int) {
+		if s == "summaries" {
+			runs++
+			panic("injected summary fault")
+		}
+	}
+	res := analyzeSrcQuiet(helperCfgApp, opts)
+	if runs != 1 {
+		t.Errorf("summary producer ran %d times, want 1", runs)
+	}
+	if errs := res.Diagnostics.Errors; len(errs) != 1 || errs[0].Stage != "summaries" ||
+		errs[0].Unit != -1 || !errors.Is(&errs[0], ErrStagePanic) {
+		t.Errorf("errors = %v, want one stage panic in summaries", errs)
+	}
+	if res.Diagnostics.Cache.SummariesComputed != 0 {
+		t.Errorf("summaries counted after a failed build: %+v", res.Diagnostics.Cache)
+	}
+	if got, want := renderAll(res), renderAll(intra); got != want {
+		t.Errorf("consumers did not degrade to intraprocedural facts:\n--- intra ---\n%s--- got ---\n%s", want, got)
 	}
 }
 

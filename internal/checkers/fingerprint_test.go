@@ -10,8 +10,8 @@ import (
 // part of the cache-key fingerprint because they cannot change what a
 // cached report would contain:
 //
-//   - Workers: reports are deterministic for any worker count (the
-//     pipeline's merge-barrier guarantee, pinned by the determinism tests);
+//   - Workers: how many apps a batch caller scans at once; the analysis
+//     never reads it;
 //   - Timeout: degraded scans are never written to the cache, so the
 //     deadline can only suppress a write, never change a written entry;
 //   - CacheDir / CacheMode / CacheMaxBytes: they select which store is

@@ -341,29 +341,24 @@ func TestInterprocErrorObjectThroughHelper(t *testing.T) {
 	}
 }
 
-// TestInterprocDeterministicAcrossWorkers re-runs the full interprocedural
-// pipeline (summaries + pruning) over all fixture apps at several worker
-// counts: reports, stats, and summary-engine counters must be
-// byte-identical.
-func TestInterprocDeterministicAcrossWorkers(t *testing.T) {
+// TestInterprocDeterministic re-runs the full interprocedural pipeline
+// (summaries + pruning) over all fixture apps: reports, stats, and
+// summary-engine counters must be byte-identical across two scans.
+func TestInterprocDeterministic(t *testing.T) {
 	combined := helperCfgApp + "\n" + factoryApp + "\n" + respHelperApp + "\n" +
 		prunedApp + "\n" + volleyHelperDropsError
-	base := analyzeSrcQuiet(combined, Options{Workers: 1})
-	baseText := renderAll(base)
-	for _, w := range []int{4, 8} {
-		res := analyzeSrcQuiet(combined, Options{Workers: w})
-		if got := renderAll(res); got != baseText {
-			t.Errorf("Workers=%d: reports differ from Workers=1\n--- w=1 ---\n%s\n--- w=%d ---\n%s", w, baseText, w, got)
-		}
-		if !reflect.DeepEqual(res.Stats, base.Stats) {
-			t.Errorf("Workers=%d: stats differ: %+v vs %+v", w, res.Stats, base.Stats)
-		}
-		if res.Diagnostics.Cache.SummariesComputed != base.Diagnostics.Cache.SummariesComputed ||
-			res.Diagnostics.Cache.SummarySCCs != base.Diagnostics.Cache.SummarySCCs ||
-			res.Diagnostics.Cache.PrunedEdges != base.Diagnostics.Cache.PrunedEdges {
-			t.Errorf("Workers=%d: summary counters differ: %+v vs %+v",
-				w, res.Diagnostics.Cache, base.Diagnostics.Cache)
-		}
+	base := analyzeSrcQuiet(combined, Options{})
+	res := analyzeSrcQuiet(combined, Options{})
+	if got, want := renderAll(res), renderAll(base); got != want {
+		t.Errorf("reports differ between two scans\n--- first ---\n%s\n--- again ---\n%s", want, got)
+	}
+	if !reflect.DeepEqual(res.Stats, base.Stats) {
+		t.Errorf("stats differ: %+v vs %+v", res.Stats, base.Stats)
+	}
+	if res.Diagnostics.Cache.SummariesComputed != base.Diagnostics.Cache.SummariesComputed ||
+		res.Diagnostics.Cache.SummarySCCs != base.Diagnostics.Cache.SummarySCCs ||
+		res.Diagnostics.Cache.PrunedEdges != base.Diagnostics.Cache.PrunedEdges {
+		t.Errorf("summary counters differ: %+v vs %+v", res.Diagnostics.Cache, base.Diagnostics.Cache)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/apimodel"
@@ -22,21 +21,20 @@ import (
 //	build      — run the demand closure over the skim index, decode the
 //	             demanded classes, overlay the app on the framework base
 //	             layer, and build the class hierarchy and the call graph
-//	discover   — find and resolve every request site (§4.4), fanned out
+//	summaries  — the interprocedural taint summaries (skipped under
+//	             Options.Intraprocedural)
+//	discover   — find and resolve every request site (§4.4), one unit
 //	             per method
 //	settings | parameters | notifications | responses | offlinestate |
 //	stalechecks | endpoints | retryloops
 //	           — the eight checker families (§4.4.1–4.4.4, §4.5, and the
-//	             registry growth of DESIGN.md §11), run concurrently as
-//	             stages, each fanning out per site (or per method) over
-//	             the shared bounded worker pool; Options.Checkers selects
-//	             which families run
+//	             registry growth of DESIGN.md §11), one unit per site (or
+//	             per method); Options.Checkers selects which families run
 //
-// All stages share one AnalysisContext, so each per-method artifact (CFG,
-// reaching defs, …) is computed at most once per scan. Every work unit
-// writes findings into its own slot and stages are merged in a fixed
-// order, so reports and stats are byte-identical to a sequential scan
-// regardless of Options.Workers.
+// The stages and their units run in this fixed order on the caller's
+// goroutine, so stage timings never overlap and the report stream is
+// deterministic. All stages share one AnalysisContext, so each per-method
+// artifact (CFG, reaching defs, …) is computed at most once per scan.
 //
 // Analyze runs with background context; AnalyzeContext adds deadlines and
 // cancellation.
@@ -53,7 +51,7 @@ func Analyze(app *apk.App, reg *apimodel.Registry, opts Options) *Result {
 // unit, an expired Options.Timeout, or cancellation of ctx never crashes
 // or wedges the scan. Instead the failed stage/unit is dropped, every
 // stage that completed contributes its findings through the same
-// deterministic merge barrier, and the Result comes back Incomplete with
+// deterministic merge, and the Result comes back Incomplete with
 // the failures recorded in Diagnostics.Errors as a sorted ScanError list.
 func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, opts Options) *Result {
 	start := time.Now()
@@ -62,7 +60,6 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	workers := opts.workerCount()
 	a := &analysis{
 		app:     app,
 		reg:     reg,
@@ -70,18 +67,11 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		scanCtx: ctx,
 	}
 	diag := &a.diag
-	diag.Workers = workers
-	if workers > 1 {
-		a.sem = make(chan struct{}, workers)
-	}
 
 	finish := func(res *Result) *Result {
 		sortScanErrors(a.errs)
 		diag.Errors = a.errs
 		res.Incomplete = len(a.errs) > 0
-		if a.ctx != nil {
-			a.ctx.fillCacheStats(&diag.Cache)
-		}
 		diag.Total = time.Since(start)
 		res.Diagnostics = *diag
 		return res
@@ -112,7 +102,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 			DeclaredDispatchOnly: opts.DeclaredDispatchOnly,
 			EnableICC:            opts.EnableICC,
 		})
-		a.ctx = newAnalysisContext(a.cg)
+		a.ctx = newAnalysisContext(a.cg, &diag.Cache)
 		a.methods = a.collectAppMethods()
 		if !opts.Intraprocedural {
 			a.configureSummaries()
@@ -129,8 +119,8 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	// Interprocedural summaries are built eagerly under their own stage
 	// guard so -timings attributes the cost distinctly and a failure (or a
 	// deadline hit inside the bottom-up pass) degrades every consumer to
-	// intraprocedural facts instead of crashing the scan. The sync.Once in
-	// AnalysisContext still protects any stray lazy first-consult.
+	// intraprocedural facts instead of crashing the scan: the producer is
+	// tried once, so no later consult runs it again.
 	if !opts.Intraprocedural {
 		sumStart := time.Now()
 		a.guard("summaries", func() { a.ctx.Summaries() })
@@ -147,7 +137,7 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	// The full stage table in fixed merge order; Options.Checkers filters
 	// it so disabled families never run (ablation / selection, satellite of
 	// the registry growth). Stage names map to families via checkerStages.
-	allStages := []struct {
+	stages := []struct {
 		name  string
 		items int
 		run   func() findings
@@ -161,64 +151,40 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		{"endpoints", len(a.methods), a.checkEndpoints},
 		{"retryloops", len(a.methods), a.checkRetryLoops},
 	}
-	stages := allStages[:0:0]
-	for _, s := range allStages {
-		if a.opts.Checkers.Enabled(FamilyOfStage(s.name)) {
-			stages = append(stages, s)
-		}
-	}
-	outs := make([]findings, len(stages))
-	durs := make([]time.Duration, len(stages))
-	runStage := func(i int) {
-		t0 := time.Now()
-		a.guard(stages[i].name, func() { outs[i] = stages[i].run() })
-		durs[i] = time.Since(t0)
-	}
-	if workers > 1 {
-		// The stage goroutines only coordinate; the per-item fan-out inside
-		// each stage goes through the shared pool (analysis.parallelFor).
-		var wg sync.WaitGroup
-		for i := range stages {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runStage(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range stages {
-			runStage(i)
-		}
-	}
-
-	// Merge barrier: discovery stats first, then each stage's findings in
-	// the fixed stage order (the historical sequential append order). A
-	// degraded stage simply contributes fewer (or zero) units here; the
-	// surviving stages' reports are byte-identical to a clean scan's.
+	// Each stage's findings are merged as it finishes, in the fixed stage
+	// order: discovery stats first, then the checker stages. A degraded
+	// stage simply contributes fewer (or zero) reports; the surviving
+	// stages' reports are byte-identical to a clean scan's.
 	res := &Result{}
+	res.Stats.add(&discovered.stats)
+	outs := make([]findings, 0, len(stages))
+	n := 0
+	for _, s := range stages {
+		if !opts.Checkers.Enabled(FamilyOfStage(s.name)) {
+			continue
+		}
+		t0 := time.Now()
+		var out findings
+		a.guard(s.name, func() { out = s.run() })
+		diag.add(s.name, time.Since(t0), s.items, len(out.reports))
+		res.Stats.add(&out.stats)
+		n += len(out.reports)
+		outs = append(outs, out)
+	}
 	// The app holds undecoded bodies outside the closure, so library usage
 	// resolves from the skim's referenced classes — pinned equal to
 	// LibsUsedBy over the decoded program.
 	res.Stats.LibsUsed = reg.LibsUsedByRefs(app.Lazy.EachRefClass)
-	res.Stats.add(&discovered.stats)
 	// The reports are sorted by (location method key, statement, cause),
 	// stably in stage order, through an index of keys rendered once per
 	// report, and each is copied into the result once. The result is nil
 	// when no stage reported, as the cache differential's DeepEqual
 	// against a decoded entry requires.
-	n := 0
-	for i := range stages {
-		n += len(outs[i].reports)
-		res.Stats.add(&outs[i].stats)
-		diag.add(stages[i].name, durs[i], stages[i].items, len(outs[i].reports))
-	}
 	if n > 0 {
 		order := make([]keyedReport, 0, n)
 		intern := jimple.NewInterner()
 		for i := range outs {
-			for j := range outs[i].reports {
-				r := outs[i].reports[j]
+			for _, r := range outs[i].reports {
 				order = append(order, keyedReport{intern.SigKey(r.Location.Method), r})
 			}
 		}

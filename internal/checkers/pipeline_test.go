@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/android"
 	"repro/internal/apimodel"
@@ -45,25 +46,20 @@ func renderAll(res *Result) string {
 	return b.String()
 }
 
-// TestPipelineDeterministicAcrossWorkers asserts the acceptance criterion
-// that a parallel scan produces byte-identical sorted reports and equal
-// stats to a sequential one.
-func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
+// TestPipelineDeterministic asserts that two scans of the same app
+// produce byte-identical sorted reports and equal stats.
+func TestPipelineDeterministic(t *testing.T) {
 	src := multiClassApp()
-	seq := analyzeSrcOpts(t, src, Options{Workers: 1})
-	if len(seq.Reports) == 0 {
+	first := analyzeSrcOpts(t, src, Options{})
+	if len(first.Reports) == 0 {
 		t.Fatal("multi-class app produced no reports; test app broken")
 	}
-	seqText := renderAll(seq)
-	for _, workers := range []int{2, 8} {
-		par := analyzeSrcOpts(t, src, Options{Workers: workers})
-		if got := renderAll(par); got != seqText {
-			t.Errorf("Workers=%d reports differ from Workers=1:\n--- sequential ---\n%s--- parallel ---\n%s",
-				workers, seqText, got)
-		}
-		if !reflect.DeepEqual(par.Stats, seq.Stats) {
-			t.Errorf("Workers=%d stats differ:\nsequential: %+v\nparallel:   %+v", workers, seq.Stats, par.Stats)
-		}
+	again := analyzeSrcOpts(t, src, Options{})
+	if got, want := renderAll(again), renderAll(first); got != want {
+		t.Errorf("reports differ between two scans:\n--- first ---\n%s--- again ---\n%s", want, got)
+	}
+	if !reflect.DeepEqual(again.Stats, first.Stats) {
+		t.Errorf("stats differ between two scans:\nfirst: %+v\nagain: %+v", first.Stats, again.Stats)
 	}
 }
 
@@ -72,56 +68,64 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 // computed at most once per method while being requested more often
 // (i.e. the shared AnalysisContext actually deduplicates work).
 func TestPipelineDiagnostics(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		res := analyzeSrcOpts(t, multiClassApp(), Options{Workers: workers})
-		d := res.Diagnostics
-		if d.Workers != workers {
-			t.Errorf("Workers=%d: diagnostics report %d workers", workers, d.Workers)
+	res := analyzeSrcOpts(t, multiClassApp(), Options{})
+	d := res.Diagnostics
+	if d.AppMethods == 0 || d.Sites == 0 {
+		t.Errorf("empty volumes: %+v", d)
+	}
+	for _, name := range []string{"build", "discover", "settings", "parameters", "notifications", "responses", "retryloops"} {
+		if d.Stage(name) == nil {
+			t.Errorf("stage %q missing from diagnostics", name)
 		}
-		if d.AppMethods == 0 || d.Sites == 0 {
-			t.Errorf("Workers=%d: empty volumes: %+v", workers, d)
+	}
+	c := d.Cache
+	type pair struct {
+		name               string
+		computed, requests int
+	}
+	for _, p := range []pair{
+		{"cfg", c.CFGComputed, c.CFGRequests},
+		{"reachdefs", c.ReachDefsComputed, c.ReachDefsRequests},
+		{"constprop", c.ConstPropComputed, c.ConstPropRequests},
+		{"dominators", c.DominatorsComputed, c.DominatorsRequests},
+		{"loops", c.LoopsComputed, c.LoopsRequests},
+		{"slicer", c.SlicersComputed, c.SlicerRequests},
+	} {
+		if p.computed > c.Methods {
+			t.Errorf("%s computed %d times for %d methods — memoization broken", p.name, p.computed, c.Methods)
 		}
-		for _, name := range []string{"build", "discover", "settings", "parameters", "notifications", "responses", "retryloops"} {
-			if d.Stage(name) == nil {
-				t.Errorf("Workers=%d: stage %q missing from diagnostics", workers, name)
-			}
+		if p.computed > p.requests {
+			t.Errorf("%s computed (%d) exceeds requests (%d)", p.name, p.computed, p.requests)
 		}
-		c := d.Cache
-		type pair struct {
-			name               string
-			computed, requests int
+	}
+	// CFGs are requested by discovery, checker 1's must-precede,
+	// checker 4, and the retry stage: there must be real cache hits.
+	if c.CFGHits() <= 0 {
+		t.Errorf("no CFG cache hits (%d computed / %d requests)", c.CFGComputed, c.CFGRequests)
+	}
+	if c.ReachDefsHits() < 0 {
+		t.Error("negative reach-defs hits")
+	}
+}
+
+// TestStageTimingsWithinTotal: a scan runs its stages one after another
+// on its caller's goroutine, so the stage durations of a multi-class app
+// sum to at most the scan's wall time. Overlapping stages would break it.
+func TestStageTimingsWithinTotal(t *testing.T) {
+	for _, opts := range []Options{{Workers: 4}, {Workers: 4, Validate: true}} {
+		d := analyzeSrcOpts(t, multiClassApp(), opts).Diagnostics
+		var sum time.Duration
+		for _, s := range d.Stages {
+			sum += s.Duration
 		}
-		for _, p := range []pair{
-			{"cfg", c.CFGComputed, c.CFGRequests},
-			{"reachdefs", c.ReachDefsComputed, c.ReachDefsRequests},
-			{"constprop", c.ConstPropComputed, c.ConstPropRequests},
-			{"dominators", c.DominatorsComputed, c.DominatorsRequests},
-			{"loops", c.LoopsComputed, c.LoopsRequests},
-			{"slicer", c.SlicersComputed, c.SlicerRequests},
-		} {
-			if p.computed > c.Methods {
-				t.Errorf("Workers=%d: %s computed %d times for %d methods — memoization broken",
-					workers, p.name, p.computed, c.Methods)
-			}
-			if p.computed > p.requests {
-				t.Errorf("Workers=%d: %s computed (%d) exceeds requests (%d)", workers, p.name, p.computed, p.requests)
-			}
-		}
-		// CFGs are requested by discovery, checker 1's must-precede,
-		// checker 4, and the retry stage: there must be real cache hits.
-		if c.CFGHits() <= 0 {
-			t.Errorf("Workers=%d: no CFG cache hits (%d computed / %d requests)",
-				workers, c.CFGComputed, c.CFGRequests)
-		}
-		if c.ReachDefsHits() < 0 {
-			t.Errorf("Workers=%d: negative reach-defs hits", workers)
+		if len(d.Stages) < 10 || sum > d.Total {
+			t.Errorf("validate=%v: %d stages sum to %v, over the scan's total %v", opts.Validate, len(d.Stages), sum, d.Total)
 		}
 	}
 }
 
-// TestPipelineConcurrentScans exercises one Analyze-backed scan per
-// goroutine with an internally parallel pipeline — meaningful under
-// -race, and the results must all agree.
+// TestPipelineConcurrentScans runs one Analyze-backed scan per goroutine
+// — meaningful under -race, and the results must all agree.
 func TestPipelineConcurrentScans(t *testing.T) {
 	src := multiClassApp()
 	want := renderAll(analyzeSrcOpts(t, src, Options{Workers: 1}))
@@ -145,9 +149,9 @@ func TestPipelineConcurrentScans(t *testing.T) {
 	}
 }
 
-// TestStatsAddCoversAllCounterFields guards the merge barrier: if a new
-// int counter is added to Stats without extending Stats.add, parallel
-// scans would silently drop it. The check sets every int field to 1,
+// TestStatsAddCoversAllCounterFields guards the stage merge: if a new int
+// counter is added to Stats without extending Stats.add, scans would
+// silently drop it. The check sets every int field to 1,
 // sums, and expects 2 everywhere.
 func TestStatsAddCoversAllCounterFields(t *testing.T) {
 	ones := func() Stats {

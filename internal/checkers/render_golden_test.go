@@ -19,7 +19,6 @@ func populatedDiagnostics() Diagnostics {
 	d := Diagnostics{
 		Total:      1500 * time.Millisecond,
 		Open:       420 * time.Microsecond,
-		Workers:    4,
 		AppMethods: 7,
 		Sites:      3,
 		Errors: []ScanError{{Kind: ErrDeadline, Stage: "discover", Unit: -1,

@@ -10,9 +10,8 @@ import (
 // checkRetryLoops implements §4.5: it identifies customized retry logic —
 // natural loops whose exit depends on the success of a network request —
 // and flags the aggressive ones (no backoff between attempts, the
-// Telegram pattern of Figure 2). Methods are analyzed in parallel over
-// the shared worker pool, reusing the scan's cached CFGs, loop sets, and
-// slicers.
+// Telegram pattern of Figure 2). Methods are analyzed one by one,
+// reusing the scan's cached CFGs, loop sets, and slicers.
 //
 // A loop is a retry loop when it (transitively) performs a network request
 // and either:

@@ -175,9 +175,19 @@ func TestTargetedMatchesFullOnFixtures(t *testing.T) {
 	}
 }
 
+// TestTargetedDeterministicAcrossWorkers: a scan runs on one goroutine, so
+// the only ordering left to vary is scan against scan; two targeted scans of
+// the same app must agree with the oracle and with each other, closure
+// sizes included.
 func TestTargetedDeterministicAcrossWorkers(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		assertModesAgree(t, asyncTaskNotified, nil, Options{Workers: w})
+	first, _ := assertModesAgree(t, asyncTaskNotified, nil, Options{})
+	again, _ := assertModesAgree(t, asyncTaskNotified, nil, Options{})
+	if got, want := renderAll(again), renderAll(first); got != want {
+		t.Errorf("targeted reports differ between two scans:\n--- first ---\n%s--- again ---\n%s", want, got)
+	}
+	if !reflect.DeepEqual(again.Diagnostics.Targeted, first.Diagnostics.Targeted) {
+		t.Errorf("closure counters differ between two scans:\nfirst: %+v\nagain: %+v",
+			first.Diagnostics.Targeted, again.Diagnostics.Targeted)
 	}
 }
 

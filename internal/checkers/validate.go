@@ -30,7 +30,7 @@ import (
 // also keeps half-validated results out of the cache).
 
 // validateSeed fixes the replay RNG base so verdicts are reproducible
-// across runs, worker counts, and open paths. Per-entry streams are
+// across runs, batch concurrency, and open paths. Per-entry streams are
 // decorrelated by interp's signature-keyed seeding; per-scenario streams
 // by the scenario offset below.
 const validateSeed = 2016
@@ -51,9 +51,8 @@ type replayOutcome struct {
 	ok  bool // the entry had an interpretable body
 }
 
-// validateReports assigns a verdict to every report in place. It runs
-// sequentially (report order, then scenario order), so the verdicts are
-// deterministic regardless of Options.Workers.
+// validateReports assigns a verdict to every report in place, in report
+// order, then scenario order, so the verdicts are deterministic.
 func (a *analysis) validateReports(reports []report.Report) {
 	if len(reports) == 0 {
 		return

@@ -42,10 +42,11 @@ import (
 type Result = checkers.Result
 
 // Options re-exports the analysis options: the ablation switches plus
-// Workers, the scan pipeline's worker-pool bound (0 = NumCPU), Timeout,
-// the per-scan deadline (0 = none), and the persistent scan cache
-// (CacheDir / CacheMode / CacheMaxBytes). Reports are deterministic
-// regardless of Workers, and identical with the cache off, cold, or warm.
+// Workers, how many apps a batch caller scans at once (0 = NumCPU; one
+// scan always runs on its caller's goroutine), Timeout, the per-scan
+// deadline (0 = none), and the persistent scan cache (CacheDir /
+// CacheMode / CacheMaxBytes). Reports are identical with the cache off,
+// cold, or warm.
 type Options = checkers.Options
 
 // CacheMode selects how a scan uses the persistent content-addressed

@@ -65,10 +65,9 @@ func ScanCorpusWith(seed int64, opts core.Options) (*CorpusScan, error) {
 }
 
 // ScanApps scans the given corpus apps. Opts.Workers (0 = GOMAXPROCS)
-// bounds the app-level pool: whole apps are scanned concurrently while
-// each scan's internal pipeline runs single-threaded, which avoids
-// oversubscribing the pool for this many small apps. Results keep the
-// corpus order, so output is deterministic regardless of scheduling.
+// bounds the app-level pool: whole apps are scanned concurrently, each
+// scan on one goroutine. Results keep the corpus order, so output is
+// deterministic regardless of scheduling.
 func ScanApps(apps []*corpus.CorpusApp, opts core.Options) *CorpusScan {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -77,9 +76,7 @@ func ScanApps(apps []*corpus.CorpusApp, opts core.Options) *CorpusScan {
 	if workers > len(apps) {
 		workers = len(apps)
 	}
-	scanOpts := opts
-	scanOpts.Workers = 1
-	nc := core.NewWithOptions(scanOpts)
+	nc := core.NewWithOptions(opts)
 	out := &CorpusScan{Apps: make([]AppResult, len(apps))}
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -175,11 +172,7 @@ func (cs *CorpusScan) BuggyApps() int {
 func (cs *CorpusScan) Diagnostics() checkers.Diagnostics {
 	var agg checkers.Diagnostics
 	for i := range cs.Apps {
-		d := cs.Apps[i].Diag
-		if i == 0 {
-			agg.Workers = d.Workers
-		}
-		agg.Merge(d)
+		agg.Merge(cs.Apps[i].Diag)
 	}
 	return agg
 }

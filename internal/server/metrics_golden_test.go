@@ -17,7 +17,6 @@ import (
 func populatedDiagnostics() checkers.Diagnostics {
 	d := checkers.Diagnostics{
 		Total:      1500 * time.Millisecond,
-		Workers:    4,
 		AppMethods: 7,
 		Sites:      3,
 		Errors:     []checkers.ScanError{{Kind: checkers.ErrDeadline, Stage: "discover", Unit: -1}},

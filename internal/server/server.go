@@ -37,7 +37,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -49,14 +48,11 @@ import (
 // Config tunes a Server.
 type Config struct {
 	// Scan is the per-job analysis configuration (ablation switches,
-	// cache). With Jobs > 1 and Scan.Workers == 0 the CPU budget is divided
-	// between the job pool and each scan's pipeline, mirroring the CLI's
-	// batch-mode division, so concurrent jobs never multiply into N×M
-	// goroutines.
+	// cache).
 	Scan core.Options
 	// Jobs is the number of concurrent scan workers, shared by POST /scan
-	// and POST /scansync. 0 means 1: scans serialize and each gets the
-	// machine's full pipeline parallelism.
+	// and POST /scansync; each job's scan runs on its worker's goroutine.
+	// 0 means 1.
 	Jobs int
 	// Queue bounds the admission queue; a POST /scan arriving with the
 	// queue full is rejected with 429. 0 means DefaultQueue.
@@ -183,15 +179,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
-	}
-	if cfg.Jobs > 1 && cfg.Scan.Workers == 0 {
-		// The CLI's batch-mode budget division: the job pool gets the
-		// concurrency, each scan's internal pipeline gets the remainder.
-		w := runtime.NumCPU() / cfg.Jobs
-		if w < 1 {
-			w = 1
-		}
-		cfg.Scan.Workers = w
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{

@@ -66,14 +66,14 @@ echo "== engine-vs-oracle differential =="
 # The demand-driven engine is the only scan traversal; the whole-program
 # oracle (checkers.OracleOptions, test binaries only) is the reference it
 # must match byte for byte over the goldens, the corpus and padded apps,
-# at worker counts 1/2/8, with the cache off, cold and warm.
+# at batch concurrency 1/2/8, with the cache off, cold and warm.
 go test -count=1 -timeout 10m -run 'Differential|Validated|Targeted' \
     ./internal/checkers ./internal/experiments
 
-echo "== CLI worker differential =="
-# End to end through the CLI: -workers 1 and -workers 4 over the same
-# generated app containers (padded so the closure really skips classes)
-# must print byte-identical reports and exit alike.
+echo "== CLI batch-concurrency differential =="
+# End to end through the CLI: -workers 1 and -workers 4 (apps scanned at
+# once) over the same generated app containers (padded so the closure
+# really skips classes) must print byte-identical reports and exit alike.
 diffdir=$(mktemp -d)
 trap 'rm -rf "$cachedir" "$diffdir"' EXIT
 go build -o "$diffdir/nchecker" ./cmd/nchecker
@@ -83,12 +83,12 @@ w1_status=0
 w4_status=0
 "$diffdir/nchecker" -workers 4 "$diffdir"/corpus/*.apk >"$diffdir/w4.txt" || w4_status=$?
 if [ "$w1_status" -ne "$w4_status" ]; then
-    echo "worker differential: exit codes differ (-workers 1: $w1_status, -workers 4: $w4_status)" >&2
+    echo "batch-concurrency differential: exit codes differ (-workers 1: $w1_status, -workers 4: $w4_status)" >&2
     exit 1
 fi
 cmp "$diffdir/w1.txt" "$diffdir/w4.txt"
 
-echo "== CLI -timings counter differential =="
+echo "== CLI -timings batch-concurrency differential =="
 # Every -timings counter line must render and be deterministic: with
 # durations masked, -workers 1 and -workers 4 print identical -timings
 # text (stderr under -json) with no cache, a cold cache (a fresh directory
@@ -107,14 +107,14 @@ for mode in nocache cold warm validate; do
         "$diffdir/nchecker" -json -timings -workers "$w" "$@" "$diffdir"/corpus/*.apk \
             2>"$diffdir/timings.raw" >/dev/null || timings_status=$?
         if [ "$timings_status" -gt 1 ]; then
-            echo "timings differential ($mode, -workers $w): exit $timings_status" >&2
+            echo "timings batch-concurrency differential ($mode, -workers $w): exit $timings_status" >&2
             cat "$diffdir/timings.raw" >&2
             exit 1
         fi
         mask_timings "$diffdir/timings.raw" >"$diffdir/timings.$mode.w$w"
     done
     if ! cmp "$diffdir/timings.$mode.w1" "$diffdir/timings.$mode.w4"; then
-        echo "timings differential ($mode): -workers 1 and -workers 4 differ" >&2
+        echo "timings batch-concurrency differential ($mode): -workers 1 and -workers 4 differ" >&2
         diff "$diffdir/timings.$mode.w1" "$diffdir/timings.$mode.w4" | head -n 20 >&2
         exit 1
     fi
