@@ -6,9 +6,12 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,6 +34,7 @@ import (
 	"repro/internal/jimple"
 	"repro/internal/lint"
 	"repro/internal/netsim"
+	"repro/internal/report"
 	"repro/internal/userstudy"
 )
 
@@ -359,9 +363,9 @@ func BenchmarkSummariesWarm(b *testing.B) {
 	rds := make(map[*jimple.Method]*dataflow.ReachDefs, len(methods))
 	cps := make(map[*jimple.Method]*dataflow.ConstProp, len(methods))
 	for _, m := range methods {
-		g := cfg.New(m)
+		g := cfg.New(nil, m)
 		cfgs[m] = g
-		rds[m] = dataflow.NewReachDefs(g)
+		rds[m] = dataflow.NewReachDefs(nil, g)
 		cps[m] = dataflow.NewConstProp(rds[m])
 	}
 	conf := dataflow.SummaryConfig{
@@ -695,6 +699,35 @@ func BenchmarkScanBytesCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkScanFileRenderCorpus is perfbench's corpus operation in tree:
+// a single-worker ScanFileContext of each corpus container, read from a
+// file, and the report text rendered as the CLI prints it
+// (report.RenderAll); one op is one app:
+//
+//	go test -run='^$' -bench='^BenchmarkScanFileRenderCorpus$' -benchmem -cpu 1 .
+func BenchmarkScanFileRenderCorpus(b *testing.B) {
+	data := corpusContainers(b)
+	dir := b.TempDir()
+	paths := make([]string, len(data))
+	for i, d := range data {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("app%03d.apk", i))
+		if err := os.WriteFile(paths[i], d, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	nc := core.NewWithOptions(core.Options{Workers: 1})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := nc.ScanFileContext(ctx, paths[i%len(paths)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = report.RenderAll(res.Reports)
+	}
+}
+
 // BenchmarkMethodKernelsCorpus times the per-method layer under the
 // checkers over each corpus container: the lazy open, materializing every
 // body, and the kernel family over every bodied method (CFG, local index,
@@ -720,10 +753,10 @@ func BenchmarkMethodKernelsCorpus(b *testing.B) {
 				if !m.HasBody() {
 					continue
 				}
-				g := cfg.New(m)
+				g := cfg.New(nil, m)
 				g.Locals()
 				g.NaturalLoopsWith(g.Dominators())
-				cp := dataflow.NewConstProp(dataflow.NewReachDefs(g))
+				cp := dataflow.NewConstProp(dataflow.NewReachDefs(nil, g))
 				nodes += g.WithoutEdges(dataflow.InfeasibleEdges(g, cp)).NumNodes()
 			}
 		}
@@ -754,7 +787,7 @@ func BenchmarkCallGraphOverlay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		app := apps[i%len(apps)]
-		g := base.CallGraph(base.Overlay(app.Program), app.Manifest, callgraph.Options{})
+		g := base.CallGraph(base.Overlay(app.Program, nil), app.Manifest, callgraph.Options{})
 		if g.NumMethods() == 0 {
 			b.Fatal("empty graph")
 		}

@@ -56,9 +56,10 @@ func (l *Layer) Graph() *callgraph.Base { return l.cg }
 
 // Overlay layers app's classes over the frozen program (app classes win
 // over framework classes of the same name) and indexes the overlay's
-// hierarchy; its Program() is the layered program.
-func (l *Layer) Overlay(app *jimple.Program) *hierarchy.Hierarchy {
-	return hierarchy.NewOverlay(l.h, jimple.NewOverlay(app, l.prog))
+// hierarchy, its indexes kept in sc (nil: on the heap); its Program() is
+// the layered program.
+func (l *Layer) Overlay(app *jimple.Program, sc *hierarchy.Scratch) *hierarchy.Hierarchy {
+	return hierarchy.NewOverlay(l.h, jimple.NewOverlay(app, l.prog), sc)
 }
 
 // CallGraph builds the call graph of an overlay hierarchy from Overlay.

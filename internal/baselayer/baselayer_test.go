@@ -130,7 +130,7 @@ func TestShadowFixtureShadows(t *testing.T) {
 	if svc == nil || app.prog.Class(android.ClassService).Super == svc.Super {
 		t.Fatal("fixture does not redefine android.app.Service with a different super")
 	}
-	h := baselayer.Get().Overlay(app.prog)
+	h := baselayer.Get().Overlay(app.prog, nil)
 	if got := h.Program().Class(android.ClassService); got != app.prog.Class(android.ClassService) {
 		t.Fatal("overlay does not resolve the app's redefinition of android.app.Service")
 	}
@@ -162,7 +162,7 @@ func TestOverlayMatchesFlat(t *testing.T) {
 	layer := baselayer.Get()
 	for _, app := range apps {
 		flat := flatHierarchy(app.prog)
-		over := layer.Overlay(app.prog)
+		over := layer.Overlay(app.prog, nil)
 		if err := compareHierarchies(flat, over); err != nil {
 			t.Errorf("%s: hierarchy: %v", app.name, err)
 			continue
@@ -241,7 +241,7 @@ func TestOverlayMatchesFlatLazy(t *testing.T) {
 		// The overlay's graphs are built first, as a scan builds its own,
 		// while the classes no lookup has reached are still unbuilt; the
 		// flat reference's merge then builds every class.
-		over := layer.Overlay(app.Program)
+		over := layer.Overlay(app.Program, nil)
 		optsList := []callgraph.Options{{}, {EnableICC: true}, {DeclaredDispatchOnly: true}}
 		graphs := make([]*callgraph.Graph, len(optsList))
 		for i, opts := range optsList {

@@ -216,7 +216,7 @@ func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 		want[i] = q.ask(flat)
 	}
 
-	over := layer.Overlay(open())
+	over := layer.Overlay(open(), nil)
 	start := make(chan struct{})
 	errs := make(chan error, goroutines)
 	var wg sync.WaitGroup

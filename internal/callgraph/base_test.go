@@ -54,7 +54,7 @@ func TestBaseBuildMatchesFlatWithBodiedBase(t *testing.T) {
 	flat.Merge(app)
 	flat.Merge(baseProg)
 	want := Build(hierarchy.New(flat), nil)
-	got := base.Build(hierarchy.NewOverlay(base.h, jimple.NewOverlay(app, baseProg)), nil, Options{})
+	got := base.Build(hierarchy.NewOverlay(base.h, jimple.NewOverlay(app, baseProg), nil), nil, Options{})
 
 	if want.NumMethods() != got.NumMethods() || want.NumEdges() != got.NumEdges() {
 		t.Fatalf("methods/edges: flat %d/%d, overlay %d/%d",

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/android"
+	"repro/internal/arena"
 	"repro/internal/hierarchy"
 	"repro/internal/jimple"
 )
@@ -97,6 +98,9 @@ type Graph struct {
 	// intern deduplicates the callee subsignatures during construction:
 	// each is allocated once per graph, not once per call site.
 	intern *jimple.Interner
+	// filing is set while build adds the edges of the ids' own methods,
+	// whose in-lists it files afterwards (fileIn).
+	filing bool
 }
 
 // Options tunes graph construction.
@@ -113,6 +117,99 @@ type Options struct {
 	// match the paper's published tool; turning it on removes the
 	// paper's Table 9 false positives.
 	EnableICC bool
+	// Scratch, when non-nil, is the per-scan memory the graph's tables
+	// are built in (see Scratch); nil builds them on the heap.
+	Scratch *Scratch
+}
+
+// Scratch is the memory a scan's call graph is built in: its id maps,
+// its method, edge-list and edge tables (see package arena), and the
+// interner of its callee subsignatures. A scan resets it when it ends,
+// after which the graph built in it is invalid. The key strings are not
+// carved from it (reports keep them), and the interner's strings outlive
+// the reset: a string is immutable, so the next scan may share it.
+type Scratch struct {
+	first    map[string]int32
+	byMethod map[*jimple.Method]int32
+	intern   *jimple.Interner
+	keys     arena.Slab[string]
+	methods  arena.Slab[*jimple.Method]
+	lists    arena.Slab[[]Edge]
+	edges    arena.Slab[Edge]
+	// out collects one caller's edges before they are carved at exact
+	// size, and cnt counts each callee's in-edges.
+	out []Edge
+	cnt []int32
+}
+
+// maxScratchBytes bounds what each of a Scratch's slabs keeps for the
+// next scan, maxPooledIDs the methods its id maps and counts may have
+// held, and maxInterned the strings its interner keeps.
+const (
+	maxScratchBytes = 16 << 10
+	maxPooledIDs    = 1024
+	maxInterned     = 4096
+)
+
+// Reset makes s's memory free for the next scan (arena.Slab.Reset).
+func (s *Scratch) Reset() {
+	if s == nil {
+		return
+	}
+	if len(s.byMethod) > maxPooledIDs {
+		s.first, s.byMethod = nil, nil
+	}
+	clear(s.first)
+	clear(s.byMethod)
+	if cap(s.cnt) > maxPooledIDs {
+		s.cnt = nil
+	}
+	if s.intern != nil && s.intern.Len() > maxInterned {
+		s.intern = nil
+	}
+	junkSig := jimple.Sig{Class: junkKey, Name: junkKey}
+	s.keys.Reset(maxScratchBytes, func(k *string) { *k = junkKey })
+	s.methods.Reset(maxScratchBytes, func(m **jimple.Method) { *m = &junkMethod })
+	s.lists.Reset(maxScratchBytes, func(l *[]Edge) { *l = junkEdges })
+	s.edges.Reset(maxScratchBytes, func(e *Edge) { *e = Edge{Caller: junkSig, Callee: junkSig, CallerID: -1, CalleeID: -1} })
+	clear(s.out[:cap(s.out)])
+	s.out = s.out[:0]
+}
+
+// The junk a test binary writes over a reset scratch.
+const junkKey = "\x00recycled"
+
+var (
+	junkMethod = jimple.Method{Sig: jimple.Sig{Class: junkKey, Name: junkKey}}
+	junkEdges  = []Edge{{Caller: junkMethod.Sig, Callee: junkMethod.Sig, CallerID: -1, CalleeID: -1}}
+)
+
+func (s *Scratch) keySlab() *arena.Slab[string] {
+	if s == nil {
+		return nil
+	}
+	return &s.keys
+}
+
+func (s *Scratch) methodSlab() *arena.Slab[*jimple.Method] {
+	if s == nil {
+		return nil
+	}
+	return &s.methods
+}
+
+func (s *Scratch) listSlab() *arena.Slab[[]Edge] {
+	if s == nil {
+		return nil
+	}
+	return &s.lists
+}
+
+func (s *Scratch) edgeSlab() *arena.Slab[Edge] {
+	if s == nil {
+		return nil
+	}
+	return &s.edges
 }
 
 // Build constructs the call graph of the program underlying h. manifest
@@ -175,21 +272,49 @@ func (b *Base) Build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Op
 }
 
 // build constructs the graph from classes, the program's classes that may
-// hold a bodied method, in any order.
+// hold a bodied method, in any order, in opts.Scratch's memory.
 func build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options, classes []*jimple.Class) *Graph {
-	g := &Graph{
-		H:        h,
-		Manifest: manifest,
-		byMethod: make(map[*jimple.Method]int32),
-		intern:   jimple.NewInterner(),
+	sc := opts.Scratch
+	g := &Graph{H: h, Manifest: manifest}
+	var first map[string]int32
+	if sc != nil {
+		if sc.first == nil {
+			sc.first, sc.byMethod = make(map[string]int32), make(map[*jimple.Method]int32)
+		}
+		if sc.intern == nil {
+			sc.intern = jimple.NewInterner()
+		}
+		first, g.byMethod, g.intern = sc.first, sc.byMethod, sc.intern
+	} else {
+		first, g.byMethod, g.intern = make(map[string]int32), make(map[*jimple.Method]int32), jimple.NewInterner()
 	}
-	g.number(classes)
-	g.out = make([][]Edge, len(g.keys))
-	g.in = make([][]Edge, len(g.keys))
+	g.number(sc, first, classes)
+	g.out = sc.listSlab().Make(len(g.keys))
+	g.in = sc.listSlab().Make(len(g.keys))
 	g.discoverEntries(classes)
-	for id := range g.keys {
-		g.addEdgesFrom(int32(id), opts)
+	// Each caller's edges collect in one buffer and are carved at exact
+	// size; the in-lists are filed from them afterwards, in the order the
+	// edges were added.
+	var buf []Edge
+	if sc != nil {
+		buf = sc.out[:0]
 	}
+	g.filing = true
+	for id := range g.keys {
+		g.out[id] = buf[:0]
+		g.addEdgesFrom(int32(id), opts)
+		buf, g.out[id] = g.out[id], nil
+		if len(buf) > 0 {
+			g.out[id] = sc.edgeSlab().Make(len(buf))
+			copy(g.out[id], buf)
+		}
+	}
+	if sc != nil {
+		clear(buf[:cap(buf)])
+		sc.out = buf[:0]
+	}
+	g.fileIn(sc)
+	g.filing = false
 	if opts.EnableICC {
 		g.addICCEdges()
 	}
@@ -201,11 +326,57 @@ func build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options, cla
 	return g
 }
 
+// fileIn fills the in-lists from the out-lists of the ids' own methods,
+// each callee's edges by caller id, then by position in the caller's
+// list: the order addEdge added them in. The lists share one array,
+// carved from sc.
+func (g *Graph) fileIn(sc *Scratch) {
+	var cnt []int32
+	if sc != nil {
+		cnt = sc.cnt
+	}
+	cnt = append(cnt[:0], make([]int32, len(g.keys))...)
+	n := 0
+	for _, edges := range g.out {
+		n += len(edges)
+		for i := range edges {
+			cnt[edges[i].CalleeID]++
+		}
+	}
+	if sc != nil {
+		sc.cnt = cnt
+	}
+	if n == 0 {
+		return
+	}
+	all := sc.edgeSlab().Make(n)
+	at := int32(0)
+	for id, k := range cnt {
+		g.in[id] = all[at : at : at+k]
+		at += k
+	}
+	for _, edges := range g.out {
+		for _, e := range edges {
+			g.in[e.CalleeID] = append(g.in[e.CalleeID], e)
+		}
+	}
+}
+
 // number assigns the method ids: one per distinct key among the classes'
 // body-bearing methods, in first-sighting order, the last-declared method
-// of a repeated key winning the id's method slot.
-func (g *Graph) number(classes []*jimple.Class) {
-	first := make(map[string]int32)
+// of a repeated key winning the id's method slot. The key and method
+// tables are carved from sc, with room for every bodied method.
+func (g *Graph) number(sc *Scratch, first map[string]int32, classes []*jimple.Class) {
+	n := 0
+	for _, c := range classes {
+		for _, m := range c.Methods {
+			if m.HasBody() {
+				n++
+			}
+		}
+	}
+	g.keys = sc.keySlab().Make(n)[:0]
+	g.methods = sc.methodSlab().Make(n)[:0]
 	var buf []byte
 	for _, c := range classes {
 		for _, m := range c.Methods {
@@ -444,7 +615,9 @@ func (g *Graph) addEdge(caller int32, site int, callee *jimple.Method, kind Edge
 	}
 	e := Edge{Caller: g.methods[caller].Sig, Site: site, Callee: callee.Sig, Kind: kind, CallerID: caller, CalleeID: to}
 	g.out[caller] = append(g.out[caller], e)
-	g.in[to] = append(g.in[to], e)
+	if !g.filing {
+		g.in[to] = append(g.in[to], e)
+	}
 }
 
 // Entries returns the discovered entry points (sorted by signature).
@@ -632,15 +805,54 @@ func (g *Graph) CallStack(entry jimple.Sig, targetKey string) []Frame {
 // over out edges in their fixed order, so the path is the same one every
 // time.
 func (g *Graph) CallStackIDs(from, to int32) []Frame {
+	edges, ok := g.CallPath(nil, from, to)
+	if !ok {
+		return nil
+	}
+	out := make([]Frame, len(edges)+1)
+	for i, e := range edges {
+		out[i] = Frame{Method: e.Caller, Key: g.keys[e.CallerID], Site: e.Site}
+	}
+	out[len(edges)] = Frame{Method: g.methods[to].Sig, Key: g.keys[to], Site: -1}
+	if len(edges) > 0 {
+		out[len(edges)].Method = edges[len(edges)-1].Callee
+	}
+	return out
+}
+
+// PathScratch is the working memory of CallPath, reused from one search
+// to the next; the zero value is ready to use.
+type PathScratch struct {
+	visited []pathStep
+	seen    Bitset
+	edges   []*Edge
+}
+
+// pathStep is one method the search reached: the index of the step it
+// was reached from, and the edge it was reached by.
+type pathStep struct {
+	prev int32
+	via  *Edge
+}
+
+// CallPath is the search behind CallStackIDs: it returns the edges of the
+// call stack from method id from to id to, outermost first (none when
+// from == to), and whether to is reachable. The edges slice is s's, valid
+// until its next search; a nil s searches in fresh memory.
+func (g *Graph) CallPath(s *PathScratch, from, to int32) ([]*Edge, bool) {
+	if s == nil {
+		s = new(PathScratch)
+	}
 	if from == to {
-		return []Frame{{Method: g.methods[from].Sig, Key: g.keys[from], Site: -1}}
+		return s.edges[:0], true
 	}
-	type step struct {
-		prev int32 // index into visited order
-		via  *Edge
+	w := (len(g.keys) + 63) / 64
+	if cap(s.seen) < w {
+		s.seen = make(Bitset, w)
 	}
-	visited := []step{{prev: -1}}
-	seen := g.NewBitset()
+	seen := s.seen[:w]
+	clear(seen)
+	visited := append(s.visited[:0], pathStep{prev: -1})
 	seen.Add(from)
 	cur := from
 	for qi := 0; qi < len(visited); qi++ {
@@ -652,24 +864,28 @@ func (g *Graph) CallStackIDs(from, to int32) []Frame {
 			if !seen.Add(e.CalleeID) {
 				continue
 			}
-			visited = append(visited, step{prev: int32(qi), via: e})
+			visited = append(visited, pathStep{prev: int32(qi), via: e})
 			if e.CalleeID != to {
 				continue
 			}
-			// Reconstruct, innermost first.
-			i := len(visited) - 1
-			rev := []Frame{{Method: e.Callee, Key: g.keys[to], Site: -1}}
-			for visited[i].prev >= 0 {
-				via := visited[i].via
-				rev = append(rev, Frame{Method: via.Caller, Key: g.keys[via.CallerID], Site: via.Site})
-				i = int(visited[i].prev)
+			// Reconstruct innermost first, then reverse.
+			edges := s.edges[:0]
+			for i := len(visited) - 1; visited[i].prev >= 0; i = int(visited[i].prev) {
+				edges = append(edges, visited[i].via)
 			}
-			// Reverse to outermost-first.
-			for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-				rev[a], rev[b] = rev[b], rev[a]
-			}
-			return rev
+			slices.Reverse(edges)
+			s.visited, s.edges = visited, edges
+			return edges, true
 		}
 	}
-	return nil
+	s.visited = visited
+	return nil, false
+}
+
+// Reset drops what s holds, to its capacity, so a pooled s keeps no
+// graph alive.
+func (s *PathScratch) Reset() {
+	clear(s.visited[:cap(s.visited)])
+	clear(s.edges[:cap(s.edges)])
+	s.visited, s.edges = s.visited[:0], s.edges[:0]
 }

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/arena"
 	"repro/internal/jimple"
 )
 
@@ -34,6 +35,79 @@ type Graph struct {
 	// locals is the method's local index, built on first use and shared
 	// with the graphs WithoutEdges derives.
 	locals *localIndex
+	// sc is the scratch g was carved from, which the graphs, dominator
+	// trees and local lists derived from g are carved from too; nil for
+	// the heap.
+	sc *Scratch
+}
+
+// Scratch is the memory a scan's graphs are carved from: the graphs, their
+// node slabs, dominator trees and local lists (see package arena). A nil
+// *Scratch allocates from the heap. A scan resets its scratch when it
+// ends, after which every graph carved from it is invalid.
+type Scratch struct {
+	pairs  arena.Slab[graphPair]
+	graphs arena.Slab[Graph]
+	ints   arena.Slab[int]
+	names  arena.Slab[string]
+}
+
+// graphPair is a graph and its local index, carved together.
+type graphPair struct {
+	g Graph
+	l localIndex
+}
+
+// maxScratchBytes bounds what each of a Scratch's slabs keeps for the
+// next scan.
+const maxScratchBytes = 16 << 10
+
+// Reset makes s's memory free for the next scan (arena.Slab.Reset).
+func (s *Scratch) Reset() {
+	if s == nil {
+		return
+	}
+	s.pairs.Reset(maxScratchBytes, func(p *graphPair) {
+		p.g = junkGraph
+		p.l.names = junkNames
+	})
+	s.graphs.Reset(maxScratchBytes, func(g *Graph) { *g = junkGraph })
+	s.ints.Reset(maxScratchBytes, func(x *int) { *x = -1 << 40 })
+	s.names.Reset(maxScratchBytes, func(x *string) { *x = junkNames[0] })
+}
+
+// The junk a test binary writes over a reset scratch.
+var (
+	junkNames = []string{"\x00recycled"}
+	junkGraph = Graph{Method: &jimple.Method{Sig: jimple.Sig{Class: junkNames[0], Name: junkNames[0]}}, n: -1}
+)
+
+func (s *Scratch) pairSlab() *arena.Slab[graphPair] {
+	if s == nil {
+		return nil
+	}
+	return &s.pairs
+}
+
+func (s *Scratch) graphSlab() *arena.Slab[Graph] {
+	if s == nil {
+		return nil
+	}
+	return &s.graphs
+}
+
+func (s *Scratch) intSlab() *arena.Slab[int] {
+	if s == nil {
+		return nil
+	}
+	return &s.ints
+}
+
+func (s *Scratch) nameSlab() *arena.Slab[string] {
+	if s == nil {
+		return nil
+	}
+	return &s.names
 }
 
 // localIndex numbers the locals of one method body.
@@ -51,7 +125,7 @@ func (g *Graph) Locals() []string {
 	x := g.locals
 	x.once.Do(func() {
 		m := g.Method
-		names := make([]string, 0, len(m.Locals)+4)
+		names := g.sc.nameSlab().Make(len(m.Locals) + 4)[:0]
 		for _, l := range m.Locals {
 			names = append(names, l.Name)
 		}
@@ -143,23 +217,21 @@ func (s *scratch) add(from, to int, exc bool) {
 	s.last[from] = int32(len(s.edges))
 }
 
-// graph lays the collected edges out as a graph of n nodes over m, its
-// local index shared with locals when that is non-nil.
-func (s *scratch) graph(m *jimple.Method, n int, locals *localIndex) *Graph {
+// graph lays the collected edges out as a graph of n nodes over m,
+// carved from sc, its local index shared with locals when that is
+// non-nil.
+func (s *scratch) graph(sc *Scratch, m *jimple.Method, n int, locals *localIndex) *Graph {
 	e := len(s.edges)
 	var g *Graph
 	if locals == nil {
-		// The graph and its local index share one allocation.
-		pair := new(struct {
-			g Graph
-			l localIndex
-		})
+		// The graph and its local index are carved together.
+		pair := sc.pairSlab().New()
 		g, locals = &pair.g, &pair.l
 	} else {
-		g = new(Graph)
+		g = sc.graphSlab().New()
 	}
-	slab := make([]int, 2*n+1+2*e)
-	*g = Graph{Method: m, n: n, off: slab[:2*n+1], adj: slab[2*n+1:], locals: locals}
+	slab := sc.intSlab().Make(2*n + 1 + 2*e)
+	*g = Graph{Method: m, n: n, off: slab[:2*n+1], adj: slab[2*n+1:], locals: locals, sc: sc}
 	// Counting sorts by source and by target; both keep insertion order.
 	cnt := slices.Grow(s.cnt[:0], 2*n)[:2*n]
 	clear(cnt)
@@ -194,10 +266,11 @@ func (s *scratch) graph(m *jimple.Method, n int, locals *localIndex) *Graph {
 	return g
 }
 
-// New builds the CFG of m, which must have a body. Exceptional edges are
-// added from every statement inside a trap range to the trap handler
-// (conservatively: any statement in range may throw).
-func New(m *jimple.Method) *Graph {
+// New builds the CFG of m, which must have a body, carved from sc (nil:
+// the heap). Exceptional edges are added from every statement inside a
+// trap range to the trap handler (conservatively: any statement in range
+// may throw).
+func New(sc *Scratch, m *jimple.Method) *Graph {
 	n := len(m.Body)
 	b := scratches.Get().(*scratch)
 	defer scratches.Put(b)
@@ -234,14 +307,14 @@ func New(m *jimple.Method) *Graph {
 			b.add(i, t.Handler, true)
 		}
 	}
-	return b.graph(m, n+1, nil)
+	return b.graph(sc, m, n+1, nil)
 }
 
 // WithoutEdges returns a copy of g lacking the given (from, to) edges.
 // Node indexing is unchanged, so statement-indexed dataflow results over
 // the pruned graph compose with the original body; nodes left without
 // incoming edges simply become unreachable from the entry. Edges not
-// present in g are ignored.
+// present in g are ignored. The copy is carved from g's scratch.
 func (g *Graph) WithoutEdges(drop [][2]int) *Graph {
 	if len(drop) == 0 {
 		return g
@@ -260,7 +333,7 @@ func (g *Graph) WithoutEdges(drop [][2]int) *Graph {
 			b.add(from, to, g.exc != nil && g.exc[k])
 		}
 	}
-	return b.graph(g.Method, g.n, g.locals)
+	return b.graph(g.sc, g.Method, g.n, g.locals)
 }
 
 func cmpEdge(x, y [2]int) int {
@@ -370,7 +443,7 @@ func (g *Graph) dominators(root int, reverse bool) []int {
 	for i, u := range order {
 		rpoNum[u] = i
 	}
-	idom := make([]int, n)
+	idom := g.sc.intSlab().Make(n)
 	for i := range idom {
 		idom[i] = -1
 	}

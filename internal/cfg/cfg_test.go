@@ -77,7 +77,7 @@ func TestLocalsIndex(t *testing.T) {
 			g.Target++
 		}
 	}
-	g := New(m)
+	g := New(nil, m)
 	want := []string{"extra", "ok"}
 	if got := g.Locals(); !slices.Equal(got, want) {
 		t.Fatalf("Locals = %v, want %v", got, want)
@@ -97,7 +97,7 @@ func TestLocalsIndex(t *testing.T) {
 }
 
 func TestDiamondEdges(t *testing.T) {
-	g := New(diamond(t))
+	g := New(nil, diamond(t))
 	if g.NumNodes() != 6 { // 5 stmts + exit
 		t.Fatalf("NumNodes: %d", g.NumNodes())
 	}
@@ -126,7 +126,7 @@ func TestDiamondEdges(t *testing.T) {
 }
 
 func TestDiamondDominators(t *testing.T) {
-	g := New(diamond(t))
+	g := New(nil, diamond(t))
 	idom := g.Dominators()
 	// Node 4 (join) is dominated by 0, not by 1 or 3.
 	if !Dominates(idom, 0, 4) {
@@ -141,7 +141,7 @@ func TestDiamondDominators(t *testing.T) {
 }
 
 func TestDiamondPostDominators(t *testing.T) {
-	g := New(diamond(t))
+	g := New(nil, diamond(t))
 	ipdom := g.PostDominators()
 	// The join (4) post-dominates everything before it.
 	for n := 0; n <= 3; n++ {
@@ -152,7 +152,7 @@ func TestDiamondPostDominators(t *testing.T) {
 }
 
 func TestControlDeps(t *testing.T) {
-	g := New(diamond(t))
+	g := New(nil, diamond(t))
 	deps := g.ControlDeps()
 	// Nodes 1,2 (then-arm) and 3 (else-arm) are control dependent on 0.
 	for _, n := range []int{1, 2, 3} {
@@ -167,7 +167,7 @@ func TestControlDeps(t *testing.T) {
 }
 
 func TestNaturalLoops(t *testing.T) {
-	g := New(loopMethod(t))
+	g := New(nil, loopMethod(t))
 	loops := g.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("loops: got %d want 1", len(loops))
@@ -208,7 +208,7 @@ func TestExceptionalEdges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	g := New(m)
+	g := New(nil, m)
 	// Statement 0 is inside the trap: must have an edge to the handler (2).
 	found := false
 	for _, s := range g.Succs(0) {
@@ -237,7 +237,7 @@ func TestThrowRoutesToHandlerOrExit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	g := New(m)
+	g := New(nil, m)
 	throwIdx := 2
 	succs := g.Succs(throwIdx)
 	if len(succs) != 1 || succs[0] != g.Exit() {
@@ -256,7 +256,7 @@ func TestReachable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	g := New(m)
+	g := New(nil, m)
 	r := g.Reachable()
 	if !r[0] || r[1] || r[2] {
 		t.Errorf("reachability wrong: %v", r)
@@ -288,7 +288,7 @@ func TestQuickLoopDomination(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g := New(m)
+		g := New(nil, m)
 		idom := g.Dominators()
 		for _, l := range g.NaturalLoops() {
 			for _, node := range l.Body {

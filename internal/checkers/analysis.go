@@ -174,43 +174,6 @@ type Stats struct {
 	LibsUsed []apimodel.LibKey
 }
 
-// add accumulates another stage's counters into s (every stage touches a
-// disjoint field set). LibsUsed is app-level and set once by the
-// pipeline, never summed.
-func (s *Stats) add(o *Stats) {
-	s.Requests += o.Requests
-	s.UserRequests += o.UserRequests
-	s.RetryEvalRequests += o.RetryEvalRequests
-	s.MissConnCheck += o.MissConnCheck
-	s.MissTimeout += o.MissTimeout
-	s.MissRetryConfig += o.MissRetryConfig
-	s.UserRequestsNoNotif += o.UserRequestsNoNotif
-	s.ExplicitCallbackReqs += o.ExplicitCallbackReqs
-	s.ExplicitCallbackNotified += o.ExplicitCallbackNotified
-	s.ImplicitCallbackReqs += o.ImplicitCallbackReqs
-	s.ImplicitCallbackNotified += o.ImplicitCallbackNotified
-	s.ErrorCallbacks += o.ErrorCallbacks
-	s.ErrorTypeChecked += o.ErrorTypeChecked
-	s.NoRetryTimeSensitive += o.NoRetryTimeSensitive
-	s.OverRetryService += o.OverRetryService
-	s.OverRetryServiceDefault += o.OverRetryServiceDefault
-	s.OverRetryPost += o.OverRetryPost
-	s.OverRetryPostDefault += o.OverRetryPostDefault
-	s.RespRequests += o.RespRequests
-	s.RespMissCheck += o.RespMissCheck
-	s.RetryLoops += o.RetryLoops
-	s.AggressiveRetryLoops += o.AggressiveRetryLoops
-	s.OfflineHandlers += o.OfflineHandlers
-	s.OfflineNoRecovery += o.OfflineNoRecovery
-	s.GuardedSites += o.GuardedSites
-	s.StaleConnChecks += o.StaleConnChecks
-	s.EndpointSites += o.EndpointSites
-	s.ResolvedEndpoints += o.ResolvedEndpoints
-	s.CleartextEndpoints += o.CleartextEndpoints
-	s.HardcodedIPEndpoints += o.HardcodedIPEndpoints
-	s.RetryStorms += o.RetryStorms
-}
-
 // Result bundles an app's warnings, statistics, and scan diagnostics.
 // A degraded scan (a stage panicked, the deadline expired, the context
 // was canceled) sets Incomplete: Reports and Stats then hold everything
@@ -223,17 +186,23 @@ type Result struct {
 	Diagnostics Diagnostics
 }
 
-// findings collects one stage's warnings and stat deltas, its units
-// appending in unit order. Each report is built once, in place
-// (newReport), and held by pointer, so a growing report slice copies
-// pointers; the pipeline copies each report once, into the Result.
+// findings collects the scan's warnings and stat counts: the stages run
+// one after another, and each one's units append in unit order. Each
+// report is built once, as a value in the scan's scratch (scanScratch),
+// beside the method it is located in, whose key sorts it; the pipeline
+// copies each report once, into the Result.
 type findings struct {
-	reports []*report.Report
+	reports []report.Report
+	methods []*jimple.Method
 	stats   Stats
 }
 
-func (f *findings) report(r *report.Report) {
+// report appends r, located at statement stmt of method at: report sets
+// r's Location, so the location and the method whose key sorts r agree.
+func (f *findings) report(at *jimple.Method, stmt int, r report.Report) {
+	r.Location = report.Loc{Method: at.Sig, Stmt: stmt}
 	f.reports = append(f.reports, r)
+	f.methods = append(f.methods, at)
 }
 
 // requestSite is one network-request call site with everything the
@@ -264,7 +233,7 @@ type requestSite struct {
 
 // analysis carries the state of one app scan. After the discovery stage
 // runs, methods and sites are frozen; the checker stages only read them
-// and write into their own findings.
+// and append to the scan's findings.
 type analysis struct {
 	app  *apk.App
 	reg  *apimodel.Registry
@@ -276,6 +245,10 @@ type analysis struct {
 	// scanCtx carries the scan's deadline and cancellation; every stage
 	// and work unit checks it first.
 	scanCtx context.Context
+
+	// scratch is the scan's pooled working memory, the findings
+	// included; it goes back to its pool when the scan ends.
+	scratch *scanScratch
 
 	// errs holds the scan's failure records, sorted deterministically into
 	// Diagnostics.Errors when the scan finishes.
@@ -381,11 +354,10 @@ func (a *analysis) eachUnit(stage string, n int, fn func(int)) {
 }
 
 // unitFindings runs fn over n units through eachUnit, every unit
-// appending to the same findings: unit order is the merge order.
-func (a *analysis) unitFindings(stage string, n int, fn func(i int, f *findings)) findings {
-	var f findings
-	a.eachUnit(stage, n, func(i int) { fn(i, &f) })
-	return f
+// appending to the scan's findings: unit order is the merge order.
+func (a *analysis) unitFindings(stage string, n int, fn func(i int, f *findings)) {
+	f := &a.scratch.found
+	a.eachUnit(stage, n, func(i int) { fn(i, f) })
 }
 
 // collectAppMethods returns the body-bearing methods of the demanded app
@@ -485,7 +457,7 @@ func (a *analysis) connCheck() *dataflow.MustPrecede {
 			isCheck := func(_ *jimple.Method, _ int, inv jimple.InvokeExpr) bool {
 				return android.IsConnectivityCheck(inv.Callee)
 			}
-			a.connMP = dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
+			a.connMP = dataflow.NewMustPrecedeWith(a.ctx.flows, a.cg, isCheck, a.checkGraph)
 		}()
 	}
 	if a.connPanic != nil {
@@ -528,7 +500,8 @@ func (a *analysis) configureSummaries() {
 			Cancel:          a.scanCtx.Err,
 			// Roots restricts the computation to the demanded
 			// sub-condensation.
-			Roots: a.roots,
+			Roots:   a.roots,
+			Scratch: a.ctx.flows,
 		})
 		if err != nil {
 			a.failCancel("summaries", err)
@@ -588,30 +561,30 @@ func argLocal(inv jimple.InvokeExpr, i int) (string, bool) {
 }
 
 // newReport assembles a report for a site with the call stack from its
-// representative entry point.
-func (a *analysis) newReport(site *requestSite, cause report.Cause, msg string) *report.Report {
+// representative entry point, its frames written once, at exact size;
+// findings.report locates it.
+func (a *analysis) newReport(site *requestSite, cause report.Cause, msg string) report.Report {
 	ctx := report.Context{
 		Component:     site.component,
 		Kind:          site.kind,
 		UserInitiated: site.userInitiated,
 		HTTPMethod:    site.httpMethod,
 	}
-	r := &report.Report{
+	r := report.Report{
 		Cause:         cause,
 		Lib:           site.lib.Key,
 		Message:       msg,
-		Location:      report.Loc{Method: site.method.Sig, Stmt: site.stmt},
 		Impacts:       report.Impacts(cause),
 		Context:       ctx,
 		FixSuggestion: report.Suggest(cause, ctx, site.lib),
 	}
 	if to := a.methodID(site.method); site.entry >= 0 && to >= 0 {
-		frames := a.cg.CallStackIDs(site.entry, to)
-		if len(frames) > 0 {
-			r.CallStack = make([]report.Frame, len(frames))
-			for i, f := range frames {
-				r.CallStack[i] = report.Frame{Method: f.Key, Site: f.Site}
+		if edges, ok := a.cg.CallPath(&a.scratch.path, site.entry, to); ok {
+			r.CallStack = make([]report.Frame, len(edges)+1)
+			for i, e := range edges {
+				r.CallStack[i] = report.Frame{Method: a.cg.Key(e.CallerID), Site: e.Site}
 			}
+			r.CallStack[len(edges)] = report.Frame{Method: a.cg.Key(to), Site: -1}
 		}
 	}
 	return r

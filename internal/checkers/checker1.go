@@ -16,7 +16,7 @@ import (
 //
 // The interprocedural must-precede analysis is built once per stage (it
 // shares the scan's cached CFGs); sites are then checked one by one.
-func (a *analysis) checkRequestSettings() findings {
+func (a *analysis) checkRequestSettings() {
 	// The must-precede analysis runs over the feasibility-pruned CFGs (see
 	// AnalysisContext.FeasibleCFG): a connectivity check reachable only
 	// through a statically-false branch no longer blocks the fact, and a
@@ -28,11 +28,11 @@ func (a *analysis) checkRequestSettings() findings {
 		isCheck := func(m *jimple.Method, stmt int, inv jimple.InvokeExpr) bool {
 			return android.IsConnectivityCheck(inv.Callee) && guarding[m][stmt]
 		}
-		mp = dataflow.NewMustPrecedeWith(a.cg, isCheck, a.checkGraph)
+		mp = dataflow.NewMustPrecedeWith(a.ctx.flows, a.cg, isCheck, a.checkGraph)
 	} else {
 		mp = a.connCheck()
 	}
-	return a.unitFindings("settings", len(a.sites), func(i int, f *findings) {
+	a.unitFindings("settings", len(a.sites), func(i int, f *findings) {
 		a.checkSiteSettings(mp, a.sites[i], f)
 	})
 }
@@ -42,19 +42,19 @@ func (a *analysis) checkRequestSettings() findings {
 func (a *analysis) checkSiteSettings(mp *dataflow.MustPrecede, site *requestSite, f *findings) {
 	if !mp.FactAt(a.methodID(site.method), site.stmt) {
 		f.stats.MissConnCheck++
-		f.report(a.newReport(site, report.CauseNoConnectivityCheck,
+		f.report(site.method, site.stmt, a.newReport(site, report.CauseNoConnectivityCheck,
 			fmt.Sprintf("Missing network connectivity check before %s.%s()",
 				jimple.SimpleName(site.inv.Callee.Class), site.inv.Callee.Name)))
 	}
 	if site.lib.HasTimeoutAPIs() && !site.timeoutSet {
 		f.stats.MissTimeout++
-		f.report(a.newReport(site, report.CauseNoTimeout,
+		f.report(site.method, site.stmt, a.newReport(site, report.CauseNoTimeout,
 			fmt.Sprintf("No timeout config API invoked for %s request (library default: %s)",
 				site.lib.Name, describeTimeout(site.lib.Defaults.TimeoutMs))))
 	}
 	if site.lib.HasRetryAPIs && !site.retrySet {
 		f.stats.MissRetryConfig++
-		f.report(a.newReport(site, report.CauseNoRetryConfig,
+		f.report(site.method, site.stmt, a.newReport(site, report.CauseNoRetryConfig,
 			fmt.Sprintf("No retry config API invoked for %s request (library default: %d retries)",
 				site.lib.Name, site.lib.Defaults.Retries)))
 	}
@@ -84,7 +84,7 @@ func (a *analysis) guardingCheckSites() map[*jimple.Method]map[int]bool {
 			if !isLocal {
 				continue
 			}
-			taint := dataflow.ForwardTaint(g, map[int][]string{i: {resLocal.Name}},
+			taint := dataflow.ForwardTaint(a.ctx.flows, g, map[int][]string{i: {resLocal.Name}},
 				dataflow.DefaultTaintOptions())
 			for j, t := range m.Body {
 				iff, isIf := t.(*jimple.IfStmt)

@@ -13,8 +13,8 @@ import (
 // from constant propagation over the retry config APIs, falling back to
 // the library default when the developer never invoked one (which is what
 // makes the majority of over-retries "default-caused", Table 8).
-func (a *analysis) checkParameters() findings {
-	return a.unitFindings("parameters", len(a.sites), func(i int, f *findings) {
+func (a *analysis) checkParameters() {
+	a.unitFindings("parameters", len(a.sites), func(i int, f *findings) {
 		a.checkSiteParameters(a.sites[i], f)
 	})
 }
@@ -42,7 +42,7 @@ func (a *analysis) checkSiteParameters(site *requestSite, f *findings) {
 			r := a.newReport(site, report.CauseOverRetryPost,
 				fmt.Sprintf("POST request retried %d times (HTTP/1.1 forbids automatic retry of non-idempotent methods)", retries))
 			r.DefaultCaused = defaultCaused
-			f.report(r)
+			f.report(site.method, site.stmt, r)
 			return
 		}
 	}
@@ -56,7 +56,7 @@ func (a *analysis) checkSiteParameters(site *requestSite, f *findings) {
 		r := a.newReport(site, report.CauseOverRetryService,
 			fmt.Sprintf("Background-service request retried %d times; retries waste energy with no user waiting", retries))
 		r.DefaultCaused = defaultCaused
-		f.report(r)
+		f.report(site.method, site.stmt, r)
 		return
 	}
 
@@ -68,6 +68,6 @@ func (a *analysis) checkSiteParameters(site *requestSite, f *findings) {
 			"User-initiated request performs no retry; a transient error surfaces directly to the user")
 		r.DefaultCaused = defaultCaused
 		f.stats.NoRetryTimeSensitive++
-		f.report(r)
+		f.report(site.method, site.stmt, r)
 	}
 }

@@ -21,8 +21,8 @@ const notifScanDepth = 2
 // itself), then scans that scope for calls on the five Android UI-alert
 // classes. For Volley it additionally checks that the error callback
 // inspects the typed error object.
-func (a *analysis) checkNotifications() findings {
-	return a.unitFindings("notifications", len(a.sites), func(i int, f *findings) {
+func (a *analysis) checkNotifications() {
+	a.unitFindings("notifications", len(a.sites), func(i int, f *findings) {
 		a.checkSiteNotifications(a.sites[i], f)
 	})
 }
@@ -59,8 +59,7 @@ func (a *analysis) checkSiteNotifications(site *requestSite, f *findings) {
 		}
 		r := a.newReport(site, report.CauseNoFailureNotification,
 			fmt.Sprintf("No failure notification for user-initiated %s request", site.lib.Name))
-		r.Location = report.Loc{Method: loc.Sig, Stmt: stmt}
-		f.report(r)
+		f.report(loc, stmt, r)
 	}
 	// Error-type usage: only callbacks that expose typed errors
 	// (Volley) are checked, matching the paper.
@@ -71,8 +70,7 @@ func (a *analysis) checkSiteNotifications(site *requestSite, f *findings) {
 		} else {
 			r := a.newReport(site, report.CauseNoErrorTypeCheck,
 				"Error callback ignores the error object's type; different errors need different handling")
-			r.Location = report.Loc{Method: cbMethod.Sig, Stmt: 0}
-			f.report(r)
+			f.report(cbMethod, 0, r)
 		}
 	}
 }

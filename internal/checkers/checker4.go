@@ -16,16 +16,13 @@ import (
 // exists from the definition to a use with no validity check on it. A
 // validity check is either a response-checking API call (isSuccessful /
 // isSuccess) or an explicit null test on an alias of the response.
-func (a *analysis) checkResponses() findings {
+func (a *analysis) checkResponses() {
 	// Synchronous targets: response = LHS at the request site.
-	sites := a.unitFindings("responses", len(a.sites), func(i int, f *findings) {
+	a.unitFindings("responses", len(a.sites), func(i int, f *findings) {
 		a.checkSiteResponse(a.sites[i], f)
 	})
 	// Asynchronous success callbacks: the response arrives as a parameter.
-	cb := a.checkCallbackResponses()
-	sites.reports = append(sites.reports, cb.reports...)
-	sites.stats.add(&cb.stats)
-	return sites
+	a.checkCallbackResponses()
 }
 
 func (a *analysis) checkSiteResponse(site *requestSite, f *findings) {
@@ -46,8 +43,7 @@ func (a *analysis) checkSiteResponse(site *requestSite, f *findings) {
 		r := a.newReport(site, report.CauseNoResponseCheck,
 			fmt.Sprintf("Response of %s.%s() used without a validity check",
 				jimple.SimpleName(site.inv.Callee.Class), site.inv.Callee.Name))
-		r.Location = report.Loc{Method: site.method.Sig, Stmt: useStmt}
-		f.report(r)
+		f.report(site.method, useStmt, r)
 	}
 }
 
@@ -91,7 +87,7 @@ func successCallbacks(reg *apimodel.Registry) []successCallback {
 // over them (their slots ascend in class-name order) finds every
 // implementation; the work list is grouped per callback so unit order
 // matches the historical (library, callback, class) scan order.
-func (a *analysis) checkCallbackResponses() findings {
+func (a *analysis) checkCallbackResponses() {
 	type cbWork struct {
 		m   *jimple.Method
 		lib *apimodel.Library
@@ -115,7 +111,7 @@ func (a *analysis) checkCallbackResponses() findings {
 	for _, w := range perCB {
 		work = append(work, w...)
 	}
-	return a.unitFindings("responses", len(work), func(i int, f *findings) {
+	a.unitFindings("responses", len(work), func(i int, f *findings) {
 		a.checkCallbackResponseBody(work[i].m, work[i].lib, f)
 	})
 }
@@ -139,16 +135,14 @@ func (a *analysis) checkCallbackResponseBody(m *jimple.Method, lib *apimodel.Lib
 		if useStmt, missing := a.findUncheckedUse(m, i, respLocal.Name); missing {
 			f.stats.RespMissCheck++
 			ctx := report.Context{Component: jimple.OuterClass(m.Sig.Class), UserInitiated: true}
-			r := &report.Report{
+			f.report(m, useStmt, report.Report{
 				Cause:         report.CauseNoResponseCheck,
 				Lib:           lib.Key,
 				Message:       "Callback response used without a validity check",
-				Location:      report.Loc{Method: m.Sig, Stmt: useStmt},
 				Impacts:       report.Impacts(report.CauseNoResponseCheck),
 				Context:       ctx,
 				FixSuggestion: report.Suggest(report.CauseNoResponseCheck, ctx, lib),
-			}
-			f.report(r)
+			})
 		}
 		return
 	}
@@ -179,7 +173,7 @@ func (a *analysis) findUncheckedUse(m *jimple.Method, defStmt int, local string)
 	resolve := a.summaryResolver(m)
 	opts := dataflow.DefaultTaintOptions()
 	opts.CalleeSummaries = resolve
-	taint := dataflow.ForwardTaint(g, map[int][]string{defStmt: {local}}, opts)
+	taint := dataflow.ForwardTaint(a.ctx.flows, g, map[int][]string{defStmt: {local}}, opts)
 	aliasAt := func(stmt int, name string) bool {
 		return name == local && stmt == defStmt || taint.TaintedAt(stmt, name)
 	}

@@ -20,8 +20,8 @@ import (
 // Reachability is the call graph's full closure from the handler (sync
 // calls and async dispatches alike: a handler that posts a retry
 // runnable recovers), reusing the scan's shared graph.
-func (a *analysis) checkOfflineState() findings {
-	return a.unitFindings("offlinestate", len(a.methods), func(i int, f *findings) {
+func (a *analysis) checkOfflineState() {
+	a.unitFindings("offlinestate", len(a.methods), func(i int, f *findings) {
 		a.checkMethodOfflineState(a.methods[i], f)
 	})
 }
@@ -70,7 +70,7 @@ func (a *analysis) checkMethodOfflineState(m *jimple.Method, f *findings) {
 	}
 	f.stats.OfflineNoRecovery++
 	site := a.syntheticHandlerSite(m)
-	f.report(a.newReport(site, report.CauseOfflineStateNoRecovery,
+	f.report(site.method, site.stmt, a.newReport(site, report.CauseOfflineStateNoRecovery,
 		fmt.Sprintf("Network-state handler %s.%s observes connectivity changes but never retries work or serves cached content",
 			jimple.SimpleName(m.Sig.Class), m.Sig.Name)))
 }
@@ -80,12 +80,12 @@ func (a *analysis) checkMethodOfflineState(m *jimple.Method, f *findings) {
 // state reports reuse the standard report plumbing. Handlers run
 // framework-initiated: never user-initiated.
 func (a *analysis) syntheticHandlerSite(m *jimple.Method) *requestSite {
-	site := &requestSite{
+	site := a.newSite(requestSite{
 		method: m,
 		stmt:   0,
 		lib:    a.reg.Libraries()[0],
 		entry:  a.methodID(m),
-	}
+	})
 	if len(site.lib.Targets) > 0 {
 		site.target = &site.lib.Targets[0]
 	}

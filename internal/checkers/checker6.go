@@ -27,9 +27,9 @@ import (
 //
 // The interprocedural must-precede analysis gates the whole checker:
 // unguarded sites are Checker 1's territory, not staleness.
-func (a *analysis) checkStaleChecks() findings {
+func (a *analysis) checkStaleChecks() {
 	mp := a.connCheck()
-	return a.unitFindings("stalechecks", len(a.sites), func(i int, f *findings) {
+	a.unitFindings("stalechecks", len(a.sites), func(i int, f *findings) {
 		a.checkSiteStaleness(mp, a.sites[i], f)
 	})
 }
@@ -97,7 +97,7 @@ func (a *analysis) reachedViaAsyncDispatch(m *jimple.Method) bool {
 
 func (a *analysis) reportStale(site *requestSite, reason dataflow.StaleReason, f *findings) {
 	f.stats.StaleConnChecks++
-	f.report(a.newReport(site, report.CauseStaleConnectivityCheck,
+	f.report(site.method, site.stmt, a.newReport(site, report.CauseStaleConnectivityCheck,
 		fmt.Sprintf("Stale connectivity check before %s.%s(): %s",
 			jimple.SimpleName(site.inv.Callee.Class), site.inv.Callee.Name,
 			describeStaleness(reason))))

@@ -25,8 +25,8 @@ import (
 // A URL that does not fold to a constant is skipped — a documented
 // false-negative source (DESIGN.md §11). Hygiene is lexical: sites are
 // flagged even when unreachable from an entry point.
-func (a *analysis) checkEndpoints() findings {
-	return a.unitFindings("endpoints", len(a.methods), func(i int, f *findings) {
+func (a *analysis) checkEndpoints() {
+	a.unitFindings("endpoints", len(a.methods), func(i int, f *findings) {
 		a.checkMethodEndpoints(a.methods[i], f)
 	})
 }
@@ -54,12 +54,12 @@ func (a *analysis) checkMethodEndpoints(m *jimple.Method, f *findings) {
 		site := a.endpointSite(m, i, inv, lib)
 		if strings.HasPrefix(url, "http://") {
 			f.stats.CleartextEndpoints++
-			f.report(a.newReport(site, report.CauseCleartextEndpoint,
+			f.report(site.method, site.stmt, a.newReport(site, report.CauseCleartextEndpoint,
 				fmt.Sprintf("Request to cleartext endpoint %s; on disrupted networks (captive portals, proxies) http:// traffic is tampered with or blocked", url)))
 		}
 		if host := hostOf(url); isIPv4Literal(host) {
 			f.stats.HardcodedIPEndpoints++
-			f.report(a.newReport(site, report.CauseHardcodedIPEndpoint,
+			f.report(site.method, site.stmt, a.newReport(site, report.CauseHardcodedIPEndpoint,
 				fmt.Sprintf("Request endpoint %s hardcodes IP address %s; the server cannot move and DNS failover cannot route around outages", url, host)))
 		}
 	}
@@ -70,7 +70,7 @@ func (a *analysis) checkMethodEndpoints(m *jimple.Method, f *findings) {
 // not be a target API (e.g. a request constructor), so the library's
 // first target stands in for context resolution.
 func (a *analysis) endpointSite(m *jimple.Method, stmt int, inv jimple.InvokeExpr, lib *apimodel.Library) *requestSite {
-	site := &requestSite{method: m, stmt: stmt, inv: inv, lib: lib, entry: -1}
+	site := a.newSite(requestSite{method: m, stmt: stmt, inv: inv, lib: lib, entry: -1})
 	if _, tgt, isTarget := a.reg.TargetOf(inv.Callee); isTarget {
 		site.target = tgt
 	} else if len(lib.Targets) > 0 {

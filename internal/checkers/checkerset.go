@@ -115,33 +115,24 @@ func ParseCheckerSet(s string) (CheckerSet, error) {
 	return set, nil
 }
 
-// checkerStages maps pipeline stage names to the family that owns them,
-// for ablation gating and the per-family report counters. The discovery,
-// summary, and cache stages are family-independent infrastructure and are
-// deliberately absent.
-var checkerStages = map[string]int{
-	"settings":      1,
-	"parameters":    2,
-	"notifications": 3,
-	"responses":     4,
-	"offlinestate":  5,
-	"stalechecks":   6,
-	"endpoints":     7,
-	"retryloops":    8,
-}
-
 // FamilyOfStage reports which checker family (1-based) a pipeline stage
-// belongs to; 0 for infrastructure stages.
-func FamilyOfStage(stage string) int { return checkerStages[stage] }
+// belongs to; 0 for infrastructure stages (discovery, summaries, cache,
+// validation), which are family-independent.
+func FamilyOfStage(stage string) int {
+	for i, name := range checkerStages {
+		if name == stage {
+			return i + 1
+		}
+	}
+	return 0
+}
 
 // StageOfFamily returns the pipeline stage name owned by a family.
 func StageOfFamily(family int) string {
-	for name, f := range checkerStages {
-		if f == family {
-			return name
-		}
+	if family < 1 || family > len(checkerStages) {
+		return ""
 	}
-	return ""
+	return checkerStages[family-1]
 }
 
 // FamilyCauses maps each family to the report causes it emits, in report

@@ -21,6 +21,10 @@ type AnalysisContext struct {
 
 	// art holds the per-method artifacts by call-graph method id.
 	art []methodArtifacts
+	// cfgs and flows are the scan scratch's kernel memory the graphs and
+	// reaching-definitions results are carved from (nil: the heap).
+	cfgs  *cfg.Scratch
+	flows *dataflow.Scratch
 
 	// stats is the scan's CacheStats, counted into directly.
 	stats *CacheStats
@@ -79,9 +83,11 @@ func (a *methodArtifacts) try(k artifact) bool {
 }
 
 // newAnalysisContext prepares an empty context over the scan's call graph
-// that counts into stats.
-func newAnalysisContext(cg *callgraph.Graph, stats *CacheStats) *AnalysisContext {
-	return &AnalysisContext{cg: cg, art: make([]methodArtifacts, cg.NumIDs()), stats: stats}
+// that counts into stats, its artifacts carved from the scan's scratch s.
+func newAnalysisContext(cg *callgraph.Graph, stats *CacheStats, s *scanScratch) *AnalysisContext {
+	c := &s.actx
+	*c = AnalysisContext{cg: cg, art: s.artifacts(cg.NumIDs()), stats: stats, cfgs: &s.cfgs, flows: &s.flows}
+	return c
 }
 
 // arts returns m's artifacts, by its call-graph id: every method a stage
@@ -107,7 +113,7 @@ func (c *AnalysisContext) CFG(m *jimple.Method) *cfg.Graph {
 	c.stats.CFGRequests++
 	if a.try(artCFG) {
 		c.stats.CFGComputed++
-		a.cfg = cfg.New(m)
+		a.cfg = cfg.New(c.cfgs, m)
 	}
 	return a.cfg
 }
@@ -118,7 +124,7 @@ func (c *AnalysisContext) ReachDefs(m *jimple.Method) *dataflow.ReachDefs {
 	c.stats.ReachDefsRequests++
 	if a.try(artReachDefs) {
 		c.stats.ReachDefsComputed++
-		a.rd = dataflow.NewReachDefs(c.CFG(m))
+		a.rd = dataflow.NewReachDefs(c.flows, c.CFG(m))
 	}
 	return a.rd
 }

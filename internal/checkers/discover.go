@@ -13,8 +13,8 @@ import (
 // resolves its context (user vs. background, HTTP method) and config-API
 // call set. Methods are scanned in sorted-key order, which is the site
 // order.
-func (a *analysis) discoverSites() findings {
-	var f findings
+func (a *analysis) discoverSites() {
+	f := &a.scratch.found
 	a.eachUnit("discover", len(a.methods), func(i int) {
 		for _, site := range a.discoverMethodSites(a.methods[i]) {
 			a.sites = append(a.sites, site)
@@ -27,7 +27,6 @@ func (a *analysis) discoverSites() findings {
 			}
 		}
 	})
-	return f
 }
 
 // discoverMethodSites finds and resolves the request sites of one method.
@@ -54,9 +53,9 @@ func (a *analysis) discoverMethodSites(m *jimple.Method) []*requestSite {
 			// reachable from an entry point.
 			continue
 		}
-		site := &requestSite{
+		site := a.newSite(requestSite{
 			method: m, stmt: i, inv: inv, lib: lib, target: target, entry: -1,
-		}
+		})
 		a.resolveContext(site, entries)
 		a.resolveConfig(site)
 		out = append(out, site)

@@ -74,25 +74,26 @@ func (r *Result) Err() error {
 	return errors.Join(errs...)
 }
 
-// stageRank fixes the deterministic order of Diagnostics.Errors: pipeline
-// stage order first, unknown stages last.
-var stageRank = map[string]int{
-	"": 0, "build": 1, "summaries": 2, "discover": 3, "settings": 4,
-	"parameters": 5, "notifications": 6, "responses": 7, "retryloops": 8,
+// stageRank returns stage's position in the deterministic order of
+// Diagnostics.Errors: scan-level failures ("") first, then the pipeline
+// stages in run order (stageOrder), unknown stages last.
+func stageRank(stage string) int {
+	if stage == "" {
+		return 0
+	}
+	for i, name := range stageOrder {
+		if name == stage {
+			return i + 1
+		}
+	}
+	return len(stageOrder) + 1
 }
 
 // sortScanErrors orders errors by (stage, unit, message), the documented
 // order of Diagnostics.Errors.
 func sortScanErrors(errs []ScanError) {
 	sort.SliceStable(errs, func(i, j int) bool {
-		ri, okI := stageRank[errs[i].Stage]
-		rj, okJ := stageRank[errs[j].Stage]
-		if !okI {
-			ri = len(stageRank)
-		}
-		if !okJ {
-			rj = len(stageRank)
-		}
+		ri, rj := stageRank(errs[i].Stage), stageRank(errs[j].Stage)
 		if ri != rj {
 			return ri < rj
 		}

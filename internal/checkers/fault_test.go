@@ -3,6 +3,7 @@ package checkers
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,28 @@ func TestUnitPanicIsolation(t *testing.T) {
 	if outputs[1] != outputs[4] {
 		t.Errorf("degraded scan nondeterministic across workers:\n--- workers=1 ---\n%s--- workers=4 ---\n%s",
 			outputs[1], outputs[4])
+	}
+}
+
+// TestErrorsFollowStageOrder: Diagnostics.Errors sorts by the pipeline's
+// stage order, for every stage. Unit 0 of three late checker stages
+// panics, and the errors must name them in run order: offlinestate,
+// endpoints, retryloops.
+func TestErrorsFollowStageOrder(t *testing.T) {
+	opts := Options{Workers: 1}
+	want := []string{"offlinestate", "endpoints", "retryloops"}
+	opts.unitHook = func(s string, unit int) {
+		if unit == 0 && slices.Contains(want, s) {
+			panic("injected unit fault")
+		}
+	}
+	res := analyzeSrcQuiet(multiClassApp(), opts)
+	var got []string
+	for _, e := range res.Diagnostics.Errors {
+		got = append(got, e.Stage)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("error stages = %v, want %v", got, want)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/apk"
 	"repro/internal/baselayer"
 	"repro/internal/callgraph"
-	"repro/internal/jimple"
 	"repro/internal/report"
 )
 
@@ -65,10 +64,13 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		reg:     reg,
 		opts:    opts,
 		scanCtx: ctx,
+		scratch: getScratch(),
 	}
 	diag := &a.diag
+	diag.Stages = make([]StageTiming, 0, len(stageOrder))
 
 	finish := func(res *Result) *Result {
+		putScratch(a.scratch)
 		sortScanErrors(a.errs)
 		diag.Errors = a.errs
 		res.Incomplete = len(a.errs) > 0
@@ -97,12 +99,13 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 		// and analyzed (targeted.go).
 		a.prepareBuild()
 		base := baselayer.Get()
-		a.h = base.Overlay(app.Program)
+		a.h = base.Overlay(app.Program, &a.scratch.hier)
 		a.cg = base.CallGraph(a.h, app.Manifest, callgraph.Options{
 			DeclaredDispatchOnly: opts.DeclaredDispatchOnly,
 			EnableICC:            opts.EnableICC,
+			Scratch:              &a.scratch.graph,
 		})
-		a.ctx = newAnalysisContext(a.cg, &diag.Cache)
+		a.ctx = newAnalysisContext(a.cg, &diag.Cache, a.scratch)
 		a.methods = a.collectAppMethods()
 		if !opts.Intraprocedural {
 			a.configureSummaries()
@@ -130,68 +133,51 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	// Discovery must complete before the checkers: they all consume the
 	// frozen site list.
 	discoverStart := time.Now()
-	var discovered findings
-	a.guard("discover", func() { discovered = a.discoverSites() })
+	a.runStage("discover", a.discoverSites)
 	diag.add("discover", time.Since(discoverStart), len(a.methods), 0)
 
-	// The full stage table in fixed merge order; Options.Checkers filters
-	// it so disabled families never run (ablation / selection, satellite of
-	// the registry growth). Stage names map to families via checkerStages.
-	stages := []struct {
-		name  string
-		items int
-		run   func() findings
-	}{
-		{"settings", len(a.sites), a.checkRequestSettings},
-		{"parameters", len(a.sites), a.checkParameters},
-		{"notifications", len(a.sites), a.checkNotifications},
-		{"responses", len(a.sites), a.checkResponses},
-		{"offlinestate", len(a.methods), a.checkOfflineState},
-		{"stalechecks", len(a.sites), a.checkStaleChecks},
-		{"endpoints", len(a.methods), a.checkEndpoints},
-		{"retryloops", len(a.methods), a.checkRetryLoops},
-	}
-	// Each stage's findings are merged as it finishes, in the fixed stage
-	// order: discovery stats first, then the checker stages. A degraded
-	// stage simply contributes fewer (or zero) reports; the surviving
-	// stages' reports are byte-identical to a clean scan's.
-	res := &Result{}
-	res.Stats.add(&discovered.stats)
-	outs := make([]findings, 0, len(stages))
-	n := 0
-	for _, s := range stages {
-		if !opts.Checkers.Enabled(FamilyOfStage(s.name)) {
+	// The checker stages, in family order; Options.Checkers filters them
+	// so disabled families never run (the -checkers ablation and
+	// selection). Every stage appends to the scan's findings as
+	// it runs, so the findings stay in stage order: discovery's stats
+	// first, then the checker stages'. A degraded stage simply
+	// contributes fewer (or zero) reports; the surviving stages' reports
+	// are byte-identical to a clean scan's.
+	for family := 1; family <= len(checkerStages); family++ {
+		if !opts.Checkers.Enabled(family) {
 			continue
 		}
+		name := checkerStages[family-1]
 		t0 := time.Now()
-		var out findings
-		a.guard(s.name, func() { out = s.run() })
-		diag.add(s.name, time.Since(t0), s.items, len(out.reports))
-		res.Stats.add(&out.stats)
-		n += len(out.reports)
-		outs = append(outs, out)
+		run, items := a.checkerStage(family)
+		n := a.runStage(name, run)
+		diag.add(name, time.Since(t0), items, n)
 	}
+	found := &a.scratch.found
+	res := &Result{Stats: found.stats}
 	// The app holds undecoded bodies outside the closure, so library usage
 	// resolves from the skim's referenced classes — pinned equal to
 	// LibsUsedBy over the decoded program.
 	res.Stats.LibsUsed = reg.LibsUsedByRefs(app.Lazy.EachRefClass)
 	// The reports are sorted by (location method key, statement, cause),
-	// stably in stage order, through an index of keys rendered once per
-	// report, and each is copied into the result once. The result is nil
-	// when no stage reported, as the cache differential's DeepEqual
-	// against a decoded entry requires.
-	if n > 0 {
-		order := make([]keyedReport, 0, n)
-		intern := jimple.NewInterner()
-		for i := range outs {
-			for _, r := range outs[i].reports {
-				order = append(order, keyedReport{intern.SigKey(r.Location.Method), r})
-			}
+	// stably in stage order, through an index over the scratch, and each
+	// is copied once, into an exact-size result. The result is nil when
+	// no stage reported, as the cache differential's DeepEqual against a
+	// decoded entry requires.
+	if n := len(found.reports); n > 0 {
+		s := a.scratch
+		for _, m := range found.methods {
+			s.keys = append(s.keys, a.methodKey(m))
 		}
-		slices.SortStableFunc(order, compareReports)
+		for i := range n {
+			s.order = append(s.order, int32(i))
+		}
+		slices.SortStableFunc(s.order, func(i, j int32) int {
+			return compareReports(s.keys[i], s.keys[j], &found.reports[i], &found.reports[j])
+		})
 		res.Reports = make([]report.Report, n)
-		for i, o := range order {
-			res.Reports[i] = *o.r
+		for i, o := range s.order {
+			res.Reports[i] = found.reports[o]
 		}
 	}
 	// Dynamic validation replays each warning's witness entry point under
@@ -228,20 +214,70 @@ func AnalyzeContext(ctx context.Context, app *apk.App, reg *apimodel.Registry, o
 	return finish(res)
 }
 
-// keyedReport is a report to place, with its location method's key.
-type keyedReport struct {
-	key string
-	r   *report.Report
+// stageOrder lists every pipeline stage in run order: the cache probe,
+// the build, summaries and discovery, the eight checker stages in family
+// order (checkerStages), validation and the cache write. The checker
+// loop reads its stage names from it, and Diagnostics.Errors sorts by it.
+var stageOrder = [...]string{
+	"cacheprobe", "build", "summaries", "discover",
+	"settings", "parameters", "notifications", "responses",
+	"offlinestate", "stalechecks", "endpoints", "retryloops",
+	"validate", "cachewrite",
+}
+
+// checkerStages are the checker families' stages: family f's is
+// checkerStages[f-1].
+var checkerStages = stageOrder[4:12]
+
+// checkerStage returns the run function of family f's stage and the
+// number of work units it runs over.
+func (a *analysis) checkerStage(family int) (run func(), items int) {
+	switch family {
+	case 1:
+		return a.checkRequestSettings, len(a.sites)
+	case 2:
+		return a.checkParameters, len(a.sites)
+	case 3:
+		return a.checkNotifications, len(a.sites)
+	case 4:
+		return a.checkResponses, len(a.sites)
+	case 5:
+		return a.checkOfflineState, len(a.methods)
+	case 6:
+		return a.checkStaleChecks, len(a.sites)
+	case 7:
+		return a.checkEndpoints, len(a.methods)
+	default:
+		return a.checkRetryLoops, len(a.methods)
+	}
+}
+
+// runStage runs one stage that appends to the scan's findings under
+// guard, and returns how many reports it added. A stage that fails
+// outside its work units (a stage-level panic, a context already done)
+// contributes nothing: what it had appended is dropped, its stats
+// included, as if it had returned no findings.
+func (a *analysis) runStage(name string, run func()) int {
+	f := &a.scratch.found
+	mark, stats := len(f.reports), f.stats
+	done := false
+	a.guard(name, func() { run(); done = true })
+	if !done {
+		clear(f.reports[mark:])
+		clear(f.methods[mark:])
+		f.reports, f.methods, f.stats = f.reports[:mark], f.methods[:mark], stats
+	}
+	return len(f.reports) - mark
 }
 
 // compareReports orders reports by (location method key, statement,
-// cause).
-func compareReports(a, b keyedReport) int {
-	if a.key != b.key {
-		return strings.Compare(a.key, b.key)
+// cause), given their keys.
+func compareReports(ka, kb string, a, b *report.Report) int {
+	if ka != kb {
+		return strings.Compare(ka, kb)
 	}
-	if a.r.Location.Stmt != b.r.Location.Stmt {
-		return a.r.Location.Stmt - b.r.Location.Stmt
+	if a.Location.Stmt != b.Location.Stmt {
+		return a.Location.Stmt - b.Location.Stmt
 	}
-	return strings.Compare(string(a.r.Cause), string(b.r.Cause))
+	return strings.Compare(string(a.Cause), string(b.Cause))
 }

@@ -22,8 +22,8 @@ import (
 //	(b) a conditional exit's condition is data/control dependent on
 //	    statements of a catch block (Figure 6(c)/(d)), established by
 //	    backward slicing.
-func (a *analysis) checkRetryLoops() findings {
-	return a.unitFindings("retryloops", len(a.methods), func(i int, f *findings) {
+func (a *analysis) checkRetryLoops() {
+	a.unitFindings("retryloops", len(a.methods), func(i int, f *findings) {
 		a.checkMethodRetryLoops(a.methods[i], f)
 	})
 }
@@ -45,7 +45,7 @@ func (a *analysis) checkMethodRetryLoops(m *jimple.Method, f *findings) {
 		if !a.loopHasBackoff(m, loop) {
 			f.stats.AggressiveRetryLoops++
 			site := a.syntheticLoopSite(m, loop)
-			f.report(a.newReport(site, report.CauseAggressiveRetryLoop,
+			f.report(site.method, site.stmt, a.newReport(site, report.CauseAggressiveRetryLoop,
 				"Customized retry loop reconnects without backing off; repeated failures burn CPU and battery"))
 		} else if !a.loopBackoffOnFailurePath(m, loop) {
 			// Checker 8 (retry-storm): the loop does delay somewhere, but
@@ -53,7 +53,7 @@ func (a *analysis) checkMethodRetryLoops(m *jimple.Method, f *findings) {
 			// immediately.
 			f.stats.RetryStorms++
 			site := a.syntheticLoopSite(m, loop)
-			f.report(a.newReport(site, report.CauseRetryStorm,
+			f.report(site.method, site.stmt, a.newReport(site, report.CauseRetryStorm,
 				"Retry loop backs off only on the success path; failed attempts reconnect immediately, storming the server"))
 		}
 	}
@@ -237,12 +237,12 @@ func (a *analysis) loopBackoffOnFailurePath(m *jimple.Method, loop *cfg.Loop) bo
 // syntheticLoopSite fabricates a requestSite anchored at the loop head so
 // retry-loop reports reuse the standard report plumbing.
 func (a *analysis) syntheticLoopSite(m *jimple.Method, loop *cfg.Loop) *requestSite {
-	site := &requestSite{
+	site := a.newSite(requestSite{
 		method: m,
 		stmt:   loop.Head,
 		lib:    a.reg.Libraries()[0],
 		entry:  -1,
-	}
+	})
 	// Attribute the loop to the library actually used inside it, if any;
 	// resolveContext needs target set first for HTTP-method resolution.
 	for _, i := range loop.Body {

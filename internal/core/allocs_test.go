@@ -20,18 +20,20 @@ import (
 // every checker family, and "targeted" runs a family subset, whose
 // demand-driven closure is narrower, so a regression in the subset path
 // is caught alongside one in the full scan. The budgets carry ~10%
-// headroom over the measured values (full: 313, targeted: 264; 337 and
-// 292 before bodies were carved from slabs and the per-method kernels
-// went flat, 469 and 372 before the call graph and its kernels moved to
-// method ids); if a deliberate feature change raises a floor, re-measure with
+// headroom over the measured values (full: 144, targeted: 130; 313 and
+// 264 before reports were built once and a scan recycled its bodies and
+// kernel memory, 337 and 292 before bodies were carved from slabs and the
+// per-method kernels went flat, 469 and 372 before the call graph and its
+// kernels moved to method ids); if a deliberate feature change raises a
+// floor, re-measure with
 // `go test ./internal/core -run TestScanAllocsRegression -v` and update
 // the constant in the same commit that explains why.
 //
 // The thresholds only bind without -race: the race runtime's
 // instrumentation allocates on its own account.
 const (
-	scanAllocBudgetFull     = 345
-	scanAllocBudgetTargeted = 290
+	scanAllocBudgetFull     = 160
+	scanAllocBudgetTargeted = 145
 )
 
 // targetedAllocFamilies is the checker subset the "targeted" case scans.
@@ -46,6 +48,12 @@ func TestScanAllocsRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A scan gives its bodies, kernel memory and call graph back to
+	// sync.Pools, and a run after a GC emptied them allocates them anew:
+	// as in TestScanBytesAllocsRegression, the collector is held off and
+	// one P runs throughout.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		name     string
 		checkers CheckerSet
@@ -100,9 +108,10 @@ func TestScanAllocsRegression(t *testing.T) {
 // whose app is released after it, as every scan's is, reuses the
 // released arrays instead (DESIGN.md §13, "A scan returns what it
 // opened"), class table included, so it allocates only what outlives the
-// release: the pool text, the program, its per-class memo and the
-// handles. Its budgets carry ~10% headroom over the measured 18
-// allocations and 25,573 bytes (23 and 75,706 while it built every class
+// release: the pool text, the program and the handles. Its budgets
+// carry ~10% headroom over the measured 16 allocations and 23,287 bytes
+// (18 and 25,573 before the release kept the spare's holder and the
+// program's class memo, 23 and 75,706 while it built every class
 // header). Re-measure with
 // `go test ./internal/core -run TestOpenAllocsRegression -v` and update
 // the constants in the same commit that explains why.
@@ -111,8 +120,8 @@ const (
 	openAllocBudget  = 32
 	openBytesBudget  = 137_000
 
-	releasedOpenAllocBudget = 20
-	releasedOpenBytesBudget = 28_500
+	releasedOpenAllocBudget = 18
+	releasedOpenBytesBudget = 25_700
 )
 
 func TestOpenAllocsRegression(t *testing.T) {
@@ -184,8 +193,10 @@ func TestOpenAllocsRegression(t *testing.T) {
 // out — closure, materialization, overlay hierarchy, call graph,
 // summaries, checkers and library usage — on the shape where a stage
 // doing work per app class, not per demanded class, shows up. The
-// budgets carry ~10% headroom over the measured 301 allocations and
-// 47,896 bytes (317 and 108,208 before the open kept class headers as
+// budgets carry ~10% headroom over the measured 144 allocations and
+// 24,328 bytes (301 and 47,896 before reports were built once and a scan
+// recycled its bodies and kernel memory; 317 and 108,208 before the open
+// kept class headers as
 // ids and built a class only on its first lookup; 324 and 202,120
 // before a scan released the app it
 // opened and its stages held their reports by pointer; 348 and 204,750
@@ -195,8 +206,8 @@ func TestOpenAllocsRegression(t *testing.T) {
 // `go test ./internal/core -run TestScanBytesAllocsRegression -v` and
 // update the constants in the same commit that explains why.
 const (
-	scanBytesAllocBudget = 331
-	scanBytesBytesBudget = 53_000
+	scanBytesAllocBudget = 160
+	scanBytesBytesBudget = 27_000
 )
 
 func TestScanBytesAllocsRegression(t *testing.T) {
@@ -254,4 +265,80 @@ func TestScanBytesAllocsRegression(t *testing.T) {
 			"if intentional, re-measure and raise the budget in the same change",
 			bytes, scanBytesBytesBudget)
 	}
+}
+
+// TestScanBytesCorpusAllocsRegression is the corpus twin of
+// TestScanBytesAllocsRegression: the mean allocations and bytes of one
+// ScanBytes over each of the 285 corpus containers (seed 2016), the
+// many-small-apps workload whose per-scan garbage sets how often the
+// collector runs. A scan keeps only what its Result holds: the reports,
+// the bodies, analysis scratch and call graph go back to pools when it
+// ends (DESIGN.md §13). The budgets carry ~10% headroom over the measured
+// 447 allocations and 32,780 bytes per app (780 and 93,300 before reports
+// were built once and a scan recycled its bodies and kernel memory).
+// Re-measure with
+// `go test ./internal/core -run TestScanBytesCorpusAllocsRegression -v`
+// and update the constants in the same commit that explains why.
+const (
+	corpusScanAllocBudget = 495
+	corpusScanBytesBudget = 36_000
+)
+
+func TestScanBytesCorpusAllocsRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is not meaningful with -short's reduced work")
+	}
+	data := corpusContainers(t)
+	nc := NewWithOptions(Options{Workers: 1})
+	// As in TestScanBytesAllocsRegression: the pools must survive the
+	// measurement, so the collector is held off and one P runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	scanAll := func() {
+		for _, d := range data {
+			if res, err := nc.ScanBytes(d); err != nil || res.Incomplete {
+				t.Fatalf("scan failed or degraded during measurement: %v", err)
+			}
+		}
+	}
+	scanAll() // warm: the base layer, registry memos and pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scanAll()
+	runtime.ReadMemStats(&after)
+	n := uint64(len(data))
+	allocs := (after.Mallocs - before.Mallocs) / n
+	bytes := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("ScanBytes per corpus app: allocations = %d (budget %d), bytes = %d (budget %d)",
+		allocs, corpusScanAllocBudget, bytes, corpusScanBytesBudget)
+	if testutil.RaceEnabled {
+		t.Skipf("race detector enabled; measured %d allocations, %d bytes, for the log only", allocs, bytes)
+	}
+	if allocs > corpusScanAllocBudget {
+		t.Errorf("ScanBytes allocates %d per corpus app, over the %d budget — "+
+			"if intentional, re-measure and raise the budget in the same change",
+			allocs, corpusScanAllocBudget)
+	}
+	if bytes > corpusScanBytesBudget {
+		t.Errorf("ScanBytes allocates %d bytes per corpus app, over the %d budget — "+
+			"if intentional, re-measure and raise the budget in the same change",
+			bytes, corpusScanBytesBudget)
+	}
+}
+
+// corpusContainers returns the encoded containers of the 285-app corpus
+// at seed 2016.
+func corpusContainers(t *testing.T) [][]byte {
+	t.Helper()
+	apps, err := corpus.GenerateCorpus(2016)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]byte, len(apps))
+	for i, ca := range apps {
+		if data[i], err = apk.Encode(ca.App); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return data
 }

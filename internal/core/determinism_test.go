@@ -287,3 +287,29 @@ func TestConcurrentScansShareScratchSafely(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReportsSortedByLocation pins the order of every corpus scan's
+// reports: by the key of the method each is located in, then statement,
+// then cause. The stages build their reports in stage order and the
+// pipeline sorts them through keys it takes from the call graph, so a
+// report whose sort key names another method than its location (a
+// callback-located report keyed by its request site, say) shows here.
+func TestReportsSortedByLocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scans the whole corpus")
+	}
+	nc := NewWithOptions(Options{Workers: 1})
+	for i, data := range corpusContainers(t) {
+		res, err := nc.ScanBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k < len(res.Reports); k++ {
+			a, b := &res.Reports[k-1].Location, &res.Reports[k].Location
+			ka, kb := a.Method.Key(), b.Method.Key()
+			if ka > kb || ka == kb && (a.Stmt > b.Stmt || a.Stmt == b.Stmt && res.Reports[k-1].Cause > res.Reports[k].Cause) {
+				t.Fatalf("app %d: report %d (%s) sorts after report %d (%s)", i, k-1, a, k, b)
+			}
+		}
+	}
+}

@@ -59,15 +59,20 @@ func renderBoth(t *testing.T, reports []report.Report) (string, string) {
 	return report.RenderAll(reports), string(js)
 }
 
-// TestConcurrentReleasedScansKeepResults: a scan releases the app it
-// opened — the index arrays and the container buffer go back to pools
-// for later opens — so nothing its Result holds may live in that memory.
-// The Result of scan A, of the largest container, is kept while two
-// goroutines run scans of other containers from files and from bytes,
-// scans of a malformed container, canceled scans and -validate scans, all
-// drawing on and refilling the pools; A must then render, as text and as
-// JSON, exactly what it did when it returned, and every other scan its
-// own reference bytes.
+// TestConcurrentReleasedScansKeepResults: a scan gives back what it
+// opened and what it analyzed — the index arrays, the container buffer,
+// the decoded classes and bodies, the report scratch, the call graph and
+// the per-method kernels go back to pools for later scans — so nothing
+// its Result holds may live in that memory. In a test binary the pools
+// hold junk (checkers and dex fill recycled memory with it), so a Result
+// that aliases them reads junk. The Results of scan A, of the largest
+// container, are kept — a plain scan, a -validate scan and a scan that
+// wrote the cache — while two goroutines run scans of other containers
+// from files and from bytes, scans of a malformed container, canceled
+// scans and -validate scans, all drawing on and refilling the pools. A
+// must then render, as text and as JSON, exactly what it did when it
+// returned, a warm scan of it from the cache the same text, and every
+// other scan its own reference bytes.
 func TestConcurrentReleasedScansKeepResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency storm")
@@ -95,6 +100,20 @@ func TestConcurrentReleasedScansKeepResults(t *testing.T) {
 		t.Fatalf("scan A: err=%v; the check needs a complete scan with warnings", err)
 	}
 	textA, jsonA := renderBoth(t, resA.Reports)
+	resAV, err := validating.ScanFile(pathA)
+	if err != nil || resAV.Incomplete {
+		t.Fatalf("scan A -validate: err=%v", err)
+	}
+	textAV, jsonAV := renderBoth(t, resAV.Reports)
+	caching := nc.WithOptions(Options{Workers: 2, CacheDir: t.TempDir(), CacheMode: CacheRW})
+	resAC, err := caching.ScanFile(pathA)
+	if err != nil || resAC.Incomplete || resAC.Diagnostics.Cache.StorePuts == 0 {
+		t.Fatalf("scan A with the cache: err=%v, or it wrote no entry", err)
+	}
+	textAC, jsonAC := renderBoth(t, resAC.Reports)
+	if textAC != textA {
+		t.Fatal("scan A with the cache renders differently from without")
+	}
 
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
@@ -112,10 +131,34 @@ func TestConcurrentReleasedScansKeepResults(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if text, js := renderBoth(t, resA.Reports); text != textA || js != jsonA {
-		t.Errorf("scan A's kept Result renders differently after later scans reused the pools:\n--- text then ---\n%s--- text now ---\n%s", textA, text)
+	for _, kept := range []struct {
+		name       string
+		res        *Result
+		text, json string
+	}{
+		{"plain", resA, textA, jsonA},
+		{"-validate", resAV, textAV, jsonAV},
+		{"cache write", resAC, textAC, jsonAC},
+	} {
+		if strings.Contains(kept.text+kept.json, recycledJunk) {
+			t.Errorf("scan A's %s Result reads recycled memory:\n%s", kept.name, kept.text)
+		}
+		if text, js := renderBoth(t, kept.res.Reports); text != kept.text || js != kept.json {
+			t.Errorf("scan A's kept %s Result renders differently after later scans reused the pools:\n--- text then ---\n%s--- text now ---\n%s", kept.name, kept.text, text)
+		}
+	}
+	warm, err := caching.ScanFile(pathA)
+	if err != nil || warm.Diagnostics.Cache.StoreHits != 1 {
+		t.Fatalf("warm scan A: err=%v, or it missed the cache", err)
+	}
+	if got := report.RenderAll(warm.Reports); got != textA {
+		t.Errorf("warm scan A renders differently from the scan that wrote its entry")
 	}
 }
+
+// recycledJunk is the marker the pools write into recycled memory in a
+// test binary (dex, checkers and the kernel scratches all use it).
+const recycledJunk = "\x00recycled"
 
 // releasedScanStorm is one goroutine of the storm: three passes over the
 // containers, starting at a different one per goroutine and pass.
@@ -157,9 +200,10 @@ func releasedScanStorm(nc, validating *Checker, g int, paths []string, container
 
 // TestReleaseIsFinalAndIdempotent pins the two rules of App.Release: a
 // lookup that would decode after it panics with a message naming the
-// release, instead of reading recycled memory; and a second Release is
-// harmless — it gives nothing back twice, so two later opens never share
-// an index array or a container buffer.
+// release, instead of reading recycled memory (the class memo went back
+// too, but NumClasses still answers); and a second Release is harmless —
+// it gives nothing back twice, so two later opens never share an index
+// array, a decoder chunk, a class memo or a container buffer.
 func TestReleaseIsFinalAndIdempotent(t *testing.T) {
 	containers := determinismContainers(t)
 	paths := writeContainers(t, containers)
@@ -168,8 +212,13 @@ func TestReleaseIsFinalAndIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	class := app.Lazy.Index().ClassName(0)
+	app.Program.OwnClass(class) // a built class, its memo slot filled
+	numClasses := app.Program.NumClasses()
 	app.Release()
 	app.Release()
+	if got := app.Program.NumClasses(); got != numClasses {
+		t.Errorf("NumClasses after Release = %d, want %d", got, numClasses)
+	}
 	for name, lookup := range map[string]func(){
 		"member lookup": func() { app.Program.OwnClass(class) },
 		"Materialize":   func() { app.Lazy.Materialize(class) },

@@ -38,7 +38,7 @@ func TestReachDefsStraightLine(t *testing.T) {
     return x
   }
 }`)
-	rd := NewReachDefs(cfg.New(m))
+	rd := NewReachDefs(nil, cfg.New(nil, m))
 	// At the return (stmt 2), only the second def (stmt 1) reaches.
 	defs := rd.DefsReaching(2, "x")
 	if len(defs) != 1 || defs[0] != 1 {
@@ -64,7 +64,7 @@ func TestReachDefsDiamond(t *testing.T) {
     return x
   }
 }`)
-	rd := NewReachDefs(cfg.New(m))
+	rd := NewReachDefs(nil, cfg.New(nil, m))
 	// Both defs of x (stmts 2 and 4) reach the return (stmt 5).
 	defs := rd.DefsReaching(5, "x")
 	if len(defs) != 2 || defs[0] != 2 || defs[1] != 4 {
@@ -89,8 +89,8 @@ func TestConstPropAgreeingPaths(t *testing.T) {
     return y
   }
 }`)
-	g := cfg.New(m)
-	cp := NewConstProp(NewReachDefs(g))
+	g := cfg.New(nil, m)
+	cp := NewConstProp(NewReachDefs(nil, g))
 	v, ok := cp.IntAt(6, "y")
 	// y defined at 5; at stmt 6 (return) y == 7.
 	if !ok || v != 7 {
@@ -116,7 +116,7 @@ func TestConstPropConflictingPaths(t *testing.T) {
     return x
   }
 }`)
-	cp := NewConstProp(NewReachDefs(cfg.New(m)))
+	cp := NewConstProp(NewReachDefs(nil, cfg.New(nil, m)))
 	if _, ok := cp.IntAt(5, "x"); ok {
 		t.Error("conflicting paths should not be constant")
 	}
@@ -130,7 +130,7 @@ func TestConstPropNonConstant(t *testing.T) {
     return x
   }
 }`)
-	cp := NewConstProp(NewReachDefs(cfg.New(m)))
+	cp := NewConstProp(NewReachDefs(nil, cfg.New(nil, m)))
 	if _, ok := cp.IntAt(1, "x"); ok {
 		t.Error("parameter value must not be constant")
 	}
@@ -149,7 +149,7 @@ func TestConstPropArgInt(t *testing.T) {
     return
   }
 }`)
-	cp := NewConstProp(NewReachDefs(cfg.New(m)))
+	cp := NewConstProp(NewReachDefs(nil, cfg.New(nil, m)))
 	inv1, _ := jimple.InvokeOf(m.Body[3])
 	if v, ok := cp.ArgInt(3, inv1, 0); !ok || v != 3 {
 		t.Errorf("ArgInt via local: %d, %v", v, ok)
@@ -177,8 +177,8 @@ func TestForwardTaintCopiesAndCalls(t *testing.T) {
     return
   }
 }`)
-	g := cfg.New(m)
-	res := ForwardTaint(g, map[int][]string{0: {"r"}}, DefaultTaintOptions())
+	g := cfg.New(nil, m)
+	res := ForwardTaint(nil, g, map[int][]string{0: {"r"}}, DefaultTaintOptions())
 	if !res.TaintedAt(1, "r") {
 		t.Error("r should be tainted after its def")
 	}
@@ -211,8 +211,8 @@ func TestForwardTaintWideAndUnnamed(t *testing.T) {
 		fmt.Fprintf(&src, "    l%02d = l%02d\n", i, i-1)
 	}
 	src.WriteString("    return\n  }\n}")
-	g := cfg.New(methodOf(t, src.String()))
-	res := ForwardTaint(g, map[int][]string{0: {"l00", "ghost"}}, DefaultTaintOptions())
+	g := cfg.New(nil, methodOf(t, src.String()))
+	res := ForwardTaint(nil, g, map[int][]string{0: {"l00", "ghost"}}, DefaultTaintOptions())
 	end := 70
 	if !res.TaintedAt(end, "l69") || !res.TaintedAt(end, "l00") || !res.TaintedAt(end, "ghost") {
 		t.Error("the copy chain and the unnamed source must reach the end")
@@ -238,8 +238,8 @@ func TestForwardTaintStrongUpdate(t *testing.T) {
     return
   }
 }`)
-	g := cfg.New(m)
-	res := ForwardTaint(g, map[int][]string{0: {"r"}}, DefaultTaintOptions())
+	g := cfg.New(nil, m)
+	res := ForwardTaint(nil, g, map[int][]string{0: {"r"}}, DefaultTaintOptions())
 	if !res.TaintedAt(1, "r") {
 		t.Error("r tainted before overwrite")
 	}
@@ -263,8 +263,8 @@ func TestForwardTaintFieldStore(t *testing.T) {
     return
   }
 }`)
-	g := cfg.New(m)
-	res := ForwardTaint(g, map[int][]string{2: {"r"}}, DefaultTaintOptions())
+	g := cfg.New(nil, m)
+	res := ForwardTaint(nil, g, map[int][]string{2: {"r"}}, DefaultTaintOptions())
 	if !res.TaintedAt(4, "h") {
 		t.Error("object should be tainted by storing a tainted value")
 	}
@@ -287,8 +287,8 @@ func TestAllocSitesOf(t *testing.T) {
     return
   }
 }`)
-	g := cfg.New(m)
-	rd := NewReachDefs(g)
+	g := cfg.New(nil, m)
+	rd := NewReachDefs(nil, g)
 	allocs := AllocSitesOf(rd, 4, "c")
 	if len(allocs) != 1 || allocs[0] != 0 {
 		t.Errorf("AllocSitesOf: %v, want [0]", allocs)
@@ -314,8 +314,8 @@ func TestCallsOnObject(t *testing.T) {
     return
   }
 }`)
-	g := cfg.New(m)
-	rd := NewReachDefs(g)
+	g := cfg.New(nil, m)
+	rd := NewReachDefs(nil, g)
 	// Request site is stmt 9 (r = c.get()).
 	calls := CallsOnObject(g, rd, 9, "c")
 	var names []string
@@ -357,8 +357,8 @@ func TestBackwardSlice(t *testing.T) {
     return c
   }
 }`)
-	g := cfg.New(m)
-	sl := NewSlicer(g, NewReachDefs(g))
+	g := cfg.New(nil, m)
+	sl := NewSlicer(g, NewReachDefs(nil, g))
 	slice := sl.BackwardSlice(7) // return c
 	// Slice must contain: defs of c (4, 6), the branch (3), def of b (2),
 	// def of a (0) — but not unrelated (1).
@@ -398,8 +398,8 @@ func TestQuickSliceClosure(t *testing.T) {
     return b
   }
 }`)
-	g := cfg.New(m)
-	sl := NewSlicer(g, NewReachDefs(g))
+	g := cfg.New(nil, m)
+	sl := NewSlicer(g, NewReachDefs(nil, g))
 	n := len(m.Body)
 	f := func(seedRaw uint8) bool {
 		seed := int(seedRaw) % n

@@ -189,7 +189,7 @@ func kernelShapes(t *testing.T) []*jimple.Method {
 
 // diffKernels compares every kernel on m with its reference.
 func diffKernels(m *jimple.Method) error {
-	g, r := cfg.New(m), refNew(m)
+	g, r := cfg.New(nil, m), refNew(m)
 	if err := diffGraph(g, r); err != nil {
 		return fmt.Errorf("cfg: %w", err)
 	}
@@ -214,7 +214,7 @@ func diffKernels(m *jimple.Method) error {
 			return fmt.Errorf("control deps of %d: %v, want %v", u, deps[u], want)
 		}
 	}
-	rd, refRD := NewReachDefs(g), newRefReachDefs(r)
+	rd, refRD := NewReachDefs(nil, g), newRefReachDefs(r)
 	locals := append(slices.Clone(g.Locals()), "absent-local")
 	for stmt := 0; stmt < g.NumNodes(); stmt++ {
 		for _, l := range locals {

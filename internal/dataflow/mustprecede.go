@@ -28,6 +28,7 @@ type MustPrecede struct {
 	cg    *callgraph.Graph
 	gen   GenFunc
 	cfgOf CFGProvider
+	sc    *Scratch
 	// fact[id] holds, per statement of method id, "definitely established
 	// before stmt"; nil for methods outside the reachable set.
 	fact [][]bool
@@ -41,20 +42,25 @@ type CFGProvider func(*jimple.Method) *cfg.Graph
 // NewMustPrecede runs the analysis over all entry points of cg, building
 // a fresh CFG per reachable method.
 func NewMustPrecede(cg *callgraph.Graph, gen GenFunc) *MustPrecede {
-	return NewMustPrecedeWith(cg, gen, nil)
+	return NewMustPrecedeWith(nil, cg, gen, nil)
 }
 
 // NewMustPrecedeWith is NewMustPrecede with an explicit CFG provider
-// (nil falls back to cfg.New). The provider must be safe for use from
-// this goroutine; results are identical to NewMustPrecede.
-func NewMustPrecedeWith(cg *callgraph.Graph, gen GenFunc, cfgOf CFGProvider) *MustPrecede {
+// (nil falls back to cfg.New), its per-method state carved from sc (nil:
+// the heap). The provider must be safe for use from this goroutine;
+// results are identical to NewMustPrecede.
+func NewMustPrecedeWith(sc *Scratch, cg *callgraph.Graph, gen GenFunc, cfgOf CFGProvider) *MustPrecede {
 	if cfgOf == nil {
-		cfgOf = cfg.New
+		cfgOf = heapCFG
 	}
-	mp := &MustPrecede{cg: cg, gen: gen, cfgOf: cfgOf, fact: make([][]bool, cg.NumIDs())}
+	mp := &MustPrecede{cg: cg, gen: gen, cfgOf: cfgOf, sc: sc, fact: sc.boolRowSlab().Make(cg.NumIDs())}
 	mp.solve()
 	return mp
 }
+
+// heapCFG builds m's graph from the heap, the provider of callers that
+// pass none.
+func heapCFG(m *jimple.Method) *cfg.Graph { return cfg.New(nil, m) }
 
 // FactBefore reports whether the condition definitely holds immediately
 // before stmt of the method with the given signature key executes. It
@@ -119,7 +125,7 @@ func (mp *MustPrecede) solve() {
 	for _, w := range reach {
 		reachable += bits.OnesCount64(w)
 	}
-	states := make([]mpMethodState, 0, reachable)
+	states := mp.sc.mpStateSlab().Make(reachable)[:0]
 	nodes := 0
 	reach.Each(func(id int32) {
 		if m := cg.MethodOf(id); m != nil {
@@ -132,9 +138,9 @@ func (mp *MustPrecede) solve() {
 			})
 		}
 	})
-	byID := make([]*mpMethodState, cg.NumIDs())
+	byID := mp.sc.mpPtrSlab().Make(cg.NumIDs())
 	// One slab backs every state's in, out and gen rows.
-	slab := make([]bool, 3*nodes)
+	slab := mp.sc.boolSlab().Make(3 * nodes)
 	for i := range states {
 		st := &states[i]
 		byID[st.id] = st

@@ -30,6 +30,9 @@ type ReachDefs struct {
 	defOff []int32
 	defs   []int32
 	cp     ConstProp // the constant propagation over this result
+	// sc is the scratch r was carved from, which the object-call searches
+	// over r carve from too; nil for the heap.
+	sc *Scratch
 }
 
 // rdScratch is the worklist state of one NewReachDefs run, reused
@@ -43,16 +46,18 @@ type rdScratch struct {
 
 var rdScratches = sync.Pool{New: func() any { return new(rdScratch) }}
 
-// NewReachDefs runs the classic gen/kill worklist algorithm on g.
-func NewReachDefs(g *cfg.Graph) *ReachDefs {
+// NewReachDefs runs the classic gen/kill worklist algorithm on g, its
+// result carved from sc (nil: the heap).
+func NewReachDefs(sc *Scratch, g *cfg.Graph) *ReachDefs {
 	body := g.Method.Body
 	n, nn := len(body), g.NumNodes()
 	names := g.Locals()
-	r := &ReachDefs{g: g, names: names, words: (n + 63) / 64}
+	r := sc.rdSlab().New()
+	*r = ReachDefs{g: g, names: names, words: (n + 63) / 64, sc: sc}
 	r.cp.rd = r
 	// One slab holds the def index: defAt, then defOff, then defs (at
 	// most one site per statement).
-	idx := make([]int32, n+len(names)+1+n)
+	idx := sc.int32Slab().Make(n + len(names) + 1 + n)
 	r.defAt, r.defOff = idx[:n:n], idx[n:n+len(names)+1:n+len(names)+1]
 	ndefs := 0
 	for i, s := range body {
@@ -80,7 +85,7 @@ func NewReachDefs(g *cfg.Graph) *ReachDefs {
 		}
 	}
 	w := r.words
-	r.in = make([]uint64, nn*w)
+	r.in = sc.wordSlab().Make(nn * w)
 	s := rdScratches.Get().(*rdScratch)
 	defer rdScratches.Put(s)
 	out := slices.Grow(s.out[:0], nn*w)[:nn*w]

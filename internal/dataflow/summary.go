@@ -116,20 +116,24 @@ type SummaryConfig struct {
 	// identical to the whole-set computation's. nil means all methods
 	// (a non-nil empty slice computes nothing).
 	Roots []string
+	// Scratch, when non-nil, is the per-scan memory the summaries and
+	// the working arrays of their computation are carved from (see
+	// Scratch); nil builds them on the heap.
+	Scratch *Scratch
 }
 
 func (c *SummaryConfig) cfg(m *jimple.Method) *cfg.Graph {
 	if c.CFG != nil {
 		return c.CFG(m)
 	}
-	return cfg.New(m)
+	return cfg.New(nil, m)
 }
 
 func (c *SummaryConfig) reachDefs(m *jimple.Method, g *cfg.Graph) *ReachDefs {
 	if c.ReachDefs != nil {
 		return c.ReachDefs(m)
 	}
-	return NewReachDefs(g)
+	return NewReachDefs(nil, g)
 }
 
 func (c *SummaryConfig) constProp(m *jimple.Method, rd *ReachDefs) *ConstProp {
@@ -182,12 +186,16 @@ type SummaryResolver func(site int) []*TaintSummary
 // condensation and the fixpoint run over those numbers and the graph's
 // method ids, and keys are read from the graph's key table.
 func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf SummaryConfig) (*SummarySet, error) {
+	sc := conf.Scratch
 	b := &summaryBuilder{
-		cg:   cg,
-		conf: conf,
-		loc:  make([]int32, cg.NumIDs()),
-		set:  &SummarySet{},
+		cg:      cg,
+		conf:    conf,
+		loc:     sc.int32Slab().Make(cg.NumIDs()),
+		set:     &SummarySet{},
+		nodes:   sc.nodeSlab().Make(len(methods))[:0],
+		sumBufs: sc.takeSumBufs(),
 	}
+	defer func() { sc.giveSumBufs(b.sumBufs) }()
 	for i := range b.loc {
 		b.loc[i] = -1
 	}
@@ -221,8 +229,8 @@ func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf Summar
 			b.loc[n.id] = int32(i)
 		}
 	}
-	b.sums = make([]*TaintSummary, len(b.nodes))
-	order := make([]int32, len(b.nodes))
+	b.sums = sc.sumPtrSlab().Make(len(b.nodes))
+	order := sc.int32Slab().Make(len(b.nodes))
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -261,7 +269,12 @@ type summaryBuilder struct {
 	loc   []int32         // graph id -> node number, -1 outside the set
 	sums  []*TaintSummary // by node number
 
-	// Scratch reused across methods by aliasFixpoint.
+	sumBufs
+}
+
+// sumBufs are the working arrays aliasFixpoint reuses across methods,
+// and a scan's Scratch across scans.
+type sumBufs struct {
 	arena    []aliasFact
 	cur, tmp aliasRow
 	rows     []aliasRow
@@ -271,7 +284,7 @@ type summaryBuilder struct {
 
 // finish publishes the summaries computed so far into the set.
 func (b *summaryBuilder) finish() {
-	b.set.byID = make([]*TaintSummary, b.cg.NumIDs())
+	b.set.byID = b.conf.Scratch.sumPtrSlab().Make(b.cg.NumIDs())
 	for i, sum := range b.sums {
 		if sum == nil {
 			continue
@@ -544,10 +557,12 @@ func (b *summaryBuilder) computeMethod(i int32) *TaintSummary {
 	if inputs > maxSummaryInputs {
 		inputs = maxSummaryInputs
 	}
-	sum := &TaintSummary{
+	sc := b.conf.Scratch
+	sum := sc.summarySlab().New()
+	*sum = TaintSummary{
 		Inputs:    inputs,
-		StateFrom: make([]uint64, inputs),
-		CallsOn:   make([][]SummaryCall, inputs),
+		StateFrom: sc.wordSlab().Make(inputs),
+		CallsOn:   sc.callListSlab().Make(inputs),
 	}
 	in := b.aliasFixpoint(m, g, callees)
 	b.collectFacts(m, g, callees, in, sum)

@@ -375,8 +375,8 @@ func TestInfeasibleEdges(t *testing.T) {
     return x
   }
 }`)
-	g := cfg.New(m)
-	cp := NewConstProp(NewReachDefs(g))
+	g := cfg.New(nil, m)
+	cp := NewConstProp(NewReachDefs(nil, g))
 	dead := InfeasibleEdges(g, cp)
 	// The branch is always taken: the fall-through edge 1→2 is dead.
 	if len(dead) != 1 || dead[0] != [2]int{1, 2} {
@@ -408,7 +408,7 @@ func TestBranchTakenAndValueAt(t *testing.T) {
     return
   }
 }`)
-	cp := NewConstProp(NewReachDefs(cfg.New(m)))
+	cp := NewConstProp(NewReachDefs(nil, cfg.New(nil, m)))
 	if taken, known := cp.BranchTaken(2); !known || !taken {
 		t.Errorf("k >= 2 with k=3: taken=%v known=%v", taken, known)
 	}
@@ -459,7 +459,7 @@ func TestAllocSitesOfFieldMediated(t *testing.T) {
     return
   }
 }`)
-	rd := NewReachDefs(cfg.New(m))
+	rd := NewReachDefs(nil, cfg.New(nil, m))
 	// The chain c ← b ← field load stops at the field load: a field read
 	// is an originating definition (the engine does not track heap flow
 	// backward through stores).
@@ -491,8 +491,8 @@ func TestCallsOnObjectFieldMediatedForward(t *testing.T) {
     return
   }
 }`)
-	g := cfg.New(m)
-	rd := NewReachDefs(g)
+	g := cfg.New(nil, m)
+	rd := NewReachDefs(nil, g)
 	calls := CallsOnObject(g, rd, 7, "a")
 	seen := map[string]int{}
 	for _, oc := range calls {
@@ -549,8 +549,8 @@ class t.Client extends java.lang.Object {
 	if caller == nil {
 		t.Fatal("caller not found")
 	}
-	g := cfg.New(caller)
-	rd := NewReachDefs(g)
+	g := cfg.New(nil, caller)
+	rd := NewReachDefs(nil, g)
 	resolve := resolverFor(set, cg, caller)
 
 	// Object c: configured through the helper. The summary-mapped call

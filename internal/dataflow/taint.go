@@ -90,8 +90,9 @@ func (r taintRow) remove(local string) {
 // statement executes (e.g. the def site of a response object).
 //
 // Taint sets are bitsets over the method's local ids (cfg.Graph.Locals):
-// one slab holds every node's in and out rows.
-func ForwardTaint(g *cfg.Graph, sources map[int][]string, opts TaintOptions) *TaintResult {
+// one slab holds every node's in and out rows. The result and the
+// worklist are carved from sc (nil: the heap).
+func ForwardTaint(sc *Scratch, g *cfg.Graph, sources map[int][]string, opts TaintOptions) *TaintResult {
 	names := g.Locals()
 	for _, ls := range sources {
 		for _, l := range ls {
@@ -104,12 +105,12 @@ func ForwardTaint(g *cfg.Graph, sources map[int][]string, opts TaintOptions) *Ta
 	}
 	n := g.NumNodes()
 	w := max(1, (len(names)+63)/64)
-	slab := make([]uint64, (2*n+1)*w)
+	slab := sc.wordSlab().Make((2*n + 1) * w)
 	in, out, scratch := slab[:n*w], slab[n*w:2*n*w], slab[2*n*w:]
 	row := func(rows []uint64, u int) []uint64 { return rows[u*w : (u+1)*w] }
 	body := g.Method.Body
-	work := make([]int, 0, n)
-	inWork := make([]bool, n)
+	work := sc.intSlab().Make(n)[:0]
+	inWork := sc.boolSlab().Make(n)
 	push := func(i int) {
 		if !inWork[i] {
 			inWork[i] = true
@@ -153,7 +154,9 @@ func ForwardTaint(g *cfg.Graph, sources map[int][]string, opts TaintOptions) *Ta
 			}
 		}
 	}
-	return &TaintResult{names: names, w: w, in: in}
+	t := sc.taintSlab().New()
+	*t = TaintResult{names: names, w: w, in: in}
+	return t
 }
 
 func applyTaintTransfer(s jimple.Stmt, at int, taint taintRow, opts TaintOptions) {
@@ -339,7 +342,7 @@ func CallsOnObject(g *cfg.Graph, rd *ReachDefs, stmt int, local string) []Object
 	if len(sources) == 0 {
 		sources[0] = []string{local}
 	}
-	taint := ForwardTaint(g, sources, DefaultTaintOptions())
+	taint := ForwardTaint(rd.sc, g, sources, DefaultTaintOptions())
 	var out []ObjectCall
 	for i, s := range g.Method.Body {
 		inv, ok := jimple.InvokeOf(s)
@@ -377,11 +380,13 @@ func CallsOnObjectInter(g *cfg.Graph, rd *ReachDefs, stmt int, local string, res
 	}
 	opts := DefaultTaintOptions()
 	opts.CalleeSummaries = resolve
-	taint := ForwardTaint(g, sources, opts)
+	taint := ForwardTaint(rd.sc, g, sources, opts)
 	isAlias := func(i int, name string) bool {
 		return taint.TaintedAt(i, name) || sourcesContain(sources, i, name)
 	}
-	var out []ObjectCall
+	// The calls collect into the scratch's buffer, and the deduplicated
+	// list is carved from the scratch at exact size.
+	out := rd.sc.takeCalls()
 	for i, s := range g.Method.Body {
 		inv, ok := jimple.InvokeOf(s)
 		if !ok {
@@ -424,7 +429,7 @@ func CallsOnObjectInter(g *cfg.Graph, rd *ReachDefs, stmt int, local string, res
 			}
 		}
 	}
-	return dedupeObjectCalls(out)
+	return rd.sc.giveCalls(out, dedupeObjectCalls(out))
 }
 
 // dedupeObjectCalls sorts by (statement, callee key, args) and removes

@@ -3,6 +3,8 @@ package dex
 import (
 	"encoding/binary"
 	"fmt"
+	"testing"
+	"unsafe"
 
 	"repro/internal/jimple"
 )
@@ -75,9 +77,16 @@ type bodySlabs struct {
 // sized by the class count, and Materialize its bodies from chunks sized
 // by their counts. Each slice is capped at its length, so appending to
 // one never writes into the next.
+//
+// A slab lists the chunks it carved (chunks), unless it is untracked, so
+// a released lazy program's decoder can give them back (recycle), and
+// carves from the spare chunks of an earlier one first.
 type slab[T any] struct {
-	free []T
-	next int
+	free      []T
+	next      int
+	chunks    [][]T
+	spares    [][]T
+	untracked bool
 }
 
 // box is one boxed value: the value's tag and its pool reference.
@@ -164,19 +173,82 @@ func (d *decoder) reserve(n *bodyCounts) {
 // one of exactly n items when the free room is short.
 func (s *slab[T]) reserve(n int) {
 	if n > len(s.free) {
-		s.free = make([]T, n)
+		s.free = s.chunk(n)
 	}
 }
 
 func (s *slab[T]) take(n int) []T {
 	if n > len(s.free) {
 		s.next = min(max(2*s.next, 8), 512)
-		s.free = make([]T, max(n, s.next))
+		s.free = s.chunk(max(n, s.next))
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
 }
+
+// chunk returns a zeroed chunk of at least n items: a spare one with the
+// room, whole, or else a new one of n.
+func (s *slab[T]) chunk(n int) []T {
+	var c []T
+	for i, sp := range s.spares {
+		if cap(sp) >= n {
+			c = sp[:cap(sp)]
+			if testing.Testing() {
+				// recycle filled it with junk.
+				clear(c)
+			}
+			last := len(s.spares) - 1
+			s.spares[i], s.spares[last] = s.spares[last], nil
+			s.spares = s.spares[:last]
+			break
+		}
+	}
+	if c == nil {
+		c = make([]T, n)
+	}
+	if !s.untracked {
+		s.chunks = append(s.chunks, c)
+	}
+	return c
+}
+
+// recycle makes every chunk s carved a spare, for the slab of a later
+// decoder to carve from, and empties s. A spare is cleared (in a test
+// binary, filled with junk to its capacity instead, which chunk clears
+// again before it carves), so the pool keeps no container alive and a
+// program that outlived its release reads junk; the tail of the last
+// chunk, which nothing carved, is zero already. Chunks above
+// maxSpareBytes, and spares beyond maxSpares, are left to the collector.
+func (s *slab[T]) recycle(junk T) {
+	for i, c := range s.chunks {
+		if len(s.spares) >= maxSpares || cap(c)*int(unsafe.Sizeof(junk)) > maxSpareBytes {
+			continue
+		}
+		used := cap(c)
+		if i == len(s.chunks)-1 {
+			used -= cap(s.free)
+		}
+		if testing.Testing() {
+			for k := range c[:cap(c)] {
+				c[k] = junk
+			}
+		} else {
+			clear(c[:used])
+		}
+		s.spares = append(s.spares, c[:cap(c)])
+	}
+	clear(s.chunks[:cap(s.chunks)])
+	s.chunks, s.free, s.next = s.chunks[:0], nil, 0
+}
+
+// maxSpares and maxSpareBytes bound what a slab keeps for the next
+// decoder: pooled memory counts against the heap goal like live memory
+// does, so a large app's chunks are not kept for the small ones after it.
+const (
+	maxSpares     = 8
+	maxSpareBytes = 32 << 10
+)
 
 func (d *decoder) run() (*jimple.Program, error) {
 	if len(d.data) < 4 || [4]byte(d.data[:4]) != Magic {

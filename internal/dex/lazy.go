@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
 
 	"repro/internal/jimple"
 )
@@ -80,6 +83,9 @@ type Lazy struct {
 	dec decoder
 	// released marks a Lazy whose arrays have gone back (Release).
 	released bool
+	// held is the emptied holder of the spare the open reused, which
+	// Release refills; nil when the open found none.
+	held *spare
 }
 
 // slabs are the arrays the skim appends to: the index's records, calls,
@@ -120,12 +126,16 @@ var buildPool = sync.Pool{New: func() any { return new(lazyBuild) }}
 
 // spare holds the arrays of a released open for a later open to reuse:
 // what only the open holds — its index's slabs, string-pool slice, key
-// table and caller, declarer and subtype tables, its class table, and its
-// referenced-class set and materialized flags. Nothing a Result, the
-// program or a registry memo can reach goes in, and no memory backing a
-// string: the pool text and the decoder's slabs stay with the collector.
-// The string-holding arrays are cleared, to their capacity, before a
-// spare is pooled, so the pool keeps no container alive.
+// table and caller, declarer and subtype tables, its class table, its
+// referenced-class set and materialized flags, the program's class memo,
+// and its decoder's chunks: the classes, fields and method headers
+// BuildClass carved and the bodies Materialize decoded (statements,
+// statement nodes, locals, traps, call arguments). Nothing a Result or a
+// registry memo can reach goes in, and no memory backing a string or a
+// signature: the pool text, the boxed values and the strs slab (which
+// signatures' Params alias) stay with the collector. The arrays are
+// cleared, to their capacity, before a spare is pooled, so the pool keeps
+// no container alive.
 type spare struct {
 	slabs
 	pool         []string
@@ -136,6 +146,9 @@ type spare struct {
 	refs         []uint64
 	materialized []bool
 	offs, ids    []int32
+	memo         []atomic.Pointer[jimple.Class]
+	// dec is the released decoder, holding only its slabs' spare chunks.
+	dec decoder
 }
 
 // sparePool holds released opens' spares; an open that finds none
@@ -170,7 +183,8 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 	l := &Lazy{idx: &Index{src: data, nameIDs: make(map[string]int32)}}
 	b := buildPool.Get().(*lazyBuild)
 	// Empty the holder: the open owns the arrays it held now. A failed
-	// open pools it again; a good one drops it, and Release pools a new one.
+	// open pools it again; a good one keeps it empty, and Release fills
+	// it and pools it again.
 	held, _ := sparePool.Get().(*spare)
 	if held != nil {
 		b.reuse, *held = *held, spare{}
@@ -198,11 +212,15 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 		return nil, fmt.Errorf("dex: %w (at offset %d)", err, d.pos)
 	}
 	x := l.idx
-	l.dec = decoder{data: data, pool: d.pool, ct: &x.cls}
+	l.held = held
+	l.dec = reused.dec
+	l.dec.data, l.dec.pool, l.dec.ct = data, d.pool, &x.cls
+	// The strs chunks are never recycled, so the slab need not list them.
+	l.dec.strs.untracked = true
 	x.finish(&reused)
 	l.materialized = reuse(reused.materialized, len(x.classes))
 	l.numSlots, l.numLive = len(x.cls.headers), x.cls.live
-	x.prog = jimple.NewLazyProgram(l)
+	x.prog = jimple.NewLazyProgram(l, reused.memo)
 	return l, nil
 }
 
@@ -261,8 +279,11 @@ func exact[T any](s []T) []T {
 // Release gives the open's arrays back for a later open to reuse (see
 // spare). The caller must be done with the program and the index: an
 // own-class lookup, a Materialize, an EachRefClass or an Index after
-// Release panics rather than read recycled memory, while the strings,
-// signatures and classes already obtained stay valid. Release is
+// Release panics rather than read recycled memory. The classes, fields,
+// methods and bodies already obtained from the program become invalid
+// too, since their memory is recycled; the strings and signatures
+// already obtained stay valid (a report keeps a method's Sig, never the
+// method). NumSlots and NumOwnClasses still answer. Release is
 // idempotent. It may not run concurrently with any other use of the
 // program.
 func (l *Lazy) Release() {
@@ -271,7 +292,12 @@ func (l *Lazy) Release() {
 	}
 	l.released = true
 	x := l.idx
-	s := &spare{
+	s := l.held
+	if s == nil {
+		s = new(spare)
+	}
+	l.held = nil
+	*s = spare{
 		slabs:        slabs{x.recs, x.calls, x.intents, x.classes, l.hdrs},
 		pool:         x.pool,
 		keys:         x.keys,
@@ -283,13 +309,70 @@ func (l *Lazy) Release() {
 		materialized: l.materialized,
 		offs:         x.offs,
 		ids:          x.ids,
+		memo:         x.prog.ReleaseMemo(),
 	}
 	s.clearStrings()
+	if len(s.memo)*int(unsafe.Sizeof(s.memo[0])) > maxSpareBytes {
+		s.memo = nil
+	}
+	for i := range s.memo {
+		if testing.Testing() {
+			s.memo[i].Store(&junkClass)
+		} else {
+			s.memo[i].Store(nil)
+		}
+	}
+	s.dec = l.dec.recycle()
 	*x = Index{prog: x.prog}
 	l.refs, l.refNames, l.hdrs, l.materialized = nil, nil, nil, nil
 	l.dec = decoder{}
 	sparePool.Put(s)
 }
+
+// recycle empties d for the decoder of a later open, which it returns:
+// the chunks of d's header and body slabs become their spares (see
+// slab.recycle), and everything else is dropped. The strs slab goes to
+// the collector with its chunks, since the signatures of reports and
+// registry memos alias them.
+func (d *decoder) recycle() decoder {
+	d.classes.recycle(junkClass)
+	d.methods.recycle(junkMethod)
+	d.methodPtrs.recycle(&junkMethod)
+	d.fields.recycle(junkField)
+	d.fieldPtrs.recycle(&junkField)
+	if b := d.bodySlabs; b != nil {
+		b.localDecls.recycle(jimple.LocalDecl{Name: junk, Type: junk})
+		b.stmts.recycle(jimple.Stmt(&junkReturn))
+		b.traps.recycle(jimple.Trap{Begin: -1, End: -1, Handler: -1, Exception: junk})
+		b.values.recycle(junkValue)
+		b.assigns.recycle(jimple.AssignStmt{LHS: jimple.Local{Name: junk}, RHS: junkValue})
+		b.invokes.recycle(jimple.InvokeStmt{Call: jimple.InvokeExpr{Callee: junkMethod.Sig}})
+		b.ifs.recycle(jimple.IfStmt{Cond: junkValue, Target: -1})
+		b.gotos.recycle(jimple.GotoStmt{Target: -1})
+		b.returns.recycle(junkReturn)
+		b.throws.recycle(jimple.ThrowStmt{V: junkValue})
+		clear(b.boxes[:cap(b.boxes)])
+		clear(b.args[:cap(b.args)])
+		b.boxes, b.args = b.boxes[:0], b.args[:0]
+	}
+	return decoder{
+		classes: d.classes, methods: d.methods, methodPtrs: d.methodPtrs,
+		fields: d.fields, fieldPtrs: d.fieldPtrs, bodySlabs: d.bodySlabs,
+	}
+}
+
+// The junk a test binary writes over recycled memory (slab.recycle): a
+// program or report that outlived its release reads these instead of a
+// plausible class.
+const junk = "\x00recycled"
+
+var (
+	junkValue  jimple.Value = jimple.StrConst{V: junk}
+	junkReturn              = jimple.ReturnStmt{V: junkValue}
+	junkMethod              = jimple.Method{Sig: jimple.Sig{Class: junk, Name: junk, Ret: junk}}
+	junkField               = jimple.Field{Name: junk, Type: junk}
+	junkClass               = jimple.Class{Name: junk, Super: junk}
+)
 
 // live panics if l has been released.
 func (l *Lazy) live() {

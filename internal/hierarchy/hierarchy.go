@@ -59,6 +59,9 @@ type Hierarchy struct {
 	// sites, and each re-resolution used to redo the subtree walk and
 	// re-render every candidate's key. An overlay keeps its own memo.
 	dispatchMemo map[dispatchKey][]*jimple.Method
+	// sc is the scratch an overlay keeps its indexes in; nil for the
+	// heap.
+	sc *Scratch
 }
 
 type dispatchKey struct {
@@ -89,7 +92,7 @@ func New(p *jimple.Program) *Hierarchy {
 			h.supersOf[c.Name] = append(h.supersOf[c.Name], i)
 			h.subsOf[i] = append(h.subsOf[i], c.Name)
 		}
-		h.methodIdx[c.Name] = methodsOf(c, intern)
+		h.methodIdx[c.Name] = methodsOf(c, intern, nil)
 		h.superOf[c.Name] = c.Super
 	}
 	for _, m := range []map[string][]string{h.subsOf, h.supersOf} {
@@ -101,19 +104,93 @@ func New(p *jimple.Program) *Hierarchy {
 }
 
 // NewOverlay returns the hierarchy of the overlay program p over base,
-// which must be a flat hierarchy of p's base program. It does no work per
-// class: own classes are indexed as queries reach them, and every query
-// answers exactly as New over the flat merge of p's layers would.
-func NewOverlay(base *Hierarchy, p *jimple.Program) *Hierarchy {
+// which must be a flat hierarchy of p's base program, its indexes kept in
+// sc (nil: on the heap). It does no work per class: own classes are
+// indexed as queries reach them, and every query answers exactly as New
+// over the flat merge of p's layers would.
+func NewOverlay(base *Hierarchy, p *jimple.Program, sc *Scratch) *Hierarchy {
 	if base.base != nil || p.Base() != base.prog {
 		panic("hierarchy: overlay program does not sit on the base hierarchy's program")
 	}
-	return &Hierarchy{prog: p, base: base, shadows: p.Shadows()}
+	h := &Hierarchy{prog: p, base: base, shadows: p.Shadows(), sc: sc}
+	if sc != nil {
+		if sc.methodIdx == nil {
+			sc.methodIdx = make(map[string]map[string]*jimple.Method)
+			sc.dispatchMemo = make(map[dispatchKey][]*jimple.Method)
+		}
+		if sc.intern == nil {
+			sc.intern = jimple.NewInterner()
+		}
+		h.methodIdx, h.dispatchMemo, h.intern = sc.methodIdx, sc.dispatchMemo, sc.intern
+	}
+	return h
 }
 
-// methodsOf maps c's methods by subsignature, first declaration winning.
-func methodsOf(c *jimple.Class, intern *jimple.Interner) map[string]*jimple.Method {
-	mm := make(map[string]*jimple.Method, len(c.Methods))
+// Scratch is the memory a scan's overlay hierarchy keeps its indexes in:
+// the method index, with the per-class maps of earlier scans to reuse,
+// the dispatch memo, and the subsignature interner. A scan resets it when
+// it ends, after which the hierarchy built in it is invalid. The
+// interner's strings outlive the reset: a string is immutable, and the
+// next scan may share it.
+type Scratch struct {
+	methodIdx    map[string]map[string]*jimple.Method
+	spare        []map[string]*jimple.Method
+	dispatchMemo map[dispatchKey][]*jimple.Method
+	intern       *jimple.Interner
+}
+
+// The bounds of what a Scratch keeps for the next scan: how many
+// per-class maps (and index entries), how many methods a kept map may
+// have held, how many entries the dispatch memo, and how many strings
+// the interner.
+const (
+	maxSpareMaps   = 64
+	maxSpareMethod = 64
+	maxMemo        = 1024
+	maxInterned    = 4096
+)
+
+// Reset empties s for the next scan: the per-class maps are cleared and
+// kept for reuse, up to maxSpareMaps of them, the index and the memo are
+// emptied (or dropped, past their bounds), and so is the interner past
+// maxInterned strings.
+func (s *Scratch) Reset() {
+	if s == nil {
+		return
+	}
+	for _, mm := range s.methodIdx {
+		if len(s.spare) < maxSpareMaps && len(mm) <= maxSpareMethod {
+			clear(mm)
+			s.spare = append(s.spare, mm)
+		}
+	}
+	if len(s.methodIdx) > maxSpareMaps || len(s.dispatchMemo) > maxMemo {
+		s.methodIdx, s.dispatchMemo = nil, nil
+	}
+	clear(s.methodIdx)
+	clear(s.dispatchMemo)
+	if s.intern != nil && s.intern.Len() > maxInterned {
+		s.intern = nil
+	}
+}
+
+// methodMap returns an empty map for a class of n methods: a spare one
+// of an earlier scan when sc holds one.
+func (sc *Scratch) methodMap(n int) map[string]*jimple.Method {
+	if sc == nil || len(sc.spare) == 0 {
+		return make(map[string]*jimple.Method, n)
+	}
+	last := len(sc.spare) - 1
+	mm := sc.spare[last]
+	sc.spare[last] = nil
+	sc.spare = sc.spare[:last]
+	return mm
+}
+
+// methodsOf maps c's methods by subsignature, first declaration winning,
+// in a map from sc.
+func methodsOf(c *jimple.Class, intern *jimple.Interner, sc *Scratch) map[string]*jimple.Method {
+	mm := sc.methodMap(len(c.Methods))
 	for _, m := range c.Methods {
 		k := intern.SubSigKey(m.Sig)
 		if _, dup := mm[k]; !dup {
@@ -134,7 +211,7 @@ func (h *Hierarchy) ownMethods(c *jimple.Class) map[string]*jimple.Method {
 			h.methodIdx = make(map[string]map[string]*jimple.Method)
 			h.intern = jimple.NewInterner()
 		}
-		mm = methodsOf(c, h.intern)
+		mm = methodsOf(c, h.intern, h.sc)
 		h.methodIdx[c.Name] = mm
 	}
 	return mm

@@ -68,7 +68,7 @@ type Replayer struct {
 // NewReplayer layers the app over the shared framework and library stub
 // layer and builds the execution hierarchy.
 func NewReplayer(app *apk.App) *Replayer {
-	h := baselayer.Get().Overlay(app.Program)
+	h := baselayer.Get().Overlay(app.Program, nil)
 	r := &Replayer{prog: h.Program(), h: h}
 	if app.Manifest != nil {
 		r.receivers = app.Manifest.Receivers

@@ -47,3 +47,6 @@ func (t *Interner) SubSigKey(s Sig) string {
 	t.buf = s.AppendSubSigKey(t.buf[:0])
 	return t.intern(t.buf)
 }
+
+// Len returns the number of distinct strings t holds.
+func (t *Interner) Len() int { return len(t.m) }

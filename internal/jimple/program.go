@@ -214,9 +214,31 @@ func NewProgram() *Program {
 
 // NewLazyProgram returns the program whose own classes src holds, each
 // built on its first lookup. Its own layer is fixed: AddClass and Merge
-// into it panic.
-func NewLazyProgram(src ClassSource) *Program {
-	return &Program{lazy: &lazyClasses{src: src, built: make([]atomic.Pointer[Class], src.NumSlots())}}
+// into it panic. The built classes are memoized by slot in memo, a memo
+// an earlier program gave back (ReleaseMemo), when it has the room, and
+// in a new one otherwise; nil asks for a new one.
+func NewLazyProgram(src ClassSource, memo []atomic.Pointer[Class]) *Program {
+	if n := src.NumSlots(); cap(memo) >= n {
+		memo = memo[:n]
+		clear(memo)
+	} else {
+		memo = make([]atomic.Pointer[Class], n)
+	}
+	return &Program{lazy: &lazyClasses{src: src, built: memo}}
+}
+
+// ReleaseMemo takes the class memo of a lazily opened program whose
+// source has released its classes, for a later NewLazyProgram to reuse.
+// The program's classes are invalid from then on: a lookup panics in the
+// source, and EachBuilt calls fn on none. It returns nil for a flat
+// program, and for a lazy one whose memo has gone already.
+func (p *Program) ReleaseMemo() []atomic.Pointer[Class] {
+	if p.lazy == nil {
+		return nil
+	}
+	memo := p.lazy.built
+	p.lazy.built = nil
+	return memo
 }
 
 // NewOverlay returns a program whose own layer is app's classes layered

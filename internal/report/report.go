@@ -122,12 +122,12 @@ type Loc struct {
 
 func (l Loc) String() string {
 	var b strings.Builder
-	l.writeTo(&b)
+	l.writeTo(&sink{b: &b})
 	return b.String()
 }
 
 // writeTo writes l's String form to b, rendering through a stack buffer.
-func (l Loc) writeTo(b *strings.Builder) {
+func (l Loc) writeTo(b *sink) {
 	var buf [256]byte
 	k := l.Method.AppendKey(buf[:0])
 	k = append(k, ", stmt "...)
@@ -190,12 +190,44 @@ const (
 // Render formats the report in the layout of the paper's Figure 7.
 func (r *Report) Render() string {
 	var b strings.Builder
-	r.writeTo(&b)
+	r.writeTo(&sink{b: &b})
 	return b.String()
 }
 
+// sink is what a report renders into: a strings.Builder, or, with b
+// nil, nothing, only counting the bytes into n so that a
+// strings.Builder can be sized exactly first.
+type sink struct {
+	b *strings.Builder
+	n int
+}
+
+func (w *sink) Write(p []byte) {
+	if w.b == nil {
+		w.n += len(p)
+		return
+	}
+	w.b.Write(p)
+}
+
+func (w *sink) WriteByte(c byte) error {
+	if w.b == nil {
+		w.n++
+		return nil
+	}
+	return w.b.WriteByte(c)
+}
+
+func (w *sink) WriteString(s string) {
+	if w.b == nil {
+		w.n += len(s)
+		return
+	}
+	w.b.WriteString(s)
+}
+
 // writeTo writes the Render form of r to b.
-func (r *Report) writeTo(b *strings.Builder) {
+func (r *Report) writeTo(b *sink) {
 	write(b, "NPD Information\n  ", r.Message, "! at ")
 	r.Location.writeTo(b)
 	b.WriteString("\nNPD impact\n  ")
@@ -239,7 +271,7 @@ func (r *Report) writeTo(b *strings.Builder) {
 }
 
 // write writes each of ss to b.
-func write(b *strings.Builder, ss ...string) {
+func write(b *sink, ss ...string) {
 	for _, s := range ss {
 		b.WriteString(s)
 	}
@@ -302,20 +334,23 @@ func Suggest(c Cause, ctx Context, lib *apimodel.Library) string {
 // blank-line separator. It is the single definition of "the CLI's report
 // text", shared by the CLI and by nchecker serve so an HTTP scan's report
 // body is byte-identical to the command-line scan of the same app. Every
-// report is written straight into one builder, sized up front from a
-// typical report's length.
+// report is written straight into one builder, sized exactly by a first
+// pass that counts the bytes.
 func RenderAll(reports []Report) string {
-	var b strings.Builder
-	b.Grow(len(reports) * renderSizeHint)
+	var count sink
 	for i := range reports {
-		reports[i].writeTo(&b)
-		b.WriteByte('\n')
+		reports[i].writeTo(&count)
+		count.n++
+	}
+	var b strings.Builder
+	b.Grow(count.n)
+	w := sink{b: &b}
+	for i := range reports {
+		reports[i].writeTo(&w)
+		w.WriteByte('\n')
 	}
 	return b.String()
 }
-
-// renderSizeHint is a typical rendered report's length in bytes.
-const renderSizeHint = 768
 
 // Summary aggregates reports for quick printing.
 type Summary struct {
