@@ -1,9 +1,10 @@
-// Package arena carves a scan's short-lived arrays — the per-method
-// kernels' graphs and bit rows, the call graph's per-scan tables — from
-// chunks that outlive the scan, so a steady stream of scans stops
-// allocating them. A scan owns its slabs alone (one scan runs on one
-// goroutine), so a slab takes no locks. Nothing a scan's Result reaches
-// may be carved from a slab: Reset hands the memory to the next scan.
+// Package arena carves a scan's short-lived arrays — the decoded program's
+// class headers and bodies, the per-method kernels' graphs and bit rows,
+// the call graph's per-scan tables — from chunks that outlive the scan,
+// so a steady stream of scans stops allocating them. A scan owns its
+// slabs alone (one scan runs on one goroutine), so a slab takes no locks.
+// Nothing a scan's Result reaches may be carved from a slab that is
+// reset: Reset hands the memory to the next scan.
 package arena
 
 import (
@@ -11,23 +12,46 @@ import (
 	"unsafe"
 )
 
+// MaxKeptBytes bounds what each slab, and each buffer a scan's scratch
+// keeps beside its slabs, holds on to for the next scan: kept memory
+// counts against the heap goal like live memory does, so one large scan
+// does not make every later scan carry its arrays.
+const MaxKeptBytes = 32 << 10
+
+// Junk is the string a test binary writes over recycled memory, in place
+// of every name a recycled value held: a value that outlived its scan
+// reads it instead of a plausible name.
+const Junk = "\x00recycled"
+
+// Keep returns s for a scratch to hold on to for the next scan, or nil
+// when its capacity passes MaxKeptBytes.
+func Keep[T any](s []T) []T {
+	var zero T
+	if cap(s)*int(unsafe.Sizeof(zero)) > MaxKeptBytes {
+		return nil
+	}
+	return s
+}
+
 // Slab hands out zeroed slices of T carved from its chunks, in order,
-// until Reset makes every chunk free again. A nil *Slab allocates each
-// slice from the heap, so a caller with no scan scratch (a test, a
-// one-off analysis) runs the same code.
+// until Reset makes every chunk free again. The zero Slab is empty and
+// ready to carve.
 type Slab[T any] struct {
 	chunks [][]T
 	cur    int // the chunk being carved
 	used   int // items carved from chunks[cur]
 }
 
-// minChunk is the smallest chunk a slab allocates, in items.
-const minChunk = 64
+// minChunk is the smallest chunk a slab allocates, in items: small, since
+// some slabs carve only a few items before they are dropped (the
+// signatures of one open, or of one Index.Sig call, in dex).
+const minChunk = 8
 
-// Make returns a zeroed slice of n items, capped at n.
+// Make returns a zeroed slice of n items, capped at n, so appending to
+// it never writes into the next.
 func (s *Slab[T]) Make(n int) []T {
-	if s == nil || n == 0 {
-		return make([]T, n)
+	if n == 0 {
+		return make([]T, 0)
 	}
 	for ; s.cur < len(s.chunks); s.cur, s.used = s.cur+1, 0 {
 		if c := s.chunks[s.cur]; len(c)-s.used >= n {
@@ -57,13 +81,8 @@ func (s *Slab[T]) New() *T { return &s.Make(1)[0] }
 // was carved so the slab keeps nothing of the scan alive; in a test
 // binary junk is written over it instead (Make clears it again when it
 // carves), so a value that outlived its scan reads junk. The chunks past
-// the first maxBytes bytes go to the collector: what a slab keeps counts
-// against the heap goal like live memory does, so one large scan does not
-// make every later scan carry its arrays. A nil s is a no-op.
-func (s *Slab[T]) Reset(maxBytes int, junk func(*T)) {
-	if s == nil {
-		return
-	}
+// the first MaxKeptBytes bytes go to the collector.
+func (s *Slab[T]) Reset(junk func(*T)) {
 	var zero T
 	itemBytes := int(unsafe.Sizeof(zero))
 	kept, total := 0, 0
@@ -73,7 +92,7 @@ func (s *Slab[T]) Reset(maxBytes int, junk func(*T)) {
 			if i == s.cur {
 				n = s.used
 			}
-			if testing.Testing() && junk != nil {
+			if testing.Testing() {
 				for k := range c[:n] {
 					junk(&c[k])
 				}
@@ -81,7 +100,7 @@ func (s *Slab[T]) Reset(maxBytes int, junk func(*T)) {
 				clear(c[:n])
 			}
 		}
-		if total += len(c) * itemBytes; total <= maxBytes {
+		if total += len(c) * itemBytes; total <= MaxKeptBytes {
 			kept = i + 1
 		}
 	}

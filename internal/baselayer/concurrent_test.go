@@ -98,12 +98,14 @@ func TestConcurrentScansShareBase(t *testing.T) {
 }
 
 // TestConcurrentFirstUseOfOneOverlay starts many goroutines on one fresh
-// overlay of a lazily opened app at once, as the pipeline's parallel
-// stages share theirs (run it under -race): their first LookupMethod,
+// overlay of a lazily opened app at once (run it under -race): a scan
+// runs on one goroutine, but an overlay and its program stay safe to
+// share, under their locks. The goroutines' first LookupMethod,
 // SubtypesOf, IsSubtype and Dispatch calls race to build the overlay's
 // per-class method indexes and its dispatch memo, and their first Class,
-// OwnClass and Classes calls race to build the same classes. Every answer must equal the flat
-// reference, and the shared base's index sizes must be unchanged.
+// OwnClass and Classes calls race to build the same classes. Every answer
+// must equal the flat reference, and the shared base's index sizes must
+// be unchanged.
 func TestConcurrentFirstUseOfOneOverlay(t *testing.T) {
 	const goroutines = 8
 	members, err := corpus.GenerateCorpus(2016)

@@ -117,8 +117,8 @@ type Options struct {
 	// match the paper's published tool; turning it on removes the
 	// paper's Table 9 false positives.
 	EnableICC bool
-	// Scratch, when non-nil, is the per-scan memory the graph's tables
-	// are built in (see Scratch); nil builds them on the heap.
+	// Scratch is the per-scan memory the graph's tables are built in (see
+	// Scratch); nil means a fresh one, which nothing resets.
 	Scratch *Scratch
 }
 
@@ -142,20 +142,16 @@ type Scratch struct {
 	cnt []int32
 }
 
-// maxScratchBytes bounds what each of a Scratch's slabs keeps for the
-// next scan, maxPooledIDs the methods its id maps and counts may have
-// held, and maxInterned the strings its interner keeps.
+// maxPooledIDs bounds the methods a Scratch's id maps and counts may
+// have held, and maxInterned the strings its interner keeps, for the
+// next scan.
 const (
-	maxScratchBytes = 16 << 10
-	maxPooledIDs    = 1024
-	maxInterned     = 4096
+	maxPooledIDs = 1024
+	maxInterned  = 4096
 )
 
 // Reset makes s's memory free for the next scan (arena.Slab.Reset).
 func (s *Scratch) Reset() {
-	if s == nil {
-		return
-	}
 	if len(s.byMethod) > maxPooledIDs {
 		s.first, s.byMethod = nil, nil
 	}
@@ -167,50 +163,19 @@ func (s *Scratch) Reset() {
 	if s.intern != nil && s.intern.Len() > maxInterned {
 		s.intern = nil
 	}
-	junkSig := jimple.Sig{Class: junkKey, Name: junkKey}
-	s.keys.Reset(maxScratchBytes, func(k *string) { *k = junkKey })
-	s.methods.Reset(maxScratchBytes, func(m **jimple.Method) { *m = &junkMethod })
-	s.lists.Reset(maxScratchBytes, func(l *[]Edge) { *l = junkEdges })
-	s.edges.Reset(maxScratchBytes, func(e *Edge) { *e = Edge{Caller: junkSig, Callee: junkSig, CallerID: -1, CalleeID: -1} })
+	s.keys.Reset(func(k *string) { *k = arena.Junk })
+	s.methods.Reset(func(m **jimple.Method) { *m = &junkMethod })
+	s.lists.Reset(func(l *[]Edge) { *l = junkEdges })
+	s.edges.Reset(func(e *Edge) { *e = junkEdges[0] })
 	clear(s.out[:cap(s.out)])
-	s.out = s.out[:0]
+	s.out = arena.Keep(s.out[:0])
 }
 
 // The junk a test binary writes over a reset scratch.
-const junkKey = "\x00recycled"
-
 var (
-	junkMethod = jimple.Method{Sig: jimple.Sig{Class: junkKey, Name: junkKey}}
+	junkMethod = jimple.Method{Sig: jimple.Sig{Class: arena.Junk, Name: arena.Junk}}
 	junkEdges  = []Edge{{Caller: junkMethod.Sig, Callee: junkMethod.Sig, CallerID: -1, CalleeID: -1}}
 )
-
-func (s *Scratch) keySlab() *arena.Slab[string] {
-	if s == nil {
-		return nil
-	}
-	return &s.keys
-}
-
-func (s *Scratch) methodSlab() *arena.Slab[*jimple.Method] {
-	if s == nil {
-		return nil
-	}
-	return &s.methods
-}
-
-func (s *Scratch) listSlab() *arena.Slab[[]Edge] {
-	if s == nil {
-		return nil
-	}
-	return &s.lists
-}
-
-func (s *Scratch) edgeSlab() *arena.Slab[Edge] {
-	if s == nil {
-		return nil
-	}
-	return &s.edges
-}
 
 // Build constructs the call graph of the program underlying h. manifest
 // may be nil.
@@ -272,47 +237,41 @@ func (b *Base) Build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Op
 }
 
 // build constructs the graph from classes, the program's classes that may
-// hold a bodied method, in any order, in opts.Scratch's memory.
+// hold a bodied method, in any order, in opts.Scratch's memory (a fresh
+// Scratch when it is nil).
 func build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options, classes []*jimple.Class) *Graph {
 	sc := opts.Scratch
-	g := &Graph{H: h, Manifest: manifest}
-	var first map[string]int32
-	if sc != nil {
-		if sc.first == nil {
-			sc.first, sc.byMethod = make(map[string]int32), make(map[*jimple.Method]int32)
-		}
-		if sc.intern == nil {
-			sc.intern = jimple.NewInterner()
-		}
-		first, g.byMethod, g.intern = sc.first, sc.byMethod, sc.intern
-	} else {
-		first, g.byMethod, g.intern = make(map[string]int32), make(map[*jimple.Method]int32), jimple.NewInterner()
+	if sc == nil {
+		sc = new(Scratch)
 	}
-	g.number(sc, first, classes)
-	g.out = sc.listSlab().Make(len(g.keys))
-	g.in = sc.listSlab().Make(len(g.keys))
+	g := &Graph{H: h, Manifest: manifest}
+	if sc.first == nil {
+		sc.first, sc.byMethod = make(map[string]int32), make(map[*jimple.Method]int32)
+	}
+	if sc.intern == nil {
+		sc.intern = jimple.NewInterner()
+	}
+	g.byMethod, g.intern = sc.byMethod, sc.intern
+	g.number(sc, classes)
+	g.out = sc.lists.Make(len(g.keys))
+	g.in = sc.lists.Make(len(g.keys))
 	g.discoverEntries(classes)
 	// Each caller's edges collect in one buffer and are carved at exact
 	// size; the in-lists are filed from them afterwards, in the order the
 	// edges were added.
-	var buf []Edge
-	if sc != nil {
-		buf = sc.out[:0]
-	}
+	buf := sc.out[:0]
 	g.filing = true
 	for id := range g.keys {
 		g.out[id] = buf[:0]
 		g.addEdgesFrom(int32(id), opts)
 		buf, g.out[id] = g.out[id], nil
 		if len(buf) > 0 {
-			g.out[id] = sc.edgeSlab().Make(len(buf))
+			g.out[id] = sc.edges.Make(len(buf))
 			copy(g.out[id], buf)
 		}
 	}
-	if sc != nil {
-		clear(buf[:cap(buf)])
-		sc.out = buf[:0]
-	}
+	clear(buf[:cap(buf)])
+	sc.out = buf[:0]
 	g.fileIn(sc)
 	g.filing = false
 	if opts.EnableICC {
@@ -331,11 +290,7 @@ func build(h *hierarchy.Hierarchy, manifest *android.Manifest, opts Options, cla
 // list: the order addEdge added them in. The lists share one array,
 // carved from sc.
 func (g *Graph) fileIn(sc *Scratch) {
-	var cnt []int32
-	if sc != nil {
-		cnt = sc.cnt
-	}
-	cnt = append(cnt[:0], make([]int32, len(g.keys))...)
+	cnt := append(sc.cnt[:0], make([]int32, len(g.keys))...)
 	n := 0
 	for _, edges := range g.out {
 		n += len(edges)
@@ -343,13 +298,11 @@ func (g *Graph) fileIn(sc *Scratch) {
 			cnt[edges[i].CalleeID]++
 		}
 	}
-	if sc != nil {
-		sc.cnt = cnt
-	}
+	sc.cnt = cnt
 	if n == 0 {
 		return
 	}
-	all := sc.edgeSlab().Make(n)
+	all := sc.edges.Make(n)
 	at := int32(0)
 	for id, k := range cnt {
 		g.in[id] = all[at : at : at+k]
@@ -366,7 +319,7 @@ func (g *Graph) fileIn(sc *Scratch) {
 // body-bearing methods, in first-sighting order, the last-declared method
 // of a repeated key winning the id's method slot. The key and method
 // tables are carved from sc, with room for every bodied method.
-func (g *Graph) number(sc *Scratch, first map[string]int32, classes []*jimple.Class) {
+func (g *Graph) number(sc *Scratch, classes []*jimple.Class) {
 	n := 0
 	for _, c := range classes {
 		for _, m := range c.Methods {
@@ -375,8 +328,8 @@ func (g *Graph) number(sc *Scratch, first map[string]int32, classes []*jimple.Cl
 			}
 		}
 	}
-	g.keys = sc.keySlab().Make(n)[:0]
-	g.methods = sc.methodSlab().Make(n)[:0]
+	g.keys = sc.keys.Make(n)[:0]
+	g.methods = sc.methods.Make(n)[:0]
 	var buf []byte
 	for _, c := range classes {
 		for _, m := range c.Methods {
@@ -384,11 +337,11 @@ func (g *Graph) number(sc *Scratch, first map[string]int32, classes []*jimple.Cl
 				continue
 			}
 			buf = m.Sig.AppendKey(buf[:0])
-			id, dup := first[string(buf)]
+			id, dup := sc.first[string(buf)]
 			if !dup {
 				k := string(buf)
 				id = int32(len(g.keys))
-				first[k] = id
+				sc.first[k] = id
 				g.keys = append(g.keys, k)
 				g.methods = append(g.methods, m)
 			}

@@ -7,7 +7,8 @@
 // Corpus methods are small (a handful of statements each) and a scan
 // builds a graph per analyzed method, so the representation is flat: a
 // graph is two slabs (CSR offsets and node ids), and the analyses run
-// over pooled scratch and return slices carved from one allocation.
+// over the working arrays of the graph's Scratch and return slices
+// carved from one allocation.
 package cfg
 
 import (
@@ -36,20 +37,21 @@ type Graph struct {
 	// with the graphs WithoutEdges derives.
 	locals *localIndex
 	// sc is the scratch g was carved from, which the graphs, dominator
-	// trees and local lists derived from g are carved from too; nil for
-	// the heap.
+	// trees and local lists derived from g are carved from too.
 	sc *Scratch
 }
 
 // Scratch is the memory a scan's graphs are carved from: the graphs, their
-// node slabs, dominator trees and local lists (see package arena). A nil
-// *Scratch allocates from the heap. A scan resets its scratch when it
-// ends, after which every graph carved from it is invalid.
+// node slabs, dominator trees and local lists (see package arena), and
+// the working arrays of graph building and of the graph analyses. A scan
+// resets its scratch when it ends, after which every graph carved from
+// it is invalid.
 type Scratch struct {
 	pairs  arena.Slab[graphPair]
 	graphs arena.Slab[Graph]
 	ints   arena.Slab[int]
 	names  arena.Slab[string]
+	work   scratch
 }
 
 // graphPair is a graph and its local index, carved together.
@@ -58,57 +60,25 @@ type graphPair struct {
 	l localIndex
 }
 
-// maxScratchBytes bounds what each of a Scratch's slabs keeps for the
-// next scan.
-const maxScratchBytes = 16 << 10
-
 // Reset makes s's memory free for the next scan (arena.Slab.Reset).
 func (s *Scratch) Reset() {
-	if s == nil {
-		return
-	}
-	s.pairs.Reset(maxScratchBytes, func(p *graphPair) {
+	s.pairs.Reset(func(p *graphPair) {
 		p.g = junkGraph
 		p.l.names = junkNames
 	})
-	s.graphs.Reset(maxScratchBytes, func(g *Graph) { *g = junkGraph })
-	s.ints.Reset(maxScratchBytes, func(x *int) { *x = -1 << 40 })
-	s.names.Reset(maxScratchBytes, func(x *string) { *x = junkNames[0] })
+	s.graphs.Reset(func(g *Graph) { *g = junkGraph })
+	s.ints.Reset(func(x *int) { *x = -1 << 40 })
+	s.names.Reset(func(x *string) { *x = arena.Junk })
+	w := &s.work
+	w.edges, w.last, w.cnt = arena.Keep(w.edges), arena.Keep(w.last), arena.Keep(w.cnt)
+	w.drop, w.ints = arena.Keep(w.drop), arena.Keep(w.ints)
 }
 
 // The junk a test binary writes over a reset scratch.
 var (
-	junkNames = []string{"\x00recycled"}
-	junkGraph = Graph{Method: &jimple.Method{Sig: jimple.Sig{Class: junkNames[0], Name: junkNames[0]}}, n: -1}
+	junkNames = []string{arena.Junk}
+	junkGraph = Graph{Method: &jimple.Method{Sig: jimple.Sig{Class: arena.Junk, Name: arena.Junk}}, n: -1}
 )
-
-func (s *Scratch) pairSlab() *arena.Slab[graphPair] {
-	if s == nil {
-		return nil
-	}
-	return &s.pairs
-}
-
-func (s *Scratch) graphSlab() *arena.Slab[Graph] {
-	if s == nil {
-		return nil
-	}
-	return &s.graphs
-}
-
-func (s *Scratch) intSlab() *arena.Slab[int] {
-	if s == nil {
-		return nil
-	}
-	return &s.ints
-}
-
-func (s *Scratch) nameSlab() *arena.Slab[string] {
-	if s == nil {
-		return nil
-	}
-	return &s.names
-}
 
 // localIndex numbers the locals of one method body.
 type localIndex struct {
@@ -125,7 +95,7 @@ func (g *Graph) Locals() []string {
 	x := g.locals
 	x.once.Do(func() {
 		m := g.Method
-		names := g.sc.nameSlab().Make(len(m.Locals) + 4)[:0]
+		names := g.sc.names.Make(len(m.Locals) + 4)[:0]
 		for _, l := range m.Locals {
 			names = append(names, l.Name)
 		}
@@ -171,8 +141,9 @@ func LocalIn(names []string, name string) int {
 }
 
 // scratch is the transient state of graph building and of the graph
-// analyses, reused through scratches so a build or an analysis allocates
-// only its result. A build collects the graph's edges in insertion order,
+// analyses, a Scratch's work, so a build or an analysis allocates only its
+// result. A routine holds it only while it calls no other routine that
+// takes it. A build collects the graph's edges in insertion order,
 // dropping repeats, and lays them out as CSR.
 type scratch struct {
 	edges []edge
@@ -190,8 +161,6 @@ type edge struct {
 	prev     int32
 	exc      bool
 }
-
-var scratches = sync.Pool{New: func() any { return new(scratch) }}
 
 // intsOf returns s's int scratch resized to n, contents undefined.
 func (s *scratch) intsOf(n int) []int {
@@ -225,12 +194,12 @@ func (s *scratch) graph(sc *Scratch, m *jimple.Method, n int, locals *localIndex
 	var g *Graph
 	if locals == nil {
 		// The graph and its local index are carved together.
-		pair := sc.pairSlab().New()
+		pair := sc.pairs.New()
 		g, locals = &pair.g, &pair.l
 	} else {
-		g = sc.graphSlab().New()
+		g = sc.graphs.New()
 	}
-	slab := sc.intSlab().Make(2*n + 1 + 2*e)
+	slab := sc.ints.Make(2*n + 1 + 2*e)
 	*g = Graph{Method: m, n: n, off: slab[:2*n+1], adj: slab[2*n+1:], locals: locals, sc: sc}
 	// Counting sorts by source and by target; both keep insertion order.
 	cnt := slices.Grow(s.cnt[:0], 2*n)[:2*n]
@@ -266,14 +235,17 @@ func (s *scratch) graph(sc *Scratch, m *jimple.Method, n int, locals *localIndex
 	return g
 }
 
-// New builds the CFG of m, which must have a body, carved from sc (nil:
-// the heap). Exceptional edges are added from every statement inside a
+// New builds the CFG of m, which must have a body, carved from sc; a nil
+// sc means a fresh Scratch, which the graph keeps to itself and nothing
+// resets. Exceptional edges are added from every statement inside a
 // trap range to the trap handler (conservatively: any statement in range
 // may throw).
 func New(sc *Scratch, m *jimple.Method) *Graph {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	n := len(m.Body)
-	b := scratches.Get().(*scratch)
-	defer scratches.Put(b)
+	b := &sc.work
 	b.reset(n + 1)
 	var scratch [2]int
 	for i, s := range m.Body {
@@ -319,8 +291,7 @@ func (g *Graph) WithoutEdges(drop [][2]int) *Graph {
 	if len(drop) == 0 {
 		return g
 	}
-	b := scratches.Get().(*scratch)
-	defer scratches.Put(b)
+	b := &g.sc.work
 	b.drop = append(b.drop[:0], drop...)
 	slices.SortFunc(b.drop, cmpEdge)
 	b.reset(g.n)
@@ -410,8 +381,7 @@ func (g *Graph) dominators(root int, reverse bool) []int {
 	if reverse {
 		next, prev = g.Preds, g.Succs
 	}
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
+	s := &g.sc.work
 	// rpoNum[u] is u's reverse-postorder number (-1 when unvisited),
 	// order the nodes in reverse postorder, and stack the depth-first
 	// search's (node, next successor) pairs.
@@ -443,7 +413,7 @@ func (g *Graph) dominators(root int, reverse bool) []int {
 	for i, u := range order {
 		rpoNum[u] = i
 	}
-	idom := g.sc.intSlab().Make(n)
+	idom := g.sc.ints.Make(n)
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -571,8 +541,7 @@ func (g *Graph) NaturalLoopsWith(idom []int) []*Loop {
 	out := make([]*Loop, nloops)
 	in := make([]uint64, nloops*words)
 	tails := make([]int, len(back))
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
+	s := &g.sc.work
 	li := -1
 	for i, e := range back {
 		h, t := e[0], e[1]
@@ -628,10 +597,10 @@ func (g *Graph) NaturalLoopsWith(idom []int) []*Loop {
 // post-dominates s but u does not post-dominate b. deps[u] lists those b,
 // ascending; the lists share one backing array.
 func (g *Graph) ControlDeps() [][]int {
+	// PostDominators takes the working arrays too: it runs first.
 	ipdom := g.PostDominators()
 	n := g.n
-	s := scratches.Get().(*scratch)
-	defer scratches.Put(s)
+	s := &g.sc.work
 	// A first walk counts each node's branches and a second files them.
 	// Branches are walked in ascending order, so a repeat of (u, b) —
 	// b reaching u through two successors — is always u's latest entry.

@@ -22,7 +22,7 @@ type AnalysisContext struct {
 	// art holds the per-method artifacts by call-graph method id.
 	art []methodArtifacts
 	// cfgs and flows are the scan scratch's kernel memory the graphs and
-	// reaching-definitions results are carved from (nil: the heap).
+	// reaching-definitions results are carved from.
 	cfgs  *cfg.Scratch
 	flows *dataflow.Scratch
 

@@ -55,10 +55,6 @@ func (s *scanScratch) artifacts(n int) []methodArtifacts {
 // scratchPool holds the scratch of finished scans.
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// maxScratchBytes bounds what each of the scratch's slabs keeps for the
-// next scan.
-const maxScratchBytes = 16 << 10
-
 // newSite returns a copy of site carved from the scan's scratch.
 func (a *analysis) newSite(site requestSite) *requestSite {
 	p := a.scratch.sites.New()
@@ -87,7 +83,7 @@ func putScratch(s *scanScratch) {
 	f := &s.found
 	recycle(f.reports, junkReport)
 	recycle(f.methods, junkArtifacts.m)
-	recycle(s.keys, junkString)
+	recycle(s.keys, arena.Junk)
 	f.stats = Stats{}
 	if cap(f.reports) > maxPooledReports {
 		f.reports, f.methods, s.keys, s.order = nil, nil, nil, nil
@@ -99,7 +95,7 @@ func putScratch(s *scanScratch) {
 		s.art = nil
 	}
 	s.actx = AnalysisContext{}
-	s.sites.Reset(maxScratchBytes, func(r *requestSite) { *r = junkSite })
+	s.sites.Reset(func(r *requestSite) { *r = junkSite })
 	s.hier.Reset()
 	s.graph.Reset()
 	s.cfgs.Reset()
@@ -123,14 +119,12 @@ func recycle[T any](s []T, junk T) {
 
 // The junk a test binary writes over recycled memory before it is
 // pooled.
-const junkString = "\x00recycled"
-
 var (
 	junkReport = report.Report{
-		Cause: junkString, Message: junkString, FixSuggestion: junkString,
-		Location:  report.Loc{Method: jimple.Sig{Class: junkString, Name: junkString}, Stmt: -1},
-		CallStack: []report.Frame{{Method: junkString, Site: -1}},
+		Cause: arena.Junk, Message: arena.Junk, FixSuggestion: arena.Junk,
+		Location:  report.Loc{Method: jimple.Sig{Class: arena.Junk, Name: arena.Junk}, Stmt: -1},
+		CallStack: []report.Frame{{Method: arena.Junk, Site: -1}},
 	}
 	junkArtifacts = methodArtifacts{m: &jimple.Method{Sig: junkReport.Location.Method}, tried: ^artifact(0)}
-	junkSite      = requestSite{method: junkArtifacts.m, stmt: -1, entry: -1, component: junkString, httpMethod: junkString}
+	junkSite      = requestSite{method: junkArtifacts.m, stmt: -1, entry: -1, component: arena.Junk, httpMethod: arena.Junk}
 )

@@ -194,7 +194,8 @@ func (c *Checker) ScanFileContext(ctx context.Context, path string) (*Result, er
 // analyze scans an app the scan opened itself, starting at start, and
 // then releases it. The Result holds nothing the release recycles: its
 // reports keep strings and signatures, which stay with the collector, and
-// every stage goroutine has been waited on when AnalyzeContext returns.
+// AnalyzeContext runs the whole scan on this goroutine, so nothing reads
+// the app once it returns.
 // The open's wall time — file read, container framing and skim — is the
 // time from start to the analysis.
 func (c *Checker) analyze(ctx context.Context, app *apk.App, start time.Time) *Result {

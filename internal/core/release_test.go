@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/apk"
+	"repro/internal/arena"
 	"repro/internal/checkers"
 	"repro/internal/corpus"
 	"repro/internal/report"
@@ -140,7 +141,7 @@ func TestConcurrentReleasedScansKeepResults(t *testing.T) {
 		{"-validate", resAV, textAV, jsonAV},
 		{"cache write", resAC, textAC, jsonAC},
 	} {
-		if strings.Contains(kept.text+kept.json, recycledJunk) {
+		if strings.Contains(kept.text+kept.json, arena.Junk) {
 			t.Errorf("scan A's %s Result reads recycled memory:\n%s", kept.name, kept.text)
 		}
 		if text, js := renderBoth(t, kept.res.Reports); text != kept.text || js != kept.json {
@@ -155,10 +156,6 @@ func TestConcurrentReleasedScansKeepResults(t *testing.T) {
 		t.Errorf("warm scan A renders differently from the scan that wrote its entry")
 	}
 }
-
-// recycledJunk is the marker the pools write into recycled memory in a
-// test binary (dex, checkers and the kernel scratches all use it).
-const recycledJunk = "\x00recycled"
 
 // releasedScanStorm is one goroutine of the storm: three passes over the
 // containers, starting at a different one per goroutine and pass.

@@ -69,8 +69,13 @@ func kernelInputs(t *testing.T) map[string][][]byte {
 // them: successor and predecessor order, exceptional flags, dominators
 // and post-dominators, natural loops, control dependences, reaching
 // definitions for every (statement, local) pair, and the feasibility-
-// pruned graph.
+// pruned graph. Each method runs twice: on fresh scratches, and on a pair
+// of scratches the previous method's kernels were carved from and that
+// were then reset — filled with junk, in a test binary — as a scan's end
+// resets them.
 func TestKernelDifferential(t *testing.T) {
+	var cs cfg.Scratch
+	var ds Scratch
 	for name, containers := range kernelInputs(t) {
 		methods := 0
 		for i, data := range containers {
@@ -87,9 +92,14 @@ func TestKernelDifferential(t *testing.T) {
 						continue
 					}
 					methods++
-					if err := diffKernels(m); err != nil {
+					if err := diffKernels(m, nil, nil); err != nil {
 						t.Fatalf("%s app %d, %s: %v", name, i, m.Sig.Key(), err)
 					}
+					if err := diffKernels(m, &cs, &ds); err != nil {
+						t.Fatalf("%s app %d, %s, on a recycled scratch: %v", name, i, m.Sig.Key(), err)
+					}
+					cs.Reset()
+					ds.Reset()
 				}
 			}
 		}
@@ -106,7 +116,7 @@ func TestKernelDifferential(t *testing.T) {
 // and a body wider than one bitset word.
 func TestKernelDifferentialShapes(t *testing.T) {
 	for _, m := range kernelShapes(t) {
-		if err := diffKernels(m); err != nil {
+		if err := diffKernels(m, nil, nil); err != nil {
 			t.Errorf("%s: %v", m.Sig.Name, err)
 		}
 	}
@@ -187,9 +197,10 @@ func kernelShapes(t *testing.T) []*jimple.Method {
 	return out
 }
 
-// diffKernels compares every kernel on m with its reference.
-func diffKernels(m *jimple.Method) error {
-	g, r := cfg.New(nil, m), refNew(m)
+// diffKernels compares every kernel on m, carved from cs and ds (nil:
+// fresh scratches), with its reference.
+func diffKernels(m *jimple.Method, cs *cfg.Scratch, ds *Scratch) error {
+	g, r := cfg.New(cs, m), refNew(m)
 	if err := diffGraph(g, r); err != nil {
 		return fmt.Errorf("cfg: %w", err)
 	}
@@ -214,7 +225,7 @@ func diffKernels(m *jimple.Method) error {
 			return fmt.Errorf("control deps of %d: %v, want %v", u, deps[u], want)
 		}
 	}
-	rd, refRD := NewReachDefs(nil, g), newRefReachDefs(r)
+	rd, refRD := NewReachDefs(ds, g), newRefReachDefs(r)
 	locals := append(slices.Clone(g.Locals()), "absent-local")
 	for stmt := 0; stmt < g.NumNodes(); stmt++ {
 		for _, l := range locals {

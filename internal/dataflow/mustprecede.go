@@ -46,21 +46,25 @@ func NewMustPrecede(cg *callgraph.Graph, gen GenFunc) *MustPrecede {
 }
 
 // NewMustPrecedeWith is NewMustPrecede with an explicit CFG provider
-// (nil falls back to cfg.New), its per-method state carved from sc (nil:
-// the heap). The provider must be safe for use from this goroutine;
-// results are identical to NewMustPrecede.
+// (nil falls back to cfg.New), its per-method state carved from sc; a
+// nil sc means a fresh Scratch, which nothing resets. The provider must be
+// safe for use from this goroutine; results are identical to
+// NewMustPrecede.
 func NewMustPrecedeWith(sc *Scratch, cg *callgraph.Graph, gen GenFunc, cfgOf CFGProvider) *MustPrecede {
-	if cfgOf == nil {
-		cfgOf = heapCFG
+	if sc == nil {
+		sc = new(Scratch)
 	}
-	mp := &MustPrecede{cg: cg, gen: gen, cfgOf: cfgOf, sc: sc, fact: sc.boolRowSlab().Make(cg.NumIDs())}
+	if cfgOf == nil {
+		cfgOf = freshCFG
+	}
+	mp := &MustPrecede{cg: cg, gen: gen, cfgOf: cfgOf, sc: sc, fact: sc.boolRows.Make(cg.NumIDs())}
 	mp.solve()
 	return mp
 }
 
-// heapCFG builds m's graph from the heap, the provider of callers that
-// pass none.
-func heapCFG(m *jimple.Method) *cfg.Graph { return cfg.New(nil, m) }
+// freshCFG builds m's graph in a fresh scratch, the provider of callers
+// that pass none.
+func freshCFG(m *jimple.Method) *cfg.Graph { return cfg.New(nil, m) }
 
 // FactBefore reports whether the condition definitely holds immediately
 // before stmt of the method with the given signature key executes. It
@@ -125,7 +129,7 @@ func (mp *MustPrecede) solve() {
 	for _, w := range reach {
 		reachable += bits.OnesCount64(w)
 	}
-	states := mp.sc.mpStateSlab().Make(reachable)[:0]
+	states := mp.sc.mpStates.Make(reachable)[:0]
 	nodes := 0
 	reach.Each(func(id int32) {
 		if m := cg.MethodOf(id); m != nil {
@@ -138,9 +142,9 @@ func (mp *MustPrecede) solve() {
 			})
 		}
 	})
-	byID := mp.sc.mpPtrSlab().Make(cg.NumIDs())
+	byID := mp.sc.mpPtrs.Make(cg.NumIDs())
 	// One slab backs every state's in, out and gen rows.
-	slab := mp.sc.boolSlab().Make(3 * nodes)
+	slab := mp.sc.bools.Make(3 * nodes)
 	for i := range states {
 		st := &states[i]
 		byID[st.id] = st

@@ -8,7 +8,6 @@ package dataflow
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/cfg"
 	"repro/internal/jimple"
@@ -31,12 +30,12 @@ type ReachDefs struct {
 	defs   []int32
 	cp     ConstProp // the constant propagation over this result
 	// sc is the scratch r was carved from, which the object-call searches
-	// over r carve from too; nil for the heap.
+	// over r carve from too.
 	sc *Scratch
 }
 
-// rdScratch is the worklist state of one NewReachDefs run, reused
-// through rdScratches.
+// rdScratch is the worklist state of one NewReachDefs run, a Scratch's
+// rd.
 type rdScratch struct {
 	out    []uint64
 	row    []uint64
@@ -44,20 +43,22 @@ type rdScratch struct {
 	inWork []bool
 }
 
-var rdScratches = sync.Pool{New: func() any { return new(rdScratch) }}
-
 // NewReachDefs runs the classic gen/kill worklist algorithm on g, its
-// result carved from sc (nil: the heap).
+// result carved from sc; a nil sc means a fresh Scratch, which the result
+// keeps to itself and nothing resets.
 func NewReachDefs(sc *Scratch, g *cfg.Graph) *ReachDefs {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	body := g.Method.Body
 	n, nn := len(body), g.NumNodes()
 	names := g.Locals()
-	r := sc.rdSlab().New()
+	r := sc.rds.New()
 	*r = ReachDefs{g: g, names: names, words: (n + 63) / 64, sc: sc}
 	r.cp.rd = r
 	// One slab holds the def index: defAt, then defOff, then defs (at
 	// most one site per statement).
-	idx := sc.int32Slab().Make(n + len(names) + 1 + n)
+	idx := sc.int32s.Make(n + len(names) + 1 + n)
 	r.defAt, r.defOff = idx[:n:n], idx[n:n+len(names)+1:n+len(names)+1]
 	ndefs := 0
 	for i, s := range body {
@@ -85,9 +86,8 @@ func NewReachDefs(sc *Scratch, g *cfg.Graph) *ReachDefs {
 		}
 	}
 	w := r.words
-	r.in = sc.wordSlab().Make(nn * w)
-	s := rdScratches.Get().(*rdScratch)
-	defer rdScratches.Put(s)
+	r.in = sc.words.Make(nn * w)
+	s := &sc.rd
 	out := slices.Grow(s.out[:0], nn*w)[:nn*w]
 	clear(out)
 	s.out = out

@@ -116,9 +116,9 @@ type SummaryConfig struct {
 	// identical to the whole-set computation's. nil means all methods
 	// (a non-nil empty slice computes nothing).
 	Roots []string
-	// Scratch, when non-nil, is the per-scan memory the summaries and
-	// the working arrays of their computation are carved from (see
-	// Scratch); nil builds them on the heap.
+	// Scratch is the per-scan memory the summaries and the working arrays
+	// of their computation are carved from (see Scratch); nil means a
+	// fresh one, which nothing resets.
 	Scratch *Scratch
 }
 
@@ -186,13 +186,16 @@ type SummaryResolver func(site int) []*TaintSummary
 // condensation and the fixpoint run over those numbers and the graph's
 // method ids, and keys are read from the graph's key table.
 func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf SummaryConfig) (*SummarySet, error) {
+	if conf.Scratch == nil {
+		conf.Scratch = new(Scratch)
+	}
 	sc := conf.Scratch
 	b := &summaryBuilder{
 		cg:      cg,
 		conf:    conf,
-		loc:     sc.int32Slab().Make(cg.NumIDs()),
+		loc:     sc.int32s.Make(cg.NumIDs()),
 		set:     &SummarySet{},
-		nodes:   sc.nodeSlab().Make(len(methods))[:0],
+		nodes:   sc.nodes.Make(len(methods))[:0],
 		sumBufs: sc.takeSumBufs(),
 	}
 	defer func() { sc.giveSumBufs(b.sumBufs) }()
@@ -229,8 +232,8 @@ func ComputeSummaries(cg *callgraph.Graph, methods []*jimple.Method, conf Summar
 			b.loc[n.id] = int32(i)
 		}
 	}
-	b.sums = sc.sumPtrSlab().Make(len(b.nodes))
-	order := sc.int32Slab().Make(len(b.nodes))
+	b.sums = sc.sumPtrs.Make(len(b.nodes))
+	order := sc.int32s.Make(len(b.nodes))
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -284,7 +287,7 @@ type sumBufs struct {
 
 // finish publishes the summaries computed so far into the set.
 func (b *summaryBuilder) finish() {
-	b.set.byID = b.conf.Scratch.sumPtrSlab().Make(b.cg.NumIDs())
+	b.set.byID = b.conf.Scratch.sumPtrs.Make(b.cg.NumIDs())
 	for i, sum := range b.sums {
 		if sum == nil {
 			continue
@@ -558,11 +561,11 @@ func (b *summaryBuilder) computeMethod(i int32) *TaintSummary {
 		inputs = maxSummaryInputs
 	}
 	sc := b.conf.Scratch
-	sum := sc.summarySlab().New()
+	sum := sc.summaries.New()
 	*sum = TaintSummary{
 		Inputs:    inputs,
-		StateFrom: sc.wordSlab().Make(inputs),
-		CallsOn:   sc.callListSlab().Make(inputs),
+		StateFrom: sc.words.Make(inputs),
+		CallsOn:   sc.callLists.Make(inputs),
 	}
 	in := b.aliasFixpoint(m, g, callees)
 	b.collectFacts(m, g, callees, in, sum)

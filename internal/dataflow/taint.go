@@ -91,8 +91,12 @@ func (r taintRow) remove(local string) {
 //
 // Taint sets are bitsets over the method's local ids (cfg.Graph.Locals):
 // one slab holds every node's in and out rows. The result and the
-// worklist are carved from sc (nil: the heap).
+// worklist are carved from sc; a nil sc means a fresh Scratch, which
+// nothing resets.
 func ForwardTaint(sc *Scratch, g *cfg.Graph, sources map[int][]string, opts TaintOptions) *TaintResult {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	names := g.Locals()
 	for _, ls := range sources {
 		for _, l := range ls {
@@ -105,12 +109,12 @@ func ForwardTaint(sc *Scratch, g *cfg.Graph, sources map[int][]string, opts Tain
 	}
 	n := g.NumNodes()
 	w := max(1, (len(names)+63)/64)
-	slab := sc.wordSlab().Make((2*n + 1) * w)
+	slab := sc.words.Make((2*n + 1) * w)
 	in, out, scratch := slab[:n*w], slab[n*w:2*n*w], slab[2*n*w:]
 	row := func(rows []uint64, u int) []uint64 { return rows[u*w : (u+1)*w] }
 	body := g.Method.Body
-	work := sc.intSlab().Make(n)[:0]
-	inWork := sc.boolSlab().Make(n)
+	work := sc.ints.Make(n)[:0]
+	inWork := sc.bools.Make(n)
 	push := func(i int) {
 		if !inWork[i] {
 			inWork[i] = true
@@ -154,7 +158,7 @@ func ForwardTaint(sc *Scratch, g *cfg.Graph, sources map[int][]string, opts Tain
 			}
 		}
 	}
-	t := sc.taintSlab().New()
+	t := sc.taints.New()
 	*t = TaintResult{names: names, w: w, in: in}
 	return t
 }

@@ -219,7 +219,7 @@ func (d *decoder) setHeader(c *jimple.Class, slot int32) {
 	c.IsIface = h.flags&flagIface != 0
 	c.Abstract = h.flags&flagAbstract != 0
 	if ids := t.ifaces[h.ifaces.lo:h.ifaces.hi]; len(ids) > 0 {
-		c.Interfaces = d.strs.take(len(ids))
+		c.Interfaces = d.strs.Make(len(ids))
 		for i, id := range ids {
 			c.Interfaces[i] = t.name(d.pool, id)
 		}

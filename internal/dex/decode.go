@@ -3,9 +3,8 @@ package dex
 import (
 	"encoding/binary"
 	"fmt"
-	"testing"
-	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/jimple"
 )
 
@@ -24,15 +23,14 @@ type decoder struct {
 	data []byte
 	pos  int
 	pool []string
-	// The program's headers are carved from shared chunks rather than
-	// allocated one by one. strs backs signatures' Params and classes'
-	// Interfaces.
-	classes    slab[jimple.Class]
-	methods    slab[jimple.Method]
-	methodPtrs slab[*jimple.Method]
-	fields     slab[jimple.Field]
-	fieldPtrs  slab[*jimple.Field]
-	strs       slab[string]
+	// The program's headers are carved from slabs rather than allocated
+	// one by one. strs backs signatures' Params and classes' Interfaces.
+	classes    arena.Slab[jimple.Class]
+	methods    arena.Slab[jimple.Method]
+	methodPtrs arena.Slab[*jimple.Method]
+	fields     arena.Slab[jimple.Field]
+	fieldPtrs  arena.Slab[*jimple.Field]
+	strs       arena.Slab[string]
 	// The bodies' slices and nodes, once the decoder reads a body.
 	*bodySlabs
 	// lazy, when non-nil, switches classes to the skim path: the same
@@ -47,19 +45,21 @@ type decoder struct {
 	poolType []int32
 }
 
-// bodySlabs are the chunks a decoder carves bodies from: their locals,
+// bodySlabs are the slabs a decoder carves bodies from: their locals,
 // statements, traps and call arguments, and the statement nodes by type.
+// Each slice is capped at its length (arena.Slab.Make), so appending to
+// one never writes into the next.
 type bodySlabs struct {
-	localDecls slab[jimple.LocalDecl]
-	stmts      slab[jimple.Stmt]
-	traps      slab[jimple.Trap]
-	values     slab[jimple.Value]
-	assigns    slab[jimple.AssignStmt]
-	invokes    slab[jimple.InvokeStmt]
-	ifs        slab[jimple.IfStmt]
-	gotos      slab[jimple.GotoStmt]
-	returns    slab[jimple.ReturnStmt]
-	throws     slab[jimple.ThrowStmt]
+	localDecls arena.Slab[jimple.LocalDecl]
+	stmts      arena.Slab[jimple.Stmt]
+	traps      arena.Slab[jimple.Trap]
+	values     arena.Slab[jimple.Value]
+	assigns    arena.Slab[jimple.AssignStmt]
+	invokes    arena.Slab[jimple.InvokeStmt]
+	ifs        arena.Slab[jimple.IfStmt]
+	gotos      arena.Slab[jimple.GotoStmt]
+	returns    arena.Slab[jimple.ReturnStmt]
+	throws     arena.Slab[jimple.ThrowStmt]
 	// boxes holds the boxed single-reference values (locals, this refs,
 	// string constants, allocations) of the bodies decoded since the last
 	// resetBoxes, so each distinct one is boxed once per batch of bodies
@@ -67,26 +67,6 @@ type bodySlabs struct {
 	boxes []box
 	// args is the stack invoke arguments are decoded onto.
 	args []jimple.Value
-}
-
-// slab hands out slices carved from shared chunks, so decoding n headers
-// costs O(log n) allocations instead of n. Chunks double from 8 up to 512
-// elements; a request larger than that gets a chunk of its own. A caller
-// that knows how many elements it will take reserves one chunk of that
-// size up front: the lazy open carves its class headers from a chunk
-// sized by the class count, and Materialize its bodies from chunks sized
-// by their counts. Each slice is capped at its length, so appending to
-// one never writes into the next.
-//
-// A slab lists the chunks it carved (chunks), unless it is untracked, so
-// a released lazy program's decoder can give them back (recycle), and
-// carves from the spare chunks of an earlier one first.
-type slab[T any] struct {
-	free      []T
-	next      int
-	chunks    [][]T
-	spares    [][]T
-	untracked bool
 }
 
 // box is one boxed value: the value's tag and its pool reference.
@@ -139,116 +119,12 @@ func (d *decoder) resetBoxes() {
 // takeUpTo returns an empty slice from s with room for n items of at
 // least minBytes encoded bytes each, bounded by hint, or nil when n is
 // zero; appending past the room reallocates.
-func takeUpTo[T any](d *decoder, s *slab[T], n, minBytes int) []T {
+func takeUpTo[T any](d *decoder, s *arena.Slab[T], n, minBytes int) []T {
 	if n == 0 {
 		return nil
 	}
-	return s.take(d.hint(n, minBytes))[:0]
+	return s.Make(d.hint(n, minBytes))[:0]
 }
-
-// bodyCounts tallies body sections: their locals, statements and traps,
-// and their statements by opcode.
-type bodyCounts struct {
-	locals, stmts, traps int
-	ops                  [opNop + 1]int
-}
-
-// reserve gives each body slab room for the counted items in one chunk.
-func (d *decoder) reserve(n *bodyCounts) {
-	if d.bodySlabs == nil {
-		d.bodySlabs = new(bodySlabs)
-	}
-	d.localDecls.reserve(n.locals)
-	d.stmts.reserve(n.stmts)
-	d.traps.reserve(n.traps)
-	d.assigns.reserve(n.ops[opAssign])
-	d.invokes.reserve(n.ops[opInvoke])
-	d.ifs.reserve(n.ops[opIf])
-	d.gotos.reserve(n.ops[opGoto])
-	d.returns.reserve(n.ops[opReturn] + n.ops[opReturnVoid])
-	d.throws.reserve(n.ops[opThrow])
-}
-
-// reserve makes sure the next n items come from one chunk, allocating
-// one of exactly n items when the free room is short.
-func (s *slab[T]) reserve(n int) {
-	if n > len(s.free) {
-		s.free = s.chunk(n)
-	}
-}
-
-func (s *slab[T]) take(n int) []T {
-	if n > len(s.free) {
-		s.next = min(max(2*s.next, 8), 512)
-		s.free = s.chunk(max(n, s.next))
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
-}
-
-// chunk returns a zeroed chunk of at least n items: a spare one with the
-// room, whole, or else a new one of n.
-func (s *slab[T]) chunk(n int) []T {
-	var c []T
-	for i, sp := range s.spares {
-		if cap(sp) >= n {
-			c = sp[:cap(sp)]
-			if testing.Testing() {
-				// recycle filled it with junk.
-				clear(c)
-			}
-			last := len(s.spares) - 1
-			s.spares[i], s.spares[last] = s.spares[last], nil
-			s.spares = s.spares[:last]
-			break
-		}
-	}
-	if c == nil {
-		c = make([]T, n)
-	}
-	if !s.untracked {
-		s.chunks = append(s.chunks, c)
-	}
-	return c
-}
-
-// recycle makes every chunk s carved a spare, for the slab of a later
-// decoder to carve from, and empties s. A spare is cleared (in a test
-// binary, filled with junk to its capacity instead, which chunk clears
-// again before it carves), so the pool keeps no container alive and a
-// program that outlived its release reads junk; the tail of the last
-// chunk, which nothing carved, is zero already. Chunks above
-// maxSpareBytes, and spares beyond maxSpares, are left to the collector.
-func (s *slab[T]) recycle(junk T) {
-	for i, c := range s.chunks {
-		if len(s.spares) >= maxSpares || cap(c)*int(unsafe.Sizeof(junk)) > maxSpareBytes {
-			continue
-		}
-		used := cap(c)
-		if i == len(s.chunks)-1 {
-			used -= cap(s.free)
-		}
-		if testing.Testing() {
-			for k := range c[:cap(c)] {
-				c[k] = junk
-			}
-		} else {
-			clear(c[:used])
-		}
-		s.spares = append(s.spares, c[:cap(c)])
-	}
-	clear(s.chunks[:cap(s.chunks)])
-	s.chunks, s.free, s.next = s.chunks[:0], nil, 0
-}
-
-// maxSpares and maxSpareBytes bound what a slab keeps for the next
-// decoder: pooled memory counts against the heap goal like live memory
-// does, so a large app's chunks are not kept for the small ones after it.
-const (
-	maxSpares     = 8
-	maxSpareBytes = 32 << 10
-)
 
 func (d *decoder) run() (*jimple.Program, error) {
 	if len(d.data) < 4 || [4]byte(d.data[:4]) != Magic {
@@ -421,7 +297,7 @@ func (d *decoder) class() (*jimple.Class, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &d.classes.take(1)[0]
+	c := d.classes.New()
 	d.setHeader(c, slot)
 	if err := d.fieldSection(c); err != nil {
 		return nil, err
@@ -434,8 +310,8 @@ func (d *decoder) class() (*jimple.Class, error) {
 	if nm > 0 {
 		// A method is at least class, name, param count, return type and
 		// flags: five bytes.
-		methods = d.methods.take(d.hint(nm, 5))
-		c.Methods = d.methodPtrs.take(len(methods))[:0]
+		methods = d.methods.Make(d.hint(nm, 5))
+		c.Methods = d.methodPtrs.Make(len(methods))[:0]
 	}
 	for i := 0; i < nm; i++ {
 		var m *jimple.Method
@@ -461,8 +337,8 @@ func (d *decoder) fieldSection(c *jimple.Class) error {
 	var fields []jimple.Field
 	if nf > 0 {
 		// A field is at least name, type and flags: three bytes.
-		fields = d.fields.take(d.hint(nf, 3))
-		c.Fields = d.fieldPtrs.take(len(fields))[:0]
+		fields = d.fields.Make(d.hint(nf, 3))
+		c.Fields = d.fieldPtrs.Make(len(fields))[:0]
 	}
 	for i := 0; i < nf; i++ {
 		var f *jimple.Field
@@ -692,7 +568,7 @@ func (d *decoder) stmt(i, n int) (jimple.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := &d.assigns.take(1)[0]
+		st := d.assigns.New()
 		st.LHS, st.RHS = lv, rhs
 		return st, nil
 	case opInvoke:
@@ -704,7 +580,7 @@ func (d *decoder) stmt(i, n int) (jimple.Stmt, error) {
 		if !ok {
 			return nil, fmt.Errorf("invoke statement holds %T", v)
 		}
-		st := &d.invokes.take(1)[0]
+		st := d.invokes.New()
 		st.Call = inv
 		return st, nil
 	case opIf:
@@ -719,7 +595,7 @@ func (d *decoder) stmt(i, n int) (jimple.Stmt, error) {
 		if err := checkBranch(i, t, n); err != nil {
 			return nil, err
 		}
-		st := &d.ifs.take(1)[0]
+		st := d.ifs.New()
 		st.Cond, st.Target = cond, int(t)
 		return st, nil
 	case opGoto:
@@ -730,7 +606,7 @@ func (d *decoder) stmt(i, n int) (jimple.Stmt, error) {
 		if err := checkBranch(i, t, n); err != nil {
 			return nil, err
 		}
-		st := &d.gotos.take(1)[0]
+		st := d.gotos.New()
 		st.Target = int(t)
 		return st, nil
 	case opReturn:
@@ -738,17 +614,17 @@ func (d *decoder) stmt(i, n int) (jimple.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := &d.returns.take(1)[0]
+		st := d.returns.New()
 		st.V = v
 		return st, nil
 	case opReturnVoid:
-		return &d.returns.take(1)[0], nil
+		return d.returns.New(), nil
 	case opThrow:
 		v, err := d.value()
 		if err != nil {
 			return nil, err
 		}
-		st := &d.throws.take(1)[0]
+		st := d.throws.New()
 		st.V = v
 		return st, nil
 	case opNop:
@@ -838,7 +714,7 @@ func (d *decoder) value() (jimple.Value, error) {
 		}
 		var args []jimple.Value
 		if na > 0 {
-			args = d.values.take(na)
+			args = d.values.Make(na)
 			copy(args, d.args[lo:])
 			d.args = d.args[:lo]
 		}

@@ -7,8 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/jimple"
 )
 
@@ -128,14 +128,14 @@ var buildPool = sync.Pool{New: func() any { return new(lazyBuild) }}
 // what only the open holds — its index's slabs, string-pool slice, key
 // table and caller, declarer and subtype tables, its class table, its
 // referenced-class set and materialized flags, the program's class memo,
-// and its decoder's chunks: the classes, fields and method headers
+// and its decoder's slabs, reset: the classes, fields and method headers
 // BuildClass carved and the bodies Materialize decoded (statements,
 // statement nodes, locals, traps, call arguments). Nothing a Result or a
 // registry memo can reach goes in, and no memory backing a string or a
 // signature: the pool text, the boxed values and the strs slab (which
 // signatures' Params alias) stay with the collector. The arrays are
-// cleared, to their capacity, before a spare is pooled, so the pool keeps
-// no container alive.
+// cleared before a spare is pooled, so the pool keeps no container
+// alive.
 type spare struct {
 	slabs
 	pool         []string
@@ -147,7 +147,7 @@ type spare struct {
 	materialized []bool
 	offs, ids    []int32
 	memo         []atomic.Pointer[jimple.Class]
-	// dec is the released decoder, holding only its slabs' spare chunks.
+	// dec is the released decoder, holding only its reset slabs.
 	dec decoder
 }
 
@@ -215,8 +215,6 @@ func DecodeLazy(data []byte) (*Lazy, error) {
 	l.held = held
 	l.dec = reused.dec
 	l.dec.data, l.dec.pool, l.dec.ct = data, d.pool, &x.cls
-	// The strs chunks are never recycled, so the slab need not list them.
-	l.dec.strs.untracked = true
 	x.finish(&reused)
 	l.materialized = reuse(reused.materialized, len(x.classes))
 	l.numSlots, l.numLive = len(x.cls.headers), x.cls.live
@@ -312,9 +310,7 @@ func (l *Lazy) Release() {
 		memo:         x.prog.ReleaseMemo(),
 	}
 	s.clearStrings()
-	if len(s.memo)*int(unsafe.Sizeof(s.memo[0])) > maxSpareBytes {
-		s.memo = nil
-	}
+	s.memo = arena.Keep(s.memo)
 	for i := range s.memo {
 		if testing.Testing() {
 			s.memo[i].Store(&junkClass)
@@ -330,27 +326,28 @@ func (l *Lazy) Release() {
 }
 
 // recycle empties d for the decoder of a later open, which it returns:
-// the chunks of d's header and body slabs become their spares (see
-// slab.recycle), and everything else is dropped. The strs slab goes to
-// the collector with its chunks, since the signatures of reports and
-// registry memos alias them.
+// d's header and body slabs are reset (arena.Slab.Reset), so the later
+// decoder carves from their chunks, and everything else is dropped. The
+// strs slab goes to the collector with its chunks, since the signatures
+// of reports and registry memos alias them: the later decoder starts a
+// fresh one.
 func (d *decoder) recycle() decoder {
-	d.classes.recycle(junkClass)
-	d.methods.recycle(junkMethod)
-	d.methodPtrs.recycle(&junkMethod)
-	d.fields.recycle(junkField)
-	d.fieldPtrs.recycle(&junkField)
+	d.classes.Reset(func(c *jimple.Class) { *c = junkClass })
+	d.methods.Reset(func(m *jimple.Method) { *m = junkMethod })
+	d.methodPtrs.Reset(func(m **jimple.Method) { *m = &junkMethod })
+	d.fields.Reset(func(f *jimple.Field) { *f = junkField })
+	d.fieldPtrs.Reset(func(f **jimple.Field) { *f = &junkField })
 	if b := d.bodySlabs; b != nil {
-		b.localDecls.recycle(jimple.LocalDecl{Name: junk, Type: junk})
-		b.stmts.recycle(jimple.Stmt(&junkReturn))
-		b.traps.recycle(jimple.Trap{Begin: -1, End: -1, Handler: -1, Exception: junk})
-		b.values.recycle(junkValue)
-		b.assigns.recycle(jimple.AssignStmt{LHS: jimple.Local{Name: junk}, RHS: junkValue})
-		b.invokes.recycle(jimple.InvokeStmt{Call: jimple.InvokeExpr{Callee: junkMethod.Sig}})
-		b.ifs.recycle(jimple.IfStmt{Cond: junkValue, Target: -1})
-		b.gotos.recycle(jimple.GotoStmt{Target: -1})
-		b.returns.recycle(junkReturn)
-		b.throws.recycle(jimple.ThrowStmt{V: junkValue})
+		b.localDecls.Reset(func(l *jimple.LocalDecl) { *l = junkLocal })
+		b.stmts.Reset(func(st *jimple.Stmt) { *st = &junkReturn })
+		b.traps.Reset(func(t *jimple.Trap) { *t = junkTrap })
+		b.values.Reset(func(v *jimple.Value) { *v = junkValue })
+		b.assigns.Reset(func(st *jimple.AssignStmt) { *st = junkAssign })
+		b.invokes.Reset(func(st *jimple.InvokeStmt) { *st = junkInvoke })
+		b.ifs.Reset(func(st *jimple.IfStmt) { *st = jimple.IfStmt{Cond: junkValue, Target: -1} })
+		b.gotos.Reset(func(st *jimple.GotoStmt) { *st = jimple.GotoStmt{Target: -1} })
+		b.returns.Reset(func(st *jimple.ReturnStmt) { *st = junkReturn })
+		b.throws.Reset(func(st *jimple.ThrowStmt) { *st = jimple.ThrowStmt{V: junkValue} })
 		clear(b.boxes[:cap(b.boxes)])
 		clear(b.args[:cap(b.args)])
 		b.boxes, b.args = b.boxes[:0], b.args[:0]
@@ -361,17 +358,19 @@ func (d *decoder) recycle() decoder {
 	}
 }
 
-// The junk a test binary writes over recycled memory (slab.recycle): a
-// program or report that outlived its release reads these instead of a
+// The junk a test binary writes over recycled memory (arena.Slab.Reset):
+// a program or report that outlived its release reads these instead of a
 // plausible class.
-const junk = "\x00recycled"
-
 var (
-	junkValue  jimple.Value = jimple.StrConst{V: junk}
+	junkValue  jimple.Value = jimple.StrConst{V: arena.Junk}
 	junkReturn              = jimple.ReturnStmt{V: junkValue}
-	junkMethod              = jimple.Method{Sig: jimple.Sig{Class: junk, Name: junk, Ret: junk}}
-	junkField               = jimple.Field{Name: junk, Type: junk}
-	junkClass               = jimple.Class{Name: junk, Super: junk}
+	junkAssign              = jimple.AssignStmt{LHS: jimple.Local{Name: arena.Junk}, RHS: junkValue}
+	junkInvoke              = jimple.InvokeStmt{Call: jimple.InvokeExpr{Callee: junkMethod.Sig}}
+	junkLocal               = jimple.LocalDecl{Name: arena.Junk, Type: arena.Junk}
+	junkTrap                = jimple.Trap{Begin: -1, End: -1, Handler: -1, Exception: arena.Junk}
+	junkMethod              = jimple.Method{Sig: jimple.Sig{Class: arena.Junk, Name: arena.Junk, Ret: arena.Junk}}
+	junkField               = jimple.Field{Name: arena.Junk, Type: arena.Junk}
+	junkClass               = jimple.Class{Name: arena.Junk, Super: arena.Junk}
 )
 
 // live panics if l has been released.
@@ -489,13 +488,13 @@ func (l *Lazy) BuildClass(slot int32) *jimple.Class {
 	l.live()
 	d := &l.dec
 	h := &d.ct.headers[slot]
-	c := &d.classes.take(1)[0]
+	c := d.classes.New()
 	d.setHeader(c, slot)
 	d.pos = int(h.fields)
 	err := d.fieldSection(c)
 	if hdrs := l.hdrs[h.mlo:h.mhi]; err == nil && len(hdrs) > 0 {
-		methods := d.methods.take(len(hdrs))
-		c.Methods = d.methodPtrs.take(len(hdrs))
+		methods := d.methods.Make(len(hdrs))
+		c.Methods = d.methodPtrs.Make(len(hdrs))
 		for i, at := range hdrs {
 			m := &methods[i]
 			d.pos = int(max(at, ^at))
@@ -590,33 +589,14 @@ func (l *Lazy) EachRefClass(fn func(string)) {
 // time, so an error here means the underlying bytes changed — callers may
 // treat it as impossible for data they own.
 //
-// The bodies' slices and statement nodes are carved from slabs sized by
-// a first skim of the spans, which tallies their locals, statements and
-// traps, so one call takes one exact chunk of each, and a value naming a
-// pool string (a local, say) is boxed once per call: a caller with
-// several classes to decode passes them together. Should that skim fail
-// anyway, the slabs simply grow as the decode goes.
+// The bodies' slices and statement nodes are carved from the decoder's
+// slabs, whose chunks a released open hands to the next (Release), and a
+// value naming a pool string (a local, say) is boxed once per call: a
+// caller with several classes to decode passes them together.
 func (l *Lazy) Materialize(classes ...string) error {
 	l.live()
 	x := l.idx
 	d := &l.dec
-	var n bodyCounts
-	for _, class := range classes {
-		slot, ok := x.ClassSlot(class)
-		if !ok || l.materialized[slot] {
-			continue
-		}
-		c := x.classes[slot]
-		for _, r := range x.recs[c.lo:c.hi] {
-			if d.toBody(r.hdr) != nil {
-				break
-			}
-			if _, ok := d.skimBody(&n); !ok {
-				break
-			}
-		}
-	}
-	d.reserve(&n)
 	d.resetBoxes()
 	for _, class := range classes {
 		slot, ok := x.ClassSlot(class)
@@ -766,7 +746,7 @@ func (d *decoder) lazyBody(name, ord, hdr int32) (empty bool, err error) {
 	start := d.pos
 	r := MethodRef{Name: d.nameOf(name), Class: int32(len(x.classes)), ord: ord, hdr: hdr}
 	r.calls.lo, r.intents.lo = int32(len(x.calls)), int32(len(x.intents))
-	empty, ok := d.skimBody(nil)
+	empty, ok := d.skimBody()
 	if ok && !empty {
 		for _, t := range b.locals {
 			l.markRef(t)
@@ -861,19 +841,14 @@ func (d *decoder) skimRef() (int32, bool) {
 // in the same order, but keeps only the record's calls and intents, and
 // its local types in the build's scratch. empty reports whether the
 // section holds zero statements (the empty-body normalization case); ok
-// whether every check passed. On a decoder without a lazy build it keeps
-// nothing and instead adds the section's counts to n (see bodyCounts).
-func (d *decoder) skimBody(n *bodyCounts) (empty, ok bool) {
+// whether every check passed.
+func (d *decoder) skimBody() (empty, ok bool) {
 	b := d.lazy
 	nl, ok := d.skimCount()
 	if !ok {
 		return false, false
 	}
-	if b != nil {
-		b.locals = b.locals[:0]
-	} else {
-		n.locals += nl
-	}
+	b.locals = b.locals[:0]
 	for i := 0; i < nl; i++ {
 		if _, ok := d.skimRef(); !ok { // name
 			return false, false
@@ -882,29 +857,20 @@ func (d *decoder) skimBody(n *bodyCounts) (empty, ok bool) {
 		if !ok {
 			return false, false
 		}
-		if b != nil {
-			b.locals = append(b.locals, t)
-		}
+		b.locals = append(b.locals, t)
 	}
 	ns, ok := d.skimCount()
 	if !ok {
 		return false, false
 	}
 	for i := 0; i < ns; i++ {
-		if b == nil && d.pos < len(d.data) && d.data[d.pos] < byte(len(n.ops)) {
-			n.ops[d.data[d.pos]]++
-		}
-		if !d.skimStmt(b != nil, ns) {
+		if !d.skimStmt(true, ns) {
 			return false, false
 		}
 	}
 	nt, ok := d.skimCount()
 	if !ok {
 		return false, false
-	}
-	if b == nil {
-		n.stmts += ns
-		n.traps += nt
 	}
 	for i := 0; i < nt; i++ {
 		var r [3]uint64 // begin, end, handler

@@ -59,8 +59,8 @@ type Hierarchy struct {
 	// sites, and each re-resolution used to redo the subtree walk and
 	// re-render every candidate's key. An overlay keeps its own memo.
 	dispatchMemo map[dispatchKey][]*jimple.Method
-	// sc is the scratch an overlay keeps its indexes in; nil for the
-	// heap.
+	// sc is the scratch an overlay keeps its indexes in; nil for a flat
+	// hierarchy.
 	sc *Scratch
 }
 
@@ -92,7 +92,7 @@ func New(p *jimple.Program) *Hierarchy {
 			h.supersOf[c.Name] = append(h.supersOf[c.Name], i)
 			h.subsOf[i] = append(h.subsOf[i], c.Name)
 		}
-		h.methodIdx[c.Name] = methodsOf(c, intern, nil)
+		h.methodIdx[c.Name] = methodsOf(c, intern, make(map[string]*jimple.Method, len(c.Methods)))
 		h.superOf[c.Name] = c.Super
 	}
 	for _, m := range []map[string][]string{h.subsOf, h.supersOf} {
@@ -105,25 +105,28 @@ func New(p *jimple.Program) *Hierarchy {
 
 // NewOverlay returns the hierarchy of the overlay program p over base,
 // which must be a flat hierarchy of p's base program, its indexes kept in
-// sc (nil: on the heap). It does no work per class: own classes are
-// indexed as queries reach them, and every query answers exactly as New
-// over the flat merge of p's layers would.
+// sc; a nil sc means a fresh Scratch, which nothing resets. It does no
+// work per class: own classes are indexed as queries reach them, and
+// every query answers exactly as New over the flat merge of p's layers
+// would.
 func NewOverlay(base *Hierarchy, p *jimple.Program, sc *Scratch) *Hierarchy {
 	if base.base != nil || p.Base() != base.prog {
 		panic("hierarchy: overlay program does not sit on the base hierarchy's program")
 	}
-	h := &Hierarchy{prog: p, base: base, shadows: p.Shadows(), sc: sc}
-	if sc != nil {
-		if sc.methodIdx == nil {
-			sc.methodIdx = make(map[string]map[string]*jimple.Method)
-			sc.dispatchMemo = make(map[dispatchKey][]*jimple.Method)
-		}
-		if sc.intern == nil {
-			sc.intern = jimple.NewInterner()
-		}
-		h.methodIdx, h.dispatchMemo, h.intern = sc.methodIdx, sc.dispatchMemo, sc.intern
+	if sc == nil {
+		sc = new(Scratch)
 	}
-	return h
+	if sc.methodIdx == nil {
+		sc.methodIdx = make(map[string]map[string]*jimple.Method)
+		sc.dispatchMemo = make(map[dispatchKey][]*jimple.Method)
+	}
+	if sc.intern == nil {
+		sc.intern = jimple.NewInterner()
+	}
+	return &Hierarchy{
+		prog: p, base: base, shadows: p.Shadows(), sc: sc,
+		methodIdx: sc.methodIdx, dispatchMemo: sc.dispatchMemo, intern: sc.intern,
+	}
 }
 
 // Scratch is the memory a scan's overlay hierarchy keeps its indexes in:
@@ -155,9 +158,6 @@ const (
 // emptied (or dropped, past their bounds), and so is the interner past
 // maxInterned strings.
 func (s *Scratch) Reset() {
-	if s == nil {
-		return
-	}
 	for _, mm := range s.methodIdx {
 		if len(s.spare) < maxSpareMaps && len(mm) <= maxSpareMethod {
 			clear(mm)
@@ -177,7 +177,7 @@ func (s *Scratch) Reset() {
 // methodMap returns an empty map for a class of n methods: a spare one
 // of an earlier scan when sc holds one.
 func (sc *Scratch) methodMap(n int) map[string]*jimple.Method {
-	if sc == nil || len(sc.spare) == 0 {
+	if len(sc.spare) == 0 {
 		return make(map[string]*jimple.Method, n)
 	}
 	last := len(sc.spare) - 1
@@ -188,9 +188,8 @@ func (sc *Scratch) methodMap(n int) map[string]*jimple.Method {
 }
 
 // methodsOf maps c's methods by subsignature, first declaration winning,
-// in a map from sc.
-func methodsOf(c *jimple.Class, intern *jimple.Interner, sc *Scratch) map[string]*jimple.Method {
-	mm := sc.methodMap(len(c.Methods))
+// in mm, which it returns.
+func methodsOf(c *jimple.Class, intern *jimple.Interner, mm map[string]*jimple.Method) map[string]*jimple.Method {
 	for _, m := range c.Methods {
 		k := intern.SubSigKey(m.Sig)
 		if _, dup := mm[k]; !dup {
@@ -207,11 +206,7 @@ func (h *Hierarchy) ownMethods(c *jimple.Class) map[string]*jimple.Method {
 	defer h.mu.Unlock()
 	mm, ok := h.methodIdx[c.Name]
 	if !ok {
-		if h.methodIdx == nil {
-			h.methodIdx = make(map[string]map[string]*jimple.Method)
-			h.intern = jimple.NewInterner()
-		}
-		mm = methodsOf(c, h.intern, h.sc)
+		mm = methodsOf(c, h.intern, h.sc.methodMap(len(c.Methods)))
 		h.methodIdx[c.Name] = mm
 	}
 	return mm
@@ -482,9 +477,6 @@ func (h *Hierarchy) Dispatch(e jimple.InvokeExpr, sub string) []*jimple.Method {
 	h.mu.Unlock()
 	out := h.dispatch(virtual, e.Callee.Class, sub)
 	h.mu.Lock()
-	if h.dispatchMemo == nil {
-		h.dispatchMemo = make(map[dispatchKey][]*jimple.Method)
-	}
 	h.dispatchMemo[key] = out
 	h.mu.Unlock()
 	return out

@@ -38,6 +38,18 @@ else
     echo "govulncheck not installed; skipping"
 fi
 
+echo "== kernel scratch pools =="
+# A kernel's working memory belongs to the per-scan Scratch its
+# constructor takes (DESIGN.md §13), which a scan resets when it ends: a
+# sync.Pool beside it would be a second way to recycle the same memory.
+side_pools=$(find internal/cfg internal/dataflow internal/callgraph internal/hierarchy \
+    -name '*.go' ! -name '*_test.go' -exec grep -l 'sync\.Pool' {} + || true)
+if [ -n "$side_pools" ]; then
+    echo "kernel scratch pools: sync.Pool in non-test kernel code (use the package's Scratch):" >&2
+    echo "$side_pools" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 (cd perfbench && go build -o /dev/null .)
@@ -48,9 +60,11 @@ echo "== go test -race =="
 go test -race -timeout 10m ./...
 
 echo "== go test -race -count=3 (concurrent first use) =="
-# A lazily opened app decodes a class's members on the first lookup, and
-# the parallel stages share one overlay: repeat the concurrency tests so
-# more interleavings of those first uses reach the race detector.
+# Concurrent scans share the frozen base layer, and a lazily opened app
+# decodes a class's members on its first lookup under the program's lock,
+# which TestConcurrentFirstUseOfOneOverlay races from many goroutines on
+# one overlay: repeat the concurrency tests so more interleavings of those
+# first uses reach the race detector.
 go test -race -count=3 -timeout 10m -run 'Concurrent' ./internal/baselayer ./internal/core
 
 echo "== go test -race (persistent cache on) =="
